@@ -1,12 +1,17 @@
 """Workload substrate: ProWGen-style synthetic traces + UCB-like substitute.
 
 - :mod:`repro.workload.zipf` — Zipf popularity + alias sampling.
-- :mod:`repro.workload.lru_stack` — order-statistic LRU stack (temporal
+- :mod:`repro.workload.lru_stack` — positional LRU stack (temporal
   locality model).
 - :mod:`repro.workload.prowgen` — the four-knob trace generator (§5.1).
 - :mod:`repro.workload.ucb` — UCB Home-IP trace substitute for Fig 2(b).
 - :mod:`repro.workload.trace` — compact trace container and IO.
 """
+
+import hashlib
+import json
+from dataclasses import asdict
+from pathlib import Path
 
 from .adapters import AdapterReport, from_common_log, from_squid_log
 from .lru_stack import LruStack
@@ -111,33 +116,28 @@ def generate_cluster_traces_streaming(
 
     ``clusters`` is an iterable of *global* cluster indexes (a sharded
     worker passes only its own); each trace is generated chunk-by-chunk
-    into ``directory/cluster<i>.s<seed>.ctrace`` with the same
-    per-cluster seeds as the in-memory generator, so the workload is
-    identical bit for bit regardless of how clusters are spread over
-    processes.  A sealed file already present for a cluster is reused
-    instead of regenerated (cheap resume for repeated gate runs against
-    one workload); the seed is part of the file name so one directory
-    can hold several seeds' workloads without cross-talk.
+    into ``directory/cluster<i>.s<seed>.<config fingerprint>.ctrace``
+    with the same per-cluster seeds as the in-memory generator, so the
+    workload is identical bit for bit regardless of how clusters are
+    spread over processes.  A sealed file already present under that
+    name is reused instead of regenerated (cheap resume for repeated
+    gate runs against one workload).  The seed and *every*
+    :class:`ProWGenConfig` field are part of the name, so one directory
+    can hold several seeds' and several shapes' workloads — an alpha or
+    stack-size sweep pointed at one directory — without cross-talk.
     """
-    from pathlib import Path
-
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    fingerprint = hashlib.sha256(
+        json.dumps(asdict(config), sort_keys=True).encode()
+    ).hexdigest()[:12]
     traces = []
     for i in clusters:
-        path = directory / f"cluster{i}.s{seed}.ctrace"
+        path = directory / f"cluster{i}.s{seed}.{fingerprint}.ctrace"
         if path.exists():
             try:
-                existing = StreamingTrace(path, chunk_requests=chunk_requests)
-                if (
-                    existing.n_requests == config.n_requests
-                    and existing.n_objects == config.n_objects
-                    and existing.n_clients == config.n_clients
-                    and existing.has_sizes == (config.object_sizes != "off")
-                ):
-                    traces.append(existing)
-                    continue
-                path.unlink()  # different scale: regenerate
+                traces.append(StreamingTrace(path, chunk_requests=chunk_requests))
+                continue
             except (ValueError, TruncatedTraceError):
                 path.unlink()  # unsealed/stale leftover: regenerate
         traces.append(

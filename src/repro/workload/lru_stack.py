@@ -1,4 +1,4 @@
-"""Order-statistic LRU stack — the temporal-locality engine of ProWGen.
+"""Positional LRU stack — the temporal-locality engine of ProWGen.
 
 ProWGen (Busari & Williamson, INFOCOM'01) injects temporal locality into
 the generated reference stream with a *finite-size LRU stack*: recently
@@ -6,21 +6,15 @@ referenced objects sit near the top and are re-referenced with
 position-dependent (recency-skewed) probability; the stack size bounds how
 many objects participate in the temporally local regime at once.
 
-The generator needs three stack operations millions of times:
-
-* ``push`` / move-to-top (the referenced object becomes most recent),
-* ``object_at(position)`` — who is the p-th most recent? (to realise a
-  draw from the stack-position distribution),
-* ``evict_lru`` — drop the bottom when the stack overflows.
-
-A plain list makes move-to-top O(k); with the paper's stack sizes (up to
-60 % of several thousand objects) that is quadratic overall.  Instead we
-keep a Fenwick (binary indexed) tree over *access-time slots*: each
-member occupies the slot of its last reference, positions are prefix
-counts, and ``object_at`` is a classic O(log m) Fenwick *select*.  The
-slot array grows with time and is compacted geometrically, so all
-operations are O(log m) amortised with m ≈ a small multiple of the stack
-capacity.
+The generator only ever touches the stack *by position*: a stack hit
+knows the position it just drew, an outside draw pushes a non-member, and
+an exhausted object leaves from the position it was drawn at.  So the
+stack is a plain list with the top at the tail — ``pop_at`` is one
+``del`` (a C ``memmove`` of the entries above), ``push`` an ``append``,
+overflow a ``pop(0)``.  At the paper's stack sizes (150–3 000 entries)
+that memmove is an order of magnitude cheaper than the ~20 interpreted
+steps of an order-statistic tree, and it stays ahead up to 3·10⁵-entry
+stacks (EXPERIMENTS.md, "Workload generation").
 """
 
 from __future__ import annotations
@@ -31,131 +25,51 @@ __all__ = ["LruStack"]
 
 
 class LruStack:
-    """Finite LRU stack with O(log n) positional access.
+    """Finite LRU stack addressed by position (1 = most recently referenced).
 
-    Position 1 is the most recently referenced member (the top).
+    A re-reference is ``push(pop_at(position))``; members are never looked
+    up by value, so ``push`` takes the caller's word that its argument is
+    not already a member.
     """
 
-    #: Compact the slot array when it exceeds this multiple of membership.
-    _GROWTH_FACTOR = 4
-    _MIN_SLOTS = 256
+    __slots__ = ("capacity", "_items")
 
     def __init__(self, capacity: int) -> None:
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
         self.capacity = capacity
-        self._slot_of: dict[Hashable, int] = {}
-        self._obj_at: dict[int, Hashable] = {}
-        self._tree: list[int] = [0] * (self._MIN_SLOTS + 1)  # 1-based Fenwick
-        self._nslots = self._MIN_SLOTS
-        self._next = 1  # next free slot (time order: larger = more recent)
+        self._items: list[Hashable] = []  # least recent first, top at the tail
 
     def __len__(self) -> int:
-        return len(self._slot_of)
-
-    def __contains__(self, obj: Hashable) -> bool:
-        return obj in self._slot_of
-
-    # -- Fenwick primitives -------------------------------------------------
-
-    def _add(self, i: int, delta: int) -> None:
-        while i <= self._nslots:
-            self._tree[i] += delta
-            i += i & (-i)
-
-    def _select(self, rank: int) -> int:
-        """Index of the slot holding the ``rank``-th live entry from the left."""
-        pos = 0
-        bit = 1 << (self._nslots.bit_length() - 1)
-        while bit:
-            nxt = pos + bit
-            if nxt <= self._nslots and self._tree[nxt] < rank:
-                pos = nxt
-                rank -= self._tree[nxt]
-            bit >>= 1
-        return pos + 1
-
-    def _compact(self) -> None:
-        """Rebuild the slot array with members packed in time order."""
-        members = sorted(self._slot_of.items(), key=lambda kv: kv[1])
-        self._nslots = max(self._MIN_SLOTS, self._GROWTH_FACTOR * max(1, self.capacity))
-        self._tree = [0] * (self._nslots + 1)
-        self._slot_of.clear()
-        self._obj_at.clear()
-        self._next = 1
-        for obj, _old in members:
-            self._place(obj)
-
-    def _place(self, obj: Hashable) -> None:
-        if self._next > self._nslots:
-            self._compact()
-        slot = self._next
-        self._next += 1
-        self._slot_of[obj] = slot
-        self._obj_at[slot] = obj
-        self._add(slot, 1)
-
-    def _unplace(self, obj: Hashable) -> None:
-        slot = self._slot_of.pop(obj)
-        del self._obj_at[slot]
-        self._add(slot, -1)
-
-    # -- stack operations -----------------------------------------------------
-
-    def push(self, obj: Hashable) -> Hashable | None:
-        """Reference ``obj``: move (or insert) it to the top.
-
-        Returns the LRU object evicted by overflow, or None.
-        """
-        if self.capacity == 0:
-            return None
-        if obj in self._slot_of:
-            self._unplace(obj)
-            self._place(obj)
-            return None
-        self._place(obj)
-        if len(self._slot_of) > self.capacity:
-            return self.evict_lru()
-        return None
-
-    def evict_lru(self) -> Hashable | None:
-        """Remove and return the bottom (least recent) member."""
-        if not self._slot_of:
-            return None
-        slot = self._select(1)
-        obj = self._obj_at[slot]
-        self._unplace(obj)
-        return obj
-
-    def remove(self, obj: Hashable) -> bool:
-        """Drop a member (e.g. its reference count is exhausted)."""
-        if obj not in self._slot_of:
-            return False
-        self._unplace(obj)
-        return True
+        return len(self._items)
 
     def object_at(self, position: int) -> Hashable:
         """Member at stack ``position`` (1 = most recent)."""
-        n = len(self._slot_of)
-        if not 1 <= position <= n:
-            raise IndexError(f"position {position} out of range 1..{n}")
-        # position p from the top == rank (n - p + 1) from the left.
-        slot = self._select(n - position + 1)
-        return self._obj_at[slot]
+        items = self._items
+        if not 1 <= position <= len(items):
+            raise IndexError(f"position {position} out of range 1..{len(items)}")
+        return items[-position]
 
-    def position_of(self, obj: Hashable) -> int:
-        """Stack position of a member (1 = most recent); O(log m)."""
-        slot = self._slot_of.get(obj)
-        if slot is None:
-            raise KeyError(obj)
-        # rank from the left = prefix count up to slot
-        rank = 0
-        i = slot
-        while i > 0:
-            rank += self._tree[i]
-            i -= i & (-i)
-        return len(self._slot_of) - rank + 1
+    def pop_at(self, position: int) -> Hashable:
+        """Remove and return the member at stack ``position``."""
+        items = self._items
+        if not 1 <= position <= len(items):
+            raise IndexError(f"position {position} out of range 1..{len(items)}")
+        return items.pop(-position)
+
+    def push(self, obj: Hashable) -> Hashable | None:
+        """Place non-member ``obj`` on top.
+
+        Returns the bottom member evicted by overflow, or None.  A
+        zero-capacity stack absorbs nothing.
+        """
+        if self.capacity == 0:
+            return None
+        self._items.append(obj)
+        if len(self._items) > self.capacity:
+            return self._items.pop(0)
+        return None
 
     def as_list(self) -> list[Hashable]:
-        """Members from top (most recent) to bottom; O(n log m), test aid."""
-        return [self.object_at(p) for p in range(1, len(self) + 1)]
+        """Members from top (most recent) to bottom."""
+        return self._items[::-1]

@@ -40,6 +40,8 @@ reorders requests — matching ProWGen's separation of "static" vs
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -123,26 +125,6 @@ class ProWGenConfig:
         )
 
 
-class _UniformPool:
-    """Batched uniform variates (one RNG call per 2¹⁶ draws)."""
-
-    __slots__ = ("_rng", "_buf", "_pos")
-    _BATCH = 1 << 16
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        self._rng = rng
-        self._buf = rng.random(self._BATCH)
-        self._pos = 0
-
-    def next(self) -> float:
-        if self._pos == self._BATCH:
-            self._buf = self._rng.random(self._BATCH)
-            self._pos = 0
-        v = self._buf[self._pos]
-        self._pos += 1
-        return v
-
-
 def _assign_counts(config: ProWGenConfig, rng: np.random.Generator) -> np.ndarray:
     """Phase 1: per-object reference counts (one-timers + Zipf populars)."""
     counts = np.zeros(config.n_objects, dtype=np.int64)
@@ -161,6 +143,10 @@ def _assign_counts(config: ProWGenConfig, rng: np.random.Generator) -> np.ndarra
     return counts
 
 
+#: Uniform variates are drawn from the RNG in batches of this many.
+_UNIFORM_BATCH = 1 << 16
+
+
 def _emit_stream_chunks(
     config: ProWGenConfig,
     counts: np.ndarray,
@@ -174,84 +160,119 @@ def _emit_stream_chunks(
     are identical regardless of ``chunk_requests``, so a chunked trace
     is byte-for-byte the monolithic one (asserted by the streaming
     round-trip tests); only the flush granularity differs.
+
+    **Draw contract** (the order of RNG draws *is* the trace; pinned by
+    ``tests/workload/GOLDEN_streams.json``):
+
+    * uniforms come from one ``rng.random(1 << 16)`` batch, drawn up
+      front and refilled exactly when a uniform is needed and the batch
+      is exhausted;
+    * each request consumes one uniform for the stack/outside decision —
+      only when the stack is non-empty — and, on a stack hit, one more
+      for the position;
+    * an outside draw is ``rng.integers(n)`` then ``rng.random()`` per
+      candidate (Vose alias sampling) until one has references left and
+      is not in the stack; after 256 consecutive rejects the alias
+      tables are rebuilt from the residual counts (no draw);
+    * client ids are drawn by the callers after the whole object stream.
+
+    The loop indexes only flat Python-level sequences (``array``,
+    ``bytearray``, ``list``): per-object state is one machine word per
+    object, and nothing in it pays for a numpy scalar.
     """
     n_requests = int(counts.sum())
-    remaining = counts.copy()
-    in_stack = np.zeros(config.n_objects, dtype=bool)
-    stack = LruStack(config.stack_capacity)
-    uniforms = _UniformPool(rng)
+    n_objects, capacity = config.n_objects, config.stack_capacity
+    remaining = array("q", counts.astype(np.int64).tobytes())
+    in_stack = bytearray(n_objects)
+    stack = LruStack(capacity)
+    pop_at, push = stack.pop_at, stack.push
+    occupancy = 0  # == len(stack), kept here to spare the call
+
+    random, integers = rng.random, rng.integers
+    uniforms = random(_UNIFORM_BATCH).tolist()
+    used = 0
 
     # Recency-skewed stack-position distribution (prefix sums for search).
-    pos_cum = np.cumsum(zipf_weights(max(1, config.stack_capacity), config.stack_skew))
+    pos_cum = np.cumsum(zipf_weights(max(1, capacity), config.stack_skew)).tolist()
 
-    # Residual-popularity sampler for out-of-stack draws; rebuilt when the
-    # rejection rate shows the base table has drifted from the residuals.
-    def build_outside_sampler() -> AliasSampler | None:
-        weights = np.where(in_stack, 0, remaining).astype(np.float64)
+    # Residual-popularity alias tables for out-of-stack draws; rebuilt when
+    # the rejection rate shows they have drifted from the residuals.
+    def build_outside_tables():
+        weights = np.where(
+            np.frombuffer(in_stack, dtype=np.bool_),
+            0,
+            np.frombuffer(remaining, dtype=np.int64),
+        ).astype(np.float64)
         if weights.sum() <= 0:
-            return None
-        return AliasSampler(weights)
+            # Unreachable while masses are consistent: outside mass zero
+            # forces the stack branch below.  Guard loudly.
+            raise RuntimeError("workload generator mass accounting broke")
+        prob, alias = AliasSampler(weights).tables()
+        return array("d", prob.tobytes()), array("q", alias.tobytes())
 
-    outside = build_outside_sampler()
+    prob, alias = build_outside_tables()
     rejects = 0
-
-    buf = np.empty(min(chunk_requests, n_requests) or 1, dtype=np.int64)
-    fill = 0
     mass_total = n_requests
     mass_stack = 0
 
-    for i in range(n_requests):
-        obj = -1
-        from_stack = False
-        if len(stack) and uniforms.next() * mass_total < mass_stack:
-            # Draw a stack position by recency skew, clipped to occupancy.
-            total_w = pos_cum[len(stack) - 1]
-            p = int(np.searchsorted(pos_cum, uniforms.next() * total_w, side="right"))
-            obj = stack.object_at(min(p + 1, len(stack)))
-            from_stack = True
-        else:
-            # Out-of-stack: residual popularity with rejection.
-            while True:
-                if outside is None:
-                    # Unreachable while masses are consistent: outside mass
-                    # zero forces the stack branch above.  Guard loudly.
-                    raise RuntimeError("workload generator mass accounting broke")
-                cand = outside.sample(rng)
-                if remaining[cand] > 0 and not in_stack[cand]:
-                    obj = cand
-                    rejects = 0
-                    break
-                rejects += 1
-                if rejects >= 256:
-                    outside = build_outside_sampler()
-                    rejects = 0
+    for start in range(0, n_requests, chunk_requests):
+        out = array("q")
+        emit = out.append
+        for _ in range(min(chunk_requests, n_requests - start)):
+            position = 0  # 0 = drawn from outside the stack
+            if occupancy:
+                if used == _UNIFORM_BATCH:
+                    uniforms = random(_UNIFORM_BATCH).tolist()
+                    used = 0
+                u = uniforms[used]
+                used += 1
+                if u * mass_total < mass_stack:
+                    # Draw a stack position by recency skew, clipped to
+                    # occupancy.
+                    if used == _UNIFORM_BATCH:
+                        uniforms = random(_UNIFORM_BATCH).tolist()
+                        used = 0
+                    u = uniforms[used]
+                    used += 1
+                    position = bisect_right(pos_cum, u * pos_cum[occupancy - 1]) + 1
+                    if position > occupancy:
+                        position = occupancy
+                    obj = pop_at(position)
+            if not position:
+                # Out-of-stack: residual popularity with rejection.
+                while True:
+                    obj = int(integers(n_objects))
+                    if not random() < prob[obj]:
+                        obj = alias[obj]
+                    if remaining[obj] and not in_stack[obj]:
+                        rejects = 0
+                        break
+                    rejects += 1
+                    if rejects >= 256:
+                        prob, alias = build_outside_tables()
+                        rejects = 0
 
-        buf[fill] = obj
-        fill += 1
-        if fill == len(buf):
-            yield buf[:fill].copy()
-            fill = 0
-        remaining[obj] -= 1
-        mass_total -= 1
-        if from_stack:
-            mass_stack -= 1
-
-        if remaining[obj] == 0:
-            if from_stack:
-                stack.remove(obj)
-                in_stack[obj] = False
-        elif config.stack_capacity:
-            if from_stack:
-                stack.push(obj)  # move to top; no mass change
-            else:
-                evicted = stack.push(obj)
-                in_stack[obj] = True
-                mass_stack += remaining[obj]
-                if evicted is not None:
-                    in_stack[evicted] = False
+            emit(obj)
+            left = remaining[obj] - 1
+            remaining[obj] = left
+            mass_total -= 1
+            if position:
+                mass_stack -= 1
+                if left:
+                    push(obj)  # back on top; no mass change
+                else:
+                    in_stack[obj] = 0
+                    occupancy -= 1
+            elif left and capacity:
+                in_stack[obj] = 1
+                mass_stack += left
+                evicted = push(obj)
+                if evicted is None:
+                    occupancy += 1
+                else:
+                    in_stack[evicted] = 0
                     mass_stack -= remaining[evicted]
-    if fill:
-        yield buf[:fill].copy()
+        yield np.array(out, dtype=np.int64)
 
 
 def _emit_stream(

@@ -57,26 +57,32 @@ class AliasSampler:
             raise ValueError("weights must sum to a positive value")
         n = weights.size
         self.n = n
-        prob = np.empty(n, dtype=np.float64)
-        alias = np.zeros(n, dtype=np.int64)
         # Normalise before scaling: (weights/total) stays in [0, 1] even
         # for subnormal totals where n/total would overflow.
-        scaled = weights / total * n
-        small = [i for i in range(n) if scaled[i] < 1.0]
-        large = [i for i in range(n) if scaled[i] >= 1.0]
+        scaled_array = weights / total * n
+        # Ascending index lists, popped from the tail: the pop order fixes
+        # the tables, and the tables fix every generated trace.
+        small = np.flatnonzero(scaled_array < 1.0).tolist()
+        large = np.flatnonzero(scaled_array >= 1.0).tolist()
+        # Plain floats from here on: the same IEEE doubles as the array's,
+        # without a numpy scalar per access.
+        scaled = scaled_array.tolist()
+        prob = [1.0] * n  # what is never paired (numerical leftovers) stays 1
+        alias = [0] * n
         while small and large:
             s = small.pop()
             big = large.pop()
             prob[s] = scaled[s]
             alias[s] = big
-            scaled[big] = (scaled[big] + scaled[s]) - 1.0
-            (small if scaled[big] < 1.0 else large).append(big)
-        for i in large:
-            prob[i] = 1.0
-        for i in small:  # numerical leftovers
-            prob[i] = 1.0
-        self._prob = prob
-        self._alias = alias
+            scaled[big] = rest = (scaled[big] + scaled[s]) - 1.0
+            (small if rest < 1.0 else large).append(big)
+        self._prob = np.array(prob, dtype=np.float64)
+        self._alias = np.array(alias, dtype=np.int64)
+
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The Vose ``(prob, alias)`` tables, for a hot loop that inlines
+        :meth:`sample`'s two draws over its own flat copies."""
+        return self._prob, self._alias
 
     def sample(self, rng: np.random.Generator) -> int:
         """Draw one index."""

@@ -1,12 +1,27 @@
-"""Tests for the order-statistic LRU stack, including a model check."""
+"""Tests for the positional LRU stack, including a model check."""
 
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
 from repro.workload.lru_stack import LruStack
+
+
+def filled(capacity, members):
+    s = LruStack(capacity)
+    for x in members:
+        s.push(x)
+    return s
 
 
 class TestBasics:
@@ -20,129 +35,122 @@ class TestBasics:
         assert len(s) == 0
 
     def test_push_orders_most_recent_first(self):
-        s = LruStack(5)
-        for x in "abc":
-            s.push(x)
-        assert s.as_list() == ["c", "b", "a"]
+        assert filled(5, "abc").as_list() == ["c", "b", "a"]
 
     def test_touch_moves_to_top(self):
-        s = LruStack(5)
-        for x in "abc":
-            s.push(x)
-        s.push("a")
+        s = filled(5, "abc")
+        assert s.push(s.pop_at(3)) is None
         assert s.as_list() == ["a", "c", "b"]
         assert len(s) == 3
 
     def test_overflow_evicts_lru(self):
-        s = LruStack(2)
-        s.push("a")
-        s.push("b")
-        evicted = s.push("c")
-        assert evicted == "a"
+        s = filled(2, "ab")
+        assert s.push("c") == "a"
         assert s.as_list() == ["c", "b"]
 
     def test_object_at_positions(self):
-        s = LruStack(4)
-        for x in "wxyz":
-            s.push(x)
+        s = filled(4, "wxyz")
         assert s.object_at(1) == "z"
         assert s.object_at(4) == "w"
+        assert len(s) == 4
         with pytest.raises(IndexError):
             s.object_at(0)
         with pytest.raises(IndexError):
             s.object_at(5)
 
-    def test_position_of(self):
-        s = LruStack(4)
-        for x in "abc":
-            s.push(x)
-        assert s.position_of("c") == 1
-        assert s.position_of("a") == 3
-        with pytest.raises(KeyError):
-            s.position_of("nope")
-
     def test_remove(self):
-        s = LruStack(4)
-        for x in "abc":
-            s.push(x)
-        assert s.remove("b") is True
-        assert s.remove("b") is False
+        s = filled(4, "abc")
+        assert s.pop_at(2) == "b"
+        assert s.as_list() == ["c", "a"]
+        with pytest.raises(IndexError):
+            s.pop_at(3)
+        with pytest.raises(IndexError):
+            s.pop_at(0)
         assert s.as_list() == ["c", "a"]
 
-    def test_evict_lru_empty(self):
-        assert LruStack(2).evict_lru() is None
 
-    def test_contains(self):
-        s = LruStack(2)
-        s.push(1)
-        assert 1 in s and 2 not in s
+class StackAgainstNaiveList(RuleBasedStateMachine):
+    """Drive :class:`LruStack` and a most-recent-first list in lockstep
+    through exactly the operations the generator performs."""
 
+    @initialize(capacity=st.sampled_from([0, 1, 2, 3, 6]))
+    def build(self, capacity):
+        self.capacity = capacity
+        self.stack = LruStack(capacity)
+        self.model: list[int] = []  # most recent first
+        self.fresh = 0  # next never-seen object: pushes are of non-members
 
-class TestCompaction:
-    def test_long_churn_triggers_compaction_and_stays_correct(self):
-        s = LruStack(8)
-        for i in range(5000):
-            s.push(i % 12)
-        assert len(s) == 8
-        lst = s.as_list()
-        assert len(set(lst)) == 8
-        # Most recent pushed is on top.
-        assert lst[0] == 4999 % 12
+    positions = st.integers(min_value=1, max_value=6)
+
+    @rule()
+    def push_non_member(self):
+        obj, self.fresh = self.fresh, self.fresh + 1
+        want = None
+        if self.capacity:
+            self.model.insert(0, obj)
+            if len(self.model) > self.capacity:
+                want = self.model.pop()
+        assert self.stack.push(obj) == want
+
+    @precondition(lambda self: self.model)
+    @rule(p=positions)
+    def hit_and_move_to_top(self, p):
+        p = min(p, len(self.model))
+        assert self.stack.object_at(p) == self.model[p - 1]
+        obj = self.stack.pop_at(p)
+        assert obj == self.model.pop(p - 1)
+        assert self.stack.push(obj) is None  # room was just made
+        self.model.insert(0, obj)
+
+    @precondition(lambda self: self.model)
+    @rule(p=positions)
+    def exhausted_leaves_from_its_position(self, p):
+        p = min(p, len(self.model))
+        assert self.stack.pop_at(p) == self.model.pop(p - 1)
+
+    @rule(p=st.integers(min_value=-2, max_value=9))
+    def out_of_range_positions_raise_and_change_nothing(self, p):
+        if 1 <= p <= len(self.model):
+            return
+        with pytest.raises(IndexError):
+            self.stack.object_at(p)
+        with pytest.raises(IndexError):
+            self.stack.pop_at(p)
+
+    @invariant()
+    def same_order_and_bounded(self):
+        assert self.stack.as_list() == self.model
+        assert len(self.stack) == len(self.model) <= self.capacity
 
 
 class TestAgainstModel:
-    @given(
-        st.lists(
-            st.tuples(st.sampled_from(["push", "remove", "evict"]),
-                      st.integers(min_value=0, max_value=9)),
-            max_size=300,
-        ),
-        st.integers(min_value=1, max_value=6),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_matches_list_model(self, ops, cap):
-        s = LruStack(cap)
-        model: list[int] = []  # most recent first
-        for op, x in ops:
-            if op == "push":
-                got = s.push(x)
-                want = None
-                if x in model:
-                    model.remove(x)
-                model.insert(0, x)
-                if len(model) > cap:
-                    want = model.pop()
-                assert got == want
-            elif op == "remove":
-                assert s.remove(x) == (x in model)
-                if x in model:
-                    model.remove(x)
-            else:
-                assert s.evict_lru() == (model.pop() if model else None)
-            assert len(s) == len(model)
-            assert s.as_list() == model
+    def test_matches_list_model(self):
+        run_state_machine_as_test(
+            StackAgainstNaiveList,
+            settings=settings(max_examples=200, stateful_step_count=60, deadline=None),
+        )
 
     def test_randomized_long_run(self):
+        # Paper-scale stack, far more steps than hypothesis explores.
         rng = random.Random(9)
         s = LruStack(50)
         model: list[int] = []
+        fresh = 0
         for _ in range(20000):
-            x = rng.randrange(120)
             r = rng.random()
-            if r < 0.8:
-                got = s.push(x)
+            if r < 0.35 or not model:
                 want = None
-                if x in model:
-                    model.remove(x)
-                model.insert(0, x)
+                model.insert(0, fresh)
                 if len(model) > 50:
                     want = model.pop()
-                assert got == want
-            elif r < 0.9:
-                assert s.remove(x) == (x in model)
-                if x in model:
-                    model.remove(x)
-            elif model:
+                assert s.push(fresh) == want
+                fresh += 1
+            else:
                 p = rng.randrange(len(model)) + 1
                 assert s.object_at(p) == model[p - 1]
+                obj = s.pop_at(p)
+                assert obj == model.pop(p - 1)
+                if r < 0.9:
+                    assert s.push(obj) is None
+                    model.insert(0, obj)
         assert s.as_list() == model

@@ -1,5 +1,7 @@
 """Tests for the chunked on-disk trace container and chunked ProWGen."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -238,6 +240,32 @@ class TestChunkedProWGen:
             self.CFG, range(2), tmp_path, seed=1
         )
         assert [t.path.stat().st_mtime_ns for t in second] == stamps
+
+    def test_cluster_files_not_reused_across_shapes(self, tmp_path):
+        # Same directory, seed and scale; only the popularity skew differs.
+        # Reuse used to be keyed on scale alone and replayed the first shape.
+        flat, steep = replace(self.CFG, alpha=0.7), replace(self.CFG, alpha=1.0)
+        [first] = generate_cluster_traces_streaming(flat, [0], tmp_path, seed=3)
+        [second] = generate_cluster_traces_streaming(steep, [0], tmp_path, seed=3)
+        assert not np.array_equal(second.object_ids, first.object_ids)
+        want = generate_trace(steep, seed=cluster_trace_seed(3, 0), counts_seed=3)
+        assert np.array_equal(second.object_ids, want.object_ids)
+        assert np.array_equal(second.client_ids, want.client_ids)
+        # ... and every other shape field keys the file too, while the
+        # first shape's file is still there to be reused.
+        for change in (
+            {"stack_fraction": 0.6},
+            {"stack_skew": 0.5},
+            {"one_timer_fraction": 0.2},
+        ):
+            [other] = generate_cluster_traces_streaming(
+                replace(flat, **change), [0], tmp_path, seed=3
+            )
+            assert other.path != first.path
+            assert not np.array_equal(other.object_ids, first.object_ids)
+        stamp = first.path.stat().st_mtime_ns
+        [again] = generate_cluster_traces_streaming(flat, [0], tmp_path, seed=3)
+        assert again.path == first.path and again.path.stat().st_mtime_ns == stamp
 
     def test_cluster_seeds_are_stable(self):
         assert cluster_trace_seed(0, 0) == 1000

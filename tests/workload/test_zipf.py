@@ -95,3 +95,58 @@ class TestAliasSampler:
         assert ((0 <= draws) & (draws < len(w))).all()
         positive = np.nonzero(w > 0)[0]
         assert np.isin(draws, positive).all()
+
+
+def _reference_tables(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pre-PR-12 constructor, verbatim: numpy scalars, list comprehensions."""
+    weights = np.asarray(weights, dtype=np.float64)
+    total = weights.sum()
+    n = weights.size
+    prob = np.empty(n, dtype=np.float64)
+    alias = np.zeros(n, dtype=np.int64)
+    scaled = weights / total * n
+    small = [i for i in range(n) if scaled[i] < 1.0]
+    large = [i for i in range(n) if scaled[i] >= 1.0]
+    while small and large:
+        s = small.pop()
+        big = large.pop()
+        prob[s] = scaled[s]
+        alias[s] = big
+        scaled[big] = (scaled[big] + scaled[s]) - 1.0
+        (small if scaled[big] < 1.0 else large).append(big)
+    for i in large:
+        prob[i] = 1.0
+    for i in small:  # numerical leftovers
+        prob[i] = 1.0
+    return prob, alias
+
+
+class TestTablesMatchReferenceConstructor:
+    """The tables fix every generated trace, so they must stay bit-identical."""
+
+    @staticmethod
+    def _residual_counts() -> np.ndarray:
+        # What the generator rebuilds from mid-run: integer counts, many
+        # exhausted (zero), a few large.
+        rng = np.random.default_rng(3)
+        counts = rng.multinomial(40_000, zipf_pmf(3_000, 0.7)).astype(np.float64)
+        counts[rng.random(3_000) < 0.4] = 0.0
+        return counts
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            zipf_weights(5_000, 0.7),
+            zipf_weights(1_000, 1.0),
+            _residual_counts(),
+            np.array([3.0]),
+            np.array([0.0, 2.0, 0.0]),
+        ],
+        ids=["zipf-0.7", "zipf-1.0", "residual-counts", "single", "one-positive"],
+    )
+    def test_bit_identical_tables(self, weights):
+        prob, alias = AliasSampler(weights).tables()
+        want_prob, want_alias = _reference_tables(weights)
+        assert prob.dtype == want_prob.dtype and alias.dtype == want_alias.dtype
+        assert prob.tobytes() == want_prob.tobytes()
+        assert alias.tobytes() == want_alias.tobytes()
