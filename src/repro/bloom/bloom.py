@@ -11,26 +11,31 @@ which plain Bloom filters cannot do.
 Implementation notes
 --------------------
 * Hashing uses the standard double-hashing scheme of Kirsch & Mitzenmacher:
-  ``h_i(x) = h1(x) + i * h2(x) mod m`` derived from one 128-bit blake2b
-  digest, so adding a key costs a single hash invocation regardless of k.
-* Keys may be arbitrary ints (the simulator passes 128-bit objectIds) or
-  bytes/str.
+  ``h_i(x) = h1(x) + i * h2(x) mod m`` with ``h1``/``h2`` the little-endian
+  halves of one 128-bit blake2b digest.  The contract is frozen
+  (``tests/bloom/GOLDEN_indices.json``): simulated false positives, and so
+  every golden result, depend on it bit for bit.
+* Keys are non-negative ints of any width (the simulator passes trace
+  object indexes; anything with ``__index__``, e.g. ``numpy.int64``, is
+  the same key as its ``int``), ``str`` (UTF-8) or ``bytes``.
+* A directory is asked about the same few objects all run long, so each
+  filter keeps a memo ``key -> indices`` and hashes a key once while it is
+  hot; the memo is emptied wholesale at :data:`_MEMO_CAP` entries.
 * Sizing helpers (:func:`optimal_num_bits`, :func:`optimal_num_hashes`)
   implement the textbook formulas m = -n ln p / (ln 2)^2 and
-  k = (m/n) ln 2, and :meth:`BloomFilter.false_positive_rate` reports the
-  *current-load* estimate (1 - e^{-kn/m})^k used by the directory-tradeoff
-  example and the ablation bench.
-* The bit array is a numpy uint8 buffer addressed bitwise; the counting
-  variant uses uint16 counters (saturating, with a documented overflow
-  guard) so 65 535 concurrent insertions of one slot are safe.
+  k = (m/n) ln 2, and ``false_positive_rate`` reports the *current-load*
+  estimate (1 - e^{-kn/m})^k used by the directory-tradeoff example and
+  the ablation bench.
+* Both filters live on a plain ``bytearray`` read and written with integer
+  arithmetic: one bit per slot, or one 4-bit sticky-saturating counter per
+  slot packed two to a byte (even slot in the low nibble).
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-
-import numpy as np
+import operator
 
 __all__ = [
     "optimal_num_bits",
@@ -38,6 +43,16 @@ __all__ = [
     "BloomFilter",
     "CountingBloomFilter",
 ]
+
+#: Entries a filter's ``key -> indices`` memo holds before it is emptied:
+#: above the 10 000 objects of the largest experiment scale.  An entry is a
+#: dict slot, a k-tuple and its ints, ~315 B at the directory's k = 7, so
+#: at most ~5 MiB per filter (the 1 500-object ledger run holds 0.4 MiB).
+_MEMO_CAP = 1 << 14
+
+#: ``5.0 == 5`` and ``numpy.int64(5) == 5`` as dict keys too, so a key of
+#: any other type is reduced to one of these (or refused) before the memo.
+_EXACT_KEY_TYPES = frozenset({int, str, bytes})
 
 
 def optimal_num_bits(capacity: int, fp_rate: float) -> int:
@@ -58,40 +73,34 @@ def optimal_num_hashes(num_bits: int, capacity: int) -> int:
     return max(1, int(round(k)))
 
 
-def _key_bytes(key: int | str | bytes) -> bytes:
-    if isinstance(key, bytes):
-        return key
+def _canonical(key: object) -> int | bytes:
+    """The exact-typed key that hashes like ``key`` (a subclass or an index)."""
     if isinstance(key, str):
         return key.encode("utf-8")
-    if isinstance(key, int):
-        # Fixed-width little-endian encoding of arbitrary non-negative ints.
-        if key < 0:
-            raise ValueError("integer keys must be non-negative")
-        length = max(1, (key.bit_length() + 7) // 8)
-        return key.to_bytes(length, "little")
-    raise TypeError(f"unsupported key type {type(key).__name__}")
+    if isinstance(key, bytes):
+        return bytes(key)
+    try:
+        return int(operator.index(key))
+    except TypeError:
+        raise TypeError(f"unsupported key type {type(key).__name__}") from None
 
 
-def _hash_pair(key: int | str | bytes) -> tuple[int, int]:
-    """Two independent 64-bit hashes from one blake2b invocation."""
-    digest = hashlib.blake2b(_key_bytes(key), digest_size=16).digest()
-    return int.from_bytes(digest[:8], "little"), int.from_bytes(digest[8:], "little")
+def _key_bytes(key: int | str | bytes) -> bytes:
+    if type(key) is bytes:
+        return key
+    if type(key) is str:
+        return key.encode("utf-8")
+    # Fixed-width little-endian encoding of arbitrary non-negative ints.
+    if key < 0:
+        raise ValueError("integer keys must be non-negative")
+    return key.to_bytes(max(1, (key.bit_length() + 7) // 8), "little")
 
 
-class BloomFilter:
-    """Classic bit-array Bloom filter (no deletions).
+class _SlotFilter:
+    """What both filters share: sizing, the hash contract, the index memo."""
 
-    Parameters
-    ----------
-    capacity:
-        Expected number of distinct keys (used for sizing).
-    fp_rate:
-        Target false-positive probability at ``capacity`` keys.
-    num_bits, num_hashes:
-        Explicit sizing; overrides the capacity/fp_rate formulas when given.
-    """
-
-    __slots__ = ("num_bits", "num_hashes", "count", "_bits")
+    __slots__ = ("num_bits", "num_hashes", "count", "_slots", "_memo")
+    _SLOTS_PER_BYTE: int  # slots packed into one byte of ``_slots``
 
     def __init__(
         self,
@@ -108,33 +117,30 @@ class BloomFilter:
         )
         if self.num_hashes <= 0:
             raise ValueError("num_hashes must be positive")
-        self.count = 0  # number of add() calls (not distinct keys)
-        self._bits = np.zeros((self.num_bits + 7) // 8, dtype=np.uint8)
+        self.count = 0  # add() calls minus removals (not distinct keys)
+        self._slots = bytearray(-(-self.num_bits // self._SLOTS_PER_BYTE))
+        self._memo: dict[int | str | bytes, tuple[int, ...]] = {}
 
-    def _indices(self, key: int | str | bytes) -> list[int]:
-        h1, h2 = _hash_pair(key)
-        m = self.num_bits
-        return [(h1 + i * h2) % m for i in range(self.num_hashes)]
-
-    def add(self, key: int | str | bytes) -> None:
-        for idx in self._indices(key):
-            self._bits[idx >> 3] |= 1 << (idx & 7)
-        self.count += 1
-
-    def __contains__(self, key: int | str | bytes) -> bool:
-        for idx in self._indices(key):
-            if not (self._bits[idx >> 3] >> (idx & 7)) & 1:
-                return False
-        return True
+    def _indices(self, key: int | str | bytes) -> tuple[int, ...]:
+        """The ``num_hashes`` slots of ``key``, hashed once while memoised."""
+        if type(key) not in _EXACT_KEY_TYPES:
+            key = _canonical(key)
+        memo = self._memo
+        idxs = memo.get(key)
+        if idxs is None:
+            digest = hashlib.blake2b(_key_bytes(key), digest_size=16).digest()
+            h1 = int.from_bytes(digest[:8], "little")
+            h2 = int.from_bytes(digest[8:], "little")
+            m = self.num_bits
+            idxs = tuple([(h1 + i * h2) % m for i in range(self.num_hashes)])
+            if len(memo) >= _MEMO_CAP:
+                memo.clear()
+            memo[key] = idxs
+        return idxs
 
     def clear(self) -> None:
-        self._bits[:] = 0
+        self._slots[:] = bytes(len(self._slots))
         self.count = 0
-
-    @property
-    def bits_set(self) -> int:
-        """Number of 1-bits currently in the filter."""
-        return int(np.unpackbits(self._bits).sum())
 
     def false_positive_rate(self, n_keys: int | None = None) -> float:
         """Estimated FP probability at the current (or given) load.
@@ -148,17 +154,52 @@ class BloomFilter:
         return (1.0 - math.exp(-k * n / m)) ** k
 
     def memory_bytes(self) -> int:
-        """Actual memory used by the bit array."""
-        return int(self._bits.nbytes)
+        """Actual memory used by the slot array."""
+        return len(self._slots)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"BloomFilter(num_bits={self.num_bits}, num_hashes={self.num_hashes}, "
-            f"count={self.count})"
+            f"{type(self).__name__}(num_bits={self.num_bits}, "
+            f"num_hashes={self.num_hashes}, count={self.count})"
         )
 
 
-class CountingBloomFilter:
+class BloomFilter(_SlotFilter):
+    """Classic bit-array Bloom filter (no deletions).
+
+    Parameters
+    ----------
+    capacity:
+        Expected number of distinct keys (used for sizing).
+    fp_rate:
+        Target false-positive probability at ``capacity`` keys.
+    num_bits, num_hashes:
+        Explicit sizing; overrides the capacity/fp_rate formulas when given.
+    """
+
+    __slots__ = ()
+    _SLOTS_PER_BYTE = 8
+
+    def add(self, key: int | str | bytes) -> None:
+        bits = self._slots
+        for idx in self._indices(key):
+            bits[idx >> 3] |= 1 << (idx & 7)
+        self.count += 1
+
+    def __contains__(self, key: int | str | bytes) -> bool:
+        bits = self._slots
+        for idx in self._indices(key):
+            if not bits[idx >> 3] >> (idx & 7) & 1:
+                return False
+        return True
+
+    @property
+    def bits_set(self) -> int:
+        """Number of 1-bits currently in the filter."""
+        return int.from_bytes(self._slots, "little").bit_count()
+
+
+class CountingBloomFilter(_SlotFilter):
     """Bloom filter with 4-bit per-slot counters, supporting deletion.
 
     The proxy's Bloom-filter directory must remove objectIds when client
@@ -175,88 +216,47 @@ class CountingBloomFilter:
     silently corrupting the filter.
     """
 
-    __slots__ = ("num_bits", "num_hashes", "count", "_slots")
+    __slots__ = ()
+    _SLOTS_PER_BYTE = 2
 
     #: Counter saturation limit (4-bit counters, Summary Cache's choice).
     MAX_COUNT = 15
 
-    def __init__(
-        self,
-        capacity: int = 1024,
-        fp_rate: float = 0.01,
-        num_bits: int | None = None,
-        num_hashes: int | None = None,
-    ) -> None:
-        self.num_bits = num_bits if num_bits is not None else optimal_num_bits(capacity, fp_rate)
-        self.num_hashes = (
-            num_hashes if num_hashes is not None else optimal_num_hashes(self.num_bits, capacity)
-        )
-        if self.num_bits <= 0 or self.num_hashes <= 0:
-            raise ValueError("num_bits and num_hashes must be positive")
-        self.count = 0
-        self._slots = np.zeros((self.num_bits + 1) // 2, dtype=np.uint8)
-
-    def _indices(self, key: int | str | bytes) -> list[int]:
-        h1, h2 = _hash_pair(key)
-        m = self.num_bits
-        return [(h1 + i * h2) % m for i in range(self.num_hashes)]
-
-    def _get(self, idx: int) -> int:
-        byte = self._slots[idx >> 1]
-        return int(byte & 0x0F) if idx & 1 == 0 else int(byte >> 4)
-
-    def _set(self, idx: int, value: int) -> None:
-        pos = idx >> 1
-        byte = int(self._slots[pos])
-        if idx & 1 == 0:
-            self._slots[pos] = (byte & 0xF0) | value
-        else:
-            self._slots[pos] = (byte & 0x0F) | (value << 4)
-
     def add(self, key: int | str | bytes) -> None:
+        slots = self._slots
         for idx in self._indices(key):
-            c = self._get(idx)
-            if c < self.MAX_COUNT:
-                self._set(idx, c + 1)
+            byte = slots[idx >> 1]
+            if idx & 1:
+                if byte < 0xF0:
+                    slots[idx >> 1] = byte + 0x10
+            elif byte & 0x0F != 0x0F:
+                slots[idx >> 1] = byte + 1
         self.count += 1
 
     def remove(self, key: int | str | bytes) -> None:
-        idxs = self._indices(key)
-        counts = [self._get(i) for i in idxs]
-        if any(c == 0 for c in counts):
+        if not self.discard(key):
             raise KeyError(f"key {key!r} not present in counting Bloom filter")
-        for idx, c in zip(idxs, counts):
-            if c < self.MAX_COUNT:  # saturated slots are sticky
-                self._set(idx, c - 1)
-        self.count -= 1
 
     def discard(self, key: int | str | bytes) -> bool:
         """Remove if (apparently) present; returns True if removed."""
-        try:
-            self.remove(key)
-        except KeyError:
+        slots = self._slots
+        idxs = self._indices(key)
+        counts = [slots[idx >> 1] >> 4 if idx & 1 else slots[idx >> 1] & 0x0F for idx in idxs]
+        if 0 in counts:
             return False
+        for idx, c in zip(idxs, counts):
+            if c < 15:  # saturated slots are sticky
+                byte = slots[idx >> 1]
+                if idx & 1:
+                    slots[idx >> 1] = byte & 0x0F | (c - 1) << 4
+                else:
+                    slots[idx >> 1] = byte & 0xF0 | (c - 1)
+        self.count -= 1
         return True
 
     def __contains__(self, key: int | str | bytes) -> bool:
-        return all(self._get(i) > 0 for i in self._indices(key))
-
-    def clear(self) -> None:
-        self._slots[:] = 0
-        self.count = 0
-
-    def false_positive_rate(self, n_keys: int | None = None) -> float:
-        n = self.count if n_keys is None else n_keys
-        if n <= 0:
-            return 0.0
-        k, m = self.num_hashes, self.num_bits
-        return (1.0 - math.exp(-k * n / m)) ** k
-
-    def memory_bytes(self) -> int:
-        return int(self._slots.nbytes)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CountingBloomFilter(num_bits={self.num_bits}, "
-            f"num_hashes={self.num_hashes}, count={self.count})"
-        )
+        slots = self._slots
+        for idx in self._indices(key):
+            if not slots[idx >> 1] & (0xF0 if idx & 1 else 0x0F):
+                return False
+        return True

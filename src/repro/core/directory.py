@@ -98,28 +98,25 @@ class BloomDirectory(LookupDirectory):
 
     def __init__(self, capacity: int, fp_rate: float = 0.01) -> None:
         self._filter = CountingBloomFilter(capacity=max(1, capacity), fp_rate=fp_rate)
-        self._count = 0
 
     def add(self, obj: Hashable) -> None:
         self._filter.add(obj)
-        self._count += 1
 
     def remove(self, obj: Hashable) -> None:
-        if self._filter.discard(obj):
-            self._count -= 1
+        self._filter.discard(obj)
 
     def __contains__(self, obj: Hashable) -> bool:
         return obj in self._filter
 
     def __len__(self) -> int:
-        return self._count
+        return self._filter.count
 
     def memory_bytes(self) -> int:
         return self._filter.memory_bytes()
 
     @property
     def design_fp_rate(self) -> float:
-        return self._filter.false_positive_rate(self._count)
+        return self._filter.false_positive_rate()
 
 
 class LossyDirectory(LookupDirectory):

@@ -13,6 +13,11 @@ from repro.bloom import (
     optimal_num_hashes,
 )
 
+def counters(cbf: CountingBloomFilter) -> list[int]:
+    """Every 4-bit counter, unpacked (even slot = low nibble of its byte)."""
+    return [cbf._slots[i >> 1] >> 4 * (i & 1) & 0x0F for i in range(cbf.num_bits)]
+
+
 keys = st.one_of(
     st.integers(min_value=0, max_value=(1 << 128) - 1),
     st.text(max_size=40),
@@ -172,20 +177,34 @@ class TestCountingSpecific:
     def test_saturation_is_sticky_not_wrapping(self):
         cbf = CountingBloomFilter(num_bits=8, num_hashes=1)
         assert CountingBloomFilter.MAX_COUNT == 15  # Summary Cache's 4 bits
-        # Saturate every 4-bit slot artificially (two nibbles per byte).
-        cbf._slots[:] = 0xFF
-        cbf.add("y")  # no overflow
-        assert all(cbf._get(i) == 15 for i in range(cbf.num_bits))
-        cbf.remove("y")  # saturated slots don't decrement
-        assert all(cbf._get(i) == 15 for i in range(cbf.num_bits))
+        (slot,) = cbf._indices("y")
+        for _ in range(20):  # five past saturation: no wrap to 0
+            cbf.add("y")
+        assert counters(cbf)[slot] == 15
+        for _ in range(20):  # saturated slots don't decrement
+            cbf.remove("y")
+        assert counters(cbf)[slot] == 15 and "y" in cbf
+        assert cbf.count == 0
 
     def test_nibble_packing_isolated(self):
+        # Slots 2i and 2i+1 share a byte; moving one never moves the other.
         cbf = CountingBloomFilter(num_bits=8, num_hashes=1)
-        cbf._set(0, 5)
-        cbf._set(1, 9)
-        assert cbf._get(0) == 5 and cbf._get(1) == 9
-        cbf._set(0, 0)
-        assert cbf._get(0) == 0 and cbf._get(1) == 9
+        by_slot = {}
+        for key in range(200):
+            by_slot.setdefault(cbf._indices(key)[0], key)
+        assert sorted(by_slot) == list(range(8))
+        expect = [0] * 8
+        for slot, times in ((0, 5), (1, 9), (6, 15), (7, 1)):
+            for _ in range(times):
+                cbf.add(by_slot[slot])
+            expect[slot] = times
+            assert counters(cbf) == expect
+        for _ in range(5):
+            cbf.remove(by_slot[0])
+        cbf.remove(by_slot[7])
+        expect[0] = expect[7] = 0
+        assert counters(cbf) == expect
+        assert by_slot[0] not in cbf and by_slot[1] in cbf
 
     def test_memory_half_byte_per_slot(self):
         cbf = CountingBloomFilter(num_bits=1000, num_hashes=3)

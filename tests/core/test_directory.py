@@ -1,5 +1,6 @@
 """Tests for the Exact / Bloom lookup directories (paper §4.2)."""
 
+import numpy as np
 import pytest
 
 from repro.core.directory import (
@@ -102,3 +103,13 @@ class TestFactory:
         d = make_directory("bloom", capacity=0)
         d.add(1)
         assert 1 in d
+
+    @pytest.mark.parametrize("kind", ["exact", "bloom"])
+    def test_numpy_integer_is_the_same_object_as_its_int(self, kind):
+        # Trace columns are numpy arrays: an index read from one must name
+        # the same entry as the int, whichever representation is configured.
+        d = make_directory(kind, capacity=100)
+        d.add(np.int64(5))
+        assert 5 in d and np.int64(5) in d and len(d) == 1
+        d.remove(5)
+        assert np.int64(5) not in d and len(d) == 0
