@@ -37,12 +37,7 @@ import hashlib
 import math
 import operator
 
-__all__ = [
-    "optimal_num_bits",
-    "optimal_num_hashes",
-    "BloomFilter",
-    "CountingBloomFilter",
-]
+__all__ = ["optimal_num_bits", "optimal_num_hashes", "BloomFilter", "CountingBloomFilter"]
 
 #: Entries a filter's ``key -> indices`` memo holds before it is emptied:
 #: above the 10 000 objects of the largest experiment scale.  An entry is a
@@ -210,10 +205,6 @@ class CountingBloomFilter(_SlotFilter):
     the memory stays well below an exact table of 128-bit objectIds.
     Saturated counters become sticky (never decremented), so an overflow
     degrades the slot to a plain Bloom bit instead of corrupting state.
-
-    Removal of a key that was never added is detected best-effort (any
-    slot already at zero) and raises :class:`KeyError` rather than
-    silently corrupting the filter.
     """
 
     __slots__ = ()
@@ -223,34 +214,42 @@ class CountingBloomFilter(_SlotFilter):
     MAX_COUNT = 15
 
     def add(self, key: int | str | bytes) -> None:
+        self._increment(self._indices(key))
+        self.count += 1
+
+    def _increment(self, idxs: tuple[int, ...]) -> None:
         slots = self._slots
-        for idx in self._indices(key):
+        for idx in idxs:
             byte = slots[idx >> 1]
             if idx & 1:
                 if byte < 0xF0:
                     slots[idx >> 1] = byte + 0x10
             elif byte & 0x0F != 0x0F:
                 slots[idx >> 1] = byte + 1
-        self.count += 1
 
     def remove(self, key: int | str | bytes) -> None:
         if not self.discard(key):
             raise KeyError(f"key {key!r} not present in counting Bloom filter")
 
     def discard(self, key: int | str | bytes) -> bool:
-        """Remove if (apparently) present; returns True if removed."""
+        """Remove if (apparently) present; returns True if removed.
+
+        The exact inverse of :meth:`add` on unsaturated slots: a slot that
+        several of the key's indices share is decremented once per index
+        and must hold that many counts.  A key never added is detected
+        best-effort (a slot at zero) and leaves the filter as it was.
+        """
         slots = self._slots
         idxs = self._indices(key)
-        counts = [slots[idx >> 1] >> 4 if idx & 1 else slots[idx >> 1] & 0x0F for idx in idxs]
-        if 0 in counts:
-            return False
-        for idx, c in zip(idxs, counts):
-            if c < 15:  # saturated slots are sticky
-                byte = slots[idx >> 1]
-                if idx & 1:
-                    slots[idx >> 1] = byte & 0x0F | (c - 1) << 4
-                else:
-                    slots[idx >> 1] = byte & 0xF0 | (c - 1)
+        for done, idx in enumerate(idxs):
+            byte = slots[idx >> 1]
+            c = byte >> 4 if idx & 1 else byte & 0x0F
+            if not c:
+                # Undo: decremented slots sit below saturation, so +1 is exact.
+                self._increment(idxs[:done])
+                return False
+            if c != 0x0F:  # saturated slots are sticky
+                slots[idx >> 1] = byte - (0x10 if idx & 1 else 1)
         self.count -= 1
         return True
 

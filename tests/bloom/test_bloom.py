@@ -206,6 +206,28 @@ class TestCountingSpecific:
         assert counters(cbf) == expect
         assert by_slot[0] not in cbf and by_slot[1] in cbf
 
+    def test_remove_inverts_add_when_indices_coincide(self):
+        # h2(1) is a multiple of 64: all four indices of the int 1 are slot
+        # 10.  Removal used to write "snapshot - 1" four times, leaving 3
+        # counts behind and the key apparently present for ever.
+        cbf = CountingBloomFilter(num_bits=64, num_hashes=4)
+        assert cbf._indices(1) == (10, 10, 10, 10)
+        cbf.add(1)
+        assert counters(cbf)[10] == 4
+        cbf.remove(1)
+        assert 1 not in cbf and not any(counters(cbf))
+
+    def test_presence_needs_one_count_per_coinciding_index(self):
+        cbf = CountingBloomFilter(num_bits=64, num_hashes=4)
+        assert cbf._indices(255) == (45, 10, 39, 4)
+        cbf.add(255)  # slot 10 holds 1; the int 1 would need 4 there
+        before = counters(cbf)
+        assert cbf.discard(1) is False
+        assert counters(cbf) == before and cbf.count == 1  # never underflows
+        cbf.add(1)
+        cbf.remove(1)
+        assert counters(cbf) == before and 255 in cbf
+
     def test_memory_half_byte_per_slot(self):
         cbf = CountingBloomFilter(num_bits=1000, num_hashes=3)
         assert cbf.memory_bytes() == 500
