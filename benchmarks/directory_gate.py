@@ -22,7 +22,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import statistics
 import sys
 import time
@@ -40,10 +39,10 @@ def measure(repeats: int, rate: float) -> dict[str, float]:
     config = base_config(proxy_cache_fraction=ROBUSTNESS_FRACTION)
     traces = generate_workloads(config, seed=0)
     plan = robustness_plan(rate)
+    variants = {kind: config.with_changes(directory=kind) for kind in KINDS}
     walls: dict[str, list[float]] = {kind: [] for kind in KINDS}
     for _ in range(repeats):
-        for kind in KINDS:
-            variant = dataclasses.replace(config, directory=kind)
+        for kind, variant in variants.items():
             start = time.perf_counter()
             run_scheme_with_faults("hier-gd", variant, traces, plan)
             walls[kind].append(time.perf_counter() - start)

@@ -56,8 +56,3 @@ def test_index_integers_are_their_int(cls):
         bf.add(np.int64(-1))
     # Only exact ints, strs and bytes are ever memo keys.
     assert {type(k) for k in bf._memo} == {int}
-
-
-def test_str_is_its_utf8_bytes():
-    bf = CountingBloomFilter(num_bits=9586, num_hashes=7)
-    assert bf._indices("café") == bf._indices("café".encode())
