@@ -41,9 +41,9 @@ SEED = 0
 #: Chord determinism cases: the overlay-carrying schemes, fault-free and
 #: under the composite fault plan (churn included).
 CHORD_CASES = [
-    ("hier-gd", "exact", "fast", 0.0),
-    ("squirrel", "exact", "fast", 0.0),
-    ("hier-gd", "exact", "fast", 0.1),
+    ("hier-gd", "exact", 0.0),
+    ("squirrel", "exact", 0.0),
+    ("hier-gd", "exact", 0.1),
 ]
 
 
@@ -52,15 +52,14 @@ def cases():
     from repro.faults.run import FAULTY_SCHEMES
 
     for s in SCHEMES:
-        yield (s, "exact", "fast", 0.0)
-    yield ("hier-gd", "bloom", "fast", 0.0)
-    yield ("hier-gd", "exact", "reference", 0.0)
+        yield (s, "exact", 0.0)
+    yield ("hier-gd", "bloom", 0.0)
     for s in sorted(FAULTY_SCHEMES):
-        yield (s, "exact", "fast", 0.1)
-    yield ("hier-gd", "bloom", "fast", 0.1)
+        yield (s, "exact", 0.1)
+    yield ("hier-gd", "bloom", 0.1)
 
 
-def run_case(scheme, directory, hot, rate, overlay="pastry", traces_cache=None):
+def run_case(scheme, directory, rate, overlay="pastry", traces_cache=None):
     """One serialized SchemeResult, workload shared across same-shape cases."""
     from repro.core.run import generate_workloads, run_scheme
     from repro.experiments.robustness import robustness_plan
@@ -71,7 +70,6 @@ def run_case(scheme, directory, hot, rate, overlay="pastry", traces_cache=None):
     cfg = base_config(
         proxy_cache_fraction=FRACTION,
         directory=directory,
-        hot_path=hot,
         overlay=overlay,
     )
     tkey = (cfg.workload, cfg.n_proxies)
@@ -89,17 +87,17 @@ def run_case(scheme, directory, hot, rate, overlay="pastry", traces_cache=None):
     return serialize_result(res)
 
 
-def label_for(scheme, directory, hot, rate):
-    return f"{scheme}|dir={directory}|hot={hot}|rate={rate:g}"
+def label_for(scheme, directory, rate):
+    return f"{scheme}|dir={directory}|rate={rate:g}"
 
 
 def check_pastry_goldens(write: bool) -> int:
     goldens = {} if write else json.loads(GOLDEN_PATH.read_text())
     failures = 0
     traces_cache: dict = {}
-    for scheme, directory, hot, rate in cases():
-        label = label_for(scheme, directory, hot, rate)
-        got = run_case(scheme, directory, hot, rate, traces_cache=traces_cache)
+    for scheme, directory, rate in cases():
+        label = label_for(scheme, directory, rate)
+        got = run_case(scheme, directory, rate, traces_cache=traces_cache)
         if write:
             goldens[label] = got
             print(f"  captured {label}")
@@ -131,10 +129,10 @@ def check_pastry_goldens(write: bool) -> int:
 
 def check_chord_determinism() -> int:
     failures = 0
-    for scheme, directory, hot, rate in CHORD_CASES:
-        label = label_for(scheme, directory, hot, rate) + "|overlay=chord"
-        first = run_case(scheme, directory, hot, rate, overlay="chord")
-        second = run_case(scheme, directory, hot, rate, overlay="chord")
+    for scheme, directory, rate in CHORD_CASES:
+        label = label_for(scheme, directory, rate) + "|overlay=chord"
+        first = run_case(scheme, directory, rate, overlay="chord")
+        second = run_case(scheme, directory, rate, overlay="chord")
         if first != second:
             print(f"FAIL {label}: two identical chord runs diverged")
             failures += 1

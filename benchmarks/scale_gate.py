@@ -20,8 +20,7 @@ asserts the sharded engine's *correctness* contract:
 ``--shards`` workers on streaming traces, plus a 10⁷/8 run to show peak
 RSS is sub-linear in request count.  Trace generation is *excluded*
 from the timed window (traces are pre-generated into the streaming
-directory and reused by the workers), matching the hot-path gate's
-pre-generated-traces methodology.  The gate criteria:
+directory and reused by the workers).  The gate criteria:
 
 * worker peak RSS at 10⁷ requests <= ``--rss-factor`` x the 10⁷/8 run
   (sub-linear: an in-RAM engine would grow ~8x past the baseline);
@@ -29,11 +28,7 @@ pre-generated-traces methodology.  The gate criteria:
   on the same workload in the same run** (a ``shards=1`` control) — the
   bus and round sync may tax the hot path, but not halve it.  On a
   single-core box the shards timeshare, so this bounds coordination
-  overhead; with real cores it understates the speedup.  The committed
-  ``BENCH_hotpath.json`` rate is recorded for context but not gated:
-  it was measured on a 40x smaller workload (200k requests, 2
-  clusters), where per-request costs (heap depth, presence set sizes)
-  are structurally lower.
+  overhead; with real cores it understates the speedup.
 
 Usage::
 
@@ -43,8 +38,8 @@ Usage::
 
 Absolute req/s only means something on the machine that wrote the
 baseline; ``--mode full`` without ``--write`` therefore compares with
-the same loose tolerance as the hot-path gate (25%), while the RSS
-criterion is a ratio within one run and is machine-independent.
+a loose tolerance (25%), while the RSS criterion is a ratio within one
+run and is machine-independent.
 """
 
 from __future__ import annotations
@@ -62,7 +57,6 @@ from repro.shard import SHARDED_SCHEMES, run_scheme_sharded
 from repro.workload import ProWGenConfig, generate_cluster_traces_streaming
 
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_scale.json"
-HOTPATH_PATH = Path(__file__).resolve().parent / "BENCH_hotpath.json"
 
 #: The paper's requests-per-object proportion (10⁶ over 10⁴ per cluster,
 #: §5.1) — preserved so the gate's workload is a scaled paper workload.
@@ -94,8 +88,7 @@ def timed_sharded(
     round_requests: int | None = None,
 ) -> tuple[dict, object]:
     """One sharded run on pre-generated streaming traces, timed."""
-    # Generate (or reuse) the streaming traces outside the timed window,
-    # mirroring the hot-path gate's shared pre-generated traces.
+    # Generate (or reuse) the streaming traces outside the timed window.
     generate_cluster_traces_streaming(
         config.workload, range(config.n_proxies), trace_dir, seed=seed
     )
@@ -237,10 +230,6 @@ def full_measure(args: argparse.Namespace) -> dict:
             f"{single['wall_sec']:.1f}s ({single['requests_per_sec']:,} req/s)"
         )
     rss_ratio = entry["worker_max_rss_kb"] / max(1, small["worker_max_rss_kb"])
-    hotpath_rate = None
-    if HOTPATH_PATH.exists():
-        hotpath = json.loads(HOTPATH_PATH.read_text())
-        hotpath_rate = hotpath["schemes"]["hier-gd"]["requests_per_sec"]
     return {
         "scheme": "hier-gd",
         "seed": args.seed,
@@ -251,7 +240,6 @@ def full_measure(args: argparse.Namespace) -> dict:
         "sharded_over_single_process": round(
             entry["requests_per_sec"] / single["requests_per_sec"], 3
         ),
-        "hotpath_small_scale_rps": hotpath_rate,
     }
 
 
@@ -285,11 +273,7 @@ def full(args: argparse.Namespace) -> int:
             "object population so RSS growth isolates trace length. "
             "Criteria: RSS growth <= rss-factor over 8x requests "
             "(sub-linear memory), aggregate req/s >= 0.5x the shards=1 "
-            "control measured on the same workload in the same run "
-            "(hotpath_small_scale_rps is the committed 200k-request "
-            "BENCH_hotpath.json rate, recorded for context only — heap "
-            "depth and presence sets grow with the workload, so the two "
-            "scales are not directly comparable)."
+            "control measured on the same workload in the same run."
         )
         measured["criteria_passed"] = not failures
         BASELINE_PATH.write_text(json.dumps(measured, indent=2) + "\n")

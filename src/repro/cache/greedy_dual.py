@@ -175,6 +175,59 @@ class GreedyDualCache(Cache):
         self.stats.insertions += 1
         return evicted
 
+    def insert_absent(self, key: Hashable, cost: float) -> list[Hashable]:
+        """Unit-size :meth:`insert` of a key the caller knows is not cached.
+
+        Hier-GD's indexed engine inserts only objects that just missed
+        (proxy) or that the cluster's directory says are stored nowhere
+        (pass-down), at unit size and a cost it paid itself — so the
+        refresh branch, the oversize branch and the eager/lazy credit
+        comparison of :meth:`insert` all collapse: evict while full, then
+        push eagerly at ``L + cost`` (``cost/1 == cost`` under either
+        credit model).  Same victims, same heap entries, same statistics
+        as ``insert(key, cost=cost)``.
+        """
+        capacity = self.capacity
+        if capacity < 1:
+            return [key]
+        entries = self._entries
+        used = self._used
+        heap = self._heap
+        live = heap._live
+        hl = heap._heap
+        inflation = self.inflation
+        stats = self.stats
+        evicted: list[Hashable] = []
+        while used >= capacity:
+            # HeapDict's lazy reconciliation, as in ``insert``.
+            prio, seq, victim = heappop(hl)
+            rec = live.get(victim)
+            if rec is None:
+                continue
+            if rec[1] != seq:
+                if not rec[2]:
+                    live[victim] = (rec[0], rec[1], True)
+                    heappush(hl, (rec[0], rec[1], victim))
+                continue
+            del live[victim]
+            if prio > inflation:
+                inflation = prio
+            used -= entries.pop(victim)[0]
+            evicted.append(victim)
+            stats.evictions += 1
+        self.inflation = inflation
+        entries[key] = (1, cost)
+        seq = heap._seq + 1
+        heap._seq = seq
+        prio = inflation + cost
+        live[key] = (prio, seq, True)
+        heappush(hl, (prio, seq, key))
+        if len(hl) > (len(live) << 1) + 8:
+            heap._compact()
+        self._used = used + 1
+        stats.insertions += 1
+        return evicted
+
     def remove(self, key: Hashable) -> bool:
         entry = self._entries.pop(key, None)
         if entry is None:

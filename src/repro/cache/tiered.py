@@ -77,7 +77,7 @@ class TieredCache(Cache):
         on_tier:
             Optional tier-transition listener forwarded to the
             :class:`~repro.cache.topk.TopKTracker` (see its docstring);
-            the hot-path presence indexes subscribe here.
+            SC-EC's tier presence indexes subscribe here.
         by_bytes:
             When True, both capacities are *byte* budgets and inserts
             carry per-object sizes: replacement runs the size-aware LFU

@@ -18,7 +18,7 @@ leaves the tracker.  Events may repeat a key's current placement (an
 ``add`` followed by a rebalance can report the same destination twice);
 the *last* event per mutation always reflects the final placement, so
 idempotent handlers (set insert/discard) see a consistent picture.  The
-presence indexes of the hot-path engine hang off this hook.
+SC-EC's tier presence indexes hang off this hook.
 """
 
 from __future__ import annotations

@@ -73,9 +73,10 @@ class HierGdChurnScheme(HierGdScheme):
 
     #: Stale directory entries are the *point* of this experiment: the
     #: directory deliberately diverges from ground truth until a lookup
-    #: repairs it, which the fast engine's presence indexes cannot mirror.
-    #: Pin the reference engine regardless of ``config.hot_path``.
-    _force_reference = True
+    #: repairs it, which the indexed engine's presence indexes cannot
+    #: mirror — so every run of this class, a zero-event one included,
+    #: is served by the protocol-chain engine.
+    mutates_membership = True
 
     def __init__(
         self,

@@ -113,12 +113,6 @@ class SimulationConfig:
     #: best-effort — stored only where free space exists — and pay off as
     #: availability under client churn.
     p2p_replicas: int = 1
-    #: Request-loop engine: "fast" (presence indexes + precomputed DHT
-    #: placement, the default) or "reference" (the original per-miss scan
-    #: loops and per-object owner memoisation).  Results are identical —
-    #: asserted by the hot-path equivalence suite — except that the two
-    #: engines sample different keys for ``mean_pastry_hops``.
-    hot_path: str = "fast"
 
     def __post_init__(self) -> None:
         if self.n_proxies < 1:
@@ -152,8 +146,6 @@ class SimulationConfig:
             raise ValueError("gd_cost_model must be 'gds' or 'gd'")
         if self.p2p_replicas < 1:
             raise ValueError("p2p_replicas must be >= 1")
-        if self.hot_path not in ("fast", "reference"):
-            raise ValueError("hot_path must be 'fast' or 'reference'")
 
     @property
     def lfu_reset_on_evict(self) -> bool:

@@ -30,34 +30,39 @@ Latency/cost coupling: the greedy-dual ``cost`` of an object is the
 latency the proxy actually paid to fetch it (``Tp2p``, ``Tc``,
 ``Tc+Tp2p`` or ``Ts``) — this is what makes GD cost-aware and is why it
 approaches the cost-benefit upper bound.
+
+Two request engines serve the same algorithm; which one a run gets is
+decided once, in :meth:`HierGdScheme.__init__`, from what the run can
+observe:
+
+* the **protocol-chain engine** (this module + :mod:`repro.protocol.chain`)
+  routes every cooperation hop through the scheme's transport and
+  resolves placement on first touch.  It is the only engine for sized
+  workloads, fault transports and subclasses that change membership
+  mid-run (:class:`~repro.core.churn.HierGdChurnScheme`, whose
+  zero-event form ``HierGdChurnScheme(config, traces, events=[])`` is
+  also how a test runs a fault-free chain);
+* the **indexed engine** (:mod:`repro.core.hiergd_indexed`) answers the
+  same questions from presence indexes and precomputed placement tables
+  — every other run, i.e. unit sizes over a fault-free transport with
+  static membership.
+
+Results are identical wherever both apply, except the backend's
+``mean_<overlay>_hops`` extra (the engines sample different keys).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 
 from ..cache import Cache, GreedyDualCache, LfuCache, LruCache
-from ..netmodel import (
-    TIER_COOP_P2P,
-    TIER_COOP_PROXY,
-    TIER_LOCAL_P2P,
-    TIER_LOCAL_PROXY,
-    TIER_SERVER,
-)
-from ..overlay import (
-    Dht,
-    OverlayBackend,
-    build_owner_table,
-    make_overlay,
-    object_ids_for_urls,
-)
-from ..protocol.chain import push_stage, serve_miss
+from ..netmodel import TIER_LOCAL_PROXY
+from ..overlay import Dht, OverlayBackend, make_overlay
+from ..protocol.chain import serve_miss
 from ..protocol.transport import Transport
 from ..workload import Trace, object_url
 from .config import SimulationConfig
 from .directory import LookupDirectory, LossyDirectory, make_directory
-from .presence import PresenceIndex
 from .simulator import CachingScheme
 
 __all__ = ["HierGdScheme"]
@@ -82,34 +87,17 @@ class _ClusterState:
     replicas: dict[int, set[int]] = field(default_factory=dict)
     #: Last retrieval cost per object (greedy-dual's cost input).
     costs: dict[int, float] = field(default_factory=dict)
-    #: Memoised DHT owner per object (reference engine only).
+    #: :meth:`owner`'s memo; membership changes drop it wholesale.
     owner_memo: dict[int, int] = field(default_factory=dict)
-    # -- hot-path engine state (None/-1 until built; fast mode only) ------
-    #: This cluster's index (for presence-index bookkeeping).
-    cluster: int = -1
-    #: Precomputed DHT placement: object id -> owner client index.
-    owner_of: list[int] | None = None
-    #: Per client index: overlay neighbourhood (Pastry leaf set / Chord
-    #: successor list) as client indexes, in the backend's contract order
-    #: so diversion/replication walk the same candidates.
-    neighbour_idx: list[list[int]] | None = None
-    #: Overlay epoch the placement tables were built against.
-    built_epoch: int = -1
-    #: Client indexes with free space (monotonically shrinking in the
-    #: plain scheme: client caches only ever fill).  Replaces per-miss
-    #: ``free_space`` scans in the pass-down path.
-    free_clients: set[int] | None = None
-    #: Per client: that cache's membership dict (friend access), so the
-    #: hot path answers ``contains`` with one dict probe.
-    member_maps: list | None = None
-    #: Exact directory's backing set (friend access) — None under Bloom,
-    #: where add/remove must go through the filter's methods.
-    dir_set: set | None = None
-    #: Fast step-2 membership probe: the ``p2p_present`` set when the
-    #: directory is exact (identical membership, cheaper probe), the
-    #: directory itself when it is a Bloom filter (false positives are
-    #: modelled behaviour and must keep happening).
-    dir_probe: object = None
+
+    def owner(self, obj: int) -> int:
+        """Client index of the DHT owner of ``obj`` in this cluster."""
+        idx = self.owner_memo.get(obj)
+        if idx is None:
+            object_id = self.dht.object_id(object_url(obj))
+            idx = self.idx_of_node[self.dht.owner(object_id)]
+            self.owner_memo[obj] = idx
+        return idx
 
 
 class HierGdScheme(CachingScheme):
@@ -117,9 +105,10 @@ class HierGdScheme(CachingScheme):
 
     name = "hier-gd"
 
-    #: Subclasses whose state the fast engine cannot mirror (e.g. churn's
-    #: lazily-repaired directories) set this to pin the reference engine.
-    _force_reference = False
+    #: Whether the class fails or joins clients mid-run.  Read once, by
+    #: the engine choice in ``__init__``: stale directories and shifting
+    #: placement are states the indexed engine's indexes cannot mirror.
+    mutates_membership = False
 
     def __init__(
         self,
@@ -133,18 +122,12 @@ class HierGdScheme(CachingScheme):
         self._t_coop = net.t_coop
         self._t_p2p = net.t_p2p
         faulty = self.transport.faulty
-        # A fault layer needs every cooperation hop routed through the
-        # transport, which the fast engine inlines away: pin the
-        # reference engine whenever a fault process is active.  The same
-        # pin applies when the workload carries object sizes: the fast
-        # engine's free-space tracking (monotone "full forever" sets) and
-        # the fused unit-size GD insert both assume equal-size objects.
-        self._fast = (
-            config.hot_path == "fast"
-            and not self._force_reference
-            and not faulty
-            and self.sizes is None
-        )
+        # The one engine choice.  A fault layer needs every cooperation
+        # hop routed through the transport, which the indexed engine
+        # inlines away; its free-space tracking (monotone "full forever"
+        # sets) and unit-size GD insert assume equal-size objects; and
+        # its indexes assume the membership the run started with.
+        indexed = not (faulty or self.sizes is not None or self.mutates_membership)
         #: Where a directory over-claim is counted: a stale entry under
         #: fault injection (exact directories go stale through dropped
         #: eviction notices), a false positive otherwise (Bloom).
@@ -159,17 +142,6 @@ class HierGdScheme(CachingScheme):
         self._destage_key = (
             "piggybacked_destages" if config.piggyback
             else "dedicated_destage_connections"
-        )
-        #: Fast mode + greedy-dual proxies: ``process`` inlines the proxy
-        #: hit path (the single hottest branch of the whole simulator).
-        self._gd_inline = self._fast and config.hiergd_policy == "gd"
-        #: object -> clusters whose *proxy* currently caches it (step 3).
-        self._proxy_presence = PresenceIndex()
-        #: object -> clusters whose exact directory lists it (step 4);
-        #: None under Bloom directories, whose false positives must keep
-        #: firing, so step 4 keeps the reference scan there.
-        self._dir_presence = (
-            PresenceIndex() if self._fast and config.directory == "exact" else None
         )
         self._msg: dict[str, int] = {
             "passdowns": 0,
@@ -186,101 +158,57 @@ class HierGdScheme(CachingScheme):
         # A fault layer merges its FAULT_COUNTERS into this dict (no-op
         # under the base transport).
         self.transport.install_counters(self._msg)
-        self._object_keys = None  # shared objectId array, built lazily
         #: Mean object size (bytes) when sized — converts byte-denominated
         #: capacities into expected object counts for directory sizing.
         self._mean_size = (
             float(self.sizes.mean()) if self.sizes is not None else 1.0
         )
+        state_cls = _ClusterState
+        if indexed:
+            from . import hiergd_indexed  # it extends _ClusterState
+
+            state_cls = hiergd_indexed.IndexedCluster
         self.states: list[_ClusterState] = []
         for ci, sizing in enumerate(self.sizings):
             overlay = make_overlay(config)
             names = [f"cluster{ci}/cache{k}" for k in range(sizing.n_clients)]
-            if self._fast:
+            # Join order shapes the overlay's routing tables (not its
+            # placement), which the chain engine's sampled hop statistic
+            # reads; the indexed engine takes the cheaper bulk build.
+            if indexed:
                 nodes = overlay.bulk_add_named(names)
             else:
                 nodes = [overlay.add_named(name) for name in names]
             node_of_idx = [node.node_id for node in nodes]
-            idx_of_node = {nid: k for k, nid in enumerate(node_of_idx)}
-            state = _ClusterState(
-                proxy=self._make_cache(sizing.proxy_size),
-                clients=[
-                    self._make_cache(sizing.client_size)
-                    for _ in range(sizing.n_clients)
-                ],
-                overlay=overlay,
-                dht=Dht(overlay, hop_sample_rate=config.hop_sample_rate),
-                idx_of_node=idx_of_node,
-                node_of_idx=node_of_idx,
-                directory=self.transport.wrap_directory(
-                    make_directory(
-                        config.directory,
-                        # Directory capacity is an *object count*; under
-                        # byte-denominated sizing, estimate it from the
-                        # mean object size.
-                        capacity=max(1, round(sizing.p2p_size / self._mean_size)),
-                        fp_rate=config.bloom_fp_rate,
+            self.states.append(
+                state_cls(
+                    proxy=self._make_cache(sizing.proxy_size),
+                    clients=[
+                        self._make_cache(sizing.client_size)
+                        for _ in range(sizing.n_clients)
+                    ],
+                    overlay=overlay,
+                    dht=Dht(overlay, hop_sample_rate=config.hop_sample_rate),
+                    idx_of_node={nid: k for k, nid in enumerate(node_of_idx)},
+                    node_of_idx=node_of_idx,
+                    directory=self.transport.wrap_directory(
+                        make_directory(
+                            config.directory,
+                            # Directory capacity is an *object count*; under
+                            # byte-denominated sizing, estimate it from the
+                            # mean object size.
+                            capacity=max(1, round(sizing.p2p_size / self._mean_size)),
+                            fp_rate=config.bloom_fp_rate,
+                        ),
+                        ci,
                     ),
-                    ci,
-                ),
-                cluster=ci,
+                )
             )
-            state.dir_probe = (
-                state.directory if self._dir_presence is None else state.p2p_present
-            )
-            if self._fast:
-                # Caches start empty: free <=> nonzero capacity.
-                state.free_clients = {
-                    k for k, c in enumerate(state.clients) if c.capacity > 0
-                }
-                state.member_maps = [self._member_map(c) for c in state.clients]
-                if config.directory == "exact":
-                    state.dir_set = state.directory._entries
-            self.states.append(state)
-
-    @staticmethod
-    def _member_map(cache: Cache) -> dict:
-        """The cache's key-membership dict (friend access; identity is
-        stable — no policy rebinds it after construction)."""
-        if isinstance(cache, LfuCache):
-            return cache._sizes
-        return cache._entries  # GreedyDualCache and LruCache
-
-    # -- hot-path placement tables ------------------------------------------
-
-    def _build_placement(self, state: _ClusterState) -> None:
-        """(Re)build this cluster's precomputed DHT placement tables.
-
-        One batched SHA-1 pass over every object URL (shared across
-        clusters — the id space is the same) and one vectorised
-        sorted-ring resolution replace per-object ``Dht.owner`` memo
-        fills.  A sampled subset is routed hop-by-hop so the mean-hops
-        extra stays populated, with each delivery asserted against the
-        table.  Tables are keyed to the overlay epoch and rebuilt on
-        membership change.
-        """
-        overlay = state.overlay
-        if self._object_keys is None:
-            n_objects = 0
-            for trace in self.traces:
-                if len(trace.object_ids):
-                    n_objects = max(n_objects, int(trace.object_ids.max()) + 1)
-            self._object_keys = object_ids_for_urls(
-                [object_url(i) for i in range(n_objects)], overlay.space
-            )
-        owners = build_owner_table(
-            overlay,
-            self._object_keys,
-            sample_rate=self.config.hop_sample_rate,
-            record_stats=True,
-        )
-        idx_of_node = state.idx_of_node
-        state.owner_of = [idx_of_node[nid] for nid in owners]
-        state.neighbour_idx = [
-            [idx_of_node[nb] for nb in overlay.neighbourhood(nid)]
-            for nid in state.node_of_idx
-        ]
-        state.built_epoch = overlay.epoch
+        #: Whether the indexed engine serves this run; if not, the
+        #: methods below (the protocol-chain engine) do.
+        self.indexed = indexed
+        if indexed:
+            hiergd_indexed.install(self)  # binds process / _proxy_insert
 
     def _make_cache(self, capacity: int) -> Cache:
         """Local replacement policy per :attr:`SimulationConfig.hiergd_policy`.
@@ -300,20 +228,7 @@ class HierGdScheme(CachingScheme):
             return LruCache(capacity)
         return LfuCache(capacity, reset_on_evict=self.config.lfu_reset_on_evict)
 
-    # -- DHT placement ------------------------------------------------------
-
-    def _owner(self, state: _ClusterState, obj: int) -> int:
-        """Client index of the DHT owner of ``obj`` in this cluster."""
-        if self._fast:
-            if state.built_epoch != state.overlay.epoch:
-                self._build_placement(state)
-            return state.owner_of[obj]
-        idx = state.owner_memo.get(obj)
-        if idx is None:
-            object_id = state.dht.object_id(object_url(obj))
-            idx = state.idx_of_node[state.dht.owner(object_id)]
-            state.owner_memo[obj] = idx
-        return idx
+    # -- shared mechanism: locating and replicating stored objects -----------
 
     def _locate(
         self, state: _ClusterState, obj: int, owner: int | None = None
@@ -324,7 +239,7 @@ class HierGdScheme(CachingScheme):
         placement is computed once per request, not once per step.
         """
         if owner is None:
-            owner = self._owner(state, obj)
+            owner = state.owner(obj)
         if state.clients[owner].contains(obj):
             return owner
         holder = state.pointers.get(owner, {}).get(obj)
@@ -340,19 +255,49 @@ class HierGdScheme(CachingScheme):
                 del state.replicas[obj]
         return None
 
+    def _replicate(
+        self,
+        state: _ClusterState,
+        obj: int,
+        cost: float,
+        primary_idx: int,
+        neighbours: list[int],
+    ) -> None:
+        """Best-effort PAST-style replication in the owner's neighbourhood.
+
+        Extra copies (``p2p_replicas - 1``) go to the members of
+        ``neighbours`` (the owner's overlay neighbourhood as client
+        indexes) with free space — never displacing cached objects, so
+        replication costs no capacity under pressure, only spare space.
+        Replicas are availability insurance: under client churn an object
+        survives as long as one copy does (see :mod:`repro.core.churn`).
+        """
+        extra = self._replicas_extra
+        size = self._size_of(obj)
+        existing = state.replicas.get(obj, ())
+        for idx in neighbours:
+            if extra <= 0:
+                break
+            if idx == primary_idx or idx in existing:
+                continue
+            cache = state.clients[idx]
+            if cache.free_space >= size and not cache.contains(obj):
+                cache.insert(obj, cost=cost, size=size)
+                state.replicas.setdefault(obj, set()).add(idx)
+                self._msg["replicas_stored"] += 1
+                extra -= 1
+
     # -- Figure 1: pass-down with object diversion -----------------------------
 
     def _pass_down(self, state: _ClusterState, obj: int) -> None:
         """Destage a proxy-evicted object into the P2P client cache."""
-        self._msg["passdowns"] += 1
-        if self.config.piggyback:
-            self._msg["piggybacked_destages"] += 1
-        else:
-            self._msg["dedicated_destage_connections"] += 1
+        msg = self._msg
+        msg["passdowns"] += 1
+        msg[self._destage_key] += 1
 
         cost = state.costs.get(obj, self._t_server)
         size = self._size_of(obj)
-        owner_idx = self._owner(state, obj)
+        owner_idx = state.owner(obj)
         holder = self._locate(state, obj, owner_idx)
         if holder is not None:
             # Already stored (e.g. destaged before and later promoted back
@@ -361,268 +306,41 @@ class HierGdScheme(CachingScheme):
             return
 
         owner_cache = state.clients[owner_idx]
-
-        # (3)-(5): free space at the destination — store directly.
+        stored_at: int | None = owner_idx
         if owner_cache.free_space >= size:
+            # (3)-(5): free space at the destination — store directly.
             owner_cache.insert(obj, cost=cost, size=size)
-            self._record_store(state, obj)
-            self._replicate(state, obj, cost, primary_idx=owner_idx, owner_idx=owner_idx)
-            return
-
-        # (7)-(10): object diversion to an overlay neighbour with free space.
-        if self.config.object_diversion:
-            divertee = self._pick_divertee(state, owner_idx, size)
+        else:
+            # (7)-(10): object diversion to an overlay neighbour with free space.
+            divertee = (
+                self._pick_divertee(state, owner_idx, size)
+                if self._diversion
+                else None
+            )
             if divertee is not None:
                 state.clients[divertee].insert(obj, cost=cost, size=size)
                 state.pointers.setdefault(owner_idx, {})[obj] = divertee
-                self._msg["diversions"] += 1
-                self._record_store(state, obj)
-                self._replicate(state, obj, cost, primary_idx=divertee, owner_idx=owner_idx)
-                return
-
-        # (12)-(14): replacement at the destination; its eviction d2 is
-        # simply discarded (§3) after notifying the proxy's directory.
-        evicted = owner_cache.insert(obj, cost=cost, size=size)
-        stored = True
-        for d2 in evicted:
-            if d2 == obj:
-                stored = False  # zero-capacity client caches reject
-                continue
-            self._on_client_eviction(state, owner_idx, d2)
-        if stored:
-            self._record_store(state, obj)
-            self._replicate(state, obj, cost, primary_idx=owner_idx, owner_idx=owner_idx)
-
-    def _pass_down_fast(self, state: _ClusterState, obj: int) -> None:
-        """Fast-engine pass-down: `_pass_down` with every helper inlined.
-
-        Same Figure-1 mechanism, three structural shortcuts (each proved
-        equivalent by the hot-path equivalence suite):
-
-        * the already-stored refresh probe is one ``p2p_present`` set test
-          (in the plain scheme ``obj in p2p_present`` iff ``_locate`` finds
-          a holder — the directory-consistency invariant);
-        * the free-space checks walk ``state.free_clients``, which shrinks
-          monotonically as client caches fill, instead of re-deriving
-          free space per candidate — membership filtering preserves the
-          divertee scan's candidate order and max-free tie-breaks;
-        * store receipts and eviction notices are inlined with the
-          owner-holds ``_locate`` probe answered by the membership dict.
-        """
-        msg = self._msg
-        msg["passdowns"] += 1
-        msg[self._destage_key] += 1
-        clients = state.clients
-        owner_of = state.owner_of
-        owner_idx = owner_of[obj]
-        if obj in state.p2p_present:
-            # Already stored (e.g. destaged before and later promoted back
-            # up): refresh its greedy-dual credit instead of duplicating.
-            holder = (
-                owner_idx
-                if obj in state.member_maps[owner_idx]
-                else self._locate(state, obj, owner_idx)
-            )
-            clients[holder].lookup(obj)
-            return
-
-        cost = state.costs.get(obj, self._t_server)
-        free = state.free_clients
-        stored = True
-        divertee = None
-        if owner_idx in free:
-            # (3)-(5): free space at the destination — store directly.
-            cache = clients[owner_idx]
-            cache.insert(obj, cost=cost)
-            if cache._used >= cache.capacity:
-                free.discard(owner_idx)
-        else:
-            divertee = None
-            if self._diversion and free:
-                # (7)-(10): neighbourhood member with the most free space.
-                best_free = 0
-                for idx in state.neighbour_idx[owner_idx]:
-                    if idx in free:
-                        c = clients[idx]
-                        f = c.capacity - c._used
-                        if f > best_free:
-                            divertee, best_free = idx, f
-            if divertee is not None:
-                cache = clients[divertee]
-                cache.insert(obj, cost=cost)
-                if cache._used >= cache.capacity:
-                    free.discard(divertee)
-                state.pointers.setdefault(owner_idx, {})[obj] = divertee
                 msg["diversions"] += 1
+                stored_at = divertee
             else:
                 # (12)-(14): replacement at the destination; its eviction
-                # d2 is discarded (§3) after notifying the directory.
-                owner_cache = clients[owner_idx]
-                if self._gd_inline and owner_cache.capacity >= 1:
-                    # Fused GreedyDualCache.insert, as in _proxy_insert:
-                    # obj is cached nowhere in the cluster (p2p_present
-                    # checked above), so no refresh branch and an
-                    # unconditional eager push; victims never equal obj.
-                    entries = owner_cache._entries
-                    used = owner_cache._used
-                    capacity = owner_cache.capacity
-                    heap = owner_cache._heap
-                    live = heap._live
-                    hl = heap._heap
-                    stats = owner_cache.stats
-                    inflation = owner_cache.inflation
-                    evicted = []
-                    while used >= capacity:
-                        prio, seq, victim = heappop(hl)
-                        rec = live.get(victim)
-                        if rec is None:
-                            continue
-                        if rec[1] != seq:
-                            if not rec[2]:
-                                live[victim] = (rec[0], rec[1], True)
-                                heappush(hl, (rec[0], rec[1], victim))
-                            continue
-                        del live[victim]
-                        if prio > inflation:
-                            inflation = prio
-                        del entries[victim]
-                        used -= 1
-                        evicted.append(victim)
-                        stats.evictions += 1
-                    owner_cache.inflation = inflation
-                    entries[obj] = (1, cost)
-                    seq = heap._seq + 1
-                    heap._seq = seq
-                    prio = inflation + cost
-                    live[obj] = (prio, seq, True)
-                    heappush(hl, (prio, seq, obj))
-                    if len(hl) > (len(live) << 1) + 8:
-                        heap._compact()
-                    owner_cache._used = used + 1
-                    stats.insertions += 1
-                else:
-                    evicted = owner_cache.insert(obj, cost=cost)
-                member_maps = state.member_maps
-                present = state.p2p_present
-                for d2 in evicted:
+                # d2 is simply discarded (§3) after notifying the proxy's
+                # directory.
+                for d2 in owner_cache.insert(obj, cost=cost, size=size):
                     if d2 == obj:
-                        stored = False  # zero-capacity client caches reject
-                        continue
-                    # Inlined _on_client_eviction(state, owner_idx, d2),
-                    # with the _locate reachability probe unrolled — the
-                    # common outcome here is "last copy died" (the victim
-                    # lived at its owner, no pointer, no replicas), so the
-                    # cheap membership probes usually decide it.
-                    msg["client_evictions"] += 1
-                    d2_owner = owner_of[d2]
-                    ptrs = state.pointers.get(d2_owner)
-                    if (
-                        d2_owner != owner_idx
-                        and ptrs is not None
-                        and ptrs.get(d2) == owner_idx
-                    ):
-                        del ptrs[d2]
-                    reps = state.replicas.get(d2)
-                    if reps:
-                        reps.discard(owner_idx)
-                        if not reps:
-                            del state.replicas[d2]
-                            reps = None
-                    if d2 not in present:
-                        continue
-                    if d2 in member_maps[d2_owner]:
-                        continue  # still at its owner
-                    if ptrs is not None:
-                        holder2 = ptrs.get(d2)
-                        if holder2 is not None and d2 in member_maps[holder2]:
-                            continue  # reachable through a diversion pointer
-                    if reps and self._locate(state, d2, d2_owner) is not None:
-                        continue  # a live replica keeps it reachable
-                    present.discard(d2)
-                    ds = state.dir_set
-                    if ds is not None:
-                        # Exact directory: direct set ops plus the inlined
-                        # PresenceIndex.discard on the directory index.
-                        ds.discard(d2)
-                        holders = self._dir_presence._holders
-                        s = holders.get(d2)
-                        if s is not None:
-                            s.discard(state.cluster)
-                            if not s:
-                                del holders[d2]
+                        stored_at = None  # zero-capacity client caches reject
                     else:
-                        state.directory.remove(d2)
-        if stored:
-            # Inlined _record_store: obj was not in p2p_present (checked
-            # at the top, nothing re-added it since), so add directly.
-            msg["store_receipts"] += 1
-            state.p2p_present.add(obj)
-            ds = state.dir_set
-            if ds is not None:
-                # Exact directory: direct set ops plus the inlined
-                # PresenceIndex.add on the directory index.
-                ds.add(obj)
-                holders = self._dir_presence._holders
-                s = holders.get(obj)
-                if s is None:
-                    holders[obj] = {state.cluster}
-                else:
-                    s.add(state.cluster)
-            else:
-                state.directory.add(obj)
+                        self._on_client_eviction(state, owner_idx, d2)
+        if stored_at is not None:
+            self._record_store(state, obj)
             if self._replicas_extra > 0:
                 self._replicate(
-                    state, obj, cost,
-                    primary_idx=owner_idx if divertee is None else divertee,
-                    owner_idx=owner_idx,
+                    state, obj, cost, stored_at,
+                    self._neighbour_indexes(state, owner_idx),
                 )
 
-    def _replicate(
-        self,
-        state: _ClusterState,
-        obj: int,
-        cost: float,
-        primary_idx: int,
-        owner_idx: int | None = None,
-    ) -> None:
-        """Best-effort PAST-style replication in the owner's neighbourhood.
-
-        Extra copies (``p2p_replicas - 1``) go to the neighbourhood members
-        with free space — never displacing cached objects, so replication
-        costs no capacity under pressure, only spare space.  Replicas are
-        availability insurance: under client churn an object survives as
-        long as one copy does (see :mod:`repro.core.churn`).
-        """
-        extra = self.config.p2p_replicas - 1
-        if extra <= 0:
-            return
-        if owner_idx is None:
-            owner_idx = self._owner(state, obj)
-        size = self._size_of(obj)
-        existing = state.replicas.get(obj, set())
-        for idx in self._neighbour_indexes(state, owner_idx):
-            if extra <= 0:
-                break
-            if idx == primary_idx or idx in existing:
-                continue
-            cache = state.clients[idx]
-            if cache.free_space >= size and not cache.contains(obj):
-                cache.insert(obj, cost=cost, size=size)
-                if self._fast and cache._used >= cache.capacity:
-                    state.free_clients.discard(idx)
-                state.replicas.setdefault(obj, set()).add(idx)
-                self._msg["replicas_stored"] += 1
-                extra -= 1
-
     def _neighbour_indexes(self, state: _ClusterState, owner_idx: int) -> list[int]:
-        """Overlay neighbourhood of ``owner_idx`` as client indexes.
-
-        Fast mode serves the precomputed table (the backend's contract
-        order, so diversion/replication walk identical candidates); the
-        reference engine maps through the overlay on every call.
-        """
-        if self._fast:
-            return state.neighbour_idx[owner_idx]
+        """Overlay neighbourhood of ``owner_idx`` as client indexes."""
         owner_nid = state.node_of_idx[owner_idx]
         return [state.idx_of_node[nb] for nb in state.overlay.neighbourhood(owner_nid)]
 
@@ -653,8 +371,6 @@ class HierGdScheme(CachingScheme):
         if obj not in state.p2p_present:
             state.p2p_present.add(obj)
             state.directory.add(obj)
-            if self._dir_presence is not None:
-                self._dir_presence.add(obj, state.cluster)
 
     def _on_client_eviction(self, state: _ClusterState, holder_idx: int, obj: int) -> None:
         """Eviction notice: clean pointers/replicas and the directory.
@@ -664,7 +380,7 @@ class HierGdScheme(CachingScheme):
         :meth:`_locate`.
         """
         self._msg["client_evictions"] += 1
-        owner = self._owner(state, obj)
+        owner = state.owner(obj)
         if owner != holder_idx:
             ptrs = state.pointers.get(owner)
             if ptrs and ptrs.get(obj) == holder_idx:
@@ -677,232 +393,27 @@ class HierGdScheme(CachingScheme):
         if obj in state.p2p_present and self._locate(state, obj, owner) is None:
             state.p2p_present.discard(obj)
             state.directory.remove(obj)
-            if self._dir_presence is not None:
-                self._dir_presence.discard(obj, state.cluster)
 
     # -- proxy-side insert (GD on each fetched object) -------------------------
 
     def _proxy_insert(self, state: _ClusterState, obj: int, cost: float) -> None:
         state.costs[obj] = cost
-        proxy = state.proxy
-        if self._gd_inline and proxy.capacity >= 1:
-            # Fused GreedyDualCache.insert (friend access): ``obj`` just
-            # missed, so it is cached nowhere in the proxy (entries and
-            # heap live keys always coincide) — the refresh branch and the
-            # eager/lazy comparison collapse to an unconditional eager
-            # push at ``inflation + cost`` (unit size).  The pop loop is
-            # ``HeapDict``'s lazy reconciliation verbatim.
-            entries = proxy._entries
-            used = proxy._used
-            capacity = proxy.capacity
-            heap = proxy._heap
-            live = heap._live
-            hl = heap._heap
-            holders = self._proxy_presence._holders
-            cluster = state.cluster
-            inflation = proxy.inflation
-            evicted = None
-            if used >= capacity:
-                stats = proxy.stats
-                evicted = []
-                while used >= capacity:
-                    prio, seq, victim = heappop(hl)
-                    rec = live.get(victim)
-                    if rec is None:
-                        continue
-                    if rec[1] != seq:
-                        if not rec[2]:
-                            live[victim] = (rec[0], rec[1], True)
-                            heappush(hl, (rec[0], rec[1], victim))
-                        continue
-                    del live[victim]
-                    if prio > inflation:
-                        inflation = prio
-                    del entries[victim]
-                    used -= 1
-                    evicted.append(victim)
-                    stats.evictions += 1
-                proxy.inflation = inflation
-            entries[obj] = (1, cost)
-            seq = heap._seq + 1
-            heap._seq = seq
-            prio = inflation + cost
-            live[obj] = (prio, seq, True)
-            heappush(hl, (prio, seq, obj))
-            if len(hl) > (len(live) << 1) + 8:
-                heap._compact()
-            proxy._used = used + 1
-            proxy.stats.insertions += 1
-            # Inlined PresenceIndex.add (capacity >= 1: always stored).
-            s = holders.get(obj)
-            if s is None:
-                holders[obj] = {cluster}
-            else:
-                s.add(cluster)
-            if evicted:
-                for d1 in evicted:
-                    # Victims were cached, obj was not: d1 != obj always.
-                    s = holders.get(d1)
-                    if s is not None:
-                        s.discard(cluster)
-                        if not s:
-                            del holders[d1]
-                    self._pass_down_fast(state, d1)
-            return
-        evicted = proxy.insert(obj, cost=cost, size=self._size_of(obj))
-        if self._fast:
-            # Inlined PresenceIndex.add/discard on the proxy index.
-            holders = self._proxy_presence._holders
-            cluster = state.cluster
-            stored = True
-            for d1 in evicted:
-                if d1 != obj:
-                    s = holders.get(d1)
-                    if s is not None:
-                        s.discard(cluster)
-                        if not s:
-                            del holders[d1]
-                    self._pass_down_fast(state, d1)
-                else:
-                    stored = False  # capacity-zero proxies reject the insert
-            if stored:
-                s = holders.get(obj)
-                if s is None:
-                    holders[obj] = {cluster}
-                else:
-                    s.add(cluster)
-            return
-        for d1 in evicted:
+        for d1 in state.proxy.insert(obj, cost=cost, size=self._size_of(obj)):
             if d1 != obj:
                 self._pass_down(state, d1)
 
     # -- request path -----------------------------------------------------------
 
     def process(self, cluster: int, client: int, obj: int) -> str:
-        state = self.states[cluster]
-        # 1. Local proxy cache (greedy-dual bookkeeping on hit).  With GD
-        # proxies the fast engine inlines the hit path — ~3 of every 4
-        # requests end right here, so this branch is the simulator's
-        # single hottest stretch of code (friend access into the cache and
-        # its heap; the pushed entries are exactly what ``lookup`` pushes).
-        if self._gd_inline:
-            proxy = state.proxy
-            entry = proxy._entries.get(obj)
-            if entry is not None:
-                # Monotone credit refresh -> lazy-heap no-push path
-                # (mirrors GreedyDualCache.lookup; entries here are always
-                # unit-size ``(1, cost)``, so cost/size is just entry[1]).
-                heap = proxy._heap
-                seq = heap._seq + 1
-                heap._seq = seq
-                heap._live[obj] = (proxy.inflation + entry[1], seq, False)
-                proxy.stats.hits += 1
-                return TIER_LOCAL_PROXY
-            proxy.stats.misses += 1
-        else:
-            if state.proxy.lookup(obj):
-                return TIER_LOCAL_PROXY
-            if not self._fast:
-                return self._miss_reference(state, cluster, obj)
-        if state.built_epoch != state.overlay.epoch:
-            self._build_placement(state)
-        msg = self._msg
-
-        # 2. Own P2P client cache, via the lookup directory.  ``dir_probe``
-        # is the p2p_present set under an exact directory (identical
-        # membership) and the Bloom filter otherwise (false positives are
-        # modelled behaviour).
-        if obj in state.dir_probe:
-            msg["p2p_lookups"] += 1
-            owner = state.owner_of[obj]
-            holder = (
-                owner
-                if obj in state.member_maps[owner]
-                else self._locate(state, obj, owner)
-            )
-            if holder is not None:
-                state.clients[holder].lookup(obj)  # GD credit refresh
-                if self._promote:
-                    self._proxy_insert(state, obj, cost=self._t_p2p)
-                return TIER_LOCAL_P2P
-            # Bloom false positive: a wasted LAN round into the overlay.
-            msg["directory_false_positives"] += 1
-            self.add_extra_latency(self._t_p2p)
-
-        # 3. Cooperating proxies, via the proxy presence index — the
-        # smallest holder index is what the reference ascending scan hits
-        # (inlined PresenceIndex.first_holder).
-        s = self._proxy_presence._holders.get(obj)
-        if s:
-            first = None
-            for c in s:
-                if c != cluster and (first is None or c < first):
-                    first = c
-            if first is not None:
-                self._proxy_insert(state, obj, cost=self._t_coop)
-                return TIER_COOP_PROXY
-
-        # ... then their P2P client caches through the push protocol.
-        if self._dir_presence is not None:
-            # Exact directories: membership mirrors p2p_present, so the
-            # first listed cluster always serves (no false positives) and
-            # exactly one push request goes out — as in the scan.
-            other = self._dir_presence.first_holder(obj, cluster)
-            if other is not None:
-                other_state = self.states[other]
-                msg["push_requests"] += 1
-                owner = other_state.owner_of[obj]
-                holder = (
-                    owner
-                    if obj in other_state.member_maps[owner]
-                    else self._locate(other_state, obj, owner)
-                )
-                other_state.clients[holder].lookup(obj)
-                self._proxy_insert(state, obj, cost=self._t_coop + self._t_p2p)
-                return TIER_COOP_P2P
-        else:
-            # Bloom directories: keep the scan — a remote false positive
-            # must still cost a wasted push round per §4.2's accounting.
-            tier = self._coop_p2p_scan(state, cluster, obj)
-            if tier is not None:
-                return tier
-
-        # 4. Origin server.
-        self._proxy_insert(state, obj, cost=self._t_server)
-        return TIER_SERVER
-
-    # -- reference serving seams (shared with ``repro.protocol.chain``) -------
-
-    def _serve_p2p_hit(self, state: _ClusterState, holder: int, obj: int) -> str:
-        """Serve from the own P2P cache: GD credit refresh + promotion."""
-        state.clients[holder].lookup(obj)  # GD credit refresh
-        if self._promote:
-            self._proxy_insert(state, obj, cost=self._t_p2p)
-        return TIER_LOCAL_P2P
-
-    def _serve_push_hit(
-        self, state: _ClusterState, other_state: _ClusterState, holder: int, obj: int
-    ) -> str:
-        """Serve via the push protocol from another cluster's P2P cache."""
-        other_state.clients[holder].lookup(obj)
-        self._proxy_insert(state, obj, cost=self._t_coop + self._t_p2p)
-        return TIER_COOP_P2P
-
-    def _coop_p2p_scan(self, state: _ClusterState, cluster: int, obj: int) -> str | None:
-        """Reference step-4 scan over the other clusters' directories."""
-        return push_stage(self, state, cluster, obj)
-
-    def _miss_reference(self, state: _ClusterState, cluster: int, obj: int) -> str:
-        """Reference engine: the transport-mediated protocol chain.
+        """Serve one request on the protocol-chain engine.
 
         :func:`repro.protocol.chain.serve_miss` under the base transport
-        is the original O(n_proxies)-scan miss path verbatim; it doubles
-        as the behavioural oracle for the fast engine (the hot-path
-        equivalence suite runs both), the only correct engine under
-        churn (whose lazily-repaired directories the presence indexes
-        cannot mirror), and — under a fault transport — the fault-aware
-        chain, without a subclass fork.
+        is the paper's fault-free flow; under a fault transport the same
+        chain acquires timeout → retry → fallback semantics.
         """
+        state = self.states[cluster]
+        if state.proxy.lookup(obj):
+            return TIER_LOCAL_PROXY
         return serve_miss(self, state, cluster, obj)
 
     # -- reporting ------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Incrementally-maintained cross-cluster presence indexes.
 
-The reference engine answers "which cooperating cluster holds object X?"
-with an O(n_proxies) scan per miss — every `ScScheme`/`ScEcScheme` miss
-probes each remote cache, and Hier-GD's steps 3–4 scan remote proxies
-and directories.  The hot-path engine inverts that: a
+Read literally, "which cooperating cluster holds object X?" is an
+O(n_proxies) scan per miss — an SC / SC-EC miss probes each remote
+cache, and steps 3–4 of Hier-GD's protocol chain scan remote proxies and
+directories.  SC, SC-EC and Hier-GD's indexed engine invert that: a
 :class:`PresenceIndex` maps each object to the set of clusters currently
 holding it, updated incrementally at insert/evict time, so a miss costs
-one dict probe.
+one dict probe.  (The scans survive as the naive models of
+``tests/integration/test_hotpath_equivalence.py``.)
 
 Equivalence with the scan is exact because the scan visits clusters in
 ascending index order, skipping the requester: the scan finds
@@ -77,7 +78,7 @@ def probes_to(first: int | None, exclude: int, n: int) -> int:
 
     ``first`` is the scan's hit (from :meth:`PresenceIndex.first_holder`);
     None means the scan misses everywhere and probes all ``n - 1`` peers.
-    The hit probe itself is counted, matching the reference loops.
+    The hit probe itself is counted, as in a literal probe loop.
     """
     if first is None:
         return n - 1

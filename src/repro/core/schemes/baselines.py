@@ -68,26 +68,30 @@ class ScScheme(CachingScheme):
             LfuCache(s.proxy_size, reset_on_evict=config.lfu_reset_on_evict)
             for s in self.sizings
         ]
-        self._fast = config.hot_path == "fast"
-        #: object -> clusters caching it; replaces the per-miss probe scan
+        #: object -> clusters caching it; replaces a per-miss probe scan
         #: (see :mod:`repro.core.presence` for the equivalence argument).
         self._presence = PresenceIndex()
+        #: Each cluster's id in the index and the number of cooperating
+        #: clusters (a sharded worker substitutes global ids and count).
+        self._cluster_ids: list[int] | range = range(len(self.caches))
+        self._n_clusters = len(self.caches)
         self._probes = 0
         self._coop_fetches = 0
 
     def process(self, cluster: int, client: int, obj: int) -> str:
-        cache = self.caches[cluster]
-        if not self._fast:
-            return self._process_reference(cache, cluster, obj)
-        # Remote probes never touch the local cache, so the fused
+        # Remote probes are membership-only (a probe is not a reference at
+        # the remote cache) and never touch the local cache, so the fused
         # lookup-or-insert may run first; ``first_holder`` excludes this
         # cluster, making the index update order irrelevant too.
-        hit, evicted = cache.lookup_or_insert(obj, size=self._size_of(obj))
+        hit, evicted = self.caches[cluster].lookup_or_insert(
+            obj, size=self._size_of(obj)
+        )
         if hit:
             return TIER_LOCAL_PROXY
         presence = self._presence
-        first = presence.first_holder(obj, cluster)
-        self._probes += probes_to(first, cluster, len(self.caches))
+        me = self._cluster_ids[cluster]
+        first = presence.first_holder(obj, me)
+        self._probes += probes_to(first, me, self._n_clusters)
         tier = TIER_SERVER
         if first is not None:
             tier = TIER_COOP_PROXY
@@ -97,25 +101,9 @@ class ScScheme(CachingScheme):
             if victim == obj:
                 stored = False  # capacity-zero cache rejected the insert
             else:
-                presence.discard(victim, cluster)
+                presence.discard(victim, me)
         if stored:
-            presence.add(obj, cluster)
-        return tier
-
-    def _process_reference(self, cache: LfuCache, cluster: int, obj: int) -> str:
-        if cache.lookup(obj):
-            return TIER_LOCAL_PROXY
-        # Probe cooperating proxies (membership only: a remote probe is
-        # not a local reference at the remote cache).
-        tier = TIER_SERVER
-        for other, remote in enumerate(self.caches):
-            if other != cluster:
-                self._probes += 1
-                if remote.contains(obj):
-                    tier = TIER_COOP_PROXY
-                    self._coop_fetches += 1
-                    break
-        cache.insert(obj, size=self._size_of(obj))
+            presence.add(obj, me)
         return tier
 
     def finalize(self) -> tuple[dict[str, int], dict[str, float]]:

@@ -32,7 +32,6 @@ from __future__ import annotations
 from ...cache import LruCache
 from ...netmodel import TIER_LOCAL_P2P, TIER_SERVER
 from ...overlay import (
-    Dht,
     OverlayBackend,
     build_owner_table,
     make_overlay,
@@ -66,71 +65,40 @@ class SquirrelScheme(CachingScheme):
             # Same scheme, fault semantics from the transport (see FC).
             self.process = self._process_faulty  # type: ignore[method-assign]
         self._t_p2p = config.network.t_p2p
-        self.overlays: list[OverlayBackend] = []
-        self.dhts: list[Dht] = []
+        self.overlays: list[OverlayBackend] = [make_overlay(config) for _ in traces]
         self.idx_of_node: list[dict[int, int]] = []
         self.homes: list[list[LruCache]] = []
-        self._owner_memo: list[dict[int, int]] = []
-        self._fast = config.hot_path == "fast"
-        #: Fast engine: per cluster, object id -> its home LruCache.
+        #: Per cluster, object id -> its home LruCache.  Membership is
+        #: static, so every home is precomputed: one batched SHA-1 pass
+        #: plus one vectorised sorted-ring resolution per cluster; a
+        #: sampled subset is still routed through the overlay so the
+        #: mean-hops extra stays populated.
         self._home_table: list[list[LruCache]] = []
-        for ci, sizing in enumerate(self.sizings):
-            overlay = make_overlay(config)
-            names = [f"squirrel{ci}/cache{k}" for k in range(sizing.n_clients)]
-            if self._fast:
-                nodes = overlay.bulk_add_named(names)
-            else:
-                nodes = [overlay.add_named(name) for name in names]
-            mapping = {node.node_id: k for k, node in enumerate(nodes)}
-            per_client = sizing.client_size
-            if self.include_proxy_budget:
-                per_client += sizing.proxy_size // max(1, sizing.n_clients)
-            self.overlays.append(overlay)
-            self.dhts.append(Dht(overlay, hop_sample_rate=config.hop_sample_rate))
-            self.idx_of_node.append(mapping)
-            self.homes.append([LruCache(per_client) for _ in range(sizing.n_clients)])
-            self._owner_memo.append({})
-        if self._fast:
-            self._build_home_tables(config)
-
-    def _build_home_tables(self, config: SimulationConfig) -> None:
-        """Precompute every object's home cache (membership is static).
-
-        One batched SHA-1 pass plus one vectorised sorted-ring resolution
-        per cluster replaces the per-object owner memo; a sampled subset
-        is still routed through the overlay so the mean-hops extra stays
-        populated.
-        """
         n_objects = 0
         for trace in self.traces:
             if len(trace.object_ids):
                 n_objects = max(n_objects, int(trace.object_ids.max()) + 1)
-        space = self.overlays[0].space
         keys = object_ids_for_urls(
-            [object_url(i) for i in range(n_objects)], space
+            [object_url(i) for i in range(n_objects)], self.overlays[0].space
         )
-        for ci, overlay in enumerate(self.overlays):
+        for ci, (sizing, overlay) in enumerate(zip(self.sizings, self.overlays)):
+            nodes = overlay.bulk_add_named(
+                [f"squirrel{ci}/cache{k}" for k in range(sizing.n_clients)]
+            )
+            mapping = {node.node_id: k for k, node in enumerate(nodes)}
+            per_client = sizing.client_size
+            if self.include_proxy_budget:
+                per_client += sizing.proxy_size // max(1, sizing.n_clients)
+            homes = [LruCache(per_client) for _ in range(sizing.n_clients)]
             owners = build_owner_table(
                 overlay, keys, sample_rate=config.hop_sample_rate, record_stats=True
             )
-            mapping = self.idx_of_node[ci]
-            homes = self.homes[ci]
+            self.idx_of_node.append(mapping)
+            self.homes.append(homes)
             self._home_table.append([homes[mapping[nid]] for nid in owners])
 
-    def _home(self, cluster: int, obj: int) -> LruCache:
-        if self._fast:
-            return self._home_table[cluster][obj]
-        memo = self._owner_memo[cluster]
-        idx = memo.get(obj)
-        if idx is None:
-            dht = self.dhts[cluster]
-            node = dht.owner(dht.object_id(object_url(obj)))
-            idx = self.idx_of_node[cluster][node]
-            memo[obj] = idx
-        return self.homes[cluster][idx]
-
     def process(self, cluster: int, client: int, obj: int) -> str:
-        hit, _ = self._home(cluster, obj).lookup_or_insert(
+        hit, _ = self._home_table[cluster][obj].lookup_or_insert(
             obj, size=self._size_of(obj)
         )
         if hit:
@@ -154,16 +122,7 @@ class SquirrelScheme(CachingScheme):
         """
         if not self.transport.attempt(P2P_FETCH):
             return TIER_SERVER
-        hit, _ = self._home(cluster, obj).lookup_or_insert(
-            obj, size=self._size_of(obj)
-        )
-        if hit:
-            return TIER_LOCAL_P2P
-        # Home miss: the home node fetches from the origin, stores the
-        # object and relays it — one extra LAN leg on top of the server
-        # round trip.
-        self.add_extra_latency(self._t_p2p)
-        return TIER_SERVER
+        return SquirrelScheme.process(self, cluster, client, obj)
 
     def finalize(self) -> tuple[dict[str, int], dict[str, float]]:
         total_msgs = sum(o.stats.messages for o in self.overlays)

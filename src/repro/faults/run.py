@@ -60,7 +60,7 @@ def _faulty_hiergd(
 ) -> CachingScheme:
     """Hier-GD under the full fault model.
 
-    Builds on the churn scheme (reference engine, lazily repaired
+    Builds on the churn scheme (protocol-chain engine, lazily repaired
     directories, membership events) with a fault transport carrying
     message-level faults on the three cooperation links, stale
     directories beyond Bloom false positives (lossy eviction notices),

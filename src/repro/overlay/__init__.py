@@ -16,7 +16,8 @@ above are overlay-agnostic:
 - :mod:`repro.overlay.factory` — config → backend selection.
 - :mod:`repro.overlay.dht` — objectId → owning cacheId placement.
 - :mod:`repro.overlay.placement` — vectorised whole-table placement
-  (the hot-path engine's precomputed object → owner maps).
+  (precomputed object → owner maps for Squirrel and Hier-GD's
+  indexed engine).
 """
 
 from .chord import DEFAULT_SUCCESSOR_LIST_SIZE, ChordNode, ChordOverlay

@@ -8,7 +8,7 @@ they need exactly the surface captured by :class:`OverlayBackend`:
   :meth:`~OverlayBackend.bulk_add_named` joins,
   :meth:`~OverlayBackend.fail` / :meth:`~OverlayBackend.leave`
   departures, an :attr:`~OverlayBackend.epoch` counter bumped on every
-  change (the DHT layer and the hot-path placement tables key their
+  change (the DHT layer and the precomputed placement tables key their
   memos off it);
 * **placement** — :meth:`~OverlayBackend.owner_of` maps a key to the
   live node that stores it under the backend's ownership rule

@@ -1,10 +1,10 @@
 """Vectorised DHT placement: whole object→owner tables in one pass.
 
-The reference engine resolves each object's owner on first touch —
-SHA-1, then an O(log N) sorted-ring search, memoised per overlay epoch
-(:class:`repro.overlay.dht.Dht`).  That is already cheap per call, but
-the hot-path engine goes further: it precomputes the *entire* mapping
-for a cluster up front with
+Hier-GD's protocol-chain engine resolves each object's owner on first
+touch — SHA-1, then an O(log N) sorted-ring search, memoised per overlay
+epoch (:class:`repro.overlay.dht.Dht`).  That is already cheap per call,
+but Hier-GD's indexed engine and Squirrel go further: they precompute
+the *entire* mapping for a cluster up front with
 
 * one batched SHA-1 pass over all object URLs
   (:func:`object_ids_for_urls`), and

@@ -1,7 +1,7 @@
 """Performance observability for the simulator hot path.
 
-The hot-path engine (presence indexes, precomputed DHT placement, fused
-cache operations) is only trustworthy while it stays *measured*: this
+The request paths (presence indexes, precomputed DHT placement, fused
+cache operations) are only trustworthy while they stay *measured*: this
 package provides the instrumentation that keeps the speedups honest.
 
 * :func:`profile_call` — run any callable under :mod:`cProfile` and get

@@ -1,11 +1,12 @@
 """Hier-GD's miss chain (§3–§4) as transport-mediated protocol stages.
 
-The reference request flow — directory lookup into the own P2P cache,
-cooperating proxies, the push protocol, the origin server — used to live
-twice: once inline in ``core/hiergd.py`` and once re-derived by the
-``Faulty*`` subclasses with timeouts bolted on.  Here it lives once,
-with every cooperation hop routed through the scheme's
-:class:`~repro.protocol.transport.Transport`:
+The paper's request flow — directory lookup into the own P2P cache,
+cooperating proxies, the push protocol, the origin server — with every
+cooperation hop routed through the scheme's
+:class:`~repro.protocol.transport.Transport`.  This is the miss path of
+Hier-GD's protocol-chain engine (:mod:`repro.core.hiergd` says which
+runs get it; the indexed engine inlines the fault-free flow instead and
+borrows :func:`push_stage` under Bloom directories):
 
 * under the base transport every :meth:`attempt` succeeds and the chain
   is line-for-line the paper's fault-free flow;
@@ -16,8 +17,8 @@ with every cooperation hop routed through the scheme's
   NC, never below it).
 
 The stages are free functions over a Hier-GD-like scheme (anything with
-the cluster states, ``_locate``/``_proxy_insert``/serving seams and a
-bound transport), so the churn scheme and any future variant reuse them
+the cluster states, ``_locate``/``_proxy_insert`` and a bound
+transport), so the churn scheme and any future variant reuse them
 without another subclass fork.  Each returns the serving tier or
 ``None`` ("not served here, try the next stage").
 """
@@ -26,7 +27,12 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..netmodel import TIER_COOP_PROXY, TIER_SERVER
+from ..netmodel import (
+    TIER_COOP_P2P,
+    TIER_COOP_PROXY,
+    TIER_LOCAL_P2P,
+    TIER_SERVER,
+)
 from .messages import LOOKUP_QUERY, PROXY_FETCH, PUSH
 
 __all__ = [
@@ -55,7 +61,10 @@ def lookup_stage(scheme: Any, state: Any, obj: int) -> str | None:
     if scheme.transport.attempt(LOOKUP_QUERY):
         holder = scheme._locate(state, obj)
         if holder is not None:
-            return scheme._serve_p2p_hit(state, holder, obj)
+            state.clients[holder].lookup(obj)  # GD credit refresh
+            if scheme._promote:
+                scheme._proxy_insert(state, obj, cost=scheme._t_p2p)
+            return TIER_LOCAL_P2P
         msg[scheme._overclaim_key] += 1
         scheme.add_extra_latency(scheme._t_p2p)
     return None
@@ -96,7 +105,9 @@ def push_stage(scheme: Any, state: Any, cluster: int, obj: int) -> str | None:
             msg["failed_pushes"] += 1
             continue
         if transport.attempt(PUSH):
-            return scheme._serve_push_hit(state, other_state, holder, obj)
+            other_state.clients[holder].lookup(obj)  # GD credit refresh
+            scheme._proxy_insert(state, obj, cost=scheme._t_coop + scheme._t_p2p)
+            return TIER_COOP_P2P
         msg["failed_pushes"] += 1
     return None
 

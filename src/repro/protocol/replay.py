@@ -339,7 +339,7 @@ class ReplayReport:
     recorded: dict[str, Any] | None
 
 
-def _config_from_fingerprint(fingerprint: dict[str, Any]) -> Any:
+def _config_from_fingerprint(fingerprint: dict[str, Any], path: Path) -> Any:
     from ..core.config import SimulationConfig
     from ..netmodel import NetworkConfig
     from ..workload import ProWGenConfig
@@ -349,6 +349,19 @@ def _config_from_fingerprint(fingerprint: dict[str, Any]) -> Any:
         for key, value in fingerprint.items()
         if key not in ("workload", "network")
     }
+    # Traces recorded before the engine became the code's choice carry a
+    # ``hot_path`` field.  "fast" named the engines every run still gets,
+    # so such a trace replays as it is; a "reference" recording holds
+    # exchanges no plain run of this build makes.
+    if rest.get("hot_path") == "fast":
+        del rest["hot_path"]
+    known = {f.name for f in dataclasses.fields(SimulationConfig)}
+    for key in rest:
+        if key not in known:
+            raise TraceSchemaError(
+                f"{path}: recorded config field {key!r}={rest[key]!r} is not "
+                "one this build knows (recorded by a different version?)"
+            )
     return SimulationConfig(
         workload=ProWGenConfig(**fingerprint["workload"]),
         network=NetworkConfig(**fingerprint["network"]),
@@ -387,7 +400,7 @@ def replay_trace(path: str | Path) -> ReplayReport:
             f"result={'present' if trace.recorded_result else 'missing'}) — "
             "refusing to replay a truncated recording"
         )
-    config = _config_from_fingerprint(trace.header["config"])
+    config = _config_from_fingerprint(trace.header["config"], trace.path)
     plan = None
     if trace.header.get("plan") is not None:
         from ..faults.plan import FaultPlan

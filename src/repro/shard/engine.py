@@ -55,8 +55,6 @@ def _validate(name: str, config: SimulationConfig) -> None:
             f"scheme {name!r} cannot run sharded; "
             f"shardable: {', '.join(SHARDED_SCHEMES)}"
         )
-    if config.hot_path != "fast":
-        raise ValueError("sharded runs require hot_path='fast'")
     if name == "hier-gd" and config.directory != "exact":
         raise ValueError("sharded hier-gd requires directory='exact'")
     if active_trace_recorder() is not None:

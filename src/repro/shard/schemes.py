@@ -37,15 +37,8 @@ from __future__ import annotations
 
 from ..core.config import SimulationConfig
 from ..core.hiergd import HierGdScheme
-from ..core.presence import probes_to
+from ..core.hiergd_indexed import refresh_holder
 from ..core.schemes.baselines import NcScheme, ScScheme
-from ..netmodel import (
-    TIER_COOP_P2P,
-    TIER_COOP_PROXY,
-    TIER_LOCAL_P2P,
-    TIER_LOCAL_PROXY,
-    TIER_SERVER,
-)
 from ..protocol.transport import Transport
 from .digest import ClusterDelta
 
@@ -60,7 +53,6 @@ class _ShardMixin:
     ) -> None:
         self._global_of = list(global_clusters)
         self._local_of = {g: i for i, g in enumerate(self._global_of)}
-        self._n_local = len(self._global_of)
         self._total_clusters = total_clusters
         self._warmup_n = warmup_n
         #: Worker-installed round callback (sends/receives digests).
@@ -112,7 +104,7 @@ class ShardedNc(_ShardMixin, NcScheme):
 class ShardedSc(_ShardMixin, ScScheme):
     """SC over shards: remote probes answered by digested presence.
 
-    A remote SC probe is membership-only (the reference scan calls
+    A remote SC probe is membership-only (an ICP-style probe calls
     ``contains``, never ``lookup``), so cross-shard cooperation needs no
     remote writes at all — just the presence deltas.
     """
@@ -127,33 +119,10 @@ class ShardedSc(_ShardMixin, ScScheme):
         transport: Transport | None = None,
     ) -> None:
         super().__init__(config, traces, transport)
-        if not self._fast:
-            raise ValueError("sharded sc requires hot_path='fast'")
         self._init_shard(global_clusters, total_clusters, warmup_n)
+        self._cluster_ids = self._global_of
+        self._n_clusters = total_clusters
         self._round_base = [set(c._sizes) for c in self.caches]
-
-    def process(self, cluster: int, client: int, obj: int) -> str:
-        g = self._global_of[cluster]
-        cache = self.caches[cluster]
-        hit, evicted = cache.lookup_or_insert(obj)
-        if hit:
-            return TIER_LOCAL_PROXY
-        presence = self._presence
-        first = presence.first_holder(obj, g)
-        self._probes += probes_to(first, g, self._total_clusters)
-        tier = TIER_SERVER
-        if first is not None:
-            tier = TIER_COOP_PROXY
-            self._coop_fetches += 1
-        stored = True
-        for victim in evicted:
-            if victim == obj:
-                stored = False  # capacity-zero cache rejected the insert
-            else:
-                presence.discard(victim, g)
-        if stored:
-            presence.add(obj, g)
-        return tier
 
     def collect_round(self) -> tuple[dict[int, ClusterDelta], list]:
         deltas: dict[int, ClusterDelta] = {}
@@ -182,11 +151,12 @@ class ShardedSc(_ShardMixin, ScScheme):
 class ShardedHierGd(_ShardMixin, HierGdScheme):
     """Hier-GD over shards: digested steps 3–4 of the miss chain.
 
-    Requires the fast engine with an exact directory (the Bloom path's
-    false positives are a per-probe phenomenon the digest cannot carry)
-    and a fault-free transport.  ``process`` mirrors
-    :meth:`HierGdScheme.process` with global-id exclusion and a remote
-    branch in step 4.
+    Rides the indexed engine (:mod:`repro.core.hiergd_indexed`), so it
+    needs what that engine needs — unit sizes, a fault-free transport —
+    plus an exact directory (the Bloom path's false positives are a
+    per-probe phenomenon the digest cannot carry).  The request path is
+    the engine's own: clusters carry their global ids, and a step-4
+    holder this worker does not own takes :meth:`_queue_remote_push`.
     """
 
     def __init__(
@@ -202,11 +172,11 @@ class ShardedHierGd(_ShardMixin, HierGdScheme):
         if self.sizes is not None:
             raise ValueError(
                 "sharded hier-gd does not support sized workloads (the "
-                "digest protocol rides the fast engine, which assumes "
+                "digest protocol rides the indexed engine, which assumes "
                 "equal-size objects); run with shards=1"
             )
-        if not self._fast:
-            raise ValueError("sharded hier-gd requires hot_path='fast'")
+        if not self.indexed:
+            raise ValueError("sharded hier-gd requires a fault-free transport")
         if self._dir_presence is None:
             raise ValueError("sharded hier-gd requires directory='exact'")
         self._init_shard(global_clusters, total_clusters, warmup_n)
@@ -215,96 +185,23 @@ class ShardedHierGd(_ShardMixin, HierGdScheme):
         # local-id entries exist to migrate.
         for state, g in zip(self.states, self._global_of):
             state.cluster = g
+        self._state_at = dict(zip(self._global_of, self.states)).get
         self._msg["stale_remote_pushes"] = 0
-        self._calls = 0
         self._out_pushes: list[tuple[int, int, int, int]] = []
         self._round_base = [
             (set(s.proxy._entries), set(s.p2p_present)) for s in self.states
         ]
 
-    # -- request path (HierGdScheme.process, shard-aware) -----------------
-
-    def process(self, cluster: int, client: int, obj: int) -> str:
-        pos = self._calls
-        self._calls = pos + 1
-        state = self.states[cluster]
+    def _queue_remote_push(self, state, other: int, obj: int) -> None:
+        """Step 4 served by a cluster in another shard: the requester
+        serves at push cost now, the owning shard refreshes the holder's
+        GD credit at the next boundary."""
+        # The proxy sees exactly one lookup per request of its cluster,
+        # so its access count is that cluster's request index — which,
+        # interleaved with the cluster id, is the global position.
+        index = state.proxy.stats.accesses - 1
         g = state.cluster
-        # 1. Local proxy cache (inlined GD hit path, as in the base).
-        if self._gd_inline:
-            proxy = state.proxy
-            entry = proxy._entries.get(obj)
-            if entry is not None:
-                heap = proxy._heap
-                seq = heap._seq + 1
-                heap._seq = seq
-                heap._live[obj] = (proxy.inflation + entry[1], seq, False)
-                proxy.stats.hits += 1
-                return TIER_LOCAL_PROXY
-            proxy.stats.misses += 1
-        else:
-            if state.proxy.lookup(obj):
-                return TIER_LOCAL_PROXY
-        if state.built_epoch != state.overlay.epoch:
-            self._build_placement(state)
-        msg = self._msg
-
-        # 2. Own P2P client cache, via the (exact) lookup directory.
-        if obj in state.dir_probe:
-            msg["p2p_lookups"] += 1
-            owner = state.owner_of[obj]
-            holder = (
-                owner
-                if obj in state.member_maps[owner]
-                else self._locate(state, obj, owner)
-            )
-            if holder is not None:
-                state.clients[holder].lookup(obj)  # GD credit refresh
-                if self._promote:
-                    self._proxy_insert(state, obj, cost=self._t_p2p)
-                return TIER_LOCAL_P2P
-            msg["directory_false_positives"] += 1
-            self.add_extra_latency(self._t_p2p)
-
-        # 3. Cooperating proxies.  Local and remote holders sit in the
-        # same presence set (remote ones as of the last round boundary);
-        # serving needs no holder-side mutation, so a remote first holder
-        # is served exactly like a local one.
-        s = self._proxy_presence._holders.get(obj)
-        if s:
-            first = None
-            for c in s:
-                if c != g and (first is None or c < first):
-                    first = c
-            if first is not None:
-                self._proxy_insert(state, obj, cost=self._t_coop)
-                return TIER_COOP_PROXY
-
-        # 4. Their P2P client caches through the push protocol.  A local
-        # holder serves inline; a remote holder serves at push cost and
-        # the GD credit refresh crosses the bus as a queued push record.
-        other = self._dir_presence.first_holder(obj, g)
-        if other is not None:
-            local = self._local_of.get(other)
-            msg["push_requests"] += 1
-            if local is not None:
-                other_state = self.states[local]
-                owner = other_state.owner_of[obj]
-                holder = (
-                    owner
-                    if obj in other_state.member_maps[owner]
-                    else self._locate(other_state, obj, owner)
-                )
-                other_state.clients[holder].lookup(obj)
-            else:
-                self._out_pushes.append(
-                    ((pos // self._n_local) * self._total_clusters + g, g, other, obj)
-                )
-            self._proxy_insert(state, obj, cost=self._t_coop + self._t_p2p)
-            return TIER_COOP_P2P
-
-        # 5. Origin server.
-        self._proxy_insert(state, obj, cost=self._t_server)
-        return TIER_SERVER
+        self._out_pushes.append((index * self._total_clusters + g, g, other, obj))
 
     # -- round protocol ---------------------------------------------------
 
@@ -348,15 +245,8 @@ class ShardedHierGd(_ShardMixin, HierGdScheme):
             state = self.states[i]
             if obj in state.p2p_present:
                 if state.built_epoch != state.overlay.epoch:
-                    self._build_placement(state)
-                owner = state.owner_of[obj]
-                holder = (
-                    owner
-                    if obj in state.member_maps[owner]
-                    else self._locate(state, obj, owner)
-                )
-                if holder is not None:
-                    state.clients[holder].lookup(obj)  # GD credit refresh
+                    state.build_placement()
+                if refresh_holder(self, state, obj):
                     continue
             # Evicted inside the staleness window: the requester already
             # served the object (the copy existed when it asked).

@@ -193,6 +193,12 @@ class NaiveGds:
         return evicted
 
 
+def test_insert_absent_rejects_at_zero_capacity():
+    cache = GreedyDualCache(0)
+    assert cache.insert_absent("a", 1.0) == ["a"] == GreedyDualCache(0).insert("a")
+    assert len(cache) == 0 and not cache.contains("a")
+
+
 class TestAgainstNaiveGds:
     @pytest.mark.parametrize("credit_by_size", [True, False])
     def test_randomized_sized_run_matches_model(self, credit_by_size):
@@ -208,9 +214,13 @@ class TestAgainstNaiveGds:
                 # eviction order is fully determined by the credit rule.
                 cost = rng.uniform(0.5, 10.0)
                 size = rng.randrange(1, 9)
-                assert cache.insert(key, cost=cost, size=size) == model.insert(
-                    key, cost=cost, size=size
-                )
+                if size == 1 and not cache.contains(key):
+                    # The unit-size insert of an absent key has its own
+                    # fused method; it must evict and credit like insert.
+                    got = cache.insert_absent(key, cost)
+                else:
+                    got = cache.insert(key, cost=cost, size=size)
+                assert got == model.insert(key, cost=cost, size=size)
             assert len(cache) == model.used
             assert cache.inflation == pytest.approx(model.L)
             assert set(cache.keys()) == set(model.entries)

@@ -129,10 +129,10 @@ class TestJoin:
         scheme = HierGdChurnScheme(cfg(), workload(), [])
         state = scheme.states[0]
         objs = range(400)
-        before = {obj: scheme._owner(state, obj) for obj in objs}
+        before = {obj: state.owner(obj) for obj in objs}
         scheme._join_client(0)
         assert not state.owner_memo  # memo dropped before any re-query
-        after = {obj: scheme._owner(state, obj) for obj in objs}
+        after = {obj: state.owner(obj) for obj in objs}
         shifted = [obj for obj in objs if before[obj] != after[obj]]
         assert shifted, "join did not move any ownership"
         newcomer = len(state.clients) - 1

@@ -1,10 +1,16 @@
 """Mechanism-level tests for Hier-GD (paper Figure 1 and §§3-4)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.core.churn import HierGdChurnScheme
 from repro.core.config import SimulationConfig
 from repro.core.hiergd import HierGdScheme
+from repro.faults import FaultPlan
+from repro.protocol import FaultTransport, ObservabilityTransport, Transport
+from repro.shard.schemes import ShardedHierGd
 from repro.netmodel import (
     TIER_COOP_P2P,
     TIER_LOCAL_P2P,
@@ -259,7 +265,7 @@ class TestOverlayIntegration:
 
     def test_owner_mapping_is_stable_and_memoised(self):
         traces = moderate_workload(seed=6)
-        scheme = HierGdScheme(cfg(n_clients=10, hot_path="reference"), traces)
+        scheme = HierGdChurnScheme(cfg(n_clients=10), traces, events=[])
         scheme.run()
         state = scheme.states[0]
         assert len(state.owner_memo) > 0
@@ -268,14 +274,62 @@ class TestOverlayIntegration:
         for obj in some:
             memo = state.owner_memo[obj]
             state.owner_memo.pop(obj)
-            assert scheme._owner(state, obj) == memo
+            assert state.owner(obj) == memo
 
     def test_fast_placement_table_matches_reference_owners(self):
         traces = moderate_workload(seed=6)
-        fast = HierGdScheme(cfg(n_clients=10), traces)
-        ref = HierGdScheme(cfg(n_clients=10, hot_path="reference"), traces)
-        for state, ref_state in zip(fast.states, ref.states):
-            fast._build_placement(state)
-            assert state.owner_of is not None
+        indexed = HierGdScheme(cfg(n_clients=10), traces)
+        chain = HierGdChurnScheme(cfg(n_clients=10), traces, events=[])
+        for state, chain_state in zip(indexed.states, chain.states):
+            state.build_placement()
+            assert state.owner_of
             for obj in range(len(state.owner_of)):
-                assert state.owner_of[obj] == ref._owner(ref_state, obj)
+                assert state.owner_of[obj] == chain_state.owner(obj)
+
+
+class TestEngineSelection:
+    """Which request engine each kind of run is given (chosen once, in
+    ``HierGdScheme.__init__``, from what the run can observe)."""
+
+    @staticmethod
+    def build(case):
+        config = cfg(n_proxies=2, n_clients=6)
+        workload = config.workload
+        if case == "sized":
+            workload = dataclasses.replace(workload, object_sizes="heavy-tailed")
+        elif case == "plain bloom":
+            config = config.with_changes(directory="bloom")
+        traces = generate_cluster_traces(workload, 2, seed=0)
+        base = Transport(config.network)
+        if case == "fault transport":
+            plan = FaultPlan(p2p_loss=0.1, push_loss=0.1, seed=3)
+            faulty = FaultTransport(base, plan, scope="hier-gd")
+            return HierGdScheme(config, traces, transport=faulty)
+        if case == "observability-only transport":
+            return HierGdScheme(
+                config, traces, transport=ObservabilityTransport(base)
+            )
+        if case == "churn subclass":
+            return HierGdChurnScheme(config, traces, events=[])
+        if case == "sharded":
+            return ShardedHierGd(
+                config, traces, global_clusters=[0, 1], total_clusters=2, warmup_n=0
+            )
+        return HierGdScheme(config, traces)
+
+    @pytest.mark.parametrize(
+        "case, indexed",
+        [
+            ("plain exact", True),
+            ("plain bloom", True),
+            ("sized", False),
+            ("fault transport", False),
+            ("observability-only transport", True),
+            ("churn subclass", False),
+            ("sharded", True),
+        ],
+    )
+    def test_engine_by_input(self, case, indexed):
+        scheme = self.build(case)
+        assert scheme.indexed is indexed
+        scheme.run()

@@ -89,9 +89,7 @@ def tiny_config(**overrides):
     wl = dataclasses.replace(
         cfg.workload, n_requests=1_200, n_objects=200, n_clients=12
     )
-    return dataclasses.replace(
-        cfg, workload=wl, n_proxies=2, hot_path="fast", **overrides
-    )
+    return dataclasses.replace(cfg, workload=wl, n_proxies=2, **overrides)
 
 
 def replay(scheme, traces, check):

@@ -89,14 +89,6 @@ class TestSizePlumbing:
         with pytest.raises(ValueError, match="agree on carrying sizes"):
             NcScheme(cfg, [traces[0], stripped])
 
-    def test_hier_gd_sized_runs_reference_engine(self):
-        from repro.core.hiergd import HierGdScheme
-
-        cfg, traces = sized_setup(seed=6)
-        scheme = HierGdScheme(cfg, traces)
-        assert scheme.sizes is not None
-        assert scheme._fast is False
-
     def test_gd_cost_model_changes_sized_results(self):
         cfg, traces = sized_setup(seed=7)
         gds = run_scheme("hier-gd", cfg, traces)

@@ -105,6 +105,32 @@ class TestUnusableFiles:
             replay_trace(bogus)
 
 
+class TestRecordedConfigFields:
+    """Headers are ``asdict(config)`` of the recording build, whose
+    ``SimulationConfig`` may have had other fields than this one's."""
+
+    @staticmethod
+    def _with_config_field(src, dst, key, value):
+        config = json.loads(src.read_text(encoding="utf-8").splitlines()[0])["config"]
+        return _rewrite(src, dst, header={"config": {**config, key: value}})
+
+    def test_recorded_fast_hot_path_still_replays(self, faulty_trace, tmp_path):
+        src, result = faulty_trace
+        old = self._with_config_field(src, tmp_path / "old.jsonl", "hot_path", "fast")
+        report = replay_trace(old)
+        assert report.divergence is None and report.identical
+        assert dataclasses.asdict(report.result) == dataclasses.asdict(result)
+
+    @pytest.mark.parametrize(
+        "key, value", [("hot_path", "reference"), ("no_such_knob", 3)]
+    )
+    def test_unknown_config_field_is_named(self, faulty_trace, tmp_path, key, value):
+        src, _ = faulty_trace
+        doctored = self._with_config_field(src, tmp_path / "x.jsonl", key, value)
+        with pytest.raises(TraceSchemaError, match=key):
+            replay_trace(doctored)
+
+
 class TestDivergences:
     def test_scheme_mismatch_diverges_instead_of_lying(self, faulty_trace, tmp_path):
         # A hier-gd recording replayed as squirrel: the first exchange

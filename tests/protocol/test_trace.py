@@ -11,8 +11,9 @@ import dataclasses
 
 import pytest
 
+from repro.core.churn import HierGdChurnScheme
 from repro.core.config import SimulationConfig
-from repro.core.run import run_scheme
+from repro.core.run import generate_workloads, run_scheme
 from repro.faults import FaultPlan
 from repro.faults.run import run_scheme_with_faults
 from repro.protocol import (
@@ -21,7 +22,9 @@ from repro.protocol import (
     replay_trace,
     trace_key,
 )
-from repro.protocol.trace import TraceWriter
+from repro.protocol.replay import ReplayTransport, load_trace
+from repro.protocol.trace import TraceRecorder, TraceWriter
+from repro.protocol.transport import Transport
 from repro.workload import ProWGenConfig
 
 TINY = ProWGenConfig(n_requests=3000, n_objects=300, n_clients=10)
@@ -44,20 +47,33 @@ def cfg(**kw):
 
 
 class TestRecordingIsTransparent:
-    def test_plain_reference_run_unperturbed_and_round_trips(self, tmp_path):
-        # Reference engine: every exchange crosses the transport stack
-        # even without a fault plan, so the trace is non-trivial.
-        config = cfg(hot_path="reference")
-        plain = run_scheme("hier-gd", config, seed=0)
-        with recording_traces(tmp_path) as recorder:
-            recorded = run_scheme("hier-gd", config, seed=0)
+    def test_chain_run_unperturbed_and_round_trips(self, tmp_path):
+        # The zero-event churn scheme runs the protocol-chain engine:
+        # every exchange crosses the transport stack even without a fault
+        # plan, so the trace is non-trivial.  No registry entry builds
+        # that scheme, so the round trip is driven by hand.
+        config = cfg()
+        traces = generate_workloads(config, seed=0)
+        plain = HierGdChurnScheme(config, traces, events=[]).run()
+
+        recorder = TraceRecorder(tmp_path)
+        recording = recorder.open(
+            "hier-gd", config, 0, None, Transport(config.network)
+        )
+        scheme = HierGdChurnScheme(config, traces, events=[], transport=recording)
+        recording.attach(scheme)
+        recorded = scheme.run()
+        recorder.close(recording, recorded)
         assert dataclasses.asdict(recorded) == dataclasses.asdict(plain)
 
-        assert len(recorder.written) == 1
-        report = replay_trace(recorder.written[0])
-        assert report.divergence is None
-        assert report.identical
-        assert report.events_replayed == report.n_events > 0
+        trace = load_trace(recorder.written[0])
+        assert trace.complete and len(trace.events) > 0
+        replaying = ReplayTransport(config.network, trace.events)
+        scheme = HierGdChurnScheme(config, traces, events=[], transport=replaying)
+        replaying.attach(scheme)
+        replayed = scheme.run()
+        assert replaying.remaining == 0
+        assert dataclasses.asdict(replayed) == trace.recorded_result
 
     @pytest.mark.parametrize("name", ["fc", "hier-gd"])
     def test_faulty_run_unperturbed_and_round_trips(self, name, tmp_path):

@@ -17,6 +17,7 @@ import dataclasses
 
 import pytest
 
+from repro.core.churn import HierGdChurnScheme
 from repro.core.config import SimulationConfig
 from repro.core.run import run_scheme
 from repro.faults import FaultPlan
@@ -318,12 +319,13 @@ class TestObservability:
         assert obs.observed["events_dropped"] == 0
 
     def test_observed_run_byte_identical_to_plain(self, traces):
-        # Reference engine so every exchange actually crosses the stack.
-        plain = run_scheme("hier-gd", cfg(hot_path="reference"), traces)
+        # The zero-event churn scheme runs the protocol-chain engine, so
+        # every exchange actually crosses the stack.
+        plain = HierGdChurnScheme(cfg(), traces, events=[]).run()
         observing = build_transport(cfg().network, observe=True)
-        observed = run_scheme(
-            "hier-gd", cfg(hot_path="reference"), traces, transport=observing
-        )
+        observed = HierGdChurnScheme(
+            cfg(), traces, events=[], transport=observing
+        ).run()
         assert dataclasses.asdict(observed) == dataclasses.asdict(plain)
         counted = observing.observed["exchanges"]
         assert counted["lookup_query"]["attempts"] == observed.messages["p2p_lookups"]

@@ -108,11 +108,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="cannot run sharded"):
             run_scheme_sharded("fc", cfg(), shards=2)
 
-    def test_reference_hot_path_rejected(self):
-        config = cfg(hot_path="reference")
-        with pytest.raises(ValueError, match="hot_path"):
-            run_scheme_sharded("nc", config, shards=2)
-
     def test_bloom_directory_hier_gd_rejected(self):
         config = cfg(directory="bloom")
         with pytest.raises(ValueError, match="exact"):
