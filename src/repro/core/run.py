@@ -10,26 +10,48 @@ This is the layer the examples and the benchmark harness talk to::
 Traces are generated once per workload configuration and shared across
 schemes (the paper compares schemes on *the same* trace), so a sweep
 over schemes costs one workload generation.
+
+How a run is put together is decided here and nowhere else:
+:func:`build_scheme` picks the scheme object a ``(name, plan)`` pair
+gets, :func:`assemble_run` owns the carrier → recording → backend →
+construct → attach → run → seal → close sequence that the simulated,
+faulty, replayed and live entry points all call.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ..perf.profiling import record_scheme_ops
-from ..protocol.trace import active_trace_recorder
-from ..protocol.transport import Transport
+from ..protocol.trace import TraceRecorder, active_trace_recorder
+from ..protocol.transport import EventFedTransport, Transport, build_transport
 from ..workload import Trace, generate_cluster_traces
+from .churn import HierGdChurnScheme
 from .config import SimulationConfig
 from .metrics import SchemeResult, latency_gain
 from .schemes import SCHEME_REGISTRY
+from .simulator import CachingScheme
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..faults.plan import FaultPlan
 
 __all__ = [
+    "FAULTABLE_SCHEMES",
+    "active_plan",
+    "assemble_run",
     "available_schemes",
+    "build_scheme",
     "generate_workloads",
     "run_scheme",
     "run_all_schemes",
     "gains_vs_nc",
     "with_backend",
 ]
+
+#: Schemes with a faultable cooperation path.  Every other scheme runs
+#: plain at *any* fault rate — NC above all (client → proxy → origin has
+#: no cooperation link), which anchors "degrades toward NC, never below".
+FAULTABLE_SCHEMES = ("hier-gd", "fc", "fc-ec", "squirrel")
 
 
 def available_schemes() -> list[str]:
@@ -60,6 +82,111 @@ def with_backend(transport: Transport, backend: str) -> Transport:
     return transport
 
 
+def active_plan(name: str, plan: FaultPlan | None) -> FaultPlan | None:
+    """``plan`` if it changes how ``name`` runs, else ``None``.
+
+    A ``None`` or zero plan, and any plan on a scheme outside
+    :data:`FAULTABLE_SCHEMES`, takes the plain code path: no fault layer
+    is constructed, so fault-free results stay byte-identical.
+    """
+    if plan is None or plan.is_zero() or name not in FAULTABLE_SCHEMES:
+        return None
+    return plan
+
+
+def build_scheme(
+    name: str,
+    config: SimulationConfig,
+    traces: list[Trace],
+    plan: FaultPlan | None = None,
+    transport: Transport | None = None,
+) -> CachingScheme:
+    """Construct the scheme object ``(name, plan)`` gets.
+
+    The registry class riding ``transport`` (``None``: the standard
+    stack for the plan) — a faulty FC / FC-EC / Squirrel needs nothing
+    else.  Hier-GD under an active plan is the churn scheme
+    (protocol-chain engine, lazily repaired directories) fed the plan's
+    Poisson membership events and reported as ``hier-gd``; the events
+    are a pure function of the plan, so a replayed or live run rebuilds
+    them without the wire trace carrying membership.
+    """
+    try:
+        scheme_cls = SCHEME_REGISTRY[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown scheme {name!r}; available: {', '.join(SCHEME_REGISTRY)}"
+        ) from None
+    plan = active_plan(name, plan)
+    if transport is None:
+        transport = build_transport(config.network, plan, scope=name)
+    if plan is None or name != "hier-gd":
+        return scheme_cls(config, traces, transport=transport)
+    from ..faults.poisson import poisson_churn_events  # faults imports core
+
+    events = poisson_churn_events(
+        plan,
+        n_requests=sum(len(t) for t in traces),
+        n_clusters=config.n_proxies,
+        n_clients=config.sizing_for(traces[0]).n_clients,
+    )
+    scheme = HierGdChurnScheme(config, traces, events, transport=transport)
+    # Report as the scheme under test, not the churn-harness subclass.
+    scheme.name = name
+    return scheme
+
+
+def assemble_run(
+    name: str,
+    config: SimulationConfig,
+    traces: list[Trace] | None = None,
+    *,
+    seed: int = 0,
+    plan: FaultPlan | None = None,
+    carrier: Transport | None = None,
+    recorder: TraceRecorder | None = None,
+    backend: str = "sync",
+) -> SchemeResult:
+    """Put one scheme run together and run it — the only place that does.
+
+    Carrier (``carrier``, else the plan's fault stack, else the base
+    transport) → recording layer (if ``recorder``) → execution backend
+    → :func:`build_scheme` → ``attach`` every layer that counts requests
+    (an event-fed carrier, the recording) → ``run`` → seal the trace
+    (incomplete if the run crashed) → close an event-fed carrier →
+    :func:`~repro.perf.profiling.record_scheme_ops`.  ``traces=None``
+    regrows the workload from ``seed``.
+    """
+    plan = active_plan(name, plan)
+    fed = carrier if isinstance(carrier, EventFedTransport) else None
+    recording = result = None
+    try:
+        if traces is None:
+            traces = generate_workloads(config, seed=seed)
+        stack = carrier
+        if stack is None:
+            stack = build_transport(config.network, plan, scope=name)
+        if recorder is not None:
+            stack = recording = recorder.open(name, config, seed, plan, stack)
+        scheme = build_scheme(
+            name, config, traces, plan, transport=with_backend(stack, backend)
+        )
+        # Each layer keeps its own request counter; the wrappers chain.
+        for layer in (fed, recording):
+            if layer is not None:
+                layer.attach(scheme)
+        result = scheme.run()
+    finally:
+        if recording is not None:
+            # A crashed run seals an *incomplete* trace (result=None).
+            recorder.close(recording, result)
+        if fed is not None:
+            fed.close()
+    # Feeds repro.perf's op-counter collection; a no-op when inactive.
+    record_scheme_ops(name, scheme, result)
+    return result
+
+
 def run_scheme(
     name: str,
     config: SimulationConfig,
@@ -75,8 +202,8 @@ def run_scheme(
     (:func:`repro.shard.run_scheme_sharded`): clusters are dealt over
     worker processes which regenerate their own traces from ``seed``, so
     pre-generated ``traces``, a custom ``transport`` and the async
-    backend cannot be combined with sharding.  ``shards=1`` is this
-    function, unchanged.
+    backend cannot be combined with sharding.  ``shards=1`` is
+    :func:`assemble_run` with no fault plan.
 
     ``transport`` optionally replaces the scheme's base transport with a
     custom stack (e.g. an observability layer, or a
@@ -94,12 +221,6 @@ def run_scheme(
     pass pre-generated ``traces`` must pass the seed those traces were
     generated from, or the recording will not replay.
     """
-    try:
-        scheme_cls = SCHEME_REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown scheme {name!r}; available: {', '.join(SCHEME_REGISTRY)}"
-        ) from None
     if shards > 1:
         if traces is not None:
             raise ValueError(
@@ -114,30 +235,15 @@ def run_scheme(
         from ..shard import run_scheme_sharded
 
         return run_scheme_sharded(name, config, seed=seed, shards=shards)
-    if traces is None:
-        traces = generate_workloads(config, seed=seed)
-    recorder = active_trace_recorder()
-    recording = None
-    if recorder is not None:
-        base = Transport(config.network) if transport is None else transport
-        transport = recording = recorder.open(name, config, seed, None, base)
-    if backend != "sync":
-        transport = with_backend(
-            Transport(config.network) if transport is None else transport, backend
-        )
-    scheme = scheme_cls(config, traces, transport=transport)
-    if recording is not None:
-        recording.attach(scheme)
-    result = None
-    try:
-        result = scheme.run()
-    finally:
-        if recording is not None:
-            # A crashed run seals an *incomplete* trace (result=None).
-            recorder.close(recording, result)
-    # Feeds repro.perf's op-counter collection; a no-op when inactive.
-    record_scheme_ops(name, scheme, result)
-    return result
+    return assemble_run(
+        name,
+        config,
+        traces,
+        seed=seed,
+        carrier=transport,
+        recorder=active_trace_recorder(),
+        backend=backend,
+    )
 
 
 def run_all_schemes(
@@ -150,7 +256,7 @@ def run_all_schemes(
     if traces is None:
         traces = generate_workloads(config, seed=seed)
     names = schemes if schemes is not None else available_schemes()
-    return {name: run_scheme(name, config, traces) for name in names}
+    return {name: run_scheme(name, config, traces, seed=seed) for name in names}
 
 
 def gains_vs_nc(results: dict[str, SchemeResult]) -> dict[str, float]:

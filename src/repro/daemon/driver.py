@@ -8,26 +8,24 @@ wire request to the daemon whose role serves it
 (:data:`~repro.protocol.wire.SERVED_BY`), and the daemon's response (a
 trace event, byte for byte) supplies the outcome, the exact latency
 charges and the fault-counter deltas the driver re-applies locally in
-recorded order.
+recorded order (:class:`~repro.protocol.transport.EventFedTransport`,
+the base it shares with the replay transport).
 
-:func:`drive_scheme` is the entry point: it rebuilds a run exactly like
-:func:`~repro.protocol.replay.replay_trace` does (same workload
-regrowth, same scheme construction, same request counter) but carries it
-over a :class:`DaemonTransport`, optionally wrapped in the PR-5
-:class:`~repro.protocol.trace.RecordingTransport` — so a **live** run
+:func:`drive_scheme` is the entry point: the run is put together by
+:func:`repro.core.run.assemble_run` like every other, carried over a
+:class:`DaemonTransport` and optionally recorded — so a **live** run
 produces the same JSONL exchange traces as a simulated one, replayable
 by the same harness.  With one daemon per role, every fault link's RNG
 substream lives whole on one connection and advances in the scheme's
 serial call order, which makes the live trace byte-identical to a
 simulated recording of the same ``(config, scheme, seed, plan)``.
 
-Determinism fine print: the driver keeps exactly the fault decisions that
-never crossed the wire in the simulator local — lossy eviction notices
-(:meth:`DaemonTransport.wrap_directory` rebuilds the plan's ``"notices"``
-substream) — while loss, delay and unresponsiveness are the daemons'
-business.  Multiple daemons per role round-robin per exchange; recorded
-traces still round-trip (replay consumes the recording, not the RNG),
-but byte-identity *against a simulation* holds only for one daemon per
+Determinism fine print: loss, delay and unresponsiveness are the
+daemons' business; the one fault decision that never crossed the wire
+in the simulator — lossy eviction notices — stays local to the driver.
+Multiple daemons per role round-robin per exchange; recorded traces
+still round-trip (replay consumes the recording, not the RNG), but
+byte-identity *against a simulation* holds only for one daemon per
 role.
 """
 
@@ -38,13 +36,9 @@ import socket
 from pathlib import Path
 from typing import Any
 
-from ..protocol.messages import FAULT_COUNTERS, Exchange
-from ..protocol.trace import (
-    DEFAULT_MAX_EVENTS,
-    TraceRecorder,
-    attach_request_counter,
-)
-from ..protocol.transport import Transport
+from ..protocol.messages import Exchange
+from ..protocol.trace import DEFAULT_MAX_EVENTS, TraceRecorder
+from ..protocol.transport import EventFedTransport
 from ..protocol.wire import (
     ROLE_CLIENT,
     ROLES,
@@ -105,17 +99,15 @@ class _DaemonLink:
                 pass
 
 
-class DaemonTransport(Transport):
+class DaemonTransport(EventFedTransport):
     """Answers the transport contract from live daemons over TCP.
 
     ``routes`` maps role (``"proxy"`` / ``"client"``) to one ``(host,
     port)`` address or a list of them; one connection is opened per
     address, each hello'd with ``(scope, network, plan)`` so the daemon
-    builds the matching deterministic fault stack.  Outcomes, charges
-    and counter deltas all come from the wire; only the fault decisions
-    that never crossed the wire in the simulator (lossy eviction
-    notices) are drawn locally, exactly as
-    :class:`~repro.protocol.replay.ReplayTransport` does.
+    builds the matching deterministic fault stack.  Outcomes, charges,
+    counter deltas and ladder draws (live traces stay what-if capable)
+    all come from the wire.
     """
 
     def __init__(
@@ -125,18 +117,7 @@ class DaemonTransport(Transport):
         plan: Any = None,
         scope: str = "",
     ) -> None:
-        super().__init__(network)
-        self.plan = plan
-        self.scope = scope
-        self._active = plan is not None and not plan.is_zero()
-        self._counters: dict[str, int] = {}
-        if self._active:
-            self._counters = dict.fromkeys(FAULT_COUNTERS, 0)
-        self._injector = None
-        self._req = -1
-        #: Ladder draws from the last wire response, for the recording
-        #: seam (:meth:`take_draws`) — live traces stay what-if capable.
-        self._last_draws: dict | None = None
+        super().__init__(network, plan, scope)
         #: Wire exchanges sent / unresponsiveness probes sent.
         self.exchanges_sent = 0
         self.probes_sent = 0
@@ -194,15 +175,6 @@ class DaemonTransport(Transport):
 
     # -- the transport contract, over the wire -------------------------------
 
-    @property
-    def faulty(self) -> bool:  # type: ignore[override]
-        """True when the connections carry an active fault plan."""
-        return self._active
-
-    def attach(self, scheme: Any) -> None:
-        """Start counting request indices (call after scheme construction)."""
-        attach_request_counter(self, scheme)
-
     def attempt(self, exchange: Exchange, force_fail: bool = False) -> bool:
         """Carry the exchange over the wire; echo-check the response."""
         link = self._pick(SERVED_BY[exchange.kind])
@@ -215,21 +187,8 @@ class DaemonTransport(Transport):
                 f"(req={self._req}, {exchange.kind}, {exchange.link}), got "
                 f"(req={req}, {kind}, {ev_link})"
             )
-        self._last_draws = draws
-        # Re-apply the daemon's charges one by one in wire order: float
-        # addition is not associative, and this is what keeps a recorded
-        # live run byte-identical to a simulated one.
-        for amount in charges:
-            self._charge(amount)
-        counters = self._counters
-        for key, d in deltas.items():
-            counters[key] = counters.get(key, 0) + d
+        self._apply(charges, deltas, draws)
         return ok
-
-    def take_draws(self) -> dict | None:
-        """Hand over (and clear) the last wire response's ladder draws."""
-        draws, self._last_draws = self._last_draws, None
-        return draws
 
     def unresponsive(self, cluster: int, client: int) -> bool:
         """Probe a client daemon (plain stacks answer False off-wire)."""
@@ -248,37 +207,6 @@ class DaemonTransport(Transport):
                 f"got (req={req}, cluster={ev_cluster}, client={ev_client})"
             )
         return answer
-
-    def _injector_for_streams(self) -> Any:
-        if self._injector is None:
-            from ..faults.injector import FaultInjector
-
-            self._injector = FaultInjector(self.plan, scope=self.scope)
-        return self._injector
-
-    def wrap_directory(self, directory: Any, cluster: int) -> Any:
-        """Rebuild the plan's lossy-notice channel locally (never on wire)."""
-        if self._active and self.plan.stale_rate > 0.0:
-            from ..core.directory import LossyDirectory
-
-            directory = LossyDirectory(
-                directory,
-                drop_prob=self.plan.stale_rate,
-                rng=self._injector_for_streams().stream("notices", cluster),
-            )
-        return directory
-
-    def install_counters(self, msg: dict[str, int]) -> None:
-        """Fold wire-received counter deltas into the scheme's dict."""
-        if self._active and self._counters is not msg:
-            for key in FAULT_COUNTERS:
-                msg[key] = msg.get(key, 0) + self._counters.get(key, 0)
-            self._counters = msg
-
-    @property
-    def fault_counters(self) -> dict[str, int]:
-        """Counters accumulated from wire deltas ({} when plan-free)."""
-        return self._counters if self._active else {}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -311,63 +239,34 @@ def drive_scheme(
 ) -> DriveReport:
     """Run scheme ``name`` live against the daemons in ``routes``.
 
-    Construction mirrors :func:`~repro.protocol.replay.replay_trace`:
-    the workload regrows from ``seed``, the scheme is built through the
-    same registry/builder dispatch, and the transport — here a
-    :class:`DaemonTransport` — answers every cooperation exchange.  With
-    ``record_dir`` the transport is wrapped in the standard
-    :class:`~repro.protocol.trace.RecordingTransport`, so the live run
-    leaves the same JSONL exchange trace a simulated run would, sealed
-    complete only if the run finishes.
+    The workload regrows from ``seed`` and the run is put together by
+    :func:`repro.core.run.assemble_run` with a :class:`DaemonTransport`
+    as its carrier, so a plan changes the run exactly where it would
+    change a simulated one.  With ``record_dir`` the live run leaves the
+    same JSONL exchange trace a simulated run would, sealed complete
+    only if the run finishes; the connections are closed either way.
     """
-    from ..core.schemes import SCHEME_REGISTRY
-    from ..workload import generate_cluster_traces
+    from ..core.run import active_plan, assemble_run, generate_workloads
 
-    active = plan is not None and not plan.is_zero()
-    if active:
-        from ..faults.run import FAULTY_SCHEMES
-
-        if name not in FAULTY_SCHEMES:
-            raise ValueError(
-                f"no faulty builder for scheme {name!r} "
-                f"(have: {', '.join(FAULTY_SCHEMES)})"
-            )
-    elif name not in SCHEME_REGISTRY:
-        raise ValueError(
-            f"unknown scheme {name!r} (have: {', '.join(SCHEME_REGISTRY)})"
-        )
-    traces = generate_cluster_traces(config.workload, config.n_proxies, seed=seed)
-    transport = DaemonTransport(
-        config.network, routes, plan=plan if active else None, scope=name
-    )
-    recorder = recording = None
-    carrier: Transport = transport
+    plan = active_plan(name, plan)
+    traces = generate_workloads(config, seed=seed)
+    recorder = None
     if record_dir is not None:
         recorder = TraceRecorder(record_dir, max_events=max_events)
-        recording = recorder.open(
-            name, config, seed, plan if active else None, transport
-        )
-        carrier = recording
-    result = None
-    try:
-        if active:
-            scheme = FAULTY_SCHEMES[name](config, traces, plan, transport=carrier)
-        else:
-            scheme = SCHEME_REGISTRY[name](config, traces, transport=carrier)
-        # Both layers keep their own request counter; the wrappers chain.
-        transport.attach(scheme)
-        if recording is not None:
-            recording.attach(scheme)
-        result = scheme.run()
-    finally:
-        if recorder is not None and recording is not None:
-            # A crashed run seals an *incomplete* trace (result=None).
-            recorder.close(recording, result)
-        transport.close()
+    transport = DaemonTransport(config.network, routes, plan=plan, scope=name)
+    result = assemble_run(
+        name,
+        config,
+        traces,
+        seed=seed,
+        plan=plan,
+        carrier=transport,
+        recorder=recorder,
+    )
     return DriveReport(
         scheme=name,
         seed=seed,
-        plan_label=plan.label if active else "none",
+        plan_label=plan.label if plan is not None else "none",
         n_requests=sum(len(t) for t in traces),
         exchanges=transport.exchanges_sent,
         probes=transport.probes_sent,

@@ -33,10 +33,10 @@ from typing import Any
 from ..netmodel import NetworkConfig
 from ..protocol.aio import RealClock
 from ..protocol.transport import (
-    FaultTransport,
     LadderOutcome,
     ObservabilityTransport,
     Transport,
+    build_transport,
 )
 from ..protocol.wire import (
     ROLES,
@@ -150,21 +150,6 @@ class CacheDaemon:
         task.add_done_callback(self._conn_tasks.discard)
         return task
 
-    def _build_stack(self, scope: str, network: NetworkConfig, plan: Any) -> Transport:
-        """One transport stack per connection, from the hello's fields.
-
-        Mirrors the simulator's dispatch: no plan (or a zero plan) means
-        the always-succeeds base carrier; otherwise a fault layer whose
-        injector substreams are namespaced by the hello's scope — the
-        same scoping a simulated run uses, which is what lets a
-        single-node-per-role live run reproduce a simulation's outcomes
-        draw for draw.
-        """
-        base = Transport(network)
-        if plan is None or plan.is_zero():
-            return base
-        return FaultTransport(base, plan, scope=scope)
-
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
@@ -180,7 +165,12 @@ class CacheDaemon:
                 writer.write(encode_frame(error_frame(str(exc))))
                 await writer.drain()
                 return
-            stack = self._build_stack(scope, network, plan)
+            # One stack per connection, from the hello's fields: the fault
+            # layer's substreams are namespaced by the hello's scope, the
+            # same scoping a simulated run uses — which is what lets a
+            # single-node-per-role live run reproduce a simulation's
+            # outcomes draw for draw.
+            stack = build_transport(network, plan, scope=scope)
             writer.write(encode_frame(ack_frame(self.role, self.node)))
             await writer.drain()
 

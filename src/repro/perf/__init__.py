@@ -10,9 +10,9 @@ package provides the instrumentation that keeps the speedups honest.
   (hits / misses / insertions / evictions) of a scheme, duck-typed over
   whatever cache layout the scheme carries.
 * :func:`collecting_op_counters` — context manager that makes
-  :func:`~repro.core.run.run_scheme` report every scheme it runs, so a
-  whole figure sweep yields per-scheme counters without touching the
-  figure code.
+  :func:`~repro.core.run.assemble_run` report every scheme run (plain,
+  faulty, replayed or live), so a whole figure sweep yields per-scheme
+  counters without touching the figure code.
 * :func:`profile_scheme` — one-call convenience: simulate one scheme
   under the profiler and return profile + op counters + result summary.
 * :func:`protocol_traffic_for` — per-exchange / per-link cooperation

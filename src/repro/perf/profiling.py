@@ -301,8 +301,9 @@ def collecting_op_counters() -> Iterator[OpCounterCollector]:
 def record_scheme_ops(name: str, scheme: Any, result: Any = None) -> None:
     """Report a finished scheme to the active collector (if any).
 
-    Called by :func:`repro.core.run.run_scheme`; a no-op unless inside a
-    :func:`collecting_op_counters` block.
+    Called by :func:`repro.core.run.assemble_run` for every run it puts
+    together; a no-op unless inside a :func:`collecting_op_counters`
+    block.
     """
     if _ACTIVE_COLLECTOR is not None:
         _ACTIVE_COLLECTOR.record(name, scheme, result)

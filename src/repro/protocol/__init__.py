@@ -85,6 +85,7 @@ from .trace import (
     trace_key,
 )
 from .transport import (
+    EventFedTransport,
     FaultTransport,
     LadderOutcome,
     ObservabilityTransport,
@@ -135,6 +136,7 @@ __all__ = [
     "AsyncTransport",
     "Divergence",
     "EventChange",
+    "EventFedTransport",
     "Exchange",
     "FaultTransport",
     "LadderOutcome",

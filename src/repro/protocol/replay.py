@@ -38,8 +38,8 @@ from typing import Any
 
 from .messages import Exchange
 from .policy import plan_fingerprint
-from .trace import TRACE_KIND, TRACE_SCHEMAS, attach_request_counter
-from .transport import Transport
+from .trace import TRACE_KIND, TRACE_SCHEMAS
+from .transport import EventFedTransport
 
 __all__ = [
     "TraceError",
@@ -177,16 +177,13 @@ def load_trace(path: str | Path) -> RecordedTrace:
     return RecordedTrace(path=path, header=header, events=events, footer=footer)
 
 
-class ReplayTransport(Transport):
+class ReplayTransport(EventFedTransport):
     """Answers the transport contract from a recorded event stream.
 
-    Active (plan-driven) replays rebuild the plan's *named* RNG
-    substreams where determinism does not depend on the wire —
-    stale-notice drops via :meth:`wrap_directory` use the ``"notices"``
-    substream exactly as :class:`~repro.protocol.transport.
-    FaultTransport` does — while every wire decision (loss, delay,
-    unresponsiveness) comes from the recording, so the injector's
-    loss/delay streams are never drawn from at all.
+    Every wire decision (loss, delay, unresponsiveness) comes from the
+    recording, so the injector's loss/delay streams are never drawn from
+    at all; what the stream and a live socket share is
+    :class:`~repro.protocol.transport.EventFedTransport`.
     """
 
     def __init__(
@@ -196,40 +193,14 @@ class ReplayTransport(Transport):
         plan: Any = None,
         scope: str = "",
     ) -> None:
-        super().__init__(network)
+        super().__init__(network, plan, scope)
         self.events = events
         self.pos = 0
-        self.plan = plan
-        self.scope = scope
-        self._active = plan is not None and not plan.is_zero()
-        self._counters: dict[str, int] = {}
-        if self._active:
-            from .messages import FAULT_COUNTERS
-
-            self._counters = dict.fromkeys(FAULT_COUNTERS, 0)
-        self._injector = None
-        self._req = -1
-
-    @property
-    def faulty(self) -> bool:  # type: ignore[override]
-        """True when the recording was made under an active plan."""
-        return self._active
 
     @property
     def remaining(self) -> int:
         """Recorded events not yet consumed."""
         return len(self.events) - self.pos
-
-    def attach(self, scheme: Any) -> None:
-        """Start counting request indices (call after scheme construction)."""
-        attach_request_counter(self, scheme)
-
-    def _injector_for_streams(self) -> Any:
-        if self._injector is None:
-            from ..faults.injector import FaultInjector
-
-            self._injector = FaultInjector(self.plan, scope=self.scope)
-        return self._injector
 
     def _pop(self, tag: str, observed: str) -> list[Any]:
         if self.pos >= len(self.events):
@@ -252,11 +223,7 @@ class ReplayTransport(Transport):
         _, req, kind, link, ok, charges, deltas = event[:7]
         if kind != exchange.kind or link != exchange.link or req != self._req:
             raise ReplayDivergence(self.pos - 1, event, observed)
-        for amount in charges:
-            self._charge(amount)
-        counters = self._counters
-        for key, d in deltas.items():
-            counters[key] = counters.get(key, 0) + d
+        self._apply(charges, deltas)
         return ok
 
     def unresponsive(self, cluster: int, client: int) -> bool:
@@ -274,32 +241,6 @@ class ReplayTransport(Transport):
         if ev_cluster != cluster or ev_client != client or req != self._req:
             raise ReplayDivergence(self.pos - 1, event, observed)
         return answer
-
-    def wrap_directory(self, directory: Any, cluster: int) -> Any:
-        """Rebuild the plan's lossy-notice channel from its named substream."""
-        if self._active and self.plan.stale_rate > 0.0:
-            from ..core.directory import LossyDirectory
-
-            directory = LossyDirectory(
-                directory,
-                drop_prob=self.plan.stale_rate,
-                rng=self._injector_for_streams().stream("notices", cluster),
-            )
-        return directory
-
-    def install_counters(self, msg: dict[str, int]) -> None:
-        """Fold replayed counter deltas into the scheme's message dict."""
-        if self._active and self._counters is not msg:
-            from .messages import FAULT_COUNTERS
-
-            for key in FAULT_COUNTERS:
-                msg[key] = msg.get(key, 0) + self._counters.get(key, 0)
-            self._counters = msg
-
-    @property
-    def fault_counters(self) -> dict[str, int]:
-        """Counters rebuilt from the recorded deltas ({} when plan-free)."""
-        return self._counters if self._active else {}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -375,15 +316,6 @@ def _context(events: list[list[Any]], index: int, radius: int = 3):
     return [(i, events[i]) for i in range(lo, hi)]
 
 
-def _divergence(trace: RecordedTrace, exc: ReplayDivergence) -> Divergence:
-    return Divergence(
-        index=exc.index,
-        expected=exc.expected,
-        observed=exc.observed,
-        context=_context(trace.events, exc.index),
-    )
-
-
 def replay_trace(path: str | Path) -> ReplayReport:
     """Re-drive the recorded run and compare against the recording.
 
@@ -406,52 +338,35 @@ def replay_trace(path: str | Path) -> ReplayReport:
         from ..faults.plan import FaultPlan
 
         plan = FaultPlan(**trace.header["plan"])
-    from ..workload import generate_cluster_traces
+    from ..core.run import assemble_run, available_schemes
 
-    traces = generate_cluster_traces(
-        config.workload, config.n_proxies, seed=trace.seed
-    )
-    transport = ReplayTransport(
-        config.network, trace.events, plan=plan, scope=trace.scheme
-    )
     name = trace.scheme
-    if plan is not None and not plan.is_zero():
-        from ..faults.run import FAULTY_SCHEMES
-
-        if name not in FAULTY_SCHEMES:
-            raise TraceFormatError(
-                f"{trace.path}: no faulty builder for scheme {name!r} "
-                f"(have: {', '.join(FAULTY_SCHEMES)})"
-            )
-        scheme = FAULTY_SCHEMES[name](config, traces, plan, transport=transport)
-    else:
-        from ..core.schemes import SCHEME_REGISTRY
-
-        if name not in SCHEME_REGISTRY:
-            raise TraceFormatError(
-                f"{trace.path}: unknown scheme {name!r} "
-                f"(have: {', '.join(SCHEME_REGISTRY)})"
-            )
-        scheme = SCHEME_REGISTRY[name](config, traces, transport=transport)
-    transport.attach(scheme)
-
+    if name not in available_schemes():
+        raise TraceFormatError(
+            f"{trace.path}: unknown scheme {name!r} "
+            f"(have: {', '.join(available_schemes())})"
+        )
+    transport = ReplayTransport(config.network, trace.events, plan=plan, scope=name)
     divergence: Divergence | None = None
     result = None
     try:
-        result = scheme.run()
-    except ReplayDivergence as exc:
-        divergence = _divergence(trace, exc)
-    else:
+        result = assemble_run(
+            name, config, seed=trace.seed, plan=plan, carrier=transport
+        )
         if transport.remaining:
-            divergence = Divergence(
-                index=transport.pos,
-                expected=trace.events[transport.pos],
-                observed=(
-                    f"run finished with {transport.remaining} recorded "
-                    "exchanges left unconsumed"
-                ),
-                context=_context(trace.events, transport.pos),
+            raise ReplayDivergence(
+                transport.pos,
+                trace.events[transport.pos],
+                f"run finished with {transport.remaining} recorded "
+                "exchanges left unconsumed",
             )
+    except ReplayDivergence as exc:
+        divergence = Divergence(
+            index=exc.index,
+            expected=exc.expected,
+            observed=exc.observed,
+            context=_context(trace.events, exc.index),
+        )
     identical = (
         divergence is None
         and result is not None

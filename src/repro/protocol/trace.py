@@ -40,8 +40,9 @@ Recording is armed process-wide through :func:`recording_traces` (the
 same pattern as :func:`repro.perf.profiling.collecting_op_counters`);
 :func:`repro.core.run.run_scheme` and
 :func:`repro.faults.run.run_scheme_with_faults` check for an active
-recorder once per scheme run and wrap their transport when one is
-present — nothing per-request, nothing when recording is off.
+recorder once per scheme run and hand it to
+:func:`repro.core.run.assemble_run`, which wraps the run's transport —
+nothing per-request, nothing when recording is off.
 
 A writer past its event bound counts drops instead of growing without
 limit, and the closing footer then carries ``"complete": false`` — a
@@ -62,7 +63,7 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from .messages import FAULT_COUNTERS, Exchange
-from .transport import Transport, TransportLayer
+from .transport import Transport, TransportLayer, attach_request_counter
 
 __all__ = [
     "TRACE_SCHEMA",
@@ -179,22 +180,6 @@ class TraceWriter:
         self._fh.write(json.dumps(footer, sort_keys=True) + "\n")
         self._fh.close()
         self._fh = None
-
-
-def attach_request_counter(transport: Any, scheme: Any) -> None:
-    """Wrap ``scheme.process`` so ``transport._req`` tracks the request index.
-
-    Installed *after* full scheme construction — faulty schemes rebind
-    ``self.process`` in their own ``__init__`` (after ``super()``), so a
-    wrapper placed at ``bind`` time would be silently clobbered.
-    """
-    process = scheme.process
-
-    def counted(cluster: int, client: int, obj: int) -> str:
-        transport._req += 1
-        return process(cluster, client, obj)
-
-    scheme.process = counted
 
 
 class RecordingTransport(TransportLayer):

@@ -21,6 +21,11 @@ the transport stack, not in scheme subclasses:
   (:meth:`wrap_directory`).  A **zero plan is the identity layer**: the
   wrapper delegates everything unchanged and installs nothing, so
   results are byte-identical to the base transport.
+* :class:`EventFedTransport` — the base of the two carriers whose wire
+  decisions arrive as trace events (a recorded file, a live socket)
+  instead of being drawn: it re-applies each event's charges and
+  counter deltas and keeps the one fault decision that never crosses
+  the wire, lossy eviction notices, local.
 * :class:`ObservabilityTransport` — counts attempts/outcomes per
   exchange type and (optionally) records a bounded trace of events;
   never changes behaviour.  Stack it outside a fault layer to observe
@@ -49,6 +54,7 @@ __all__ = [
     "Transport",
     "TransportLayer",
     "FaultTransport",
+    "EventFedTransport",
     "ObservabilityTransport",
     "build_transport",
 ]
@@ -71,6 +77,54 @@ def drain(steps: Generator[float, None, bool]) -> bool:
             next(steps)
     except StopIteration as stop:
         return bool(stop.value)
+
+
+def attach_request_counter(transport: Any, scheme: Any) -> None:
+    """Wrap ``scheme.process`` so ``transport._req`` tracks the request index.
+
+    Installed *after* full scheme construction — faulty schemes rebind
+    ``self.process`` in their own ``__init__`` (after ``super()``), so a
+    wrapper placed at ``bind`` time would be silently clobbered.
+    """
+    process = scheme.process
+
+    def counted(cluster: int, client: int, obj: int) -> str:
+        transport._req += 1
+        return process(cluster, client, obj)
+
+    scheme.process = counted
+
+
+def merge_counters(own: dict[str, int], msg: dict[str, int]) -> dict[str, int]:
+    """Fold a layer's fault counters into the scheme's dict; returns ``msg``.
+
+    Merge, don't rebind-and-drop: any timeouts/retries/fallbacks
+    accumulated before installation must survive the handover (the
+    identity guard keeps a re-install from double-counting).
+    """
+    if own is not msg:
+        for key in FAULT_COUNTERS:
+            msg[key] = msg.get(key, 0) + own.get(key, 0)
+    return msg
+
+
+def lossy_notices(directory: Any, injector: Any, cluster: int) -> Any:
+    """Make a directory's eviction notices lossy per ``plan.stale_rate``.
+
+    The one fault decision that never crosses the wire: drops come from
+    the plan's ``"notices"`` substream, so a simulated, a replayed and a
+    live run of one ``(plan, scope)`` lose the same notices.
+    """
+    stale_rate = injector.plan.stale_rate
+    if stale_rate > 0.0:
+        from ..core.directory import LossyDirectory
+
+        directory = LossyDirectory(
+            directory,
+            drop_prob=stale_rate,
+            rng=injector.stream("notices", cluster),
+        )
+    return directory
 
 
 class Transport:
@@ -349,31 +403,99 @@ class FaultTransport(TransportLayer):
     def wrap_directory(self, directory: Any, cluster: int) -> Any:
         """Make eviction notices lossy per ``plan.stale_rate``."""
         directory = self.inner.wrap_directory(directory, cluster)
-        if self._active and self.plan.stale_rate > 0.0:
-            from ..core.directory import LossyDirectory
-
-            directory = LossyDirectory(
-                directory,
-                drop_prob=self.plan.stale_rate,
-                rng=self.injector.stream("notices", cluster),
-            )
+        if self._active:
+            directory = lossy_notices(directory, self.injector, cluster)
         return directory
 
     def install_counters(self, msg: dict[str, int]) -> None:
         """Fold the layer's counters into the scheme's message dict."""
-        if self._active and self._counters is not msg:
-            # Merge, don't rebind-and-drop: any timeouts/retries/fallbacks
-            # accumulated before installation must survive the handover
-            # (the identity guard keeps a re-install from double-counting).
-            for key in FAULT_COUNTERS:
-                msg[key] = msg.get(key, 0) + self._counters.get(key, 0)
-            self._counters = msg
+        if self._active:
+            self._counters = merge_counters(self._counters, msg)
         self.inner.install_counters(msg)
 
     @property
     def fault_counters(self) -> dict[str, int]:
         """This layer's counters (the inner stack's when plan is zero)."""
         return self._counters if self._active else self.inner.fault_counters
+
+
+class EventFedTransport(Transport):
+    """A carrier answered from an event stream instead of a fault RNG.
+
+    What a recorded file (:class:`~repro.protocol.replay.ReplayTransport`)
+    and a live socket (:class:`~repro.daemon.driver.DaemonTransport`)
+    share: every wire decision arrives as a trace event produced under
+    ``plan`` (``None`` / zero: a plain stack) and is re-applied locally.
+    Subclasses supply :meth:`attempt` / :meth:`unresponsive` — where the
+    next event comes from, how a mismatch is reported — and book each
+    event through :meth:`_apply`.
+    """
+
+    def __init__(self, network: NetworkConfig, plan: Any = None, scope: str = "") -> None:
+        super().__init__(network)
+        self.plan = plan
+        self.scope = scope
+        self._active = plan is not None and not plan.is_zero()
+        self._counters = dict.fromkeys(FAULT_COUNTERS, 0) if self._active else {}
+        #: Request index maintained by :func:`attach_request_counter`;
+        #: -1 until the first request enters the scheme.
+        self._req = -1
+        self._last_draws: dict[str, Any] | None = None
+
+    @property
+    def faulty(self) -> bool:  # type: ignore[override]
+        """True when the events come from an active fault plan."""
+        return self._active
+
+    def attach(self, scheme: Any) -> None:
+        """Start counting request indices (call after scheme construction)."""
+        attach_request_counter(self, scheme)
+
+    def close(self) -> None:
+        """Release what feeds the events (nothing, for an in-memory stream)."""
+
+    def _apply(
+        self,
+        charges: list[float],
+        deltas: dict[str, int],
+        draws: dict[str, Any] | None = None,
+    ) -> None:
+        """Book one event: its draws, then charges, then counter deltas.
+
+        Charges are re-applied one by one in wire order — float addition
+        is not associative, and per-amount application is what keeps
+        ``total_latency`` byte-identical to the run that produced them.
+        """
+        self._last_draws = draws
+        for amount in charges:
+            self._charge(amount)
+        counters = self._counters
+        for key, d in deltas.items():
+            counters[key] = counters.get(key, 0) + d
+
+    def take_draws(self) -> dict[str, Any] | None:
+        """Hand over (and clear) the last event's ladder draws."""
+        draws, self._last_draws = self._last_draws, None
+        return draws
+
+    def wrap_directory(self, directory: Any, cluster: int) -> Any:
+        """Rebuild the plan's lossy-notice channel locally (never on wire)."""
+        if self._active:
+            from ..faults.injector import FaultInjector
+
+            injector = FaultInjector(self.plan, scope=self.scope)
+            directory = lossy_notices(directory, injector, cluster)
+        return directory
+
+    def install_counters(self, msg: dict[str, int]) -> None:
+        """Fold the event-fed counter deltas into the scheme's dict."""
+        if self._active:
+            self._counters = merge_counters(self._counters, msg)
+
+    @property
+    def fault_counters(self) -> dict[str, int]:
+        """Counters accumulated from event deltas ({} when plan-free)."""
+        return self._counters if self._active else {}
 
 
 class ObservabilityTransport(TransportLayer):

@@ -114,6 +114,24 @@ class TestEndToEnd:
         assert sim.name == live.trace_path.name  # same content key
         assert sim.read_bytes() == live.trace_path.read_bytes()
 
+    def test_unwritable_record_dir_still_closes_the_connections(
+        self, cluster, tmp_path, monkeypatch
+    ):
+        # Regression: the recording was opened after the sockets but
+        # outside the try, so a failure there leaked every connection.
+        closed = []
+        close = DaemonTransport.close
+        monkeypatch.setattr(
+            DaemonTransport, "close", lambda self: (closed.append(self), close(self))
+        )
+        blocker = tmp_path / "a-file"
+        blocker.write_text("not a directory")
+        with pytest.raises(OSError):
+            drive_scheme(
+                "fc", cfg(), routes=cluster.routes, seed=3, record_dir=blocker / "traces"
+            )
+        assert len(closed) == 1
+
     def test_probe_answers_are_the_injectors(self, cluster):
         scope = "fc"
         transport = DaemonTransport(

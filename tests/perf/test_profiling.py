@@ -3,7 +3,9 @@
 import dataclasses
 
 from repro.core.run import generate_workloads, run_scheme
+from repro.experiments.robustness import robustness_plan
 from repro.experiments.runner import base_config
+from repro.faults import run_scheme_with_faults
 from repro.perf import (
     OpCounterCollector,
     collecting_op_counters,
@@ -64,6 +66,15 @@ class TestOpCounters:
         assert "GreedyDualCache" in counters["by_cache_type"]
         bucket = counters["by_cache_type"]["GreedyDualCache"]
         assert bucket["n_caches"] == 22
+
+        # A faulty run is assembled by the same function, so it reports too.
+        with collecting_op_counters() as collector:
+            run_scheme_with_faults(
+                "hier-gd", cfg, traces=traces, plan=robustness_plan(0.1)
+            )
+        faulty = collector.per_scheme["hier-gd"]
+        assert faulty["runs"] == 1 and faulty["hits"] > 0
+        assert faulty["protocol"]["links"]
 
     def test_repeat_runs_are_summed(self):
         cfg = tiny_config()

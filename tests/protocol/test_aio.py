@@ -13,8 +13,8 @@ import dataclasses
 import pytest
 
 from repro.core.config import SimulationConfig
-from repro.core.run import run_scheme, with_backend
-from repro.faults import FaultPlan
+from repro.core.run import generate_workloads, run_scheme, with_backend
+from repro.faults import FAULTY_SCHEMES, FaultPlan
 from repro.faults.run import run_scheme_with_faults
 from repro.netmodel import NetworkConfig
 from repro.protocol import (
@@ -168,6 +168,14 @@ class TestEquivalence:
             name, cfg(), plan=PLAN, seed=3, backend="async"
         )
         assert dataclasses.asdict(sync) == dataclasses.asdict(asyn)
+
+        # Equivalence by doing the work, not by skipping it: the waits of
+        # a whole faulty scheme run were awaited on the simulated clock.
+        carrier = AsyncTransport(faulty_stack(scope=name))
+        traces = generate_workloads(cfg(), seed=3)
+        ran = FAULTY_SCHEMES[name](cfg(), traces, PLAN, transport=carrier).run()
+        assert dataclasses.asdict(ran) == dataclasses.asdict(sync)
+        assert carrier.clock.now > 0.0
 
     def test_unknown_backend_is_refused(self):
         with pytest.raises(ValueError, match="unknown backend"):

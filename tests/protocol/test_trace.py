@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.churn import HierGdChurnScheme
 from repro.core.config import SimulationConfig
-from repro.core.run import generate_workloads, run_scheme
+from repro.core.run import generate_workloads, run_all_schemes, run_scheme
 from repro.faults import FaultPlan
 from repro.faults.run import run_scheme_with_faults
 from repro.protocol import (
@@ -97,6 +97,14 @@ class TestRecordingIsTransparent:
         assert report.n_events == 0
         assert report.divergence is None
         assert report.identical
+
+    def test_run_all_schemes_records_the_seed_it_ran(self, tmp_path):
+        # Regression: the seed stopped at run_all_schemes, every header
+        # said seed 0 and the replay regrew the wrong workload.
+        with recording_traces(tmp_path) as recorder:
+            run_all_schemes(cfg(), schemes=["hier-gd"], seed=3)
+        assert load_trace(recorder.written[0]).seed == 3
+        assert replay_trace(recorder.written[0]).identical
 
 
 class TestBoundedWriter:

@@ -19,8 +19,10 @@ import pytest
 
 from repro.core.churn import HierGdChurnScheme
 from repro.core.config import SimulationConfig
+from repro.core.directory import ExactDirectory, LossyDirectory
 from repro.core.run import run_scheme
-from repro.faults import FaultPlan
+from repro.daemon import DaemonTransport, LocalCluster
+from repro.faults import FaultInjector, FaultPlan
 from repro.protocol import (
     EVICTION_NOTICE,
     FAULT_COUNTERS,
@@ -35,6 +37,7 @@ from repro.protocol import (
     Transport,
     build_transport,
 )
+from repro.protocol.replay import ReplayTransport
 from repro.workload import ProWGenConfig, generate_cluster_traces
 
 TINY = ProWGenConfig(n_requests=3000, n_objects=300, n_clients=10)
@@ -233,6 +236,67 @@ class TestNonDefaultPolicyLadders:
         outside = run_scheme(name, cfg(), traces, transport=obs_outside)
         inside = run_scheme(name, cfg(), traces, transport=obs_inside)
         assert dataclasses.asdict(outside) == dataclasses.asdict(inside)
+
+
+class TestCounterAndNoticeHolders:
+    """One contract for the three transports that hold fault counters and
+    rebuild the lossy-notice channel: the simulated fault layer, the
+    replay of a recording, and the driver of live daemons."""
+
+    PLAN = FaultPlan(p2p_loss=1.0, max_retries=0, stale_rate=0.5, seed=3)
+
+    @pytest.fixture(scope="class")
+    def cluster(self):
+        with LocalCluster(n_clients=1) as running:
+            yield running
+
+    @pytest.fixture(params=["fault", "replay", "daemon"])
+    def holder(self, request, cluster):
+        """A bound holder under ``PLAN`` whose next P2P fetch times out."""
+        network, plan = cfg().network, self.PLAN
+        if request.param == "fault":
+            transport = FaultTransport(Transport(network), plan, scope="s")
+        elif request.param == "replay":
+            rtt = network.link_rtts()[P2P_FETCH.link]
+            lost = ["x", -1, P2P_FETCH.kind, P2P_FETCH.link, False, [rtt],
+                    {"timeouts": 1, "fallbacks": 1}, None]
+            transport = ReplayTransport(network, [lost], plan=plan, scope="s")
+        else:
+            transport = DaemonTransport(network, cluster.routes, plan=plan, scope="s")
+            request.addfinalizer(transport.close)
+        transport.bind(_Sink())
+        return transport
+
+    def test_pre_install_counts_survive_the_handover(self, holder):
+        assert holder.attempt(P2P_FETCH) is False  # before install
+
+        msg = {"timeouts": 0, "p2p_lookups": 5}
+        holder.install_counters(msg)
+        assert holder.fault_counters is msg
+        assert msg["timeouts"] == 1  # merged, not rebound-and-dropped
+        assert msg["fallbacks"] == 1
+        assert msg["p2p_lookups"] == 5
+
+        holder.install_counters(msg)  # a re-install must not double-count
+        assert msg["timeouts"] == 1
+
+    def test_notice_drops_come_from_the_plans_named_substream(self, holder):
+        def survivors(directory):
+            for obj in range(200):
+                directory.add(obj)
+            for obj in range(200):
+                directory.remove(obj)
+            return [obj for obj in range(200) if obj in directory]
+
+        def expected(cluster):
+            rng = FaultInjector(self.PLAN, scope="s").stream("notices", cluster)
+            return survivors(
+                LossyDirectory(ExactDirectory(), self.PLAN.stale_rate, rng)
+            )
+
+        stale = [survivors(holder.wrap_directory(ExactDirectory(), c)) for c in (0, 1)]
+        assert stale == [expected(0), expected(1)]
+        assert stale[0] and stale[0] != stale[1]  # lossy, and per cluster
 
 
 class TestBaseTransport:
