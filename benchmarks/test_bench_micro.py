@@ -11,6 +11,7 @@ import pytest
 
 from repro.bloom import BloomFilter, CountingBloomFilter
 from repro.cache import GreedyDualCache, LfuCache, LruCache, TieredCache
+from repro.cache.topk import TopKTracker
 from repro.overlay import Dht, Overlay
 from repro.workload import ProWGenConfig, generate_trace
 from repro.workload.zipf import AliasSampler, zipf_weights
@@ -44,6 +45,31 @@ def drive_cache(cache, stream):
 def test_cache_policy_throughput(benchmark, factory, zipf_stream):
     hits = benchmark(lambda: drive_cache(factory(), zipf_stream))
     assert hits > 0
+
+
+def test_topk_rank_loop(benchmark, zipf_stream):
+    # The ledger's ``cache.topk_ops_per_s`` loop (benchmarks/ledger/probes.py):
+    # rank every object by its running reference count, as a unified LFU does.
+    events = []
+
+    def run():
+        tracker = TopKTracker(1000, on_tier=lambda key, in_top: events.append(key))
+        seen = {}
+        for obj in zipf_stream:
+            n = seen.get(obj, 0) + 1
+            seen[obj] = n
+            tracker.add(obj, float(n))
+        return tracker, seen
+
+    tracker, seen = benchmark(run)
+    assert tracker.top_count == 1000 and len(tracker) == len(seen)
+    # A raise inside the top partition is one dict write: no swap, no event.
+    hot = [obj for obj in seen if tracker.in_top(obj)][:100]
+    del events[:]
+    for obj in hot * 10:
+        seen[obj] += 1
+        tracker.add(obj, float(seen[obj]))
+    assert events == []
 
 
 def test_alias_sampler_throughput(benchmark):

@@ -138,17 +138,17 @@ class TieredCache(Cache):
     def lookup_tier(self, key: Hashable) -> str | None:
         """Reference ``key``; returns the serving tier or None on miss.
 
-        The tier is the one the object was in *before* promotion; the
-        hit path reads the friend ``LfuCache``/``TopKTracker`` internals
-        directly to avoid re-probing membership three times.
+        The tier is the one the object was in *before* promotion.  The
+        tracker holds exactly the store's keys, so the store's residency
+        test stands for both and the hit goes straight to the tracker's
+        add path, which reports where the key sat when the request came.
         """
         store = self._store
         if key in store._sizes:
-            tiers = self._tiers
-            served = PROXY_TIER if key in tiers._top else CLIENT_TIER
             store.lookup(key)  # bumps the count, updates the LFU heap
-            tiers.update(key, self._value_fn(key, store._freq[key]))
-            return served
+            if self._tiers.add(key, self._value_fn(key, store._freq[key])):
+                return PROXY_TIER
+            return CLIENT_TIER
         store.lookup(key)  # a miss still counts as a reference
         return None
 

@@ -11,14 +11,29 @@ max-heap over the rest ("who gets promoted first").  All operations are
 O(log n); the balance invariant ``len(top) == min(k, total)`` is restored
 after every mutation.
 
+**Count mode needs no rebalance loop.**  Between calls the partition
+rests at ``len(top) == min(k, n)`` and ``min(top) >= max(rest)``, and
+every mutation changes one key, so at most one swap restores it:
+
+(a) a value raise of a top key cannot change the partition — it is the
+    heap's lazy raise (one dict write, no heap operation, no event);
+(b) a new key or a rest key at value ``v`` is compared with the top's
+    minimum once: ``v <= min`` leaves it in the rest, ``v > min`` makes it
+    the *unique* best of the rest (all others are ``<= min < v``), so it
+    trades places with the top's minimum without visiting the rest heap;
+(c) a value drop inside the top trades the key for the best of the rest
+    if that now beats it (every other top key still does not lose to it);
+(d) removing a top key promotes the best of the rest, removing a rest
+    key moves nothing.
+
 An optional ``on_tier`` listener observes the partition from outside:
-it is called with ``(key, True)`` when a key lands in the top partition,
-``(key, False)`` when it lands in the rest, and ``(key, None)`` when it
-leaves the tracker.  Events may repeat a key's current placement (an
-``add`` followed by a rebalance can report the same destination twice);
-the *last* event per mutation always reflects the final placement, so
-idempotent handlers (set insert/discard) see a consistent picture.  The
-SC-EC's tier presence indexes hang off this hook.
+it is called with ``(key, True)`` when a key enters the top partition,
+``(key, False)`` when it enters the rest, and ``(key, None)`` when it
+leaves the tracker.  It fires only when a key's placement *changes* —
+never to repeat the current one — so a mirror ``{key: in_top}`` fed by it
+equals :meth:`TopKTracker.in_top` after every mutation and the event
+count is the number of placement changes.  The SC-EC's tier presence
+indexes hang off this hook.
 """
 
 from __future__ import annotations
@@ -46,6 +61,13 @@ class TopKTracker:
       sizes fit ``budget`` — the size-aware proxy tier.  Greedy by value:
       promotion stops at the first best-of-rest that does not fit, and a
       value-ordered swap is only taken when it stays within budget.
+      Unlike count mode, the resting state is *not* a fixed point of the
+      rebalance (one demote / promote / swap pass, in that order): with
+      budget 2, ``add(a, 1.0, size=2)``, ``add(b, 1.0, size=1)``,
+      ``add(c, 2.0, size=1)`` swaps ``c`` for ``a`` and leaves ``b`` in
+      the rest although it now fits; the *next* mutation promotes it.
+      The top partition can therefore sit under-filled for one step, and
+      every byte-budget mutation still runs the full rebalance.
     """
 
     __slots__ = ("k", "budget", "_top", "_rest", "_on_tier", "_sizes", "_top_bytes")
@@ -98,35 +120,10 @@ class TopKTracker:
             return self._top.priority(key)
         return -self._rest.priority(key)
 
-    def _rebalance(self) -> None:
-        on_tier = self._on_tier
-        top, rest = self._top, self._rest
-        while len(top) > self.k:
-            key, value = top.pop_min()
-            rest.push(key, -value)
-            if on_tier is not None:
-                on_tier(key, False)
-        while len(top) < self.k and len(rest):
-            key, neg = rest.pop_min()
-            top.push(key, -neg)
-            if on_tier is not None:
-                on_tier(key, True)
-        if self.k and len(top) and len(rest):
-            # Swap while the best of the rest beats the worst of the top.
-            while True:
-                top_key, top_val = top.peek_min()
-                rest_key, rest_neg = rest.peek_min()
-                if -rest_neg <= top_val:
-                    break
-                top.pop_min()
-                rest.pop_min()
-                top.push(rest_key, -rest_neg)
-                rest.push(top_key, -top_val)
-                if on_tier is not None:
-                    on_tier(rest_key, True)
-                    on_tier(top_key, False)
-
-    def _rebalance_budget(self) -> None:
+    def _rebalance_budget(self, subject: Hashable) -> None:
+        """Demote, promote, swap — greedily, one pass each — after a
+        mutation of ``subject``.  Reports every key it moves except that
+        one: :meth:`add` lifted it out first and reports its net move."""
         on_tier = self._on_tier
         top, rest = self._top, self._rest
         sizes = self._sizes
@@ -136,7 +133,7 @@ class TopKTracker:
             key, value = top.pop_min()
             self._top_bytes -= sizes[key]
             rest.push(key, -value)
-            if on_tier is not None:
+            if on_tier is not None and key != subject:
                 on_tier(key, False)
         # Promote the best of the rest while it fits (greedy by value).
         while len(rest):
@@ -146,7 +143,7 @@ class TopKTracker:
             rest.pop_min()
             top.push(key, -neg)
             self._top_bytes += sizes[key]
-            if on_tier is not None:
+            if on_tier is not None and key != subject:
                 on_tier(key, True)
         # Swap while the best of the rest beats the worst of the top and
         # the swap stays within budget.
@@ -163,47 +160,76 @@ class TopKTracker:
             rest.push(top_key, -top_val)
             self._top_bytes += sizes[rest_key] - sizes[top_key]
             if on_tier is not None:
-                on_tier(rest_key, True)
-                on_tier(top_key, False)
+                if rest_key != subject:
+                    on_tier(rest_key, True)
+                if top_key != subject:
+                    on_tier(top_key, False)
 
-    def add(self, key: Hashable, value: float, size: int | None = None) -> None:
+    def add(self, key: Hashable, value: float, size: int | None = None) -> bool | None:
         """Insert or update ``key`` at ``value``.
 
-        ``size`` matters only in byte-budget mode; when omitted on an
-        update, the size captured at the original add is kept.
+        Returns where the key sat *before* the call: True (top), False
+        (rest) or None (new).  ``size`` matters only in byte-budget mode;
+        when omitted on an update, the size captured at the original add
+        is kept.
         """
-        if self.budget is None:
-            self._top.discard(key)
-            self._rest.discard(key)
-            if len(self._top) < self.k:
-                self._top.push(key, value)
-                if self._on_tier is not None:
-                    self._on_tier(key, True)
+        top, rest = self._top, self._rest
+        on_tier = self._on_tier
+        if self.budget is not None:
+            before = None
+            if top.discard(key):
+                before = True
+                self._top_bytes -= self._sizes[key]
+            elif rest.discard(key):
+                before = False
+            if size is None:
+                size = self._sizes.get(key, 1)
+            elif size <= 0:
+                raise ValueError("size must be positive")
+            self._sizes[key] = size
+            if self._top_bytes + size <= self.budget:
+                top.push(key, value)
+                self._top_bytes += size
             else:
-                self._rest.push(key, -value)
-                if self._on_tier is not None:
-                    self._on_tier(key, False)
-            self._rebalance()
-            return
-        if self._top.discard(key):
-            self._top_bytes -= self._sizes[key]
-        else:
-            self._rest.discard(key)
-        if size is None:
-            size = self._sizes.get(key, 1)
-        elif size <= 0:
-            raise ValueError("size must be positive")
-        self._sizes[key] = size
-        if self._top_bytes + size <= self.budget:
-            self._top.push(key, value)
-            self._top_bytes += size
-            if self._on_tier is not None:
-                self._on_tier(key, True)
-        else:
-            self._rest.push(key, -value)
-            if self._on_tier is not None:
-                self._on_tier(key, False)
-        self._rebalance_budget()
+                rest.push(key, -value)
+            self._rebalance_budget(key)
+            after = key in top
+            if on_tier is not None and after is not before:
+                on_tier(key, after)
+            return before
+        # Friend access to the heaps' live records, as the LFU hit path.
+        held = top._live.get(key)
+        if held is not None:
+            top.push(key, value)  # case (a): a raise is one dict write
+            if value < held[0] and len(rest):  # case (c)
+                best, neg = rest.peek_min()
+                if -neg > value:  # ... so ``key`` is the top's minimum
+                    top.pop_min()
+                    rest.pop_min()
+                    top.push(best, -neg)
+                    rest.push(key, -value)
+                    if on_tier is not None:
+                        on_tier(best, True)
+                        on_tier(key, False)
+            return True
+        before = False if key in rest._live else None
+        if len(top) < self.k:  # the rest is empty: ``key`` is new
+            top.push(key, value)
+            if on_tier is not None:
+                on_tier(key, True)
+        elif self.k and value > top.peek_min()[1]:  # case (b), swap
+            low, low_val = top.pop_min()
+            rest.discard(key)
+            top.push(key, value)
+            rest.push(low, -low_val)
+            if on_tier is not None:
+                on_tier(key, True)
+                on_tier(low, False)
+        else:  # case (b), stays below the top
+            rest.push(key, -value)
+            if before is None and on_tier is not None:
+                on_tier(key, False)
+        return before
 
     def update(self, key: Hashable, value: float) -> None:
         if key not in self:
@@ -211,17 +237,21 @@ class TopKTracker:
         self.add(key, value)
 
     def remove(self, key: Hashable) -> bool:
-        in_top = self._top.discard(key)
-        removed = in_top or self._rest.discard(key)
-        if removed:
-            if self.budget is not None:
-                size = self._sizes.pop(key)
-                if in_top:
-                    self._top_bytes -= size
-            if self._on_tier is not None:
-                self._on_tier(key, None)
-            if self.budget is None:
-                self._rebalance()
-            else:
-                self._rebalance_budget()
-        return removed
+        top, rest = self._top, self._rest
+        on_tier = self._on_tier
+        in_top = top.discard(key)
+        if not (in_top or rest.discard(key)):
+            return False
+        if on_tier is not None:
+            on_tier(key, None)
+        if self.budget is not None:
+            size = self._sizes.pop(key)
+            if in_top:
+                self._top_bytes -= size
+            self._rebalance_budget(key)
+        elif in_top and len(rest):  # case (d)
+            best, neg = rest.pop_min()
+            top.push(best, -neg)
+            if on_tier is not None:
+                on_tier(best, True)
+        return True

@@ -133,6 +133,8 @@ class TestInvariants:
         for k in refs:
             if c.lookup_tier(k) is None:
                 c.insert(k)
+            # lookup_tier's premise: store residency is tracker residency.
+            assert set(c._tiers) == set(c.keys())
         assert len(c) <= 5
         assert c.proxy_len <= 2 and c.client_len <= 3
 
@@ -143,6 +145,7 @@ class TestInvariants:
         for k in refs:
             if c.lookup_tier(k) is None:
                 c.insert(k)
+            assert set(c._tiers) == set(c.keys())
         from collections import Counter
 
         counts = Counter(refs)

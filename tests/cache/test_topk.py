@@ -6,7 +6,61 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache.heapdict import HeapDict
 from repro.cache.topk import TopKTracker
+
+
+class NaiveTracker:
+    """Count mode as it was before the four-case ``add`` / ``remove``: lift
+    the key out, push it back eagerly, loop until the partition rests.
+    Same two ``HeapDict`` s, so value ties break exactly as they used to."""
+
+    def __init__(self, k):
+        self.k = k
+        self.top = HeapDict()  # min-heap by value
+        self.rest = HeapDict()  # min-heap by -value
+
+    def add(self, key, value):
+        self.top.discard(key)
+        self.rest.discard(key)
+        if len(self.top) < self.k:
+            self.top.push(key, value)
+        else:
+            self.rest.push(key, -value)
+        self._rebalance()
+
+    def remove(self, key):
+        removed = self.top.discard(key) or self.rest.discard(key)
+        if removed:
+            self._rebalance()
+        return removed
+
+    def _rebalance(self):
+        top, rest = self.top, self.rest
+        while len(top) > self.k:
+            key, value = top.pop_min()
+            rest.push(key, -value)
+        while len(top) < self.k and len(rest):
+            key, neg = rest.pop_min()
+            top.push(key, -neg)
+        while self.k and len(top) and len(rest):
+            top_key, top_val = top.peek_min()
+            rest_key, rest_neg = rest.peek_min()
+            if -rest_neg <= top_val:
+                break
+            top.pop_min()
+            rest.pop_min()
+            top.push(rest_key, -rest_neg)
+            rest.push(top_key, -top_val)
+
+
+def placements(tracker):
+    return {key: tracker.in_top(key) for key in tracker}
+
+
+def pop_order(heap):
+    """Keys in the order ``pop_min`` would yield them: by (priority, seq)."""
+    return sorted(heap._live, key=lambda key: heap._live[key][:2])
 
 
 class TestBasics:
@@ -122,6 +176,20 @@ class TestByteBudget:
         assert not t.in_top("a")
         assert "a" in t and t.top_bytes == 0
 
+    def test_budget_rebalance_is_greedy_not_a_fixed_point(self):
+        # One demote / promote / swap pass per mutation: the swap frees a
+        # byte that only the *next* mutation's promote pass hands out.
+        t = TopKTracker(99, budget=2)
+        t.add("a", 1.0, size=2)
+        t.add("b", 1.0, size=1)
+        t.add("c", 2.0, size=1)  # swaps c for a; b now fits but stays put
+        assert placements(t) == {"a": False, "b": False, "c": True}
+        assert t.top_bytes == 1
+        t.remove("nobody")  # not a mutation: nothing rebalances
+        assert not t.in_top("b")
+        t.add("a", 1.0)  # any mutation does
+        assert t.in_top("b") and t.top_bytes == 2
+
     @given(
         st.lists(
             st.tuples(
@@ -180,7 +248,90 @@ class TestByteBudget:
             assert count_top == budget_top
 
 
+#: (op, key, value): small integer values tie the way LFU counts do;
+#: repeated keys give raises, drops and re-adds after a remove.
+tie_heavy_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "add", "remove"]),
+        st.integers(min_value=0, max_value=7),
+        st.integers(min_value=0, max_value=4).map(float),
+    ),
+    max_size=150,
+)
+
+
+class TestListenerContract:
+    """``on_tier`` fires once per placement change and never otherwise."""
+
+    @staticmethod
+    def check(tracker, events, ops):
+        mirror: dict[int, bool] = {}
+        for op, key, value, size in ops:
+            before = placements(tracker)
+            seen = len(events)
+            if op == "add":
+                tracker.add(key, value, size=size)
+            else:
+                tracker.remove(key)
+            for moved, in_top in events[seen:]:
+                if in_top is None:
+                    del mirror[moved]
+                else:
+                    mirror[moved] = in_top
+            after = placements(tracker)
+            assert mirror == after
+            changed = [k for k in before.keys() | after.keys() if before.get(k) != after.get(k)]
+            assert len(events) - seen == len(changed)
+
+    @given(tie_heavy_ops, st.integers(min_value=0, max_value=5))
+    @settings(max_examples=100, deadline=None)
+    def test_count_mode(self, ops, k):
+        events: list = []
+        tracker = TopKTracker(k, on_tier=lambda key, in_top: events.append((key, in_top)))
+        self.check(tracker, events, [(*op, None) for op in ops])
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["add", "add", "remove"]),
+                st.integers(min_value=0, max_value=7),
+                st.integers(min_value=0, max_value=4).map(float),
+                st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
+            ),
+            max_size=150,
+        ),
+        st.integers(min_value=0, max_value=8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_budget_mode(self, ops, budget):
+        events: list = []
+        tracker = TopKTracker(
+            99, on_tier=lambda key, in_top: events.append((key, in_top)), budget=budget
+        )
+        self.check(tracker, events, ops)
+
+
 class TestAgainstModel:
+    @given(tie_heavy_ops, st.integers(min_value=0, max_value=5))
+    @settings(max_examples=300, deadline=None)
+    def test_exact_partition_matches_rebalance_loop(self, ops, k):
+        """Key for key, not value multisets: the result digests depend on
+        which of two equal-valued keys holds the proxy tier, and that is
+        decided by the order the heaps' sequence numbers are taken in —
+        so each heap's whole pop order is compared, which shows a
+        misplaced sequence number at once, not when a later tie hits it."""
+        tracker = TopKTracker(k)
+        naive = NaiveTracker(k)
+        for op, key, value in ops:
+            if op == "add":
+                before = tracker.in_top(key) if key in tracker else None
+                assert tracker.add(key, value) is before
+                naive.add(key, value)
+            else:
+                assert tracker.remove(key) == naive.remove(key)
+            assert pop_order(tracker._top) == pop_order(naive.top)
+            assert pop_order(tracker._rest) == pop_order(naive.rest)
+
     @given(
         st.lists(
             st.tuples(
