@@ -6,6 +6,8 @@ per-request cost drivers: cache policy operations, DHT owner resolution,
 Pastry routing, Bloom filter probes, and workload generation.
 """
 
+from time import perf_counter
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.cache import GreedyDualCache, LfuCache, LruCache, TieredCache
 from repro.cache.topk import TopKTracker
 from repro.overlay import Dht, Overlay
 from repro.workload import ProWGenConfig, generate_trace
+from repro.workload.rawdraws import RawDraws
 from repro.workload.zipf import AliasSampler, zipf_weights
 
 N_OPS = 10_000
@@ -142,6 +145,31 @@ def test_workload_generation_throughput(benchmark):
     config = ProWGenConfig(n_requests=20_000, n_objects=1_000, n_clients=50)
     trace = benchmark(lambda: generate_trace(config, seed=0))
     assert len(trace) == 20_000
+
+
+def test_rawdraws_candidate_pair_vs_numpy_scalars(benchmark):
+    # ProWGen's out-of-stack candidate: ``integers(n_objects)`` then
+    # ``random()``.  RawDraws exists only because the numpy scalar pair
+    # is call overhead; measured 0.6 vs 2.1-3.3 us, gated at 2x.
+    def pairs(source):
+        integers, random = source.integers, source.random
+        for _ in range(N_OPS):
+            integers(2_000)
+            random()
+
+    def best_of_five(make_source):
+        best = float("inf")
+        for seed in range(5):
+            source = make_source(seed)
+            started = perf_counter()
+            pairs(source)
+            best = min(best, perf_counter() - started)
+        return best
+
+    numpy_s = best_of_five(np.random.default_rng)
+    raw_s = best_of_five(lambda seed: RawDraws(np.random.default_rng(seed)))
+    benchmark(lambda: pairs(RawDraws(np.random.default_rng(0))))
+    assert numpy_s >= 2 * raw_s, f"numpy {numpy_s:.4f}s vs RawDraws {raw_s:.4f}s"
 
 
 def test_overlay_construction(benchmark):

@@ -197,9 +197,9 @@ class CachingScheme(ABC):
                             if to_warm == 0:
                                 self._in_warmup = False
                         counted.update(served[skip:])
-                        size_of = self.sizes
+                        size_of = self._size_list
                         for tier, obj in zip(served[skip:], objs[skip:]):
-                            bytes_by_tier[tier] += int(size_of[obj])
+                            bytes_by_tier[tier] += size_of[obj]
                     self._after_block(b)
                 self._in_warmup = False
                 tier_counts.update(counted)
@@ -229,7 +229,7 @@ class CachingScheme(ABC):
                         total_latency += latency_of[tier]
                         n_requests += 1
                         if bytes_by_tier is not None:
-                            bytes_by_tier[tier] += int(self.sizes[objs[i]])
+                            bytes_by_tier[tier] += self._size_list[objs[i]]
 
         messages, extras = self.finalize()
         if bytes_by_tier is not None:

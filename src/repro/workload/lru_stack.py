@@ -14,7 +14,8 @@ stack is a plain list with the top at the tail — ``pop_at`` is one
 overflow a ``pop(0)``.  At the paper's stack sizes (150–3 000 entries)
 that memmove is an order of magnitude cheaper than the ~20 interpreted
 steps of an order-statistic tree, and it stays ahead up to 3·10⁵-entry
-stacks (EXPERIMENTS.md, "Workload generation").
+stacks (EXPERIMENTS.md, "Workload generation").  The generator's loop
+binds ``_items.pop`` / ``.append`` itself, as a friend: keep the layout.
 """
 
 from __future__ import annotations

@@ -47,6 +47,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .lru_stack import LruStack
+from .rawdraws import RawDraws
 from .stream import CHUNK_REQUESTS, ChunkedTraceWriter, StreamingTrace
 from .trace import Trace
 from .zipf import AliasSampler, zipf_pmf, zipf_weights
@@ -161,35 +162,47 @@ def _emit_stream_chunks(
     is byte-for-byte the monolithic one (asserted by the streaming
     round-trip tests); only the flush granularity differs.
 
-    **Draw contract** (the order of RNG draws *is* the trace; pinned by
-    ``tests/workload/GOLDEN_streams.json``):
+    **Draw contract** (which outputs of the generator are consumed, in
+    which order, *is* the trace; pinned by
+    ``tests/workload/GOLDEN_streams.json``).  In units of the PCG64
+    stream's 64-bit outputs:
 
-    * uniforms come from one ``rng.random(1 << 16)`` batch, drawn up
+    * uniforms come from one ``rng.random(1 << 16)`` batch — 65 536
+      consecutive outputs, ``(output >> 11) * 2**-53`` each — drawn up
       front and refilled exactly when a uniform is needed and the batch
       is exhausted;
     * each request consumes one uniform for the stack/outside decision —
       only when the stack is non-empty — and, on a stack hit, one more
       for the position;
-    * an outside draw is ``rng.integers(n)`` then ``rng.random()`` per
-      candidate (Vose alias sampling) until one has references left and
-      is not in the stack; after 256 consecutive rejects the alias
-      tables are rebuilt from the residual counts (no draw);
-    * client ids are drawn by the callers after the whole object stream.
+    * an outside draw is ``rng.integers(n_objects)`` then
+      ``rng.random()`` per candidate (Vose alias sampling) until one has
+      references left and is not in the stack.  ``integers`` is numpy's
+      buffered 32-bit Lemire draw: the low half of a fresh output, the
+      high half kept for the next ``integers`` — so two candidates share
+      one output — and re-drawn while rejected; ``random`` is one whole
+      output.  After 256 consecutive rejects the alias tables are
+      rebuilt from the residual counts (no draw);
+    * client ids are drawn by the callers after the whole object stream,
+      from the same generator (so it is synced before every ``yield``).
 
-    The loop indexes only flat Python-level sequences (``array``,
-    ``bytearray``, ``list``): per-object state is one machine word per
-    object, and nothing in it pays for a numpy scalar.
+    The scalar draws are served by :class:`~.rawdraws.RawDraws`, which
+    reads those outputs a window ahead instead of calling numpy once per
+    draw.  The loop indexes only flat Python-level sequences (``array``,
+    ``bytearray``, ``list`` — the stack's own list, as a friend): per-
+    object state is one machine word per object, and nothing in it pays
+    for a numpy scalar.
     """
     n_requests = int(counts.sum())
     n_objects, capacity = config.n_objects, config.stack_capacity
     remaining = array("q", counts.astype(np.int64).tobytes())
     in_stack = bytearray(n_objects)
     stack = LruStack(capacity)
-    pop_at, push = stack.pop_at, stack.push
+    pop, append = stack._items.pop, stack._items.append  # top at the tail
     occupancy = 0  # == len(stack), kept here to spare the call
 
-    random, integers = rng.random, rng.integers
-    uniforms = random(_UNIFORM_BATCH).tolist()
+    draws = RawDraws(rng)
+    integers, random, uniform_batch = draws.integers, draws.random, draws.uniforms
+    uniforms = uniform_batch(_UNIFORM_BATCH)
     used = 0
 
     # Recency-skewed stack-position distribution (prefix sums for search).
@@ -222,7 +235,7 @@ def _emit_stream_chunks(
             position = 0  # 0 = drawn from outside the stack
             if occupancy:
                 if used == _UNIFORM_BATCH:
-                    uniforms = random(_UNIFORM_BATCH).tolist()
+                    uniforms = uniform_batch(_UNIFORM_BATCH)
                     used = 0
                 u = uniforms[used]
                 used += 1
@@ -230,18 +243,18 @@ def _emit_stream_chunks(
                     # Draw a stack position by recency skew, clipped to
                     # occupancy.
                     if used == _UNIFORM_BATCH:
-                        uniforms = random(_UNIFORM_BATCH).tolist()
+                        uniforms = uniform_batch(_UNIFORM_BATCH)
                         used = 0
                     u = uniforms[used]
                     used += 1
                     position = bisect_right(pos_cum, u * pos_cum[occupancy - 1]) + 1
                     if position > occupancy:
                         position = occupancy
-                    obj = pop_at(position)
+                    obj = pop(-position)
             if not position:
                 # Out-of-stack: residual popularity with rejection.
                 while True:
-                    obj = int(integers(n_objects))
+                    obj = integers(n_objects)
                     if not random() < prob[obj]:
                         obj = alias[obj]
                     if remaining[obj] and not in_stack[obj]:
@@ -259,19 +272,21 @@ def _emit_stream_chunks(
             if position:
                 mass_stack -= 1
                 if left:
-                    push(obj)  # back on top; no mass change
+                    append(obj)  # back on top; no mass change
                 else:
                     in_stack[obj] = 0
                     occupancy -= 1
             elif left and capacity:
                 in_stack[obj] = 1
                 mass_stack += left
-                evicted = push(obj)
-                if evicted is None:
+                append(obj)
+                if occupancy < capacity:
                     occupancy += 1
                 else:
+                    evicted = pop(0)
                     in_stack[evicted] = 0
                     mass_stack -= remaining[evicted]
+        draws.sync()  # the caller may draw from ``rng`` while we are suspended
         yield np.array(out, dtype=np.int64)
 
 

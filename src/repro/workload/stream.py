@@ -386,7 +386,7 @@ class StreamingTrace:
         """Reference counts as a dict (the FC frequency oracle's input)."""
         counts = self.reference_counts()
         nz = np.nonzero(counts)[0]
-        return {int(o): int(counts[o]) for o in nz}
+        return dict(zip(nz.tolist(), counts[nz].tolist()))
 
     def head(self, n: int):
         """First ``n`` requests as an in-memory :class:`Trace`."""

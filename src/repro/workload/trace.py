@@ -135,7 +135,7 @@ class Trace:
         """Reference counts as a dict (the FC frequency oracle's input)."""
         counts = self.reference_counts()
         nz = np.nonzero(counts)[0]
-        return {int(o): int(counts[o]) for o in nz}
+        return dict(zip(nz.tolist(), counts[nz].tolist()))
 
     # -- IO -------------------------------------------------------------------
 
