@@ -25,7 +25,12 @@ from typing import Any
 from ..netmodel import NetworkConfig
 from ..workload import ProWGenConfig, Trace
 
-__all__ = ["SimulationConfig", "ClusterSizing", "NetworkConfig"]
+__all__ = ["SimulationConfig", "ClusterSizing", "NetworkConfig", "UnsupportedConfiguration"]
+
+
+class UnsupportedConfiguration(ValueError):
+    """A combination of scheme, config and execution mode that is refused
+    by name, before anything runs, rather than run as something else."""
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,7 @@ from ..protocol.transport import Transport
 from ..workload import Trace, object_url
 from .config import SimulationConfig
 from .directory import LookupDirectory, LossyDirectory, make_directory
+from .presence import PeerSurface
 from .simulator import CachingScheme
 
 __all__ = ["HierGdScheme"]
@@ -415,6 +416,15 @@ class HierGdScheme(CachingScheme):
         if state.proxy.lookup(obj):
             return TIER_LOCAL_PROXY
         return serve_miss(self, state, cluster, obj)
+
+    def peer_surface(self) -> PeerSurface | None:
+        """The indexed engine's two presence indexes, when it keeps both
+        (an exact directory); no other Hier-GD run has any to share."""
+        if not self.indexed or self._dir_presence is None:
+            return None
+        from . import hiergd_indexed
+
+        return hiergd_indexed.peer_surface(self)
 
     # -- reporting ------------------------------------------------------------------
 

@@ -39,7 +39,7 @@ from ..overlay import build_owner_table, object_ids_for_urls
 from ..protocol.chain import push_stage
 from ..workload import object_url
 from .hiergd import _ClusterState
-from .presence import PresenceIndex
+from .presence import PeerSurface, PresenceIndex
 
 __all__ = ["IndexedCluster", "install"]
 
@@ -48,8 +48,8 @@ __all__ = ["IndexedCluster", "install"]
 class IndexedCluster(_ClusterState):
     """A cluster's state plus the indexes its requests are served from."""
 
-    #: This cluster's id in the presence indexes (a sharded worker re-keys
-    #: it to the global index).
+    #: This cluster's id in the presence indexes (a shard peer view
+    #: re-keys it to the global index).
     cluster: int = -1
     #: objectId per object — one SHA-1 pass shared by every cluster — and
     #: the hop sampling rate: what a placement (re)build needs.
@@ -126,7 +126,7 @@ def install(scheme: Any) -> None:
     #: so step 4 keeps the chain's scan there.
     scheme._dir_presence = PresenceIndex() if config.directory == "exact" else None
     #: Cluster id -> its state, or None for a cluster served elsewhere (a
-    #: sharded worker narrows this to the clusters it owns).
+    #: shard peer view narrows this to the clusters its worker owns).
     scheme._state_at = scheme.states.__getitem__
     n_objects = 0
     for trace in scheme.traces:
@@ -151,6 +151,30 @@ def install(scheme: Any) -> None:
             state.dir_probe = state.p2p_present
     scheme.process = MethodType(process, scheme)
     scheme._proxy_insert = MethodType(proxy_insert, scheme)
+
+
+def peer_surface(self: Any) -> PeerSurface:
+    """What clusters share in steps 3-4 of the miss chain: proxy and
+    directory membership, and step 4's GD credit refresh at the holder."""
+    states = self.states
+
+    def rekey(ids: list[int], total: int) -> None:
+        for state, g in zip(states, ids):
+            state.cluster = g
+        self._state_at = dict(zip(ids, states)).get
+
+    def on_push(i: int, obj: int) -> bool:
+        # Listed objects were passed down, so the placement is built.
+        return obj in states[i].p2p_present and refresh_holder(self, states[i], obj)
+
+    return PeerSurface(
+        [
+            (self._proxy_presence, [_member_map(s.proxy) for s in states]),
+            (self._dir_presence, [s.p2p_present for s in states]),
+        ],
+        rekey,
+        on_push,
+    )
 
 
 # -- Figure 1: pass-down with object diversion -----------------------------
@@ -427,8 +451,9 @@ def process(self: Any, cluster: int, client: int, obj: int) -> str:
             other_state = self._state_at(other)
             if other_state is None:
                 # The holder lives in another shard: its GD credit
-                # refresh crosses the bus as a queued push record.
-                self._queue_remote_push(state, other, obj)
+                # refresh crosses the bus as a queued push record.  (One
+                # proxy lookup per request: accesses - 1 is its index.)
+                self._queue_remote_push(state.proxy.stats.accesses - 1, me, other, obj)
             else:
                 refresh_holder(self, other_state, obj)
             proxy_insert(self, state, obj, self._t_coop + self._t_p2p)

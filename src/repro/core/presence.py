@@ -18,9 +18,10 @@ so tier counts *and* message accounting stay byte-identical.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable
+from dataclasses import dataclass
+from typing import Callable, Collection, Hashable, Iterable, Sequence
 
-__all__ = ["PresenceIndex", "probes_to"]
+__all__ = ["PeerSurface", "PresenceIndex", "probes_to"]
 
 _EMPTY: frozenset[int] = frozenset()
 
@@ -71,6 +72,25 @@ class PresenceIndex:
     def as_dict(self) -> dict[Hashable, frozenset[int]]:
         """Snapshot for invariant tests (compare against brute force)."""
         return {obj: frozenset(s) for obj, s in self._holders.items()}
+
+
+@dataclass(frozen=True)
+class PeerSurface:
+    """A run's cooperative surface (:meth:`CachingScheme.peer_surface`):
+    the cross-cluster state a shard peer view (:mod:`repro.shard.view`)
+    keeps in step with clusters other processes run.  NC's is the default."""
+
+    #: Each shared index with, per local cluster, the live membership it
+    #: mirrors (read through ``set`` at round boundaries only).
+    indexes: Sequence[tuple[PresenceIndex, Sequence[Collection[int]]]] = ()
+    #: ``rekey(ids, total)``: local cluster ``i`` becomes ``ids[i]`` of
+    #: ``total``.  Called once, while the indexes are still empty.
+    rekey: Callable[[list[int], int], None] = lambda ids, total: None
+    #: ``on_push(i, obj)``: the owning side of a remote write — a peer was
+    #: served ``obj`` out of local cluster ``i``; False if it has gone.
+    #: The requesting side calls ``self._queue_remote_push(request_index,
+    #: src, dst, obj)``, which the view binds.
+    on_push: Callable[[int, int], bool] | None = None
 
 
 def probes_to(first: int | None, exclude: int, n: int) -> int:

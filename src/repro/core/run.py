@@ -34,6 +34,7 @@ from .simulator import CachingScheme
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..faults.plan import FaultPlan
+    from ..shard.view import ShardView
 
 __all__ = [
     "FAULTABLE_SCHEMES",
@@ -146,13 +147,16 @@ def assemble_run(
     carrier: Transport | None = None,
     recorder: TraceRecorder | None = None,
     backend: str = "sync",
+    view: ShardView | None = None,
 ) -> SchemeResult:
     """Put one scheme run together and run it — the only place that does.
 
     Carrier (``carrier``, else the plan's fault stack, else the base
     transport) → recording layer (if ``recorder``) → execution backend
-    → :func:`build_scheme` → ``attach`` every layer that counts requests
-    (an event-fed carrier, the recording) → ``run`` → seal the trace
+    → :func:`build_scheme` → ``attach`` every layer that rides the
+    finished scheme (an event-fed carrier and the recording count
+    requests; a shard worker's peer ``view`` substitutes global cluster
+    ids and the round protocol) → ``run`` → seal the trace
     (incomplete if the run crashed) → close an event-fed carrier →
     :func:`~repro.perf.profiling.record_scheme_ops`.  ``traces=None``
     regrows the workload from ``seed``.
@@ -172,7 +176,7 @@ def assemble_run(
             name, config, traces, plan, transport=with_backend(stack, backend)
         )
         # Each layer keeps its own request counter; the wrappers chain.
-        for layer in (fed, recording):
+        for layer in (fed, recording, view):
             if layer is not None:
                 layer.attach(scheme)
         result = scheme.run()
@@ -202,7 +206,9 @@ def run_scheme(
     (:func:`repro.shard.run_scheme_sharded`): clusters are dealt over
     worker processes which regenerate their own traces from ``seed``, so
     pre-generated ``traces``, a custom ``transport`` and the async
-    backend cannot be combined with sharding.  ``shards=1`` is
+    backend cannot be combined with sharding —
+    :func:`repro.shard.check_shardable` refuses them, and every other
+    unsupported combination, before anything is forked.  ``shards=1`` is
     :func:`assemble_run` with no fault plan.
 
     ``transport`` optionally replaces the scheme's base transport with a
@@ -222,18 +228,11 @@ def run_scheme(
     generated from, or the recording will not replay.
     """
     if shards > 1:
-        if traces is not None:
-            raise ValueError(
-                "sharded workers regenerate traces from the seed; "
-                "pass traces=None with shards > 1"
-            )
-        if transport is not None or backend != "sync":
-            raise ValueError(
-                "custom transports / the async backend are single-process "
-                "features; use shards=1"
-            )
-        from ..shard import run_scheme_sharded
+        from ..shard import check_shardable, run_scheme_sharded
 
+        check_shardable(
+            name, config, traces=traces, transport=transport, backend=backend
+        )
         return run_scheme_sharded(name, config, seed=seed, shards=shards)
     return assemble_run(
         name,

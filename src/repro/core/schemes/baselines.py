@@ -19,7 +19,7 @@ from ...netmodel import TIER_COOP_PROXY, TIER_LOCAL_PROXY, TIER_SERVER
 from ...protocol.transport import Transport
 from ...workload import Trace
 from ..config import SimulationConfig
-from ..presence import PresenceIndex, probes_to
+from ..presence import PeerSurface, PresenceIndex, probes_to
 from ..simulator import CachingScheme
 
 __all__ = ["NcScheme", "ScScheme"]
@@ -45,6 +45,10 @@ class NcScheme(CachingScheme):
     def process(self, cluster: int, client: int, obj: int) -> str:
         hit, _ = self.caches[cluster].lookup_or_insert(obj, size=self._size_of(obj))
         return TIER_LOCAL_PROXY if hit else TIER_SERVER
+
+    def peer_surface(self) -> PeerSurface:
+        # No cross-cluster state: sharding NC is pure data parallelism.
+        return PeerSurface()
 
 
 class ScScheme(CachingScheme):
@@ -72,7 +76,7 @@ class ScScheme(CachingScheme):
         #: (see :mod:`repro.core.presence` for the equivalence argument).
         self._presence = PresenceIndex()
         #: Each cluster's id in the index and the number of cooperating
-        #: clusters (a sharded worker substitutes global ids and count).
+        #: clusters (a shard peer view substitutes global ids and count).
         self._cluster_ids: list[int] | range = range(len(self.caches))
         self._n_clusters = len(self.caches)
         self._probes = 0
@@ -105,6 +109,14 @@ class ScScheme(CachingScheme):
         if stored:
             presence.add(obj, me)
         return tier
+
+    def peer_surface(self) -> PeerSurface:
+        # A remote probe is membership-only (``first_holder``, never
+        # ``lookup``), so peers need the presence deltas and nothing else.
+        def rekey(ids: list[int], total: int) -> None:
+            self._cluster_ids, self._n_clusters = ids, total
+
+        return PeerSurface([(self._presence, [c._sizes for c in self.caches])], rekey)
 
     def finalize(self) -> tuple[dict[str, int], dict[str, float]]:
         return {"coop_probes": self._probes, "coop_fetches": self._coop_fetches}, {}

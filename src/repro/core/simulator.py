@@ -32,6 +32,7 @@ from ..protocol.transport import Transport
 from ..workload import Trace
 from .config import ClusterSizing, SimulationConfig
 from .metrics import SchemeResult
+from .presence import PeerSurface
 
 __all__ = ["CachingScheme"]
 
@@ -102,13 +103,20 @@ class CachingScheme(ABC):
         """
         return {}, {}
 
+    def peer_surface(self) -> PeerSurface | None:
+        """What this run's clusters share; ``None`` (no override, or an
+        engine without presence indexes) means it cannot be sharded."""
+        return None
+
     # -- engine ----------------------------------------------------------------
+    # A shard peer view (:mod:`repro.shard.view`) rebinds the three hooks
+    # below on the instance it is attached to; no class overrides them.
 
     def _warmup_requests(self, total_expected: int) -> int:
         """Requests excluded from statistics while caches warm.
 
-        Sharded workers override this: their warmup window is a slice of
-        the *global* round-robin stream, not a fraction of the local one.
+        Under a shard peer view: the worker's slice of the *global*
+        round-robin warmup window, not a fraction of the local stream.
         """
         return int(self.config.warmup_fraction * total_expected)
 
@@ -128,9 +136,8 @@ class CachingScheme(ABC):
 
     def _after_block(self, upto: int) -> None:
         """Hook: one flattened block (requests ``[·, upto)`` of every
-        cluster) has been fully processed.  No-op here; sharded workers
-        override it to exchange presence digests at round boundaries
-        (:mod:`repro.shard`)."""
+        cluster) has been fully processed.  No-op here; under a shard
+        peer view, where presence digests are exchanged."""
 
     def run(self) -> SchemeResult:
         """Replay all traces and return the aggregated result."""

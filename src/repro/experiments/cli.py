@@ -74,7 +74,7 @@ from .bakeoff import figure_bakeoff
 from .figure_sizes import figure_sizes
 from .policy_frontier import figure_policy_frontier
 from .robustness import figure_robustness
-from .runner import SCALES, current_overlay, current_scale
+from .runner import SCALES, base_config, current_overlay, current_scale
 
 __all__ = ["main", "FIGURES", "build_engine"]
 
@@ -262,10 +262,16 @@ def main(argv: list[str] | None = None) -> int:
         args.workers = 1
     if args.shards < 1:
         parser.error("--shards must be >= 1")
-    if args.record is not None and args.shards != 1:
-        # Exchange recording captures one process's transport stack.
-        print("[--record forces --shards 1]")
-        args.shards = 1
+    if args.shards > 1:
+        from ..shard import UnsupportedConfiguration, check_shardable
+
+        # NC shards whenever anything does: ask on its behalf whether
+        # this invocation's options rule sharding out for every point.
+        try:
+            check_shardable("nc", base_config(), recording=args.record is not None)
+        except UnsupportedConfiguration as exc:
+            print(f"[forcing --shards 1: {exc}]")
+            args.shards = 1
 
     engine = build_engine(
         args.workers, args.resume, args.progress, args.out, shards=args.shards

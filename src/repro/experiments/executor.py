@@ -199,10 +199,9 @@ def run_point(point: SweepPoint) -> dict[str, Any]:
     started = time.perf_counter()
     cfg = point.resolved_config
     if point.shards > 1:
-        if point._active_faults is not None:
-            raise ValueError("fault plans are single-process; use shards=1")
-        from ..shard import run_scheme_sharded
+        from ..shard import check_shardable, run_scheme_sharded
 
+        check_shardable(point.scheme, cfg, plan=point.faults)
         shard_stats: dict[str, Any] = {}
         result = run_scheme_sharded(
             point.scheme,

@@ -19,8 +19,10 @@ bytes, reporting three panels:
   latency weighted by the bytes it moved before averaging (the
   transfer-time reading of the paper's metric).
 
-Sharded hier-gd does not support sized workloads, so every point runs
-on the single-process engine regardless of ``--shards``.
+Every point is built with ``shards=1`` whatever ``--shards`` says: sized
+Hier-GD has no cooperative surface to shard
+(:func:`repro.shard.check_shardable` would refuse it), and the figure
+compares schemes on one engine.
 """
 
 from __future__ import annotations

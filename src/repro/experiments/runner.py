@@ -137,18 +137,23 @@ def sweep_points(
     never enter.  All points share one seed because the paper compares
     schemes on identical traces.
 
-    ``shards > 1`` applies only to the shard-capable schemes
-    (:data:`repro.shard.SHARDED_SCHEMES` — the rest are oracles whose
-    global state has no process decomposition and keep the
-    single-process engine), so a mixed sweep stays runnable.
+    ``shards > 1`` applies only to the points
+    :func:`repro.shard.check_shardable` accepts — a scheme with no
+    cooperative surface, or one whose run on this ``config`` has none
+    (sized Hier-GD, a Bloom directory, an open trace recorder), keeps
+    the single-process engine — so a mixed sweep stays runnable.
     """
     names = list(dict.fromkeys(("nc", *schemes)))
+    shards_for = dict.fromkeys(names, 1)
     if shards > 1:
-        from ..shard import SHARDED_SCHEMES
+        from ..shard import UnsupportedConfiguration, check_shardable
 
-        shards_for = {n: shards if n in SHARDED_SCHEMES else 1 for n in names}
-    else:
-        shards_for = dict.fromkeys(names, 1)
+        for name in names:
+            try:
+                check_shardable(name, config)
+            except UnsupportedConfiguration:
+                continue
+            shards_for[name] = shards
     return [
         SweepPoint(
             scheme=name,

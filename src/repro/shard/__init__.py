@@ -11,9 +11,11 @@ Layering:
 
 * :mod:`repro.shard.partition` — cluster→shard deal + stream arithmetic;
 * :mod:`repro.shard.digest` — round-digest frames over the wire layer;
-* :mod:`repro.shard.schemes` — global-id scheme variants + delta
-  collection (``nc``, ``sc``, ``hier-gd``);
-* :mod:`repro.shard.worker` — the per-process main;
+* :mod:`repro.shard.view` — the peer view a worker's scheme sees other
+  shards' clusters through (global ids, round deltas, queued pushes),
+  and :func:`check_shardable`, the one refusal;
+* :mod:`repro.shard.worker` — the per-process main (a run assembled by
+  :func:`repro.core.run.assemble_run` under a view);
 * :mod:`repro.shard.engine` — the coordinator/relay and the public
   :func:`run_scheme_sharded`.
 
@@ -22,14 +24,17 @@ Layering:
 size.
 """
 
+from ..core.config import UnsupportedConfiguration
 from .engine import ROUND_REQUESTS, run_scheme_sharded
 from .partition import clusters_of_shard, local_warmup
-from .schemes import SHARDED_SCHEMES
+from .view import ShardView, check_shardable
 
 __all__ = [
     "ROUND_REQUESTS",
     "run_scheme_sharded",
     "clusters_of_shard",
     "local_warmup",
-    "SHARDED_SCHEMES",
+    "ShardView",
+    "UnsupportedConfiguration",
+    "check_shardable",
 ]

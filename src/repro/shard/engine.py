@@ -6,10 +6,12 @@
 * ``shards=1`` delegates **directly** to the single-process engine —
   same code path, same objects, byte-identical results by construction
   (the equivalence suite still asserts it).
-* ``shards>1`` spawns one worker process per shard, deals the clusters
-  round-robin (:mod:`repro.shard.partition`), and then plays message
-  bus: every round it collects one digest frame per worker, merges them
-  (:func:`repro.shard.digest.merge_digests`), and broadcasts the union.
+* ``shards>1`` asks :func:`repro.shard.view.check_shardable` (the one
+  refusal, before anything is forked), spawns one worker process per
+  shard, deals the clusters round-robin (:mod:`repro.shard.partition`),
+  and then plays message bus: every round it collects one digest frame
+  per worker, merges them (:func:`repro.shard.digest.merge_digests`),
+  and broadcasts the union.
   The coordinator holds no simulation state — it is a relay, so its
   memory stays flat no matter the trace length.
 
@@ -23,7 +25,7 @@ every worker's local execution and the merge order (digests are read in
 shard order, pushes sorted by global position), so repeated runs are
 identical.  Changing ``shards`` or ``round_requests`` changes where the
 bounded-staleness windows fall and may legitimately change results —
-the scale gate pins both when comparing.
+``tests/shard/GOLDEN_shards.json`` pins both.
 """
 
 from __future__ import annotations
@@ -34,11 +36,10 @@ from typing import Any
 from ..core.config import SimulationConfig
 from ..core.metrics import SchemeResult
 from ..core.run import run_scheme
-from ..protocol.trace import active_trace_recorder
 from ..protocol.wire import decode_frame
 from ..workload import generate_cluster_traces_streaming
 from .digest import decode_digest, encode_merged, merge_digests
-from .schemes import SHARDED_SCHEMES
+from .view import check_shardable
 from .worker import worker_main
 
 __all__ = ["ROUND_REQUESTS", "run_scheme_sharded"]
@@ -47,21 +48,6 @@ __all__ = ["ROUND_REQUESTS", "run_scheme_sharded"]
 #: 2¹⁶ keeps sync overhead under ~1% at paper scale while bounding
 #: remote-presence staleness to one round.
 ROUND_REQUESTS = 1 << 16
-
-
-def _validate(name: str, config: SimulationConfig) -> None:
-    if name not in SHARDED_SCHEMES:
-        raise ValueError(
-            f"scheme {name!r} cannot run sharded; "
-            f"shardable: {', '.join(SHARDED_SCHEMES)}"
-        )
-    if name == "hier-gd" and config.directory != "exact":
-        raise ValueError("sharded hier-gd requires directory='exact'")
-    if active_trace_recorder() is not None:
-        raise ValueError(
-            "exchange-trace recording captures a single-process transport "
-            "stack; record with shards=1"
-        )
 
 
 def _merge_payloads(
@@ -135,6 +121,8 @@ def run_scheme_sharded(
     """
     if shards < 1:
         raise ValueError("shards must be >= 1")
+    if shards > 1:
+        check_shardable(name, config)  # refuses before anything is forked
     shards = min(shards, config.n_proxies)  # no empty workers
     if shards == 1:
         traces = None
@@ -143,7 +131,6 @@ def run_scheme_sharded(
                 config.workload, range(config.n_proxies), trace_dir, seed=seed
             )
         return run_scheme(name, config, traces, seed=seed)
-    _validate(name, config)
     if round_requests < 1:
         raise ValueError("round_requests must be >= 1")
 

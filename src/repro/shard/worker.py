@@ -3,11 +3,12 @@
 Each worker regenerates its clusters' traces from the run seed (by
 global cluster index, so the workload is bit-identical to what a
 single-process run over all clusters would draw — see
-:func:`repro.workload.cluster_trace_seed`), builds the sharded scheme
-variant, and drives the ordinary engine loop.  The engine's
-``_after_block`` hook fires at every round boundary; the worker's sync
-callback sends this round's digest up the pipe, blocks for the
-coordinator's merged broadcast, and folds it in.  After the final round
+:func:`repro.workload.cluster_trace_seed`) and hands them to
+:func:`repro.core.run.assemble_run` together with a
+:class:`~repro.shard.view.ShardView` — the same scheme class, engine
+loop and assembly as any other run.  At every round boundary the view
+calls the worker's ``exchange``, which sends this round's digest up the
+pipe and blocks for the coordinator's merged broadcast.  After the final round
 the worker ships its :class:`~repro.core.metrics.SchemeResult` (plus the
 raw overlay-hop tallies and its peak RSS) as one last wire frame.
 
@@ -24,6 +25,7 @@ import resource
 import traceback
 
 from ..core.config import SimulationConfig
+from ..core.run import assemble_run
 from ..protocol.wire import encode_frame
 from ..workload import (
     cluster_trace_seed,
@@ -32,7 +34,7 @@ from ..workload import (
 )
 from .digest import decode_merged, encode_digest
 from .partition import clusters_of_shard, local_warmup
-from .schemes import make_sharded_scheme
+from .view import ShardView
 
 __all__ = ["worker_main", "shard_traces"]
 
@@ -79,40 +81,34 @@ def worker_main(
             clusters,
             config.n_proxies,
         )
-        # The scheme constructor pairs traces with config.n_proxies; this
-        # worker holds a slice, so it runs under a local view of the
-        # config (per-cluster sizing does not depend on n_proxies — the
-        # global count travels separately for probe/exclusion arithmetic).
-        local_config = dataclasses.replace(config, n_proxies=len(clusters))
-        scheme = make_sharded_scheme(
-            name, local_config, traces, clusters, config.n_proxies, warmup
-        )
-        scheme._round_requests = round_requests
-        round_box = [0]
 
-        def sync(upto: int) -> None:
-            deltas, pushes = scheme.collect_round()
-            conn.send_bytes(encode_digest(round_box[0], shard, deltas, pushes))
+        def exchange(round_index: int, deltas, pushes):
+            conn.send_bytes(encode_digest(round_index, shard, deltas, pushes))
             merged_round, merged_deltas, merged_pushes = decode_merged(
                 conn.recv_bytes()
             )
-            if merged_round != round_box[0]:
+            if merged_round != round_index:
                 raise RuntimeError(
-                    f"shard {shard} at round {round_box[0]}, coordinator "
+                    f"shard {shard} at round {round_index}, coordinator "
                     f"broadcast round {merged_round}"
                 )
-            round_box[0] += 1
-            scheme.apply_remote(merged_deltas, merged_pushes)
+            return merged_deltas, merged_pushes
 
-        scheme._sync = sync
-        result = scheme.run()
+        view = ShardView(clusters, config.n_proxies, warmup, round_requests, exchange)
+        # The scheme constructor pairs traces with config.n_proxies; this
+        # worker holds a slice, so it runs under a local view of the
+        # config (per-cluster sizing does not depend on n_proxies — the
+        # global count travels in the view for probe/position arithmetic).
+        local_config = dataclasses.replace(config, n_proxies=len(clusters))
+        result = assemble_run(name, local_config, traces, seed=seed, view=view)
         payload = dataclasses.asdict(result)
-        states = getattr(scheme, "states", [])
+        payload["messages"].update(view.messages)
+        states = getattr(view.scheme, "states", [])
         payload["overlay_name"] = states[0].overlay.name if states else "overlay"
         payload["route_messages"] = sum(s.overlay.stats.messages for s in states)
         payload["route_hops"] = sum(s.overlay.stats.total_hops for s in states)
+        payload["rounds"] = view.rounds
         payload["max_rss_kb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        payload["rounds"] = round_box[0]
         conn.send_bytes(encode_frame(["r", shard, payload]))
     except BaseException:
         try:

@@ -10,7 +10,7 @@ from repro.core.config import SimulationConfig
 from repro.core.hiergd import HierGdScheme
 from repro.faults import FaultPlan
 from repro.protocol import FaultTransport, ObservabilityTransport, Transport
-from repro.shard.schemes import ShardedHierGd
+from repro.shard import ShardView
 from repro.netmodel import (
     TIER_COOP_P2P,
     TIER_LOCAL_P2P,
@@ -312,9 +312,12 @@ class TestEngineSelection:
         if case == "churn subclass":
             return HierGdChurnScheme(config, traces, events=[])
         if case == "sharded":
-            return ShardedHierGd(
-                config, traces, global_clusters=[0, 1], total_clusters=2, warmup_n=0
-            )
+            scheme = HierGdScheme(config, traces)
+            ShardView(
+                [0, 1], 2, warmup=0, round_requests=len(traces[0]),
+                exchange=lambda round_index, deltas, pushes: (deltas, pushes),
+            ).attach(scheme)
+            return scheme
         return HierGdScheme(config, traces)
 
     @pytest.mark.parametrize(

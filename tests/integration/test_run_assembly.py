@@ -5,18 +5,36 @@ replayed from its recording (``replay_trace``) or driven against live
 daemons (``drive_scheme``); a replay or a live trace is only comparable
 to the simulation if all of them constructed the same scheme class, on
 the same Hier-GD engine, reporting under the same name.
+
+The second half is the **capability matrix**: every combination of
+scheme x shards x sizes x fault plan x backend (plus the config axes
+only some schemes read) is either *gated* — equal to its anchor, pinned
+by a golden, or deterministic and request-conserving — or *refused* with
+:class:`~repro.core.config.UnsupportedConfiguration` before anything is
+forked.  README's "Status" table is :func:`render_matrix` of the same
+data (``PYTHONPATH=src python -m tests.integration.test_run_assembly``
+prints it).
 """
+
+import dataclasses
+import itertools
+import json
+import multiprocessing.process
+from pathlib import Path
 
 import pytest
 
 from repro.core.churn import HierGdChurnScheme
-from repro.core.config import SimulationConfig
-from repro.core.run import run_scheme
+from repro.core.config import SimulationConfig, UnsupportedConfiguration
+from repro.core.run import assemble_run, generate_workloads, run_scheme
 from repro.core.schemes import SCHEME_REGISTRY
 from repro.core.simulator import CachingScheme
 from repro.daemon import LocalCluster, drive_scheme
+from repro.experiments.executor import SweepPoint, run_point
+from repro.experiments.store import deserialize_result, serialize_result
 from repro.faults import NO_FAULTS, FaultPlan, run_scheme_with_faults
 from repro.protocol import recording_traces, replay_trace
+from repro.shard import ShardView, check_shardable
 from repro.workload import ProWGenConfig
 
 CONFIG = SimulationConfig(
@@ -77,3 +95,225 @@ def test_all_entry_points_build_the_same_scheme(name, plan_kind, built, cluster,
     else:
         expected = (SCHEME_REGISTRY[name], True, "hier-gd")
     assert built == [expected] * len(built) and len(built) >= 3
+
+
+# -- the capability matrix ---------------------------------------------------
+
+REPO = Path(__file__).resolve().parents[2]
+GOLDEN_SHARDS = json.loads((REPO / "tests/shard/GOLDEN_shards.json").read_text())
+SIZED = dataclasses.replace(CONFIG.workload, object_sizes="heavy-tailed")
+
+#: Config axes only some schemes read, varied one at a time.
+VARIANTS = {
+    "hier-gd": [
+        {},
+        {"directory": "bloom"},
+        {"overlay": "chord"},
+        {"hiergd_policy": "lru"},
+        {"hiergd_policy": "lfu"},
+        {"gd_cost_model": "gd"},
+    ],
+    "squirrel": [{}, {"overlay": "chord"}],
+}
+
+#: Unit-size, plan-free, sync ``shards=2`` cells whose bytes
+#: ``tests/shard/GOLDEN_shards.json`` pins: (scheme, variant, sized) -> case.
+GOLDEN_CASE = {
+    ("nc", "", False): "nc-s2-r200",
+    ("nc", "", True): "nc-sized",
+    ("sc", "", False): "sc-s2-r200",
+    ("sc", "", True): "sc-sized",
+    ("hier-gd", "", False): "hier-gd-s2-r200",
+    ("hier-gd", "overlay=chord", False): "hier-gd-chord",
+    ("hier-gd", "hiergd_policy=lru", False): "hier-gd-lru",
+}
+
+
+@dataclasses.dataclass(frozen=True)
+class Cell:
+    """One combination, and what must happen when it is run."""
+
+    name: str
+    overrides: tuple
+    shards: int
+    sized: bool
+    faulty: bool
+    backend: str
+
+    @property
+    def variant(self) -> str:
+        return ",".join(f"{k}={v}" for k, v in self.overrides)
+
+    @property
+    def id(self) -> str:
+        tags = [self.name, self.variant, f"shards{self.shards}"]
+        tags += ["sized"] * self.sized + ["plan"] * self.faulty + [self.backend]
+        return "-".join(t for t in tags if t)
+
+    @property
+    def config(self) -> SimulationConfig:
+        changes = dict(self.overrides)
+        if self.sized:
+            changes["workload"] = SIZED
+        return CONFIG.with_changes(**changes)
+
+    @property
+    def plan(self) -> FaultPlan | None:
+        return PLANS["active"] if self.faulty else None
+
+    @property
+    def expected(self) -> str:
+        """``anchor`` / ``golden`` / ``deterministic``, or the words the
+        refusal must carry.  One shard is the single-process engine on
+        every input; on two, first obstacle wins."""
+        if self.shards == 1:
+            return "anchor"
+        if self.name not in ("nc", "sc", "hier-gd"):
+            return "cannot run sharded"
+        if self.backend == "async":
+            return "single-process features"
+        if self.faulty:
+            return "fault plans are single-process"
+        if self.name == "hier-gd" and self.sized:
+            return "sized workloads"
+        if self.name == "hier-gd" and self.variant == "directory=bloom":
+            return "directory='exact'"
+        if (self.name, self.variant, self.sized) in GOLDEN_CASE:
+            return "golden"
+        return "deterministic"
+
+    @property
+    def gated(self) -> bool:
+        return self.expected in ("anchor", "golden", "deterministic")
+
+
+CELLS = [
+    Cell(name, tuple(variant.items()), shards, sized, faulty, backend)
+    for name in SCHEME_REGISTRY
+    for variant in VARIANTS.get(name, [{}])
+    for shards, sized, faulty, backend in itertools.product(
+        (1, 2), (False, True), (False, True), ("sync", "async")
+    )
+]
+
+
+def run_cell(cell: Cell):
+    """Through the entry point that takes the cell's axes.
+
+    None takes all of ``shards``, a plan and a backend: a sharded async
+    run under a plan can only be put to the coordinator's own question.
+    """
+    if cell.plan is None:
+        return run_scheme(
+            cell.name, cell.config, seed=1, backend=cell.backend, shards=cell.shards
+        )
+    if cell.backend == "sync":
+        point = SweepPoint(
+            cell.name, cell.config.proxy_cache_fraction, cell.config, seed=1,
+            faults=cell.plan, shards=cell.shards,
+        )
+        return deserialize_result(run_point(point)["result"])
+    if cell.shards > 1:
+        check_shardable(cell.name, cell.config, plan=cell.plan, backend=cell.backend)
+    return run_scheme_with_faults(
+        cell.name, cell.config, plan=cell.plan, seed=1, backend=cell.backend
+    )
+
+
+_ANCHORS: dict = {}
+
+
+def anchor(cell: Cell):
+    """The plain single-process, sync run of the cell's (scheme, config,
+    plan): ``run_scheme`` itself when there is no plan."""
+    key = (cell.name, cell.config, cell.plan)
+    if key not in _ANCHORS:
+        _ANCHORS[key] = run_scheme_with_faults(
+            cell.name, cell.config, plan=cell.plan, seed=1
+        )
+    return _ANCHORS[key]
+
+
+@pytest.mark.parametrize("cell", CELLS, ids=lambda cell: cell.id)
+def test_capability_matrix(cell, monkeypatch):
+    if cell.gated:
+        result = run_cell(cell)
+        if cell.shards == 1:
+            assert serialize_result(result) == serialize_result(anchor(cell))
+            return
+        assert result == run_cell(cell)
+        assert result.n_requests == anchor(cell).n_requests
+        assert sum(result.tier_counts.values()) == result.n_requests
+        if cell.expected == "golden":
+            assert GOLDEN_CASE[cell.name, cell.variant, cell.sized] in GOLDEN_SHARDS
+        return
+
+    def no_fork(self):
+        raise AssertionError("a refused cell started a worker")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_fork)
+    with pytest.raises(UnsupportedConfiguration, match=cell.expected):
+        run_cell(cell)
+
+
+@pytest.mark.parametrize("name", ["nc", "sc", "hier-gd"])
+def test_view_owning_every_cluster_is_an_identity(name, built):
+    """The structural form of "``shards=1`` is an identity": no remote
+    peers, one round — and the scheme under the view is the registry's."""
+    traces = generate_workloads(CONFIG, seed=1)
+    plain = run_scheme(name, CONFIG, traces, seed=1)
+    n = CONFIG.n_proxies
+    view = ShardView(
+        list(range(n)), n,
+        warmup=int(CONFIG.warmup_fraction * n * len(traces[0])),
+        round_requests=len(traces[0]),
+        exchange=lambda round_index, deltas, pushes: (deltas, pushes),
+    )
+    viewed = assemble_run(name, CONFIG, traces, seed=1, view=view)
+    assert serialize_result(viewed) == serialize_result(plain)
+    assert view.rounds == 1
+    assert type(view.scheme) is SCHEME_REGISTRY[name]
+    assert built[0] == built[1] and built[1][0] is SCHEME_REGISTRY[name]
+
+
+# -- README's table ----------------------------------------------------------
+
+#: Column -> the cells it summarises.
+COLUMNS = {
+    "`shards=1` (any sizes / plan / backend)": lambda c: c.shards == 1,
+    "`shards=2`": lambda c: (c.shards, c.sized, c.faulty, c.backend) == (2, False, False, "sync"),
+    "`shards=2`, sized": lambda c: (c.shards, c.sized, c.faulty, c.backend) == (2, True, False, "sync"),
+    "`shards=2`, fault plan": lambda c: (c.shards, c.faulty, c.backend) == (2, True, "sync"),
+    "`shards=2`, async": lambda c: c.shards == 2 and c.backend == "async",
+}
+BEGIN, END = "<!-- capability-matrix:begin -->", "<!-- capability-matrix:end -->"
+
+
+def render_matrix() -> str:
+    """The matrix as the markdown table README publishes."""
+    lines = [
+        "| scheme | " + " | ".join(COLUMNS) + " |",
+        "|---|" + "---|" * len(COLUMNS),
+    ]
+    rows = dict.fromkeys((c.name, c.variant) for c in CELLS)
+    for name, variant in rows:
+        row = [f"`{name}`" + (f" `{variant}`" if variant else "")]
+        for picks in COLUMNS.values():
+            outcomes = dict.fromkeys(
+                c.expected if c.gated else f"refused: \"{c.expected}\""
+                for c in CELLS
+                if (c.name, c.variant) == (name, variant) and picks(c)
+            )
+            row.append(" / ".join(outcomes))
+        lines.append("| " + " | ".join(row) + " |")
+    return "\n".join(lines)
+
+
+def test_readme_publishes_the_matrix():
+    readme = (REPO / "README.md").read_text()
+    published = readme.split(BEGIN)[1].split(END)[0].strip()
+    assert published == render_matrix()
+
+
+if __name__ == "__main__":
+    print(render_matrix())

@@ -105,14 +105,13 @@ class TestSizePlumbing:
             )
 
     def test_sharded_hier_gd_rejects_sized_workloads(self):
-        from repro.shard.schemes import ShardedHierGd
+        from repro.core.hiergd import HierGdScheme
+        from repro.shard import ShardView
 
         cfg, traces = sized_setup(seed=8)
+        view = ShardView([0, 1], 2, warmup=0, round_requests=1, exchange=None)
         with pytest.raises(ValueError, match="sized workloads"):
-            ShardedHierGd(
-                cfg, traces, global_clusters=[0, 1], total_clusters=2,
-                warmup_n=0,
-            )
+            view.attach(HierGdScheme(cfg, traces))
 
     def test_size_table_deterministic_per_seed(self):
         cfg, traces = sized_setup(seed=9)

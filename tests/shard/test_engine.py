@@ -9,7 +9,9 @@ The contract under test (ISSUE 7):
 * NC has no inter-cluster cooperation, so sharding it is pure data
   parallelism and must match the base engine *exactly*; SC and Hier-GD
   see bounded-staleness remote presence and may legitimately differ
-  within documented semantics (their determinism is what's gated).
+  within documented semantics (their determinism is gated here, their
+  bytes by ``test_golden_shards.py``);
+* an unsupported combination is refused by name before anything forks.
 """
 
 import dataclasses
@@ -18,10 +20,13 @@ import pytest
 
 from repro.core.config import SimulationConfig
 from repro.core.run import SCHEME_REGISTRY, generate_workloads, run_scheme
-from repro.shard import SHARDED_SCHEMES, run_scheme_sharded
+from repro.shard import UnsupportedConfiguration, run_scheme_sharded
 from repro.workload import ProWGenConfig
 
 WORKLOAD = ProWGenConfig(n_requests=1500, n_objects=100, n_clients=8)
+
+#: The schemes that declare a cooperative surface.
+SHARDABLE = ("hier-gd", "nc", "sc")
 
 
 def cfg(**kw):
@@ -39,11 +44,12 @@ class TestSingleShardIdentity:
         base = run_scheme(name, config, traces=traces)
         assert run_scheme_sharded(name, config, seed=3, shards=1) == base
 
-    def test_shards1_streaming_traces_match(self, tmp_path):
+    @pytest.mark.parametrize("name", SHARDABLE)
+    def test_shards1_streaming_traces_match(self, name, tmp_path):
         config = cfg()
-        base = run_scheme("hier-gd", config, generate_workloads(config, seed=1))
+        base = run_scheme(name, config, generate_workloads(config, seed=1))
         sharded = run_scheme_sharded(
-            "hier-gd", config, seed=1, shards=1, trace_dir=str(tmp_path)
+            name, config, seed=1, shards=1, trace_dir=str(tmp_path)
         )
         assert sharded == base
 
@@ -54,7 +60,7 @@ class TestSingleShardIdentity:
 
 
 class TestMultiShard:
-    @pytest.mark.parametrize("name", sorted(SHARDED_SCHEMES))
+    @pytest.mark.parametrize("name", SHARDABLE)
     def test_two_shard_run_is_deterministic(self, name):
         config = cfg()
         first = run_scheme_sharded(name, config, seed=0, shards=2, round_requests=200)
@@ -72,13 +78,24 @@ class TestMultiShard:
         assert sharded.total_latency == base.total_latency
         assert sharded.messages == base.messages
 
-    @pytest.mark.parametrize("name", sorted(SHARDED_SCHEMES))
+    @pytest.mark.parametrize("name", SHARDABLE)
     def test_request_accounting_is_conserved(self, name):
         config = cfg()
         base = run_scheme(name, config, generate_workloads(config, seed=0))
         sharded = run_scheme_sharded(name, config, seed=0, shards=2)
         assert sharded.n_requests == base.n_requests
         assert sum(sharded.tier_counts.values()) == sum(base.tier_counts.values())
+
+    def test_lfu_policy_hier_gd_runs_sharded(self):
+        # An LFU proxy keeps its members in ``_sizes``, not ``_entries``:
+        # the surface must read membership through ``_member_map``.
+        config = cfg(hiergd_policy="lfu")
+        base = run_scheme("hier-gd", config, generate_workloads(config, seed=0))
+        first = run_scheme_sharded("hier-gd", config, seed=0, shards=2, round_requests=200)
+        second = run_scheme_sharded("hier-gd", config, seed=0, shards=2, round_requests=200)
+        assert first == second
+        assert first.n_requests == base.n_requests
+        assert sum(first.tier_counts.values()) == sum(base.tier_counts.values())
 
     def test_extras_record_the_decomposition(self):
         config = cfg()
@@ -129,6 +146,39 @@ class TestValidation:
     def test_zero_shards_rejected(self):
         with pytest.raises(ValueError, match="shards"):
             run_scheme_sharded("nc", cfg(), shards=0)
+
+    def test_run_level_refusals_are_the_named_error(self, tmp_path):
+        # The scheme x sizes x plan x backend refusals are the capability
+        # matrix's (tests/integration/test_run_assembly.py); these are the
+        # three obstacles that are not a property of the cell.
+        from repro.protocol import Transport
+        from repro.protocol.trace import recording_traces
+
+        config = cfg()
+        with pytest.raises(UnsupportedConfiguration, match="single-process"):
+            run_scheme("sc", config, transport=Transport(config.network), shards=2)
+        with pytest.raises(UnsupportedConfiguration, match="seed"):
+            run_scheme("sc", config, traces=generate_workloads(config), shards=2)
+        with recording_traces(tmp_path):
+            with pytest.raises(UnsupportedConfiguration, match="record"):
+                run_scheme("sc", config, shards=2)
+
+    def test_sized_hier_gd_refused_before_forking(self, tmp_path, monkeypatch):
+        # A refusal inside a worker would surface as RuntimeError("shard 0
+        # failed: ...") after every worker had generated its traces.
+        import multiprocessing.process
+
+        def no_fork(self):
+            raise AssertionError("a worker was started")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_fork)
+        sized = dataclasses.replace(WORKLOAD, object_sizes="heavy-tailed")
+        with pytest.raises(UnsupportedConfiguration, match="sized workloads") as info:
+            run_scheme_sharded(
+                "hier-gd", cfg(workload=sized), shards=2, trace_dir=str(tmp_path)
+            )
+        assert isinstance(info.value, ValueError)
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.slow
