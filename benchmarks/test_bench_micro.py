@@ -15,7 +15,7 @@ from repro.bloom import BloomFilter, CountingBloomFilter
 from repro.cache import GreedyDualCache, LfuCache, LruCache, TieredCache
 from repro.cache.topk import TopKTracker
 from repro.overlay import Dht, Overlay
-from repro.workload import ProWGenConfig, generate_trace
+from repro.workload import ProWGenConfig, generate_trace, sample_object_sizes
 from repro.workload.rawdraws import RawDraws
 from repro.workload.zipf import AliasSampler, zipf_weights
 
@@ -50,29 +50,47 @@ def test_cache_policy_throughput(benchmark, factory, zipf_stream):
     assert hits > 0
 
 
-def test_topk_rank_loop(benchmark, zipf_stream):
+@pytest.mark.parametrize("sized", [False, True], ids=["count", "bytes"])
+def test_topk_rank_loop(benchmark, zipf_stream, sized, monkeypatch):
     # The ledger's ``cache.topk_ops_per_s`` loop (benchmarks/ledger/probes.py):
-    # rank every object by its running reference count, as a unified LFU does.
+    # rank every object by its running reference count, as a unified LFU does;
+    # "bytes" as the size-aware one does, heavy-tailed sizes against a byte
+    # budget of ~30 % of their sum (count mode ignores the sizes).
     events = []
+    sizes = sample_object_sizes(5_000, np.random.default_rng(0)).tolist()
+    budget = sum(sizes) * 3 // 10 if sized else None
 
     def run():
-        tracker = TopKTracker(1000, on_tier=lambda key, in_top: events.append(key))
+        tracker = TopKTracker(
+            1000, on_tier=lambda key, in_top: events.append(key), budget=budget
+        )
         seen = {}
         for obj in zipf_stream:
             n = seen.get(obj, 0) + 1
             seen[obj] = n
-            tracker.add(obj, float(n))
+            tracker.add(obj, float(n), size=sizes[obj])
         return tracker, seen
 
     tracker, seen = benchmark(run)
-    assert tracker.top_count == 1000 and len(tracker) == len(seen)
-    # A raise inside the top partition is one dict write: no swap, no event.
-    hot = [obj for obj in seen if tracker.in_top(obj)][:100]
+    assert len(tracker) == len(seen)
+    if sized:
+        assert 0 < tracker.top_count < len(seen) and tracker.top_bytes <= budget
+    else:
+        assert tracker.top_count == 1000
+    # A raise inside the top partition is one dict write: no swap, no event,
+    # and in byte mode no rebalance pass (spied on, not timed).  The top's
+    # minimum is the one top key whose raise can reorder the partition.
+    lowest = tracker._top.peek_min()[0]
+    hot = [obj for obj in seen if tracker.in_top(obj) and obj != lowest][:100]
+    passes = []
+    monkeypatch.setattr(
+        TopKTracker, "_rebalance_budget", lambda self, subject: passes.append(subject)
+    )
     del events[:]
     for obj in hot * 10:
         seen[obj] += 1
         tracker.add(obj, float(seen[obj]))
-    assert events == []
+    assert events == [] and passes == []
 
 
 def test_alias_sampler_throughput(benchmark):

@@ -62,15 +62,42 @@ class TopKTracker:
       promotion stops at the first best-of-rest that does not fit, and a
       value-ordered swap is only taken when it stays within budget.
       Unlike count mode, the resting state is *not* a fixed point of the
-      rebalance (one demote / promote / swap pass, in that order): with
-      budget 2, ``add(a, 1.0, size=2)``, ``add(b, 1.0, size=1)``,
+      rebalance (one promote / swap pass, in that order): with budget 2,
+      ``add(a, 1.0, size=2)``, ``add(b, 1.0, size=1)``,
       ``add(c, 2.0, size=1)`` swaps ``c`` for ``a`` and leaves ``b`` in
       the rest although it now fits; the *next* mutation promotes it.
-      The top partition can therefore sit under-filled for one step, and
-      every byte-budget mutation still runs the full rebalance.
+      The top partition can therefore sit under-filled for one step.
+
+    **Byte mode skips the pass that would move nothing.**  The pass is
+    the only code that moves a key between the heaps, and it leaves
+    behind what its loops stopped on: the best of the rest and its value
+    (it does not fit), the top's minimum (the best does not out-value it,
+    or the trade does not fit), and whether it swapped.  A pass that
+    swapped nothing left the partition *settled* — a second pass would
+    stop on the same keys — and it stays settled across the mutations
+    that keep those keys in place and ``top_bytes`` what it was:
+
+    * a raise of a top key other than that minimum (of any top key while
+      the rest is empty), size unchanged, is the heap's lazy raise — one
+      dict write, no event;
+    * a new key, or a rest key other than that best, with no room in the
+      top and a value ``<=`` the best's is one ``rest.push`` (a tie keeps
+      the older best first) and, for a new key, its one event;
+    * removing a rest key other than that best is the removal alone.
+
+    Everything else — a value drop or size change in the top, the two
+    recorded keys themselves, anything that fits, a top remove, any
+    mutation after a pass that swapped — lifts the key out and runs the
+    pass as before.  The skipped passes are exactly those that would
+    move nothing, so every ``(priority, seq)`` record, ``top_bytes``,
+    return value and event is what the pass would have produced, the
+    under-filled-for-one-step quirk included: it follows a swap, and
+    after a swap nothing is skipped.
     """
 
-    __slots__ = ("k", "budget", "_top", "_rest", "_on_tier", "_sizes", "_top_bytes")
+    __slots__ = (
+        "k", "budget", "_top", "_rest", "_on_tier", "_sizes", "_top_bytes", "_settled",
+    )
 
     def __init__(
         self,
@@ -90,6 +117,10 @@ class TopKTracker:
         #: Byte-budget mode only: key -> size captured at add time.
         self._sizes: dict[Hashable, int] = {}
         self._top_bytes = 0
+        #: Byte-budget mode only: ``(best, best_value, low)`` — the best of
+        #: the rest (value None: the rest is empty) and the top's minimum
+        #: (None: one side is empty) — if the last pass swapped nothing.
+        self._settled: tuple | None = None
 
     def __len__(self) -> int:
         return len(self._top) + len(self._rest)
@@ -121,24 +152,25 @@ class TopKTracker:
         return -self._rest.priority(key)
 
     def _rebalance_budget(self, subject: Hashable) -> None:
-        """Demote, promote, swap — greedily, one pass each — after a
-        mutation of ``subject``.  Reports every key it moves except that
-        one: :meth:`add` lifted it out first and reports its net move."""
+        """Promote, swap — greedily, one pass each — after a mutation of
+        ``subject``.  Reports every key it moves except that one:
+        :meth:`add` lifted it out first and reports its net move.  The
+        only code that moves a key between the heaps in byte mode; it
+        records in ``_settled`` the keys its loops stopped on."""
         on_tier = self._on_tier
         top, rest = self._top, self._rest
         sizes = self._sizes
         budget = self.budget
-        # Demote least-valuable keys while the top partition overflows.
-        while self._top_bytes > budget and len(top):
-            key, value = top.pop_min()
-            self._top_bytes -= sizes[key]
-            rest.push(key, -value)
-            if on_tier is not None and key != subject:
-                on_tier(key, False)
+        # Nothing to demote: ``_top_bytes <= budget`` holds at rest, a
+        # lift-out only lowers it, and re-insertion, promotion and swap
+        # each check the fit first (the budget is fixed at construction).
+        best = best_val = top_key = None
+        swapped = False
         # Promote the best of the rest while it fits (greedy by value).
         while len(rest):
             key, neg = rest.peek_min()
             if self._top_bytes + sizes[key] > budget:
+                best, best_val = key, -neg
                 break
             rest.pop_min()
             top.push(key, -neg)
@@ -154,6 +186,7 @@ class TopKTracker:
                 break
             if self._top_bytes - sizes[top_key] + sizes[rest_key] > budget:
                 break
+            swapped = True
             top.pop_min()
             rest.pop_min()
             top.push(rest_key, -rest_neg)
@@ -164,6 +197,8 @@ class TopKTracker:
                     on_tier(rest_key, True)
                 if top_key != subject:
                     on_tier(top_key, False)
+        # Only a swap can leave a promotion pending (the next pass's).
+        self._settled = None if swapped else (best, best_val, top_key)
 
     def add(self, key: Hashable, value: float, size: int | None = None) -> bool | None:
         """Insert or update ``key`` at ``value``.
@@ -176,17 +211,42 @@ class TopKTracker:
         top, rest = self._top, self._rest
         on_tier = self._on_tier
         if self.budget is not None:
+            sizes = self._sizes
+            if size is None:
+                size = sizes.get(key, 1)
+            elif size <= 0:
+                raise ValueError("size must be positive")
+            settled = self._settled
+            if settled is not None:  # would the pass move anything?
+                best, best_val, low = settled
+                held = top._live.get(key)
+                if held is not None:
+                    # A raise over a minimum that stays the minimum, bytes
+                    # unchanged: both loops would stop on the same keys.
+                    if value >= held[0] and key != low and size == sizes[key]:
+                        top.push(key, value)
+                        return True
+                elif (
+                    best_val is not None
+                    and value <= best_val  # a tie keeps the older best first
+                    and key != best
+                    and self._top_bytes + size > self.budget
+                ):
+                    # Lands in the rest behind its best, which still does
+                    # not fit: both loops would stop on the same keys.
+                    before = False if key in rest._live else None
+                    sizes[key] = size
+                    rest.push(key, -value)
+                    if before is None and on_tier is not None:
+                        on_tier(key, False)
+                    return before
             before = None
             if top.discard(key):
                 before = True
-                self._top_bytes -= self._sizes[key]
+                self._top_bytes -= sizes[key]
             elif rest.discard(key):
                 before = False
-            if size is None:
-                size = self._sizes.get(key, 1)
-            elif size <= 0:
-                raise ValueError("size must be positive")
-            self._sizes[key] = size
+            sizes[key] = size
             if self._top_bytes + size <= self.budget:
                 top.push(key, value)
                 self._top_bytes += size
@@ -248,6 +308,8 @@ class TopKTracker:
             size = self._sizes.pop(key)
             if in_top:
                 self._top_bytes -= size
+            elif self._settled is not None and key != self._settled[0]:
+                return True  # not the key the promote loop stopped on
             self._rebalance_budget(key)
         elif in_top and len(rest):  # case (d)
             best, neg = rest.pop_min()

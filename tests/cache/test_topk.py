@@ -54,8 +54,97 @@ class NaiveTracker:
             rest.push(top_key, -top_val)
 
 
+class NaiveBudgetTracker:
+    """Byte mode as it was before the settled-partition memo: validate
+    nothing, lift the key out, push it back eagerly, run the whole demote /
+    promote / swap pass on every mutation.  Same two ``HeapDict`` s, so
+    every ``(priority, seq)`` record can be compared.  ``demotions`` counts
+    iterations of the demote loop the tracker itself no longer has."""
+
+    def __init__(self, budget, on_tier):
+        self.budget = budget
+        self.on_tier = on_tier
+        self.top = HeapDict()  # min-heap by value
+        self.rest = HeapDict()  # min-heap by -value
+        self.sizes = {}
+        self.top_bytes = 0
+        self.demotions = 0
+
+    def add(self, key, value, size=None):
+        before = None
+        if self.top.discard(key):
+            before = True
+            self.top_bytes -= self.sizes[key]
+        elif self.rest.discard(key):
+            before = False
+        if size is None:
+            size = self.sizes.get(key, 1)
+        self.sizes[key] = size
+        if self.top_bytes + size <= self.budget:
+            self.top.push(key, value)
+            self.top_bytes += size
+        else:
+            self.rest.push(key, -value)
+        self._rebalance(key)
+        after = key in self.top
+        if after is not before:
+            self.on_tier(key, after)
+        return before
+
+    def remove(self, key):
+        in_top = self.top.discard(key)
+        if not (in_top or self.rest.discard(key)):
+            return False
+        self.on_tier(key, None)
+        size = self.sizes.pop(key)
+        if in_top:
+            self.top_bytes -= size
+        self._rebalance(key)
+        return True
+
+    def _rebalance(self, subject):
+        top, rest, sizes, on_tier = self.top, self.rest, self.sizes, self.on_tier
+        while self.top_bytes > self.budget and len(top):
+            self.demotions += 1
+            key, value = top.pop_min()
+            self.top_bytes -= sizes[key]
+            rest.push(key, -value)
+            if key != subject:
+                on_tier(key, False)
+        while len(rest):
+            key, neg = rest.peek_min()
+            if self.top_bytes + sizes[key] > self.budget:
+                break
+            rest.pop_min()
+            top.push(key, -neg)
+            self.top_bytes += sizes[key]
+            if key != subject:
+                on_tier(key, True)
+        while len(top) and len(rest):
+            top_key, top_val = top.peek_min()
+            rest_key, rest_neg = rest.peek_min()
+            if -rest_neg <= top_val:
+                break
+            if self.top_bytes - sizes[top_key] + sizes[rest_key] > self.budget:
+                break
+            top.pop_min()
+            rest.pop_min()
+            top.push(rest_key, -rest_neg)
+            rest.push(top_key, -top_val)
+            self.top_bytes += sizes[rest_key] - sizes[top_key]
+            if rest_key != subject:
+                on_tier(rest_key, True)
+            if top_key != subject:
+                on_tier(top_key, False)
+
+
 def placements(tracker):
     return {key: tracker.in_top(key) for key in tracker}
+
+
+def records(heap):
+    """``{key: (priority, seq)}``: what decides every later pop and tie."""
+    return {key: record[:2] for key, record in heap._live.items()}
 
 
 def pop_order(heap):
@@ -132,6 +221,27 @@ class TestByteBudget:
         with pytest.raises(ValueError):
             TopKTracker(1, budget=10).add("a", 1.0, size=0)
 
+    def test_refused_size_leaves_the_tracker_untouched(self):
+        # Validation comes before the lift-out, on the generic path ("a" is
+        # the top's recorded minimum) and the two settled ones alike.
+        mirror = {}
+        t = TopKTracker(0, on_tier=mirror.__setitem__, budget=10)
+        t.add("a", 1.0, size=4)
+        t.add("b", 2.0, size=4)
+        t.add("c", 0.5, size=4)  # does not fit: the best of the rest
+        t.add("d", 0.1, size=4)
+        state = (records(t._top), records(t._rest), dict(t._sizes), t.top_bytes)
+        for key in "abcd":
+            for size in (0, -3):
+                with pytest.raises(ValueError, match="size must be positive"):
+                    t.add(key, 3.0, size=size)
+                assert key in t and len(t) == 4
+                assert state == (records(t._top), records(t._rest), t._sizes, t.top_bytes)
+                assert mirror == {"a": True, "b": True, "c": False, "d": False}
+        with pytest.raises(ValueError, match="size must be positive"):
+            t.add("new", 3.0, size=0)
+        assert "new" not in t and "new" not in t._sizes and len(mirror) == 4
+
     def test_partitions_by_value_within_budget(self):
         t = TopKTracker(99, budget=5)
         t.add("a", 3.0, size=3)
@@ -189,6 +299,41 @@ class TestByteBudget:
         assert not t.in_top("b")
         t.add("a", 1.0)  # any mutation does
         assert t.in_top("b") and t.top_bytes == 2
+
+    def test_settled_partition_skips_the_pass(self, monkeypatch):
+        # The case table of the class docstring, one row each; a tie with
+        # the best's value still skips (the older best pops first).
+        passes = []
+        rebalance = TopKTracker._rebalance_budget
+
+        def spy(self, subject):
+            passes.append(subject)
+            rebalance(self, subject)
+
+        monkeypatch.setattr(TopKTracker, "_rebalance_budget", spy)
+        events = []
+        t = TopKTracker(0, on_tier=lambda key, in_top: events.append((key, in_top)), budget=8)
+        t.add("low", 1.0, size=4)
+        t.add("high", 2.0, size=4)
+        t.add("best", 5.0, size=6)  # out-values both, fits next to neither
+        assert placements(t) == {"low": True, "high": True, "best": False}
+        del passes[:], events[:]
+        assert t.add("high", 3.0) is True  # top raise, not the minimum
+        assert t.add("high", 3.0) is True  # ... or an equal re-touch
+        assert t.add("new", 5.0, size=2) is None  # ties the best, no room
+        assert t.add("new", 4.0, size=7) is False  # rest key, other than the best
+        assert t.remove("new") is True
+        assert passes == [] and events == [("new", False), ("new", None)]
+        assert t.top_bytes == 8 and "new" not in t._sizes
+        # The recorded keys themselves, a drop, a size change, a fit, a top
+        # remove: each runs the pass.
+        t.add("low", 1.5)
+        t.add("best", 5.0)
+        t.add("high", 2.5)
+        t.add("high", 2.5, size=3)
+        t.add("small", 0.5, size=1)
+        t.remove("small")
+        assert passes == ["low", "best", "high", "high", "small", "small"]
 
     @given(
         st.lists(
@@ -331,6 +476,80 @@ class TestAgainstModel:
                 assert tracker.remove(key) == naive.remove(key)
             assert pop_order(tracker._top) == pop_order(naive.top)
             assert pop_order(tracker._rest) == pop_order(naive.rest)
+
+    @staticmethod
+    def budget_pair(budget):
+        """The tracker and the whole-pass model side by side: ``step``
+        applies one operation to both and compares everything the digests
+        can come to depend on.  "hit" is the LFU step (a unit raise, size
+        kept; a new key enters at 1), "add" an arbitrary value and size."""
+        events: list = []
+        naive_events: list = []
+        tracker = TopKTracker(
+            0, on_tier=lambda key, in_top: events.append((key, in_top)), budget=budget
+        )
+        naive = NaiveBudgetTracker(budget, lambda key, in_top: naive_events.append((key, in_top)))
+
+        def step(op, key, value, size):
+            if op == "remove":
+                assert tracker.remove(key) == naive.remove(key)
+            else:
+                if op == "hit" and key in tracker:
+                    value, size = tracker.value(key) + 1.0, None
+                elif op == "hit":
+                    value = 1.0
+                assert tracker.add(key, value, size=size) is naive.add(key, value, size=size)
+            assert records(tracker._top) == records(naive.top)
+            assert records(tracker._rest) == records(naive.rest)
+            assert tracker.top_bytes == naive.top_bytes
+            assert tracker._sizes == naive.sizes
+            assert events == naive_events
+            assert naive.demotions == 0  # the loop the tracker dropped
+
+        return step
+
+    #: What one operation is drawn from; an operation is one integer,
+    #: decoded by ``divmod``, because a four-field tuple per operation
+    #: makes hypothesis spend 85 % of the test generating data.
+    OPS = ["hit", "hit", "hit", "add", "remove"]
+    KEYS = 6
+    VALUES = 7
+    SIZES = [None, 1, 1, 2, 3, 5, 8]
+
+    @given(
+        st.lists(
+            st.integers(min_value=0, max_value=len(OPS) * KEYS * VALUES * len(SIZES) - 1),
+            min_size=60,  # hypothesis draws ~2x the minimum; from 0 it draws ~5
+            max_size=300,
+        ),
+        st.sampled_from([0, 4, 9, 9, 13, 10**6]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_exact_budget_partition_matches_whole_pass(self, codes, budget):
+        """Byte mode, record for record and event for event after every
+        operation: a skipped pass must be one that would have moved
+        nothing, and the lazy raise / single push that stands in for the
+        lift-out must take the sequence number the lift-out's push took.
+        Budgets 4 to 13 against sizes up to 8 make "out-values the top
+        but does not fit" the resting state; 0 keeps the top empty, 10**6
+        the rest."""
+        step = self.budget_pair(budget)
+        for code in codes:
+            code, op = divmod(code, len(self.OPS))
+            code, key = divmod(code, self.KEYS)
+            size, value = divmod(code, self.VALUES)
+            step(self.OPS[op], key, float(value), self.SIZES[size])
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_exact_budget_partition_long_runs(self, seed):
+        # 600 operations reach what 300 shrinkable ones seldom do: a
+        # recorded key that is touched long after the pass that recorded it.
+        rng = random.Random(seed)
+        step = self.budget_pair(rng.choice([0, 4, 9, 16, 10**6]))
+        n_keys = rng.choice([4, 8, 16])
+        for _ in range(600):
+            key, value = rng.randrange(n_keys), float(rng.randrange(self.VALUES))
+            step(rng.choice(self.OPS), key, value, rng.choice(self.SIZES))
 
     @given(
         st.lists(

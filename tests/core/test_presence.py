@@ -121,27 +121,43 @@ class TestScReplayInvariant:
 
 
 class TestScEcReplayInvariant:
-    def test_tier_indexes_match_brute_force(self):
+    @staticmethod
+    def check(s):
         from repro.cache import CLIENT_TIER, PROXY_TIER
 
+        proxy_tier, client_tier = {}, {}
+        for ci, cache in enumerate(s.caches):
+            # What ``lookup_tier``'s single tracker call rests on.
+            assert set(cache._tiers) == set(cache.keys())
+            for obj in cache.keys():
+                tier = cache.tier_of(obj)
+                if tier == PROXY_TIER:
+                    proxy_tier.setdefault(obj, set()).add(ci)
+                elif tier == CLIENT_TIER:
+                    client_tier.setdefault(obj, set()).add(ci)
+        freeze = lambda d: {o: frozenset(cs) for o, cs in d.items()}
+        assert s._proxy_tier.as_dict() == freeze(proxy_tier)
+        assert s._client_tier.as_dict() == freeze(client_tier)
+
+    def test_tier_indexes_match_brute_force(self):
         cfg = tiny_config()
         traces = generate_workloads(cfg, seed=0)
+        replay(ScEcScheme(cfg, traces), traces, self.check)
+
+    def test_sized_tier_indexes_match_brute_force(self):
+        # Heavy-tailed sizes: the byte-budget tracker, whose settled
+        # mutations skip the rebalance pass, feeds the same two indexes.
+        # Both tiers populated and evicting: a 10 % proxy over 12 x 2 % clients.
+        cfg = tiny_config(proxy_cache_fraction=0.1, client_cache_fraction=0.02)
+        cfg = dataclasses.replace(
+            cfg, workload=dataclasses.replace(cfg.workload, object_sizes="heavy-tailed")
+        )
+        traces = generate_workloads(cfg, seed=0)
         scheme = ScEcScheme(cfg, traces)
-
-        def check(s):
-            proxy_tier, client_tier = {}, {}
-            for ci, cache in enumerate(s.caches):
-                for obj in cache.keys():
-                    tier = cache.tier_of(obj)
-                    if tier == PROXY_TIER:
-                        proxy_tier.setdefault(obj, set()).add(ci)
-                    elif tier == CLIENT_TIER:
-                        client_tier.setdefault(obj, set()).add(ci)
-            freeze = lambda d: {o: frozenset(cs) for o, cs in d.items()}
-            assert s._proxy_tier.as_dict() == freeze(proxy_tier)
-            assert s._client_tier.as_dict() == freeze(client_tier)
-
-        replay(scheme, traces, check)
+        assert all(c.by_bytes and c._tiers.budget is not None for c in scheme.caches)
+        replay(scheme, traces, self.check)
+        tiers = [c._tiers for c in scheme.caches]
+        assert all(0 < t.top_count < len(t) and t.top_bytes <= t.budget for t in tiers)
 
 
 class TestHierGdReplayInvariant:
