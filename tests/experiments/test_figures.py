@@ -146,3 +146,98 @@ class TestCli:
     def test_cli_rejects_unknown_figure(self):
         with pytest.raises(SystemExit):
             main(["figZ"])
+
+
+# -- goldens: every figure's tables, CSVs and point keys ----------------------
+
+import json  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from repro.experiments.executor import ExperimentEngine  # noqa: E402
+from repro.experiments.instrument import RunInstrumentation  # noqa: E402
+
+GOLDEN_PATH = Path(__file__).with_name("GOLDEN_figures.json")
+
+
+def _reduced(engine):
+    """Every figure id on the reduced axes above (smoke scale, seed 0)."""
+    from repro.experiments.bakeoff import bakeoff_sweep
+    from repro.experiments.figure5 import figure5b
+    from repro.experiments.figure_sizes import figure_sizes
+    from repro.experiments.policy_frontier import policy_frontier_sweep
+    from repro.experiments.robustness import robustness_sweep
+
+    return {
+        "fig2a": lambda: figure2a(scale=TINY, fractions=FRACS, engine=engine),
+        "fig2b": lambda: figure2b(scale=TINY, fractions=(0.5,), engine=engine),
+        "fig3": lambda: figure3(
+            scale=TINY, alphas=(0.5, 1.0), fractions=FRACS, engine=engine
+        ),
+        "fig4": lambda: figure4(
+            scale=TINY, stacks=(0.05, 0.6), fractions=FRACS, engine=engine
+        ),
+        "fig5a": lambda: figure5a(
+            scale=TINY, ratios=(2.0, 10.0), fractions=(0.3,), engine=engine
+        ),
+        "fig5b": lambda: figure5b(
+            scale=TINY, ratios=(5.0, 20.0), fractions=(0.3,), engine=engine
+        ),
+        "fig5c": lambda: figure5c(
+            scale=TINY, cluster_sizes=(20, 50), fractions=(0.3,), engine=engine
+        ),
+        "fig5d": lambda: figure5d(
+            scale=TINY, proxy_counts=(2, 3), fractions=(0.3,), engine=engine
+        ),
+        "robust": lambda: robustness_sweep(
+            scale=TINY, rates=(0.0, 0.1), engine=engine
+        ),
+        "bakeoff": lambda: bakeoff_sweep(
+            scale=TINY, fractions=(0.3,), rates=(0.0, 0.1), engine=engine
+        ),
+        "frontier": lambda: policy_frontier_sweep(scale=TINY, rates=(0.0, 0.05)),
+        "sizes": lambda: figure_sizes(scale=TINY, fractions=FRACS, engine=engine),
+    }
+
+
+class _SpyEngine(ExperimentEngine):
+    """Records the key of every point a figure hands to the engine."""
+
+    def run(self, points):
+        self.keys.update(point.key for point in points)
+        return super().run(points)
+
+
+def capture(name):
+    """One figure's golden record: panel texts, point keys, cold run count."""
+    engine = _SpyEngine(instrument=RunInstrumentation())
+    engine.keys = set()
+    result = _reduced(engine)[name]()
+    sweeps = result if isinstance(result, dict) else {name: result}
+    return {
+        "panels": {
+            key: {"table": sweep.to_table(), "csv": sweep.to_csv()}
+            for key, sweep in sweeps.items()
+        },
+        "keys": sorted(engine.keys),
+        "simulated": engine.instrument.executed,
+    }
+
+
+@pytest.mark.parametrize("name", list(FIGURES))
+def test_figure_matches_golden(name):
+    want = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))[name]
+    got = capture(name)
+    assert got["panels"] == want["panels"]
+    assert got["keys"] == want["keys"]
+    assert got["simulated"] <= want["simulated"]
+
+
+if __name__ == "__main__":
+    import os
+
+    os.environ["REPRO_SCALE"] = "smoke"  # what the autouse fixture sets
+    GOLDEN_PATH.write_text(
+        json.dumps({name: capture(name) for name in FIGURES}, indent=1) + "\n",
+        encoding="utf-8",
+    )
+    print(f"wrote {GOLDEN_PATH}")
