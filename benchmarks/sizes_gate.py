@@ -1,34 +1,27 @@
-"""Size-aware caching gate: sizes-off byte-identity, sizes-on determinism.
+"""Size-aware caching gate: sizes-on determinism and byte accounting.
 
-The size-aware refactor threads per-object sizes from the workload
-generator through every scheme's insert path, so it must be a *pure*
-generalisation: with ``object_sizes="off"`` (the default) every scheme,
-directory variant and fault rate must still produce ``SchemeResult``s
-byte-identical to the pre-refactor goldens — this gate re-runs the
-overlay gate's full Pastry equivalence suite against the same
-``GOLDEN_overlay.json``.  The sized path has no golden history, so it is
-held to determinism (two independent runs of every scheme under the
-heavy-tailed size model must serialize identically) plus byte-accounting
-invariants: per-tier byte counters sum to ``bytes_total``, the byte hit
-rate lands in [0, 1], and ``byte_latency_gain`` computes against NC.
+The size-aware path threads per-object sizes from the workload generator
+through every scheme's insert path.  With ``object_sizes="off"`` (the
+default) it must be invisible — every scheme, directory variant and
+fault rate byte-identical to ``GOLDEN_overlay.json`` — which is the
+tier-1 test ``tests/integration/test_golden_overlay.py``, not this
+script.  The sized path has no golden history, so it is held here to
+determinism (two independent runs of every scheme under the heavy-tailed
+size model must serialize identically) plus byte-accounting invariants:
+per-tier byte counters sum to ``bytes_total``, the byte hit rate lands
+in [0, 1], and ``byte_latency_gain`` computes against NC.
 
 Usage::
 
-    python benchmarks/sizes_gate.py              # the full gate (CI job)
-    python benchmarks/sizes_gate.py --skip-off   # sized-path checks only
+    python benchmarks/sizes_gate.py
 """
 
 from __future__ import annotations
 
-import argparse
-import os
 import sys
 from pathlib import Path
 
-os.environ["REPRO_SCALE"] = "smoke"
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 FRACTION = 0.3
 SEED = 0
@@ -39,25 +32,18 @@ SCHEMES = ["nc", "sc", "fc", "nc-ec", "sc-ec", "fc-ec", "hier-gd", "squirrel"]
 def run_sized_case(scheme, traces_cache):
     """One serialized SchemeResult under the heavy-tailed size model."""
     from repro.core.run import generate_workloads, run_scheme
-    from repro.experiments.runner import base_config, base_workload
+    from repro.experiments.runner import SCALES, base_config, base_workload
     from repro.experiments.store import serialize_result
 
     cfg = base_config(
         proxy_cache_fraction=FRACTION,
-        workload=base_workload(object_sizes="heavy-tailed"),
+        workload=base_workload(SCALES["smoke"], object_sizes="heavy-tailed"),
     )
     tkey = (cfg.workload, cfg.n_proxies)
     if tkey not in traces_cache:
         traces_cache[tkey] = generate_workloads(cfg, seed=SEED)
     res = run_scheme(scheme, cfg, traces_cache[tkey], seed=SEED)
     return res, serialize_result(res)
-
-
-def check_sizes_off_identity() -> int:
-    """Sizes-off runs must still match the pre-sizes overlay goldens."""
-    import overlay_gate
-
-    return overlay_gate.check_pastry_goldens(write=False)
 
 
 def check_sized_determinism_and_accounting() -> int:
@@ -105,18 +91,9 @@ def check_sized_determinism_and_accounting() -> int:
     return failures
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--skip-off", action="store_true",
-                        help="skip the sizes-off golden-identity suite")
-    args = parser.parse_args(argv)
-
-    failures = 0
-    if not args.skip_off:
-        print("[sizes gate] sizes-off byte-identity vs overlay goldens")
-        failures += check_sizes_off_identity()
+def main() -> int:
     print("[sizes gate] sized-path determinism + byte accounting")
-    failures += check_sized_determinism_and_accounting()
+    failures = check_sized_determinism_and_accounting()
     if failures:
         print(f"[sizes gate] FAILED ({failures} case(s))")
         return 1

@@ -18,7 +18,7 @@ import time
 import pytest
 
 from repro.experiments.executor import ExperimentEngine
-from repro.experiments.figure2 import figure2a
+from repro.experiments.figures import run_figure
 from repro.experiments.runner import SCALES
 
 from conftest import run_once
@@ -35,9 +35,9 @@ def _cpu_count() -> int:
 
 def _run(workers: int):
     started = time.perf_counter()
-    sweep = figure2a(
-        scale=SCALES["smoke"], seed=0, engine=ExperimentEngine(workers=workers)
-    )
+    sweep = run_figure(
+        "fig2a", scale=SCALES["smoke"], engine=ExperimentEngine(workers=workers)
+    )["fig2a"]
     return sweep, time.perf_counter() - started
 
 

@@ -84,7 +84,8 @@ class FcScheme(CachingScheme):
 
     # -- placement mutations -------------------------------------------------
 
-    def _add_copy(self, obj: int, cluster: int) -> None:
+    def _add_copy(self, obj: int, cluster: int) -> float:
+        """Place a copy; returns its value (FC-EC ranks its tiers by it)."""
         holders = self._holders.setdefault(obj, set())
         primary = not holders
         holders.add(cluster)
@@ -92,13 +93,11 @@ class FcScheme(CachingScheme):
             self._primary[obj] = cluster
         self._local[cluster].add(obj)
         self._placement_updates += 1
+        value = self._value(obj, cluster, primary)
         size = self._size_of(obj)
         self._used += size
-        self._copies.push((obj, cluster), self._value(obj, cluster, primary) / size)
-
-    def _evict_min(self) -> None:
-        (obj, cluster), _density = self._copies.pop_min()
-        self._drop_copy(obj, cluster)
+        self._copies.push((obj, cluster), value / size)
+        return value
 
     def _drop_copy(self, obj: int, cluster: int) -> None:
         """Bookkeeping for a dying copy (its heap entry already popped,

@@ -1,7 +1,11 @@
-"""Experiment harness: one module per paper figure + sweep infrastructure.
+"""Experiment harness: the figure table + sweep infrastructure.
 
-- :mod:`repro.experiments.runner` — scales, base configs, the cache-size
-  sweep primitive.
+- :mod:`repro.experiments.figures` — the figure table: per figure id
+  (``fig2a`` … ``fig5d``, ``robust``, ``bakeoff``, ``frontier``,
+  ``sizes``) its declared points, panels and paper claims;
+  :func:`run_figure` builds and evaluates one.
+- :mod:`repro.experiments.runner` — scales, base configs, curves and
+  panels, and the one evaluator that runs and judges them.
 - :mod:`repro.experiments.executor` — the parallel experiment engine:
   sweep points fanned out over a process pool, serial fallback, bounded
   crash retry, deterministic per-point seeding.
@@ -9,15 +13,12 @@
   finished points are skipped on re-runs, interrupted suites resume.
 - :mod:`repro.experiments.instrument` — per-point wall times,
   requests/sec, worker utilization, progress callbacks.
-- :mod:`repro.experiments.figure2` — Fig 2(a)/(b): all schemes vs cache
-  size, synthetic and UCB-like workloads.
-- :mod:`repro.experiments.figure3` — Fig 3: Zipf α sensitivity.
-- :mod:`repro.experiments.figure4` — Fig 4: temporal-locality sensitivity.
-- :mod:`repro.experiments.figure5` — Fig 5(a)-(d): network ratios, client
-  cluster size, proxy cluster size.
-- :mod:`repro.experiments.robustness` — degradation-under-failure sweep:
-  latency gain vs composite fault rate (figure id ``robust``).
-- :mod:`repro.experiments.cli` — the ``repro-experiments`` command.
+- :mod:`repro.experiments.robustness` — the composite fault plan and the
+  points of the degradation-under-failure axis.
+- :mod:`repro.experiments.policy_frontier` — record once, what-if every
+  retry policy (the ``frontier`` figure's in-process sweep).
+- :mod:`repro.experiments.cli` — the ``repro-experiments`` command;
+  :mod:`repro.experiments.report` — the markdown claim audit.
 """
 
 from .executor import (
@@ -27,12 +28,9 @@ from .executor import (
     SweepPoint,
     child_seed,
 )
-from .figure2 import figure2a, figure2b
-from .figure3 import figure3
-from .figure4 import figure4
-from .figure5 import figure5a, figure5b, figure5c, figure5d
+from .figures import FIGURES, Claim, Figure, run_figure
 from .instrument import ProgressEvent, RunInstrumentation
-from .robustness import figure_robustness, robustness_plan, robustness_sweep
+from .robustness import robustness_plan
 from .runner import (
     DEFAULT_FRACTIONS,
     PAPER_SCHEMES,
@@ -57,17 +55,11 @@ __all__ = [
     "child_seed",
     "point_key",
     "sweep_points",
-    "figure2a",
-    "figure2b",
-    "figure3",
-    "figure4",
-    "figure5a",
-    "figure5b",
-    "figure5c",
-    "figure5d",
-    "figure_robustness",
+    "FIGURES",
+    "Claim",
+    "Figure",
+    "run_figure",
     "robustness_plan",
-    "robustness_sweep",
     "DEFAULT_FRACTIONS",
     "PAPER_SCHEMES",
     "SCALES",

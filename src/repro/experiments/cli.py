@@ -55,10 +55,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from contextlib import nullcontext
+from functools import partial
 from pathlib import Path
 
 from ..analysis.plots import ascii_plot
@@ -66,63 +66,98 @@ from ..analysis.results import SweepResult
 from ..perf import collecting_op_counters, profile_call
 from ..protocol.trace import recording_traces
 from .executor import ExperimentEngine
-from .figure2 import figure2a, figure2b
-from .figure3 import figure3
-from .figure4 import figure4
-from .figure5 import figure5a, figure5b, figure5c, figure5d
-from .bakeoff import figure_bakeoff
-from .figure_sizes import figure_sizes
-from .policy_frontier import figure_policy_frontier
-from .robustness import figure_robustness
+from .figures import FIGURES, run_figure
 from .runner import SCALES, base_config, current_overlay, current_scale
 
-__all__ = ["main", "FIGURES", "build_engine"]
-
-#: Figure id -> callable returning SweepResult or dict[str, SweepResult].
-FIGURES = {
-    "fig2a": figure2a,
-    "fig2b": figure2b,
-    "fig3": figure3,
-    "fig4": figure4,
-    "fig5a": figure5a,
-    "fig5b": figure5b,
-    "fig5c": figure5c,
-    "fig5d": figure5d,
-    "robust": figure_robustness,
-    "bakeoff": figure_bakeoff,
-    "frontier": figure_policy_frontier,
-    "sizes": figure_sizes,
-}
+__all__ = ["main", "add_engine_arguments", "engine_from_args"]
 
 #: Store filename used when ``--resume`` is given without a path.
 DEFAULT_STORE = "repro_store.jsonl"
 
 
-def build_engine(
-    workers: int = 1,
-    resume: str | None = None,
-    progress: bool = False,
-    out_dir: Path | None = None,
-    shards: int = 1,
-) -> ExperimentEngine:
-    """Engine from CLI options; ``resume='auto'`` picks the default path."""
-    store_path: str | None = None
-    if resume is not None:
-        if resume == "auto":
-            store_path = str((out_dir or Path(".")) / DEFAULT_STORE)
-        else:
-            store_path = resume
+def add_engine_arguments(parser: argparse.ArgumentParser) -> None:
+    """The flags ``repro-experiments`` and the report generator share:
+    what to run at (``--scale``, ``--seed``) and how to run it
+    (``--workers``, ``--resume``, ``--progress``, ``--record``)."""
+    parser.add_argument(
+        "--scale",
+        choices=list(SCALES),
+        default=None,
+        help="override REPRO_SCALE for this invocation",
+    )
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        metavar="N",
+        help="worker processes for sweep points (0 = all CPU cores; default 1)",
+    )
+    parser.add_argument(
+        "--resume",
+        nargs="?",
+        const="auto",
+        default=None,
+        metavar="PATH",
+        help="skip points already in the JSONL result store and append new "
+        f"ones (default store: {DEFAULT_STORE}, inside --out when given)",
+    )
+    parser.add_argument(
+        "--progress",
+        action="store_true",
+        help="print one line per completed sweep point",
+    )
+    parser.add_argument(
+        "--record",
+        nargs="?",
+        const="auto",
+        default=None,
+        metavar="DIR",
+        help="record every simulated point's wire-level exchange trace "
+        "(repro.protocol JSONL) into DIR; default DIR is the result "
+        "store's <store>_traces/ sibling, else repro_traces/ under --out "
+        "(forces --workers 1: recording is in-process)",
+    )
+
+
+def engine_from_args(
+    args: argparse.Namespace, out_dir: Path | None, shards: int = 1
+) -> tuple[ExperimentEngine, Path | None]:
+    """``(engine, exchange-trace directory or None)`` from the shared flags.
+
+    ``--resume`` without a path picks :data:`DEFAULT_STORE` under
+    ``out_dir``; ``--record`` without a directory picks the store's
+    ``<store>_traces/`` sibling, else ``repro_traces/`` under ``out_dir``.
+    """
+    if args.record is not None and args.workers != 1:
+        print("[--record forces --workers 1]")
+        args.workers = 1
+    base = out_dir or Path(".")
+    store_path = str(base / DEFAULT_STORE) if args.resume == "auto" else args.resume
     try:
-        return ExperimentEngine.from_options(
-            workers=workers, store_path=store_path, progress=progress,
+        engine = ExperimentEngine.from_options(
+            workers=args.workers,
+            store_path=store_path,
+            progress=args.progress,
             shards=shards,
         )
     except OSError as exc:
         raise SystemExit(f"repro-experiments: cannot open result store: {exc}") from exc
+    if engine.store is not None:
+        print(f"result store: {engine.store.path} ({len(engine.store)} points)")
+    record_dir: Path | None = None
+    if args.record is not None:
+        if args.record != "auto":
+            record_dir = Path(args.record)
+        elif engine.store is not None:
+            record_dir = engine.store.trace_dir
+        else:
+            record_dir = base / "repro_traces"
+        print(f"recording exchange traces to {record_dir}")
+    return engine, record_dir
 
 
-def _emit(name: str, result: SweepResult | dict, out_dir: Path | None) -> None:
-    sweeps = result if isinstance(result, dict) else {name: result}
+def _emit(name: str, sweeps: dict[str, SweepResult], out_dir: Path | None) -> None:
     for key, sweep in sweeps.items():
         print()
         print(sweep.to_table())
@@ -156,12 +191,7 @@ def main(argv: list[str] | None = None) -> int:
         help="figure ids to run ('all' for every figure; optional with "
         "--replay)",
     )
-    parser.add_argument(
-        "--scale",
-        choices=list(SCALES),
-        default=None,
-        help="override REPRO_SCALE for this invocation",
-    )
+    add_engine_arguments(parser)
     parser.add_argument(
         "--overlay",
         choices=("pastry", "chord"),
@@ -177,14 +207,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="DIR",
         help="directory to write per-panel CSV files into",
     )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for sweep points (0 = all CPU cores; default 1)",
-    )
     parser.add_argument(
         "--shards",
         type=int,
@@ -197,37 +219,12 @@ def main(argv: list[str] | None = None) -> int:
         "separately in the result store (default 1)",
     )
     parser.add_argument(
-        "--resume",
-        nargs="?",
-        const="auto",
-        default=None,
-        metavar="PATH",
-        help="skip points already in the JSONL result store and append new "
-        f"ones (default store: {DEFAULT_STORE}, inside --out when given)",
-    )
-    parser.add_argument(
-        "--progress",
-        action="store_true",
-        help="print one line per completed sweep point",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="run each figure under cProfile and collect per-scheme cache op "
         "counters plus per-exchange/per-link protocol traffic; writes "
         "profile_<figure>.json next to instrumentation.json "
         "(forces --workers 1: profiling is in-process)",
-    )
-    parser.add_argument(
-        "--record",
-        nargs="?",
-        const="auto",
-        default=None,
-        metavar="DIR",
-        help="record every simulated point's wire-level exchange trace "
-        "(repro.protocol JSONL) into DIR; default DIR is the result "
-        "store's <store>_traces/ sibling, else repro_traces/ under --out "
-        "(forces --workers 1: recording is in-process)",
     )
     parser.add_argument(
         "--replay",
@@ -248,17 +245,12 @@ def main(argv: list[str] | None = None) -> int:
     if not args.figures:
         parser.error("at least one figure id is required (or --replay TRACE)")
 
-    if args.scale is not None:
-        os.environ["REPRO_SCALE"] = args.scale
-    if args.overlay is not None:
-        os.environ["REPRO_OVERLAY"] = args.overlay
+    scale = current_scale(args.scale)
+    overlay = current_overlay(args.overlay)
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
     if args.profile and args.workers != 1:
         print("[--profile forces --workers 1]")
-        args.workers = 1
-    if args.record is not None and args.workers != 1:
-        print("[--record forces --workers 1]")
         args.workers = 1
     if args.shards < 1:
         parser.error("--shards must be >= 1")
@@ -268,35 +260,27 @@ def main(argv: list[str] | None = None) -> int:
         # NC shards whenever anything does: ask on its behalf whether
         # this invocation's options rule sharding out for every point.
         try:
-            check_shardable("nc", base_config(), recording=args.record is not None)
+            check_shardable(
+                "nc",
+                base_config(scale, overlay=overlay),
+                recording=args.record is not None,
+            )
         except UnsupportedConfiguration as exc:
             print(f"[forcing --shards 1: {exc}]")
             args.shards = 1
 
-    engine = build_engine(
-        args.workers, args.resume, args.progress, args.out, shards=args.shards
-    )
-    if engine.store is not None:
-        print(f"result store: {engine.store.path} ({len(engine.store)} points)")
-
-    record_dir: Path | None = None
-    if args.record is not None:
-        if args.record != "auto":
-            record_dir = Path(args.record)
-        elif engine.store is not None:
-            record_dir = engine.store.trace_dir
-        else:
-            record_dir = (args.out or Path(".")) / "repro_traces"
-        print(f"recording exchange traces to {record_dir}")
+    engine, record_dir = engine_from_args(args, args.out, shards=args.shards)
 
     names = list(FIGURES) if "all" in args.figures else list(dict.fromkeys(args.figures))
-    scale = current_scale()
     print(f"scale={scale.label} ({scale.n_requests} requests, "
           f"{scale.n_objects} objects, {scale.n_clients} clients per cluster), "
-          f"overlay={current_overlay()}, workers={engine.workers}"
+          f"overlay={overlay}, workers={engine.workers}"
           + (f", shards={engine.shards}" if engine.shards > 1 else ""))
     record_ctx = (
         recording_traces(record_dir) if record_dir is not None else nullcontext()
+    )
+    figure = partial(
+        run_figure, scale=scale, overlay=overlay, seed=args.seed, engine=engine
     )
     with record_ctx as recorder:
         for name in names:
@@ -304,9 +288,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"\n### {name} ...", flush=True)
             if args.profile:
                 with collecting_op_counters() as collector:
-                    result, report = profile_call(
-                        FIGURES[name], seed=args.seed, engine=engine
-                    )
+                    result, report = profile_call(figure, name)
                 _emit(name, result, args.out)
                 for fn in report["top_functions"][:5]:
                     print(
@@ -363,8 +345,7 @@ def main(argv: list[str] | None = None) -> int:
                     )
                     print(f"[saved {profile_path}]")
             else:
-                result = FIGURES[name](seed=args.seed, engine=engine)
-                _emit(name, result, args.out)
+                _emit(name, figure(name), args.out)
             print(f"[{name} done in {time.time() - started:.1f}s]")
     if recorder is not None:
         print(f"\n[recorded {len(recorder.written)} exchange traces in {record_dir}]")

@@ -478,40 +478,51 @@ class ExperimentEngine:
 
         Outcomes are returned in input order.  Freshly simulated points
         are appended to the store as they finish, so an interrupted call
-        leaves a resumable prefix behind.
+        leaves a resumable prefix behind.  Points that share a
+        :attr:`SweepPoint.key` are one simulation: the first of them
+        runs, the repeats are answered from it and counted as cached.
         """
         outcomes: list[PointOutcome | None] = [None] * len(points)
         if self.instrument is not None:
             self.instrument.begin(len(points))
 
-        pending_idx: list[int] = []
-        for i, point in enumerate(points):
-            stored = self.store.get(point.key) if self.store is not None else None
+        def reuse(i: int, result: SchemeResult) -> None:
+            """Answer slot ``i`` with a result nobody simulated for it."""
+            outcomes[i] = PointOutcome(points[i], result, cached=True, wall_time=0.0)
+            if self.instrument is not None:
+                self.instrument.point_done(
+                    points[i].label, 0.0, result.n_requests, cached=True
+                )
+
+        keys = [point.key for point in points]
+        #: key -> the batch indices that carry it; the first one simulates.
+        waiting: dict[str, list[int]] = {}
+        for i, key in enumerate(keys):
+            stored = self.store.get(key) if self.store is not None else None
             if stored is not None:
-                outcomes[i] = PointOutcome(point, stored, cached=True, wall_time=0.0)
-                if self.instrument is not None:
-                    self.instrument.point_done(
-                        point.label, 0.0, stored.n_requests, cached=True
-                    )
+                reuse(i, stored)
             else:
-                pending_idx.append(i)
+                waiting.setdefault(key, []).append(i)
+        pending_idx = [indices[0] for indices in waiting.values()]
 
         def finish(local: int, payload: Any) -> None:
             i = pending_idx[local]
             point = points[i]
             if isinstance(payload, QuarantinedPoint):
-                outcomes[i] = PointOutcome(
-                    point, None, cached=False, wall_time=0.0, failed=payload.error
-                )
+                for j in waiting[keys[i]]:
+                    outcomes[j] = PointOutcome(
+                        points[j], None, cached=False, wall_time=0.0,
+                        failed=payload.error,
+                    )
+                    if self.instrument is not None:
+                        self.instrument.point_quarantined(points[j].label)
                 if self.store is not None:
                     self.store.put_failed(
-                        point.key,
+                        keys[i],
                         label=point.label,
                         error=payload.error,
                         attempts=payload.attempts,
                     )
-                if self.instrument is not None:
-                    self.instrument.point_quarantined(point.label)
                 return
             result = deserialize_result(payload["result"])
             outcomes[i] = PointOutcome(
@@ -519,7 +530,7 @@ class ExperimentEngine:
             )
             if self.store is not None:
                 self.store.put(
-                    point.key,
+                    keys[i],
                     result,
                     label=point.label,
                     meta={
@@ -534,6 +545,8 @@ class ExperimentEngine:
                     payload["n_requests"],
                     max_rss_kb=payload.get("max_rss_kb", 0),
                 )
+            for j in waiting[keys[i]][1:]:
+                reuse(j, result)
 
         self.map(run_point, [points[i] for i in pending_idx], on_result=finish)
         return [o for o in outcomes if o is not None]

@@ -47,16 +47,14 @@ from ..faults.plan import FaultPlan
 from ..protocol.policy import PolicySet, RetryPolicy
 from ..protocol.trace import recording_traces
 from ..protocol.whatif import WhatIfReport, whatif_trace
-from .executor import ExperimentEngine
+from ..core.config import SimulationConfig
 from .robustness import ROBUSTNESS_FRACTION, ROBUSTNESS_SCHEMES
-from .runner import Scale, base_config
 
 __all__ = [
     "FRONTIER_RATES",
     "FRONTIER_POLICIES",
     "frontier_plan",
     "policy_frontier_sweep",
-    "figure_policy_frontier",
 ]
 
 #: The x-axis: per-link message-loss probability.  Deliberately runs
@@ -105,7 +103,7 @@ def _break_even(rates, by_policy: dict[str, list[float]]) -> str:
 
 
 def policy_frontier_sweep(
-    scale: Scale | None = None,
+    config: SimulationConfig,
     rates=FRONTIER_RATES,
     schemes=ROBUSTNESS_SCHEMES,
     policies: dict[str, RetryPolicy] | None = None,
@@ -115,11 +113,13 @@ def policy_frontier_sweep(
 
     Recording is inherently in-process (the trace recorder is armed
     process-wide and the what-ifs read the files back immediately), so
-    this sweep runs serially; the per-cell cost is one simulation plus
-    one cheap trace re-judging per policy.  Returns one panel per scheme
-    plus the ``"gap"`` and ``"drift"`` panels (module docstring).
+    this sweep runs serially and takes no experiment engine; the
+    per-cell cost is one simulation plus one cheap trace re-judging per
+    policy.  ``config`` is pinned at the robustness sweep's cache
+    fraction.  Returns one panel per scheme plus the ``"gap"`` and
+    ``"drift"`` panels (module docstring).
     """
-    config = base_config(scale, proxy_cache_fraction=ROBUSTNESS_FRACTION)
+    config = config.with_changes(proxy_cache_fraction=ROBUSTNESS_FRACTION)
     candidates = FRONTIER_POLICIES if policies is None else policies
     x_values = [100.0 * r for r in rates]
     panels: dict[str, SweepResult] = {}
@@ -188,18 +188,3 @@ def policy_frontier_sweep(
     )
     panels["drift"] = drift
     return panels
-
-
-def figure_policy_frontier(
-    scale: Scale | None = None,
-    seed: int = 0,
-    engine: ExperimentEngine | None = None,
-) -> dict[str, SweepResult]:
-    """CLI/report entry point (registered as figure id ``frontier``).
-
-    ``engine`` is accepted for signature uniformity with the other
-    figures but unused: recording + what-if replay is in-process by
-    construction (see :func:`policy_frontier_sweep`).
-    """
-    del engine
-    return policy_frontier_sweep(scale=scale, seed=seed)

@@ -1,280 +1,56 @@
 """Markdown experiment report generator.
 
-Runs the complete figure suite and renders a self-contained markdown
-report: one section per figure with the measured data table, the list of
-paper claims checked against the curves, and a ✓/✗ verdict per claim.
+Runs the complete figure suite — every id in
+:data:`~repro.experiments.figures.FIGURES` — and renders a self-contained
+markdown report: one section per figure with the measured data tables,
+the claims the table declares for it, and a ✓/✗ verdict per claim (a
+claim that names a documented deviation says so next to its verdict).
 ``EXPERIMENTS.md`` in this repository is the curated form of this
 output; the generator lets anyone re-derive it at any scale::
 
     python -m repro.experiments.report --scale smoke --out report.md
 
-Claims are expressed as named predicates over :class:`~repro.analysis.
-results.SweepResult` objects so they are testable in isolation.
+:func:`render_status_table` renders the same table without running
+anything — README's "Reproduction status" (held in sync by
+``tests/experiments/test_report.py``).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 from ..analysis.results import SweepResult
 from ..protocol.trace import recording_traces
-from .bakeoff import figure_bakeoff
+from .cli import add_engine_arguments, engine_from_args
 from .executor import ExperimentEngine
-from .figure2 import figure2a, figure2b
-from .figure3 import figure3
-from .figure4 import figure4
-from .figure5 import figure5a, figure5b, figure5c, figure5d
-from .policy_frontier import figure_policy_frontier
-from .robustness import ROBUSTNESS_SCHEMES, figure_robustness
-from .runner import current_scale
+from .figures import FIGURES, Claim, run_figure
+from .runner import Scale, current_scale
 
-__all__ = ["Claim", "FIGURE_CLAIMS", "evaluate_claims", "generate_report", "main"]
+__all__ = [
+    "evaluate_claims",
+    "generate_report",
+    "main",
+    "render_markdown",
+    "render_status_table",
+]
 
-
-def _mean(values: list[float]) -> float:
-    return sum(values) / len(values)
-
-
-@dataclass(frozen=True)
-class Claim:
-    """One testable statement the paper makes about a figure."""
-
-    text: str
-    check: Callable[[dict[str, SweepResult]], bool]
-
-
-def _fig2_claims(panel: str) -> list[Claim]:
-    def g(sweeps, label):
-        return sweeps[panel].get(label).values
-
-    return [
-        Claim(
-            "increasing coordination helps: FC > SC and FC-EC > SC-EC > NC-EC",
-            lambda s: _mean(g(s, "fc")) > _mean(g(s, "sc"))
-            and _mean(g(s, "fc-ec")) > _mean(g(s, "sc-ec")) > _mean(g(s, "nc-ec")),
-        ),
-        Claim(
-            "exploiting client caches helps: X-EC > X at the smallest cache",
-            lambda s: g(s, "sc-ec")[0] > g(s, "sc")[0]
-            and g(s, "fc-ec")[0] > g(s, "fc")[0]
-            and g(s, "nc-ec")[0] > 0,
-        ),
-        Claim(
-            "Hier-GD > SC-EC, SC, NC-EC (mean over the sweep)",
-            lambda s: _mean(g(s, "hier-gd")) > _mean(g(s, "sc-ec"))
-            and _mean(g(s, "hier-gd")) > _mean(g(s, "sc"))
-            and _mean(g(s, "hier-gd")) > _mean(g(s, "nc-ec")),
-        ),
-        Claim(
-            "Hier-GD > FC at the smallest proxy cache",
-            lambda s: g(s, "hier-gd")[0] > g(s, "fc")[0],
-        ),
-    ]
-
-
-FIGURE_CLAIMS: dict[str, list[Claim]] = {
-    "fig2a": _fig2_claims("fig2a"),
-    "fig2b": _fig2_claims("fig2b")[:3],  # decay/crossover differ on UCB
-    "fig3": [
-        Claim(
-            "smaller alpha gives larger gains for FC and FC-EC",
-            lambda s: _mean(s["fc"].get("alpha=0.5").values)
-            > _mean(s["fc"].get("alpha=1").values)
-            and _mean(s["fc-ec"].get("alpha=0.5").values)
-            > _mean(s["fc-ec"].get("alpha=1").values),
-        ),
-    ],
-    "fig4": [
-        Claim(
-            "smaller stacks give larger gains for FC and FC-EC",
-            lambda s: _mean(s["fc"].get("stack=5%").values)
-            > _mean(s["fc"].get("stack=60%").values)
-            and _mean(s["fc-ec"].get("stack=5%").values)
-            > _mean(s["fc-ec"].get("stack=60%").values),
-        ),
-        Claim(
-            "SC-EC reverses at small proxy caches (larger stack, larger gain)",
-            lambda s: s["sc-ec"].get("stack=60%").values[0]
-            > s["sc-ec"].get("stack=5%").values[0],
-        ),
-    ],
-    "fig5a": [
-        Claim(
-            "gain increases with Ts/Tc",
-            lambda s: _mean(s["fig5a"].get("Ts/Tc=10").values)
-            > _mean(s["fig5a"].get("Ts/Tc=5").values)
-            > _mean(s["fig5a"].get("Ts/Tc=2").values),
-        ),
-    ],
-    "fig5b": [
-        Claim(
-            "gain increases with Ts/Tl",
-            lambda s: _mean(s["fig5b"].get("Ts/Tl=20").values)
-            > _mean(s["fig5b"].get("Ts/Tl=10").values)
-            > _mean(s["fig5b"].get("Ts/Tl=5").values),
-        ),
-    ],
-    "fig5c": [
-        Claim(
-            "more client caches, more gain (monotone in cluster size)",
-            lambda s: _cluster_means(s["fig5c"]) == sorted(_cluster_means(s["fig5c"])),
-        ),
-    ],
-    "fig5d": [
-        Claim(
-            "more proxies, more gain",
-            lambda s: _proxy_means(s["fig5d"]) == sorted(_proxy_means(s["fig5d"])),
-        ),
-    ],
-    "robust": [
-        Claim(
-            "Hier-GD with fallback never drops below NC (gain >= 0 at every "
-            "fault rate)",
-            lambda s: all(v >= 0.0 for v in s["gain"].get("hier-gd").values),
-        ),
-        Claim(
-            "faults erode the gain: Hier-GD at the highest fault rate gains "
-            "less than fault-free",
-            lambda s: s["gain"].get("hier-gd").values[-1]
-            < s["gain"].get("hier-gd").values[0],
-        ),
-        Claim(
-            "faults only hurt: every cooperating scheme's latency is minimal "
-            "at fault rate 0",
-            lambda s: all(
-                min(s["latency"].get(name).values)
-                >= s["latency"].get(name).values[0] - 1e-9
-                for name in ("fc", "fc-ec", "hier-gd", "squirrel")
-            ),
-        ),
-        Claim(
-            "Squirrel has no fallback tier: faults erode its gain "
-            "monotonically toward (or below) NC",
-            lambda s: s["gain"].get("squirrel").values[-1]
-            < s["gain"].get("squirrel").values[0],
-        ),
-    ],
-    "bakeoff": [
-        Claim(
-            "cooperation pays on either geometry: Hier-GD gains over NC at "
-            "every cache size on both Pastry and Chord",
-            lambda s: all(
-                v > 0.0
-                for ov in ("pastry", "chord")
-                for v in s["gain"].get(ov).values
-            ),
-        ),
-        Claim(
-            "the latency gain is a property of cooperative placement, not "
-            "routing geometry: per-point Pastry/Chord gains agree within "
-            "2 points",
-            lambda s: all(
-                abs(p - c) < 2.0
-                for p, c in zip(
-                    s["gain"].get("pastry").values, s["gain"].get("chord").values
-                )
-            ),
-        ),
-        Claim(
-            "geometry shows up only in message cost: Chord (log2 N routing) "
-            "pays more hops per lookup than Pastry (log16 N) at every point",
-            lambda s: all(
-                c > p
-                for p, c in zip(
-                    s["hops"].get("pastry").values, s["hops"].get("chord").values
-                )
-            ),
-        ),
-        Claim(
-            "both backends' repair machinery keeps the fallback ladder "
-            "intact under churn: neither overlay drops Hier-GD below NC at "
-            "any fault rate",
-            lambda s: all(
-                v >= 0.0
-                for ov in ("pastry", "chord")
-                for v in s["churn"].get(ov).values
-            ),
-        ),
-    ],
-    "frontier": [
-        Claim(
-            "every candidate policy coincides at loss rate 0 (no faults, "
-            "no ladders, nothing to re-judge)",
-            lambda s: all(
-                max(series.values[0] for series in s[name].series)
-                - min(series.values[0] for series in s[name].series)
-                < 1e-9
-                for name in ROBUSTNESS_SCHEMES
-            ),
-        ),
-        Claim(
-            "hedged fallback never costs more than the default ladder "
-            "(charge max, not sum)",
-            lambda s: all(
-                h <= d + 1e-9
-                for name in ROBUSTNESS_SCHEMES
-                for h, d in zip(
-                    s[name].get("hedged").values, s[name].get("default").values
-                )
-            ),
-        ),
-        Claim(
-            "the identity what-if reproduces every recording byte-"
-            "identically (drift panel is all zeros)",
-            lambda s: all(
-                v == 0.0 for series in s["drift"].series for v in series.values
-            ),
-        ),
-        Claim(
-            "the retry/fallback gap is scheme- and rate-dependent: the gap "
-            "panel locates the break-even per scheme (see panel notes)",
-            lambda s: len(s["gap"].series) == len(ROBUSTNESS_SCHEMES),
-        ),
-    ],
-}
-
-
-def _cluster_means(sweep: SweepResult) -> list[float]:
-    labels = [lab for lab in sweep.labels if lab.startswith("hier-gd")]
-    return [_mean(sweep.get(lab).values) for lab in labels]
-
-
-def _proxy_means(sweep: SweepResult) -> list[float]:
-    return [_mean(s.values) for s in sweep.series]
+#: The harness that asserts every claim without a deviation.
+BENCH = "benchmarks/test_bench_figures.py"
 
 
 def evaluate_claims(name: str, sweeps: dict[str, SweepResult]) -> list[tuple[Claim, bool]]:
     """(claim, verdict) pairs for one figure."""
-    return [(c, bool(c.check(sweeps))) for c in FIGURE_CLAIMS.get(name, [])]
+    return [(c, bool(c.check(sweeps))) for c in FIGURES[name].claims]
 
 
-def _run_figures(
-    seed: int, engine: ExperimentEngine | None = None
-) -> dict[str, dict[str, SweepResult]]:
-    out: dict[str, dict[str, SweepResult]] = {}
-    out["fig2a"] = {"fig2a": figure2a(seed=seed, engine=engine)}
-    out["fig2b"] = {"fig2b": figure2b(seed=seed, engine=engine)}
-    out["fig3"] = figure3(seed=seed, engine=engine)
-    out["fig4"] = figure4(seed=seed, engine=engine)
-    out["fig5a"] = {"fig5a": figure5a(seed=seed, engine=engine)}
-    out["fig5b"] = {"fig5b": figure5b(seed=seed, engine=engine)}
-    out["fig5c"] = {"fig5c": figure5c(seed=seed, engine=engine)}
-    out["fig5d"] = {"fig5d": figure5d(seed=seed, engine=engine)}
-    out["robust"] = figure_robustness(seed=seed, engine=engine)
-    out["bakeoff"] = figure_bakeoff(seed=seed, engine=engine)
-    out["frontier"] = figure_policy_frontier(seed=seed, engine=engine)
-    return out
-
-
-def render_markdown(all_sweeps: dict[str, dict[str, SweepResult]]) -> str:
+def render_markdown(
+    all_sweeps: dict[str, dict[str, SweepResult]], scale: Scale | None = None
+) -> str:
     """Render figures + claim verdicts as a markdown document."""
-    scale = current_scale()
+    scale = scale or current_scale()
     lines = [
         "# Experiment report",
         "",
@@ -285,7 +61,7 @@ def render_markdown(all_sweeps: dict[str, dict[str, SweepResult]]) -> str:
     for name, sweeps in all_sweeps.items():
         lines.append(f"## {name}")
         lines.append("")
-        for key, sweep in sweeps.items():
+        for sweep in sweeps.values():
             lines.append(f"### {sweep.title}")
             lines.append("")
             lines.append("```")
@@ -297,55 +73,54 @@ def render_markdown(all_sweeps: dict[str, dict[str, SweepResult]]) -> str:
             lines.append("Paper claims:")
             lines.append("")
             for claim, ok in verdicts:
-                lines.append(f"- {'✅' if ok else '❌'} {claim.text}")
+                known = f" (known deviation: {claim.deviation})" if claim.deviation else ""
+                lines.append(f"- {'✅' if ok else '❌'} {claim.text}{known}")
             lines.append("")
     return "\n".join(lines)
 
 
-def generate_report(seed: int = 0, engine: ExperimentEngine | None = None) -> str:
-    return render_markdown(_run_figures(seed, engine=engine))
+def render_status_table() -> str:
+    """README's per-figure status table: one row per declared claim."""
+    rows = [
+        f"| figure | claim | status (✅ = asserted by `{BENCH}`) |",
+        "|---|---|---|",
+    ]
+    for name, figure in FIGURES.items():
+        for claim in figure.claims:
+            status = f"❌ known deviation: {claim.deviation}" if claim.deviation else "✅"
+            rows.append(f"| {figure.title} (`{name}`) | {claim.text} | {status} |")
+    return "\n".join(rows)
+
+
+def generate_report(
+    seed: int = 0,
+    engine: ExperimentEngine | None = None,
+    scale: Scale | None = None,
+) -> str:
+    """Run every figure of the table and render the audit."""
+    scale = scale or current_scale()
+    return render_markdown(
+        {
+            name: run_figure(name, scale=scale, seed=seed, engine=engine)
+            for name in FIGURES
+        },
+        scale,
+    )
 
 
 def main(argv: list[str] | None = None) -> int:  # pragma: no cover - thin CLI
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", choices=("smoke", "default", "paper"))
-    parser.add_argument("--seed", type=int, default=0)
+    add_engine_arguments(parser)
     parser.add_argument("--out", type=Path, default=None)
-    parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="worker processes (0 = all CPU cores)")
-    parser.add_argument("--resume", nargs="?", const="auto", default=None,
-                        metavar="PATH", help="resume from a JSONL result store")
-    parser.add_argument("--progress", action="store_true",
-                        help="print one line per completed sweep point")
-    parser.add_argument("--record", nargs="?", const="auto", default=None,
-                        metavar="DIR",
-                        help="record wire-level exchange traces for every "
-                        "simulated point (default DIR: the result store's "
-                        "<store>_traces/ sibling, else repro_traces/; "
-                        "forces --workers 1)")
     args = parser.parse_args(argv)
-    if args.scale:
-        os.environ["REPRO_SCALE"] = args.scale
-    if args.record is not None and args.workers != 1:
-        print("[--record forces --workers 1]")
-        args.workers = 1
-    from .cli import build_engine
-
-    engine = build_engine(args.workers, args.resume, args.progress,
-                          args.out.parent if args.out else None)
-    record_ctx = nullcontext()
-    if args.record is not None:
-        if args.record != "auto":
-            record_dir = Path(args.record)
-        elif engine.store is not None:
-            record_dir = engine.store.trace_dir
-        else:
-            base = args.out.parent if args.out else Path(".")
-            record_dir = base / "repro_traces"
-        print(f"recording exchange traces to {record_dir}")
-        record_ctx = recording_traces(record_dir)
+    engine, record_dir = engine_from_args(args, args.out.parent if args.out else None)
+    record_ctx = (
+        recording_traces(record_dir) if record_dir is not None else nullcontext()
+    )
     with record_ctx:
-        report = generate_report(seed=args.seed, engine=engine)
+        report = generate_report(
+            seed=args.seed, engine=engine, scale=current_scale(args.scale)
+        )
     if args.out:
         args.out.write_text(report, encoding="utf-8")
         print(f"wrote {args.out}")

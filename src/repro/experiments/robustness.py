@@ -1,4 +1,8 @@
-"""Robustness figure — degradation under failure vs fault rate.
+"""Robustness sweep — degradation under failure vs fault rate.
+
+This module holds the composite fault plan and the points of its axis;
+the figure drawn from them is ``robust`` in
+:mod:`repro.experiments.figures`.
 
 The paper reports latency gains assuming every cooperation mechanism
 works; this experiment measures how those gains *degrade* when it
@@ -28,20 +32,15 @@ exhausted retry ladder ends at the same origin server NC uses.
 
 from __future__ import annotations
 
-from ..analysis.results import SweepResult
-from ..core.metrics import SchemeResult, latency_gain
 from ..faults import FAULTY_SCHEMES, FaultPlan
-from .executor import ExperimentEngine, PointOutcome, SweepPoint
-from .runner import Scale, base_config
+from .executor import SweepPoint
 
 __all__ = [
     "DEFAULT_FAULT_RATES",
     "ROBUSTNESS_FRACTION",
     "ROBUSTNESS_SCHEMES",
-    "figure_robustness",
     "robustness_plan",
     "robustness_points",
-    "robustness_sweep",
 ]
 
 #: The x-axis: composite fault rate (loss probability per message).
@@ -85,11 +84,12 @@ def robustness_points(
     schemes=ROBUSTNESS_SCHEMES,
     seed: int = 0,
 ) -> list[SweepPoint]:
-    """One point per (rate, scheme) plus the shared NC baseline.
+    """One point per (rate, scheme), rate-major, NC first at every rate.
 
     Schemes without a fault-aware variant (NC here) get ``faults=None``:
     their result cannot depend on the plan, so all rates share one store
-    key and the baseline simulates exactly once per sweep.
+    key and — the engine simulating each key of a batch once — the
+    baseline simulates exactly once per sweep.
     """
     names = list(dict.fromkeys(("nc", *schemes)))
     return [
@@ -103,79 +103,3 @@ def robustness_points(
         for rate in rates
         for name in names
     ]
-
-
-def robustness_sweep(
-    scale: Scale | None = None,
-    rates=DEFAULT_FAULT_RATES,
-    schemes=ROBUSTNESS_SCHEMES,
-    seed: int = 0,
-    engine: ExperimentEngine | None = None,
-) -> dict[str, SweepResult]:
-    """Latency gain and mean latency vs composite fault rate.
-
-    Returns two panels: ``"gain"`` (latency gain over NC, per scheme,
-    NC's own latency measured once) and ``"latency"`` (absolute mean
-    latency, NC included as the flat reference line).  A quarantined
-    point is an error here — a robustness figure computed from partial
-    data would silently understate degradation.
-    """
-    config = base_config(scale)
-    engine = engine or ExperimentEngine()
-    points = robustness_points(config, rates, schemes, seed)
-    outcomes = engine.run(points)
-    table: dict[tuple[str, float], SchemeResult] = {}
-    for point, outcome in zip(points, outcomes):
-        _require_ok(outcome)
-        rate = point.faults.p2p_loss if point.faults is not None else None
-        if rate is None:  # NC: one result, valid at every rate
-            for r in rates:
-                table[(point.scheme, r)] = outcome.result
-        else:
-            table[(point.scheme, rate)] = outcome.result
-
-    x_values = [100.0 * r for r in rates]
-    gain = SweepResult(
-        title="Robustness: latency gain vs fault rate "
-        f"(S={ROBUSTNESS_FRACTION:g})",
-        x_label="fault rate (%)",
-        x_values=x_values,
-    )
-    latency = SweepResult(
-        title="Robustness: mean latency vs fault rate "
-        f"(S={ROBUSTNESS_FRACTION:g})",
-        x_label="fault rate (%)",
-        x_values=x_values,
-        y_label="mean latency (x Tl)",
-    )
-    for name in schemes:
-        gain.add(
-            name,
-            [
-                100.0 * latency_gain(table[(name, r)], table[("nc", r)])
-                for r in rates
-            ],
-        )
-    for name in ("nc", *schemes):
-        latency.add(name, [table[(name, r)].mean_latency for r in rates])
-    note = "fault plan per rate r: loss=r on all links, delay rate r (x2), " \
-        "stale notices r/2, unresponsive r/2, churn r/200 events/request"
-    gain.notes = note
-    latency.notes = note
-    return {"gain": gain, "latency": latency}
-
-
-def _require_ok(outcome: PointOutcome) -> None:
-    if outcome.failed is not None or outcome.result is None:
-        raise RuntimeError(
-            f"robustness point {outcome.point.label} failed: {outcome.failed}"
-        )
-
-
-def figure_robustness(
-    scale: Scale | None = None,
-    seed: int = 0,
-    engine: ExperimentEngine | None = None,
-) -> dict[str, SweepResult]:
-    """CLI/report entry point (registered as figure id ``robust``)."""
-    return robustness_sweep(scale=scale, seed=seed, engine=engine)

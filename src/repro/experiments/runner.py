@@ -1,14 +1,20 @@
-"""Experiment infrastructure: scales, sweeps, shared workloads.
+"""Experiment infrastructure: scales, base configs, the panel evaluator.
 
-Every figure in the paper sweeps proxy cache size (10 %–100 % of the
-infinite cache size) for some set of schemes under some workload/network
-variation.  :func:`cache_size_sweep` implements that once; the figure
-modules compose it.
+Every figure in the paper is the same shape — some metric (latency gain
+over NC, mostly) against an x-axis (proxy cache size, mostly) for some
+curves under one parameter variation.  A figure is therefore *declared*
+(:mod:`repro.experiments.figures`) as panels (:class:`Panel`) of curves
+(:class:`Curve`), each curve the sweep points along its x-axis plus the
+baseline point each is judged against, and
+:func:`evaluate_panels` is the one place that runs and judges them:
+collect the points, one :meth:`ExperimentEngine.run`, refuse failed
+points, index by key, apply the panel's metric.
 
 **Scale control.**  The paper's configuration (10⁶ requests over 10⁴
 objects per cluster) takes tens of minutes for the full figure suite in
-pure Python, so the harness supports three scales selected by the
-``REPRO_SCALE`` environment variable:
+pure Python, so the harness supports three scales, selected by the
+caller (CLI: ``--scale``) or else by the ``REPRO_SCALE`` environment
+variable:
 
 ========  ==========  =========  ========  =========================
 scale     requests    objects    clients   purpose
@@ -23,22 +29,32 @@ one-timer fraction, 0.1 %-of-ICS client caches), so curve shapes — the
 reproduction target — are stable across scales; only noise shrinks as
 the scale grows.
 
-**Overlay control.**  The ``REPRO_OVERLAY`` environment variable (CLI:
-``--overlay``) selects the structured overlay backend every figure runs
-on — ``pastry`` (the paper's choice, the default) or ``chord``.  The
-``bakeoff`` figure ignores it and runs both side by side.
+**Overlay control.**  The caller (CLI: ``--overlay``) or else the
+``REPRO_OVERLAY`` environment variable selects the structured overlay
+backend every figure runs on — ``pastry`` (the paper's choice, the
+default) or ``chord``.  The ``bakeoff`` figure ignores it and runs both
+side by side.
+
+The two environment variables are defaults only, each read in one
+function (:func:`current_scale`, :func:`current_overlay`); nothing in
+this package writes them.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
-from ..core.config import SimulationConfig
-from ..core.metrics import SchemeResult, latency_gain
-from ..core.run import run_scheme
-from ..workload import ProWGenConfig, Trace, generate_cluster_traces
 from ..analysis.results import SweepResult
+from ..core.config import SimulationConfig
+from ..core.metrics import (
+    SchemeResult,
+    byte_hit_rate,
+    byte_latency_gain,
+    latency_gain,
+)
+from ..workload import ProWGenConfig
 from .executor import ExperimentEngine, SweepPoint
 
 __all__ = [
@@ -50,6 +66,16 @@ __all__ = [
     "base_config",
     "DEFAULT_FRACTIONS",
     "PAPER_SCHEMES",
+    "Curve",
+    "Panel",
+    "gain_pct",
+    "byte_hit_pct",
+    "byte_gain_pct",
+    "mean_latency",
+    "route_hops",
+    "split_curves",
+    "cache_curves",
+    "evaluate_panels",
     "sweep_points",
     "cache_size_sweep",
 ]
@@ -78,9 +104,9 @@ SCALES = {
 }
 
 
-def current_scale() -> Scale:
-    """Scale selected by ``REPRO_SCALE`` (default: ``default``)."""
-    label = os.environ.get("REPRO_SCALE", "default")
+def current_scale(label: str | None = None) -> Scale:
+    """The scale named ``label``, else ``REPRO_SCALE``, else ``default``."""
+    label = label or os.environ.get("REPRO_SCALE", "default")
     try:
         return SCALES[label]
     except KeyError:
@@ -89,11 +115,11 @@ def current_scale() -> Scale:
         ) from None
 
 
-def current_overlay() -> str:
-    """Overlay backend selected by ``REPRO_OVERLAY`` (default: ``pastry``)."""
+def current_overlay(name: str | None = None) -> str:
+    """The overlay backend ``name``, else ``REPRO_OVERLAY``, else ``pastry``."""
     from ..overlay import OVERLAY_BACKENDS
 
-    name = os.environ.get("REPRO_OVERLAY", "pastry")
+    name = name or os.environ.get("REPRO_OVERLAY", "pastry")
     if name not in OVERLAY_BACKENDS:
         raise ValueError(
             f"REPRO_OVERLAY={name!r}; expected one of "
@@ -167,13 +193,153 @@ def sweep_points(
     ]
 
 
+# -- declared figures: curves, panels, the evaluator ---------------------------
+
+
+@dataclass(frozen=True)
+class Curve:
+    """One series of a panel: the points along its x-axis and, aligned
+    with them, the baseline point each is judged against."""
+
+    label: str
+    points: tuple[SweepPoint, ...]
+    baselines: tuple[SweepPoint, ...]
+
+    def baseline_curve(self) -> "Curve":
+        """The baseline itself as a series (absolute-metric panels)."""
+        return Curve(self.baselines[0].scheme, self.baselines, self.baselines)
+
+
+#: ``(result, baseline result) -> y`` — what a panel plots per point.
+Metric = Callable[[SchemeResult, SchemeResult], float]
+
+
+def gain_pct(result: SchemeResult, baseline: SchemeResult) -> float:
+    """The paper's metric: latency gain over the baseline, in percent."""
+    return 100.0 * latency_gain(result, baseline)
+
+
+def byte_hit_pct(result: SchemeResult, _baseline: SchemeResult) -> float:
+    """Share of response bytes served without the origin server (%)."""
+    return 100.0 * byte_hit_rate(result)
+
+
+def byte_gain_pct(result: SchemeResult, baseline: SchemeResult) -> float:
+    """Latency gain with every request weighted by its bytes (%)."""
+    return 100.0 * byte_latency_gain(result, baseline)
+
+
+def mean_latency(result: SchemeResult, _baseline: SchemeResult) -> float:
+    """Absolute mean latency (units of ``Tl``)."""
+    return result.mean_latency
+
+
+def route_hops(result: SchemeResult, _baseline: SchemeResult) -> float:
+    """The run's ``mean_<overlay>_hops`` extra (a run carries one overlay)."""
+    return next(
+        (
+            value
+            for key, value in result.extras.items()
+            if key.startswith("mean_") and key.endswith("_hops")
+        ),
+        0.0,
+    )
+
+
+@dataclass(frozen=True)
+class Panel:
+    """One declared plot: axis, metric and curves; evaluates to a
+    :class:`~repro.analysis.results.SweepResult` under ``key``."""
+
+    key: str
+    title: str
+    x_label: str
+    x_values: Sequence[float]
+    curves: Sequence[Curve]
+    metric: Metric = gain_pct
+    y_label: str = "latency gain (%)"
+    notes: str = ""
+
+
+def evaluate_panels(
+    panels: Sequence[Panel], engine: ExperimentEngine | None = None
+) -> dict[str, SweepResult]:
+    """Run every point the panels name, once, and apply their metrics.
+
+    Curve and baseline points are collected across all panels and
+    de-duplicated by :attr:`SweepPoint.key` — a baseline shared by many
+    curves, or a curve shown in several panels, is one work item — then
+    handed to ``engine`` in a single :meth:`ExperimentEngine.run` (pass
+    an engine to parallelize across processes, skip completed points via
+    a result store, or collect instrumentation; the default is the
+    engine's serial in-process fallback).  A failed or quarantined point
+    is an error: a figure computed from partial data would silently
+    misstate its curves.
+    """
+    engine = engine or ExperimentEngine()
+    wanted: dict[str, SweepPoint] = {}
+    for panel in panels:
+        for curve in panel.curves:
+            for point in (*curve.points, *curve.baselines):
+                wanted.setdefault(point.key, point)
+    results: dict[str, SchemeResult] = {}
+    for key, outcome in zip(wanted, engine.run(list(wanted.values()))):
+        if outcome.failed is not None or outcome.result is None:
+            raise RuntimeError(
+                f"sweep point {outcome.point.label} failed: {outcome.failed}"
+            )
+        results[key] = outcome.result
+    sweeps: dict[str, SweepResult] = {}
+    for panel in panels:
+        sweep = SweepResult(
+            title=panel.title,
+            x_label=panel.x_label,
+            x_values=list(panel.x_values),
+            y_label=panel.y_label,
+            notes=panel.notes,
+        )
+        for curve in panel.curves:
+            sweep.add(
+                curve.label,
+                [
+                    panel.metric(results[point.key], results[baseline.key])
+                    for point, baseline in zip(curve.points, curve.baselines)
+                ],
+            )
+        sweeps[panel.key] = sweep
+    return sweeps
+
+
+def split_curves(
+    grid: Sequence[SweepPoint], schemes: Sequence[str]
+) -> list[Curve]:
+    """One curve per scheme out of an x-major ``(x, nc + schemes)`` grid
+    of points, each judged against the NC point at the same x."""
+    names = list(dict.fromkeys(("nc", *schemes)))
+    along = {name: tuple(grid[k :: len(names)]) for k, name in enumerate(names)}
+    return [Curve(name, along[name], along["nc"]) for name in schemes]
+
+
+def cache_curves(
+    config: SimulationConfig,
+    schemes: Sequence[str] = PAPER_SCHEMES,
+    fractions: Sequence[float] = DEFAULT_FRACTIONS,
+    seed: int = 0,
+    shards: int = 1,
+) -> list[Curve]:
+    """The paper's curve: one per scheme along the cache-size axis,
+    judged against NC at the same config, fraction and seed."""
+    return split_curves(
+        sweep_points(config, schemes, fractions, seed, shards), schemes
+    )
+
+
 def cache_size_sweep(
     config: SimulationConfig,
     schemes: tuple[str, ...] | list[str] = PAPER_SCHEMES,
     fractions: tuple[float, ...] = DEFAULT_FRACTIONS,
     seed: int = 0,
     title: str = "latency gain vs proxy cache size",
-    traces: list[Trace] | None = None,
     engine: ExperimentEngine | None = None,
 ) -> SweepResult:
     """Sweep proxy cache size; report latency gain (%) vs NC per scheme.
@@ -181,59 +347,15 @@ def cache_size_sweep(
     The workload is generated from the explicit ``seed`` and shared
     across every fraction and scheme (the paper compares schemes on
     identical traces).  NC is run per fraction as the gain baseline and
-    is not itself a series.
-
-    Execution goes through :class:`~repro.experiments.executor.
-    ExperimentEngine` — pass one to parallelize across processes, skip
-    completed points via a result store, or collect instrumentation;
-    the default is the engine's serial in-process fallback.  Passing
-    pre-generated ``traces`` short-circuits the engine entirely (legacy
-    path for callers that already hold a workload); results are
-    identical either way.
+    is not itself a series.  A one-panel call into
+    :func:`evaluate_panels`, which also documents ``engine``.
     """
-    sweep = SweepResult(
+    engine = engine or ExperimentEngine()
+    panel = Panel(
+        key="sweep",
         title=title,
         x_label="cache size (%)",
         x_values=[100.0 * f for f in fractions],
+        curves=cache_curves(config, schemes, fractions, seed, engine.shards),
     )
-    if traces is not None:
-        gains: dict[str, list[float]] = {name: [] for name in schemes}
-        for fraction in fractions:
-            cfg = config.with_changes(proxy_cache_fraction=fraction)
-            baseline = run_scheme("nc", cfg, traces)
-            for name in schemes:
-                result = run_scheme(name, cfg, traces)
-                gains[name].append(100.0 * latency_gain(result, baseline))
-        for name in schemes:
-            sweep.add(name, gains[name])
-        return sweep
-
-    engine = engine or ExperimentEngine()
-    outcomes = engine.run(
-        sweep_points(config, schemes, fractions, seed, shards=engine.shards)
-    )
-    by_point: dict[tuple[str, float], SchemeResult] = {
-        (o.point.scheme, o.point.fraction): o.result for o in outcomes
-    }
-    for name in schemes:
-        sweep.add(
-            name,
-            [
-                100.0
-                * latency_gain(by_point[(name, fraction)], by_point[("nc", fraction)])
-                for fraction in fractions
-            ],
-        )
-    return sweep
-
-
-def single_point(
-    config: SimulationConfig,
-    scheme: str,
-    seed: int = 0,
-    traces: list[Trace] | None = None,
-) -> tuple[SchemeResult, SchemeResult]:
-    """(scheme result, NC baseline) at one configuration point."""
-    if traces is None:
-        traces = generate_cluster_traces(config.workload, config.n_proxies, seed=seed)
-    return run_scheme(scheme, config, traces), run_scheme("nc", config, traces)
+    return evaluate_panels([panel], engine)[panel.key]

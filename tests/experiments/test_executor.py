@@ -121,14 +121,26 @@ class TestEngineEquivalence:
         )
         assert serial.to_csv() == parallel.to_csv()
 
-    def test_engine_equals_legacy_traces_path(self):
+    def test_sweep_equals_direct_runs_on_held_traces(self):
+        """The evaluator's gains are those of running each scheme and NC
+        directly on traces generated from the same explicit seed."""
+        from repro.core.metrics import latency_gain
+        from repro.core.run import run_scheme
+
         cfg = tiny_config()
         traces = generate_cluster_traces(cfg.workload, cfg.n_proxies, seed=1)
-        legacy = cache_size_sweep(
-            cfg, schemes=SCHEMES, fractions=FRACS, seed=1, traces=traces
-        )
-        engine = cache_size_sweep(cfg, schemes=SCHEMES, fractions=FRACS, seed=1)
-        assert legacy.to_csv() == engine.to_csv()
+        sweep = cache_size_sweep(cfg, schemes=SCHEMES, fractions=FRACS, seed=1)
+        for name in SCHEMES:
+            direct = []
+            for fraction in FRACS:
+                at = cfg.with_changes(proxy_cache_fraction=fraction)
+                direct.append(
+                    100.0
+                    * latency_gain(
+                        run_scheme(name, at, traces), run_scheme("nc", at, traces)
+                    )
+                )
+            assert sweep.get(name).values == direct
 
     def test_outcomes_preserve_plan_order(self):
         points = sweep_points(tiny_config(), SCHEMES, FRACS, seed=1)

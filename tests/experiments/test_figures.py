@@ -1,76 +1,121 @@
-"""Smoke tests for the figure modules and the CLI at tiny scale.
+"""Smoke tests for the figure table and the CLI at tiny scale.
 
-The full-scale numbers come from the benchmark harness; here we verify
-that each figure function produces the right panels/series and that the
-CLI wires everything together.
+The full-scale numbers come from the benchmark harness; here every
+figure id runs once on reduced axes and is held to
+``GOLDEN_figures.json`` — each panel's table and CSV text and the set of
+point keys handed to the engine, written by the per-figure modules that
+preceded the table — and the CLI is checked to wire everything together.
 """
+
+import json
+import os
+from dataclasses import replace
+from functools import lru_cache, partial
+from pathlib import Path
 
 import pytest
 
-from repro.experiments.cli import FIGURES, main
-from repro.experiments.figure2 import figure2a, figure2b
-from repro.experiments.figure3 import figure3
-from repro.experiments.figure4 import figure4
-from repro.experiments.figure5 import figure5a, figure5c, figure5d
-from repro.experiments.runner import SCALES
+from repro.experiments.cli import main
+from repro.experiments.executor import ExperimentEngine
+from repro.experiments.figures import FIGURES, run_figure
+from repro.experiments.instrument import RunInstrumentation
+from repro.experiments.runner import PAPER_SCHEMES, SCALES
 
 TINY = SCALES["smoke"]
 FRACS = (0.2, 0.8)
+GOLDEN_PATH = Path(__file__).with_name("GOLDEN_figures.json")
+
+#: Figure id -> the reduced axes it runs on here (and in the goldens).
+REDUCED = {
+    "fig2a": {"fractions": FRACS},
+    "fig2b": {"fractions": (0.5,)},
+    "fig3": {"alphas": (0.5, 1.0), "fractions": FRACS},
+    "fig4": {"stacks": (0.05, 0.6), "fractions": FRACS},
+    "fig5a": {"ratios": (2.0, 10.0), "fractions": (0.3,)},
+    "fig5b": {"ratios": (5.0, 20.0), "fractions": (0.3,)},
+    "fig5c": {"cluster_sizes": (20, 50), "fractions": (0.3,)},
+    "fig5d": {"proxy_counts": (2, 3), "fractions": (0.3,)},
+    "robust": {"rates": (0.0, 0.1)},
+    "bakeoff": {"fractions": (0.3,), "rates": (0.0, 0.1)},
+    "frontier": {"rates": (0.0, 0.05)},
+    "sizes": {"fractions": FRACS},
+}
 
 
-@pytest.fixture(autouse=True)
-def smoke_scale(monkeypatch):
-    monkeypatch.setenv("REPRO_SCALE", "smoke")
+class _SpyEngine(ExperimentEngine):
+    """Records every point a figure hands to the engine."""
+
+    def run(self, points):
+        self.seen.extend(points)
+        return super().run(points)
+
+
+@lru_cache(maxsize=None)
+def reduced(name):
+    """(panels, points handed to the engine, cold simulated count)."""
+    engine = _SpyEngine(instrument=RunInstrumentation())
+    engine.seen = []
+    sweeps = run_figure(name, scale=TINY, engine=engine, **REDUCED[name])
+    return sweeps, engine.seen, engine.instrument.executed
+
+
+def test_reduced_axes_cover_the_table():
+    assert list(REDUCED) == list(FIGURES)
+
+
+@pytest.mark.parametrize("name", list(FIGURES))
+def test_figure_matches_golden(name):
+    want = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))[name]
+    sweeps, points, simulated = reduced(name)
+    assert {
+        key: {"table": sweep.to_table(), "csv": sweep.to_csv()}
+        for key, sweep in sweeps.items()
+    } == want["panels"]
+    assert sorted({point.key for point in points}) == want["keys"]
+    assert simulated <= want["simulated"]
 
 
 class TestFigure2:
     def test_fig2a_series(self):
-        sweep = figure2a(scale=TINY, fractions=FRACS)
+        sweep = reduced("fig2a")[0]["fig2a"]
         assert sweep.labels == ["sc", "fc", "nc-ec", "sc-ec", "fc-ec", "hier-gd"]
         assert sweep.x_values == [20.0, 80.0]
         assert "alpha=0.7" in sweep.notes
 
     def test_fig2b_uses_ucb_workload(self):
-        sweep = figure2b(scale=TINY, fractions=(0.5,))
+        sweep = reduced("fig2b")[0]["fig2b"]
         assert "UCB" in sweep.notes
         assert len(sweep.x_values) == 1
 
 
 class TestFigure34:
     def test_fig3_panels_and_series(self):
-        panels = figure3(scale=TINY, alphas=(0.5, 1.0), fractions=FRACS)
+        panels = reduced("fig3")[0]
         assert set(panels) == {"fc", "sc-ec", "fc-ec", "hier-gd"}
         for sweep in panels.values():
             assert sweep.labels == ["alpha=0.5", "alpha=1"]
 
     def test_fig4_panels_and_series(self):
-        panels = figure4(scale=TINY, stacks=(0.05, 0.6), fractions=FRACS)
-        for sweep in panels.values():
+        for sweep in reduced("fig4")[0].values():
             assert sweep.labels == ["stack=5%", "stack=60%"]
 
 
 class TestFigure5:
     def test_fig5a_series(self):
-        sweep = figure5a(scale=TINY, ratios=(2.0, 10.0), fractions=(0.3,))
-        assert sweep.labels == ["Ts/Tc=2", "Ts/Tc=10"]
+        assert reduced("fig5a")[0]["fig5a"].labels == ["Ts/Tc=2", "Ts/Tc=10"]
 
     def test_fig5c_includes_references(self):
-        sweep = figure5c(scale=TINY, cluster_sizes=(20, 50), fractions=(0.3,))
+        sweep = reduced("fig5c")[0]["fig5c"]
         assert sweep.labels[:2] == ["sc", "fc"]
         assert sweep.labels[2:] == ["hier-gd (20)", "hier-gd (50)"]
 
     def test_fig5d_series(self):
-        sweep = figure5d(scale=TINY, proxy_counts=(2, 3), fractions=(0.3,))
-        assert sweep.labels == ["2 proxies", "3 proxies"]
+        assert reduced("fig5d")[0]["fig5d"].labels == ["2 proxies", "3 proxies"]
 
 
 class TestBakeoff:
     def test_panels_and_series(self):
-        from repro.experiments.bakeoff import bakeoff_sweep
-
-        panels = bakeoff_sweep(
-            scale=TINY, fractions=(0.3,), rates=(0.0, 0.1)
-        )
+        panels = reduced("bakeoff")[0]
         assert set(panels) == {"gain", "hops", "churn"}
         for key in ("gain", "hops"):
             assert panels[key].labels == ["pastry", "chord"]
@@ -81,14 +126,18 @@ class TestBakeoff:
         for ov in ("pastry", "chord"):
             assert panels["hops"].get(ov).values[0] > 0.0
 
+    def test_nc_baseline_is_one_point_per_x_value(self):
+        """NC carries no overlay: both series are judged against the
+        first backend's NC points, which is what keeps the keys."""
+        nc = {p.key for p in reduced("bakeoff")[1] if p.scheme == "nc"}
+        assert len(nc) == 1  # one cache fraction == the churn axis's 0.3
+
 
 class TestFigureSizes:
     def test_panels_and_series(self):
-        from repro.experiments.figure_sizes import SIZED_SCHEMES, figure_sizes
-
-        panels = figure_sizes(scale=TINY, fractions=FRACS)
+        panels = reduced("sizes")[0]
         assert set(panels) == {"gain", "byte_hit", "byte_gain"}
-        gd_series = [*SIZED_SCHEMES, "hier-gd (gd)"]
+        gd_series = [*PAPER_SCHEMES, "hier-gd (gd)"]
         assert panels["gain"].labels == gd_series
         assert panels["byte_gain"].labels == gd_series
         assert panels["byte_hit"].labels == ["nc", *gd_series]
@@ -96,6 +145,37 @@ class TestFigureSizes:
         for series in panels["byte_hit"].series:
             assert all(0.0 <= v <= 100.0 for v in series.values)
         assert "heavy-tailed object sizes" in panels["gain"].notes
+
+
+class TestScaleAndOverlayArePassedNotAmbient:
+    def test_overlay_keyword_reaches_every_point(self):
+        engine = _SpyEngine()
+        engine.seen = []
+        run_figure(
+            "fig5a", scale=TINY, overlay="chord", engine=engine,
+            ratios=(2.0,), fractions=(0.3,),
+        )
+        assert {p.config.overlay for p in engine.seen} == {"chord"}
+
+    def test_environment_is_the_default(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SCALE", "smoke")
+        monkeypatch.setenv("REPRO_OVERLAY", "chord")
+        engine = _SpyEngine()
+        engine.seen = []
+        run_figure("fig5a", engine=engine, ratios=(2.0,), fractions=(0.3,))
+        assert {p.config.overlay for p in engine.seen} == {"chord"}
+        assert {p.config.workload.n_requests for p in engine.seen} == {
+            TINY.n_requests
+        }
+
+
+@pytest.fixture
+def tiny_fig2a(monkeypatch):
+    """Patch the table's fig2a to one cache fraction so CLI tests stay fast."""
+    fig2a = FIGURES["fig2a"]
+    monkeypatch.setitem(
+        FIGURES, "fig2a", replace(fig2a, build=partial(fig2a.build, fractions=(0.5,)))
+    )
 
 
 class TestCli:
@@ -106,32 +186,18 @@ class TestCli:
             "frontier", "sizes",
         }
 
-    def test_cli_runs_and_saves_csv(self, tmp_path, capsys, monkeypatch):
-        # Patch the figure to a tiny variant so the CLI test stays fast.
-        monkeypatch.setitem(
-            FIGURES,
-            "fig2a",
-            lambda seed=0, engine=None: figure2a(
-                scale=TINY, fractions=(0.5,), engine=engine
-            ),
-        )
-        rc = main(["fig2a", "--out", str(tmp_path)])
+    def test_cli_runs_and_saves_csv(self, tmp_path, capsys, tiny_fig2a):
+        rc = main(["fig2a", "--scale", "smoke", "--out", str(tmp_path)])
         assert rc == 0
         out = capsys.readouterr().out
         assert "Figure 2(a)" in out
         assert (tmp_path / "fig2a.csv").exists()
         assert (tmp_path / "instrumentation.json").exists()
 
-    def test_cli_parallel_resume_progress(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setitem(
-            FIGURES,
-            "fig2a",
-            lambda seed=0, engine=None: figure2a(
-                scale=TINY, fractions=(0.5,), engine=engine
-            ),
-        )
+    def test_cli_parallel_resume_progress(self, tmp_path, capsys, tiny_fig2a):
         store = tmp_path / "store.jsonl"
-        args = ["fig2a", "--workers", "2", "--resume", str(store), "--progress"]
+        args = ["fig2a", "--scale", "smoke", "--workers", "2",
+                "--resume", str(store), "--progress"]
         assert main(args) == 0
         first = capsys.readouterr().out
         assert "[1/" in first  # progress ticks
@@ -143,101 +209,14 @@ class TestCli:
         assert "0 points simulated" in second
         assert "(cached)" in second
 
+    def test_cli_leaves_the_environment_alone(self, capsys, tiny_fig2a):
+        """--scale / --overlay are passed to the builders, not exported."""
+        before = dict(os.environ)
+        assert main(["fig2a", "--scale", "smoke", "--overlay", "chord"]) == 0
+        assert dict(os.environ) == before
+        out = capsys.readouterr().out
+        assert "scale=smoke" in out and "overlay=chord" in out
+
     def test_cli_rejects_unknown_figure(self):
         with pytest.raises(SystemExit):
             main(["figZ"])
-
-
-# -- goldens: every figure's tables, CSVs and point keys ----------------------
-
-import json  # noqa: E402
-from pathlib import Path  # noqa: E402
-
-from repro.experiments.executor import ExperimentEngine  # noqa: E402
-from repro.experiments.instrument import RunInstrumentation  # noqa: E402
-
-GOLDEN_PATH = Path(__file__).with_name("GOLDEN_figures.json")
-
-
-def _reduced(engine):
-    """Every figure id on the reduced axes above (smoke scale, seed 0)."""
-    from repro.experiments.bakeoff import bakeoff_sweep
-    from repro.experiments.figure5 import figure5b
-    from repro.experiments.figure_sizes import figure_sizes
-    from repro.experiments.policy_frontier import policy_frontier_sweep
-    from repro.experiments.robustness import robustness_sweep
-
-    return {
-        "fig2a": lambda: figure2a(scale=TINY, fractions=FRACS, engine=engine),
-        "fig2b": lambda: figure2b(scale=TINY, fractions=(0.5,), engine=engine),
-        "fig3": lambda: figure3(
-            scale=TINY, alphas=(0.5, 1.0), fractions=FRACS, engine=engine
-        ),
-        "fig4": lambda: figure4(
-            scale=TINY, stacks=(0.05, 0.6), fractions=FRACS, engine=engine
-        ),
-        "fig5a": lambda: figure5a(
-            scale=TINY, ratios=(2.0, 10.0), fractions=(0.3,), engine=engine
-        ),
-        "fig5b": lambda: figure5b(
-            scale=TINY, ratios=(5.0, 20.0), fractions=(0.3,), engine=engine
-        ),
-        "fig5c": lambda: figure5c(
-            scale=TINY, cluster_sizes=(20, 50), fractions=(0.3,), engine=engine
-        ),
-        "fig5d": lambda: figure5d(
-            scale=TINY, proxy_counts=(2, 3), fractions=(0.3,), engine=engine
-        ),
-        "robust": lambda: robustness_sweep(
-            scale=TINY, rates=(0.0, 0.1), engine=engine
-        ),
-        "bakeoff": lambda: bakeoff_sweep(
-            scale=TINY, fractions=(0.3,), rates=(0.0, 0.1), engine=engine
-        ),
-        "frontier": lambda: policy_frontier_sweep(scale=TINY, rates=(0.0, 0.05)),
-        "sizes": lambda: figure_sizes(scale=TINY, fractions=FRACS, engine=engine),
-    }
-
-
-class _SpyEngine(ExperimentEngine):
-    """Records the key of every point a figure hands to the engine."""
-
-    def run(self, points):
-        self.keys.update(point.key for point in points)
-        return super().run(points)
-
-
-def capture(name):
-    """One figure's golden record: panel texts, point keys, cold run count."""
-    engine = _SpyEngine(instrument=RunInstrumentation())
-    engine.keys = set()
-    result = _reduced(engine)[name]()
-    sweeps = result if isinstance(result, dict) else {name: result}
-    return {
-        "panels": {
-            key: {"table": sweep.to_table(), "csv": sweep.to_csv()}
-            for key, sweep in sweeps.items()
-        },
-        "keys": sorted(engine.keys),
-        "simulated": engine.instrument.executed,
-    }
-
-
-@pytest.mark.parametrize("name", list(FIGURES))
-def test_figure_matches_golden(name):
-    want = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))[name]
-    got = capture(name)
-    assert got["panels"] == want["panels"]
-    assert got["keys"] == want["keys"]
-    assert got["simulated"] <= want["simulated"]
-
-
-if __name__ == "__main__":
-    import os
-
-    os.environ["REPRO_SCALE"] = "smoke"  # what the autouse fixture sets
-    GOLDEN_PATH.write_text(
-        json.dumps({name: capture(name) for name in FIGURES}, indent=1) + "\n",
-        encoding="utf-8",
-    )
-    print(f"wrote {GOLDEN_PATH}")

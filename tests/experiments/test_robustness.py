@@ -3,21 +3,24 @@
 import pytest
 
 from repro.experiments.executor import ExperimentEngine, SweepPoint
+from repro.experiments.figures import run_figure
+from repro.experiments.instrument import RunInstrumentation
 from repro.experiments.robustness import (
     DEFAULT_FAULT_RATES,
     ROBUSTNESS_FRACTION,
     ROBUSTNESS_SCHEMES,
-    figure_robustness,
     robustness_plan,
     robustness_points,
-    robustness_sweep,
 )
 from repro.experiments.runner import Scale, base_config
-from repro.faults import FaultPlan
 
 TINY = Scale("tiny", 3000, 300, 10)
 RATES = (0.0, 0.2)
 SCHEMES = ("fc", "hier-gd")
+
+
+def robustness_sweep(rates=RATES, engine=None):
+    return run_figure("robust", scale=TINY, overlay="pastry", rates=rates, engine=engine)
 
 
 class TestPlanConstruction:
@@ -47,6 +50,21 @@ class TestPoints:
         # ... so the baseline has ONE store key: simulated once per sweep.
         assert len({p.key for p in nc}) == 1
 
+    def test_a_cold_sweep_simulates_each_key_once(self):
+        """The engine runs a batch's key-identical points once (the NC
+        baseline here, submitted at every rate) and counts the repeats
+        as cached: 5 rates x (nc + 4 schemes) = 25 points, 21 keys."""
+        engine = ExperimentEngine(instrument=RunInstrumentation())
+        points = robustness_points(base_config(TINY))
+        outcomes = engine.run(points)
+        assert len(points) == 25 and len({p.key for p in points}) == 21
+        assert engine.instrument.executed == 21
+        assert engine.instrument.skipped == 4
+        assert [o.point for o in outcomes] == points
+        nc = [o for o in outcomes if o.point.scheme == "nc"]
+        assert [o.cached for o in nc] == [False, True, True, True, True]
+        assert all(o.result == nc[0].result for o in nc)
+
     def test_faulty_points_keyed_per_rate(self):
         points = robustness_points(base_config(TINY), rates=RATES, schemes=SCHEMES)
         hier = [p for p in points if p.scheme == "hier-gd"]
@@ -69,16 +87,17 @@ class TestPoints:
         assert a.key != b.key != c.key and a.key != c.key
 
 
-class TestSweep:
-    @pytest.fixture(scope="class")
-    def sweeps(self):
-        return robustness_sweep(scale=TINY, rates=RATES, schemes=SCHEMES)
+@pytest.fixture(scope="module")
+def sweeps():
+    return robustness_sweep()
 
+
+class TestSweep:
     def test_panels_and_axes(self, sweeps):
         assert set(sweeps) == {"gain", "latency"}
         assert sweeps["gain"].x_values == [0.0, 20.0]
-        assert sweeps["gain"].labels == list(SCHEMES)
-        assert sweeps["latency"].labels == ["nc", *SCHEMES]
+        assert sweeps["gain"].labels == list(ROBUSTNESS_SCHEMES)
+        assert sweeps["latency"].labels == ["nc", *ROBUSTNESS_SCHEMES]
 
     def test_nc_latency_flat_across_rates(self, sweeps):
         nc = sweeps["latency"].get("nc").values
@@ -93,16 +112,16 @@ class TestSweep:
             assert lat[-1] > lat[0]  # and latency only rises
 
     def test_deterministic(self, sweeps):
-        again = robustness_sweep(scale=TINY, rates=RATES, schemes=SCHEMES)
-        assert again["gain"].to_csv() == sweeps["gain"].to_csv()
+        assert robustness_sweep()["gain"].to_csv() == sweeps["gain"].to_csv()
 
     def test_figure_entry_point(self):
-        out = figure_robustness(scale=TINY)
+        out = run_figure("robust", scale=TINY)
         assert set(out) == {"gain", "latency"}
         assert len(out["gain"].x_values) == len(DEFAULT_FAULT_RATES)
 
-    def test_quarantined_point_is_an_error(self, monkeypatch):
-        from repro.experiments import robustness as mod
+    def test_quarantined_point_is_an_error(self):
+        """A figure computed from partial data would silently understate
+        degradation: the evaluator refuses a failed outcome."""
 
         class FailingEngine(ExperimentEngine):
             def run(self, points):
@@ -111,20 +130,13 @@ class TestSweep:
                 return outcomes
 
         with pytest.raises(RuntimeError, match="synthetic crash"):
-            robustness_sweep(
-                scale=TINY, rates=(0.0,), schemes=("fc",),
-                engine=FailingEngine(),
-            )
+            robustness_sweep(rates=(0.0,), engine=FailingEngine())
 
 
 class TestSquirrelDegradation:
     """Regression guard: Squirrel rides the fault transport with no proxy
     fallback tier, so faults erode its gain *without* the >= 0 floor the
     Hier-GD claim relies on — it can land below NC."""
-
-    @pytest.fixture(scope="class")
-    def sweeps(self):
-        return robustness_sweep(scale=TINY, rates=RATES, schemes=("squirrel",))
 
     def test_squirrel_is_in_the_default_sweep(self):
         assert "squirrel" in ROBUSTNESS_SCHEMES

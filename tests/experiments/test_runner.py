@@ -62,3 +62,48 @@ class TestSweep:
         assert DEFAULT_FRACTIONS[0] == 0.1 and DEFAULT_FRACTIONS[-1] == 1.0
         assert len(DEFAULT_FRACTIONS) == 10
         assert PAPER_SCHEMES == ("sc", "fc", "nc-ec", "sc-ec", "fc-ec", "hier-gd")
+
+
+class TestEvaluator:
+    def test_panels_share_one_batch_of_unique_points(self):
+        from repro.experiments.executor import ExperimentEngine
+        from repro.experiments.runner import (
+            Panel,
+            cache_curves,
+            evaluate_panels,
+            mean_latency,
+        )
+        from repro.workload import ProWGenConfig
+
+        class Spy(ExperimentEngine):
+            def run(self, points):
+                self.batches.append([p.key for p in points])
+                return super().run(points)
+
+        cfg = base_config(
+            workload=ProWGenConfig(n_requests=4000, n_objects=300, n_clients=10)
+        )
+        schemes, fractions = ("sc", "hier-gd"), (0.2, 0.8)
+        curves = cache_curves(cfg, schemes, fractions, seed=1)
+        x = [100.0 * f for f in fractions]
+        engine = Spy()
+        engine.batches = []
+        sweeps = evaluate_panels(
+            [
+                Panel("gain", "g", "cache size (%)", x, curves),
+                Panel(
+                    "latency", "l", "cache size (%)", x,
+                    [curves[0].baseline_curve(), *curves],
+                    metric=mean_latency, y_label="mean latency (x Tl)",
+                ),
+            ],
+            engine,
+        )
+        # Two panels, three curves each judged against NC: one engine call,
+        # (nc + 2 schemes) x 2 fractions distinct keys, none repeated.
+        (batch,) = engine.batches
+        assert len(batch) == len(set(batch)) == 6
+        assert sweeps["latency"].labels == ["nc", *schemes]
+        assert sweeps["latency"].y_label == "mean latency (x Tl)"
+        reference = cache_size_sweep(cfg, schemes=schemes, fractions=fractions, seed=1)
+        assert sweeps["gain"].to_csv() == reference.to_csv()

@@ -1,9 +1,9 @@
 """End-to-end invariants of size-aware runs (heavy-tailed object sizes).
 
 The sizes-off byte-identity half of the story lives in
-``benchmarks/sizes_gate.py`` (golden comparison at smoke scale); these
-tests pin the *sized* path's conservation laws at a scale small enough
-for the tier-1 suite.
+``tests/integration/test_golden_overlay.py`` (golden comparison at smoke
+scale); these tests pin the *sized* path's conservation laws at a scale
+small enough for the tier-1 suite.
 """
 
 import numpy as np
