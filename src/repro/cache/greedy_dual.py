@@ -228,6 +228,59 @@ class GreedyDualCache(Cache):
         stats.insertions += 1
         return evicted
 
+    def insert_absent_sized(self, key: Hashable, cost: float, size: int) -> list[Hashable]:
+        """:meth:`insert_absent` at ``size`` units, for sized workloads.
+
+        Still a key the caller knows is not cached and a cost it paid
+        itself, so the refresh branch and the eager/lazy comparison stay
+        collapsed; what comes back is :meth:`insert`'s size handling — an
+        object larger than the whole cache is rejected (``[key]``), room
+        is made by as many victims as it takes (the last one may leave
+        free space behind), and the credit is ``L + cost/size`` or
+        ``L + cost`` by :attr:`credit_by_size`.  Same victims, heap
+        entries and statistics as ``insert(key, cost=cost, size=size)``.
+        """
+        capacity = self.capacity
+        if size > capacity:
+            return [key]
+        entries = self._entries
+        used = self._used + size
+        heap = self._heap
+        live = heap._live
+        hl = heap._heap
+        inflation = self.inflation
+        stats = self.stats
+        evicted: list[Hashable] = []
+        while used > capacity:
+            # HeapDict's lazy reconciliation, as in ``insert``.
+            prio, seq, victim = heappop(hl)
+            rec = live.get(victim)
+            if rec is None:
+                continue
+            if rec[1] != seq:
+                if not rec[2]:
+                    live[victim] = (rec[0], rec[1], True)
+                    heappush(hl, (rec[0], rec[1], victim))
+                continue
+            del live[victim]
+            if prio > inflation:
+                inflation = prio
+            used -= entries.pop(victim)[0]
+            evicted.append(victim)
+            stats.evictions += 1
+        self.inflation = inflation
+        entries[key] = (size, cost)
+        seq = heap._seq + 1
+        heap._seq = seq
+        prio = inflation + (cost / size if self.credit_by_size else cost)
+        live[key] = (prio, seq, True)
+        heappush(hl, (prio, seq, key))
+        if len(hl) > (len(live) << 1) + 8:
+            heap._compact()
+        self._used = used
+        stats.insertions += 1
+        return evicted
+
     def remove(self, key: Hashable) -> bool:
         entry = self._entries.pop(key, None)
         if entry is None:

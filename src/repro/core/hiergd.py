@@ -36,28 +36,32 @@ decided once, in :meth:`HierGdScheme.__init__`, from what the run can
 observe:
 
 * the **protocol-chain engine** (this module + :mod:`repro.protocol.chain`)
-  routes every cooperation hop through the scheme's transport and
-  resolves placement on first touch.  It is the only engine for sized
-  workloads, fault transports and subclasses that change membership
-  mid-run (:class:`~repro.core.churn.HierGdChurnScheme`, whose
+  routes every cooperation hop through the scheme's transport.  It is
+  the only engine for fault transports and subclasses that change
+  membership mid-run (:class:`~repro.core.churn.HierGdChurnScheme`, whose
   zero-event form ``HierGdChurnScheme(config, traces, events=[])`` is
   also how a test runs a fault-free chain);
 * the **indexed engine** (:mod:`repro.core.hiergd_indexed`) answers the
-  same questions from presence indexes and precomputed placement tables
-  — every other run, i.e. unit sizes over a fault-free transport with
-  static membership.
+  same questions from presence indexes and placement tables — every
+  other run, i.e. a fault-free transport with static membership, unit
+  or sized objects.
 
-Results are identical wherever both apply, except the backend's
-``mean_<overlay>_hops`` extra (the engines sample different keys).
+Results are identical wherever both apply.  That includes the backend's
+``mean_<overlay>_hops`` extra on sized runs, where both engines resolve
+placement on first touch through the cluster's :class:`Dht`; a unit-size
+indexed run builds its whole owner table up front and samples different
+keys for that one statistic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..cache import Cache, GreedyDualCache, LfuCache, LruCache
 from ..netmodel import TIER_LOCAL_PROXY
-from ..overlay import Dht, OverlayBackend, make_overlay
+from ..overlay import Dht, OverlayBackend, make_overlay, object_ids_for_urls
 from ..protocol.chain import serve_miss
 from ..protocol.transport import Transport
 from ..workload import Trace, object_url
@@ -67,6 +71,28 @@ from .presence import PeerSurface
 from .simulator import CachingScheme
 
 __all__ = ["HierGdScheme"]
+
+
+class _FirstTouchOwners(dict):
+    """A cluster's object -> owner table, filled as objects are first asked for.
+
+    A missing key is resolved through the cluster's :class:`Dht` — whose
+    memo-miss counter decides which keys are also routed for the hop
+    statistic, so *when* an object is first asked for is observable in
+    ``mean_<overlay>_hops`` — and kept; every later ``[]`` is a plain
+    dict probe.
+    """
+
+    __slots__ = ("_state",)
+
+    def __init__(self, state: _ClusterState) -> None:
+        self._state = state
+
+    def __missing__(self, obj: int) -> int:
+        state = self._state
+        idx = state.idx_of_node[state.dht.owner(state.object_keys[obj])]
+        self[obj] = idx
+        return idx
 
 
 @dataclass(slots=True)
@@ -88,17 +114,18 @@ class _ClusterState:
     replicas: dict[int, set[int]] = field(default_factory=dict)
     #: Last retrieval cost per object (greedy-dual's cost input).
     costs: dict[int, float] = field(default_factory=dict)
-    #: :meth:`owner`'s memo; membership changes drop it wholesale.
-    owner_memo: dict[int, int] = field(default_factory=dict)
+    #: objectId per object: one SHA-1 pass per run, shared by every cluster.
+    object_keys: np.ndarray | None = None
+    #: First-touch placement, object -> owner client index; membership
+    #: changes drop it wholesale.
+    owner_memo: _FirstTouchOwners = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.owner_memo = _FirstTouchOwners(self)
 
     def owner(self, obj: int) -> int:
         """Client index of the DHT owner of ``obj`` in this cluster."""
-        idx = self.owner_memo.get(obj)
-        if idx is None:
-            object_id = self.dht.object_id(object_url(obj))
-            idx = self.idx_of_node[self.dht.owner(object_id)]
-            self.owner_memo[obj] = idx
-        return idx
+        return self.owner_memo[obj]
 
 
 class HierGdScheme(CachingScheme):
@@ -125,10 +152,9 @@ class HierGdScheme(CachingScheme):
         faulty = self.transport.faulty
         # The one engine choice.  A fault layer needs every cooperation
         # hop routed through the transport, which the indexed engine
-        # inlines away; its free-space tracking (monotone "full forever"
-        # sets) and unit-size GD insert assume equal-size objects; and
-        # its indexes assume the membership the run started with.
-        indexed = not (faulty or self.sizes is not None or self.mutates_membership)
+        # inlines away, and its indexes assume the membership the run
+        # started with.
+        indexed = not (faulty or self.mutates_membership)
         #: Where a directory over-claim is counted: a stale entry under
         #: fault injection (exact directories go stale through dropped
         #: eviction notices), a false positive otherwise (Bloom).
@@ -169,14 +195,18 @@ class HierGdScheme(CachingScheme):
             from . import hiergd_indexed  # it extends _ClusterState
 
             state_cls = hiergd_indexed.IndexedCluster
+        # Placement is resolved on first touch (hops sampled from routes
+        # over one-by-one joins) everywhere but a unit-size indexed run,
+        # which takes the bulk build and a whole owner table up front.
+        # Both feed ``mean_<overlay>_hops``, which result digests pin.
+        bulk = indexed and self.sizes is None
         self.states: list[_ClusterState] = []
         for ci, sizing in enumerate(self.sizings):
             overlay = make_overlay(config)
             names = [f"cluster{ci}/cache{k}" for k in range(sizing.n_clients)]
             # Join order shapes the overlay's routing tables (not its
-            # placement), which the chain engine's sampled hop statistic
-            # reads; the indexed engine takes the cheaper bulk build.
-            if indexed:
+            # placement), which the sampled hop statistic reads.
+            if bulk:
                 nodes = overlay.bulk_add_named(names)
             else:
                 nodes = [overlay.add_named(name) for name in names]
@@ -205,6 +235,15 @@ class HierGdScheme(CachingScheme):
                     ),
                 )
             )
+        n_objects = 0
+        for trace in traces:
+            if len(trace.object_ids):
+                n_objects = max(n_objects, int(trace.object_ids.max()) + 1)
+        object_keys = object_ids_for_urls(
+            [object_url(i) for i in range(n_objects)], self.states[0].overlay.space
+        )
+        for state in self.states:
+            state.object_keys = object_keys
         #: Whether the indexed engine serves this run; if not, the
         #: methods below (the protocol-chain engine) do.
         self.indexed = indexed

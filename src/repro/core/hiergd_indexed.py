@@ -2,21 +2,34 @@
 
 Same algorithm as the protocol-chain engine in :mod:`repro.core.hiergd`
 (Figure 1 pass-down, diversion, directories, push protocol), answered
-from indexes instead of scans and per-object resolution: precomputed
-placement tables (:mod:`repro.overlay.placement`), cross-cluster
-presence indexes (:mod:`repro.core.presence`), free-client sets,
-membership maps, and the greedy-dual hit and unit-size insert paths
-without their general-case branches.
+from indexes instead of scans and per-object resolution: placement
+tables (:mod:`repro.overlay.placement`), cross-cluster presence indexes
+(:mod:`repro.core.presence`), membership maps, and the greedy-dual hit
+and known-absent insert paths without their general-case branches.
 
-Those shortcuts hold only for unit-size objects (client caches fill
-monotonically), a transport that never fails an exchange (the hops are
-inlined away) and a membership that never changes mid-run, which is why
-:class:`~repro.core.hiergd.HierGdScheme` gives a run this engine only
-then.  Like the chain's stages, the engine is free functions over the
-scheme; :func:`install` builds the indexes and binds :func:`process`
-and :func:`proxy_insert` as the scheme's own.  The engine equivalence
-suite (``tests/integration/test_hotpath_equivalence.py``) holds it to
-the chain engine's results, ``mean_<overlay>_hops`` excepted.
+Those shortcuts hold for a transport that never fails an exchange (the
+hops are inlined away) and a membership that never changes mid-run,
+which is why :class:`~repro.core.hiergd.HierGdScheme` gives a run this
+engine only then.  Object sizes split the engine in two without a
+branch on either side:
+
+* unit sizes (:func:`process`, :func:`proxy_insert`, :func:`pass_down`)
+  — the whole owner table is built up front, client caches only ever
+  fill (free-client sets) and every insert is one unit;
+* sized workloads (:func:`process_sized`, :func:`proxy_insert_sized`,
+  :func:`pass_down_sized`) — the owner table is the chain's first-touch
+  one, so the hop statistic samples the same keys; free space is
+  ``capacity - used >= size`` per candidate, because a multi-victim
+  eviction can leave a full cache with room again; inserts carry the
+  size.  They spell the steps with the helpers the unit functions
+  inline (:func:`refresh_holder`, :func:`client_evicted`,
+  :func:`record_store`, the :class:`PresenceIndex` methods).
+
+Like the chain's stages, the engine is free functions over the scheme;
+:func:`install` builds the indexes and binds the pair that fits as the
+scheme's ``process`` / ``_proxy_insert``.  The engine equivalence suite
+(``tests/integration/test_hotpath_equivalence.py``) holds it to the chain
+engine's results — ``mean_<overlay>_hops`` excepted on unit-size runs.
 """
 
 from __future__ import annotations
@@ -24,8 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from types import MethodType
 from typing import Any
-
-import numpy as np
 
 from ..cache import Cache, LfuCache
 from ..netmodel import (
@@ -35,9 +46,8 @@ from ..netmodel import (
     TIER_LOCAL_PROXY,
     TIER_SERVER,
 )
-from ..overlay import build_owner_table, object_ids_for_urls
+from ..overlay import build_owner_table
 from ..protocol.chain import push_stage
-from ..workload import object_url
 from .hiergd import _ClusterState
 from .presence import PeerSurface, PresenceIndex
 
@@ -51,19 +61,20 @@ class IndexedCluster(_ClusterState):
     #: This cluster's id in the presence indexes (a shard peer view
     #: re-keys it to the global index).
     cluster: int = -1
-    #: objectId per object — one SHA-1 pass shared by every cluster — and
-    #: the hop sampling rate: what a placement (re)build needs.
-    object_keys: np.ndarray | None = None
-    hop_sample_rate: int = 0
-    #: Precomputed DHT placement: object id -> owner client index.
-    owner_of: list[int] = field(default_factory=list)
+    #: Whether placement is resolved on first touch (sized runs) instead
+    #: of tabulated up front.
+    first_touch: bool = False
+    #: DHT placement, object id -> owner client index: the whole table,
+    #: or ``owner_memo`` when :attr:`first_touch`.
+    owner_of: list[int] | dict[int, int] = field(default_factory=list)
     #: Per client index: overlay neighbourhood (Pastry leaf set / Chord
     #: successor list) as client indexes, in the backend's contract order
     #: so diversion/replication walk the same candidates as the chain.
     neighbour_idx: list[list[int]] = field(default_factory=list)
     #: Overlay epoch the placement tables were built against.
     built_epoch: int = -1
-    #: Client indexes with free space (client caches only ever fill).
+    #: Client indexes with free space (unit sizes: client caches only
+    #: ever fill; unused by the sized functions).
     free_clients: set[int] = field(default_factory=set)
     #: Per client: that cache's membership dict (friend access), so
     #: ``contains`` is one dict probe.
@@ -80,18 +91,23 @@ class IndexedCluster(_ClusterState):
     def build_placement(self) -> None:
         """(Re)build the placement tables against the current overlay epoch.
 
-        A sampled subset of keys is routed hop-by-hop so the mean-hops
-        extra stays populated, each delivery asserted against the table.
+        Up front, a sampled subset of keys is routed hop-by-hop so the
+        mean-hops extra stays populated, each delivery asserted against
+        the table; on first touch, the :class:`Dht` does the sampling.
         """
         overlay = self.overlay
-        owners = build_owner_table(
-            overlay,
-            self.object_keys,
-            sample_rate=self.hop_sample_rate,
-            record_stats=True,
-        )
         idx_of_node = self.idx_of_node
-        self.owner_of = [idx_of_node[nid] for nid in owners]
+        if self.first_touch:
+            self.owner_memo.clear()
+            self.owner_of = self.owner_memo
+        else:
+            owners = build_owner_table(
+                overlay,
+                self.object_keys,
+                sample_rate=self.dht.hop_sample_rate,
+                record_stats=True,
+            )
+            self.owner_of = [idx_of_node[nid] for nid in owners]
         self.neighbour_idx = [
             [idx_of_node[nb] for nb in overlay.neighbourhood(nid)]
             for nid in self.node_of_idx
@@ -128,17 +144,10 @@ def install(scheme: Any) -> None:
     #: Cluster id -> its state, or None for a cluster served elsewhere (a
     #: shard peer view narrows this to the clusters its worker owns).
     scheme._state_at = scheme.states.__getitem__
-    n_objects = 0
-    for trace in scheme.traces:
-        if len(trace.object_ids):
-            n_objects = max(n_objects, int(trace.object_ids.max()) + 1)
-    keys = object_ids_for_urls(
-        [object_url(i) for i in range(n_objects)], scheme.states[0].overlay.space
-    )
+    sized = scheme.sizes is not None
     for ci, state in enumerate(scheme.states):
         state.cluster = ci
-        state.object_keys = keys
-        state.hop_sample_rate = config.hop_sample_rate
+        state.first_touch = sized
         # Caches start empty: free <=> nonzero capacity.
         state.free_clients = {
             k for k, c in enumerate(state.clients) if c.capacity > 0
@@ -149,8 +158,10 @@ def install(scheme: Any) -> None:
         else:
             state.dir_set = state.directory._entries
             state.dir_probe = state.p2p_present
-    scheme.process = MethodType(process, scheme)
-    scheme._proxy_insert = MethodType(proxy_insert, scheme)
+    scheme.process = MethodType(process_sized if sized else process, scheme)
+    scheme._proxy_insert = MethodType(
+        proxy_insert_sized if sized else proxy_insert, scheme
+    )
 
 
 def peer_surface(self: Any) -> PeerSurface:
@@ -325,6 +336,104 @@ def pass_down(self: Any, state: IndexedCluster, obj: int) -> None:
                     free.discard(idx)
 
 
+def client_evicted(self: Any, state: IndexedCluster, holder_idx: int, obj: int) -> None:
+    """Eviction notice (the chain's ``_on_client_eviction``) plus the
+    directory index; :func:`pass_down` inlines this."""
+    self._msg["client_evictions"] += 1
+    owner = state.owner_of[obj]
+    if owner != holder_idx:
+        ptrs = state.pointers.get(owner)
+        if ptrs and ptrs.get(obj) == holder_idx:
+            del ptrs[obj]
+    reps = state.replicas.get(obj)
+    if reps:
+        reps.discard(holder_idx)
+        if not reps:
+            del state.replicas[obj]
+    if obj in state.p2p_present and self._locate(state, obj, owner) is None:
+        state.p2p_present.discard(obj)
+        if state.dir_set is not None:
+            state.dir_set.discard(obj)
+            self._dir_presence.discard(obj, state.cluster)
+        else:
+            state.directory.remove(obj)
+
+
+def record_store(self: Any, state: IndexedCluster, obj: int) -> None:
+    """Store receipt for an object new to the cluster's P2P cache (the
+    chain's ``_record_store``) plus the directory index; :func:`pass_down`
+    inlines this."""
+    self._msg["store_receipts"] += 1
+    state.p2p_present.add(obj)
+    if state.dir_set is not None:
+        state.dir_set.add(obj)
+        self._dir_presence.add(obj, state.cluster)
+    else:
+        state.directory.add(obj)
+
+
+def pass_down_sized(self: Any, state: IndexedCluster, obj: int) -> None:
+    """:func:`pass_down` for sized objects.
+
+    No free-client sets: whether a cache has room depends on the object
+    (``capacity - used >= size``), and an eviction that took several
+    victims can leave room behind, so free space is read per candidate
+    as the chain does.  The owner is asked for exactly where the chain
+    asks (first thing on either branch, then once per eviction notice).
+    """
+    msg = self._msg
+    msg["passdowns"] += 1
+    msg[self._destage_key] += 1
+    if obj in state.p2p_present:
+        refresh_holder(self, state, obj)  # already stored: refresh, don't duplicate
+        return
+
+    clients = state.clients
+    cost = state.costs.get(obj, self._t_server)
+    size = self._size_list[obj]
+    owner_idx = state.owner_of[obj]
+    owner_cache = clients[owner_idx]
+    # (3)-(5): room at the destination; else (7)-(10): the neighbourhood
+    # member with the most room, if any has enough.
+    target = owner_idx if owner_cache.capacity - owner_cache._used >= size else None
+    if target is None and self._diversion:
+        best_free = size - 1
+        for idx in state.neighbour_idx[owner_idx]:
+            c = clients[idx]
+            f = c.capacity - c._used
+            if f > best_free:
+                target, best_free = idx, f
+    gd = self._gd_inline
+    if target is not None:
+        # obj is cached nowhere in the cluster (p2p_present checked
+        # above), which is what ``insert_absent_sized`` requires.
+        if gd:
+            clients[target].insert_absent_sized(obj, cost, size)
+        else:
+            clients[target].insert(obj, cost=cost, size=size)
+        if target != owner_idx:
+            state.pointers.setdefault(owner_idx, {})[obj] = target
+            msg["diversions"] += 1
+    else:
+        # (12)-(14): replacement at the destination, as many victims as
+        # the object's size takes.
+        if gd:
+            evicted = owner_cache.insert_absent_sized(obj, cost, size)
+        else:
+            evicted = owner_cache.insert(obj, cost=cost, size=size)
+        for d2 in evicted:
+            if d2 == obj:
+                return  # larger than the whole client cache: rejected
+            client_evicted(self, state, owner_idx, d2)
+    record_store(self, state, obj)
+    if self._replicas_extra > 0:
+        self._replicate(
+            state, obj, cost,
+            owner_idx if target is None else target,
+            state.neighbour_idx[owner_idx],
+        )
+
+
 # -- proxy-side insert (GD on each fetched object) -------------------------
 
 
@@ -360,6 +469,24 @@ def proxy_insert(self: Any, state: IndexedCluster, obj: int, cost: float) -> Non
             holders[obj] = {cluster}
         else:
             s.add(cluster)
+
+
+def proxy_insert_sized(self: Any, state: IndexedCluster, obj: int, cost: float) -> None:
+    """:func:`proxy_insert` for sized objects."""
+    state.costs[obj] = cost
+    size = self._size_list[obj]
+    if self._gd_inline:
+        evicted = state.proxy.insert_absent_sized(obj, cost, size)
+    else:
+        evicted = state.proxy.insert(obj, cost=cost, size=size)
+    presence = self._proxy_presence
+    cluster = state.cluster
+    for d1 in evicted:
+        if d1 == obj:
+            return  # larger than the whole proxy cache: rejected
+        presence.discard(d1, cluster)
+        pass_down_sized(self, state, d1)
+    presence.add(obj, cluster)
 
 
 # -- request path -----------------------------------------------------------
@@ -468,4 +595,69 @@ def process(self: Any, cluster: int, client: int, obj: int) -> str:
 
     # 4. Origin server.
     proxy_insert(self, state, obj, self._t_server)
+    return TIER_SERVER
+
+
+def process_sized(self: Any, cluster: int, client: int, obj: int) -> str:
+    """:func:`process` for sized objects.
+
+    The same four steps with two differences: a greedy-dual proxy hit
+    earns the credit ``GreedyDualCache.lookup`` gives it (``cost/size``
+    under ``gds``), and fetched objects go through
+    :func:`proxy_insert_sized`.  The steps themselves are spelled with
+    the helpers :func:`process` inlines.
+    """
+    state = self.states[cluster]
+    proxy = state.proxy
+    if self._gd_inline:
+        entry = proxy._entries.get(obj)
+        if entry is not None:
+            heap = proxy._heap
+            seq = heap._seq + 1
+            heap._seq = seq
+            credit = entry[1] / entry[0] if proxy.credit_by_size else entry[1]
+            heap._live[obj] = (proxy.inflation + credit, seq, False)
+            proxy.stats.hits += 1
+            return TIER_LOCAL_PROXY
+        proxy.stats.misses += 1
+    elif proxy.lookup(obj):
+        return TIER_LOCAL_PROXY
+    if state.built_epoch != state.overlay.epoch:
+        state.build_placement()
+    msg = self._msg
+
+    # 2. Own P2P client cache, via the lookup directory.
+    if obj in state.dir_probe:
+        msg["p2p_lookups"] += 1
+        if refresh_holder(self, state, obj):
+            if self._promote:
+                proxy_insert_sized(self, state, obj, self._t_p2p)
+            return TIER_LOCAL_P2P
+        # Bloom false positive: a wasted LAN round into the overlay.
+        msg["directory_false_positives"] += 1
+        self.add_extra_latency(self._t_p2p)
+
+    # 3. Cooperating proxies, then their P2P client caches.
+    me = state.cluster
+    if self._proxy_presence.first_holder(obj, me) is not None:
+        proxy_insert_sized(self, state, obj, self._t_coop)
+        return TIER_COOP_PROXY
+    if self._dir_presence is not None:
+        other = self._dir_presence.first_holder(obj, me)
+        if other is not None:
+            msg["push_requests"] += 1
+            other_state = self._state_at(other)
+            if other_state is None:
+                self._queue_remote_push(proxy.stats.accesses - 1, me, other, obj)
+            else:
+                refresh_holder(self, other_state, obj)
+            proxy_insert_sized(self, state, obj, self._t_coop + self._t_p2p)
+            return TIER_COOP_P2P
+    else:
+        tier = push_stage(self, state, cluster, obj)
+        if tier is not None:
+            return tier
+
+    # 4. Origin server.
+    proxy_insert_sized(self, state, obj, self._t_server)
     return TIER_SERVER

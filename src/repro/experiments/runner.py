@@ -166,7 +166,7 @@ def sweep_points(
     ``shards > 1`` applies only to the points
     :func:`repro.shard.check_shardable` accepts — a scheme with no
     cooperative surface, or one whose run on this ``config`` has none
-    (sized Hier-GD, a Bloom directory, an open trace recorder), keeps
+    (Hier-GD over a Bloom directory, an open trace recorder), keeps
     the single-process engine — so a mixed sweep stays runnable.
     """
     names = list(dict.fromkeys(("nc", *schemes)))

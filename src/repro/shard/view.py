@@ -93,9 +93,6 @@ def check_shardable(
          "(a faulty exchange cannot ride a round digest); use shards=1"),
         (recording, "exchange-trace recording captures a single-process transport "
          "stack; record with shards=1"),
-        (hier_gd and config.workload.object_sizes != "off", "sharded hier-gd does not "
-         "support sized workloads (its surface is the indexed engine's, which "
-         "assumes equal-size objects); run with shards=1"),
         # A Bloom directory's false positives are a per-probe phenomenon
         # the digest cannot carry.
         (hier_gd and config.directory != "exact", "sharded hier-gd requires "

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache import GreedyDualCache
 
@@ -197,6 +199,76 @@ def test_insert_absent_rejects_at_zero_capacity():
     cache = GreedyDualCache(0)
     assert cache.insert_absent("a", 1.0) == ["a"] == GreedyDualCache(0).insert("a")
     assert len(cache) == 0 and not cache.contains("a")
+
+
+def gd_state(cache):
+    """Everything a later operation can observe: the live ``(priority,
+    seq)`` heap records (the lazily-raised flag is how far reconciliation
+    got, not state), entries, bytes used, inflation and statistics."""
+    heap = cache._heap
+    return (
+        {k: rec[:2] for k, rec in heap._live.items()},
+        heap._seq,
+        dict(cache._entries),
+        cache._used,
+        cache.inflation,
+        cache.stats.as_dict(),
+    )
+
+
+class TestInsertAbsentSized:
+    """``insert_absent_sized`` against ``insert`` on an absent key."""
+
+    @given(
+        st.integers(min_value=0, max_value=12),
+        st.booleans(),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["insert", "insert", "lookup", "remove"]),
+                st.integers(min_value=0, max_value=9),
+                # Few distinct costs: ties on the credit exercise the seq.
+                st.sampled_from([0.5, 1.0, 2.0, 7.0]),
+                st.integers(min_value=1, max_value=14),
+            ),
+            max_size=80,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_victims_heap_and_stats_as_insert(self, capacity, credit_by_size, ops):
+        fused = GreedyDualCache(capacity, credit_by_size=credit_by_size)
+        plain = GreedyDualCache(capacity, credit_by_size=credit_by_size)
+        for op, key, cost, size in ops:
+            if op == "lookup":
+                assert fused.lookup(key) == plain.lookup(key)
+            elif op == "remove":
+                assert fused.remove(key) == plain.remove(key)
+            elif fused.contains(key):
+                # Not absent: out of the sibling's contract, insert on both.
+                assert fused.insert(key, cost=cost, size=size) == plain.insert(
+                    key, cost=cost, size=size
+                )
+            else:
+                victims = plain.insert(key, cost=cost, size=size)
+                assert fused.insert_absent_sized(key, cost, size) == victims
+            assert gd_state(fused) == gd_state(plain)
+            assert fused._used <= capacity
+
+    def test_rejects_what_can_never_fit(self):
+        for capacity, size in [(0, 1), (4, 5)]:
+            cache = GreedyDualCache(capacity)
+            cache.insert("resident", cost=1.0, size=capacity or 1)
+            before = gd_state(cache)
+            assert cache.insert_absent_sized("big", 1.0, size) == ["big"]
+            assert gd_state(cache) == before and not cache.contains("big")
+
+    def test_multi_victim_eviction_can_leave_free_space(self):
+        cache = GreedyDualCache(10)
+        cache.insert("a", cost=1.0, size=2)
+        cache.insert("b", cost=7.0, size=7)
+        # 1 unit free, 4 needed: evicting a (2) is not enough, b (7) is too much.
+        assert cache.insert_absent_sized("c", 9.0, 4) == ["a", "b"]
+        assert len(cache) == 4 and cache.free_space == 6
+        assert cache.inflation == 1.0 and cache.credit("c") == 1.0 + 9.0 / 4
 
 
 class TestAgainstNaiveGds:

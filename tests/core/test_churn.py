@@ -161,6 +161,32 @@ class TestJoin:
             assert scheme._locate(state, obj) is not None
 
 
+    def test_objects_are_hashed_once_however_often_placement_is_dropped(
+        self, monkeypatch
+    ):
+        from repro.overlay.id_space import IdSpace
+
+        hashed = []
+        object_id = IdSpace.object_id
+        monkeypatch.setattr(
+            IdSpace, "object_id",
+            lambda space, url: hashed.append(url) or object_id(space, url),
+        )
+        events = [
+            ChurnEvent(at_request=1000, kind="fail", cluster=0, client=2),
+            ChurnEvent(at_request=2000, kind="join", cluster=0),
+        ]
+        scheme = HierGdChurnScheme(cfg(), workload(seed=6), events)
+        scheme.run()
+        state = scheme.states[0]
+        # Every membership change empties the owner memo; refilling it
+        # reads the run's one objectId table, not SHA-1 again ...
+        assert hashed == []
+        # ... while the Dht still sees every refill as a memo miss (its
+        # call count is what the hop statistic samples from).
+        assert state.dht._calls > len(state.owner_memo) > 0
+
+
 class TestNoChurnEquivalence:
     def test_empty_schedule_matches_plain_hiergd(self):
         traces = workload(seed=7)

@@ -8,6 +8,7 @@ import pytest
 from repro.core.churn import HierGdChurnScheme
 from repro.core.config import SimulationConfig
 from repro.core.hiergd import HierGdScheme
+from repro.core.run import run_scheme
 from repro.faults import FaultPlan
 from repro.protocol import FaultTransport, ObservabilityTransport, Transport
 from repro.shard import ShardView
@@ -62,9 +63,31 @@ def check_invariants(scheme):
         for owner_idx, ptrs in state.pointers.items():
             for obj, holder in ptrs.items():
                 assert state.clients[holder].contains(obj)
-        # Client caches respect their capacities.
-        for cache in state.clients:
-            assert len(cache) <= cache.capacity
+        # Caches respect their (byte) capacities and charge each held
+        # object exactly its size.
+        holdings = set()
+        for cache in [state.proxy, *state.clients]:
+            assert cache._used == len(cache) <= cache.capacity
+            assert cache._used == sum(scheme._size_of(obj) for obj in cache.keys())
+            if cache is not state.proxy:
+                holdings.update(cache.keys())
+        # The directory ground truth lists everything a client holds
+        # (and, per the first check, nothing else).
+        assert holdings == state.p2p_present
+        for obj in holdings:
+            assert obj in state.directory
+    if scheme.indexed:
+        # The presence indexes are what a scan of the clusters would find.
+        def scan(held):
+            found = {}
+            for state in scheme.states:
+                for obj in held(state):
+                    found.setdefault(obj, set()).add(state.cluster)
+            return found
+
+        assert scheme._proxy_presence.as_dict() == scan(lambda s: s.proxy.keys())
+        if scheme._dir_presence is not None:
+            assert scheme._dir_presence.as_dict() == scan(lambda s: s.p2p_present)
 
 
 class TestPassDown:
@@ -295,13 +318,13 @@ class TestEngineSelection:
     def build(case):
         config = cfg(n_proxies=2, n_clients=6)
         workload = config.workload
-        if case == "sized":
+        if case.startswith("sized"):
             workload = dataclasses.replace(workload, object_sizes="heavy-tailed")
-        elif case == "plain bloom":
+        if case.endswith("bloom"):
             config = config.with_changes(directory="bloom")
         traces = generate_cluster_traces(workload, 2, seed=0)
         base = Transport(config.network)
-        if case == "fault transport":
+        if case.endswith("fault transport"):
             plan = FaultPlan(p2p_loss=0.1, push_loss=0.1, seed=3)
             faulty = FaultTransport(base, plan, scope="hier-gd")
             return HierGdScheme(config, traces, transport=faulty)
@@ -325,8 +348,10 @@ class TestEngineSelection:
         [
             ("plain exact", True),
             ("plain bloom", True),
-            ("sized", False),
+            ("sized", True),
+            ("sized bloom", True),
             ("fault transport", False),
+            ("sized + fault transport", False),
             ("observability-only transport", True),
             ("churn subclass", False),
             ("sharded", True),
@@ -336,3 +361,20 @@ class TestEngineSelection:
         scheme = self.build(case)
         assert scheme.indexed is indexed
         scheme.run()
+
+    def test_sized_fault_free_run_never_enters_the_chain(self, monkeypatch):
+        def entered(*args, **kwargs):
+            raise AssertionError("protocol-chain engine entered")
+
+        # serve_miss under both names it is reachable by.
+        monkeypatch.setattr("repro.protocol.chain.serve_miss", entered)
+        monkeypatch.setattr("repro.core.hiergd.serve_miss", entered)
+        monkeypatch.setattr(HierGdScheme, "_pass_down", entered)
+        config = cfg(n_proxies=2, n_clients=6, client_cache_fraction=0.01)
+        workload = dataclasses.replace(
+            config.workload, n_requests=2000, object_sizes="heavy-tailed"
+        )
+        config = config.with_changes(workload=workload)
+        result = run_scheme("hier-gd", config, seed=0)
+        assert result.messages["passdowns"] > 0 and result.messages["p2p_lookups"] > 0
+

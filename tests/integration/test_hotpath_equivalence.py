@@ -5,12 +5,15 @@ cache operations) must not change any simulated result.  Each scheme is
 run twice on the same traces, once as the registry builds it and once as
 its *partner*, and the two :class:`SchemeResult`\\ s must be identical —
 same request count, tier counts, total latency and protocol messages,
-and the same extras except ``mean_pastry_hops``:
+and the same extras except, on unit-size rows, ``mean_pastry_hops``:
 
 * **Hier-GD** — the indexed engine against the protocol-chain engine,
-  reached through the public zero-event churn scheme (the chain resolves
-  and routes keys on first touch, the indexed engine routes a sampled
-  subset of a precomputed table, so that one statistic may differ);
+  reached through the public zero-event churn scheme.  The chain resolves
+  and routes keys on first touch; a unit-size indexed run routes a
+  sampled subset of a precomputed table, so that one statistic may
+  differ there, while a sized indexed run resolves on first touch too
+  and must match it (the sized rows compare the hop extra as well, and
+  hold the finished scheme to ``check_invariants``);
 * **SC / SC-EC** — the presence indexes against the naive models below,
   which probe every cooperating cache in ascending order on every miss;
 * **Squirrel** — the precomputed home table against ``overlay.owner_of``
@@ -36,6 +39,7 @@ from repro.netmodel import (
     TIER_SERVER,
 )
 from repro.workload import object_url
+from tests.core.test_hiergd import check_invariants
 
 
 class NaiveSc(ScScheme):
@@ -111,19 +115,23 @@ def small_config(**overrides):
     return dataclasses.replace(cfg, workload=wl, n_proxies=3, **overrides)
 
 
-def assert_equivalent(name, config):
+def assert_equivalent(name, config, hops=False):
+    """``hops``: whether ``mean_pastry_hops`` must match too.  Returns
+    the finished registry-built scheme."""
     traces = generate_workloads(config, seed=0)
-    indexed = SCHEME_REGISTRY[name](config, traces).run()
+    scheme = SCHEME_REGISTRY[name](config, traces)
+    indexed = scheme.run()
     partner = PARTNERS.get(name, SCHEME_REGISTRY[name])(config, traces).run()
     assert indexed.n_requests == partner.n_requests
     assert indexed.tier_counts == partner.tier_counts
     assert indexed.total_latency == partner.total_latency
     strip = lambda d: {
         k: v for k, v in d.items()
-        if k != "mean_pastry_hops" and k not in CHURN_ONLY
+        if (hops or k != "mean_pastry_hops") and k not in CHURN_ONLY
     }
     assert indexed.messages == strip(partner.messages)
     assert strip(indexed.extras) == strip(partner.extras)
+    return scheme
 
 
 @pytest.mark.parametrize("name", list(SCHEME_REGISTRY))
@@ -156,6 +164,51 @@ def test_hier_gd_no_diversion_no_piggyback_equivalent():
 
 def test_hier_gd_no_promotion_equivalent():
     assert_equivalent("hier-gd", small_config(promote_on_p2p_hit=False))
+
+
+def assert_sized_equivalent(**overrides):
+    # Client caches of a few median objects and a small proxy: at the
+    # defaults nearly every pass-down is larger than a whole client cache.
+    overrides = {
+        "client_cache_fraction": 0.005, "proxy_cache_fraction": 0.2, **overrides
+    }
+    config = small_config(**overrides)
+    config = dataclasses.replace(
+        config,
+        workload=dataclasses.replace(config.workload, object_sizes="heavy-tailed"),
+    )
+    scheme = assert_equivalent("hier-gd", config, hops=True)
+    assert scheme.indexed and "mean_pastry_hops" in scheme.finalize()[1]
+    check_invariants(scheme)
+    return scheme
+
+
+@pytest.mark.parametrize("policy", ["gd", "lru", "lfu"])
+@pytest.mark.parametrize("directory", ["exact", "bloom"])
+@pytest.mark.parametrize("cost_model", ["gds", "gd"])
+def test_hier_gd_sized_equivalent(cost_model, directory, policy):
+    scheme = assert_sized_equivalent(
+        gd_cost_model=cost_model, directory=directory, hiergd_policy=policy
+    )
+    # The rows are only worth their name if the P2P tier is busy and
+    # sizes bite: some objects are larger than a whole client cache.
+    assert scheme.sizes.max() > scheme.sizings[0].client_size > scheme.sizes.min()
+    for counter in ("diversions", "client_evictions", "p2p_lookups", "push_requests"):
+        assert scheme._msg[counter] > 500, counter
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"p2p_replicas": 2},
+        {"object_diversion": False},
+        {"client_cache_fraction": 0.0},
+        {"promote_on_p2p_hit": False, "gd_cost_model": "gd"},
+    ],
+    ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()),
+)
+def test_hier_gd_sized_mechanism_toggles_equivalent(overrides):
+    assert_sized_equivalent(**overrides)
 
 
 def test_squirrel_home_table_matches_overlay_owner():

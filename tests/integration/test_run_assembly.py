@@ -116,7 +116,7 @@ VARIANTS = {
     "squirrel": [{}, {"overlay": "chord"}],
 }
 
-#: Unit-size, plan-free, sync ``shards=2`` cells whose bytes
+#: Plan-free, sync ``shards=2`` cells whose bytes
 #: ``tests/shard/GOLDEN_shards.json`` pins: (scheme, variant, sized) -> case.
 GOLDEN_CASE = {
     ("nc", "", False): "nc-s2-r200",
@@ -124,6 +124,8 @@ GOLDEN_CASE = {
     ("sc", "", False): "sc-s2-r200",
     ("sc", "", True): "sc-sized",
     ("hier-gd", "", False): "hier-gd-s2-r200",
+    ("hier-gd", "", True): "hier-gd-sized",
+    ("hier-gd", "gd_cost_model=gd", True): "hier-gd-sized-gd",
     ("hier-gd", "overlay=chord", False): "hier-gd-chord",
     ("hier-gd", "hiergd_policy=lru", False): "hier-gd-lru",
 }
@@ -174,8 +176,6 @@ class Cell:
             return "single-process features"
         if self.faulty:
             return "fault plans are single-process"
-        if self.name == "hier-gd" and self.sized:
-            return "sized workloads"
         if self.name == "hier-gd" and self.variant == "directory=bloom":
             return "directory='exact'"
         if (self.name, self.variant, self.sized) in GOLDEN_CASE:

@@ -104,14 +104,18 @@ class TestSizePlumbing:
                 gd_cost_model="bogus",
             )
 
-    def test_sharded_hier_gd_rejects_sized_workloads(self):
+    def test_sharded_hier_gd_takes_sized_workloads(self):
         from repro.core.hiergd import HierGdScheme
         from repro.shard import ShardView
 
         cfg, traces = sized_setup(seed=8)
-        view = ShardView([0, 1], 2, warmup=0, round_requests=1, exchange=None)
-        with pytest.raises(ValueError, match="sized workloads"):
-            view.attach(HierGdScheme(cfg, traces))
+        view = ShardView(
+            [0, 1], 2, warmup=0, round_requests=len(traces[0]),
+            exchange=lambda round_index, deltas, pushes: (deltas, pushes),
+        )
+        scheme = HierGdScheme(cfg, traces)
+        view.attach(scheme)
+        assert scheme.run() == run_scheme("hier-gd", cfg, traces)
 
     def test_size_table_deterministic_per_seed(self):
         cfg, traces = sized_setup(seed=9)

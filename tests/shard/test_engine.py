@@ -163,7 +163,7 @@ class TestValidation:
             with pytest.raises(UnsupportedConfiguration, match="record"):
                 run_scheme("sc", config, shards=2)
 
-    def test_sized_hier_gd_refused_before_forking(self, tmp_path, monkeypatch):
+    def test_bloom_hier_gd_refused_before_forking(self, tmp_path, monkeypatch):
         # A refusal inside a worker would surface as RuntimeError("shard 0
         # failed: ...") after every worker had generated its traces.
         import multiprocessing.process
@@ -172,10 +172,9 @@ class TestValidation:
             raise AssertionError("a worker was started")
 
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_fork)
-        sized = dataclasses.replace(WORKLOAD, object_sizes="heavy-tailed")
-        with pytest.raises(UnsupportedConfiguration, match="sized workloads") as info:
+        with pytest.raises(UnsupportedConfiguration, match="directory='exact'") as info:
             run_scheme_sharded(
-                "hier-gd", cfg(workload=sized), shards=2, trace_dir=str(tmp_path)
+                "hier-gd", cfg(directory="bloom"), shards=2, trace_dir=str(tmp_path)
             )
         assert isinstance(info.value, ValueError)
         assert list(tmp_path.iterdir()) == []

@@ -3,8 +3,9 @@
 ``GOLDEN_shards.json`` was written by the ``Sharded*`` scheme subclasses
 that preceded the shard peer view (:mod:`repro.shard.view`), so the view
 is held to their bytes, not merely to run-to-run determinism of its own
-code.  Refresh it — only after an *intentional* change of the
-bounded-staleness semantics — with
+code (the two ``hier-gd-sized*`` rows are younger: sized Hier-GD had no
+sharded form before the indexed engine took sizes).  Refresh it — only
+after an *intentional* change of the bounded-staleness semantics — with
 ``PYTHONPATH=src python -m tests.shard.test_golden_shards``.
 """
 
@@ -41,6 +42,10 @@ CASES.update(
         "hier-gd-no-promote": ("hier-gd", 2, 200, {"promote_on_p2p_hit": False}),
         "nc-sized": ("nc", 2, 200, {"workload": SIZED}),
         "sc-sized": ("sc", 2, 200, {"workload": SIZED}),
+        "hier-gd-sized": ("hier-gd", 2, 200, {"workload": SIZED}),
+        "hier-gd-sized-gd": (
+            "hier-gd", 2, 200, {"workload": SIZED, "gd_cost_model": "gd"}
+        ),
     }
 )
 
