@@ -1,6 +1,6 @@
-"""Docs gate: docstring coverage + markdown link integrity, stdlib-only.
+"""Docs gate: docstring coverage, link integrity, change-log length; stdlib-only.
 
-CI's docs-lint step.  Two checks, both deliberately dependency-free (the
+CI's docs-lint step.  Three checks, all deliberately dependency-free (the
 toolchain bakes in no pydocstyle/interrogate, and the gate must run
 anywhere the test suite runs):
 
@@ -13,6 +13,9 @@ anywhere the test suite runs):
   audited documents (default: README.md, EXPERIMENTS.md,
   docs/PROTOCOL.md) must exist on disk; anchors and external URLs are
   not checked.
+* **Change-log length** — every ``- PR n`` entry of CHANGES.md is one
+  line of at most 400 characters: the log says what each PR did, the
+  tables live in EXPERIMENTS.md and ``git log``.
 
 Usage::
 
@@ -32,6 +35,8 @@ REPO = Path(__file__).resolve().parent.parent
 
 DEFAULT_PACKAGES = ("src/repro/protocol", "src/repro/daemon")
 DEFAULT_DOCS = ("README.md", "EXPERIMENTS.md", "docs/PROTOCOL.md")
+CHANGELOG = "CHANGES.md"
+MAX_ENTRY_CHARS = 400
 
 #: ``[text](target)`` — good enough for the repo's plain markdown.
 _LINK = re.compile(r"\[[^\]]+\]\(([^)\s]+)\)")
@@ -84,6 +89,16 @@ def check_links(doc: Path) -> list[str]:
     return findings
 
 
+def check_changelog(path: Path) -> list[str]:
+    """Over-long ``- PR n`` entries of the change log."""
+    return [
+        f"{path.relative_to(REPO)}:{i}: entry is {len(line)} characters "
+        f"(limit {MAX_ENTRY_CHARS}): {line[:60]}..."
+        for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if line.startswith("- PR") and len(line) > MAX_ENTRY_CHARS
+    ]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -113,6 +128,7 @@ def main(argv: list[str] | None = None) -> int:
             findings.append(f"{doc}: document does not exist")
             continue
         findings.extend(check_links(path))
+    findings.extend(check_changelog(REPO / CHANGELOG))
 
     if findings:
         print("DOCS GATE FAILED:")
@@ -121,7 +137,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     print(
         f"docs gate passed: {audited} modules fully docstringed, "
-        f"{len(docs)} documents link-clean"
+        f"{len(docs)} documents link-clean, {CHANGELOG} entries "
+        f"<= {MAX_ENTRY_CHARS} characters"
     )
     return 0
 

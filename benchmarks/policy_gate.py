@@ -1,4 +1,4 @@
-"""Policy what-if gate: identity replay byte-identity + old-schema compat.
+"""Policy what-if gate: identity what-if byte-identity, modified policies bite.
 
 The what-if subsystem's acceptance bar, run as a CI smoke job:
 
@@ -10,11 +10,7 @@ The what-if subsystem's acceptance bar, run as a CI smoke job:
   to the uniform;
 * a *modified* policy (``immediate``) on a faulty trace must actually
   change events — a what-if that never disagrees with the recording is
-  measuring nothing;
-* a schema-1 trace (synthesised by downgrading a fresh recording:
-  ``draws`` column stripped, header version rewound) must still load
-  and replay cleanly through the byte-exact replay harness, and must be
-  *refused* for non-identity what-ifs with a clear error.
+  measuring nothing.
 
 Usage::
 
@@ -25,7 +21,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import tempfile
 from pathlib import Path
@@ -34,29 +29,12 @@ from repro.experiments.robustness import ROBUSTNESS_FRACTION, robustness_plan
 from repro.experiments.runner import base_config
 from repro.faults.run import run_scheme_with_faults
 from repro.protocol.policy import PolicySet, RetryPolicy
-from repro.protocol.replay import replay_trace
 from repro.protocol.trace import recording_traces
-from repro.protocol.whatif import WhatIfError, format_whatif, whatif_trace
+from repro.protocol.whatif import format_whatif, whatif_trace
 
 GATE_SCHEMES = ("fc", "fc-ec", "hier-gd", "squirrel")
 
 IMMEDIATE = PolicySet(default=RetryPolicy(strategy="immediate"))
-
-
-def downgrade_to_schema1(trace_path: Path, out_path: Path) -> None:
-    """Rewrite a schema-2 trace as schema 1: no draws, version rewound."""
-    lines = trace_path.read_text(encoding="utf-8").splitlines()
-    out: list[str] = []
-    for i, line in enumerate(lines):
-        entry = json.loads(line)
-        if i == 0:
-            entry["schema"] = 1
-            out.append(json.dumps(entry, sort_keys=True))
-        elif isinstance(entry, list) and entry[0] == "x" and len(entry) == 8:
-            out.append(json.dumps(entry[:7]))
-        else:
-            out.append(line)
-    out_path.write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
 def run_gate(rate: float, out_dir: Path) -> list[str]:
@@ -104,28 +82,6 @@ def run_gate(rate: float, out_dir: Path) -> list[str]:
     else:
         print(f"  ok immediate policy re-judged {modified.n_changed} events")
 
-    # Old-schema compatibility: replays clean, refuses policy what-ifs.
-    old = out_dir / f"schema1-{faulty_trace.name}"
-    downgrade_to_schema1(faulty_trace, old)
-    replay = replay_trace(old)
-    if replay.divergence is not None or not replay.identical:
-        failures.append("downgraded schema-1 trace did not replay clean")
-    else:
-        print(f"  ok schema-1 trace replayed clean ({replay.n_events} events)")
-    identity_old = whatif_trace(old)
-    if identity_old.n_changed or not identity_old.identical:
-        failures.append("schema-1 identity what-if not byte-identical")
-    else:
-        print("  ok schema-1 identity what-if byte-identical")
-    try:
-        whatif_trace(old, IMMEDIATE)
-    except WhatIfError as exc:
-        print(f"  ok schema-1 policy what-if refused: {exc}")
-    else:
-        failures.append(
-            "schema-1 trace accepted a non-identity what-if (no draws to "
-            "re-judge — must be refused)"
-        )
     return failures
 
 
@@ -146,7 +102,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  - {failure}")
         return 1
     print("\npolicy gate passed: identity what-ifs byte-identical, modified "
-          "policies bite, schema-1 traces replay clean")
+          "policies bite")
     return 0
 
 

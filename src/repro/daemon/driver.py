@@ -2,14 +2,16 @@
 
 The counterpart of :mod:`repro.protocol.replay` for the live path: a
 :class:`DaemonTransport` implements the :class:`~repro.protocol.
-transport.Transport` contract but answers :meth:`attempt` /
+transport.Transport` contract but decides :meth:`draw` /
 :meth:`unresponsive` **over TCP** — every cooperation exchange becomes a
 wire request to the daemon whose role serves it
 (:data:`~repro.protocol.wire.SERVED_BY`), and the daemon's response (a
-trace event, byte for byte) supplies the outcome, the exact latency
-charges and the fault-counter deltas the driver re-applies locally in
-recorded order (:class:`~repro.protocol.transport.EventFedTransport`,
-the base it shares with the replay transport).
+trace event, byte for byte) comes back as the
+:class:`~repro.protocol.policy.LadderOutcome` the daemon drew: the exact
+latency charges and fault-counter deltas the driver then pays locally,
+in recorded order, like any other stack's
+(:class:`~repro.protocol.transport.EventFedTransport` is the base it
+shares with the replay transport).
 
 :func:`drive_scheme` is the entry point: the run is put together by
 :func:`repro.core.run.assemble_run` like every other, carried over a
@@ -37,6 +39,7 @@ from pathlib import Path
 from typing import Any
 
 from ..protocol.messages import Exchange
+from ..protocol.policy import LadderOutcome
 from ..protocol.trace import DEFAULT_MAX_EVENTS, TraceRecorder
 from ..protocol.transport import EventFedTransport
 from ..protocol.wire import (
@@ -175,8 +178,8 @@ class DaemonTransport(EventFedTransport):
 
     # -- the transport contract, over the wire -------------------------------
 
-    def attempt(self, exchange: Exchange, force_fail: bool = False) -> bool:
-        """Carry the exchange over the wire; echo-check the response."""
+    def draw(self, exchange: Exchange, force_fail: bool = False) -> LadderOutcome:
+        """Have a daemon decide the exchange; echo-check the response."""
         link = self._pick(SERVED_BY[exchange.kind])
         link.send(request_frame(self._req, exchange, force_fail))
         self.exchanges_sent += 1
@@ -187,8 +190,7 @@ class DaemonTransport(EventFedTransport):
                 f"(req={self._req}, {exchange.kind}, {exchange.link}), got "
                 f"(req={req}, {kind}, {ev_link})"
             )
-        self._apply(charges, deltas, draws)
-        return ok
+        return LadderOutcome.from_event(ok, charges, deltas, draws)
 
     def unresponsive(self, cluster: int, client: int) -> bool:
         """Probe a client daemon (plain stacks answer False off-wire)."""

@@ -177,7 +177,7 @@ class CacheDaemon:
             # Single writer coroutine: responses leave in request order,
             # whatever order the concurrent ladders finish in.  A None
             # sentinel ends the stream after every admitted response.
-            async def drain_responses() -> None:
+            async def write_responses() -> None:
                 while True:
                     fut = await response_queue.get()
                     if fut is None:
@@ -186,7 +186,7 @@ class CacheDaemon:
                     writer.write(payload)
                     await writer.drain()
 
-            writer_task = asyncio.ensure_future(drain_responses())
+            writer_task = asyncio.ensure_future(write_responses())
 
             while True:
                 raw = await reader.readline()
@@ -240,12 +240,7 @@ class CacheDaemon:
             )
         outcome = stack.draw(exchange, force_fail)
         self._book(exchange, outcome)
-        payload = encode_frame(
-            event_frame(
-                req, exchange, outcome.ok, list(outcome.charges),
-                outcome.counter_deltas(), outcome.draws,
-            )
-        )
+        payload = encode_frame(event_frame(req, exchange, *outcome.event_fields()))
         task = asyncio.ensure_future(self._finish(outcome, payload))
         ladder_tasks.add(task)
         task.add_done_callback(ladder_tasks.discard)

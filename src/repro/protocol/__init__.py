@@ -76,7 +76,6 @@ from .replay import (
 )
 from .trace import (
     TRACE_SCHEMA,
-    TRACE_SCHEMAS,
     RecordingTransport,
     TraceRecorder,
     TraceWriter,
@@ -130,7 +129,6 @@ __all__ = [
     "SERVED_BY",
     "STRATEGIES",
     "TRACE_SCHEMA",
-    "TRACE_SCHEMAS",
     "WIRE_KIND",
     "WIRE_SCHEMA",
     "AsyncTransport",

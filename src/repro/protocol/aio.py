@@ -1,19 +1,20 @@
 """Async transport backend: cooperation ladders as awaitables.
 
-The synchronous :class:`~repro.protocol.transport.Transport` stack
-serves every exchange inline — one :meth:`attempt` call, latency charged
-serially, nothing ever overlapping in flight.  This module re-expresses
-the same stack's timeout → backoff-retry → fallback ladder as
-awaitables, behind the same contract:
+The synchronous :class:`~repro.protocol.transport.Transport` stack pays
+every exchange inline — one :meth:`attempt` call, latency charged
+serially, nothing ever overlapping in flight.  This module pays the same
+outcome with its waits awaited, behind the same contract:
 
-* :class:`AsyncTransport` wraps any transport stack and drives its
-  :meth:`~repro.protocol.transport.Transport.ladder_steps` generator,
-  awaiting each wait on a pluggable clock.  Its synchronous
-  :meth:`attempt` runs the coroutine to completion on the simulated
-  clock, so a scheme carrying an ``AsyncTransport`` produces
-  **byte-identical** results to the plain stack (the equivalence gate);
-  :meth:`attempt_async` / :meth:`begin` are the concurrent forms the
-  daemon and any asyncio caller use to keep many ladders in flight.
+* :class:`AsyncTransport` wraps any transport stack: :meth:`begin`
+  decides an exchange exactly as :meth:`Transport.attempt` does (the
+  stack's :meth:`~repro.protocol.transport.Transport.draw`, counters
+  booked) and returns an awaitable that charges each amount and awaits
+  it on a pluggable clock.  Its synchronous :meth:`attempt` runs that
+  awaitable to completion on the simulated clock, so a scheme carrying
+  an ``AsyncTransport`` produces **byte-identical** results to the plain
+  stack (the equivalence gate); :meth:`attempt_async` / :meth:`begin`
+  are the concurrent forms any asyncio caller uses to keep many ladders
+  in flight.
 * :class:`SimClock` is a deterministic virtual clock with a miniature
   event loop: no wall time passes, waits advance ``now``, and
   :meth:`SimClock.gather` interleaves many ladders by (deadline, start
@@ -23,27 +24,25 @@ awaitables, behind the same contract:
   concurrency is real while smoke runs stay fast).
 
 The ladder's shape — round count, timeouts, hedged max-not-sum
-charging — is whatever the plan's per-link
-:class:`~repro.protocol.policy.RetryPolicy` says: this layer drives the
-wrapped stack's generators and never re-implements the ladder, so sync,
-async and daemon paths agree under any policy by construction.
+charging — is whatever the wrapped stack's outcome says: this layer
+never re-implements the ladder, so sync, async and daemon paths agree
+under any policy by construction.
 
-Determinism under concurrency rests on one invariant, enforced by the
-transport layer rather than here: **all RNG draws of a ladder happen
-atomically on its first step** (:meth:`FaultTransport.draw`), so the
-per-link fault substreams advance in ladder start order no matter how
-the waits later interleave.  Cancelling an in-flight ladder keeps its
-draw (the substreams advanced and the fault counters were booked with
-it) and the waits already charged; the remaining waits are abandoned and
-a recording layer writes no event for the half-run ladder — tested
-behaviour, specified in docs/PROTOCOL.md.
+Determinism under concurrency rests on one invariant: **all RNG draws
+of a ladder happen atomically when it is decided**
+(:meth:`FaultTransport.draw`), so the per-link fault substreams advance
+in ladder start order no matter how the waits later interleave.
+Cancelling an in-flight ladder keeps its draw (the substreams advanced,
+the fault counters were booked and a recording layer wrote its event
+with it) and the waits already charged; the remaining waits are
+abandoned — tested behaviour, specified in docs/PROTOCOL.md §7.2.
 """
 
 from __future__ import annotations
 
 import asyncio
 import heapq
-from typing import Any, Awaitable, Coroutine
+from typing import Any, Awaitable, Coroutine, Sequence
 
 from .messages import Exchange
 from .transport import Transport, TransportLayer
@@ -171,21 +170,21 @@ class AsyncTransport(TransportLayer):
     """Async backend over any transport stack, same ``Transport`` contract.
 
     Wraps a stack (base, fault, observability, recording — stacking
-    preserved, this layer sits outermost) and drives its ladder
-    generators on a clock:
+    preserved, this layer sits outermost) and pays its outcomes on a
+    clock:
 
-    * :meth:`attempt` — the synchronous contract, satisfied by running
-      the ladder coroutine to completion on a :class:`SimClock`.  Charges
-      and RNG draws happen inside the wrapped stack's generator in the
-      exact serial order, so results are byte-identical to the plain
-      stack: the deterministic equivalence mode.
-    * :meth:`attempt_async` — the same ladder as a coroutine; await many
-      under ``asyncio`` (:class:`RealClock`) or :meth:`SimClock.gather`
-      to overlap their waits.
-    * :meth:`begin` — two-phase form for the daemon: the first ladder
-      step (all RNG draws, first charge) runs synchronously *now*, the
-      returned awaitable finishes the waits later.  Calling ``begin`` in
+    * :meth:`begin` — two-phase form: the exchange is decided (all RNG
+      draws, counters, the first charge) synchronously *now*, the
+      returned awaitable takes the waits later.  Calling ``begin`` in
       arrival order is what pins the fault substreams under concurrency.
+    * :meth:`attempt_async` — the same as a coroutine; await many under
+      ``asyncio`` (:class:`RealClock`) or :meth:`SimClock.gather` to
+      overlap their waits.
+    * :meth:`attempt` — the synchronous contract, satisfied by running
+      :meth:`begin`'s awaitable to completion on a :class:`SimClock`.
+      Draws and charges happen in the exact serial order, so results are
+      byte-identical to the plain stack: the deterministic equivalence
+      mode.
     """
 
     def __init__(self, inner: Transport, clock: Any = None) -> None:
@@ -195,67 +194,44 @@ class AsyncTransport(TransportLayer):
         self.clock = SimClock() if clock is None else clock
 
     def attempt(self, exchange: Exchange, force_fail: bool = False) -> bool:
-        """Synchronous contract: run the ladder coroutine to completion."""
+        """Synchronous contract: run the ladder's waits to completion."""
         clock = self.clock
         if not isinstance(clock, SimClock):
             raise RuntimeError(
                 "AsyncTransport.attempt needs the deterministic SimClock; "
                 "under a RealClock, await attempt_async inside an event loop"
             )
-        return clock.run(self.attempt_async(exchange, force_fail))
+        return clock.run(self.begin(exchange, force_fail))
 
     async def attempt_async(
         self, exchange: Exchange, force_fail: bool = False
     ) -> bool:
         """Carry one exchange, awaiting every ladder wait on the clock."""
-        gen = self.inner.ladder_steps(exchange, force_fail)
-        try:
-            try:
-                wait = gen.send(None)
-                while True:
-                    await self.clock.sleep(wait)
-                    wait = gen.send(None)
-            except StopIteration as stop:
-                return bool(stop.value)
-        finally:
-            # Cancellation mid-wait: close the ladder.  The atomic draw
-            # (and its counters) stand, waits already taken stay charged;
-            # the remaining waits are abandoned and a recording layer
-            # writes no event.
-            gen.close()
+        return await self.begin(exchange, force_fail)
 
     def begin(
         self, exchange: Exchange, force_fail: bool = False
-    ) -> Awaitable[bool]:
-        """Start a ladder now; return an awaitable that finishes it.
+    ) -> Coroutine[Any, Any, bool]:
+        """Decide a ladder now; return an awaitable that takes its waits.
 
-        The first generator step — every RNG draw, plus the first wait's
-        charge — happens synchronously inside this call, so a server
-        invoking ``begin`` per request in arrival order gets
-        deterministic fault substreams even though the returned
-        awaitables run concurrently.
+        :meth:`Transport.attempt` with each charge awaited: the draw,
+        the counter booking and the first charge happen synchronously
+        inside this call, so a server invoking ``begin`` per request in
+        arrival order gets deterministic fault substreams even though
+        the returned awaitables run concurrently.  Every later amount is
+        charged as the wait before it elapses — a cancelled ladder keeps
+        the time it already spent and nothing more.
         """
-        gen = self.inner.ladder_steps(exchange, force_fail)
-        try:
-            first = gen.send(None)
-        except StopIteration as stop:
-            return _resolved(bool(stop.value))
+        outcome = self._draw_and_book(exchange, force_fail)
+        charges = outcome.charges
+        if charges:
+            self._charge(charges[0])
+        return self._take_waits(charges, outcome.ok)
 
-        async def _finish() -> bool:
-            wait = first
-            try:
-                try:
-                    while True:
-                        await self.clock.sleep(wait)
-                        wait = gen.send(None)
-                except StopIteration as stop:
-                    return bool(stop.value)
-            finally:
-                gen.close()
-
-        return _finish()
-
-
-async def _resolved(value: bool) -> bool:
-    """An already-decided ladder (no waits) as a trivial awaitable."""
-    return value
+    async def _take_waits(self, charges: Sequence[float], ok: bool) -> bool:
+        """Await each charged wait; charge the next one when it is due."""
+        for n, amount in enumerate(charges):
+            if n:
+                self._charge(amount)
+            await self.clock.sleep(amount)
+        return ok

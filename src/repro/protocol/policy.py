@@ -224,17 +224,19 @@ DEFAULT_POLICIES = PolicySet()
 
 @dataclass(frozen=True)
 class LadderOutcome:
-    """One retry ladder's wire decisions, drawn atomically.
+    """One exchange, decided: the record every carrier hands back.
 
-    The pure data core of the timeout → backoff-retry → fallback ladder:
-    whether the exchange eventually got through, the timeout charged per
-    failed round (in order, already backoff-inflated), and the extra
-    delay charge when the successful round was slow.  Because every RNG
-    draw behind an outcome happens in one synchronous step
-    (:meth:`~repro.protocol.transport.FaultTransport.draw`), concurrent
-    ladders consume the per-link fault substreams in a deterministic
-    order — ladder start order — no matter how their waits later
-    interleave in flight.
+    Whether the exchange (eventually) got through, every latency charge
+    it costs in charge order, the fault-counter increments it books and
+    the uniforms it consumed — what :func:`run_ladder` returns, what a
+    trace ``"x"`` event and a daemon response carry, and what
+    :meth:`~repro.protocol.transport.Transport.draw` returns on every
+    stack.  Deciding touches nothing else; whoever asked
+    (:meth:`~repro.protocol.transport.Transport.attempt`, the async
+    backend, a daemon) pays.  Because every RNG draw behind an outcome
+    happens in that one synchronous step, concurrent ladders consume the
+    per-link fault substreams in ladder start order no matter how their
+    waits later interleave in flight.
     """
 
     #: Did the exchange (eventually) get through?
@@ -243,7 +245,7 @@ class LadderOutcome:
     waits: tuple[float, ...] = ()
     #: Extra charge on a slow success (0.0 = on time).
     delay: float = 0.0
-    #: Uniforms the ladder consumed (trace schema 2 ``draws``): ``"l"``
+    #: Uniforms the ladder consumed (the event's ``draws``): ``"l"``
     #: per-round loss uniforms, ``"d"`` the delay uniform, ``"j"``
     #: per-wait jitter uniforms, ``"ff": true`` for a force-failed
     #: ladder (which consumes nothing).  ``None`` when no fault ladder
@@ -253,6 +255,35 @@ class LadderOutcome:
     #: hedged strategy charges only the first timeout on exhaustion but
     #: must still book every drawn round's counters).
     drawn_timeouts: int | None = None
+    #: Counter increments when they are given rather than derived from
+    #: the rounds: ``{}`` where no ladder ran (nothing to book, even for
+    #: a refused exchange), the recorded deltas on an outcome rebuilt
+    #: from an event.  ``None``: :meth:`counter_deltas` derives them.
+    deltas: dict[str, int] | None = None
+
+    @classmethod
+    def from_event(
+        cls,
+        ok: bool,
+        charges: list[float],
+        deltas: dict[str, int],
+        draws: dict[str, Any] | None,
+    ) -> "LadderOutcome":
+        """Rebuild the outcome a trace event or daemon response carries.
+
+        The charges keep their recorded order (a slow success's delay
+        rides as the last of :attr:`waits`; only the order matters to
+        whoever pays) and the deltas are the recorded ones, never
+        re-derived.
+        """
+        return cls(ok=ok, waits=tuple(charges), draws=draws, deltas=deltas)
+
+    def event_fields(
+        self,
+    ) -> tuple[bool, list[float], dict[str, int], dict[str, Any] | None]:
+        """``(ok, charges, deltas, draws)`` — :meth:`from_event`'s inverse,
+        the tail of this outcome's trace event / daemon response."""
+        return self.ok, list(self.charges), self.counter_deltas(), self.draws
 
     @property
     def charges(self) -> tuple[float, ...]:
@@ -261,6 +292,8 @@ class LadderOutcome:
 
     def counter_deltas(self) -> dict[str, int]:
         """Fault-counter increments this ladder books (trace/wire deltas)."""
+        if self.deltas is not None:
+            return self.deltas
         deltas: dict[str, int] = {}
         n = self.drawn_timeouts if self.drawn_timeouts is not None else len(self.waits)
         if n:
@@ -271,6 +304,23 @@ class LadderOutcome:
         if not self.ok:
             deltas["fallbacks"] = 1
         return deltas
+
+    def then(self, last: "LadderOutcome") -> "LadderOutcome":
+        """This delivered ladder with its last round carried by ``last``.
+
+        A fault layer hands the round that got through to the stack it
+        wraps; whatever that stack decides, charges and books follows
+        this ladder's own.  The stack below is almost always the base
+        (delivered, free), which leaves this outcome as it is.
+        """
+        if last.ok and not last.charges and not last.counter_deltas():
+            return self
+        deltas = dict(self.counter_deltas())
+        for key, d in last.counter_deltas().items():
+            deltas[key] = deltas.get(key, 0) + d
+        return LadderOutcome.from_event(
+            last.ok, [*self.charges, *last.charges], deltas, self.draws
+        )
 
 
 def run_ladder(

@@ -2,17 +2,17 @@
 
 The counterpart of :mod:`repro.protocol.trace`: a
 :class:`ReplayTransport` implements the :class:`~repro.protocol.
-transport.Transport` contract but answers :meth:`attempt` /
+transport.Transport` contract but decides :meth:`draw` /
 :meth:`unresponsive` from the recorded event stream instead of the fault
-injector's RNG — the recorded outcome is returned, the recorded latency
-charges are re-applied one by one in their original order (float
-addition is not associative; per-amount replay is what makes
-``total_latency`` byte-identical), and the recorded fault-counter deltas
-are booked.  Everything else in a simulation is already deterministic
-given the same ``(config, scheme, seed, plan)``: the workload regrows
-from the seed, stale-directory notices and Poisson churn come from named
-plan substreams the replay rebuilds, and the caches do what the caches
-do.
+injector's RNG — each event is handed back as the
+:class:`~repro.protocol.policy.LadderOutcome` it recorded, and paying it
+(the recorded charges one by one in their original order, the recorded
+fault-counter deltas) is the same :meth:`~repro.protocol.transport.
+Transport.attempt` every stack runs.  Everything else in a simulation is
+already deterministic given the same ``(config, scheme, seed, plan)``:
+the workload regrows from the seed, stale-directory notices and Poisson
+churn come from named plan substreams the replay rebuilds, and the
+caches do what the caches do.
 
 If the scheme under replay ever asks for an exchange the recording did
 not contain — different kind, different link, different request index, a
@@ -37,9 +37,10 @@ from pathlib import Path
 from typing import Any
 
 from .messages import Exchange
-from .policy import plan_fingerprint
-from .trace import TRACE_KIND, TRACE_SCHEMAS
+from .policy import LadderOutcome, plan_fingerprint
+from .trace import TRACE_KIND, TRACE_SCHEMA
 from .transport import EventFedTransport
+from .wire import WireFormatError, parse_answer, parse_event
 
 __all__ = [
     "TraceError",
@@ -103,11 +104,6 @@ class RecordedTrace:
     footer: dict[str, Any]
 
     @property
-    def schema(self) -> int:
-        """The trace format version the file was recorded under."""
-        return int(self.header["schema"])
-
-    @property
     def scheme(self) -> str:
         """The recorded run's scheme name."""
         return self.header["scheme"]
@@ -143,11 +139,10 @@ def load_trace(path: str | Path) -> RecordedTrace:
     if not isinstance(header, dict) or header.get("kind") != TRACE_KIND:
         raise TraceFormatError(f"{path}: header does not identify a {TRACE_KIND}")
     schema = header.get("schema")
-    if schema not in TRACE_SCHEMAS:
+    if schema != TRACE_SCHEMA:
         raise TraceSchemaError(
             f"{path}: trace schema {schema!r}, this build replays only "
-            f"{', '.join(str(s) for s in TRACE_SCHEMAS)} "
-            "(recorded by a different version?)"
+            f"{TRACE_SCHEMA} (recorded by a different version?)"
         )
     for field in ("scheme", "seed", "config"):
         if field not in header:
@@ -164,6 +159,12 @@ def load_trace(path: str | Path) -> RecordedTrace:
                 raise TraceFormatError(f"{path}:{i}: event after the footer")
             if not entry or entry[0] not in ("x", "u"):
                 raise TraceFormatError(f"{path}:{i}: unknown event {entry!r}")
+            # Shape-checked once, here: replay and what-if unpack events
+            # whole.
+            try:
+                (parse_event if entry[0] == "x" else parse_answer)(entry)
+            except WireFormatError as exc:
+                raise TraceFormatError(f"{path}:{i}: {exc}") from exc
             events.append(entry)
         elif isinstance(entry, dict) and entry.get("end"):
             footer = entry
@@ -211,20 +212,17 @@ class ReplayTransport(EventFedTransport):
             raise ReplayDivergence(self.pos - 1, event, observed)
         return event
 
-    def attempt(self, exchange: Exchange, force_fail: bool = False) -> bool:
-        """Answer from the recording; diverge loudly on any mismatch."""
+    def draw(self, exchange: Exchange, force_fail: bool = False) -> LadderOutcome:
+        """Decide from the recording; diverge loudly on any mismatch."""
         observed = (
             f"attempt({exchange.kind}, link={exchange.link}, "
             f"force_fail={force_fail}) at request {self._req}"
         )
         event = self._pop("x", observed)
-        # Slice: schema-2 events carry an eighth ``draws`` element the
-        # byte-exact replay path has no use for (what-if reads it).
-        _, req, kind, link, ok, charges, deltas = event[:7]
+        _, req, kind, link, ok, charges, deltas, draws = event
         if kind != exchange.kind or link != exchange.link or req != self._req:
             raise ReplayDivergence(self.pos - 1, event, observed)
-        self._apply(charges, deltas)
-        return ok
+        return LadderOutcome.from_event(ok, charges, deltas, draws)
 
     def unresponsive(self, cluster: int, client: int) -> bool:
         """Answer a probe from the recorded ``"u"`` stream."""

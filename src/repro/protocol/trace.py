@@ -3,15 +3,17 @@
 The fault subsystem made cooperation failures *reproducible* (seeded
 substreams); this module makes them *replayable*: a
 :class:`RecordingTransport` wrapped around any transport stack streams
-one event per logical exchange — kind, link, outcome, the exact latency
-charges the stack made, and the fault-counter deltas it booked — to a
-compact JSON-lines file.  A recorded trace plus the run's
-``(config, scheme, seed, plan)`` fingerprint is everything
-:mod:`repro.protocol.replay` needs to re-drive the scheme without the
-fault injector's RNG and reproduce the :class:`~repro.core.metrics.
-SchemeResult` byte-identically.
+one event per logical exchange — the stack's
+:class:`~repro.protocol.policy.LadderOutcome` as it was decided: kind,
+link, outcome, the exact latency charges, the fault-counter deltas and
+the uniforms consumed — to a compact JSON-lines file.  A recorded trace
+plus the run's ``(config, scheme, seed, plan)`` fingerprint is
+everything :mod:`repro.protocol.replay` needs to re-drive the scheme
+without the fault injector's RNG and reproduce the
+:class:`~repro.core.metrics.SchemeResult` byte-identically.
 
-File format (one JSON value per line)::
+File format (one JSON value per line; the event lines are
+:func:`~repro.protocol.wire.event_frame` / ``answer_frame``)::
 
     {"schema": 2, "kind": "repro-exchange-trace", "scheme": ...,
      "seed": ..., "key": "<sha256>", "config": {...}, "plan": {...}|null}
@@ -20,21 +22,20 @@ File format (one JSON value per line)::
     {"end": true, "events": N, "dropped": D, "complete": true|false,
      "result": {...SchemeResult...}|null}
 
-Charges are recorded as the *individual* amounts in call order, never a
-per-exchange sum: float addition is not associative, and byte-identical
-replay of ``total_latency`` requires re-applying the exact same additions
-in the exact same order.  JSON round-trips Python floats exactly
-(``repr``-based), so nothing is lost on disk.
+Charges are recorded as the *individual* amounts in ladder order, never
+a per-exchange sum: float addition is not associative, and
+byte-identical replay of ``total_latency`` requires re-applying the
+exact same additions in the exact same order.  JSON round-trips Python
+floats exactly (``repr``-based), so nothing is lost on disk.
 
-Schema 2 appends an eighth element to ``"x"`` events: the raw uniforms
-the fault ladder consumed (``{"l": [...], "d": u, "j": [...], "ff":
-true}`` — loss uniforms in attempt order, the delay uniform, jitter
-uniforms, and a ``force_fail`` marker; absent keys mean no draw of that
-kind).  ``null`` means no fault ladder ran (plain stack or a LAN
-exchange); ``{}`` means a ladder ran but consumed nothing.  These
-uniforms are what :mod:`repro.protocol.whatif` re-judges under a
-modified :class:`~repro.protocol.policy.RetryPolicy`; schema-1 traces
-(no draws) still load and replay under the identity policy.
+The eighth element of an ``"x"`` event is the raw uniforms the fault
+ladder consumed (``{"l": [...], "d": u, "j": [...], "ff": true}`` — loss
+uniforms in attempt order, the delay uniform, jitter uniforms, and a
+``force_fail`` marker; absent keys mean no draw of that kind).  ``null``
+means no fault ladder ran (plain stack or a LAN exchange); ``{}`` means
+a ladder ran but consumed nothing.  These uniforms are what
+:mod:`repro.protocol.whatif` re-judges under a modified
+:class:`~repro.protocol.policy.RetryPolicy`.
 
 Recording is armed process-wide through :func:`recording_traces` (the
 same pattern as :func:`repro.perf.profiling.collecting_op_counters`);
@@ -62,12 +63,13 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator
 
-from .messages import FAULT_COUNTERS, Exchange
+from .messages import Exchange
+from .policy import LadderOutcome
 from .transport import Transport, TransportLayer, attach_request_counter
+from .wire import WIRE_SCHEMA, answer_frame, event_frame
 
 __all__ = [
     "TRACE_SCHEMA",
-    "TRACE_SCHEMAS",
     "TRACE_KIND",
     "DEFAULT_MAX_EVENTS",
     "trace_key",
@@ -78,15 +80,10 @@ __all__ = [
     "active_trace_recorder",
 ]
 
-#: Version of the on-disk trace format this build *writes*.  A trace is
-#: a byte-exact contract, not a best-effort log; readers accept exactly
-#: the versions in :data:`TRACE_SCHEMAS`.
-TRACE_SCHEMA = 2
-
-#: Trace versions this build can *read*.  Schema 1 (PR 5) lacks the
-#: per-event ``draws`` field, so it replays byte-identically but only
-#: supports the identity policy in what-if mode.
-TRACE_SCHEMAS = (1, 2)
+#: Version of the on-disk trace format, written and read: a trace is a
+#: byte-exact contract, not a best-effort log, and its event lines are
+#: wire frames, so the two formats share one number.
+TRACE_SCHEMA = WIRE_SCHEMA
 
 #: Header tag identifying a file as an exchange trace.
 TRACE_KIND = "repro-exchange-trace"
@@ -183,14 +180,13 @@ class TraceWriter:
 
 
 class RecordingTransport(TransportLayer):
-    """Outermost layer: records what the wrapped stack did, changes nothing.
+    """Records what the wrapped stack decides, changes nothing.
 
-    Each :meth:`attempt` snapshots the inner stack's fault counters,
-    collects every latency charge the stack makes while carrying the
-    exchange (via the bind-time charge tap), and writes one ``"x"``
-    event; :meth:`unresponsive` answers are recorded as ``"u"`` events
-    when a fault layer is active (on a plain stack the answer is
-    constant ``False`` and recording it would only bloat the trace).
+    Each :meth:`draw` writes the wrapped stack's outcome as one ``"x"``
+    event — when it is decided, before anyone pays it;
+    :meth:`unresponsive` answers are recorded as ``"u"`` events when a
+    fault layer is active (on a plain stack the answer is constant
+    ``False`` and recording it would only bloat the trace).
     """
 
     def __init__(self, inner: Transport, writer: TraceWriter) -> None:
@@ -199,102 +195,25 @@ class RecordingTransport(TransportLayer):
         #: Request index maintained by :func:`attach_request_counter`;
         #: -1 until the first request enters the scheme.
         self._req = -1
-        self._charges: list[float] | None = None
-
-    def bind(self, scheme: Any) -> None:
-        """Bind the stack through a charge tap so every amount is seen."""
-        # The recorder itself charges through the scheme directly; the
-        # wrapped stack charges through the tap so every amount is seen
-        # (and forwarded untouched) on its way to the scheme.
-        Transport.bind(self, scheme)
-        self.inner.bind(_ChargeTap(self, scheme))
 
     def attach(self, scheme: Any) -> None:
         """Start counting request indices (call after scheme construction)."""
         attach_request_counter(self, scheme)
 
-    def _snapshot(self) -> dict[str, int] | None:
-        """Fault-counter state before an exchange (None = no fault layer)."""
-        counters = self.inner.fault_counters
-        if not counters:
-            return None
-        return {key: counters.get(key, 0) for key in FAULT_COUNTERS}
-
-    def _write_exchange(
-        self,
-        exchange: Exchange,
-        ok: bool,
-        charges: list[float],
-        before: dict[str, int] | None,
-    ) -> None:
-        """Emit one ``"x"`` event from the observed attempt."""
-        deltas: dict[str, int] = {}
-        if before is not None:
-            counters = self.inner.fault_counters
-            for key in FAULT_COUNTERS:
-                d = counters.get(key, 0) - before[key]
-                if d:
-                    deltas[key] = d
+    def draw(self, exchange: Exchange, force_fail: bool = False) -> LadderOutcome:
+        """Delegate the decision and record it as one event."""
+        outcome = self.inner.draw(exchange, force_fail)
         self.writer.write_event(
-            [
-                "x",
-                self._req,
-                exchange.kind,
-                exchange.link,
-                ok,
-                charges,
-                deltas,
-                self.inner.take_draws(),
-            ]
+            event_frame(self._req, exchange, *outcome.event_fields())
         )
-
-    def attempt(self, exchange: Exchange, force_fail: bool = False) -> bool:
-        """Carry the exchange through the stack and record one event."""
-        before = self._snapshot()
-        self._charges = []
-        try:
-            ok = self.inner.attempt(exchange, force_fail)
-        finally:
-            charges, self._charges = self._charges, None
-        self._write_exchange(exchange, ok, charges, before)
-        return ok
-
-    def ladder_steps(self, exchange: Exchange, force_fail: bool = False):
-        """Record the async path identically: one event per logical ladder."""
-        before = self._snapshot()
-        self._charges = []
-        try:
-            ok = yield from self.inner.ladder_steps(exchange, force_fail)
-        finally:
-            charges, self._charges = self._charges, None
-        self._write_exchange(exchange, ok, charges, before)
-        return ok
+        return outcome
 
     def unresponsive(self, cluster: int, client: int) -> bool:
         """Record the probe as a ``"u"`` event when a fault layer answers."""
         answer = self.inner.unresponsive(cluster, client)
         if self.inner.faulty:
-            self.writer.write_event(["u", self._req, cluster, client, answer])
+            self.writer.write_event(answer_frame(self._req, cluster, client, answer))
         return answer
-
-
-class _ChargeTap:
-    """Stand-in latency sink handed to the wrapped stack at bind time.
-
-    Forwards every charge to the real scheme unchanged (warmup filtering
-    and accumulation stay the scheme's business) while letting the
-    recorder capture the raw amounts of the in-flight exchange.
-    """
-
-    def __init__(self, recording: RecordingTransport, scheme: Any) -> None:
-        self._recording = recording
-        self._scheme = scheme
-
-    def add_extra_latency(self, amount: float) -> None:
-        charges = self._recording._charges
-        if charges is not None:
-            charges.append(amount)
-        self._scheme.add_extra_latency(amount)
 
 
 class TraceRecorder:

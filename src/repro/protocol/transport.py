@@ -5,42 +5,46 @@ this exchange get through, and what did the attempt cost?  Schemes call
 :meth:`Transport.attempt` at every point their request flow crosses a
 cooperation link and branch on the answer; everything else (timeout
 ladders, retry budgets, fault counters, per-exchange telemetry) lives in
-the transport stack, not in scheme subclasses:
+the transport stack, not in scheme subclasses.
 
-* :class:`Transport` — the base layer: every exchange succeeds
-  immediately.  Tier latency stays charged by the simulator's request
-  loop (the §5.1 additive model sums per *serving tier*, and keeping the
-  float summation there preserves byte-identical totals), so success
-  costs the transport nothing extra.
-* :class:`FaultTransport` — wraps an inner transport with a
+The stack separates *deciding* from *paying*.  Deciding is
+:meth:`Transport.draw`, the one method a layer overrides: it returns the
+exchange's :class:`~repro.protocol.policy.LadderOutcome` and touches
+nothing else.  Paying is written once, in :meth:`Transport.attempt` on
+whichever layer sits outermost: draw, book the outcome's counter deltas,
+charge its amounts in ladder order through the bound scheme's
+``add_extra_latency`` (the async backend does the same with each wait
+awaited on a clock; a daemon applies the outcome by hand).
+
+* :class:`Transport` — the base layer: every exchange is delivered at
+  once and for free.  Tier latency stays charged by the simulator's
+  request loop (the §5.1 additive model sums per *serving tier*, and
+  keeping the float summation there preserves byte-identical totals).
+* :class:`FaultTransport` — decides under a
   :class:`~repro.faults.plan.FaultPlan`: per-link Bernoulli loss drives
   the timeout → bounded-exponential-backoff-retry → fallback ladder,
-  every wasted round charged through the bound scheme's
-  ``add_extra_latency``; delay inflation on successful rounds;
-  hash-stable unresponsive push targets; lossy eviction-notice channels
-  (:meth:`wrap_directory`).  A **zero plan is the identity layer**: the
-  wrapper delegates everything unchanged and installs nothing, so
-  results are byte-identical to the base transport.
-* :class:`EventFedTransport` — the base of the two carriers whose wire
-  decisions arrive as trace events (a recorded file, a live socket)
-  instead of being drawn: it re-applies each event's charges and
-  counter deltas and keeps the one fault decision that never crosses
-  the wire, lossy eviction notices, local.
-* :class:`ObservabilityTransport` — counts attempts/outcomes per
-  exchange type and (optionally) records a bounded trace of events;
-  never changes behaviour.  Stack it outside a fault layer to observe
-  logical exchanges (one per ladder), inside to observe successful
-  wire rounds; charged latency is identical either way because the
-  fault layer owns all charging.
+  delay inflation on successful rounds; hash-stable unresponsive push
+  targets; lossy eviction-notice channels (:meth:`wrap_directory`).  A
+  **zero plan is the identity layer**: the wrapper delegates everything
+  unchanged and installs nothing, so results are byte-identical to the
+  base transport.
+* :class:`EventFedTransport` — the base of the two carriers whose
+  outcomes arrive as trace events (a recorded file, a live socket)
+  instead of being drawn; it keeps the one fault decision that never
+  crosses the wire, lossy eviction notices, local.
+* :class:`ObservabilityTransport` — counts outcomes per exchange type
+  and (optionally) records a bounded trace of events; never changes
+  behaviour.  Stack it outside a fault layer to observe logical
+  exchanges (one per ladder), inside to observe delivered wire rounds.
 
 One transport instance serves one scheme run: :meth:`bind` attaches the
-scheme's latency sink (and is how a layer reaches ``add_extra_latency``
-without the scheme knowing the stack's shape).
+scheme's latency sink (and is how the paying layer reaches
+``add_extra_latency`` without the scheme knowing the stack's shape).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Any
 
 from ..netmodel import NetworkConfig
 from .messages import ALL_EXCHANGES, FAULT_COUNTERS, Exchange
@@ -64,19 +68,10 @@ def _discard_latency(_amount: float) -> None:
     """Default sink before :meth:`Transport.bind` attaches a scheme."""
 
 
-def drain(steps: Generator[float, None, bool]) -> bool:
-    """Run a :meth:`Transport.ladder_steps` generator synchronously.
-
-    The synchronous driver of the ladder contract: every yielded wait is
-    simulated time already charged by the layer that yielded it, so a
-    serial simulation simply discards the waits — only the async backend
-    (:mod:`repro.protocol.aio`) turns them into awaitables.
-    """
-    try:
-        while True:
-            next(steps)
-    except StopIteration as stop:
-        return bool(stop.value)
+#: What the base stack decides: no ladder ran, so nothing is charged and
+#: nothing booked (frozen, hence shared by every plain exchange).
+_DELIVERED = LadderOutcome(ok=True, deltas={})
+_REFUSED = LadderOutcome(ok=False, deltas={})
 
 
 def attach_request_counter(transport: Any, scheme: Any) -> None:
@@ -130,8 +125,9 @@ def lossy_notices(directory: Any, injector: Any, cluster: int) -> Any:
 class Transport:
     """Base transport: every cooperation exchange succeeds immediately.
 
-    Also the stack's contract — layers override a subset and delegate
-    the rest (:class:`TransportLayer`).
+    Also the stack's contract — layers override :meth:`draw` (and the
+    probe / directory / counter hooks they own) and delegate the rest
+    (:class:`TransportLayer`).
     """
 
     #: True when a fault process is active somewhere in the stack.
@@ -147,61 +143,41 @@ class Transport:
         """Attach the running scheme's warmup-aware latency sink."""
         self._charge = scheme.add_extra_latency
 
+    def draw(self, exchange: Exchange, force_fail: bool = False) -> LadderOutcome:
+        """Decide one exchange — the one method a layer overrides.
+
+        Every RNG draw behind the outcome happens inside this call, in
+        call order, and nothing is paid: no latency charged, no counter
+        booked.  ``force_fail`` marks a peer that will never answer (an
+        explicitly-unresponsive push target): the exchange fails on every
+        stack, fault layer or not — only the *cost* of failing (the
+        timeout ladder) is the fault layer's business, so the base stack
+        refuses it for free and books nothing.
+        """
+        return _REFUSED if force_fail else _DELIVERED
+
+    def _draw_and_book(self, exchange: Exchange, force_fail: bool) -> LadderOutcome:
+        """Decide one exchange and book its counter deltas on the stack."""
+        outcome = self.draw(exchange, force_fail)
+        deltas = outcome.counter_deltas()
+        if deltas:
+            counters = self.fault_counters
+            for key, d in deltas.items():
+                counters[key] = counters.get(key, 0) + d
+        return outcome
+
     def attempt(self, exchange: Exchange, force_fail: bool = False) -> bool:
         """Carry one exchange; True iff it (eventually) got through.
 
-        ``force_fail`` marks a peer that will never answer (an
-        explicitly-unresponsive push target): the exchange fails on every
-        transport, fault layer or not — only the *cost* of failing (the
-        timeout ladder) is the fault layer's business.
+        Paying, written once for every stack: draw, book the deltas,
+        charge every amount one by one in ladder order (float addition
+        is not associative — per-amount charging is what keeps
+        ``total_latency`` byte-identical across carriers).
         """
-        return not force_fail
-
-    def ladder_steps(
-        self, exchange: Exchange, force_fail: bool = False
-    ) -> Generator[float, None, bool]:
-        """Generator form of :meth:`attempt`: the ladder as resumable steps.
-
-        Yields each simulated wait (a timed-out round's timeout, a slow
-        round's delay) *after* charging it, and returns the exchange's
-        outcome.  Synchronous callers drive it with :func:`drain` (waits
-        are already charged, so they are simply discarded); the async
-        backend awaits each wait on a clock, which is how many ladders
-        overlap in flight.  All RNG draws happen on the first step, never
-        between waits, so concurrency cannot reorder fault substreams.
-
-        The base form performs no waits.  Layers that override
-        :meth:`attempt` with observable behaviour must override this
-        method too, or their behaviour is skipped on the async path.
-        """
-        return self.attempt(exchange, force_fail)
-        yield  # pragma: no cover — unreachable; makes this a generator
-
-    def draw(self, exchange: Exchange, force_fail: bool = False) -> LadderOutcome:
-        """Atomically decide one exchange without charging or booking.
-
-        The wire-facing form of the ladder: every RNG draw behind the
-        outcome happens inside this call, in call order, and nothing else
-        (no latency charge, no counter) is touched — the caller applies
-        the outcome's :attr:`~LadderOutcome.charges` and
-        :meth:`~LadderOutcome.counter_deltas` itself.  The daemon serves
-        exchanges through this seam so arrival order alone fixes the
-        fault substreams while the waits run concurrently.
-        """
-        return LadderOutcome(ok=not force_fail)
-
-    def take_draws(self) -> dict[str, Any] | None:
-        """Consume the last ladder's recorded uniforms, if any.
-
-        The recording seam for trace schema 2: after an :meth:`attempt`
-        (or a drained :meth:`ladder_steps`), the recording layer asks
-        the stack for the uniforms that ladder consumed
-        (:attr:`LadderOutcome.draws`) so they land in the trace's
-        ``draws`` field.  The base stack never draws, so the answer is
-        ``None``; a fault layer stashes its last outcome's draws and
-        hands them over exactly once.
-        """
-        return None
+        outcome = self._draw_and_book(exchange, force_fail)
+        for amount in outcome.charges:
+            self._charge(amount)
+        return outcome.ok
 
     def unresponsive(self, cluster: int, client: int) -> bool:
         """Will this client cache never answer a push request?"""
@@ -244,23 +220,9 @@ class TransportLayer(Transport):
         super().bind(scheme)
         self.inner.bind(scheme)
 
-    def attempt(self, exchange: Exchange, force_fail: bool = False) -> bool:
-        """Delegate the exchange to the wrapped transport."""
-        return self.inner.attempt(exchange, force_fail)
-
-    def ladder_steps(
-        self, exchange: Exchange, force_fail: bool = False
-    ) -> Generator[float, None, bool]:
-        """Delegate the step form too, so inner waits bubble up the stack."""
-        return (yield from self.inner.ladder_steps(exchange, force_fail))
-
     def draw(self, exchange: Exchange, force_fail: bool = False) -> LadderOutcome:
-        """Delegate the atomic ladder draw to the wrapped transport."""
+        """Delegate the decision to the wrapped transport."""
         return self.inner.draw(exchange, force_fail)
-
-    def take_draws(self) -> dict[str, Any] | None:
-        """Delegate draw collection to the wrapped transport."""
-        return self.inner.take_draws()
 
     def unresponsive(self, cluster: int, client: int) -> bool:
         """Delegate the unresponsiveness probe to the wrapped transport."""
@@ -310,7 +272,6 @@ class FaultTransport(TransportLayer):
         self._link_rtt = inner.network.link_rtts()
         self._counters = dict.fromkeys(FAULT_COUNTERS, 0)
         self._policies = plan.policy_set()
-        self._last_draws: dict[str, Any] | None = None
 
     @property
     def faulty(self) -> bool:  # type: ignore[override]
@@ -318,17 +279,19 @@ class FaultTransport(TransportLayer):
         return self._active or self.inner.faulty
 
     def draw(self, exchange: Exchange, force_fail: bool = False) -> LadderOutcome:
-        """Draw one ladder's wire decisions atomically (see base docstring).
+        """Decide one ladder: every round's draws, atomically, in order.
 
         Loss and delay draws for every round happen here, in ladder
-        order, before any wait is taken — exactly the sequence the serial
-        path consumes, which is what keeps concurrent ladders on one
-        fault-RNG substream deterministic: the substream advances in
-        ladder *start* order, never in wait-completion order.
+        order, before any wait is taken — which is what keeps concurrent
+        ladders on one fault-RNG substream deterministic: the substream
+        advances in ladder *start* order, never in wait-completion order.
+        A delivered ladder's last round is handed to the wrapped stack
+        (layers inside a fault layer see wire rounds that got through,
+        never the timed-out ones); a zero plan or a LAN-side exchange is
+        the wrapped stack's alone.
         """
         link = exchange.link
         if not self._active or link is None:
-            self._last_draws = None
             return self.inner.draw(exchange, force_fail)
         outcome = run_ladder(
             self._policies.for_link(link),
@@ -338,61 +301,7 @@ class FaultTransport(TransportLayer):
             self.injector,
             force_fail,
         )
-        self._last_draws = outcome.draws
-        return outcome
-
-    def take_draws(self) -> dict[str, Any] | None:
-        """Hand over (and clear) the last drawn ladder's uniforms."""
-        draws, self._last_draws = self._last_draws, None
-        return draws
-
-    def _book(self, outcome: LadderOutcome) -> None:
-        """Book one drawn ladder's fault counters."""
-        msg = self._counters
-        for key, delta in outcome.counter_deltas().items():
-            msg[key] = msg.get(key, 0) + delta
-
-    def attempt(self, exchange: Exchange, force_fail: bool = False) -> bool:
-        """Run the full ladder inline: draw, book, charge, resolve."""
-        link = exchange.link
-        if not self._active or link is None:
-            # Identity layer (zero plan) or a LAN-side exchange: the
-            # cooperation-fault model never touches it.
-            return self.inner.attempt(exchange, force_fail)
-        outcome = self.draw(exchange, force_fail)
-        self._book(outcome)
-        for wait in outcome.waits:
-            self._charge(wait)
-        if not outcome.ok:
-            return False
-        if outcome.delay:
-            self._charge(outcome.delay)
-        return self.inner.attempt(exchange)
-
-    def ladder_steps(
-        self, exchange: Exchange, force_fail: bool = False
-    ) -> Generator[float, None, bool]:
-        """The ladder with its waits exposed as resumable steps.
-
-        Same draws, charges and counters as :meth:`attempt` — the draw is
-        atomic on the first step, each wait is charged before it is
-        yielded (a cancelled ladder keeps the time it already spent), and
-        the outcome lands on :exc:`StopIteration`.
-        """
-        link = exchange.link
-        if not self._active or link is None:
-            return (yield from self.inner.ladder_steps(exchange, force_fail))
-        outcome = self.draw(exchange, force_fail)
-        self._book(outcome)
-        for wait in outcome.waits:
-            self._charge(wait)
-            yield wait
-        if not outcome.ok:
-            return False
-        if outcome.delay:
-            self._charge(outcome.delay)
-            yield outcome.delay
-        return self.inner.attempt(exchange)
+        return outcome.then(self.inner.draw(exchange)) if outcome.ok else outcome
 
     def unresponsive(self, cluster: int, client: int) -> bool:
         """Hash-stable answer: does this client never answer pushes?"""
@@ -425,10 +334,11 @@ class EventFedTransport(Transport):
     What a recorded file (:class:`~repro.protocol.replay.ReplayTransport`)
     and a live socket (:class:`~repro.daemon.driver.DaemonTransport`)
     share: every wire decision arrives as a trace event produced under
-    ``plan`` (``None`` / zero: a plain stack) and is re-applied locally.
-    Subclasses supply :meth:`attempt` / :meth:`unresponsive` — where the
-    next event comes from, how a mismatch is reported — and book each
-    event through :meth:`_apply`.
+    ``plan`` (``None`` / zero: a plain stack).  Subclasses supply
+    :meth:`draw` / :meth:`unresponsive` — where the next event comes
+    from, how a mismatch is reported — and hand the event's outcome back
+    (:meth:`LadderOutcome.from_event`); paying it is the base's
+    :meth:`attempt`, counters booked on the dict held here.
     """
 
     def __init__(self, network: NetworkConfig, plan: Any = None, scope: str = "") -> None:
@@ -440,7 +350,6 @@ class EventFedTransport(Transport):
         #: Request index maintained by :func:`attach_request_counter`;
         #: -1 until the first request enters the scheme.
         self._req = -1
-        self._last_draws: dict[str, Any] | None = None
 
     @property
     def faulty(self) -> bool:  # type: ignore[override]
@@ -453,30 +362,6 @@ class EventFedTransport(Transport):
 
     def close(self) -> None:
         """Release what feeds the events (nothing, for an in-memory stream)."""
-
-    def _apply(
-        self,
-        charges: list[float],
-        deltas: dict[str, int],
-        draws: dict[str, Any] | None = None,
-    ) -> None:
-        """Book one event: its draws, then charges, then counter deltas.
-
-        Charges are re-applied one by one in wire order — float addition
-        is not associative, and per-amount application is what keeps
-        ``total_latency`` byte-identical to the run that produced them.
-        """
-        self._last_draws = draws
-        for amount in charges:
-            self._charge(amount)
-        counters = self._counters
-        for key, d in deltas.items():
-            counters[key] = counters.get(key, 0) + d
-
-    def take_draws(self) -> dict[str, Any] | None:
-        """Hand over (and clear) the last event's ladder draws."""
-        draws, self._last_draws = self._last_draws, None
-        return draws
 
     def wrap_directory(self, directory: Any, cluster: int) -> Any:
         """Rebuild the plan's lossy-notice channel locally (never on wire)."""
@@ -501,9 +386,9 @@ class EventFedTransport(Transport):
 class ObservabilityTransport(TransportLayer):
     """Telemetry layer: per-exchange attempt/outcome counts + traces.
 
-    Pure observation — delegates every decision to the inner transport
-    and never charges latency, so stacking it anywhere in a transport
-    stack cannot change a result.
+    Pure observation — hands every decision of the inner transport back
+    untouched, so stacking it anywhere in a transport stack cannot
+    change a result.
     """
 
     def __init__(
@@ -524,8 +409,8 @@ class ObservabilityTransport(TransportLayer):
         self.events_dropped = 0
 
     def book(self, exchange: Exchange, ok: bool) -> None:
-        """Count one observed exchange (public: the daemon books through
-        this when it serves exchanges via :meth:`Transport.draw`)."""
+        """Count one observed exchange (public: a daemon counts every
+        connection's exchanges on one layer of its own)."""
         slot = self.counts.setdefault(
             exchange.kind, {"attempts": 0, "ok": 0, "failed": 0}
         )
@@ -537,19 +422,11 @@ class ObservabilityTransport(TransportLayer):
             else:
                 self.events_dropped += 1
 
-    def attempt(self, exchange: Exchange, force_fail: bool = False) -> bool:
-        """Delegate the exchange, then count its outcome."""
-        ok = self.inner.attempt(exchange, force_fail)
-        self.book(exchange, ok)
-        return ok
-
-    def ladder_steps(
-        self, exchange: Exchange, force_fail: bool = False
-    ) -> Generator[float, None, bool]:
-        """Observe the async path too: count once per logical ladder."""
-        ok = yield from self.inner.ladder_steps(exchange, force_fail)
-        self.book(exchange, ok)
-        return ok
+    def draw(self, exchange: Exchange, force_fail: bool = False) -> LadderOutcome:
+        """Delegate the decision, then count its outcome."""
+        outcome = self.inner.draw(exchange, force_fail)
+        self.book(exchange, outcome.ok)
+        return outcome
 
     @property
     def observed(self) -> dict[str, Any]:

@@ -4,7 +4,7 @@
 recording byte for byte?".  This module answers the policy question the
 robustness sweeps raised: *had the ladder been configured differently,
 what would this exact run have cost?* — without re-simulating the
-caches.  A schema-2 trace records, for every fault ladder, the raw
+caches.  A trace records, for every fault ladder, the raw
 uniforms it consumed (the ``draws`` field); :func:`whatif_trace` feeds
 those uniforms back through :func:`~repro.protocol.policy.run_ladder`
 under a *candidate* :class:`~repro.protocol.policy.PolicySet` and
@@ -48,8 +48,7 @@ failed push changing later hit rates, warmup-window shifts — are not
 modelled.  Tier moves that would drive a tier count negative are left
 unattributed (counted in the report) rather than fabricated.  That is
 the standard what-if trade: per-ladder costs are exact, cross-request
-feedback is not.  Schema-1 traces carry no draws, so they support only
-the identity policy (a clear :class:`WhatIfError` says so).
+feedback is not.
 
 Traces recorded with an active warmup window are refused for
 non-identity policies: recorded charges inside the window never reached
@@ -251,9 +250,8 @@ def whatif_trace(
     ``max_changes`` bounds the per-event change list kept on the report.
 
     Raises :class:`WhatIfError` for requests the trace cannot support
-    (schema-1 draws-free traces or warmup-window recordings under a
-    non-identity policy) and the :class:`~repro.protocol.replay.
-    TraceError` family for unusable files.
+    (warmup-window recordings under a non-identity policy) and the
+    :class:`~repro.protocol.replay.TraceError` family for unusable files.
     """
     from ..core.metrics import SchemeResult
 
@@ -269,20 +267,15 @@ def whatif_trace(
     recorded_result = trace.recorded_result
     assert recorded_result is not None  # _load_complete guarantees it
 
-    if not identity:
-        if trace.schema < 2:
-            raise WhatIfError(
-                f"{trace.path}: schema-{trace.schema} traces carry no "
-                "per-ladder draws; they support only the identity policy "
-                "(re-record under trace schema 2 for policy what-ifs)"
-            )
-        if float(trace.header["config"].get("warmup_fraction", 0.0) or 0.0) > 0.0:
-            raise WhatIfError(
-                f"{trace.path}: recorded with an active warmup window — "
-                "warmup charges never reach total_latency, so per-event "
-                "deltas cannot be attributed; re-record with "
-                "warmup_fraction=0 for policy what-ifs"
-            )
+    if not identity and (
+        float(trace.header["config"].get("warmup_fraction", 0.0) or 0.0) > 0.0
+    ):
+        raise WhatIfError(
+            f"{trace.path}: recorded with an active warmup window — "
+            "warmup charges never reach total_latency, so per-event "
+            "deltas cannot be attributed; re-record with "
+            "warmup_fraction=0 for policy what-ifs"
+        )
 
     from ..netmodel import NetworkConfig
 
@@ -300,9 +293,9 @@ def whatif_trace(
     changes: list[EventChange] = []
 
     for index, event in enumerate(trace.events):
-        if event[0] != "x" or len(event) < 8 or event[7] is None:
+        if event[0] != "x" or event[7] is None:
             continue  # no fault ladder behind this event
-        _, req, kind, link, ok_rec, charges_rec, deltas_rec, draws = event[:8]
+        _, req, kind, link, ok_rec, charges_rec, deltas_rec, draws = event
         n_ladders += 1
         if plan is None:
             continue  # draws without a plan cannot occur; defensive

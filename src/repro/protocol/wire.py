@@ -2,7 +2,7 @@
 
 The live daemon (:mod:`repro.daemon`) and the driver speak newline-
 delimited JSON over TCP, and the message format is deliberately **the
-PR-5 trace schema**: a response line is byte-for-byte a trace event, so
+exchange-trace schema**: a response line is byte-for-byte a trace event, so
 recording a live run is nothing more than writing the response stream
 between a trace header and footer — the same JSONL exchange traces a
 simulated run produces, replayable by the same harness.  The normative
@@ -25,8 +25,8 @@ error  ←    ``{"error": reason}``                                    —
 ==========  =====================================================  =====
 
 Arity is the request/response discriminator: an ``"x"`` line with five
-elements asks, one with seven (schema 1) or eight (schema 2, with the
-ladder's raw ``draws``) answers.  A line that does not end in a
+elements asks, one with eight (the last the ladder's raw ``draws``)
+answers.  A line that does not end in a
 newline is *truncated* and must be refused exactly like a truncated
 trace (:class:`WireFormatError`) — a half-written message is never a
 message.
@@ -39,7 +39,6 @@ import json
 from typing import Any
 
 from .messages import ALL_EXCHANGES, Exchange
-from .trace import TRACE_SCHEMA
 
 __all__ = [
     "WIRE_SCHEMA",
@@ -71,11 +70,12 @@ __all__ = [
     "exchange_by_kind",
 ]
 
-#: Wire format version.  Locked to the trace schema on purpose: response
+#: Wire format version, and the trace file's
+#: (:data:`repro.protocol.trace.TRACE_SCHEMA` is this number): response
 #: lines *are* trace events, so the two formats version together — a
 #: daemon and a trace reader from different builds refuse each other
 #: identically.
-WIRE_SCHEMA = TRACE_SCHEMA
+WIRE_SCHEMA = 2
 
 #: Header tag identifying a hello as this wire protocol.
 WIRE_KIND = "repro-exchange-wire"
@@ -292,19 +292,26 @@ def parse_event(
 ) -> tuple[int, str, str | None, bool, list[float], dict, dict | None]:
     """Validate an ``"x"`` response/trace event; return its fields.
 
-    Accepts both arities — 7 (schema 1, no draws) and 8 (schema 2) —
-    and always returns a 7-tuple with ``draws=None`` for the old form,
-    so every reader handles both trace generations uniformly.
+    ``(req, kind, link, ok, charges, deltas, draws)`` — the tag dropped,
+    every field of the type the frame table gives it (exact types: JSON
+    ``true`` is not an index or a count), or :class:`WireFormatError`.
     """
-    if not (isinstance(entry, list) and len(entry) in (7, 8) and entry[0] == "x"):
+    if not (isinstance(entry, list) and len(entry) == 8 and entry[0] == "x"):
         raise WireFormatError(f"not an exchange response: {entry!r}")
-    draws = entry[7] if len(entry) == 8 else None
-    _, req, kind, link, ok, charges, deltas = entry[:7]
-    if not isinstance(charges, list) or not isinstance(deltas, dict):
+    _, req, kind, link, ok, charges, deltas, draws = entry
+    if not (
+        type(req) is int
+        and isinstance(kind, str)
+        and (link is None or isinstance(link, str))
+        and isinstance(ok, bool)
+        and isinstance(charges, list)
+        and all(type(c) in (int, float) for c in charges)
+        and isinstance(deltas, dict)
+        and all(type(d) is int for d in deltas.values())
+        and (draws is None or isinstance(draws, dict))
+    ):
         raise WireFormatError(f"malformed exchange response: {entry!r}")
-    if draws is not None and not isinstance(draws, dict):
-        raise WireFormatError(f"malformed draws in exchange response: {entry!r}")
-    return int(req), str(kind), link, bool(ok), charges, deltas, draws
+    return req, kind, link, ok, charges, deltas, draws
 
 
 def answer_frame(req: int, cluster: int, client: int, answer: bool) -> list[Any]:
@@ -317,7 +324,11 @@ def parse_answer(entry: Any) -> tuple[int, int, int, bool]:
     if not (isinstance(entry, list) and len(entry) == 5 and entry[0] == "u"):
         raise WireFormatError(f"not an unresponsiveness answer: {entry!r}")
     _, req, cluster, client, answer = entry
-    return int(req), int(cluster), int(client), bool(answer)
+    if not (
+        all(type(v) is int for v in (req, cluster, client)) and type(answer) is bool
+    ):
+        raise WireFormatError(f"malformed unresponsiveness answer: {entry!r}")
+    return req, cluster, client, answer
 
 
 def error_frame(reason: str) -> dict[str, str]:

@@ -9,6 +9,7 @@ wire messages, role mismatches — are refused loudly, never half-served.
 """
 
 import dataclasses
+import json
 import socket
 
 import pytest
@@ -21,8 +22,10 @@ from repro.faults.injector import FaultInjector
 from repro.faults.run import run_scheme_with_faults
 from repro.netmodel import NetworkConfig
 from repro.protocol import recording_traces, replay_trace
-from repro.protocol.messages import PROXY_FETCH
+from repro.protocol.messages import PROXY_FETCH, PUSH
 from repro.protocol.aio import RealClock
+from repro.protocol.trace import RecordingTransport, TraceWriter
+from repro.protocol.transport import Transport
 from repro.protocol.wire import (
     WireFormatError,
     WireRoleError,
@@ -168,6 +171,29 @@ class TestWireService:
             finally:
                 rfile.close()
                 sock.close()
+
+    def test_plain_stack_refusal_is_one_record_everywhere(self, cluster, tmp_path):
+        # Regression: a plan-free draw said {"fallbacks": 1} while a
+        # plan-free attempt booked nothing, so a daemon answering a
+        # plan-free hello put a delta on the wire that a simulated
+        # recording of the same exchange does not contain.
+        stack = Transport(NetworkConfig())
+        outcome = stack.draw(PUSH, force_fail=True)
+        assert outcome.event_fields() == (False, [], {}, None)
+
+        writer = TraceWriter(tmp_path / "t.jsonl", {})
+        assert RecordingTransport(stack, writer).attempt(PUSH, force_fail=True) is False
+        writer.close()
+        recorded = json.loads(writer.path.read_text().splitlines()[1])
+
+        sock, rfile = connect(cluster.clients[0].address)
+        try:
+            sock.sendall(encode_frame(request_frame(-1, PUSH, force_fail=True)))
+            answered = decode_frame(rfile.readline())
+        finally:
+            rfile.close()
+            sock.close()
+        assert recorded == answered == event_frame(-1, PUSH, *outcome.event_fields())
 
     def test_role_mismatch_is_refused(self, cluster):
         with pytest.raises(WireRoleError):

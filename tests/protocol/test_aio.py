@@ -238,7 +238,7 @@ class TestCancellation:
         )
         carrier = AsyncTransport(stack)
         charged = []
-        stack._charge = charged.append
+        carrier._charge = charged.append
 
         full = len(stack.draw(PROXY_FETCH).waits)  # draw() books nothing
         ladder = carrier.begin(PROXY_FETCH)  # first wait charged here
@@ -254,7 +254,7 @@ class TestCancellation:
         )
         carrier = AsyncTransport(stack, clock=RealClock(scale=10.0))
         charged = []
-        stack._charge = charged.append
+        carrier._charge = charged.append
 
         async def go():
             task = asyncio.ensure_future(carrier.attempt_async(PROXY_FETCH))
@@ -281,7 +281,7 @@ class TestNonDefaultPolicies:
         stack = FaultTransport(Transport(NetworkConfig()), plan, scope="t")
         carrier = AsyncTransport(stack)
         charged = []
-        stack._charge = charged.append
+        carrier._charge = charged.append
 
         full = len(stack.draw(PROXY_FETCH).waits)
         assert full == 5  # the policy, not the plan default, sized it
@@ -299,7 +299,7 @@ class TestNonDefaultPolicies:
         stack = FaultTransport(Transport(NetworkConfig()), plan, scope="t")
         carrier = AsyncTransport(stack)
         charged = []
-        stack._charge = charged.append
+        carrier._charge = charged.append
 
         outcome = stack.draw(PROXY_FETCH)  # draw() books nothing
         assert len(outcome.waits) == 1

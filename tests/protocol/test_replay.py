@@ -22,6 +22,7 @@ from repro.protocol import (
     load_trace,
     recording_traces,
     replay_trace,
+    whatif_trace,
 )
 from repro.workload import ProWGenConfig
 
@@ -88,6 +89,14 @@ class TestUnusableFiles:
         with pytest.raises(TraceSchemaError):
             load_trace(skewed)
 
+    def test_schema1_is_refused_naming_its_version(self, faulty_trace, tmp_path):
+        # Nothing writes the draws-free schema any more; its reader went
+        # with it, and the refusal says which version the file speaks.
+        src, _ = faulty_trace
+        old = _rewrite(src, tmp_path / "schema1.jsonl", header={"schema": 1})
+        with pytest.raises(TraceSchemaError, match="trace schema 1,"):
+            load_trace(old)
+
     def test_missing_footer_means_incomplete(self, faulty_trace, tmp_path):
         src, _ = faulty_trace
         lines = src.read_text(encoding="utf-8").splitlines()
@@ -103,6 +112,47 @@ class TestUnusableFiles:
         bogus = _rewrite(src, tmp_path / "bogus.jsonl", header={"scheme": "nope"})
         with pytest.raises(TraceFormatError):
             replay_trace(bogus)
+
+
+class TestMalformedEvents:
+    """One bad event inside an otherwise valid trace: the reader's named
+    error with path and line, never an unpacking ``ValueError`` halfway
+    through a replay (ROADMAP item 7(b), for this one reader)."""
+
+    @staticmethod
+    def _doctor(src, dst, tag, mutate):
+        """Rewrite the first ``tag`` event through ``mutate``; its line number."""
+        lines = src.read_text(encoding="utf-8").splitlines()
+        for i, line in enumerate(lines):
+            if line.startswith(f'["{tag}"'):
+                lines[i] = json.dumps(mutate(json.loads(line)))
+                dst.write_text("\n".join(lines) + "\n", encoding="utf-8")
+                return i + 1
+        raise AssertionError(f"no {tag!r} event in {src}")
+
+    @pytest.mark.parametrize(
+        "tag, mutate",
+        [
+            ("x", lambda e: e[:4]),  # the crash this class was written for
+            ("x", lambda e: e[:7]),  # the schema-1 shape
+            ("x", lambda e: e + [None]),
+            ("x", lambda e: [*e[:5], "1.5", *e[6:]]),
+            ("x", lambda e: [*e[:6], ["timeouts"], e[7]]),
+            ("x", lambda e: [e[0], str(e[1]), *e[2:]]),
+            ("u", lambda e: e[:4]),
+            ("u", lambda e: e + [0]),
+            ("u", lambda e: [*e[:4], "no"]),
+        ],
+    )
+    def test_bad_event_raises_the_named_error(
+        self, faulty_trace, tmp_path, tag, mutate
+    ):
+        src, _ = faulty_trace
+        bad = tmp_path / "bad.jsonl"
+        line = self._doctor(src, bad, tag, mutate)
+        for reader in (load_trace, replay_trace, whatif_trace):
+            with pytest.raises(TraceFormatError, match=f"bad.jsonl:{line}: "):
+                reader(bad)
 
 
 class TestRecordedConfigFields:

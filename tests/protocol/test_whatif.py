@@ -9,8 +9,8 @@ The two halves of the :mod:`repro.protocol.whatif` contract:
 * **modified policies are honest approximations** — they change events,
   preserve the request count, draw deterministically from the seeded
   extension substream when probing past the recording, and are refused
-  outright when the trace cannot support them (schema-1 draws-free
-  traces, warmup-window recordings).
+  outright when the trace cannot support them (warmup-window
+  recordings).
 """
 
 import dataclasses
@@ -28,7 +28,6 @@ from repro.protocol import (
     WhatIfError,
     format_whatif,
     recording_traces,
-    replay_trace,
     whatif_trace,
 )
 from repro.workload import ProWGenConfig
@@ -133,33 +132,7 @@ class TestModifiedPolicies:
         assert report.result.total_latency <= result.total_latency + 1e-9
 
 
-def _downgrade(src, dst):
-    """Strip a trace to schema 1: no draws column, version rewound."""
-    lines = src.read_text(encoding="utf-8").splitlines()
-    out = []
-    for i, line in enumerate(lines):
-        entry = json.loads(line)
-        if i == 0:
-            entry["schema"] = 1
-            out.append(json.dumps(entry))
-        elif isinstance(entry, list) and entry[0] == "x" and len(entry) == 8:
-            out.append(json.dumps(entry[:7]))
-        else:
-            out.append(line)
-    dst.write_text("\n".join(out) + "\n", encoding="utf-8")
-    return dst
-
-
 class TestRefusals:
-    def test_schema1_supports_only_the_identity(self, faulty_trace, tmp_path):
-        src, _ = faulty_trace
-        old = _downgrade(src, tmp_path / "schema1.jsonl")
-        assert replay_trace(old).identical  # still a valid recording
-        identity = whatif_trace(old)
-        assert identity.identical and identity.n_ladders == 0
-        with pytest.raises(WhatIfError, match="schema-1"):
-            whatif_trace(old, RetryPolicy(strategy="immediate"))
-
     def test_warmup_recordings_refuse_modified_policies(self, faulty_trace, tmp_path):
         src, _ = faulty_trace
         lines = src.read_text(encoding="utf-8").splitlines()

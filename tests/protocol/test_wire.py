@@ -124,18 +124,33 @@ class TestExchangeFrames:
         with pytest.raises(WireFormatError):
             parse_event(request_frame(4, PUSH))
 
-    def test_schema1_event_parses_with_no_draws(self):
-        # Seven-element (schema 1) events stay parsable: draws=None.
+    def test_seven_element_event_is_refused(self):
+        # The draws-free schema-1 form is gone: one event shape, arity 8.
         entry = ["x", 4, "push", "push", False, [1.5, 3.0], {"timeouts": 2}]
-        req, kind, link, ok, charges, deltas, draws = parse_event(entry)
-        assert (req, ok, draws) == (4, False, None)
-        assert charges == [1.5, 3.0] and deltas == {"timeouts": 2}
+        with pytest.raises(WireFormatError, match="not an exchange response"):
+            parse_event(entry)
+
+    @pytest.mark.parametrize(
+        "index, value",
+        [(1, "4"), (1, True), (1, None), (2, 7), (3, 0), (4, 1), (4, "yes"),
+         (5, [1.5, "3.0"]), (5, [True]), (6, {"timeouts": "2"}), (6, [])],
+    )
+    def test_wrong_typed_event_field_is_refused(self, index, value):
+        # Parse or the named error: no int()/bool() coercion lets a
+        # malformed field through, or dies with ValueError/TypeError.
+        entry = event_frame(4, PUSH, False, [1.5, 3.0], {"timeouts": 2}, None)
+        entry[index] = value
+        with pytest.raises(WireFormatError, match="malformed"):
+            parse_event(entry)
 
     def test_probe_and_answer_round_trip(self):
         assert parse_probe(probe_frame(2, 1, 9)) == (2, 1, 9)
         assert parse_answer(answer_frame(2, 1, 9, True)) == (2, 1, 9, True)
         with pytest.raises(WireFormatError):
             parse_answer(probe_frame(2, 1, 9))
+        for bad in (["u", "2", 1, 9, True], ["u", 2, 1, 9, 1], ["u", 2, None, 9, True]):
+            with pytest.raises(WireFormatError, match="malformed"):
+                parse_answer(bad)
 
     def test_malformed_event_payload_is_refused(self):
         with pytest.raises(WireFormatError):
