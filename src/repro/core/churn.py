@@ -41,7 +41,8 @@ from dataclasses import dataclass
 from ..protocol.transport import Transport
 from ..workload import Trace
 from .config import SimulationConfig
-from .hiergd import HierGdScheme, _ClusterState
+from .hiergd import HierGdScheme
+from .hiergd_indexed import IndexedCluster
 
 __all__ = ["ChurnEvent", "HierGdChurnScheme"]
 
@@ -67,15 +68,20 @@ class ChurnEvent:
 
 
 class HierGdChurnScheme(HierGdScheme):
-    """Hier-GD under a scheduled client churn workload."""
+    """Hier-GD under a scheduled client churn workload.
+
+    The class is its membership events and its repairing ``_locate``;
+    requests are served by the engine's general functions
+    (:mod:`repro.core.hiergd_indexed`), which fire the events as they
+    fall due.  A failed machine's users keep arriving at the proxy: no
+    Hier-GD request path reads the requesting client.
+    """
 
     name = "hier-gd-churn"
 
     #: Stale directory entries are the *point* of this experiment: the
     #: directory deliberately diverges from ground truth until a lookup
-    #: repairs it, which the indexed engine's presence indexes cannot
-    #: mirror — so every run of this class, a zero-event one included,
-    #: is served by the protocol-chain engine.
+    #: repairs it, which no presence index can mirror.
     mutates_membership = True
 
     def __init__(
@@ -86,16 +92,20 @@ class HierGdChurnScheme(HierGdScheme):
         transport: Transport | None = None,
     ) -> None:
         super().__init__(config, traces, transport)
-        #: Read once: under a fault transport the lazy repair runs through
-        #: ``repair()`` (eviction notices are lossy — see ``_locate``).
-        self._faulty = self.transport.faulty
-        self._in_eviction = False
+        if not self._faulty:
+            # Pinned as it is (ROADMAP item 1 step 0): without a fault
+            # layer an eviction notice's reachability probe repairs like
+            # a lookup, and the entry is then removed a second time.
+            self._eviction_probe = self._locate
         for ev in events:
             if not 0 <= ev.cluster < len(self.states):
                 raise ValueError(f"event cluster {ev.cluster} out of range")
         self._events = sorted(events, key=lambda e: e.at_request)
         self._next_event = 0
+        #: Requests served so far, and the count at which the engine next
+        #: calls :meth:`_fire_due_events` (which moves it on).
         self._processed = 0
+        self._next_due = 0
         #: Failed client indices per cluster (their slots stay, dead).
         self._dead: list[set[int]] = [set() for _ in self.states]
         self._msg.update(
@@ -110,16 +120,22 @@ class HierGdChurnScheme(HierGdScheme):
     # -- event execution -------------------------------------------------
 
     def _fire_due_events(self) -> None:
+        events = self._events
         while (
-            self._next_event < len(self._events)
-            and self._events[self._next_event].at_request <= self._processed
+            self._next_event < len(events)
+            and events[self._next_event].at_request <= self._processed
         ):
-            ev = self._events[self._next_event]
+            ev = events[self._next_event]
             self._next_event += 1
             if ev.kind == "fail":
                 self._fail_client(ev.cluster, ev.client)
             else:
                 self._join_client(ev.cluster)
+        self._next_due = (
+            events[self._next_event].at_request
+            if self._next_event < len(events)
+            else float("inf")
+        )
 
     def _fail_client(self, cluster: int, client: int) -> None:
         state = self.states[cluster]
@@ -178,56 +194,21 @@ class HierGdChurnScheme(HierGdScheme):
     # -- lazily repaired lookup ---------------------------------------------
 
     def _locate(
-        self, state: _ClusterState, obj: int, owner: int | None = None
+        self, state: IndexedCluster, obj: int, owner: int | None = None
     ) -> int | None:
         holder = super()._locate(state, obj, owner)
-        if self._faulty:
-            # Under a fault transport the repair runs through ``repair()``:
-            # the proxy fixing its own directory is local and must not run
-            # through the lossy eviction-notice channel.  During eviction
-            # handling the locate is only a reachability probe — repairing
-            # there would undo the very notice drop being modelled (the
-            # proxy can't fix an entry it never learned went stale).
-            if self._in_eviction:
-                return holder
-            if holder is None and obj in state.p2p_present:
-                state.p2p_present.discard(obj)
-            if holder is None and obj in state.directory:
-                state.directory.repair(obj)
-                self._msg["directory_repairs"] += 1
-            return holder
-        if holder is None and obj in state.p2p_present:
+        if holder is None:
             # Reachability lost through churn (owner moved): the object
             # physically exists but the DHT can no longer find it.  Treat
             # it as lost — it will age out of its old holder's cache.
             state.p2p_present.discard(obj)
-        if holder is None and obj in state.directory:
-            state.directory.remove(obj)
-            self._msg["directory_repairs"] += 1
+            if obj in state.directory:
+                # The proxy fixing its own table is local: under a fault
+                # transport ``repair()`` bypasses the lossy eviction-notice
+                # channel (plain directories: the same as ``remove``).
+                state.directory.repair(obj)
+                self._msg["directory_repairs"] += 1
         return holder
-
-    def _on_client_eviction(self, state: _ClusterState, holder_idx: int, obj: int) -> None:
-        # Flagged so the faulty ``_locate`` branch treats the embedded
-        # reachability probe as read-only; harmless in plain runs (the
-        # flag is only read under a fault transport).
-        self._in_eviction = True
-        try:
-            super()._on_client_eviction(state, holder_idx, obj)
-        finally:
-            self._in_eviction = False
-
-    # -- request path ----------------------------------------------------------
-
-    def process(self, cluster: int, client: int, obj: int) -> str:
-        self._fire_due_events()
-        self._processed += 1
-        # Requests from failed clients still arrive (users move to live
-        # machines); map them onto a live client for piggyback realism.
-        if client in self._dead[cluster]:
-            live = (c for c in range(len(self.states[cluster].clients))
-                    if c not in self._dead[cluster])
-            client = next(live, 0)
-        return super().process(cluster, client, obj)
 
     def finalize(self) -> tuple[dict[str, int], dict[str, float]]:
         messages, extras = super().finalize()

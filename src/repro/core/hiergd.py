@@ -31,101 +31,28 @@ latency the proxy actually paid to fetch it (``Tp2p``, ``Tc``,
 ``Tc+Tp2p`` or ``Ts``) — this is what makes GD cost-aware and is why it
 approaches the cost-benefit upper bound.
 
-Two request engines serve the same algorithm; which one a run gets is
-decided once, in :meth:`HierGdScheme.__init__`, from what the run can
-observe:
-
-* the **protocol-chain engine** (this module + :mod:`repro.protocol.chain`)
-  routes every cooperation hop through the scheme's transport.  It is
-  the only engine for fault transports and subclasses that change
-  membership mid-run (:class:`~repro.core.churn.HierGdChurnScheme`, whose
-  zero-event form ``HierGdChurnScheme(config, traces, events=[])`` is
-  also how a test runs a fault-free chain);
-* the **indexed engine** (:mod:`repro.core.hiergd_indexed`) answers the
-  same questions from presence indexes and placement tables — every
-  other run, i.e. a fault-free transport with static membership, unit
-  or sized objects.
-
-Results are identical wherever both apply.  That includes the backend's
-``mean_<overlay>_hops`` extra on sized runs, where both engines resolve
-placement on first touch through the cluster's :class:`Dht`; a unit-size
-indexed run builds its whole owner table up front and samples different
-keys for that one statistic.
+This module is the scheme: its parameters, its counters, how a stored
+object is located and replicated, and what a run reports.  The request
+path — pass-down, eviction notices, the miss chain — is
+:mod:`repro.core.hiergd_indexed`, the one engine every Hier-GD run is
+served by (fault-free or under a fault transport, static or churning
+membership, unit or sized objects); its general functions are this
+class's ``process`` / ``_proxy_insert``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
-
 from ..cache import Cache, GreedyDualCache, LfuCache, LruCache
-from ..netmodel import TIER_LOCAL_PROXY
-from ..overlay import Dht, OverlayBackend, make_overlay, object_ids_for_urls
-from ..protocol.chain import serve_miss
 from ..protocol.transport import Transport
-from ..workload import Trace, object_url
+from ..workload import Trace
+from . import hiergd_indexed
 from .config import SimulationConfig
-from .directory import LookupDirectory, LossyDirectory, make_directory
+from .directory import LossyDirectory
+from .hiergd_indexed import IndexedCluster
 from .presence import PeerSurface
 from .simulator import CachingScheme
 
 __all__ = ["HierGdScheme"]
-
-
-class _FirstTouchOwners(dict):
-    """A cluster's object -> owner table, filled as objects are first asked for.
-
-    A missing key is resolved through the cluster's :class:`Dht` — whose
-    memo-miss counter decides which keys are also routed for the hop
-    statistic, so *when* an object is first asked for is observable in
-    ``mean_<overlay>_hops`` — and kept; every later ``[]`` is a plain
-    dict probe.
-    """
-
-    __slots__ = ("_state",)
-
-    def __init__(self, state: _ClusterState) -> None:
-        self._state = state
-
-    def __missing__(self, obj: int) -> int:
-        state = self._state
-        idx = state.idx_of_node[state.dht.owner(state.object_keys[obj])]
-        self[obj] = idx
-        return idx
-
-
-@dataclass(slots=True)
-class _ClusterState:
-    """Everything one proxy + its P2P client cache carries at runtime."""
-
-    proxy: Cache
-    clients: list[Cache]
-    overlay: OverlayBackend
-    dht: Dht
-    idx_of_node: dict[int, int]
-    node_of_idx: list[int]
-    directory: LookupDirectory
-    #: Ground truth: objects currently stored somewhere in the P2P cache.
-    p2p_present: set[int] = field(default_factory=set)
-    #: Owner-side diversion pointers: owner idx -> {obj -> holder idx}.
-    pointers: dict[int, dict[int, int]] = field(default_factory=dict)
-    #: PAST-style extra copies: obj -> replica holder idxs (primary excluded).
-    replicas: dict[int, set[int]] = field(default_factory=dict)
-    #: Last retrieval cost per object (greedy-dual's cost input).
-    costs: dict[int, float] = field(default_factory=dict)
-    #: objectId per object: one SHA-1 pass per run, shared by every cluster.
-    object_keys: np.ndarray | None = None
-    #: First-touch placement, object -> owner client index; membership
-    #: changes drop it wholesale.
-    owner_memo: _FirstTouchOwners = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.owner_memo = _FirstTouchOwners(self)
-
-    def owner(self, obj: int) -> int:
-        """Client index of the DHT owner of ``obj`` in this cluster."""
-        return self.owner_memo[obj]
 
 
 class HierGdScheme(CachingScheme):
@@ -133,10 +60,17 @@ class HierGdScheme(CachingScheme):
 
     name = "hier-gd"
 
-    #: Whether the class fails or joins clients mid-run.  Read once, by
-    #: the engine choice in ``__init__``: stale directories and shifting
-    #: placement are states the indexed engine's indexes cannot mirror.
+    #: Whether the class fails or joins clients mid-run (it then carries
+    #: the schedule the engine fires: ``_processed``, ``_next_due``,
+    #: ``_fire_due_events``).  With ``transport.faulty``, what the engine
+    #: reads to tell whether its indexes can mirror the directories.
     mutates_membership = False
+
+    # The request path is the engine's: its general functions, which
+    # ``hiergd_indexed.install`` rebinds per instance to a fault-free
+    # static specialisation where the run allows one.
+    process = hiergd_indexed.process_general
+    _proxy_insert = hiergd_indexed.proxy_insert_general
 
     def __init__(
         self,
@@ -149,18 +83,15 @@ class HierGdScheme(CachingScheme):
         self._t_server = net.t_server
         self._t_coop = net.t_coop
         self._t_p2p = net.t_p2p
-        faulty = self.transport.faulty
-        # The one engine choice.  A fault layer needs every cooperation
-        # hop routed through the transport, which the indexed engine
-        # inlines away, and its indexes assume the membership the run
-        # started with.
-        indexed = not (faulty or self.mutates_membership)
+        #: Read once: whether the cooperation hops are exchanges that can
+        #: fail (a fault layer somewhere in the stack).
+        self._faulty = self.transport.faulty
         #: Where a directory over-claim is counted: a stale entry under
         #: fault injection (exact directories go stale through dropped
         #: eviction notices), a false positive otherwise (Bloom).
         self._overclaim_key = (
             "stale_directory_hits"
-            if faulty and config.directory == "exact"
+            if self._faulty and config.directory == "exact"
             else "directory_false_positives"
         )
         self._promote = config.promote_on_p2p_hit
@@ -185,70 +116,7 @@ class HierGdScheme(CachingScheme):
         # A fault layer merges its FAULT_COUNTERS into this dict (no-op
         # under the base transport).
         self.transport.install_counters(self._msg)
-        #: Mean object size (bytes) when sized — converts byte-denominated
-        #: capacities into expected object counts for directory sizing.
-        self._mean_size = (
-            float(self.sizes.mean()) if self.sizes is not None else 1.0
-        )
-        state_cls = _ClusterState
-        if indexed:
-            from . import hiergd_indexed  # it extends _ClusterState
-
-            state_cls = hiergd_indexed.IndexedCluster
-        # Placement is resolved on first touch (hops sampled from routes
-        # over one-by-one joins) everywhere but a unit-size indexed run,
-        # which takes the bulk build and a whole owner table up front.
-        # Both feed ``mean_<overlay>_hops``, which result digests pin.
-        bulk = indexed and self.sizes is None
-        self.states: list[_ClusterState] = []
-        for ci, sizing in enumerate(self.sizings):
-            overlay = make_overlay(config)
-            names = [f"cluster{ci}/cache{k}" for k in range(sizing.n_clients)]
-            # Join order shapes the overlay's routing tables (not its
-            # placement), which the sampled hop statistic reads.
-            if bulk:
-                nodes = overlay.bulk_add_named(names)
-            else:
-                nodes = [overlay.add_named(name) for name in names]
-            node_of_idx = [node.node_id for node in nodes]
-            self.states.append(
-                state_cls(
-                    proxy=self._make_cache(sizing.proxy_size),
-                    clients=[
-                        self._make_cache(sizing.client_size)
-                        for _ in range(sizing.n_clients)
-                    ],
-                    overlay=overlay,
-                    dht=Dht(overlay, hop_sample_rate=config.hop_sample_rate),
-                    idx_of_node={nid: k for k, nid in enumerate(node_of_idx)},
-                    node_of_idx=node_of_idx,
-                    directory=self.transport.wrap_directory(
-                        make_directory(
-                            config.directory,
-                            # Directory capacity is an *object count*; under
-                            # byte-denominated sizing, estimate it from the
-                            # mean object size.
-                            capacity=max(1, round(sizing.p2p_size / self._mean_size)),
-                            fp_rate=config.bloom_fp_rate,
-                        ),
-                        ci,
-                    ),
-                )
-            )
-        n_objects = 0
-        for trace in traces:
-            if len(trace.object_ids):
-                n_objects = max(n_objects, int(trace.object_ids.max()) + 1)
-        object_keys = object_ids_for_urls(
-            [object_url(i) for i in range(n_objects)], self.states[0].overlay.space
-        )
-        for state in self.states:
-            state.object_keys = object_keys
-        #: Whether the indexed engine serves this run; if not, the
-        #: methods below (the protocol-chain engine) do.
-        self.indexed = indexed
-        if indexed:
-            hiergd_indexed.install(self)  # binds process / _proxy_insert
+        hiergd_indexed.install(self)  # builds self.states
 
     def _make_cache(self, capacity: int) -> Cache:
         """Local replacement policy per :attr:`SimulationConfig.hiergd_policy`.
@@ -268,10 +136,10 @@ class HierGdScheme(CachingScheme):
             return LruCache(capacity)
         return LfuCache(capacity, reset_on_evict=self.config.lfu_reset_on_evict)
 
-    # -- shared mechanism: locating and replicating stored objects -----------
+    # -- locating and replicating stored objects ------------------------------
 
     def _locate(
-        self, state: _ClusterState, obj: int, owner: int | None = None
+        self, state: IndexedCluster, obj: int, owner: int | None = None
     ) -> int | None:
         """Actual holder of ``obj``: owner, divertee, or a live replica.
 
@@ -295,9 +163,14 @@ class HierGdScheme(CachingScheme):
                 del state.replicas[obj]
         return None
 
+    #: What an eviction notice asks "is a copy still reachable?" with:
+    #: this class's ``_locate`` whatever a subclass overrides it with — a
+    #: notice is no lookup, and must not repair what a lookup would.
+    _eviction_probe = _locate
+
     def _replicate(
         self,
-        state: _ClusterState,
+        state: IndexedCluster,
         obj: int,
         cost: float,
         primary_idx: int,
@@ -327,142 +200,11 @@ class HierGdScheme(CachingScheme):
                 self._msg["replicas_stored"] += 1
                 extra -= 1
 
-    # -- Figure 1: pass-down with object diversion -----------------------------
-
-    def _pass_down(self, state: _ClusterState, obj: int) -> None:
-        """Destage a proxy-evicted object into the P2P client cache."""
-        msg = self._msg
-        msg["passdowns"] += 1
-        msg[self._destage_key] += 1
-
-        cost = state.costs.get(obj, self._t_server)
-        size = self._size_of(obj)
-        owner_idx = state.owner(obj)
-        holder = self._locate(state, obj, owner_idx)
-        if holder is not None:
-            # Already stored (e.g. destaged before and later promoted back
-            # up): refresh its greedy-dual credit instead of duplicating.
-            state.clients[holder].lookup(obj)
-            return
-
-        owner_cache = state.clients[owner_idx]
-        stored_at: int | None = owner_idx
-        if owner_cache.free_space >= size:
-            # (3)-(5): free space at the destination — store directly.
-            owner_cache.insert(obj, cost=cost, size=size)
-        else:
-            # (7)-(10): object diversion to an overlay neighbour with free space.
-            divertee = (
-                self._pick_divertee(state, owner_idx, size)
-                if self._diversion
-                else None
-            )
-            if divertee is not None:
-                state.clients[divertee].insert(obj, cost=cost, size=size)
-                state.pointers.setdefault(owner_idx, {})[obj] = divertee
-                msg["diversions"] += 1
-                stored_at = divertee
-            else:
-                # (12)-(14): replacement at the destination; its eviction
-                # d2 is simply discarded (§3) after notifying the proxy's
-                # directory.
-                for d2 in owner_cache.insert(obj, cost=cost, size=size):
-                    if d2 == obj:
-                        stored_at = None  # zero-capacity client caches reject
-                    else:
-                        self._on_client_eviction(state, owner_idx, d2)
-        if stored_at is not None:
-            self._record_store(state, obj)
-            if self._replicas_extra > 0:
-                self._replicate(
-                    state, obj, cost, stored_at,
-                    self._neighbour_indexes(state, owner_idx),
-                )
-
-    def _neighbour_indexes(self, state: _ClusterState, owner_idx: int) -> list[int]:
-        """Overlay neighbourhood of ``owner_idx`` as client indexes."""
-        owner_nid = state.node_of_idx[owner_idx]
-        return [state.idx_of_node[nb] for nb in state.overlay.neighbourhood(owner_nid)]
-
-    def _pick_divertee(
-        self, state: _ClusterState, owner_idx: int, size: int = 1
-    ) -> int | None:
-        """Neighbourhood member with the most free space (storage balancing).
-
-        Only members that can actually hold the object (free space of at
-        least ``size``) qualify; at unit sizes that is the original
-        "any free space" rule.
-        """
-        best: int | None = None
-        best_free = size - 1  # a candidate must fit the object
-        clients = state.clients
-        for idx in self._neighbour_indexes(state, owner_idx):
-            cache = clients[idx]
-            # == cache.free_space: every policy here tracks used units in
-            # ``_used`` and the insert paths keep it <= capacity.
-            free = cache.capacity - cache._used
-            if free > best_free:
-                best, best_free = idx, free
-        return best
-
-    def _record_store(self, state: _ClusterState, obj: int) -> None:
-        """Store receipt: destination confirms, proxy updates directory."""
-        self._msg["store_receipts"] += 1
-        if obj not in state.p2p_present:
-            state.p2p_present.add(obj)
-            state.directory.add(obj)
-
-    def _on_client_eviction(self, state: _ClusterState, holder_idx: int, obj: int) -> None:
-        """Eviction notice: clean pointers/replicas and the directory.
-
-        With replication, the object only leaves the directory when its
-        *last* copy dies — a surviving replica keeps it reachable via
-        :meth:`_locate`.
-        """
-        self._msg["client_evictions"] += 1
-        owner = state.owner(obj)
-        if owner != holder_idx:
-            ptrs = state.pointers.get(owner)
-            if ptrs and ptrs.get(obj) == holder_idx:
-                del ptrs[obj]
-        reps = state.replicas.get(obj)
-        if reps:
-            reps.discard(holder_idx)
-            if not reps:
-                del state.replicas[obj]
-        if obj in state.p2p_present and self._locate(state, obj, owner) is None:
-            state.p2p_present.discard(obj)
-            state.directory.remove(obj)
-
-    # -- proxy-side insert (GD on each fetched object) -------------------------
-
-    def _proxy_insert(self, state: _ClusterState, obj: int, cost: float) -> None:
-        state.costs[obj] = cost
-        for d1 in state.proxy.insert(obj, cost=cost, size=self._size_of(obj)):
-            if d1 != obj:
-                self._pass_down(state, d1)
-
-    # -- request path -----------------------------------------------------------
-
-    def process(self, cluster: int, client: int, obj: int) -> str:
-        """Serve one request on the protocol-chain engine.
-
-        :func:`repro.protocol.chain.serve_miss` under the base transport
-        is the paper's fault-free flow; under a fault transport the same
-        chain acquires timeout → retry → fallback semantics.
-        """
-        state = self.states[cluster]
-        if state.proxy.lookup(obj):
-            return TIER_LOCAL_PROXY
-        return serve_miss(self, state, cluster, obj)
-
     def peer_surface(self) -> PeerSurface | None:
-        """The indexed engine's two presence indexes, when it keeps both
-        (an exact directory); no other Hier-GD run has any to share."""
-        if not self.indexed or self._dir_presence is None:
+        """The engine's two presence indexes, when it keeps both (an exact
+        directory nothing can make stale); no other run has any to share."""
+        if self._dir_presence is None:
             return None
-        from . import hiergd_indexed
-
         return hiergd_indexed.peer_surface(self)
 
     # -- reporting ------------------------------------------------------------------

@@ -1,35 +1,44 @@
-"""Hier-GD's indexed request engine.
+"""Hier-GD's request engine: the one every run is served by.
 
-Same algorithm as the protocol-chain engine in :mod:`repro.core.hiergd`
-(Figure 1 pass-down, diversion, directories, push protocol), answered
-from indexes instead of scans and per-object resolution: placement
-tables (:mod:`repro.overlay.placement`), cross-cluster presence indexes
+Figure 1's pass-down, object diversion, the lookup directory and the
+push protocol, written once per *specialisation* of one engine — free
+functions over the scheme, answered from indexes wherever the run's
+inputs let an index stay exact: placement tables
+(:mod:`repro.overlay.placement`), cross-cluster presence indexes
 (:mod:`repro.core.presence`), membership maps, and the greedy-dual hit
 and known-absent insert paths without their general-case branches.
+:func:`install` builds the cluster states and picks the specialisation
+from what the run can observe — never from a config knob:
 
-Those shortcuts hold for a transport that never fails an exchange (the
-hops are inlined away) and a membership that never changes mid-run,
-which is why :class:`~repro.core.hiergd.HierGdScheme` gives a run this
-engine only then.  Object sizes split the engine in two without a
-branch on either side:
+* **general** (:func:`process_general`, :func:`proxy_insert_general`,
+  :func:`pass_down_general`) — any sizes, a ``transport.faulty`` stack,
+  membership that changes mid-run.  Directories go stale here (dropped
+  eviction notices, failed clients, shifted placement), so every holder
+  is found through the scheme's ``_locate`` — the hook a churn scheme
+  repairs entries in — and every eviction notice goes through the
+  (possibly lossy) directory's own ``remove``; ``LOOKUP_QUERY`` and
+  ``PROXY_FETCH`` are asked of the transport only when a fault layer is
+  present.  These are :class:`~repro.core.hiergd.HierGdScheme`'s own
+  ``process`` / ``_proxy_insert``; the two below are rebound over them;
+* **sized, fault-free, static** (:func:`process_sized` & co.) — ``obj in
+  p2p_present`` answers "is it stored" (the directory-consistency
+  invariant), both presence indexes answer steps 3–4, no hop is asked
+  of the transport (Bloom directories excepted: :func:`~repro.protocol.
+  chain.push_stage`, so a remote false positive keeps costing its
+  wasted round);
+* **unit sizes, fault-free, static** (:func:`process`,
+  :func:`proxy_insert`, :func:`pass_down`) — on top of that, the whole
+  owner table is built up front, client caches only ever fill
+  (free-client sets), every insert is one unit and the helpers
+  (:func:`refresh_holder`, :func:`client_evicted`, :func:`record_store`,
+  the :class:`PresenceIndex` methods) are inlined.
 
-* unit sizes (:func:`process`, :func:`proxy_insert`, :func:`pass_down`)
-  — the whole owner table is built up front, client caches only ever
-  fill (free-client sets) and every insert is one unit;
-* sized workloads (:func:`process_sized`, :func:`proxy_insert_sized`,
-  :func:`pass_down_sized`) — the owner table is the chain's first-touch
-  one, so the hop statistic samples the same keys; free space is
-  ``capacity - used >= size`` per candidate, because a multi-victim
-  eviction can leave a full cache with room again; inserts carry the
-  size.  They spell the steps with the helpers the unit functions
-  inline (:func:`refresh_holder`, :func:`client_evicted`,
-  :func:`record_store`, the :class:`PresenceIndex` methods).
-
-Like the chain's stages, the engine is free functions over the scheme;
-:func:`install` builds the indexes and binds the pair that fits as the
-scheme's ``process`` / ``_proxy_insert``.  The engine equivalence suite
-(``tests/integration/test_hotpath_equivalence.py``) holds it to the chain
-engine's results — ``mean_<overlay>_hops`` excepted on unit-size runs.
+Placement is resolved on first touch through the cluster's :class:`Dht`
+everywhere but the unit-size static case, so ``mean_<overlay>_hops``
+samples the same keys in every other run.  The naive model of all this —
+one pass-down, one scan-everything miss chain, every hop through the
+transport — is ``tests/integration/chain_model.py``; the equivalence
+suite (``test_hotpath_equivalence.py``) holds each specialisation to it.
 """
 
 from __future__ import annotations
@@ -37,6 +46,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from types import MethodType
 from typing import Any
+
+import numpy as np
 
 from ..cache import Cache, LfuCache
 from ..netmodel import (
@@ -46,47 +57,104 @@ from ..netmodel import (
     TIER_LOCAL_PROXY,
     TIER_SERVER,
 )
-from ..overlay import build_owner_table
+from ..overlay import (
+    Dht,
+    OverlayBackend,
+    build_owner_table,
+    make_overlay,
+    object_ids_for_urls,
+)
 from ..protocol.chain import push_stage
-from .hiergd import _ClusterState
+from ..protocol.messages import LOOKUP_QUERY, PROXY_FETCH
+from ..workload import object_url
+from .directory import LookupDirectory, make_directory
 from .presence import PeerSurface, PresenceIndex
 
 __all__ = ["IndexedCluster", "install"]
 
 
-@dataclass(slots=True)
-class IndexedCluster(_ClusterState):
-    """A cluster's state plus the indexes its requests are served from."""
+class _FirstTouchOwners(dict):
+    """A cluster's object -> owner table, filled as objects are first asked for.
 
+    A missing key is resolved through the cluster's :class:`Dht` — whose
+    memo-miss counter decides which keys are also routed for the hop
+    statistic, so *when* an object is first asked for is observable in
+    ``mean_<overlay>_hops`` — and kept; every later ``[]`` is a plain
+    dict probe.
+    """
+
+    __slots__ = ("_state",)
+
+    def __init__(self, state: IndexedCluster) -> None:
+        self._state = state
+
+    def __missing__(self, obj: int) -> int:
+        state = self._state
+        idx = state.idx_of_node[state.dht.owner(state.object_keys[obj])]
+        self[obj] = idx
+        return idx
+
+
+@dataclass(slots=True)
+class IndexedCluster:
+    """One proxy + its P2P client cache at runtime, and the indexes its
+    requests are served from."""
+
+    proxy: Cache
+    clients: list[Cache]
+    overlay: OverlayBackend
+    dht: Dht
+    idx_of_node: dict[int, int]
+    node_of_idx: list[int]
+    directory: LookupDirectory
     #: This cluster's id in the presence indexes (a shard peer view
     #: re-keys it to the global index).
-    cluster: int = -1
-    #: Whether placement is resolved on first touch (sized runs) instead
-    #: of tabulated up front.
-    first_touch: bool = False
+    cluster: int
+    #: Whether placement is resolved on first touch instead of tabulated
+    #: up front (every run but a unit-size fault-free static one).
+    first_touch: bool
+    #: objectId per object: one SHA-1 pass per run, shared by every cluster.
+    object_keys: np.ndarray | None = None
+    #: Ground truth: objects currently stored somewhere in the P2P cache.
+    p2p_present: set[int] = field(default_factory=set)
+    #: Owner-side diversion pointers: owner idx -> {obj -> holder idx}.
+    pointers: dict[int, dict[int, int]] = field(default_factory=dict)
+    #: PAST-style extra copies: obj -> replica holder idxs (primary excluded).
+    replicas: dict[int, set[int]] = field(default_factory=dict)
+    #: Last retrieval cost per object (greedy-dual's cost input).
+    costs: dict[int, float] = field(default_factory=dict)
+    #: First-touch placement, object -> owner client index; a membership
+    #: change drops it wholesale.
+    owner_memo: _FirstTouchOwners = field(init=False)
     #: DHT placement, object id -> owner client index: the whole table,
     #: or ``owner_memo`` when :attr:`first_touch`.
     owner_of: list[int] | dict[int, int] = field(default_factory=list)
     #: Per client index: overlay neighbourhood (Pastry leaf set / Chord
     #: successor list) as client indexes, in the backend's contract order
-    #: so diversion/replication walk the same candidates as the chain.
+    #: — the candidates diversion and replication walk.  Empty for a
+    #: failed client, which owns nothing.
     neighbour_idx: list[list[int]] = field(default_factory=list)
     #: Overlay epoch the placement tables were built against.
     built_epoch: int = -1
-    #: Client indexes with free space (unit sizes: client caches only
-    #: ever fill; unused by the sized functions).
+    #: Client indexes with free space (unit-size static runs: client
+    #: caches only ever fill; unused elsewhere).
     free_clients: set[int] = field(default_factory=set)
     #: Per client: that cache's membership dict (friend access), so
-    #: ``contains`` is one dict probe.
+    #: ``contains`` is one dict probe (static runs; a general run goes
+    #: through ``_locate``).
     member_maps: list[dict] = field(default_factory=list)
-    #: Exact directory's backing set (friend access) — None under Bloom,
-    #: where add/remove must go through the filter's methods.
+    #: Exact directory's backing set (friend access) while it mirrors
+    #: ``p2p_present`` — None under Bloom and wherever the directory can
+    #: go stale, where add/remove must go through its methods.
     dir_set: set | None = None
-    #: Step-2 membership probe: the ``p2p_present`` set when the
-    #: directory is exact (identical membership, cheaper probe), the
-    #: directory itself when it is a Bloom filter (false positives are
+    #: Step-2 membership probe: the ``p2p_present`` set when
+    #: :attr:`dir_set` is kept (identical membership, cheaper probe),
+    #: else the directory itself (false positives and stale entries are
     #: modelled behaviour and must keep happening).
     dir_probe: Any = None
+
+    def __post_init__(self) -> None:
+        self.owner_memo = _FirstTouchOwners(self)
 
     def build_placement(self) -> None:
         """(Re)build the placement tables against the current overlay epoch.
@@ -110,11 +178,14 @@ class IndexedCluster(_ClusterState):
             self.owner_of = [idx_of_node[nid] for nid in owners]
         self.neighbour_idx = [
             [idx_of_node[nb] for nb in overlay.neighbourhood(nid)]
+            if nid in overlay
+            else []
             for nid in self.node_of_idx
         ]
         self.built_epoch = overlay.epoch
 
     def owner(self, obj: int) -> int:
+        """Client index of the DHT owner of ``obj`` in this cluster."""
         if self.built_epoch != self.overlay.epoch:
             self.build_placement()
         return self.owner_of[obj]
@@ -129,39 +200,96 @@ def _member_map(cache: Cache) -> dict:
 
 
 def install(scheme: Any) -> None:
-    """Index ``scheme``'s finished cluster states and bind the engine."""
+    """Build ``scheme``'s cluster states and indexes; bind the
+    specialisation that fits the run (module docstring)."""
     config = scheme.config
-    #: Greedy-dual caches: ``process`` inlines the proxy hit path (the
-    #: single hottest branch of the whole simulator) and inserts go
-    #: through ``insert_absent``.
+    #: Whether nothing can make a directory diverge from what the client
+    #: caches hold: no fault layer drops a notice, no client fails or joins.
+    static = not (scheme.transport.faulty or scheme.mutates_membership)
+    sized = scheme.sizes is not None
+    #: Greedy-dual caches: the proxy hit path (the single hottest branch
+    #: of the whole simulator) is inlined and inserts of known-absent
+    #: keys go through ``insert_absent`` / ``insert_absent_sized``.
     scheme._gd_inline = config.hiergd_policy == "gd"
     #: object -> clusters whose *proxy* currently caches it (step 3).
     scheme._proxy_presence = PresenceIndex()
     #: object -> clusters whose exact directory lists it (step 4); None
     #: under Bloom directories, whose false positives must keep firing,
-    #: so step 4 keeps the chain's scan there.
-    scheme._dir_presence = PresenceIndex() if config.directory == "exact" else None
-    #: Cluster id -> its state, or None for a cluster served elsewhere (a
-    #: shard peer view narrows this to the clusters its worker owns).
-    scheme._state_at = scheme.states.__getitem__
-    sized = scheme.sizes is not None
-    for ci, state in enumerate(scheme.states):
-        state.cluster = ci
-        state.first_touch = sized
-        # Caches start empty: free <=> nonzero capacity.
-        state.free_clients = {
-            k for k, c in enumerate(state.clients) if c.capacity > 0
-        }
-        state.member_maps = [_member_map(c) for c in state.clients]
-        if scheme._dir_presence is None:
-            state.dir_probe = state.directory
+    #: and wherever entries go stale — step 4 is the scan there.
+    exact = static and config.directory == "exact"
+    scheme._dir_presence = PresenceIndex() if exact else None
+    #: Mean object size (bytes) when sized — converts byte-denominated
+    #: capacities into expected object counts for directory sizing.
+    mean_size = float(scheme.sizes.mean()) if sized else 1.0
+    # Placement is resolved on first touch (hops sampled from routes
+    # over one-by-one joins) everywhere but a unit-size static run,
+    # which takes the bulk build and a whole owner table up front.
+    # Both feed ``mean_<overlay>_hops``, which result digests pin.
+    first_touch = sized or not static
+    scheme.states = states = []
+    for ci, sizing in enumerate(scheme.sizings):
+        overlay = make_overlay(config)
+        names = [f"cluster{ci}/cache{k}" for k in range(sizing.n_clients)]
+        # Join order shapes the overlay's routing tables (not its
+        # placement), which the sampled hop statistic reads.
+        if first_touch:
+            nodes = [overlay.add_named(name) for name in names]
         else:
+            nodes = overlay.bulk_add_named(names)
+        node_of_idx = [node.node_id for node in nodes]
+        state = IndexedCluster(
+            proxy=scheme._make_cache(sizing.proxy_size),
+            clients=[
+                scheme._make_cache(sizing.client_size)
+                for _ in range(sizing.n_clients)
+            ],
+            overlay=overlay,
+            dht=Dht(overlay, hop_sample_rate=config.hop_sample_rate),
+            idx_of_node={nid: k for k, nid in enumerate(node_of_idx)},
+            node_of_idx=node_of_idx,
+            directory=scheme.transport.wrap_directory(
+                make_directory(
+                    config.directory,
+                    # Directory capacity is an *object count*; under
+                    # byte-denominated sizing, estimate it from the
+                    # mean object size.
+                    capacity=max(1, round(sizing.p2p_size / mean_size)),
+                    fp_rate=config.bloom_fp_rate,
+                ),
+                ci,
+            ),
+            cluster=ci,
+            first_touch=first_touch,
+        )
+        if static:
+            # Caches start empty: free <=> nonzero capacity.
+            state.free_clients = {
+                k for k, c in enumerate(state.clients) if c.capacity > 0
+            }
+            state.member_maps = [_member_map(c) for c in state.clients]
+        if exact:
             state.dir_set = state.directory._entries
             state.dir_probe = state.p2p_present
-    scheme.process = MethodType(process_sized if sized else process, scheme)
-    scheme._proxy_insert = MethodType(
-        proxy_insert_sized if sized else proxy_insert, scheme
+        else:
+            state.dir_probe = state.directory
+        states.append(state)
+    n_objects = 0
+    for trace in scheme.traces:
+        if len(trace.object_ids):
+            n_objects = max(n_objects, int(trace.object_ids.max()) + 1)
+    object_keys = object_ids_for_urls(
+        [object_url(i) for i in range(n_objects)], states[0].overlay.space
     )
+    for state in states:
+        state.object_keys = object_keys
+    #: Cluster id -> its state, or None for a cluster served elsewhere (a
+    #: shard peer view narrows this to the clusters its worker owns).
+    scheme._state_at = states.__getitem__
+    if static:
+        scheme.process = MethodType(process_sized if sized else process, scheme)
+        scheme._proxy_insert = MethodType(
+            proxy_insert_sized if sized else proxy_insert, scheme
+        )
 
 
 def peer_surface(self: Any) -> PeerSurface:
@@ -191,8 +319,119 @@ def peer_surface(self: Any) -> PeerSurface:
 # -- Figure 1: pass-down with object diversion -----------------------------
 
 
+def client_evicted(self: Any, state: IndexedCluster, holder_idx: int, obj: int) -> None:
+    """Eviction notice: clean pointers / replicas, and the directory once
+    the *last* copy died — a surviving replica keeps the object reachable.
+
+    The reachability probe is the scheme's ``_eviction_probe``, not its
+    ``_locate``: a notice must not repair what a lookup would.  The
+    removal goes through the directory's own ``remove`` wherever it can
+    be lossy.  :func:`pass_down` inlines this.
+    """
+    self._msg["client_evictions"] += 1
+    owner = state.owner_of[obj]
+    if owner != holder_idx:
+        ptrs = state.pointers.get(owner)
+        if ptrs and ptrs.get(obj) == holder_idx:
+            del ptrs[obj]
+    reps = state.replicas.get(obj)
+    if reps:
+        reps.discard(holder_idx)
+        if not reps:
+            del state.replicas[obj]
+    if obj in state.p2p_present and self._eviction_probe(state, obj, owner) is None:
+        state.p2p_present.discard(obj)
+        if state.dir_set is not None:
+            state.dir_set.discard(obj)
+            self._dir_presence.discard(obj, state.cluster)
+        else:
+            state.directory.remove(obj)
+
+
+def record_store(self: Any, state: IndexedCluster, obj: int) -> None:
+    """Store receipt for an object new to the cluster's P2P cache: the
+    destination confirms, the proxy updates its directory (and the
+    directory index); :func:`pass_down` inlines this."""
+    self._msg["store_receipts"] += 1
+    state.p2p_present.add(obj)
+    if state.dir_set is not None:
+        state.dir_set.add(obj)
+        self._dir_presence.add(obj, state.cluster)
+    else:
+        state.directory.add(obj)
+
+
+def pass_down_general(self: Any, state: IndexedCluster, obj: int) -> None:
+    """Figure 1: destage a proxy-evicted object into the P2P client cache.
+
+    Route to the destination cache A; with room there, store; otherwise
+    divert to the overlay neighbour with the most room (A keeps a
+    pointer, §4.3); otherwise A replaces, and each of its victims is
+    discarded after an eviction notice.  Whether the object is already
+    stored is asked of ``_locate`` — under churn the ground-truth set can
+    list what placement no longer reaches, and the lookup repairs it.
+    """
+    msg = self._msg
+    msg["passdowns"] += 1
+    msg[self._destage_key] += 1
+    clients = state.clients
+    cost = state.costs.get(obj, self._t_server)
+    size = self._size_of(obj)
+    owner_idx = state.owner_of[obj]
+    holder = self._locate(state, obj, owner_idx)
+    if holder is not None:
+        # Already stored (e.g. destaged before and later promoted back
+        # up): refresh its greedy-dual credit instead of duplicating.
+        clients[holder].lookup(obj)
+        return
+
+    owner_cache = clients[owner_idx]
+    # (3)-(5): room at the destination; else (7)-(10): the neighbourhood
+    # member with the most room, if any has enough.
+    target = owner_idx if owner_cache.capacity - owner_cache._used >= size else None
+    if target is None and self._diversion:
+        best_free = size - 1
+        for idx in state.neighbour_idx[owner_idx]:
+            c = clients[idx]
+            f = c.capacity - c._used
+            if f > best_free:
+                target, best_free = idx, f
+    gd = self._gd_inline
+    if target is not None:
+        cache = clients[target]
+        # The owner does not hold obj (``_locate`` looked); a divertee may
+        # — a copy a membership change left unreachable — and then the
+        # insert is a refresh.
+        if gd and (target == owner_idx or obj not in cache._entries):
+            cache.insert_absent_sized(obj, cost, size)
+        else:
+            cache.insert(obj, cost=cost, size=size)
+        if target != owner_idx:
+            state.pointers.setdefault(owner_idx, {})[obj] = target
+            msg["diversions"] += 1
+    else:
+        # (12)-(14): replacement at the destination, as many victims as
+        # the object's size takes; each is discarded (§3) after its notice.
+        if gd:
+            evicted = owner_cache.insert_absent_sized(obj, cost, size)
+        else:
+            evicted = owner_cache.insert(obj, cost=cost, size=size)
+        for d2 in evicted:
+            if d2 == obj:
+                return  # no room at any eviction cost: rejected
+            client_evicted(self, state, owner_idx, d2)
+    record_store(self, state, obj)
+    if self._replicas_extra > 0:
+        self._replicate(
+            state, obj, cost,
+            owner_idx if target is None else target,
+            state.neighbour_idx[owner_idx],
+        )
+
+
 def pass_down(self: Any, state: IndexedCluster, obj: int) -> None:
-    """The chain's ``_pass_down`` with every helper inlined.
+    """:func:`pass_down_general` for unit sizes on a static fault-free
+    run, every helper inlined.
 
     Same Figure-1 mechanism, three structural shortcuts (each held
     equivalent by the engine equivalence suite):
@@ -336,50 +575,16 @@ def pass_down(self: Any, state: IndexedCluster, obj: int) -> None:
                     free.discard(idx)
 
 
-def client_evicted(self: Any, state: IndexedCluster, holder_idx: int, obj: int) -> None:
-    """Eviction notice (the chain's ``_on_client_eviction``) plus the
-    directory index; :func:`pass_down` inlines this."""
-    self._msg["client_evictions"] += 1
-    owner = state.owner_of[obj]
-    if owner != holder_idx:
-        ptrs = state.pointers.get(owner)
-        if ptrs and ptrs.get(obj) == holder_idx:
-            del ptrs[obj]
-    reps = state.replicas.get(obj)
-    if reps:
-        reps.discard(holder_idx)
-        if not reps:
-            del state.replicas[obj]
-    if obj in state.p2p_present and self._locate(state, obj, owner) is None:
-        state.p2p_present.discard(obj)
-        if state.dir_set is not None:
-            state.dir_set.discard(obj)
-            self._dir_presence.discard(obj, state.cluster)
-        else:
-            state.directory.remove(obj)
-
-
-def record_store(self: Any, state: IndexedCluster, obj: int) -> None:
-    """Store receipt for an object new to the cluster's P2P cache (the
-    chain's ``_record_store``) plus the directory index; :func:`pass_down`
-    inlines this."""
-    self._msg["store_receipts"] += 1
-    state.p2p_present.add(obj)
-    if state.dir_set is not None:
-        state.dir_set.add(obj)
-        self._dir_presence.add(obj, state.cluster)
-    else:
-        state.directory.add(obj)
-
-
 def pass_down_sized(self: Any, state: IndexedCluster, obj: int) -> None:
-    """:func:`pass_down` for sized objects.
+    """:func:`pass_down_general` on a static fault-free run: ``obj in
+    p2p_present`` answers "already stored" and every insert is of a key
+    no client holds.
 
     No free-client sets: whether a cache has room depends on the object
     (``capacity - used >= size``), and an eviction that took several
-    victims can leave room behind, so free space is read per candidate
-    as the chain does.  The owner is asked for exactly where the chain
-    asks (first thing on either branch, then once per eviction notice).
+    victims can leave room behind, so free space is read per candidate.
+    The owner is asked for in the general function's order (first thing
+    on either branch, then once per eviction notice).
     """
     msg = self._msg
     msg["passdowns"] += 1
@@ -437,12 +642,32 @@ def pass_down_sized(self: Any, state: IndexedCluster, obj: int) -> None:
 # -- proxy-side insert (GD on each fetched object) -------------------------
 
 
-def proxy_insert(self: Any, state: IndexedCluster, obj: int, cost: float) -> None:
-    """Cache a just-fetched object at the proxy and destage its victims.
+def proxy_insert_general(self: Any, state: IndexedCluster, obj: int, cost: float) -> None:
+    """Cache a just-fetched object at the proxy (greedy-dual on every
+    fetched object, §3) and destage its victims.
 
     Callers reach this only after ``obj`` missed the proxy, which is
-    what ``insert_absent`` requires.
+    what ``insert_absent_sized`` requires.
     """
+    state.costs[obj] = cost
+    size = self._size_of(obj)
+    if self._gd_inline:
+        evicted = state.proxy.insert_absent_sized(obj, cost, size)
+    else:
+        evicted = state.proxy.insert(obj, cost=cost, size=size)
+    presence = self._proxy_presence
+    cluster = state.cluster
+    for d1 in evicted:
+        if d1 == obj:
+            return  # larger than the whole proxy cache: rejected
+        presence.discard(d1, cluster)
+        pass_down_general(self, state, d1)
+    presence.add(obj, cluster)
+
+
+def proxy_insert(self: Any, state: IndexedCluster, obj: int, cost: float) -> None:
+    """:func:`proxy_insert_general` at unit sizes on a static fault-free
+    run, the presence-index methods inlined."""
     state.costs[obj] = cost
     proxy = state.proxy
     if self._gd_inline:
@@ -472,7 +697,7 @@ def proxy_insert(self: Any, state: IndexedCluster, obj: int, cost: float) -> Non
 
 
 def proxy_insert_sized(self: Any, state: IndexedCluster, obj: int, cost: float) -> None:
-    """:func:`proxy_insert` for sized objects."""
+    """:func:`proxy_insert_general` on a static fault-free sized run."""
     state.costs[obj] = cost
     size = self._size_list[obj]
     if self._gd_inline:
@@ -507,7 +732,78 @@ def refresh_holder(self: Any, state: IndexedCluster, obj: int) -> bool:
     return True
 
 
+def process_general(self: Any, cluster: int, client: int, obj: int) -> str:
+    """Serve one request: proxy, own P2P cache, cooperating proxies,
+    their P2P caches (push protocol), origin server.
+
+    The run's membership events fall due by request index, before the
+    request is served.  Under a fault layer each cooperation hop is an
+    exchange that can time out: a failed one drops the request to the
+    next step, ultimately to the origin server, which never fails (why
+    faulty Hier-GD degrades toward NC, never below it).
+    """
+    if self.mutates_membership:
+        n = self._processed
+        if n >= self._next_due:
+            self._fire_due_events()
+        self._processed = n + 1
+    state = self.states[cluster]
+    proxy = state.proxy
+    # 1. Local proxy cache (the inlined hit path of :func:`process_sized`).
+    if self._gd_inline:
+        entry = proxy._entries.get(obj)
+        if entry is not None:
+            heap = proxy._heap
+            seq = heap._seq + 1
+            heap._seq = seq
+            credit = entry[1] / entry[0] if proxy.credit_by_size else entry[1]
+            heap._live[obj] = (proxy.inflation + credit, seq, False)
+            proxy.stats.hits += 1
+            return TIER_LOCAL_PROXY
+        proxy.stats.misses += 1
+    elif proxy.lookup(obj):
+        return TIER_LOCAL_PROXY
+    if state.built_epoch != state.overlay.epoch:
+        state.build_placement()
+    msg = self._msg
+    faulty = self._faulty
+
+    # 2. Own P2P client cache: a directory claim sends one LOOKUP_QUERY
+    # into the overlay.  An over-claim — a Bloom false positive, a stale
+    # entry — wastes the Tp2p round; on ladder exhaustion the redirect is
+    # abandoned unserved (a stale entry survives undetected: the proxy
+    # never learned it was wrong).
+    if obj in state.directory:
+        msg["p2p_lookups"] += 1
+        if not faulty or self.transport.attempt(LOOKUP_QUERY):
+            holder = self._locate(state, obj, state.owner_of[obj])
+            if holder is not None:
+                state.clients[holder].lookup(obj)  # GD credit refresh
+                if self._promote:
+                    proxy_insert_general(self, state, obj, self._t_p2p)
+                return TIER_LOCAL_P2P
+            msg[self._overclaim_key] += 1
+            self.add_extra_latency(self._t_p2p)
+
+    # 3. Cooperating proxies' own caches first (cheaper than a push); a
+    # spent retry budget falls back a tier, it does not try the next proxy.
+    if self._proxy_presence.first_holder(obj, state.cluster) is not None and (
+        not faulty or self.transport.attempt(PROXY_FETCH)
+    ):
+        proxy_insert_general(self, state, obj, self._t_coop)
+        return TIER_COOP_PROXY
+    # ... then their P2P client caches through the push protocol.
+    tier = push_stage(self, state, cluster, obj)
+    if tier is not None:
+        return tier
+
+    # 4. Origin server.
+    proxy_insert_general(self, state, obj, self._t_server)
+    return TIER_SERVER
+
+
 def process(self: Any, cluster: int, client: int, obj: int) -> str:
+    """:func:`process_general` at unit sizes on a static fault-free run."""
     state = self.states[cluster]
     # 1. Local proxy cache (greedy-dual bookkeeping on hit).  ~3 of
     # every 4 requests end right here, so with GD proxies the hit path
@@ -552,7 +848,7 @@ def process(self: Any, cluster: int, client: int, obj: int) -> str:
         self.add_extra_latency(self._t_p2p)
 
     # 3. Cooperating proxies, via the proxy presence index — the
-    # smallest holder id is what the chain's ascending scan hits (inlined
+    # smallest holder id is what an ascending scan would hit (inlined
     # PresenceIndex.first_holder).  Serving needs no holder-side
     # mutation, so a holder in another shard (present as of the last
     # round boundary) serves exactly like a local one.
@@ -586,9 +882,8 @@ def process(self: Any, cluster: int, client: int, obj: int) -> str:
             proxy_insert(self, state, obj, self._t_coop + self._t_p2p)
             return TIER_COOP_P2P
     else:
-        # Bloom directories: keep the chain's scan — a remote false
-        # positive must still cost a wasted push round per §4.2's
-        # accounting.
+        # Bloom directories: the scan — a remote false positive must
+        # still cost a wasted push round per §4.2's accounting.
         tier = push_stage(self, state, cluster, obj)
         if tier is not None:
             return tier
@@ -599,12 +894,12 @@ def process(self: Any, cluster: int, client: int, obj: int) -> str:
 
 
 def process_sized(self: Any, cluster: int, client: int, obj: int) -> str:
-    """:func:`process` for sized objects.
+    """:func:`process_general` on a static fault-free run: no hop can
+    fail and both presence indexes stay exact, so steps 2–4 are index
+    probes.
 
-    The same four steps with two differences: a greedy-dual proxy hit
-    earns the credit ``GreedyDualCache.lookup`` gives it (``cost/size``
-    under ``gds``), and fetched objects go through
-    :func:`proxy_insert_sized`.  The steps themselves are spelled with
+    A greedy-dual proxy hit earns the credit ``GreedyDualCache.lookup``
+    gives it (``cost/size`` under ``gds``); the steps are spelled with
     the helpers :func:`process` inlines.
     """
     state = self.states[cluster]

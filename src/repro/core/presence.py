@@ -2,8 +2,8 @@
 
 Read literally, "which cooperating cluster holds object X?" is an
 O(n_proxies) scan per miss — an SC / SC-EC miss probes each remote
-cache, and steps 3–4 of Hier-GD's protocol chain scan remote proxies and
-directories.  SC, SC-EC and Hier-GD's indexed engine invert that: a
+cache, and steps 3–4 of Hier-GD's miss chain scan remote proxies and
+directories.  SC, SC-EC and Hier-GD's request engine invert that: a
 :class:`PresenceIndex` maps each object to the set of clusters currently
 holding it, updated incrementally at insert/evict time, so a miss costs
 one dict probe.  (The scans survive as the naive models of

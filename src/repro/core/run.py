@@ -107,8 +107,8 @@ def build_scheme(
     The registry class riding ``transport`` (``None``: the standard
     stack for the plan) — a faulty FC / FC-EC / Squirrel needs nothing
     else.  Hier-GD under an active plan is the churn scheme
-    (protocol-chain engine, lazily repaired directories) fed the plan's
-    Poisson membership events and reported as ``hier-gd``; the events
+    (lazily repaired directories) fed the plan's Poisson membership
+    events and reported as ``hier-gd``; the events
     are a pure function of the plan, so a replayed or live run rebuilds
     them without the wire trace carrying membership.
     """

@@ -58,6 +58,9 @@ class FaultInjector:
             for link in FAULT_LINKS
         }
         self._jitter: dict[str, random.Random] = {}
+        #: (cluster, client) -> answer of :meth:`unresponsive`: one
+        #: SHA-256 per client cache, not one per push probe.
+        self._unresponsive: dict[tuple[int, int], bool] = {}
 
     def loss_uniform(self, link: str) -> float | None:
         """Raw uniform behind one loss draw, or ``None`` when loss is off.
@@ -113,8 +116,13 @@ class FaultInjector:
         fraction = self.plan.unresponsive_fraction
         if fraction <= 0.0:
             return False
-        draw = fault_seed(self.plan.seed, self._scope, "unresponsive", cluster, client)
-        return draw < fraction * float(1 << 63)
+        answer = self._unresponsive.get((cluster, client))
+        if answer is None:
+            draw = fault_seed(
+                self.plan.seed, self._scope, "unresponsive", cluster, client
+            )
+            answer = self._unresponsive[cluster, client] = draw < fraction * float(1 << 63)
+        return answer
 
     def stream(self, *parts: Any) -> random.Random:
         """A fresh named substream (e.g. per-cluster eviction-notice loss)."""

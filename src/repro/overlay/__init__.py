@@ -17,7 +17,7 @@ above are overlay-agnostic:
 - :mod:`repro.overlay.dht` — objectId → owning cacheId placement.
 - :mod:`repro.overlay.placement` — vectorised whole-table placement
   (precomputed object → owner maps for Squirrel and Hier-GD's
-  indexed engine).
+  unit-size fault-free static runs).
 """
 
 from .chord import DEFAULT_SUCCESSOR_LIST_SIZE, ChordNode, ChordOverlay

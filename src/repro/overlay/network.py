@@ -110,8 +110,8 @@ class Overlay(OverlayBackend):
         can resolve differently than under join order, so only *sampled
         hop statistics* may differ — routing correctness and DHT ownership
         do not.  O(N^2) total work instead of the join path's O(N^2 log N)
-        with much smaller constants; Squirrel and Hier-GD's indexed engine
-        build their clusters this way.
+        with much smaller constants; Squirrel and Hier-GD's unit-size
+        fault-free static runs build their clusters this way.
         """
         created: list[PastryNode] = []
         for name in names:

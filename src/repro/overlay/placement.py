@@ -1,10 +1,10 @@
 """Vectorised DHT placement: whole object→owner tables in one pass.
 
-Hier-GD's protocol-chain engine resolves each object's owner on first
-touch — SHA-1, then an O(log N) sorted-ring search, memoised per overlay
-epoch (:class:`repro.overlay.dht.Dht`).  That is already cheap per call,
-but Hier-GD's indexed engine and Squirrel go further: they precompute
-the *entire* mapping for a cluster up front with
+Most Hier-GD runs resolve each object's owner on first touch — SHA-1,
+then an O(log N) sorted-ring search, memoised per overlay epoch
+(:class:`repro.overlay.dht.Dht`).  That is already cheap per call, but
+Squirrel and Hier-GD's unit-size fault-free static runs go further: they
+precompute the *entire* mapping for a cluster up front with
 
 * one batched SHA-1 pass over all object URLs
   (:func:`object_ids_for_urls`), and

@@ -10,8 +10,8 @@ One cooperation-message engine for plain, faulty and observable runs:
   :class:`~repro.faults.plan.FaultPlan` timeout/retry/fallback ladder
   (a zero plan is the identity), and an :class:`ObservabilityTransport`
   emitting per-exchange counts and traces for :mod:`repro.perf`.
-- :mod:`repro.protocol.chain` — Hier-GD's miss chain decomposed into
-  transport-mediated stages shared by the plain, churn and faulty runs.
+- :mod:`repro.protocol.chain` — the push protocol's directory scan, the
+  stage of Hier-GD's miss chain that is transport-mediated on every run.
 - :mod:`repro.protocol.trace` — wire-level recording: a
   :class:`RecordingTransport` streaming every exchange (outcome, exact
   latency charges, fault-counter deltas) to a content-addressed JSONL
@@ -36,7 +36,7 @@ injectors, :mod:`repro.core` supplies the schemes that ride the stack.
 """
 
 from .aio import AsyncTransport, RealClock, SimClock
-from .chain import coop_proxy_stage, lookup_stage, origin_stage, push_stage, serve_miss
+from .chain import push_stage
 from .messages import (
     ALL_EXCHANGES,
     COOP_EXCHANGES,
@@ -169,20 +169,16 @@ __all__ = [
     "parse_event",
     "parse_hello",
     "parse_request",
-    "coop_proxy_stage",
     "exchange_traffic",
     "format_report",
     "format_whatif",
     "link_traffic",
     "load_trace",
-    "lookup_stage",
-    "origin_stage",
     "plan_fingerprint",
     "push_stage",
     "recording_traces",
     "replay_trace",
     "run_ladder",
-    "serve_miss",
     "trace_key",
     "whatif_trace",
 ]

@@ -119,9 +119,11 @@ def trace_key(
 class TraceWriter:
     """Streams one trace: header line, bounded event lines, footer line.
 
-    Events are flushed through a line-buffered handle as they happen, so
-    a crashed run leaves a readable prefix (loadable, but without the
-    footer it is *incomplete* and the replay harness refuses it).
+    Events go through the file object's block buffer (no flush per
+    event), so what a dying process leaves on disk may stop mid-line.  A
+    run that *raises* is sealed by :func:`repro.core.run.assemble_run`'s
+    ``finally``: the footer lands with ``"complete": false`` and no
+    result, and the replay harness refuses the trace.
     """
 
     def __init__(

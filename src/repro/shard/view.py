@@ -67,9 +67,9 @@ def check_shardable(
 
     The only place that refuses a sharded combination; every entry point
     that takes ``shards`` asks it before a process is forked.  Shardable
-    means the scheme declares a cooperative surface *and* the run lands
-    on an engine that keeps the indexes — predicted here from the inputs
-    the way :class:`~repro.core.hiergd.HierGdScheme` picks its engine.
+    means the scheme declares a cooperative surface *and* the run keeps
+    both presence indexes — predicted here from the inputs the way
+    :func:`repro.core.hiergd_indexed.install` picks a specialisation.
     ``recording=None`` asks :func:`~repro.protocol.trace.
     active_trace_recorder`.
     """

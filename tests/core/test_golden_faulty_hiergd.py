@@ -14,10 +14,10 @@ bytes, not to run-to-run determinism of its own code.  Two families:
   config and the result, which are pinned separately or not at all — a
   new config field must not move this golden);
 * **plain churn runs** — :class:`HierGdChurnScheme` with explicit fail /
-  join events and no fault plan: the non-faulty repair path, which
-  ignores ``_in_eviction`` and removes a directory entry twice (ROADMAP
-  item 1 step 0 — pinned as it is, Bloom cells included).  Result digest
-  only.
+  join events and no fault plan: the non-faulty repair path, where an
+  eviction notice's reachability probe repairs like a lookup and the
+  entry is then removed a second time (ROADMAP item 1 step 0 — pinned as
+  it is, Bloom cells included).  Result digest only.
 
 Refresh — only after an *intentional* behaviour change — with
 ``PYTHONPATH=src python -m tests.core.test_golden_faulty_hiergd``.
@@ -35,11 +35,11 @@ import pytest
 from repro.core.churn import ChurnEvent, HierGdChurnScheme
 from repro.core.config import SimulationConfig
 from repro.experiments.robustness import robustness_plan
-from repro.experiments.store import serialize_result
 from repro.faults import FaultPlan
 from repro.faults.run import run_scheme_with_faults
 from repro.protocol.trace import recording_traces
 from repro.workload import ProWGenConfig, generate_cluster_traces
+from tests.shard.test_golden_shards import result_sha
 
 GOLDEN = Path(__file__).with_name("GOLDEN_faulty_hiergd.json")
 
@@ -105,10 +105,6 @@ def traces_for(sizes):
 
 def sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def result_sha(result) -> str:
-    return sha(json.dumps(serialize_result(result), sort_keys=True, separators=(",", ":")))
 
 
 def faulty_cell(directory, sizes, policy, plan, backend, **overrides):

@@ -1,17 +1,11 @@
 """Mechanism-level tests for Hier-GD (paper Figure 1 and §§3-4)."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from repro.core.churn import HierGdChurnScheme
 from repro.core.config import SimulationConfig
 from repro.core.hiergd import HierGdScheme
-from repro.core.run import run_scheme
-from repro.faults import FaultPlan
-from repro.protocol import FaultTransport, ObservabilityTransport, Transport
-from repro.shard import ShardView
 from repro.netmodel import (
     TIER_COOP_P2P,
     TIER_LOCAL_P2P,
@@ -76,18 +70,24 @@ def check_invariants(scheme):
         assert holdings == state.p2p_present
         for obj in holdings:
             assert obj in state.directory
-    if scheme.indexed:
-        # The presence indexes are what a scan of the clusters would find.
-        def scan(held):
-            found = {}
-            for state in scheme.states:
-                for obj in held(state):
-                    found.setdefault(obj, set()).add(state.cluster)
-            return found
+    check_presence_indexes(scheme)
 
-        assert scheme._proxy_presence.as_dict() == scan(lambda s: s.proxy.keys())
-        if scheme._dir_presence is not None:
-            assert scheme._dir_presence.as_dict() == scan(lambda s: s.p2p_present)
+
+def check_presence_indexes(scheme):
+    """The presence indexes are what a scan of the clusters would find
+    (also under faults and churn, where the checks above do not hold:
+    directories go stale there by design)."""
+
+    def scan(held):
+        found = {}
+        for state in scheme.states:
+            for obj in held(state):
+                found.setdefault(obj, set()).add(state.cluster)
+        return found
+
+    assert scheme._proxy_presence.as_dict() == scan(lambda s: s.proxy.keys())
+    if scheme._dir_presence is not None:
+        assert scheme._dir_presence.as_dict() == scan(lambda s: s.p2p_present)
 
 
 class TestPassDown:
@@ -308,73 +308,3 @@ class TestOverlayIntegration:
             assert state.owner_of
             for obj in range(len(state.owner_of)):
                 assert state.owner_of[obj] == chain_state.owner(obj)
-
-
-class TestEngineSelection:
-    """Which request engine each kind of run is given (chosen once, in
-    ``HierGdScheme.__init__``, from what the run can observe)."""
-
-    @staticmethod
-    def build(case):
-        config = cfg(n_proxies=2, n_clients=6)
-        workload = config.workload
-        if case.startswith("sized"):
-            workload = dataclasses.replace(workload, object_sizes="heavy-tailed")
-        if case.endswith("bloom"):
-            config = config.with_changes(directory="bloom")
-        traces = generate_cluster_traces(workload, 2, seed=0)
-        base = Transport(config.network)
-        if case.endswith("fault transport"):
-            plan = FaultPlan(p2p_loss=0.1, push_loss=0.1, seed=3)
-            faulty = FaultTransport(base, plan, scope="hier-gd")
-            return HierGdScheme(config, traces, transport=faulty)
-        if case == "observability-only transport":
-            return HierGdScheme(
-                config, traces, transport=ObservabilityTransport(base)
-            )
-        if case == "churn subclass":
-            return HierGdChurnScheme(config, traces, events=[])
-        if case == "sharded":
-            scheme = HierGdScheme(config, traces)
-            ShardView(
-                [0, 1], 2, warmup=0, round_requests=len(traces[0]),
-                exchange=lambda round_index, deltas, pushes: (deltas, pushes),
-            ).attach(scheme)
-            return scheme
-        return HierGdScheme(config, traces)
-
-    @pytest.mark.parametrize(
-        "case, indexed",
-        [
-            ("plain exact", True),
-            ("plain bloom", True),
-            ("sized", True),
-            ("sized bloom", True),
-            ("fault transport", False),
-            ("sized + fault transport", False),
-            ("observability-only transport", True),
-            ("churn subclass", False),
-            ("sharded", True),
-        ],
-    )
-    def test_engine_by_input(self, case, indexed):
-        scheme = self.build(case)
-        assert scheme.indexed is indexed
-        scheme.run()
-
-    def test_sized_fault_free_run_never_enters_the_chain(self, monkeypatch):
-        def entered(*args, **kwargs):
-            raise AssertionError("protocol-chain engine entered")
-
-        # serve_miss under both names it is reachable by.
-        monkeypatch.setattr("repro.protocol.chain.serve_miss", entered)
-        monkeypatch.setattr("repro.core.hiergd.serve_miss", entered)
-        monkeypatch.setattr(HierGdScheme, "_pass_down", entered)
-        config = cfg(n_proxies=2, n_clients=6, client_cache_fraction=0.01)
-        workload = dataclasses.replace(
-            config.workload, n_requests=2000, object_sizes="heavy-tailed"
-        )
-        config = config.with_changes(workload=workload)
-        result = run_scheme("hier-gd", config, seed=0)
-        assert result.messages["passdowns"] > 0 and result.messages["p2p_lookups"] > 0
-

@@ -92,6 +92,25 @@ class TestUnresponsive:
         assert first == again
         assert 0 < sum(first) < 50
 
+    def test_memoised_answers_are_the_hash_in_any_call_order(self):
+        """The per-injector memo changes no answer: each is still the
+        ``(seed, scope, cluster, client)`` hash against the fraction,
+        whichever probes came first and however often."""
+        plan = FaultPlan(unresponsive_fraction=0.3, seed=11)
+        probes = [(cl, c) for cl in range(3) for c in range(40)]
+        expected = {
+            (cl, c): fault_seed(11, "hier-gd", "unresponsive", cl, c) < 0.3 * float(1 << 63)
+            for cl, c in probes
+        }
+        forward = FaultInjector(plan, scope="hier-gd")
+        backward = FaultInjector(plan, scope="hier-gd")
+        assert {p: forward.unresponsive(*p) for p in probes} == expected
+        assert {p: backward.unresponsive(*p) for p in reversed(probes * 2)} == expected
+        assert 0 < sum(expected.values()) < len(probes)
+        # Another scope is another population, memo or not.
+        other = FaultInjector(plan, scope="fc")
+        assert {p: other.unresponsive(*p) for p in probes} != expected
+
     def test_fraction_roughly_respected(self):
         injector = FaultInjector(FaultPlan(unresponsive_fraction=0.25, seed=5))
         marked = sum(injector.unresponsive(c % 4, c) for c in range(2000))

@@ -7,13 +7,16 @@ its *partner*, and the two :class:`SchemeResult`\\ s must be identical —
 same request count, tier counts, total latency and protocol messages,
 and the same extras except, on unit-size rows, ``mean_pastry_hops``:
 
-* **Hier-GD** — the indexed engine against the protocol-chain engine,
-  reached through the public zero-event churn scheme.  The chain resolves
-  and routes keys on first touch; a unit-size indexed run routes a
-  sampled subset of a precomputed table, so that one statistic may
-  differ there, while a sized indexed run resolves on first touch too
-  and must match it (the sized rows compare the hop extra as well, and
-  hold the finished scheme to ``check_invariants``);
+* **Hier-GD** — every specialisation of the one engine
+  (``repro.core.hiergd_indexed``) against the naive protocol chain of
+  ``chain_model.py``: fault-free rows, rows under fault plans (the
+  exchange sequence the two ask of the transport compared too) and rows
+  under churn events, unit and sized.  The chain resolves and routes
+  keys on first touch; a unit-size fault-free run routes a sampled
+  subset of a precomputed table, so that one statistic may differ
+  there, while every other run resolves on first touch too and must
+  match it (those rows compare the hop extra as well, and hold the
+  finished scheme to ``check_invariants``);
 * **SC / SC-EC** — the presence indexes against the naive models below,
   which probe every cooperating cache in ascending order on every miss;
 * **Squirrel** — the precomputed home table against ``overlay.owner_of``
@@ -21,16 +24,21 @@ and the same extras except, on unit-size rows, ``mean_pastry_hops``:
 * the remaining schemes have one path; their partner is a second run.
 """
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cache import CLIENT_TIER, PROXY_TIER
-from repro.core.churn import HierGdChurnScheme
-from repro.core.hiergd import HierGdScheme
-from repro.core.run import SCHEME_REGISTRY, generate_workloads
+from repro.core.churn import ChurnEvent, HierGdChurnScheme
+from repro.core.run import SCHEME_REGISTRY, build_scheme, generate_workloads
 from repro.core.schemes import ScEcScheme, ScScheme, SquirrelScheme
+from repro.experiments.robustness import robustness_plan
 from repro.experiments.runner import base_config
+from repro.faults import FaultPlan
+from repro.protocol.transport import FaultTransport, ObservabilityTransport, Transport
 from repro.netmodel import (
     TIER_COOP_P2P,
     TIER_COOP_PROXY,
@@ -39,7 +47,8 @@ from repro.netmodel import (
     TIER_SERVER,
 )
 from repro.workload import object_url
-from tests.core.test_hiergd import check_invariants
+from tests.core.test_hiergd import check_invariants, check_presence_indexes
+from tests.integration.chain_model import ChainHierGd, ChurnWithoutRepair
 
 
 class NaiveSc(ScScheme):
@@ -80,29 +89,14 @@ class NaiveScEc(ScEcScheme):
         return served
 
 
-class ChurnWithoutRepair(HierGdChurnScheme):
-    """The churn scheme minus its lazy directory repair, for Bloom runs.
-
-    The churn scheme repairs every directory entry a lookup fails to
-    back — it cannot tell a Bloom false positive, or an eviction's
-    reachability probe, from an entry gone stale through churn.  On an
-    exact directory the extra removals are no-ops; on a counting Bloom
-    filter each one decrements counters other objects share.  Plain
-    Hier-GD has no churn and repairs nothing, so the Bloom row compares
-    against the chain without the repair.
-    """
-
-    _locate = HierGdScheme._locate
-
-
 def chain_hier_gd(config, traces):
-    cls = ChurnWithoutRepair if config.directory == "bloom" else HierGdChurnScheme
-    return cls(config, traces, events=[])
+    cls = ChurnWithoutRepair if config.directory == "bloom" else ChainHierGd
+    return cls(config, traces)
 
 
 PARTNERS = {"sc": NaiveSc, "sc-ec": NaiveScEc, "hier-gd": chain_hier_gd}
 
-#: What the churn harness reports on top of plain Hier-GD.
+#: What the chain model, a churn scheme, reports on top of plain Hier-GD.
 CHURN_ONLY = ("client_failures", "client_joins", "objects_lost",
               "directory_repairs", "live_clients")
 
@@ -166,19 +160,26 @@ def test_hier_gd_no_promotion_equivalent():
     assert_equivalent("hier-gd", small_config(promote_on_p2p_hit=False))
 
 
-def assert_sized_equivalent(**overrides):
-    # Client caches of a few median objects and a small proxy: at the
-    # defaults nearly every pass-down is larger than a whole client cache.
-    overrides = {
-        "client_cache_fraction": 0.005, "proxy_cache_fraction": 0.2, **overrides
-    }
-    config = small_config(**overrides)
-    config = dataclasses.replace(
+def general_config(sizes="unit", **overrides):
+    """Small client caches under a small proxy: the P2P tier diverts,
+    evicts and (sized) rejects, so stale entries and repairs happen."""
+    if sizes == "unit":
+        return small_config(
+            **{"client_cache_fraction": 0.01, "proxy_cache_fraction": 0.2, **overrides}
+        )
+    config = small_config(
+        **{"client_cache_fraction": 0.005, "proxy_cache_fraction": 0.2, **overrides}
+    )
+    return dataclasses.replace(
         config,
         workload=dataclasses.replace(config.workload, object_sizes="heavy-tailed"),
     )
+
+
+def assert_sized_equivalent(**overrides):
+    config = general_config("sized", **overrides)
     scheme = assert_equivalent("hier-gd", config, hops=True)
-    assert scheme.indexed and "mean_pastry_hops" in scheme.finalize()[1]
+    assert "mean_pastry_hops" in scheme.finalize()[1]
     check_invariants(scheme)
     return scheme
 
@@ -209,6 +210,131 @@ def test_hier_gd_sized_equivalent(cost_model, directory, policy):
 )
 def test_hier_gd_sized_mechanism_toggles_equivalent(overrides):
     assert_sized_equivalent(**overrides)
+
+
+# -- under fault plans and churn events: the general functions ---------------
+
+FAULT_PLANS = {
+    "loss+delay": FaultPlan(
+        p2p_loss=0.2, proxy_loss=0.2, push_loss=0.2, delay_rate=0.2, seed=3
+    ),
+    "stale+unresponsive": FaultPlan(stale_rate=0.3, unresponsive_fraction=0.3, seed=3),
+    "churn": FaultPlan(churn_rate=0.002, seed=3),
+    "composite": robustness_plan(0.1),
+}
+
+#: An explicit schedule for 3 clusters x 30 clients x 8 000 requests.
+EVENTS = [
+    ChurnEvent(at_request=0, kind="fail", cluster=2, client=29),
+    ChurnEvent(at_request=3_000, kind="fail", cluster=0, client=4),
+    ChurnEvent(at_request=5_000, kind="join", cluster=1),
+    ChurnEvent(at_request=9_000, kind="fail", cluster=1, client=17),
+    ChurnEvent(at_request=9_001, kind="join", cluster=0),
+    ChurnEvent(at_request=14_000, kind="fail", cluster=0, client=12),
+    ChurnEvent(at_request=17_000, kind="join", cluster=2),
+    ChurnEvent(at_request=20_000, kind="fail", cluster=1, client=30),  # the newcomer
+]
+
+
+def assert_faulty_equivalent(config, plan):
+    """The registry's faulty Hier-GD against the chain under the same
+    plan and membership events: whole result, hop extra and churn
+    counters included, and the same exchanges in the same order."""
+    traces = generate_workloads(config, seed=0)
+
+    def watched():
+        stack = FaultTransport(Transport(config.network), plan, scope="hier-gd")
+        return ObservabilityTransport(stack, trace=True, max_trace=10**6)
+
+    seen = watched()
+    scheme = build_scheme("hier-gd", config, traces, plan, transport=seen)
+    engine = scheme.run()
+    chain_seen = watched()
+    chain = ChainHierGd(config, traces, scheme._events, transport=chain_seen)
+    chain.name = scheme.name
+    assert dataclasses.asdict(engine) == dataclasses.asdict(chain.run())
+    assert seen.events == chain_seen.events and seen.events
+    assert seen.observed == chain_seen.observed
+    check_presence_indexes(scheme)
+    return engine
+
+
+@pytest.mark.parametrize("sizes", ["unit", "sized"])
+@pytest.mark.parametrize("directory", ["exact", "bloom"])
+@pytest.mark.parametrize("plan", list(FAULT_PLANS))
+def test_hier_gd_faulty_equivalent(plan, directory, sizes):
+    result = assert_faulty_equivalent(
+        general_config(sizes, directory=directory), FAULT_PLANS[plan]
+    )
+    if plan == "composite":
+        # The row is only worth its name if every failure mode bit.
+        for counter in ("timeouts", "fallbacks", "failed_pushes", "client_failures",
+                        "dropped_eviction_notices", "directory_repairs", "diversions"):
+            assert result.messages[counter] > 0, counter
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"hiergd_policy": "lru"},
+        {"hiergd_policy": "lfu", "directory": "bloom"},
+        {"p2p_replicas": 2},
+        {"object_diversion": False, "piggyback": False},
+        {"promote_on_p2p_hit": False, "gd_cost_model": "gd"},
+        {"overlay": "chord", "directory": "bloom"},
+        {"client_cache_fraction": 0.0},
+    ],
+    ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()),
+)
+@pytest.mark.parametrize("sizes", ["unit", "sized"])
+def test_hier_gd_faulty_mechanism_toggles_equivalent(sizes, overrides):
+    assert_faulty_equivalent(general_config(sizes, **overrides), FAULT_PLANS["composite"])
+
+
+@pytest.mark.parametrize("sizes", ["unit", "sized"])
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"directory": "bloom"},
+        {"hiergd_policy": "lru"},
+        {"hiergd_policy": "lfu", "directory": "bloom"},
+        {"p2p_replicas": 2},
+        {"object_diversion": False},
+        {"overlay": "chord"},
+    ],
+    ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()) or "defaults",
+)
+def test_hier_gd_churn_events_equivalent(overrides, sizes):
+    """Plain churn runs: no fault layer, so no hop is asked of the
+    transport, and the eviction notice's probe repairs (pinned)."""
+    config = general_config(sizes, **overrides)
+    traces = generate_workloads(config, seed=0)
+    scheme = HierGdChurnScheme(config, traces, EVENTS)
+    engine = scheme.run()
+    chain = ChainHierGd(config, traces, EVENTS).run()
+    assert dataclasses.asdict(engine) == dataclasses.asdict(chain)
+    assert engine.messages["client_failures"] == 5 and engine.messages["objects_lost"] > 0
+    check_presence_indexes(scheme)
+
+
+def test_one_module_defines_the_request_path():
+    """No module under ``src/`` defines a second pass-down or miss chain:
+    the functions that count a pass-down or a directory lookup — what any
+    implementation of Figure 1 or of the miss chain must do — all live
+    in ``core/hiergd_indexed.py``."""
+    root = Path(repro.__file__).parent
+    counting = set()
+    for path in root.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.AugAssign)
+                and isinstance(node.target, ast.Subscript)
+                and isinstance(node.target.slice, ast.Constant)
+                and node.target.slice.value in ("passdowns", "p2p_lookups")
+            ):
+                counting.add(path.relative_to(root).as_posix())
+    assert counting == {"core/hiergd_indexed.py"}
 
 
 def test_squirrel_home_table_matches_overlay_owner():

@@ -64,12 +64,14 @@ def cluster():
 
 @pytest.fixture
 def built(monkeypatch):
-    """``(class, indexed, reported name)`` of every scheme that runs."""
+    """``(class, engine specialisation, reported name)`` of every scheme
+    that runs (the specialisation: which proxy insert Hier-GD is bound to)."""
     seen = []
     run = CachingScheme.run
 
     def spy(self):
-        seen.append((type(self), getattr(self, "indexed", None), self.name))
+        insert = getattr(self, "_proxy_insert", None)
+        seen.append((type(self), insert and insert.__func__.__name__, self.name))
         return run(self)
 
     monkeypatch.setattr(CachingScheme, "run", spy)
@@ -91,9 +93,9 @@ def test_all_entry_points_build_the_same_scheme(name, plan_kind, built, cluster,
     if name != "hier-gd":
         expected = (SCHEME_REGISTRY[name], None, name)
     elif bites:
-        expected = (HierGdChurnScheme, False, "hier-gd")
+        expected = (HierGdChurnScheme, "proxy_insert_general", "hier-gd")
     else:
-        expected = (SCHEME_REGISTRY[name], True, "hier-gd")
+        expected = (SCHEME_REGISTRY[name], "proxy_insert", "hier-gd")
     assert built == [expected] * len(built) and len(built) >= 3
 
 

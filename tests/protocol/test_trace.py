@@ -48,10 +48,11 @@ def cfg(**kw):
 
 class TestRecordingIsTransparent:
     def test_chain_run_unperturbed_and_round_trips(self, tmp_path):
-        # The zero-event churn scheme runs the protocol-chain engine:
-        # every exchange crosses the transport stack even without a fault
-        # plan, so the trace is non-trivial.  No registry entry builds
-        # that scheme, so the round trip is driven by hand.
+        # The zero-event churn scheme is served by the engine's general
+        # functions: the push protocol's scan crosses the transport stack
+        # even without a fault plan, so the trace is non-trivial.  No
+        # registry entry builds that scheme, so the round trip is driven
+        # by hand.
         config = cfg()
         traces = generate_workloads(config, seed=0)
         plain = HierGdChurnScheme(config, traces, events=[]).run()

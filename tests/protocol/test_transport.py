@@ -17,7 +17,6 @@ import dataclasses
 
 import pytest
 
-from repro.core.churn import HierGdChurnScheme
 from repro.core.config import SimulationConfig
 from repro.core.directory import ExactDirectory, LossyDirectory
 from repro.core.run import run_scheme
@@ -383,17 +382,21 @@ class TestObservability:
         assert obs.observed["events_dropped"] == 0
 
     def test_observed_run_byte_identical_to_plain(self, traces):
-        # The zero-event churn scheme runs the protocol-chain engine, so
-        # every exchange actually crosses the stack.
-        plain = HierGdChurnScheme(cfg(), traces, events=[]).run()
-        observing = build_transport(cfg().network, observe=True)
-        observed = HierGdChurnScheme(
-            cfg(), traces, events=[], transport=observing
-        ).run()
+        # Under a fault layer every cooperation hop is an exchange, so
+        # each one actually crosses the stack.
+        plain = run_scheme(
+            "hier-gd", cfg(), traces,
+            transport=build_transport(cfg().network, PLAN, scope="hier-gd"),
+        )
+        observing = build_transport(
+            cfg().network, PLAN, scope="hier-gd", observe=True
+        )
+        observed = run_scheme("hier-gd", cfg(), traces, transport=observing)
         assert dataclasses.asdict(observed) == dataclasses.asdict(plain)
         counted = observing.observed["exchanges"]
         assert counted["lookup_query"]["attempts"] == observed.messages["p2p_lookups"]
-        assert counted["push"]["attempts"] == observed.messages["push_requests"]
+        # Every push that went out and failed, unresponsive holders included.
+        assert counted["push"]["failed"] == observed.messages["failed_pushes"] > 0
 
 
 class TestStackingOrder:
