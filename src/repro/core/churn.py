@@ -42,7 +42,7 @@ from ..protocol.transport import Transport
 from ..workload import Trace
 from .config import SimulationConfig
 from .hiergd import HierGdScheme
-from .hiergd_indexed import IndexedCluster
+from .hiergd_indexed import IndexedCluster, member_map
 
 __all__ = ["ChurnEvent", "HierGdChurnScheme"]
 
@@ -185,7 +185,9 @@ class HierGdChurnScheme(HierGdScheme):
         node = state.overlay.add_named(f"cluster{cluster}/cache{idx}")
         state.node_of_idx.append(node.node_id)
         state.idx_of_node[node.node_id] = idx
-        state.clients.append(self._make_cache(sizing.client_size))
+        cache = self._make_cache(sizing.client_size)
+        state.clients.append(cache)
+        state.member_maps.append(member_map(cache))
         # Placement shifted toward the newcomer: objects it now owns but
         # does not hold become unreachable at their old holders and are
         # repaired lazily, like after a failure.

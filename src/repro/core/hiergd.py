@@ -67,8 +67,8 @@ class HierGdScheme(CachingScheme):
     mutates_membership = False
 
     # The request path is the engine's: its general functions, which
-    # ``hiergd_indexed.install`` rebinds per instance to a fault-free
-    # static specialisation where the run allows one.
+    # ``hiergd_indexed.install`` rebinds per instance to the unit-size
+    # functions on a fault-free static run.
     process = hiergd_indexed.process_general
     _proxy_insert = hiergd_indexed.proxy_insert_general
 
@@ -144,19 +144,22 @@ class HierGdScheme(CachingScheme):
         """Actual holder of ``obj``: owner, divertee, or a live replica.
 
         Callers that already resolved the owner pass it in so the DHT
-        placement is computed once per request, not once per step.
+        placement is computed once per request, not once per step.  Each
+        "does this client hold it" is one probe of the cache's own
+        membership dict (``state.member_maps``).
         """
         if owner is None:
             owner = state.owner(obj)
-        if state.clients[owner].contains(obj):
+        member_maps = state.member_maps
+        if obj in member_maps[owner]:
             return owner
         holder = state.pointers.get(owner, {}).get(obj)
-        if holder is not None and state.clients[holder].contains(obj):
+        if holder is not None and obj in member_maps[holder]:
             return holder
         reps = state.replicas.get(obj)
         if reps:
             for idx in list(reps):
-                if state.clients[idx].contains(obj):
+                if obj in member_maps[idx]:
                     return idx
                 reps.discard(idx)  # lazily drop dead replica entries
             if not reps:

@@ -11,27 +11,29 @@ and known-absent insert paths without their general-case branches.
 from what the run can observe — never from a config knob:
 
 * **general** (:func:`process_general`, :func:`proxy_insert_general`,
-  :func:`pass_down_general`) — any sizes, a ``transport.faulty`` stack,
-  membership that changes mid-run.  Directories go stale here (dropped
-  eviction notices, failed clients, shifted placement), so every holder
-  is found through the scheme's ``_locate`` — the hook a churn scheme
-  repairs entries in — and every eviction notice goes through the
-  (possibly lossy) directory's own ``remove``; ``LOOKUP_QUERY`` and
-  ``PROXY_FETCH`` are asked of the transport only when a fault layer is
-  present.  These are :class:`~repro.core.hiergd.HierGdScheme`'s own
-  ``process`` / ``_proxy_insert``; the two below are rebound over them;
-* **sized, fault-free, static** (:func:`process_sized` & co.) — ``obj in
-  p2p_present`` answers "is it stored" (the directory-consistency
-  invariant), both presence indexes answer steps 3–4, no hop is asked
-  of the transport (Bloom directories excepted: :func:`~repro.protocol.
-  chain.push_stage`, so a remote false positive keeps costing its
-  wasted round);
+  :func:`pass_down_general`) — every run but one: any sizes, a
+  ``transport.faulty`` stack, membership that changes mid-run.  Which
+  index a step asks is decided by what the state holds: step 2 probes
+  ``dir_probe`` (``p2p_present`` where an exact directory mirrors it);
+  the push protocol asks the directory presence index where one is kept
+  (an exact directory on a static run) and otherwise scans with
+  :func:`~repro.protocol.chain.push_stage`, so a Bloom false positive
+  or a stale entry keeps costing its wasted round.  Directories go stale
+  under faults and churn (dropped eviction notices, failed clients,
+  shifted placement), so every holder is found through the scheme's
+  ``_locate`` — the hook a churn scheme repairs entries in — and every
+  eviction notice goes through the (possibly lossy) directory's own
+  ``remove``; ``LOOKUP_QUERY`` and ``PROXY_FETCH`` are asked of the
+  transport only when a fault layer is present.  These are
+  :class:`~repro.core.hiergd.HierGdScheme`'s own ``process`` /
+  ``_proxy_insert``;
 * **unit sizes, fault-free, static** (:func:`process`,
-  :func:`proxy_insert`, :func:`pass_down`) — on top of that, the whole
-  owner table is built up front, client caches only ever fill
-  (free-client sets), every insert is one unit and the helpers
-  (:func:`refresh_holder`, :func:`client_evicted`, :func:`record_store`,
-  the :class:`PresenceIndex` methods) are inlined.
+  :func:`proxy_insert`, :func:`pass_down`) — rebound over them: ``obj in
+  p2p_present`` answers "is it stored" (the directory-consistency
+  invariant), the whole owner table is built up front, client caches
+  only ever fill (free-client sets), every insert is one unit and the
+  helpers (:func:`refresh_holder`, :func:`client_evicted`,
+  :func:`record_store`, the :class:`PresenceIndex` methods) are inlined.
 
 Placement is resolved on first touch through the cluster's :class:`Dht`
 everywhere but the unit-size static case, so ``mean_<overlay>_hops``
@@ -70,7 +72,7 @@ from ..workload import object_url
 from .directory import LookupDirectory, make_directory
 from .presence import PeerSurface, PresenceIndex
 
-__all__ = ["IndexedCluster", "install"]
+__all__ = ["IndexedCluster", "install", "member_map"]
 
 
 class _FirstTouchOwners(dict):
@@ -140,8 +142,9 @@ class IndexedCluster:
     #: caches only ever fill; unused elsewhere).
     free_clients: set[int] = field(default_factory=set)
     #: Per client: that cache's membership dict (friend access), so
-    #: ``contains`` is one dict probe (static runs; a general run goes
-    #: through ``_locate``).
+    #: ``contains`` is one dict probe — ``_locate``'s on every run.
+    #: ``Cache.clear`` keeps a dict's identity; a joining client appends
+    #: its own.
     member_maps: list[dict] = field(default_factory=list)
     #: Exact directory's backing set (friend access) while it mirrors
     #: ``p2p_present`` — None under Bloom and wherever the directory can
@@ -191,7 +194,7 @@ class IndexedCluster:
         return self.owner_of[obj]
 
 
-def _member_map(cache: Cache) -> dict:
+def member_map(cache: Cache) -> dict:
     """The cache's key-membership dict (friend access; identity is
     stable — no policy rebinds it after construction)."""
     if isinstance(cache, LfuCache):
@@ -207,6 +210,9 @@ def install(scheme: Any) -> None:
     #: caches hold: no fault layer drops a notice, no client fails or joins.
     static = not (scheme.transport.faulty or scheme.mutates_membership)
     sized = scheme.sizes is not None
+    #: The one run the unit functions serve: every insert is one unit and
+    #: client caches only ever fill.
+    unit_static = static and not sized
     #: Greedy-dual caches: the proxy hit path (the single hottest branch
     #: of the whole simulator) is inlined and inserts of known-absent
     #: keys go through ``insert_absent`` / ``insert_absent_sized``.
@@ -225,7 +231,7 @@ def install(scheme: Any) -> None:
     # over one-by-one joins) everywhere but a unit-size static run,
     # which takes the bulk build and a whole owner table up front.
     # Both feed ``mean_<overlay>_hops``, which result digests pin.
-    first_touch = sized or not static
+    first_touch = not unit_static
     scheme.states = states = []
     for ci, sizing in enumerate(scheme.sizings):
         overlay = make_overlay(config)
@@ -261,12 +267,12 @@ def install(scheme: Any) -> None:
             cluster=ci,
             first_touch=first_touch,
         )
-        if static:
+        state.member_maps = [member_map(c) for c in state.clients]
+        if unit_static:
             # Caches start empty: free <=> nonzero capacity.
             state.free_clients = {
                 k for k, c in enumerate(state.clients) if c.capacity > 0
             }
-            state.member_maps = [_member_map(c) for c in state.clients]
         if exact:
             state.dir_set = state.directory._entries
             state.dir_probe = state.p2p_present
@@ -285,11 +291,9 @@ def install(scheme: Any) -> None:
     #: Cluster id -> its state, or None for a cluster served elsewhere (a
     #: shard peer view narrows this to the clusters its worker owns).
     scheme._state_at = states.__getitem__
-    if static:
-        scheme.process = MethodType(process_sized if sized else process, scheme)
-        scheme._proxy_insert = MethodType(
-            proxy_insert_sized if sized else proxy_insert, scheme
-        )
+    if unit_static:
+        scheme.process = MethodType(process, scheme)
+        scheme._proxy_insert = MethodType(proxy_insert, scheme)
 
 
 def peer_surface(self: Any) -> PeerSurface:
@@ -308,7 +312,7 @@ def peer_surface(self: Any) -> PeerSurface:
 
     return PeerSurface(
         [
-            (self._proxy_presence, [_member_map(s.proxy) for s in states]),
+            (self._proxy_presence, [member_map(s.proxy) for s in states]),
             (self._dir_presence, [s.p2p_present for s in states]),
         ],
         rekey,
@@ -575,70 +579,6 @@ def pass_down(self: Any, state: IndexedCluster, obj: int) -> None:
                     free.discard(idx)
 
 
-def pass_down_sized(self: Any, state: IndexedCluster, obj: int) -> None:
-    """:func:`pass_down_general` on a static fault-free run: ``obj in
-    p2p_present`` answers "already stored" and every insert is of a key
-    no client holds.
-
-    No free-client sets: whether a cache has room depends on the object
-    (``capacity - used >= size``), and an eviction that took several
-    victims can leave room behind, so free space is read per candidate.
-    The owner is asked for in the general function's order (first thing
-    on either branch, then once per eviction notice).
-    """
-    msg = self._msg
-    msg["passdowns"] += 1
-    msg[self._destage_key] += 1
-    if obj in state.p2p_present:
-        refresh_holder(self, state, obj)  # already stored: refresh, don't duplicate
-        return
-
-    clients = state.clients
-    cost = state.costs.get(obj, self._t_server)
-    size = self._size_list[obj]
-    owner_idx = state.owner_of[obj]
-    owner_cache = clients[owner_idx]
-    # (3)-(5): room at the destination; else (7)-(10): the neighbourhood
-    # member with the most room, if any has enough.
-    target = owner_idx if owner_cache.capacity - owner_cache._used >= size else None
-    if target is None and self._diversion:
-        best_free = size - 1
-        for idx in state.neighbour_idx[owner_idx]:
-            c = clients[idx]
-            f = c.capacity - c._used
-            if f > best_free:
-                target, best_free = idx, f
-    gd = self._gd_inline
-    if target is not None:
-        # obj is cached nowhere in the cluster (p2p_present checked
-        # above), which is what ``insert_absent_sized`` requires.
-        if gd:
-            clients[target].insert_absent_sized(obj, cost, size)
-        else:
-            clients[target].insert(obj, cost=cost, size=size)
-        if target != owner_idx:
-            state.pointers.setdefault(owner_idx, {})[obj] = target
-            msg["diversions"] += 1
-    else:
-        # (12)-(14): replacement at the destination, as many victims as
-        # the object's size takes.
-        if gd:
-            evicted = owner_cache.insert_absent_sized(obj, cost, size)
-        else:
-            evicted = owner_cache.insert(obj, cost=cost, size=size)
-        for d2 in evicted:
-            if d2 == obj:
-                return  # larger than the whole client cache: rejected
-            client_evicted(self, state, owner_idx, d2)
-    record_store(self, state, obj)
-    if self._replicas_extra > 0:
-        self._replicate(
-            state, obj, cost,
-            owner_idx if target is None else target,
-            state.neighbour_idx[owner_idx],
-        )
-
-
 # -- proxy-side insert (GD on each fetched object) -------------------------
 
 
@@ -696,24 +636,6 @@ def proxy_insert(self: Any, state: IndexedCluster, obj: int, cost: float) -> Non
             s.add(cluster)
 
 
-def proxy_insert_sized(self: Any, state: IndexedCluster, obj: int, cost: float) -> None:
-    """:func:`proxy_insert_general` on a static fault-free sized run."""
-    state.costs[obj] = cost
-    size = self._size_list[obj]
-    if self._gd_inline:
-        evicted = state.proxy.insert_absent_sized(obj, cost, size)
-    else:
-        evicted = state.proxy.insert(obj, cost=cost, size=size)
-    presence = self._proxy_presence
-    cluster = state.cluster
-    for d1 in evicted:
-        if d1 == obj:
-            return  # larger than the whole proxy cache: rejected
-        presence.discard(d1, cluster)
-        pass_down_sized(self, state, d1)
-    presence.add(obj, cluster)
-
-
 # -- request path -----------------------------------------------------------
 
 
@@ -749,7 +671,8 @@ def process_general(self: Any, cluster: int, client: int, obj: int) -> str:
         self._processed = n + 1
     state = self.states[cluster]
     proxy = state.proxy
-    # 1. Local proxy cache (the inlined hit path of :func:`process_sized`).
+    # 1. Local proxy cache (greedy-dual hits inlined: a hit earns the
+    # credit ``GreedyDualCache.lookup`` gives it, ``cost/size`` under gds).
     if self._gd_inline:
         entry = proxy._entries.get(obj)
         if entry is not None:
@@ -769,11 +692,12 @@ def process_general(self: Any, cluster: int, client: int, obj: int) -> str:
     faulty = self._faulty
 
     # 2. Own P2P client cache: a directory claim sends one LOOKUP_QUERY
-    # into the overlay.  An over-claim — a Bloom false positive, a stale
-    # entry — wastes the Tp2p round; on ladder exhaustion the redirect is
+    # into the overlay (``dir_probe``: the directory, or the set it
+    # mirrors).  An over-claim — a Bloom false positive, a stale entry —
+    # wastes the Tp2p round; on ladder exhaustion the redirect is
     # abandoned unserved (a stale entry survives undetected: the proxy
     # never learned it was wrong).
-    if obj in state.directory:
+    if obj in state.dir_probe:
         msg["p2p_lookups"] += 1
         if not faulty or self.transport.attempt(LOOKUP_QUERY):
             holder = self._locate(state, obj, state.owner_of[obj])
@@ -787,15 +711,32 @@ def process_general(self: Any, cluster: int, client: int, obj: int) -> str:
 
     # 3. Cooperating proxies' own caches first (cheaper than a push); a
     # spent retry budget falls back a tier, it does not try the next proxy.
-    if self._proxy_presence.first_holder(obj, state.cluster) is not None and (
+    me = state.cluster
+    if self._proxy_presence.first_holder(obj, me) is not None and (
         not faulty or self.transport.attempt(PROXY_FETCH)
     ):
         proxy_insert_general(self, state, obj, self._t_coop)
         return TIER_COOP_PROXY
     # ... then their P2P client caches through the push protocol.
-    tier = push_stage(self, state, cluster, obj)
-    if tier is not None:
-        return tier
+    if self._dir_presence is not None:
+        # Exact directories nothing can make stale: the first listed
+        # cluster serves, with one push request and no hop to fail.  A
+        # holder in another shard is refreshed through a queued push
+        # record (one proxy lookup per request: accesses - 1 is its index).
+        other = self._dir_presence.first_holder(obj, me)
+        if other is not None:
+            msg["push_requests"] += 1
+            other_state = self._state_at(other)
+            if other_state is None:
+                self._queue_remote_push(proxy.stats.accesses - 1, me, other, obj)
+            else:
+                refresh_holder(self, other_state, obj)
+            proxy_insert_general(self, state, obj, self._t_coop + self._t_p2p)
+            return TIER_COOP_P2P
+    else:
+        tier = push_stage(self, state, cluster, obj)
+        if tier is not None:
+            return tier
 
     # 4. Origin server.
     proxy_insert_general(self, state, obj, self._t_server)
@@ -890,69 +831,4 @@ def process(self: Any, cluster: int, client: int, obj: int) -> str:
 
     # 4. Origin server.
     proxy_insert(self, state, obj, self._t_server)
-    return TIER_SERVER
-
-
-def process_sized(self: Any, cluster: int, client: int, obj: int) -> str:
-    """:func:`process_general` on a static fault-free run: no hop can
-    fail and both presence indexes stay exact, so steps 2–4 are index
-    probes.
-
-    A greedy-dual proxy hit earns the credit ``GreedyDualCache.lookup``
-    gives it (``cost/size`` under ``gds``); the steps are spelled with
-    the helpers :func:`process` inlines.
-    """
-    state = self.states[cluster]
-    proxy = state.proxy
-    if self._gd_inline:
-        entry = proxy._entries.get(obj)
-        if entry is not None:
-            heap = proxy._heap
-            seq = heap._seq + 1
-            heap._seq = seq
-            credit = entry[1] / entry[0] if proxy.credit_by_size else entry[1]
-            heap._live[obj] = (proxy.inflation + credit, seq, False)
-            proxy.stats.hits += 1
-            return TIER_LOCAL_PROXY
-        proxy.stats.misses += 1
-    elif proxy.lookup(obj):
-        return TIER_LOCAL_PROXY
-    if state.built_epoch != state.overlay.epoch:
-        state.build_placement()
-    msg = self._msg
-
-    # 2. Own P2P client cache, via the lookup directory.
-    if obj in state.dir_probe:
-        msg["p2p_lookups"] += 1
-        if refresh_holder(self, state, obj):
-            if self._promote:
-                proxy_insert_sized(self, state, obj, self._t_p2p)
-            return TIER_LOCAL_P2P
-        # Bloom false positive: a wasted LAN round into the overlay.
-        msg["directory_false_positives"] += 1
-        self.add_extra_latency(self._t_p2p)
-
-    # 3. Cooperating proxies, then their P2P client caches.
-    me = state.cluster
-    if self._proxy_presence.first_holder(obj, me) is not None:
-        proxy_insert_sized(self, state, obj, self._t_coop)
-        return TIER_COOP_PROXY
-    if self._dir_presence is not None:
-        other = self._dir_presence.first_holder(obj, me)
-        if other is not None:
-            msg["push_requests"] += 1
-            other_state = self._state_at(other)
-            if other_state is None:
-                self._queue_remote_push(proxy.stats.accesses - 1, me, other, obj)
-            else:
-                refresh_holder(self, other_state, obj)
-            proxy_insert_sized(self, state, obj, self._t_coop + self._t_p2p)
-            return TIER_COOP_P2P
-    else:
-        tier = push_stage(self, state, cluster, obj)
-        if tier is not None:
-            return tier
-
-    # 4. Origin server.
-    proxy_insert_sized(self, state, obj, self._t_server)
     return TIER_SERVER

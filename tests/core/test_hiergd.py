@@ -6,6 +6,7 @@ import pytest
 from repro.core.churn import HierGdChurnScheme
 from repro.core.config import SimulationConfig
 from repro.core.hiergd import HierGdScheme
+from repro.core.hiergd_indexed import member_map
 from repro.netmodel import (
     TIER_COOP_P2P,
     TIER_LOCAL_P2P,
@@ -86,6 +87,12 @@ def check_presence_indexes(scheme):
         return found
 
     assert scheme._proxy_presence.as_dict() == scan(lambda s: s.proxy.keys())
+    # ``_locate`` probes the caches' own membership dicts: one per client,
+    # joins and failures included, none rebound.
+    for state in scheme.states:
+        assert len(state.member_maps) == len(state.clients)
+        for members, cache in zip(state.member_maps, state.clients):
+            assert members is member_map(cache)
     if scheme._dir_presence is not None:
         assert scheme._dir_presence.as_dict() == scan(lambda s: s.p2p_present)
 

@@ -318,23 +318,54 @@ def test_hier_gd_churn_events_equivalent(overrides, sizes):
     check_presence_indexes(scheme)
 
 
+@pytest.mark.parametrize("run", ["plain", "composite", "churn events"])
+@pytest.mark.parametrize("sizes", ["unit", "sized"])
+def test_engine_selection(sizes, run):
+    """``install`` rebinds the unit functions on a unit-size static run
+    only; every other run keeps the class's general functions."""
+    config = general_config(sizes)
+    traces = generate_workloads(config, seed=0)
+    if run == "plain":
+        scheme = SCHEME_REGISTRY["hier-gd"](config, traces)
+    elif run == "composite":
+        scheme = build_scheme("hier-gd", config, traces, FAULT_PLANS["composite"])
+    else:
+        scheme = HierGdChurnScheme(config, traces, EVENTS)
+    unit_static = sizes == "unit" and run == "plain"
+    assert scheme.process.__func__.__name__ == (
+        "process" if unit_static else "process_general"
+    )
+    assert scheme._proxy_insert.__func__.__name__ == (
+        "proxy_insert" if unit_static else "proxy_insert_general"
+    )
+
+
 def test_one_module_defines_the_request_path():
-    """No module under ``src/`` defines a second pass-down or miss chain:
-    the functions that count a pass-down or a directory lookup — what any
-    implementation of Figure 1 or of the miss chain must do — all live
-    in ``core/hiergd_indexed.py``."""
+    """No module under ``src/`` defines a second pass-down or miss chain,
+    and no third specialisation appears in the engine: exactly two
+    functions count a pass-down and two a directory lookup — what any
+    implementation of Figure 1 or of the miss chain must do — the unit
+    and the general one, both in ``core/hiergd_indexed.py``."""
     root = Path(repro.__file__).parent
-    counting = set()
+    counting = {"passdowns": set(), "p2p_lookups": set()}
     for path in root.rglob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if (
-                isinstance(node, ast.AugAssign)
-                and isinstance(node.target, ast.Subscript)
-                and isinstance(node.target.slice, ast.Constant)
-                and node.target.slice.value in ("passdowns", "p2p_lookups")
-            ):
-                counting.add(path.relative_to(root).as_posix())
-    assert counting == {"core/hiergd_indexed.py"}
+        module = path.relative_to(root).as_posix()
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if (
+                    isinstance(node, ast.AugAssign)
+                    and isinstance(node.target, ast.Subscript)
+                    and isinstance(node.target.slice, ast.Constant)
+                    and node.target.slice.value in counting
+                ):
+                    counting[node.target.slice.value].add((module, func.name))
+    engine = "core/hiergd_indexed.py"
+    assert counting == {
+        "passdowns": {(engine, "pass_down"), (engine, "pass_down_general")},
+        "p2p_lookups": {(engine, "process"), (engine, "process_general")},
+    }
 
 
 def test_squirrel_home_table_matches_overlay_owner():
