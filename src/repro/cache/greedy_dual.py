@@ -67,7 +67,10 @@ class GreedyDualCache(Cache):
         #: way (``cost/1 == cost`` exactly in IEEE arithmetic).
         self.credit_by_size = credit_by_size
         self.inflation = 0.0  # the running value L
-        self._entries: dict[Hashable, tuple[int, float]] = {}  # key -> (size, cost)
+        #: key -> (size, credit): the credit is ``cost/size`` or ``cost``
+        #: by :attr:`credit_by_size`, worked out once per insert (and
+        #: without a division at unit size, where the two are equal).
+        self._entries: dict[Hashable, tuple[int, float]] = {}
         self._heap = HeapDict()
         self._used = 0
 
@@ -81,15 +84,14 @@ class GreedyDualCache(Cache):
             self.stats.misses += 1
             return False
         # Restore full credit relative to the current inflation value.
-        # The refresh is monotone (L never decreases and cost/size is
+        # The refresh is monotone (L never decreases and the credit is
         # fixed while cached), so the lazy heap's no-push path applies:
         # record the new (priority, seq) in the live dict and let the pop
         # loop reconcile (inlined HeapDict.push raise branch).
         heap = self._heap
         seq = heap._seq + 1
         heap._seq = seq
-        credit = entry[1] / entry[0] if self.credit_by_size else entry[1]
-        heap._live[key] = (self.inflation + credit, seq, False)
+        heap._live[key] = (self.inflation + entry[1], seq, False)
         self.stats.hits += 1
         return True
 
@@ -156,13 +158,14 @@ class GreedyDualCache(Cache):
                 evicted.append(victim)
                 stats.evictions += 1
             self.inflation = inflation
-        entries[key] = (size, cost)
+        credit = cost / size if size != 1 and self.credit_by_size else cost
+        entries[key] = (size, credit)
         # Inlined HeapDict.push.  A refresh-insert may *lower* the credit
         # (a cheaper re-fetch), so unlike ``lookup`` this keeps the
         # eager/lazy comparison.
         seq = heap._seq + 1
         heap._seq = seq
-        prio = self.inflation + (cost / size if self.credit_by_size else cost)
+        prio = self.inflation + credit
         old = live.get(key)
         if old is None or prio < old[0]:
             live[key] = (prio, seq, True)
@@ -175,70 +178,19 @@ class GreedyDualCache(Cache):
         self.stats.insertions += 1
         return evicted
 
-    def insert_absent(self, key: Hashable, cost: float) -> list[Hashable]:
-        """Unit-size :meth:`insert` of a key the caller knows is not cached.
+    def insert_absent(self, key: Hashable, cost: float, size: int) -> list[Hashable]:
+        """:meth:`insert` of a key the caller knows is not cached.
 
-        Hier-GD's indexed engine inserts only objects that just missed
-        (proxy) or that the cluster's directory says are stored nowhere
-        (pass-down), at unit size and a cost it paid itself — so the
-        refresh branch, the oversize branch and the eager/lazy credit
-        comparison of :meth:`insert` all collapse: evict while full, then
-        push eagerly at ``L + cost`` (``cost/1 == cost`` under either
-        credit model).  Same victims, same heap entries, same statistics
-        as ``insert(key, cost=cost)``.
-        """
-        capacity = self.capacity
-        if capacity < 1:
-            return [key]
-        entries = self._entries
-        used = self._used
-        heap = self._heap
-        live = heap._live
-        hl = heap._heap
-        inflation = self.inflation
-        stats = self.stats
-        evicted: list[Hashable] = []
-        while used >= capacity:
-            # HeapDict's lazy reconciliation, as in ``insert``.
-            prio, seq, victim = heappop(hl)
-            rec = live.get(victim)
-            if rec is None:
-                continue
-            if rec[1] != seq:
-                if not rec[2]:
-                    live[victim] = (rec[0], rec[1], True)
-                    heappush(hl, (rec[0], rec[1], victim))
-                continue
-            del live[victim]
-            if prio > inflation:
-                inflation = prio
-            used -= entries.pop(victim)[0]
-            evicted.append(victim)
-            stats.evictions += 1
-        self.inflation = inflation
-        entries[key] = (1, cost)
-        seq = heap._seq + 1
-        heap._seq = seq
-        prio = inflation + cost
-        live[key] = (prio, seq, True)
-        heappush(hl, (prio, seq, key))
-        if len(hl) > (len(live) << 1) + 8:
-            heap._compact()
-        self._used = used + 1
-        stats.insertions += 1
-        return evicted
-
-    def insert_absent_sized(self, key: Hashable, cost: float, size: int) -> list[Hashable]:
-        """:meth:`insert_absent` at ``size`` units, for sized workloads.
-
-        Still a key the caller knows is not cached and a cost it paid
-        itself, so the refresh branch and the eager/lazy comparison stay
-        collapsed; what comes back is :meth:`insert`'s size handling — an
-        object larger than the whole cache is rejected (``[key]``), room
-        is made by as many victims as it takes (the last one may leave
-        free space behind), and the credit is ``L + cost/size`` or
-        ``L + cost`` by :attr:`credit_by_size`.  Same victims, heap
-        entries and statistics as ``insert(key, cost=cost, size=size)``.
+        Hier-GD's engine inserts only objects that just missed (proxy) or
+        that no client of the cluster holds (pass-down), at a cost it paid
+        itself — so the refresh branch and the eager/lazy credit
+        comparison of :meth:`insert` collapse.  Its size handling stays:
+        an object larger than the whole cache is rejected (``[key]``),
+        room is made by as many victims as it takes (the last one may
+        leave free space behind), and the credit is ``L + cost/size`` or
+        ``L + cost`` by :attr:`credit_by_size` (the same at unit size).
+        Same victims, heap entries and statistics as
+        ``insert(key, cost=cost, size=size)``.
         """
         capacity = self.capacity
         if size > capacity:
@@ -269,10 +221,11 @@ class GreedyDualCache(Cache):
             evicted.append(victim)
             stats.evictions += 1
         self.inflation = inflation
-        entries[key] = (size, cost)
+        credit = cost / size if size != 1 and self.credit_by_size else cost
+        entries[key] = (size, credit)
         seq = heap._seq + 1
         heap._seq = seq
-        prio = inflation + (cost / size if self.credit_by_size else cost)
+        prio = inflation + credit
         live[key] = (prio, seq, True)
         heappush(hl, (prio, seq, key))
         if len(hl) > (len(live) << 1) + 8:

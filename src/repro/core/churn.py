@@ -150,7 +150,10 @@ class HierGdChurnScheme(HierGdScheme):
 
         # The machine is gone: cache contents, pointer table and overlay
         # membership all vanish at once.
-        state.clients[client].clear()
+        cache = state.clients[client]
+        cache.clear()
+        if cache.capacity > 0:
+            state.free_clients.add(client)
         state.pointers.pop(client, None)
         state.overlay.fail(state.node_of_idx[client])
         self._dead[cluster].add(client)
@@ -188,6 +191,8 @@ class HierGdChurnScheme(HierGdScheme):
         cache = self._make_cache(sizing.client_size)
         state.clients.append(cache)
         state.member_maps.append(member_map(cache))
+        if cache.capacity > 0:
+            state.free_clients.add(idx)
         # Placement shifted toward the newcomer: objects it now owns but
         # does not hold become unreachable at their old holders and are
         # repaired lazily, like after a failure.

@@ -36,8 +36,8 @@ object is located and replicated, and what a run reports.  The request
 path — pass-down, eviction notices, the miss chain — is
 :mod:`repro.core.hiergd_indexed`, the one engine every Hier-GD run is
 served by (fault-free or under a fault transport, static or churning
-membership, unit or sized objects); its general functions are this
-class's ``process`` / ``_proxy_insert``.
+membership, unit or sized objects); its functions are this class's
+``process`` / ``_proxy_insert``.
 """
 
 from __future__ import annotations
@@ -63,14 +63,13 @@ class HierGdScheme(CachingScheme):
     #: Whether the class fails or joins clients mid-run (it then carries
     #: the schedule the engine fires: ``_processed``, ``_next_due``,
     #: ``_fire_due_events``).  With ``transport.faulty``, what the engine
-    #: reads to tell whether its indexes can mirror the directories.
+    #: reads to tell whether its indexes can mirror the directories; on
+    #: its own, whether ``p2p_present`` lists all ``_locate`` can find.
     mutates_membership = False
 
-    # The request path is the engine's: its general functions, which
-    # ``hiergd_indexed.install`` rebinds per instance to the unit-size
-    # functions on a fault-free static run.
-    process = hiergd_indexed.process_general
-    _proxy_insert = hiergd_indexed.proxy_insert_general
+    # The request path is the engine's, one set of functions for every run.
+    process = hiergd_indexed.process
+    _proxy_insert = hiergd_indexed.proxy_insert
 
     def __init__(
         self,
@@ -199,6 +198,8 @@ class HierGdScheme(CachingScheme):
             cache = state.clients[idx]
             if cache.free_space >= size and not cache.contains(obj):
                 cache.insert(obj, cost=cost, size=size)
+                if cache._used >= cache.capacity:
+                    state.free_clients.discard(idx)
                 state.replicas.setdefault(obj, set()).add(idx)
                 self._msg["replicas_stored"] += 1
                 extra -= 1

@@ -1,52 +1,56 @@
 """Hier-GD's request engine: the one every run is served by.
 
 Figure 1's pass-down, object diversion, the lookup directory and the
-push protocol, written once per *specialisation* of one engine — free
-functions over the scheme, answered from indexes wherever the run's
-inputs let an index stay exact: placement tables
-(:mod:`repro.overlay.placement`), cross-cluster presence indexes
-(:mod:`repro.core.presence`), membership maps, and the greedy-dual hit
-and known-absent insert paths without their general-case branches.
-:func:`install` builds the cluster states and picks the specialisation
-from what the run can observe — never from a config knob:
+push protocol, written once — :func:`process`, :func:`proxy_insert`,
+:func:`pass_down` and :func:`push_stage`, free functions over the
+scheme (they are :class:`~repro.core.hiergd.HierGdScheme`'s own
+``process`` / ``_proxy_insert``).  They serve every run: any sizes, a
+``transport.faulty`` stack, membership that changes mid-run.  Which
+index a step asks is decided by what the state holds, never by a flag;
+:func:`install` builds the cluster states and these indexes, each exact
+on the runs listed:
 
-* **general** (:func:`process_general`, :func:`proxy_insert_general`,
-  :func:`pass_down_general`) — every run but one: any sizes, a
-  ``transport.faulty`` stack, membership that changes mid-run.  Which
-  index a step asks is decided by what the state holds: step 2 probes
-  ``dir_probe`` (``p2p_present`` where an exact directory mirrors it);
-  the push protocol asks the directory presence index where one is kept
-  (an exact directory on a static run) and otherwise scans with
-  :func:`~repro.protocol.chain.push_stage`, so a Bloom false positive
-  or a stale entry keeps costing its wasted round.  Directories go stale
-  under faults and churn (dropped eviction notices, failed clients,
-  shifted placement), so every holder is found through the scheme's
-  ``_locate`` — the hook a churn scheme repairs entries in — and every
-  eviction notice goes through the (possibly lossy) directory's own
-  ``remove``; ``LOOKUP_QUERY`` and ``PROXY_FETCH`` are asked of the
-  transport only when a fault layer is present.  These are
-  :class:`~repro.core.hiergd.HierGdScheme`'s own ``process`` /
-  ``_proxy_insert``;
-* **unit sizes, fault-free, static** (:func:`process`,
-  :func:`proxy_insert`, :func:`pass_down`) — rebound over them: ``obj in
-  p2p_present`` answers "is it stored" (the directory-consistency
-  invariant), the whole owner table is built up front, client caches
-  only ever fill (free-client sets), every insert is one unit and the
-  helpers (:func:`refresh_holder`, :func:`client_evicted`,
-  :func:`record_store`, the :class:`PresenceIndex` methods) are inlined.
+* ``owner_of`` — placement, object -> owner client index, against the
+  current overlay epoch: the whole table, built up front over bulk joins,
+  on a unit-size static run (fault-free, fixed membership); elsewhere a
+  memo filled on first touch through the cluster's :class:`Dht`;
+* ``member_maps`` — each client cache's own membership dict, so "does
+  this client hold it" is one dict probe (every run);
+* ``free_clients`` — ``{k : capacity − used > 0}`` (every run): the
+  engine updates it after each insert it makes, ``_replicate`` after each
+  replica store, churn after each failure and join; diversion filters
+  its neighbour scan by it and skips the scan when it is empty;
+* ``p2p_present`` — what the P2P cache stores (every run); while the
+  scheme's ``mutates_membership`` is false, anything ``_locate`` can
+  find is listed, so it gates the pass-down's "already stored?"
+  ``_locate``.  Under churn ``_locate`` repairs directory entries as a
+  side effect and every pass-down asks it; an eviction notice asks only
+  about objects ``p2p_present`` lists on every run;
+* ``dir_set`` / ``dir_probe`` — an exact directory's backing set, and
+  ``p2p_present`` as step 2's probe, on a static run; elsewhere the
+  directory itself answers (Bloom false positives and stale entries are
+  modelled behaviour and must keep happening), and its own ``add`` /
+  ``remove`` apply (a lossy one may drop a notice);
+* the scheme's ``_proxy_presence`` (every run) and ``_dir_presence``
+  (exact directory, static run) — which clusters hold an object
+  (:mod:`repro.core.presence`); without the latter, step 4 is
+  :func:`push_stage`'s scan, so a false positive or a stale entry keeps
+  costing its wasted round.
 
-Placement is resolved on first touch through the cluster's :class:`Dht`
-everywhere but the unit-size static case, so ``mean_<overlay>_hops``
-samples the same keys in every other run.  The naive model of all this —
-one pass-down, one scan-everything miss chain, every hop through the
-transport — is ``tests/integration/chain_model.py``; the equivalence
-suite (``test_hotpath_equivalence.py``) holds each specialisation to it.
+Every holder is found through the scheme's ``_locate`` — the hook a
+churn scheme repairs entries in — after the owner's membership dict;
+``LOOKUP_QUERY`` and ``PROXY_FETCH`` are asked of the transport only
+when a fault layer is present.  The greedy-dual proxy hit, the
+known-absent inserts, the presence-index updates and the sizes are
+inlined.  The naive model of all this — one pass-down, one
+scan-everything miss chain, every hop through the transport — is
+``tests/integration/chain_model.py``; the equivalence suite
+(``test_hotpath_equivalence.py``) holds the engine to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import MethodType
 from typing import Any
 
 import numpy as np
@@ -66,8 +70,7 @@ from ..overlay import (
     make_overlay,
     object_ids_for_urls,
 )
-from ..protocol.chain import push_stage
-from ..protocol.messages import LOOKUP_QUERY, PROXY_FETCH
+from ..protocol.messages import LOOKUP_QUERY, PROXY_FETCH, PUSH
 from ..workload import object_url
 from .directory import LookupDirectory, make_directory
 from .presence import PeerSurface, PresenceIndex
@@ -100,7 +103,7 @@ class _FirstTouchOwners(dict):
 @dataclass(slots=True)
 class IndexedCluster:
     """One proxy + its P2P client cache at runtime, and the indexes its
-    requests are served from."""
+    requests are served from (module docstring)."""
 
     proxy: Cache
     clients: list[Cache]
@@ -138,8 +141,7 @@ class IndexedCluster:
     neighbour_idx: list[list[int]] = field(default_factory=list)
     #: Overlay epoch the placement tables were built against.
     built_epoch: int = -1
-    #: Client indexes with free space (unit-size static runs: client
-    #: caches only ever fill; unused elsewhere).
+    #: Client indexes with free space, ``{k : capacity − used > 0}``.
     free_clients: set[int] = field(default_factory=set)
     #: Per client: that cache's membership dict (friend access), so
     #: ``contains`` is one dict probe — ``_locate``'s on every run.
@@ -152,8 +154,7 @@ class IndexedCluster:
     dir_set: set | None = None
     #: Step-2 membership probe: the ``p2p_present`` set when
     #: :attr:`dir_set` is kept (identical membership, cheaper probe),
-    #: else the directory itself (false positives and stale entries are
-    #: modelled behaviour and must keep happening).
+    #: else the directory itself.
     dir_probe: Any = None
 
     def __post_init__(self) -> None:
@@ -203,19 +204,17 @@ def member_map(cache: Cache) -> dict:
 
 
 def install(scheme: Any) -> None:
-    """Build ``scheme``'s cluster states and indexes; bind the
-    specialisation that fits the run (module docstring)."""
+    """Build ``scheme``'s cluster states and the indexes they own
+    (module docstring)."""
     config = scheme.config
+    churn = scheme.mutates_membership
     #: Whether nothing can make a directory diverge from what the client
     #: caches hold: no fault layer drops a notice, no client fails or joins.
-    static = not (scheme.transport.faulty or scheme.mutates_membership)
+    static = not (scheme.transport.faulty or churn)
     sized = scheme.sizes is not None
-    #: The one run the unit functions serve: every insert is one unit and
-    #: client caches only ever fill.
-    unit_static = static and not sized
     #: Greedy-dual caches: the proxy hit path (the single hottest branch
     #: of the whole simulator) is inlined and inserts of known-absent
-    #: keys go through ``insert_absent`` / ``insert_absent_sized``.
+    #: keys go through ``insert_absent``.
     scheme._gd_inline = config.hiergd_policy == "gd"
     #: object -> clusters whose *proxy* currently caches it (step 3).
     scheme._proxy_presence = PresenceIndex()
@@ -231,7 +230,7 @@ def install(scheme: Any) -> None:
     # over one-by-one joins) everywhere but a unit-size static run,
     # which takes the bulk build and a whole owner table up front.
     # Both feed ``mean_<overlay>_hops``, which result digests pin.
-    first_touch = not unit_static
+    first_touch = sized or not static
     scheme.states = states = []
     for ci, sizing in enumerate(scheme.sizings):
         overlay = make_overlay(config)
@@ -268,11 +267,10 @@ def install(scheme: Any) -> None:
             first_touch=first_touch,
         )
         state.member_maps = [member_map(c) for c in state.clients]
-        if unit_static:
-            # Caches start empty: free <=> nonzero capacity.
-            state.free_clients = {
-                k for k, c in enumerate(state.clients) if c.capacity > 0
-            }
+        # Caches start empty: free <=> nonzero capacity.
+        state.free_clients = {
+            k for k, c in enumerate(state.clients) if c.capacity > 0
+        }
         if exact:
             state.dir_set = state.directory._entries
             state.dir_probe = state.p2p_present
@@ -291,9 +289,6 @@ def install(scheme: Any) -> None:
     #: Cluster id -> its state, or None for a cluster served elsewhere (a
     #: shard peer view narrows this to the clusters its worker owns).
     scheme._state_at = states.__getitem__
-    if unit_static:
-        scheme.process = MethodType(process, scheme)
-        scheme._proxy_insert = MethodType(proxy_insert, scheme)
 
 
 def peer_surface(self: Any) -> PeerSurface:
@@ -323,201 +318,97 @@ def peer_surface(self: Any) -> PeerSurface:
 # -- Figure 1: pass-down with object diversion -----------------------------
 
 
-def client_evicted(self: Any, state: IndexedCluster, holder_idx: int, obj: int) -> None:
-    """Eviction notice: clean pointers / replicas, and the directory once
-    the *last* copy died — a surviving replica keeps the object reachable.
-
-    The reachability probe is the scheme's ``_eviction_probe``, not its
-    ``_locate``: a notice must not repair what a lookup would.  The
-    removal goes through the directory's own ``remove`` wherever it can
-    be lossy.  :func:`pass_down` inlines this.
-    """
-    self._msg["client_evictions"] += 1
-    owner = state.owner_of[obj]
-    if owner != holder_idx:
-        ptrs = state.pointers.get(owner)
-        if ptrs and ptrs.get(obj) == holder_idx:
-            del ptrs[obj]
-    reps = state.replicas.get(obj)
-    if reps:
-        reps.discard(holder_idx)
-        if not reps:
-            del state.replicas[obj]
-    if obj in state.p2p_present and self._eviction_probe(state, obj, owner) is None:
-        state.p2p_present.discard(obj)
-        if state.dir_set is not None:
-            state.dir_set.discard(obj)
-            self._dir_presence.discard(obj, state.cluster)
-        else:
-            state.directory.remove(obj)
-
-
-def record_store(self: Any, state: IndexedCluster, obj: int) -> None:
-    """Store receipt for an object new to the cluster's P2P cache: the
-    destination confirms, the proxy updates its directory (and the
-    directory index); :func:`pass_down` inlines this."""
-    self._msg["store_receipts"] += 1
-    state.p2p_present.add(obj)
-    if state.dir_set is not None:
-        state.dir_set.add(obj)
-        self._dir_presence.add(obj, state.cluster)
-    else:
-        state.directory.add(obj)
-
-
-def pass_down_general(self: Any, state: IndexedCluster, obj: int) -> None:
+def pass_down(self: Any, state: IndexedCluster, obj: int) -> None:
     """Figure 1: destage a proxy-evicted object into the P2P client cache.
 
     Route to the destination cache A; with room there, store; otherwise
     divert to the overlay neighbour with the most room (A keeps a
     pointer, §4.3); otherwise A replaces, and each of its victims is
-    discarded after an eviction notice.  Whether the object is already
-    stored is asked of ``_locate`` — under churn the ground-truth set can
-    list what placement no longer reaches, and the lookup repairs it.
+    discarded after an eviction notice.  Store receipts and eviction
+    notices are inlined.
     """
     msg = self._msg
     msg["passdowns"] += 1
     msg[self._destage_key] += 1
     clients = state.clients
-    cost = state.costs.get(obj, self._t_server)
-    size = self._size_of(obj)
-    owner_idx = state.owner_of[obj]
-    holder = self._locate(state, obj, owner_idx)
-    if holder is not None:
-        # Already stored (e.g. destaged before and later promoted back
-        # up): refresh its greedy-dual credit instead of duplicating.
-        clients[holder].lookup(obj)
-        return
-
-    owner_cache = clients[owner_idx]
-    # (3)-(5): room at the destination; else (7)-(10): the neighbourhood
-    # member with the most room, if any has enough.
-    target = owner_idx if owner_cache.capacity - owner_cache._used >= size else None
-    if target is None and self._diversion:
-        best_free = size - 1
-        for idx in state.neighbour_idx[owner_idx]:
-            c = clients[idx]
-            f = c.capacity - c._used
-            if f > best_free:
-                target, best_free = idx, f
-    gd = self._gd_inline
-    if target is not None:
-        cache = clients[target]
-        # The owner does not hold obj (``_locate`` looked); a divertee may
-        # — a copy a membership change left unreachable — and then the
-        # insert is a refresh.
-        if gd and (target == owner_idx or obj not in cache._entries):
-            cache.insert_absent_sized(obj, cost, size)
-        else:
-            cache.insert(obj, cost=cost, size=size)
-        if target != owner_idx:
-            state.pointers.setdefault(owner_idx, {})[obj] = target
-            msg["diversions"] += 1
-    else:
-        # (12)-(14): replacement at the destination, as many victims as
-        # the object's size takes; each is discarded (§3) after its notice.
-        if gd:
-            evicted = owner_cache.insert_absent_sized(obj, cost, size)
-        else:
-            evicted = owner_cache.insert(obj, cost=cost, size=size)
-        for d2 in evicted:
-            if d2 == obj:
-                return  # no room at any eviction cost: rejected
-            client_evicted(self, state, owner_idx, d2)
-    record_store(self, state, obj)
-    if self._replicas_extra > 0:
-        self._replicate(
-            state, obj, cost,
-            owner_idx if target is None else target,
-            state.neighbour_idx[owner_idx],
-        )
-
-
-def pass_down(self: Any, state: IndexedCluster, obj: int) -> None:
-    """:func:`pass_down_general` for unit sizes on a static fault-free
-    run, every helper inlined.
-
-    Same Figure-1 mechanism, three structural shortcuts (each held
-    equivalent by the engine equivalence suite):
-
-    * the already-stored refresh probe is one ``p2p_present`` set test
-      (``obj in p2p_present`` iff ``_locate`` finds a holder — the
-      directory-consistency invariant);
-    * the free-space checks walk ``state.free_clients``, which shrinks
-      monotonically as client caches fill, instead of re-deriving
-      free space per candidate — membership filtering preserves the
-      divertee scan's candidate order and max-free tie-breaks;
-    * store receipts and eviction notices are inlined with the
-      owner-holds ``_locate`` probe answered by the membership dict.
-    """
-    msg = self._msg
-    msg["passdowns"] += 1
-    msg[self._destage_key] += 1
-    clients = state.clients
+    member_maps = state.member_maps
     owner_of = state.owner_of
     owner_idx = owner_of[obj]
-    locate = self._locate
-    if obj in state.p2p_present:
-        # Already stored (e.g. destaged before and later promoted back
-        # up): refresh its greedy-dual credit instead of duplicating.
+    # Under churn ``_locate`` repairs as it looks, so it is always asked;
+    # with fixed membership it can find only what ``p2p_present`` lists.
+    churn = self.mutates_membership
+    if churn or obj in state.p2p_present:
         holder = (
             owner_idx
-            if obj in state.member_maps[owner_idx]
-            else locate(state, obj, owner_idx)
+            if obj in member_maps[owner_idx]
+            else self._locate(state, obj, owner_idx)
         )
-        clients[holder].lookup(obj)
-        return
+        if holder is not None:
+            # Already stored (e.g. destaged before and later promoted back
+            # up): refresh its greedy-dual credit instead of duplicating.
+            clients[holder].lookup(obj)
+            return
 
     cost = state.costs.get(obj, self._t_server)
+    sizes = self._size_list
+    size = 1 if sizes is None else sizes[obj]
     free = state.free_clients
-    # (3)-(5): free space at the destination — store directly; else
-    # (7)-(10): divert to the neighbourhood member with the most.
-    stored = True
-    target = owner_idx if owner_idx in free else None
-    if target is None and self._diversion and free:
-        best_free = 0
-        for idx in state.neighbour_idx[owner_idx]:
-            if idx in free:
-                c = clients[idx]
-                f = c.capacity - c._used
-                if f > best_free:
-                    target, best_free = idx, f
+    owner_cache = clients[owner_idx]
+    # (3)-(5): room at the destination; else (7)-(10): the neighbourhood
+    # member with the most room, if any has enough.  A client outside
+    # ``free`` has none, so filtering keeps the scan's order and ties.
+    owner_free = owner_idx in free
+    if owner_free and owner_cache.capacity - owner_cache._used >= size:
+        target = owner_idx
+    else:
+        target = None
+        if free and self._diversion:
+            best_free = size - 1
+            for idx in state.neighbour_idx[owner_idx]:
+                if idx in free:
+                    c = clients[idx]
+                    f = c.capacity - c._used
+                    if f > best_free:
+                        target, best_free = idx, f
     if target is not None:
         cache = clients[target]
-        cache.insert(obj, cost=cost)
+        # The owner does not hold obj (asked above); a divertee may — a
+        # copy a membership change left unreachable — and then the
+        # insert is a refresh.
+        if self._gd_inline and (target == owner_idx or obj not in member_maps[target]):
+            cache.insert_absent(obj, cost, size)
+        else:
+            cache.insert(obj, cost=cost, size=size)
         if cache._used >= cache.capacity:
             free.discard(target)
         if target != owner_idx:
             state.pointers.setdefault(owner_idx, {})[obj] = target
             msg["diversions"] += 1
     else:
-        # (12)-(14): replacement at the destination; its eviction d2 is
-        # discarded (§3) after notifying the directory.  obj is cached
-        # nowhere in the cluster (p2p_present checked above), which is
-        # what ``insert_absent`` requires.
-        owner_cache = clients[owner_idx]
+        # (12)-(14): replacement at the destination, as many victims as
+        # the object's size takes; each is discarded (§3) after its notice.
         if self._gd_inline:
-            evicted = owner_cache.insert_absent(obj, cost)
+            evicted = owner_cache.insert_absent(obj, cost, size)
         else:
-            evicted = owner_cache.insert(obj, cost=cost)
-        member_maps = state.member_maps
+            evicted = owner_cache.insert(obj, cost=cost, size=size)
+        if owner_cache._used < owner_cache.capacity:
+            free.add(owner_idx)  # sized victims may leave room behind
+        elif owner_free:
+            free.discard(owner_idx)
         present = state.p2p_present
         for d2 in evicted:
             if d2 == obj:
-                stored = False  # zero-capacity client caches reject
-                continue
-            # Inlined _on_client_eviction(state, owner_idx, d2), with the
-            # _locate reachability probe unrolled — the common outcome is
-            # "last copy died" (the victim lived at its owner, no pointer,
-            # no replicas), so the cheap membership probes usually decide.
+                return  # no room at any eviction cost: rejected
+            # The notice: clean pointers and replicas, and the directory
+            # once the *last* copy died.  Its reachability probe is the
+            # scheme's ``_eviction_probe`` (a notice must not repair what
+            # a lookup would), unrolled: the owner, then the diversion
+            # pointer, then — wherever the probe can find more (replicas)
+            # or has side effects (churn) — the probe itself.
             msg["client_evictions"] += 1
             d2_owner = owner_of[d2]
             ptrs = state.pointers.get(d2_owner)
-            if (
-                d2_owner != owner_idx
-                and ptrs is not None
-                and ptrs.get(d2) == owner_idx
-            ):
+            if d2_owner != owner_idx and ptrs is not None and ptrs.get(d2) == owner_idx:
                 del ptrs[d2]
             reps = state.replicas.get(d2)
             if reps:
@@ -525,16 +416,16 @@ def pass_down(self: Any, state: IndexedCluster, obj: int) -> None:
                 if not reps:
                     del state.replicas[d2]
                     reps = None
-            if d2 not in present:
+            if d2 not in present or d2 in member_maps[d2_owner]:
                 continue
-            if d2 in member_maps[d2_owner]:
-                continue  # still at its owner
             if ptrs is not None:
                 holder2 = ptrs.get(d2)
                 if holder2 is not None and d2 in member_maps[holder2]:
-                    continue  # reachable through a diversion pointer
-            if reps and locate(state, d2, d2_owner) is not None:
-                continue  # a live replica keeps it reachable
+                    continue
+            if (reps or churn) and self._eviction_probe(
+                state, d2, d2_owner
+            ) is not None:
+                continue
             present.discard(d2)
             ds = state.dir_set
             if ds is not None:
@@ -549,91 +440,66 @@ def pass_down(self: Any, state: IndexedCluster, obj: int) -> None:
                         del holders[d2]
             else:
                 state.directory.remove(d2)
-    if stored:
-        # Inlined _record_store: obj was not in p2p_present (checked
-        # at the top, nothing re-added it since), so add directly.
-        msg["store_receipts"] += 1
-        state.p2p_present.add(obj)
-        ds = state.dir_set
-        if ds is not None:
-            # Exact directory: direct set ops plus the inlined
-            # PresenceIndex.add on the directory index.
-            ds.add(obj)
-            holders = self._dir_presence._holders
-            s = holders.get(obj)
-            if s is None:
-                holders[obj] = {state.cluster}
-            else:
-                s.add(state.cluster)
+    # Store receipt: obj is new to the cluster's P2P cache (``_locate``
+    # found no holder), so the directory adds it once.
+    msg["store_receipts"] += 1
+    state.p2p_present.add(obj)
+    ds = state.dir_set
+    if ds is not None:
+        # Exact directory: direct set ops plus the inlined
+        # PresenceIndex.add on the directory index.
+        ds.add(obj)
+        holders = self._dir_presence._holders
+        s = holders.get(obj)
+        if s is None:
+            holders[obj] = {state.cluster}
         else:
-            state.directory.add(obj)
-        if self._replicas_extra > 0:
-            self._replicate(
-                state, obj, cost,
-                owner_idx if target is None else target,
-                state.neighbour_idx[owner_idx],
-            )
-            for idx in state.replicas.get(obj, ()):
-                cache = clients[idx]
-                if cache._used >= cache.capacity:
-                    free.discard(idx)
+            s.add(state.cluster)
+    else:
+        state.directory.add(obj)
+    if self._replicas_extra > 0:
+        self._replicate(
+            state, obj, cost,
+            owner_idx if target is None else target,
+            state.neighbour_idx[owner_idx],
+        )
 
 
 # -- proxy-side insert (GD on each fetched object) -------------------------
 
 
-def proxy_insert_general(self: Any, state: IndexedCluster, obj: int, cost: float) -> None:
+def proxy_insert(self: Any, state: IndexedCluster, obj: int, cost: float) -> None:
     """Cache a just-fetched object at the proxy (greedy-dual on every
     fetched object, §3) and destage its victims.
 
     Callers reach this only after ``obj`` missed the proxy, which is
-    what ``insert_absent_sized`` requires.
+    what ``insert_absent`` requires.  The proxy presence index's ``add``
+    / ``discard`` are inlined.
     """
     state.costs[obj] = cost
-    size = self._size_of(obj)
+    sizes = self._size_list
+    size = 1 if sizes is None else sizes[obj]
+    proxy = state.proxy
     if self._gd_inline:
-        evicted = state.proxy.insert_absent_sized(obj, cost, size)
+        evicted = proxy.insert_absent(obj, cost, size)
     else:
-        evicted = state.proxy.insert(obj, cost=cost, size=size)
-    presence = self._proxy_presence
+        evicted = proxy.insert(obj, cost=cost, size=size)
+    holders = self._proxy_presence._holders
     cluster = state.cluster
     for d1 in evicted:
         if d1 == obj:
             return  # larger than the whole proxy cache: rejected
-        presence.discard(d1, cluster)
-        pass_down_general(self, state, d1)
-    presence.add(obj, cluster)
-
-
-def proxy_insert(self: Any, state: IndexedCluster, obj: int, cost: float) -> None:
-    """:func:`proxy_insert_general` at unit sizes on a static fault-free
-    run, the presence-index methods inlined."""
-    state.costs[obj] = cost
-    proxy = state.proxy
-    if self._gd_inline:
-        evicted = proxy.insert_absent(obj, cost)
+        s = holders.get(d1)
+        if s is not None:
+            s.discard(cluster)
+            if not s:
+                del holders[d1]
+        pass_down(self, state, d1)
+    s = holders.get(obj)
+    if s is None:
+        holders[obj] = {cluster}
     else:
-        evicted = proxy.insert(obj, cost=cost)
-    # Inlined PresenceIndex.add/discard on the proxy index.
-    holders = self._proxy_presence._holders
-    cluster = state.cluster
-    stored = True
-    for d1 in evicted:
-        if d1 != obj:
-            s = holders.get(d1)
-            if s is not None:
-                s.discard(cluster)
-                if not s:
-                    del holders[d1]
-            pass_down(self, state, d1)
-        else:
-            stored = False  # capacity-zero proxies reject the insert
-    if stored:
-        s = holders.get(obj)
-        if s is None:
-            holders[obj] = {cluster}
-        else:
-            s.add(cluster)
+        s.add(cluster)
 
 
 # -- request path -----------------------------------------------------------
@@ -654,7 +520,7 @@ def refresh_holder(self: Any, state: IndexedCluster, obj: int) -> bool:
     return True
 
 
-def process_general(self: Any, cluster: int, client: int, obj: int) -> str:
+def process(self: Any, cluster: int, client: int, obj: int) -> str:
     """Serve one request: proxy, own P2P cache, cooperating proxies,
     their P2P caches (push protocol), origin server.
 
@@ -671,16 +537,17 @@ def process_general(self: Any, cluster: int, client: int, obj: int) -> str:
         self._processed = n + 1
     state = self.states[cluster]
     proxy = state.proxy
-    # 1. Local proxy cache (greedy-dual hits inlined: a hit earns the
-    # credit ``GreedyDualCache.lookup`` gives it, ``cost/size`` under gds).
+    # 1. Local proxy cache.  ~3 of every 4 requests end right here, so
+    # with GD proxies the hit path is inlined (friend access into the
+    # cache and its heap; the pushed entries are exactly what
+    # ``GreedyDualCache.lookup`` pushes).
     if self._gd_inline:
         entry = proxy._entries.get(obj)
         if entry is not None:
             heap = proxy._heap
             seq = heap._seq + 1
             heap._seq = seq
-            credit = entry[1] / entry[0] if proxy.credit_by_size else entry[1]
-            heap._live[obj] = (proxy.inflation + credit, seq, False)
+            heap._live[obj] = (proxy.inflation + entry[1], seq, False)
             proxy.stats.hits += 1
             return TIER_LOCAL_PROXY
         proxy.stats.misses += 1
@@ -700,22 +567,32 @@ def process_general(self: Any, cluster: int, client: int, obj: int) -> str:
     if obj in state.dir_probe:
         msg["p2p_lookups"] += 1
         if not faulty or self.transport.attempt(LOOKUP_QUERY):
-            holder = self._locate(state, obj, state.owner_of[obj])
+            owner = state.owner_of[obj]
+            holder = (
+                owner
+                if obj in state.member_maps[owner]
+                else self._locate(state, obj, owner)
+            )
             if holder is not None:
                 state.clients[holder].lookup(obj)  # GD credit refresh
                 if self._promote:
-                    proxy_insert_general(self, state, obj, self._t_p2p)
+                    proxy_insert(self, state, obj, self._t_p2p)
                 return TIER_LOCAL_P2P
             msg[self._overclaim_key] += 1
             self.add_extra_latency(self._t_p2p)
 
     # 3. Cooperating proxies' own caches first (cheaper than a push); a
-    # spent retry budget falls back a tier, it does not try the next proxy.
+    # spent retry budget falls back a tier, it does not try the next
+    # proxy.  Any holder but this cluster will do (inlined
+    # PresenceIndex.first_holder): serving needs no holder-side
+    # mutation, so a holder in another shard (present as of the last
+    # round boundary) serves exactly like a local one.
     me = state.cluster
-    if self._proxy_presence.first_holder(obj, me) is not None and (
+    s = self._proxy_presence._holders.get(obj)
+    if s and (len(s) > 1 or me not in s) and (
         not faulty or self.transport.attempt(PROXY_FETCH)
     ):
-        proxy_insert_general(self, state, obj, self._t_coop)
+        proxy_insert(self, state, obj, self._t_coop)
         return TIER_COOP_PROXY
     # ... then their P2P client caches through the push protocol.
     if self._dir_presence is not None:
@@ -731,100 +608,9 @@ def process_general(self: Any, cluster: int, client: int, obj: int) -> str:
                 self._queue_remote_push(proxy.stats.accesses - 1, me, other, obj)
             else:
                 refresh_holder(self, other_state, obj)
-            proxy_insert_general(self, state, obj, self._t_coop + self._t_p2p)
-            return TIER_COOP_P2P
-    else:
-        tier = push_stage(self, state, cluster, obj)
-        if tier is not None:
-            return tier
-
-    # 4. Origin server.
-    proxy_insert_general(self, state, obj, self._t_server)
-    return TIER_SERVER
-
-
-def process(self: Any, cluster: int, client: int, obj: int) -> str:
-    """:func:`process_general` at unit sizes on a static fault-free run."""
-    state = self.states[cluster]
-    # 1. Local proxy cache (greedy-dual bookkeeping on hit).  ~3 of
-    # every 4 requests end right here, so with GD proxies the hit path
-    # is inlined (friend access into the cache and its heap; the
-    # pushed entries are exactly what ``lookup`` pushes).
-    if self._gd_inline:
-        proxy = state.proxy
-        entry = proxy._entries.get(obj)
-        if entry is not None:
-            # Monotone credit refresh -> lazy-heap no-push path
-            # (mirrors GreedyDualCache.lookup; entries here are always
-            # unit-size ``(1, cost)``, so cost/size is just entry[1]).
-            heap = proxy._heap
-            seq = heap._seq + 1
-            heap._seq = seq
-            heap._live[obj] = (proxy.inflation + entry[1], seq, False)
-            proxy.stats.hits += 1
-            return TIER_LOCAL_PROXY
-        proxy.stats.misses += 1
-    elif state.proxy.lookup(obj):
-        return TIER_LOCAL_PROXY
-    if state.built_epoch != state.overlay.epoch:
-        state.build_placement()
-    msg = self._msg
-
-    # 2. Own P2P client cache, via the lookup directory.
-    if obj in state.dir_probe:
-        msg["p2p_lookups"] += 1
-        owner = state.owner_of[obj]
-        holder = (
-            owner
-            if obj in state.member_maps[owner]
-            else self._locate(state, obj, owner)
-        )
-        if holder is not None:
-            state.clients[holder].lookup(obj)  # GD credit refresh
-            if self._promote:
-                proxy_insert(self, state, obj, self._t_p2p)
-            return TIER_LOCAL_P2P
-        # Bloom false positive: a wasted LAN round into the overlay.
-        msg["directory_false_positives"] += 1
-        self.add_extra_latency(self._t_p2p)
-
-    # 3. Cooperating proxies, via the proxy presence index — the
-    # smallest holder id is what an ascending scan would hit (inlined
-    # PresenceIndex.first_holder).  Serving needs no holder-side
-    # mutation, so a holder in another shard (present as of the last
-    # round boundary) serves exactly like a local one.
-    me = state.cluster
-    s = self._proxy_presence._holders.get(obj)
-    if s:
-        first = None
-        for c in s:
-            if c != me and (first is None or c < first):
-                first = c
-        if first is not None:
-            proxy_insert(self, state, obj, self._t_coop)
-            return TIER_COOP_PROXY
-
-    # ... then their P2P client caches through the push protocol.
-    if self._dir_presence is not None:
-        # Exact directories: membership mirrors p2p_present, so the
-        # first listed cluster always serves (no false positives) and
-        # exactly one push request goes out — as in the scan.
-        other = self._dir_presence.first_holder(obj, me)
-        if other is not None:
-            msg["push_requests"] += 1
-            other_state = self._state_at(other)
-            if other_state is None:
-                # The holder lives in another shard: its GD credit
-                # refresh crosses the bus as a queued push record.  (One
-                # proxy lookup per request: accesses - 1 is its index.)
-                self._queue_remote_push(state.proxy.stats.accesses - 1, me, other, obj)
-            else:
-                refresh_holder(self, other_state, obj)
             proxy_insert(self, state, obj, self._t_coop + self._t_p2p)
             return TIER_COOP_P2P
     else:
-        # Bloom directories: the scan — a remote false positive must
-        # still cost a wasted push round per §4.2's accounting.
         tier = push_stage(self, state, cluster, obj)
         if tier is not None:
             return tier
@@ -832,3 +618,39 @@ def process(self: Any, cluster: int, client: int, obj: int) -> str:
     # 4. Origin server.
     proxy_insert(self, state, obj, self._t_server)
     return TIER_SERVER
+
+
+def push_stage(self: Any, state: IndexedCluster, cluster: int, obj: int) -> str | None:
+    """Step 3, continued, wherever a directory can over-claim (Bloom
+    filters, exact directories gone stale under faults or churn): other
+    clusters' P2P caches through the push protocol (§4.5), scanned in
+    ascending order.  Returns the serving tier or None.
+
+    Each remote directory claim costs one ``PUSH`` round trip.  An
+    over-claiming directory wastes ``Tc + Tp2p``; an unresponsive holder
+    (firewalled/hung client, §4.3) never answers, so the proxy pays the
+    whole timeout ladder before moving on.  Under the base transport
+    every attempt succeeds; under a fault layer a failed exchange moves
+    on to the next claiming cluster, ultimately to the origin server.
+    """
+    msg = self._msg
+    transport = self.transport
+    for other, other_state in enumerate(self.states):
+        if other == cluster or obj not in other_state.directory:
+            continue
+        msg["push_requests"] += 1
+        holder = self._locate(other_state, obj)
+        if holder is None:
+            msg[self._overclaim_key] += 1
+            self.add_extra_latency(self._t_coop + self._t_p2p)
+            continue
+        if transport.unresponsive(other, holder):
+            transport.attempt(PUSH, force_fail=True)
+            msg["failed_pushes"] += 1
+            continue
+        if transport.attempt(PUSH):
+            other_state.clients[holder].lookup(obj)  # GD credit refresh
+            proxy_insert(self, state, obj, self._t_coop + self._t_p2p)
+            return TIER_COOP_P2P
+        msg["failed_pushes"] += 1
+    return None

@@ -10,8 +10,6 @@ One cooperation-message engine for plain, faulty and observable runs:
   :class:`~repro.faults.plan.FaultPlan` timeout/retry/fallback ladder
   (a zero plan is the identity), and an :class:`ObservabilityTransport`
   emitting per-exchange counts and traces for :mod:`repro.perf`.
-- :mod:`repro.protocol.chain` — the push protocol's directory scan, the
-  stage of Hier-GD's miss chain that is transport-mediated on every run.
 - :mod:`repro.protocol.trace` — wire-level recording: a
   :class:`RecordingTransport` streaming every exchange (outcome, exact
   latency charges, fault-counter deltas) to a content-addressed JSONL
@@ -36,7 +34,6 @@ injectors, :mod:`repro.core` supplies the schemes that ride the stack.
 """
 
 from .aio import AsyncTransport, RealClock, SimClock
-from .chain import push_stage
 from .messages import (
     ALL_EXCHANGES,
     COOP_EXCHANGES,
@@ -175,7 +172,6 @@ __all__ = [
     "link_traffic",
     "load_trace",
     "plan_fingerprint",
-    "push_stage",
     "recording_traces",
     "replay_trace",
     "run_ladder",

@@ -93,6 +93,10 @@ def check_presence_indexes(scheme):
         assert len(state.member_maps) == len(state.clients)
         for members, cache in zip(state.member_maps, state.clients):
             assert members is member_map(cache)
+        # Free clients: exactly those with room, failed and joined ones too.
+        assert state.free_clients == {
+            k for k, c in enumerate(state.clients) if c.capacity - c._used > 0
+        }
     if scheme._dir_presence is not None:
         assert scheme._dir_presence.as_dict() == scan(lambda s: s.p2p_present)
 

@@ -7,15 +7,15 @@ its *partner*, and the two :class:`SchemeResult`\\ s must be identical —
 same request count, tier counts, total latency and protocol messages,
 and the same extras except, on unit-size rows, ``mean_pastry_hops``:
 
-* **Hier-GD** — every specialisation of the one engine
-  (``repro.core.hiergd_indexed``) against the naive protocol chain of
-  ``chain_model.py``: fault-free rows, rows under fault plans (the
-  exchange sequence the two ask of the transport compared too) and rows
-  under churn events, unit and sized.  The chain resolves and routes
-  keys on first touch; a unit-size fault-free run routes a sampled
-  subset of a precomputed table, so that one statistic may differ
-  there, while every other run resolves on first touch too and must
-  match it (those rows compare the hop extra as well, and hold the
+* **Hier-GD** — the one engine (``repro.core.hiergd_indexed``), over
+  every set of indexes its state can hold, against the naive protocol
+  chain of ``chain_model.py``: fault-free rows, rows under fault plans
+  (the exchange sequence the two ask of the transport compared too) and
+  rows under churn events, unit and sized.  The chain resolves and
+  routes keys on first touch; a unit-size fault-free run routes a
+  sampled subset of a precomputed table, so that one statistic may
+  differ there, while every other run resolves on first touch too and
+  must match it (those rows compare the hop extra as well, and hold the
   finished scheme to ``check_invariants``);
 * **SC / SC-EC** — the presence indexes against the naive models below,
   which probe every cooperating cache in ascending order on every miss;
@@ -32,6 +32,7 @@ import pytest
 
 import repro
 from repro.cache import CLIENT_TIER, PROXY_TIER
+from repro.core import hiergd_indexed
 from repro.core.churn import ChurnEvent, HierGdChurnScheme
 from repro.core.run import SCHEME_REGISTRY, build_scheme, generate_workloads
 from repro.core.schemes import ScEcScheme, ScScheme, SquirrelScheme
@@ -321,8 +322,8 @@ def test_hier_gd_churn_events_equivalent(overrides, sizes):
 @pytest.mark.parametrize("run", ["plain", "composite", "churn events"])
 @pytest.mark.parametrize("sizes", ["unit", "sized"])
 def test_engine_selection(sizes, run):
-    """``install`` rebinds the unit functions on a unit-size static run
-    only; every other run keeps the class's general functions."""
+    """``install`` rebinds nothing: every run is served by the class's
+    functions, and the state, not the instance, holds what differs."""
     config = general_config(sizes)
     traces = generate_workloads(config, seed=0)
     if run == "plain":
@@ -331,21 +332,21 @@ def test_engine_selection(sizes, run):
         scheme = build_scheme("hier-gd", config, traces, FAULT_PLANS["composite"])
     else:
         scheme = HierGdChurnScheme(config, traces, EVENTS)
-    unit_static = sizes == "unit" and run == "plain"
-    assert scheme.process.__func__.__name__ == (
-        "process" if unit_static else "process_general"
-    )
-    assert scheme._proxy_insert.__func__.__name__ == (
-        "proxy_insert" if unit_static else "proxy_insert_general"
-    )
+    assert not {"process", "_proxy_insert", "mutates_membership"} & set(vars(scheme))
+    assert scheme.process.__func__ is hiergd_indexed.process
+    assert scheme._proxy_insert.__func__ is hiergd_indexed.proxy_insert
+    churn = run != "plain"
+    assert scheme.mutates_membership == churn
+    for state in scheme.states:
+        assert state.first_touch == (sizes == "sized" or churn)
 
 
 def test_one_module_defines_the_request_path():
     """No module under ``src/`` defines a second pass-down or miss chain,
-    and no third specialisation appears in the engine: exactly two
-    functions count a pass-down and two a directory lookup — what any
-    implementation of Figure 1 or of the miss chain must do — the unit
-    and the general one, both in ``core/hiergd_indexed.py``."""
+    and the engine has no second specialisation: exactly one function
+    counts a pass-down and one a directory lookup — what any
+    implementation of Figure 1 or of the miss chain must do — both in
+    ``core/hiergd_indexed.py``."""
     root = Path(repro.__file__).parent
     counting = {"passdowns": set(), "p2p_lookups": set()}
     for path in root.rglob("*.py"):
@@ -363,8 +364,8 @@ def test_one_module_defines_the_request_path():
                     counting[node.target.slice.value].add((module, func.name))
     engine = "core/hiergd_indexed.py"
     assert counting == {
-        "passdowns": {(engine, "pass_down"), (engine, "pass_down_general")},
-        "p2p_lookups": {(engine, "process"), (engine, "process_general")},
+        "passdowns": {(engine, "pass_down")},
+        "p2p_lookups": {(engine, "process")},
     }
 
 

@@ -64,8 +64,8 @@ def cluster():
 
 @pytest.fixture
 def built(monkeypatch):
-    """``(class, engine specialisation, reported name)`` of every scheme
-    that runs (the specialisation: which proxy insert Hier-GD is bound to)."""
+    """``(class, proxy insert, reported name)`` of every scheme that runs
+    (the insert: which function Hier-GD's ``_proxy_insert`` is)."""
     seen = []
     run = CachingScheme.run
 
@@ -93,7 +93,7 @@ def test_all_entry_points_build_the_same_scheme(name, plan_kind, built, cluster,
     if name != "hier-gd":
         expected = (SCHEME_REGISTRY[name], None, name)
     elif bites:
-        expected = (HierGdChurnScheme, "proxy_insert_general", "hier-gd")
+        expected = (HierGdChurnScheme, "proxy_insert", "hier-gd")
     else:
         expected = (SCHEME_REGISTRY[name], "proxy_insert", "hier-gd")
     assert built == [expected] * len(built) and len(built) >= 3

@@ -9,6 +9,11 @@ host; these count instead of timing:
   ``map``: the recording layer's request counter and the engine's
   ``process``.  A wrapper frame per request, or a greedy-dual hit that
   is a method call again, fails here;
+* a fault-free run on an exact directory, unit or sized, enters no
+  ``_size_of`` / ``PresenceIndex.add`` / ``PresenceIndex.discard`` frame
+  and asks ``_locate`` only about objects ``p2p_present`` lists: the
+  request path that serves every run answers those from the state's
+  indexes, not per request;
 * a fault-free run asks the transport for nothing it did not ask for
   before the engine took the faulty runs: no exchange at all on an exact
   directory, and on a Bloom directory only the push protocol's scan —
@@ -21,6 +26,8 @@ from collections import Counter
 
 import pytest
 
+from repro.core.hiergd import HierGdScheme
+from repro.core.presence import PresenceIndex
 from repro.core.run import generate_workloads, run_scheme
 from repro.core.simulator import CachingScheme
 from repro.experiments.robustness import robustness_plan
@@ -88,6 +95,48 @@ def test_recorded_faulty_proxy_hit_enters_two_frames(monkeypatch, tmp_path):
     assert hits[2] >= sum(hits.values()) - events
     # Misses do real work: the guard is not vacuous.
     assert min(min(c) for tier, c in frames.items() if tier != TIER_LOCAL_PROXY) > 2
+
+
+@pytest.mark.parametrize("sizes", ["unit", "sized"])
+def test_fault_free_run_answers_from_the_state_indexes(sizes, monkeypatch):
+    """One request path serves unit and sized runs alike, so it must not
+    pay per request for what the state already indexes: sizes are read
+    inline, the presence indexes are updated inline, and ``_locate`` is
+    asked only about objects ``p2p_present`` lists (where a fixed
+    membership makes it the set of what ``_locate`` can find)."""
+    counted = {
+        CachingScheme._size_of.__code__: "_size_of",
+        PresenceIndex.add.__code__: "PresenceIndex.add",
+        PresenceIndex.discard.__code__: "PresenceIndex.discard",
+    }
+    locate = HierGdScheme._locate.__code__
+    entered = Counter()
+    run = CachingScheme.run
+
+    def profiled_run(scheme):
+        def profile(frame, event, arg):
+            if event != "call":
+                return
+            code = frame.f_code
+            if code is locate:
+                state, obj = frame.f_locals["state"], frame.f_locals["obj"]
+                entered["_locate" if obj in state.p2p_present else "unlisted"] += 1
+            elif code in counted:
+                entered[counted[code]] += 1
+
+        sys.setprofile(profile)
+        try:
+            return run(scheme)
+        finally:
+            sys.setprofile(None)
+
+    monkeypatch.setattr(CachingScheme, "run", profiled_run)
+    result = run_scheme("hier-gd", guard_config(sizes, directory="exact"), seed=0)
+    for counter in ("client_evictions", "diversions", "p2p_lookups", "push_requests"):
+        assert result.messages[counter] > 0, counter
+    # Diverted objects are found through ``_locate``: the guard bites.
+    assert entered.pop("_locate") > 0
+    assert not entered
 
 
 @pytest.mark.parametrize("sizes", ["unit", "sized"])
