@@ -22,7 +22,7 @@ filter.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Hashable
+from typing import Any, Callable, Hashable
 
 from ..bloom import CountingBloomFilter
 
@@ -39,19 +39,37 @@ _OBJECT_ID_BYTES = 16
 
 
 class LookupDirectory(ABC):
-    """Interface the proxy queries before redirecting into the P2P cache."""
+    """Interface the proxy queries before redirecting into the P2P cache.
 
-    @abstractmethod
-    def add(self, obj: Hashable) -> None:
-        """Record a store receipt for ``obj``."""
+    A directory is its innermost membership structure — the exact set,
+    or the counting filter — and the three calls the proxy makes on it,
+    each bound at construction to the structure's own method wherever no
+    logic sits in between: a probe, a store receipt or a notice is then
+    one call, however many layers wrap the directory.
+    """
 
-    @abstractmethod
-    def remove(self, obj: Hashable) -> None:
-        """Process an eviction notice for ``obj``."""
+    def __init__(
+        self,
+        members: Any,
+        add: Callable[[Hashable], Any],
+        remove: Callable[[Hashable], Any],
+        repair: Callable[[Hashable], Any] | None = None,
+    ) -> None:
+        #: The innermost membership structure: ``obj in members`` answers
+        #: exactly as ``obj in directory`` does.
+        self.members = members
+        #: Record a store receipt for an object.
+        self.add = add
+        #: Process an eviction notice for an object.
+        self.remove = remove
+        #: Proxy-local fix of a stale entry a failed lookup discovered:
+        #: ``remove``, except where notices are lossy (a repair is no
+        #: message and is never lost).
+        self.repair = remove if repair is None else repair
 
-    @abstractmethod
     def __contains__(self, obj: Hashable) -> bool:
         """May the P2P cache hold ``obj``? (Bloom: possibly falsely yes.)"""
+        return obj in self.members
 
     @abstractmethod
     def __len__(self) -> int:
@@ -61,62 +79,37 @@ class LookupDirectory(ABC):
     def memory_bytes(self) -> int:
         """Memory footprint of the representation (the §4.2 tradeoff)."""
 
-    def repair(self, obj: Hashable) -> None:
-        """Proxy-local fix of a stale entry discovered by a failed lookup.
-
-        Identical to :meth:`remove` here; :class:`LossyDirectory` (which
-        drops *remote* eviction notices) overrides it to bypass the loss
-        process — the proxy repairs its own table, no message involved.
-        """
-        self.remove(obj)
-
 
 class ExactDirectory(LookupDirectory):
     """Precise hashtable of objectIds."""
 
     def __init__(self) -> None:
-        self._entries: set[Hashable] = set()
-
-    def add(self, obj: Hashable) -> None:
-        self._entries.add(obj)
-
-    def remove(self, obj: Hashable) -> None:
-        self._entries.discard(obj)
-
-    def __contains__(self, obj: Hashable) -> bool:
-        return obj in self._entries
+        entries: set[Hashable] = set()
+        super().__init__(entries, entries.add, entries.discard)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.members)
 
     def memory_bytes(self) -> int:
-        return _OBJECT_ID_BYTES * len(self._entries)
+        return _OBJECT_ID_BYTES * len(self.members)
 
 
 class BloomDirectory(LookupDirectory):
     """Counting-Bloom-filter directory: smaller, occasionally over-claims."""
 
     def __init__(self, capacity: int, fp_rate: float = 0.01) -> None:
-        self._filter = CountingBloomFilter(capacity=max(1, capacity), fp_rate=fp_rate)
-
-    def add(self, obj: Hashable) -> None:
-        self._filter.add(obj)
-
-    def remove(self, obj: Hashable) -> None:
-        self._filter.discard(obj)
-
-    def __contains__(self, obj: Hashable) -> bool:
-        return obj in self._filter
+        counts = CountingBloomFilter(capacity=max(1, capacity), fp_rate=fp_rate)
+        super().__init__(counts, counts.add, counts.discard)
 
     def __len__(self) -> int:
-        return self._filter.count
+        return self.members.count
 
     def memory_bytes(self) -> int:
-        return self._filter.memory_bytes()
+        return self.members.memory_bytes()
 
     @property
     def design_fp_rate(self) -> float:
-        return self._filter.false_positive_rate()
+        return self.members.false_positive_rate()
 
 
 class LossyDirectory(LookupDirectory):
@@ -134,33 +127,28 @@ class LossyDirectory(LookupDirectory):
 
     Wraps any concrete directory; ``rng`` must be a dedicated substream
     (see :meth:`repro.faults.injector.FaultInjector.stream`) so drops are
-    deterministic per plan seed.
+    deterministic per plan seed.  A receipt and a repair are the inner
+    directory's own calls; a notice is one call here in front of the
+    inner removal.
     """
 
     def __init__(self, inner: LookupDirectory, drop_prob: float, rng) -> None:
         if not 0.0 <= drop_prob <= 1.0:
             raise ValueError("drop_prob must be in [0, 1]")
+        # The proxy fixing its own table is local — never lost.
+        super().__init__(inner.members, inner.add, self._notice, repair=inner.remove)
         self.inner = inner
         self.drop_prob = drop_prob
-        self._rng = rng
+        self._random = rng.random
         #: Eviction notices lost so far (each leaves one stale entry).
         self.dropped_notices = 0
 
-    def add(self, obj: Hashable) -> None:
-        self.inner.add(obj)
-
-    def remove(self, obj: Hashable) -> None:
-        if self._rng.random() < self.drop_prob:
+    def _notice(self, obj: Hashable) -> None:
+        """An eviction notice that a fault may drop on its way."""
+        if self._random() < self.drop_prob:
             self.dropped_notices += 1
             return
-        self.inner.remove(obj)
-
-    def repair(self, obj: Hashable) -> None:
-        # The proxy fixing its own table is local — never lost.
-        self.inner.remove(obj)
-
-    def __contains__(self, obj: Hashable) -> bool:
-        return obj in self.inner
+        self.repair(obj)
 
     def __len__(self) -> int:
         return len(self.inner)

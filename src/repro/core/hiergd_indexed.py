@@ -28,9 +28,10 @@ on the runs listed:
   about objects ``p2p_present`` lists on every run;
 * ``dir_set`` / ``dir_probe`` — an exact directory's backing set, and
   ``p2p_present`` as step 2's probe, on a static run; elsewhere the
-  directory itself answers (Bloom false positives and stale entries are
-  modelled behaviour and must keep happening), and its own ``add`` /
-  ``remove`` apply (a lossy one may drop a notice);
+  directory's own membership structure answers (its ``members``: Bloom
+  false positives and stale entries are modelled behaviour and must keep
+  happening), for step 2 and :func:`push_stage`'s scan alike, and its
+  own ``add`` / ``remove`` apply (a lossy one may drop a notice);
 * the scheme's ``_proxy_presence`` (every run) and ``_dir_presence``
   (exact directory, static run) — which clusters hold an object
   (:mod:`repro.core.presence`); without the latter, step 4 is
@@ -152,9 +153,9 @@ class IndexedCluster:
     #: ``p2p_present`` — None under Bloom and wherever the directory can
     #: go stale, where add/remove must go through its methods.
     dir_set: set | None = None
-    #: Step-2 membership probe: the ``p2p_present`` set when
-    #: :attr:`dir_set` is kept (identical membership, cheaper probe),
-    #: else the directory itself.
+    #: Directory membership probe (step 2, the push scan): the
+    #: ``p2p_present`` set when :attr:`dir_set` is kept (identical
+    #: membership, cheaper probe), else the directory's ``members``.
     dir_probe: Any = None
 
     def __post_init__(self) -> None:
@@ -272,10 +273,10 @@ def install(scheme: Any) -> None:
             k for k, c in enumerate(state.clients) if c.capacity > 0
         }
         if exact:
-            state.dir_set = state.directory._entries
+            state.dir_set = state.directory.members
             state.dir_probe = state.p2p_present
         else:
-            state.dir_probe = state.directory
+            state.dir_probe = state.directory.members
         states.append(state)
     n_objects = 0
     for trace in scheme.traces:
@@ -636,7 +637,7 @@ def push_stage(self: Any, state: IndexedCluster, cluster: int, obj: int) -> str 
     msg = self._msg
     transport = self.transport
     for other, other_state in enumerate(self.states):
-        if other == cluster or obj not in other_state.directory:
+        if other == cluster or obj not in other_state.dir_probe:
             continue
         msg["push_requests"] += 1
         holder = self._locate(other_state, obj)

@@ -249,7 +249,7 @@ class CacheDaemon:
     def _book(self, exchange: Any, outcome: LadderOutcome) -> None:
         """Aggregate one drawn ladder into the node's telemetry."""
         self.observe.book(exchange, outcome.ok)
-        for key, delta in outcome.counter_deltas().items():
+        for key, delta in outcome.deltas.items():
             self.fault_counters[key] = self.fault_counters.get(key, 0) + delta
         for amount in outcome.charges:
             self.latency_charged += amount

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Any
+from functools import partial
+from typing import Any, Callable
 
 from ..netmodel import FAULT_LINKS, LINK_P2P, LINK_PROXY, LINK_PUSH
 from .plan import FaultPlan
@@ -93,6 +94,24 @@ class FaultInjector:
             rng = random.Random(fault_seed(self.plan.seed, self._scope, "jitter", link))
             self._jitter[link] = rng
         return rng.random()
+
+    def uniforms(
+        self, link: str
+    ) -> tuple[Callable[[], float], Callable[[], float], Callable[[], float]]:
+        """``link``'s loss, delay and jitter draws as zero-argument callables.
+
+        The loss and delay substreams' own bound ``random`` — what
+        :meth:`loss_uniform` / :meth:`delay_uniform` return while their
+        process is on, without the per-draw lookups — and
+        :meth:`jitter_uniform` bound to the link (its stream stays lazy).
+        The ladder engine asks each only while the plan has that process
+        on (:class:`~repro.protocol.policy.LinkLadder`).
+        """
+        return (
+            self._loss[link].random,
+            self._delay[link].random,
+            partial(self.jitter_uniform, link),
+        )
 
     def link_ok(self, link: str) -> bool:
         """One Bernoulli draw: did the message over ``link`` get through?"""

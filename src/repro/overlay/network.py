@@ -304,13 +304,22 @@ class Overlay(OverlayBackend):
     # -- placement --------------------------------------------------------
 
     def numerically_closest(self, key: int) -> int:
-        """Ground-truth root for ``key``: live node minimising ring distance."""
-        if not self._sorted_ids:
-            raise RuntimeError("overlay is empty")
+        """Ground-truth root for ``key``: live node minimising ring distance.
+
+        The two ring neighbours of the key's insertion point are compared
+        by ``(ring distance, nodeId)``: a key midway between two nodes
+        goes to the lower nodeId.
+        """
         ids = self._sorted_ids
+        if not ids:
+            raise RuntimeError("overlay is empty")
         idx = bisect.bisect_left(ids, key)
-        candidates = {ids[idx % len(ids)], ids[(idx - 1) % len(ids)]}
-        return min(candidates, key=lambda n: (self.space.distance(n, key), n))
+        left, right = ids[idx - 1], ids[idx % len(ids)]
+        size = 1 << self.space.bits
+        dl = (key - left) % size
+        dr = (right - key) % size
+        dl, dr = min(dl, size - dl), min(dr, size - dr)
+        return left if (dl, left) < (dr, right) else right
 
     def owner_of(self, key: int) -> int:
         """Pastry's placement rule: the numerically closest live node."""

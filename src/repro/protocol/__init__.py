@@ -20,8 +20,8 @@ One cooperation-message engine for plain, faulty and observable runs:
   result or a first-divergence report.
 - :mod:`repro.protocol.policy` — the retry ladder as data: per-link
   :class:`RetryPolicy` strategies (exponential, immediate, capped,
-  hedged) and :func:`run_ladder`, the single pure ladder engine every
-  execution path drives.
+  hedged) and :class:`LinkLadder` (:func:`run_ladder` for one call),
+  the single pure ladder engine every execution path drives.
 - :mod:`repro.protocol.whatif` — policy what-ifs: :func:`whatif_trace`
   re-judges a recorded trace's ladders under a candidate policy set
   from the recorded uniforms plus a seeded extension substream, exact
@@ -52,6 +52,7 @@ from .policy import (
     DEFAULT_POLICIES,
     DEFAULT_POLICY,
     STRATEGIES,
+    LinkLadder,
     PolicySet,
     RetryPolicy,
     plan_fingerprint,
@@ -135,6 +136,7 @@ __all__ = [
     "Exchange",
     "FaultTransport",
     "LadderOutcome",
+    "LinkLadder",
     "ObservabilityTransport",
     "PolicySet",
     "RealClock",

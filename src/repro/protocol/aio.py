@@ -9,9 +9,10 @@ outcome with its waits awaited, behind the same contract:
   decides an exchange exactly as :meth:`Transport.attempt` does (the
   stack's :meth:`~repro.protocol.transport.Transport.draw`, counters
   booked) and returns an awaitable that charges each amount and awaits
-  it on a pluggable clock.  Its synchronous :meth:`attempt` runs that
-  awaitable to completion on the simulated clock, so a scheme carrying
-  an ``AsyncTransport`` produces **byte-identical** results to the plain
+  it on a pluggable clock.  Its synchronous :meth:`attempt` pays the
+  same outcome inline on the simulated clock — each amount charged,
+  then ``now`` advanced by it — so a scheme carrying an
+  ``AsyncTransport`` produces **byte-identical** results to the plain
   stack (the equivalence gate); :meth:`attempt_async` / :meth:`begin`
   are the concurrent forms any asyncio caller uses to keep many ladders
   in flight.
@@ -180,11 +181,14 @@ class AsyncTransport(TransportLayer):
     * :meth:`attempt_async` — the same as a coroutine; await many under
       ``asyncio`` (:class:`RealClock`) or :meth:`SimClock.gather` to
       overlap their waits.
-    * :meth:`attempt` — the synchronous contract, satisfied by running
-      :meth:`begin`'s awaitable to completion on a :class:`SimClock`.
-      Draws and charges happen in the exact serial order, so results are
-      byte-identical to the plain stack: the deterministic equivalence
-      mode.
+    * :meth:`attempt` — the synchronous contract on a :class:`SimClock`:
+      what running :meth:`begin`'s awaitable to completion would do,
+      paid inline — no coroutine per exchange.  Draws and charges happen
+      in the exact serial order, so results are byte-identical to the
+      plain stack: the deterministic equivalence mode.
+
+    The layer decides nothing: every form asks the wrapped stack's
+    ``draw`` directly.
     """
 
     def __init__(self, inner: Transport, clock: Any = None) -> None:
@@ -194,14 +198,26 @@ class AsyncTransport(TransportLayer):
         self.clock = SimClock() if clock is None else clock
 
     def attempt(self, exchange: Exchange, force_fail: bool = False) -> bool:
-        """Synchronous contract: run the ladder's waits to completion."""
+        """Synchronous contract: pay the ladder inline on the simulated clock.
+
+        Draw, book, then charge each amount and advance ``clock.now`` by
+        it — :meth:`begin` and :meth:`_take_waits` run to completion on a
+        :class:`SimClock`, in the same order, without the coroutine.
+        """
         clock = self.clock
         if not isinstance(clock, SimClock):
             raise RuntimeError(
                 "AsyncTransport.attempt needs the deterministic SimClock; "
                 "under a RealClock, await attempt_async inside an event loop"
             )
-        return clock.run(self.begin(exchange, force_fail))
+        outcome = self.inner.draw(exchange, force_fail)
+        if outcome.deltas:
+            self._book(outcome.deltas)
+        charge = self._charge
+        for amount in outcome.charges:
+            charge(amount)
+            clock.now += amount
+        return outcome.ok
 
     async def attempt_async(
         self, exchange: Exchange, force_fail: bool = False
@@ -222,7 +238,9 @@ class AsyncTransport(TransportLayer):
         charged as the wait before it elapses — a cancelled ladder keeps
         the time it already spent and nothing more.
         """
-        outcome = self._draw_and_book(exchange, force_fail)
+        outcome = self.inner.draw(exchange, force_fail)
+        if outcome.deltas:
+            self._book(outcome.deltas)
         charges = outcome.charges
         if charges:
             self._charge(charges[0])

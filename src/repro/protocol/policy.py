@@ -4,9 +4,9 @@ PR 3 hard-coded one response to a lost cooperation message — timeout,
 exponential-backoff retry, fallback — inside the fault transport.  This
 module extracts that ladder into data: a :class:`RetryPolicy` names a
 *strategy* plus its knobs, a :class:`PolicySet` assigns one policy per
-cooperation link, and :func:`run_ladder` is the single pure engine every
-execution path (sync transport, async ladders, the live daemon, the
-what-if replayer) drives.  Fault *probabilities* stay on the
+cooperation link, and :class:`LinkLadder` (:func:`run_ladder` for one
+call) is the single pure engine every execution path (sync transport,
+async ladders, the live daemon, the what-if replayer) drives.  Fault *probabilities* stay on the
 :class:`~repro.faults.plan.FaultPlan`; the *response* to those faults is
 now carried alongside it (``plan.policies``) and independently
 swappable — which is what lets :mod:`repro.protocol.whatif` re-drive a
@@ -36,22 +36,27 @@ Strategies
     retries continue.  Draws and the success outcome are identical to
     the exponential ladder; on exhaustion only the first timeout is
     charged (the fallback has been in flight since then — charge max,
-    not sum), with :attr:`LadderOutcome.drawn_timeouts` preserving the
-    timeout/retry counters of the rounds actually drawn.
+    not sum), while :attr:`LadderOutcome.deltas` still books the
+    timeout/retry counters of every round actually drawn.
 
 Determinism contract
 ====================
 
-:func:`run_ladder` consumes randomness through a *draw source* — an
-object with ``loss_uniform(link)``, ``delay_uniform(link)`` and
-``jitter_uniform(link)`` methods returning uniforms in ``[0, 1)`` (or
-``None`` when the corresponding fault process is off, in which case no
-RNG state advances).  The live source is the
-:class:`~repro.faults.injector.FaultInjector`; the what-if engine
-substitutes recorded uniforms plus a seeded extension substream.  The
-uniforms a ladder consumed are returned on the outcome
-(:attr:`LadderOutcome.draws`) so the recording layer can persist them —
-the trace-schema-2 ``draws`` field that makes policy what-ifs possible.
+:class:`LinkLadder` is the engine: one link's constants, resolved once,
+and three zero-argument uniform callables (loss, delay, jitter), each
+asked only while the plan has that fault process on — a loss-free link
+draws no loss uniform, a delay-free plan no delay uniform, so no RNG
+state advances for a process that is off.  :func:`run_ladder` drives it
+from a *draw source* — an object with ``loss_uniform(link)``,
+``delay_uniform(link)`` and ``jitter_uniform(link)`` methods returning
+uniforms in ``[0, 1)``.  The live source is the
+:class:`~repro.faults.injector.FaultInjector` (whose fault layer binds
+its per-link ``random`` methods once, :meth:`FaultInjector.uniforms`);
+the what-if engine substitutes recorded uniforms plus a seeded
+extension substream.  The uniforms a ladder consumed are returned on
+the outcome (:attr:`LadderOutcome.draws`) so the recording layer can
+persist them — the trace-schema-2 ``draws`` field that makes policy
+what-ifs possible.
 
 This module imports only :mod:`repro.netmodel` and the stdlib, so both
 the protocol and the faults layer can build on it without cycles.
@@ -63,7 +68,8 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from functools import partial
+from typing import Any, Callable, Mapping
 
 from ..netmodel import FAULT_LINKS
 
@@ -74,6 +80,7 @@ __all__ = [
     "DEFAULT_POLICY",
     "DEFAULT_POLICIES",
     "LadderOutcome",
+    "LinkLadder",
     "run_ladder",
     "plan_fingerprint",
 ]
@@ -222,7 +229,6 @@ DEFAULT_POLICY = RetryPolicy()
 DEFAULT_POLICIES = PolicySet()
 
 
-@dataclass(frozen=True)
 class LadderOutcome:
     """One exchange, decided: the record every carrier hands back.
 
@@ -237,29 +243,53 @@ class LadderOutcome:
     happens in that one synchronous step, concurrent ladders consume the
     per-link fault substreams in ladder start order no matter how their
     waits later interleave in flight.
+
+    An outcome always carries its deltas: the ladder decides them with
+    its rounds, and the same dict is booked and recorded.  Treat an
+    outcome, its charges and its dicts as read-only — the stack's
+    plain outcomes are shared.
     """
 
-    #: Did the exchange (eventually) get through?
-    ok: bool
-    #: Timeout charged per failed round, in ladder order.
-    waits: tuple[float, ...] = ()
-    #: Extra charge on a slow success (0.0 = on time).
-    delay: float = 0.0
-    #: Uniforms the ladder consumed (the event's ``draws``): ``"l"``
-    #: per-round loss uniforms, ``"d"`` the delay uniform, ``"j"``
-    #: per-wait jitter uniforms, ``"ff": true`` for a force-failed
-    #: ladder (which consumes nothing).  ``None`` when no fault ladder
-    #: ran (plain stack or a LAN-side exchange).
-    draws: dict[str, Any] | None = None
-    #: Rounds actually drawn when that differs from ``len(waits)`` (the
-    #: hedged strategy charges only the first timeout on exhaustion but
-    #: must still book every drawn round's counters).
-    drawn_timeouts: int | None = None
-    #: Counter increments when they are given rather than derived from
-    #: the rounds: ``{}`` where no ladder ran (nothing to book, even for
-    #: a refused exchange), the recorded deltas on an outcome rebuilt
-    #: from an event.  ``None``: :meth:`counter_deltas` derives them.
-    deltas: dict[str, int] | None = None
+    __slots__ = ("ok", "charges", "deltas", "draws")
+
+    def __init__(
+        self,
+        ok: bool,
+        charges: tuple[float, ...],
+        deltas: dict[str, int],
+        draws: dict[str, Any] | None = None,
+    ) -> None:
+        #: Did the exchange (eventually) get through?
+        self.ok = ok
+        #: Every latency charge, in charge order: the timeout of each
+        #: charged failed round, then a slow success's delay.
+        self.charges = charges
+        #: Fault-counter increments (``timeouts`` / ``retries`` /
+        #: ``fallbacks``): ``{}`` where no ladder ran, even for a refused
+        #: exchange.
+        self.deltas = deltas
+        #: Uniforms the ladder consumed (the event's ``draws``): ``"l"``
+        #: per-round loss uniforms, ``"d"`` the delay uniform, ``"j"``
+        #: per-wait jitter uniforms, ``"ff": true`` for a force-failed
+        #: ladder (which consumes nothing).  ``None`` when no fault ladder
+        #: ran (plain stack or a LAN-side exchange).
+        self.draws = draws
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LadderOutcome):
+            return NotImplemented
+        return (
+            self.ok == other.ok
+            and self.charges == other.charges
+            and self.deltas == other.deltas
+            and self.draws == other.draws
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"LadderOutcome(ok={self.ok!r}, charges={self.charges!r}, "
+            f"deltas={self.deltas!r}, draws={self.draws!r})"
+        )
 
     @classmethod
     def from_event(
@@ -271,39 +301,17 @@ class LadderOutcome:
     ) -> "LadderOutcome":
         """Rebuild the outcome a trace event or daemon response carries.
 
-        The charges keep their recorded order (a slow success's delay
-        rides as the last of :attr:`waits`; only the order matters to
-        whoever pays) and the deltas are the recorded ones, never
-        re-derived.
+        The charges keep their recorded order (only the order matters to
+        whoever pays) and the deltas are the recorded ones.
         """
-        return cls(ok=ok, waits=tuple(charges), draws=draws, deltas=deltas)
+        return cls(ok, tuple(charges), deltas, draws)
 
     def event_fields(
         self,
     ) -> tuple[bool, list[float], dict[str, int], dict[str, Any] | None]:
         """``(ok, charges, deltas, draws)`` — :meth:`from_event`'s inverse,
         the tail of this outcome's trace event / daemon response."""
-        return self.ok, list(self.charges), self.counter_deltas(), self.draws
-
-    @property
-    def charges(self) -> tuple[float, ...]:
-        """Every latency charge the ladder books, in charge order."""
-        return self.waits + (self.delay,) if self.delay else self.waits
-
-    def counter_deltas(self) -> dict[str, int]:
-        """Fault-counter increments this ladder books (trace/wire deltas)."""
-        if self.deltas is not None:
-            return self.deltas
-        deltas: dict[str, int] = {}
-        n = self.drawn_timeouts if self.drawn_timeouts is not None else len(self.waits)
-        if n:
-            deltas["timeouts"] = n
-            retries = n if self.ok else n - 1
-            if retries:
-                deltas["retries"] = retries
-        if not self.ok:
-            deltas["fallbacks"] = 1
-        return deltas
+        return self.ok, list(self.charges), self.deltas, self.draws
 
     def then(self, last: "LadderOutcome") -> "LadderOutcome":
         """This delivered ladder with its last round carried by ``last``.
@@ -313,13 +321,129 @@ class LadderOutcome:
         this ladder's own.  The stack below is almost always the base
         (delivered, free), which leaves this outcome as it is.
         """
-        if last.ok and not last.charges and not last.counter_deltas():
+        if last.ok and not last.charges and not last.deltas:
             return self
-        deltas = dict(self.counter_deltas())
-        for key, d in last.counter_deltas().items():
+        deltas = dict(self.deltas)
+        for key, d in last.deltas.items():
             deltas[key] = deltas.get(key, 0) + d
-        return LadderOutcome.from_event(
-            last.ok, [*self.charges, *last.charges], deltas, self.draws
+        return LadderOutcome(last.ok, self.charges + last.charges, deltas, self.draws)
+
+
+class LinkLadder:
+    """One link's retry ladder, its constants resolved once — the engine.
+
+    Built from the link's policy, the plan's fault probabilities and the
+    link RTT, plus three zero-argument uniform callables: ``loss`` and
+    ``delay``, asked only while the plan has that process on (a loss
+    probability above 0 on the link, a delay rate above 0), and
+    ``jitter``, asked once per charged wait of a jittered ``capped``
+    ladder.  :meth:`decide` runs one ladder; the fault layer keeps one
+    per link for the whole run, :func:`run_ladder` builds one per call.
+    """
+
+    __slots__ = (
+        "rtt", "loss_p", "loss", "delay_rate", "delay", "delay_extra",
+        "rounds", "backoff", "cap", "jitter", "jitter_amplitude", "hedged",
+    )
+
+    def __init__(
+        self,
+        policy: RetryPolicy,
+        plan: Any,
+        link: str,
+        rtt: float,
+        loss: Callable[[], float],
+        delay: Callable[[], float],
+        jitter: Callable[[], float],
+    ) -> None:
+        self.rtt = rtt
+        self.loss_p = getattr(plan, f"{link}_loss")
+        #: None while the process is off: nothing is drawn for it.
+        self.loss = loss if self.loss_p > 0.0 else None
+        self.delay_rate = plan.delay_rate
+        self.delay = delay if self.delay_rate > 0.0 else None
+        self.delay_extra = (plan.delay_factor - 1.0) * rtt
+        self.rounds = policy.rounds(plan)
+        self.backoff = policy.backoff(plan)
+        capped = policy.strategy == "capped"
+        self.cap = (
+            rtt * policy.timeout_cap
+            if capped and policy.timeout_cap is not None
+            else None
+        )
+        self.jitter = jitter if capped and policy.jitter else None
+        self.jitter_amplitude = policy.jitter
+        self.hedged = policy.strategy == "hedged"
+
+    def decide(self, force_fail: bool = False) -> LadderOutcome:
+        """Run one retry ladder to a decision, deltas decided with it.
+
+        No latency is charged and no counter is booked here — the caller
+        applies the returned :class:`LadderOutcome` — and RNG
+        consumption follows the original ladder's rules exactly: a
+        loss-free link draws no loss uniform, a delay-free plan draws no
+        delay uniform, and a force-failed ladder draws nothing at all.
+        For the default exponential policy the float arithmetic is the
+        original loop verbatim, so outcomes are byte-identical to the old
+        hard-coded ladder.
+        """
+        draws: dict[str, Any] = {}
+        if force_fail:
+            draws["ff"] = True
+        loss, cap, jitter = self.loss, self.cap, self.jitter
+        lost: list[float] = []
+        jittered: list[float] = []
+        waits: list[float] = []
+        timeout = self.rtt
+        for _ in range(self.rounds):
+            if not force_fail:
+                if loss is None:
+                    ok = True
+                else:
+                    u = loss()
+                    lost.append(u)
+                    ok = u >= self.loss_p
+                if ok:
+                    n = len(waits)
+                    if self.delay is not None:
+                        du = draws["d"] = self.delay()
+                        if du < self.delay_rate and self.delay_extra:
+                            waits.append(self.delay_extra)
+                    if lost:
+                        draws["l"] = lost
+                    if jittered:
+                        draws["j"] = jittered
+                    return LadderOutcome(
+                        True,
+                        tuple(waits),
+                        {"timeouts": n, "retries": n} if n else {},
+                        draws,
+                    )
+            wait = timeout
+            if cap is not None and wait > cap:
+                wait = cap
+            if jitter is not None:
+                ju = jitter()
+                jittered.append(ju)
+                wait *= 1.0 + self.jitter_amplitude * (2.0 * ju - 1.0)
+            waits.append(wait)
+            timeout *= self.backoff
+        if lost:
+            draws["l"] = lost
+        if jittered:
+            draws["j"] = jittered
+        # Exhausted: every drawn round timed out, every one but the first
+        # was a retry, and the caller falls back.  Hedged charges max (the
+        # first wait: the fallback has been racing since it), not the
+        # serial sum, but books every drawn round.
+        n = len(waits)
+        return LadderOutcome(
+            False,
+            (waits[0],) if self.hedged and n > 1 else tuple(waits),
+            {"timeouts": n, "retries": n - 1, "fallbacks": 1}
+            if n > 1
+            else {"timeouts": n, "fallbacks": 1},
+            draws,
         )
 
 
@@ -331,79 +455,24 @@ def run_ladder(
     source: Any,
     force_fail: bool = False,
 ) -> LadderOutcome:
-    """Run one retry ladder to a decision — the single pure ladder engine.
+    """Run one retry ladder to a decision, drawing from ``source``.
 
     ``plan`` supplies the fault probabilities (per-link loss, delay rate
     and factor, the default retry knobs); ``policy`` supplies the
     response strategy; ``source`` supplies uniforms (see the module
-    docstring's draw-source contract).  No latency is charged and no
-    counter is booked here — the caller applies the returned
-    :class:`LadderOutcome` — and RNG consumption follows the PR-3 rules
-    exactly: a loss-free link draws no loss uniform, a delay-free plan
-    draws no delay uniform, and a force-failed ladder draws nothing at
-    all.  For the default exponential policy the float arithmetic is the
-    PR-3 loop verbatim, so outcomes are byte-identical to the old
-    hard-coded ladder.
+    docstring's draw-source contract).  The single ladder engine is
+    :meth:`LinkLadder.decide`; this is it for one call, as the what-if
+    replayer drives it.
     """
-    p = getattr(plan, f"{link}_loss")
-    rounds = policy.rounds(plan)
-    base = policy.backoff(plan)
-    capped = policy.strategy == "capped"
-    cap = rtt * policy.timeout_cap if capped and policy.timeout_cap is not None else None
-    draws: dict[str, Any] = {}
-    if force_fail:
-        draws["ff"] = True
-    loss_uniforms: list[float] = []
-    jitter_uniforms: list[float] = []
-    timeout = rtt
-    waits: list[float] = []
-    for _ in range(rounds):
-        ok = False
-        if not force_fail:
-            u = source.loss_uniform(link)
-            if u is None:
-                ok = True
-            else:
-                loss_uniforms.append(u)
-                ok = u >= p
-        if ok:
-            delay = 0.0
-            du = source.delay_uniform(link)
-            if du is not None:
-                draws["d"] = du
-                if du < plan.delay_rate:
-                    delay = (plan.delay_factor - 1.0) * rtt
-            if loss_uniforms:
-                draws["l"] = loss_uniforms
-            if jitter_uniforms:
-                draws["j"] = jitter_uniforms
-            return LadderOutcome(
-                ok=True, waits=tuple(waits), delay=delay, draws=draws
-            )
-        wait = timeout
-        if cap is not None and wait > cap:
-            wait = cap
-        if capped and policy.jitter:
-            ju = source.jitter_uniform(link)
-            jitter_uniforms.append(ju)
-            wait *= 1.0 + policy.jitter * (2.0 * ju - 1.0)
-        waits.append(wait)
-        timeout *= base
-    if loss_uniforms:
-        draws["l"] = loss_uniforms
-    if jitter_uniforms:
-        draws["j"] = jitter_uniforms
-    if policy.strategy == "hedged" and len(waits) > 1:
-        # The fallback has been racing since the first timeout: charge
-        # max (the first wait), not the serial sum, but keep the drawn
-        # rounds' counter accounting.
-        return LadderOutcome(
-            ok=False,
-            waits=(waits[0],),
-            draws=draws,
-            drawn_timeouts=len(waits),
-        )
-    return LadderOutcome(ok=False, waits=tuple(waits), draws=draws)
+    return LinkLadder(
+        policy,
+        plan,
+        link,
+        rtt,
+        partial(source.loss_uniform, link),
+        partial(source.delay_uniform, link),
+        partial(source.jitter_uniform, link),
+    ).decide(force_fail)
 
 
 def plan_fingerprint(plan: Any) -> str:

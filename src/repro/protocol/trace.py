@@ -60,6 +60,7 @@ import dataclasses
 import hashlib
 import json
 from contextlib import contextmanager
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -124,6 +125,11 @@ class TraceWriter:
     run that *raises* is sealed by :func:`repro.core.run.assemble_run`'s
     ``finally``: the footer lands with ``"complete": false`` and no
     result, and the replay harness refuses the trace.
+
+    An event line is ``json.dumps(event) + "\n"``, byte for byte, but
+    written through one C encoder built here with ``json.dumps``'s own
+    arguments (ASCII, circular check, NaN allowed) — ``json.dumps``
+    builds that encoder anew on every call.
     """
 
     def __init__(
@@ -139,6 +145,20 @@ class TraceWriter:
         self.events_written = 0
         #: Events past the bound: nonzero forces ``"complete": false``.
         self.events_dropped = 0
+        defaults = json.JSONEncoder()  # what json.dumps encodes with
+        #: The circular check's ids in flight: empty between events.
+        self._markers: dict[int, Any] = {}
+        self._iterencode = c_make_encoder(
+            self._markers,
+            defaults.default,
+            encode_basestring_ascii,
+            defaults.indent,
+            defaults.key_separator,
+            defaults.item_separator,
+            defaults.sort_keys,
+            defaults.skipkeys,
+            defaults.allow_nan,
+        )
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = self.path.open("w", encoding="utf-8")
         self._fh.write(json.dumps(header, sort_keys=True) + "\n")
@@ -155,7 +175,13 @@ class TraceWriter:
         if self.events_written >= self.max_events:
             self.events_dropped += 1
             return
-        self._fh.write(json.dumps(event) + "\n")
+        try:
+            line = "".join(self._iterencode(event, 0))
+        except BaseException:
+            # An event that failed mid-encode leaves its ids behind.
+            self._markers.clear()
+            raise
+        self._fh.write(line + "\n")
         self.events_written += 1
 
     def close(self, result: Any = None) -> None:

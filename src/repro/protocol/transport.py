@@ -13,8 +13,8 @@ exchange's :class:`~repro.protocol.policy.LadderOutcome` and touches
 nothing else.  Paying is written once, in :meth:`Transport.attempt` on
 whichever layer sits outermost: draw, book the outcome's counter deltas,
 charge its amounts in ladder order through the bound scheme's
-``add_extra_latency`` (the async backend does the same with each wait
-awaited on a clock; a daemon applies the outcome by hand).
+``add_extra_latency`` (the async backend does the same, advancing its
+clock by each wait; a daemon applies the outcome by hand).
 
 * :class:`Transport` — the base layer: every exchange is delivered at
   once and for free.  Tier latency stays charged by the simulator's
@@ -46,9 +46,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from ..netmodel import NetworkConfig
+from ..netmodel import FAULT_LINKS, NetworkConfig
 from .messages import ALL_EXCHANGES, FAULT_COUNTERS, Exchange
-from .policy import LadderOutcome, run_ladder
+from .policy import LadderOutcome, LinkLadder
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..faults.plan import FaultPlan
@@ -69,9 +69,9 @@ def _discard_latency(_amount: float) -> None:
 
 
 #: What the base stack decides: no ladder ran, so nothing is charged and
-#: nothing booked (frozen, hence shared by every plain exchange).
-_DELIVERED = LadderOutcome(ok=True, deltas={})
-_REFUSED = LadderOutcome(ok=False, deltas={})
+#: nothing booked (read-only, hence shared by every plain exchange).
+_DELIVERED = LadderOutcome(True, (), {})
+_REFUSED = LadderOutcome(False, (), {})
 
 
 def attach_request_counter(transport: Any, scheme: Any) -> None:
@@ -156,15 +156,11 @@ class Transport:
         """
         return _REFUSED if force_fail else _DELIVERED
 
-    def _draw_and_book(self, exchange: Exchange, force_fail: bool) -> LadderOutcome:
-        """Decide one exchange and book its counter deltas on the stack."""
-        outcome = self.draw(exchange, force_fail)
-        deltas = outcome.counter_deltas()
-        if deltas:
-            counters = self.fault_counters
-            for key, d in deltas.items():
-                counters[key] = counters.get(key, 0) + d
-        return outcome
+    def _book(self, deltas: dict[str, int]) -> None:
+        """Add one outcome's counter deltas to the stack's counters."""
+        counters = self.fault_counters
+        for key, d in deltas.items():
+            counters[key] = counters.get(key, 0) + d
 
     def attempt(self, exchange: Exchange, force_fail: bool = False) -> bool:
         """Carry one exchange; True iff it (eventually) got through.
@@ -174,7 +170,9 @@ class Transport:
         is not associative — per-amount charging is what keeps
         ``total_latency`` byte-identical across carriers).
         """
-        outcome = self._draw_and_book(exchange, force_fail)
+        outcome = self.draw(exchange, force_fail)
+        if outcome.deltas:
+            self._book(outcome.deltas)
         for amount in outcome.charges:
             self._charge(amount)
         return outcome.ok
@@ -245,7 +243,7 @@ class TransportLayer(Transport):
 class FaultTransport(TransportLayer):
     """The fault layer: a :class:`FaultPlan`'s failure semantics.
 
-    The ladder itself lives in :func:`repro.protocol.policy.run_ladder`:
+    The ladder itself lives in :class:`repro.protocol.policy.LinkLadder`:
     per link the plan's :class:`~repro.protocol.policy.PolicySet` picks
     the response strategy (the default is the PR-3 exponential ladder,
     byte-identical: a lost message costs one link RTT, retries inflate
@@ -255,7 +253,9 @@ class FaultTransport(TransportLayer):
     push target): the ladder is paid without consuming any RNG draw.
 
     ``scope`` namespaces the injector's substreams (the scheme name, so
-    two schemes under one plan draw independent sequences).
+    two schemes under one plan draw independent sequences).  Each link's
+    ladder — its policy's constants, the plan's probabilities, the RTT
+    and the injector's bound uniform draws — is resolved once, here.
     """
 
     def __init__(self, inner: Transport, plan: "FaultPlan", scope: str = "") -> None:
@@ -268,10 +268,18 @@ class FaultTransport(TransportLayer):
         self.plan = plan
         self.scope = scope
         self._active = not plan.is_zero()
-        self.injector = FaultInjector(plan, scope=scope)
-        self._link_rtt = inner.network.link_rtts()
+        self.injector = injector = FaultInjector(plan, scope=scope)
         self._counters = dict.fromkeys(FAULT_COUNTERS, 0)
-        self._policies = plan.policy_set()
+        policies = plan.policy_set()
+        rtts = inner.network.link_rtts()
+        #: Link -> its ladder; empty for a zero plan (the identity layer).
+        self._ladders = {
+            link: LinkLadder(
+                policies.for_link(link), plan, link, rtts[link],
+                *injector.uniforms(link),
+            )
+            for link in FAULT_LINKS
+        } if self._active else {}
 
     @property
     def faulty(self) -> bool:  # type: ignore[override]
@@ -290,17 +298,10 @@ class FaultTransport(TransportLayer):
         never the timed-out ones); a zero plan or a LAN-side exchange is
         the wrapped stack's alone.
         """
-        link = exchange.link
-        if not self._active or link is None:
+        ladder = self._ladders.get(exchange.link)
+        if ladder is None:
             return self.inner.draw(exchange, force_fail)
-        outcome = run_ladder(
-            self._policies.for_link(link),
-            self.plan,
-            link,
-            self._link_rtt[link],
-            self.injector,
-            force_fail,
-        )
+        outcome = ladder.decide(force_fail)
         return outcome.then(self.inner.draw(exchange)) if outcome.ok else outcome
 
     def unresponsive(self, cluster: int, client: int) -> bool:

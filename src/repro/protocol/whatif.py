@@ -13,8 +13,8 @@ accumulates the differences against the recorded events:
 * **latency** — the candidate ladder's charges replace the recorded
   ones, event by event (``Σ new − Σ old``);
 * **fault counters** — the candidate outcome's
-  :meth:`~repro.protocol.policy.LadderOutcome.counter_deltas` replace
-  the recorded deltas;
+  :attr:`~repro.protocol.policy.LadderOutcome.deltas` replace the
+  recorded deltas;
 * **outcome flips** — when the candidate policy changes whether the
   exchange got through (e.g. ``immediate`` gives up before the round
   that succeeded, or a larger retry budget rescues a recorded
@@ -312,7 +312,7 @@ def whatif_trace(
         )
         ext_draws += source.extension_draws
         new_charges = list(outcome.charges)
-        new_deltas = outcome.counter_deltas()
+        new_deltas = outcome.deltas
         if (
             outcome.ok == ok_rec
             and new_charges == charges_rec

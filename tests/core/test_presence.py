@@ -178,7 +178,7 @@ class TestHierGdReplayInvariant:
             for state in s.states:
                 # Directory presence and p2p_present mirror the exact
                 # directory's backing set.
-                assert state.p2p_present == state.directory._entries
+                assert state.p2p_present == state.directory.members
                 # Directory-consistency: everything listed is reachable.
                 for obj in state.p2p_present:
                     assert s._locate(state, obj) is not None
@@ -194,7 +194,7 @@ class TestHierGdReplayInvariant:
             # Directory-tier index mirrors the per-cluster directories.
             dir_expected = {}
             for ci, state in enumerate(s.states):
-                for obj in state.directory._entries:
+                for obj in state.directory.members:
                     dir_expected.setdefault(obj, set()).add(ci)
             assert s._dir_presence.as_dict() == {
                 obj: frozenset(cs) for obj, cs in dir_expected.items()

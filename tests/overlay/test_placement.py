@@ -1,5 +1,8 @@
 """Vectorised DHT placement tables vs ground truth and Pastry routing."""
 
+import random
+
+import numpy as np
 import pytest
 
 from repro.overlay.id_space import IdSpace
@@ -70,6 +73,27 @@ class TestBuildOwnerTable:
         owned = [k for k, o in zip(keys, owners) if o == new_id]
         for k in owned:
             assert ov.route(int(k), record=False).root == new_id
+
+    @pytest.mark.parametrize("bits", [16, 128])
+    def test_scalar_owner_matches_bulk_on_random_and_midway_keys(self, bits):
+        """``numerically_closest`` (Pastry's ``owner_of``) against the
+        vectorised rule: random keys, and every key exactly midway
+        between two ring neighbours, where the lower nodeId wins."""
+        ov = build(30, bits=bits)
+        size = ov.space.size
+        rng = random.Random(bits)
+        keys = [rng.getrandbits(bits) for _ in range(500)]
+        ids = ov.node_ids()
+        midway = []
+        for lo, hi in zip(ids, ids[1:] + [ids[0] + size]):
+            if (hi - lo) % 2 == 0:
+                key = (lo + (hi - lo) // 2) % size
+                midway.append(key)
+                assert ov.numerically_closest(key) == min(lo, hi % size)
+        assert midway  # the guard bites: ties are exercised
+        keys += midway + ids + [0, size - 1]
+        bulk = ov.bulk_owner_of(np.array(keys, dtype=object))
+        assert [ov.numerically_closest(k) for k in keys] == bulk
 
     def test_empty_overlay_raises(self):
         ov = Overlay(space=IdSpace())

@@ -9,6 +9,10 @@ host; these count instead of timing:
   ``map``: the recording layer's request counter and the engine's
   ``process``.  A wrapper frame per request, or a greedy-dual hit that
   is a method call again, fails here;
+* on the same shape an exchange is paid once: a ``transport.attempt``
+  that charges nothing enters 10 frames, any attempt at most 14 besides
+  the latency sink, and a Bloom probe enters the counting filter
+  straight from the engine;
 * a fault-free run on an exact directory, unit or sized, enters no
   ``_size_of`` / ``PresenceIndex.add`` / ``PresenceIndex.discard`` frame
   and asks ``_locate`` only about objects ``p2p_present`` lists: the
@@ -21,11 +25,15 @@ host; these count instead of timing:
 """
 
 import dataclasses
+import gc
 import sys
 from collections import Counter
 
 import pytest
 
+from repro.bloom import CountingBloomFilter
+from repro.core import hiergd_indexed
+from repro.core.directory import LookupDirectory
 from repro.core.hiergd import HierGdScheme
 from repro.core.presence import PresenceIndex
 from repro.core.run import generate_workloads, run_scheme
@@ -95,6 +103,85 @@ def test_recorded_faulty_proxy_hit_enters_two_frames(monkeypatch, tmp_path):
     assert hits[2] >= sum(hits.values()) - events
     # Misses do real work: the guard is not vacuous.
     assert min(min(c) for tier, c in frames.items() if tier != TIER_LOCAL_PROXY) > 2
+
+
+def test_recorded_faulty_exchange_is_paid_once(monkeypatch, tmp_path):
+    """One exchange, paid once: on the ``hiergd_faults`` shape a
+    ``transport.attempt`` enters at most 14 Python frames besides the
+    scheme's latency sink (one per charge), and exactly 10 when it
+    charges nothing — the attempt, the recording layer's ``draw``, the
+    fault layer's, the ladder's ``decide``, the outcome, the base's
+    ``draw`` and ``then``, the event's fields and frame, and the write.
+    The coroutine-per-exchange stack entered 29 and at most 52 (the
+    decision's frames below ``SimClock.run`` → ``begin`` →
+    ``_draw_and_book``, deltas derived twice, ``json.dumps`` per event).
+
+    Step 2 and the push scan probe the directory's membership structure
+    itself: a Bloom probe enters the counting filter straight from the
+    engine, never a ``LossyDirectory`` / ``BloomDirectory`` frame (three
+    frames a probe before)."""
+    config = guard_config(directory="bloom")
+    traces = generate_workloads(config, seed=0)
+    plan = robustness_plan(0.1)
+    sink = CachingScheme.add_extra_latency.__code__
+    engine = {hiergd_indexed.process.__code__, hiergd_indexed.push_stage.__code__}
+    wrapper = {
+        f.__code__
+        for cls in (LookupDirectory, *LookupDirectory.__subclasses__())
+        for f in vars(cls).values()
+        if hasattr(f, "__code__")
+    }
+    probe = CountingBloomFilter.__contains__.__code__
+    #: (own frames, charges) per attempt; who entered a Bloom probe.
+    attempts, probed_from, wrapped = [], Counter(), Counter()
+    run = CachingScheme.run
+
+    def profiled_run(scheme):
+        outer = type(scheme.transport).attempt.__code__
+        depth = entered = charged = 0
+
+        def profile(frame, event, arg):
+            nonlocal depth, entered, charged
+            if event == "call":
+                code = frame.f_code
+                caller = frame.f_back.f_code
+                if code is probe:
+                    probed_from[caller.co_name] += 1
+                elif code in wrapper and caller in engine:
+                    wrapped[code.co_qualname] += 1
+                if depth or code is outer:
+                    depth += 1
+                    entered += 1
+                    charged += code is sink
+            elif event == "return" and depth:
+                depth -= 1
+                if not depth:
+                    attempts.append((entered - charged, charged))
+                    entered = charged = 0
+
+        # A collection inside an attempt would run finalizers that other
+        # tests left behind, and count their frames.
+        collecting = gc.isenabled()
+        gc.disable()
+        sys.setprofile(profile)
+        try:
+            return run(scheme)
+        finally:
+            sys.setprofile(None)
+            if collecting:
+                gc.enable()
+
+    monkeypatch.setattr(CachingScheme, "run", profiled_run)
+    with recording_traces(tmp_path):
+        result = run_scheme_with_faults(
+            "hier-gd", config, traces, plan, seed=0, backend="async"
+        )
+    assert result.messages["timeouts"] > 0 and result.messages["fallbacks"] > 0
+    free = [own for own, charges in attempts if not charges]
+    assert len(free) > 1_000 and set(free) == {10}
+    assert max(own for own, _ in attempts) <= 14
+    assert probed_from["process"] > 1_000 and probed_from["push_stage"] > 0
+    assert not wrapped
 
 
 @pytest.mark.parametrize("sizes", ["unit", "sized"])

@@ -206,7 +206,7 @@ class TestAtomicDraws:
         assert results == [o.ok for o in expected]
         want = {}
         for o in expected:
-            for key, d in o.counter_deltas().items():
+            for key, d in o.deltas.items():
                 want[key] = want.get(key, 0) + d
         have = {k: v for k, v in stack.fault_counters.items() if v}
         assert have == want
@@ -240,7 +240,7 @@ class TestCancellation:
         charged = []
         carrier._charge = charged.append
 
-        full = len(stack.draw(PROXY_FETCH).waits)  # draw() books nothing
+        full = len(stack.draw(PROXY_FETCH).charges)  # draw() books nothing
         ladder = carrier.begin(PROXY_FETCH)  # first wait charged here
         assert len(charged) == 1 < full
         ladder.close()  # cancel mid-flight
@@ -283,7 +283,7 @@ class TestNonDefaultPolicies:
         charged = []
         carrier._charge = charged.append
 
-        full = len(stack.draw(PROXY_FETCH).waits)
+        full = len(stack.draw(PROXY_FETCH).charges)
         assert full == 5  # the policy, not the plan default, sized it
         ladder = carrier.begin(PROXY_FETCH)
         assert len(charged) == 1 < full
@@ -302,8 +302,8 @@ class TestNonDefaultPolicies:
         carrier._charge = charged.append
 
         outcome = stack.draw(PROXY_FETCH)  # draw() books nothing
-        assert len(outcome.waits) == 1
-        assert outcome.drawn_timeouts == plan.max_retries + 1
+        assert len(outcome.charges) == 1
+        assert outcome.deltas["timeouts"] == plan.max_retries + 1
         ladder = carrier.begin(PROXY_FETCH)  # books the atomic draw
         assert len(charged) == 1
         ladder.close()

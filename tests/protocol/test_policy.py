@@ -19,6 +19,8 @@ The contracts pinned here:
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faults import FaultPlan
 from repro.netmodel import FAULT_LINKS, LINK_P2P, LINK_PROXY
@@ -38,9 +40,10 @@ RTT = 4.0
 class _Source:
     """Scripted draw source: pops from fixed uniform lists.
 
-    An empty loss list means "loss process off" (``None``), matching the
-    injector's plan-gating; ``delay`` is returned verbatim (``None`` =
-    delay process off).
+    The plan decides which processes are on: the engine asks for a loss
+    uniform only on a lossy link and for the delay uniform (returned
+    verbatim) only under a delay rate, so a script holds just the draws
+    the ladder takes.
     """
 
     def __init__(self, loss=(), delay=None, jitter=()):
@@ -49,7 +52,7 @@ class _Source:
         self.jitter = list(jitter)
 
     def loss_uniform(self, link):
-        return self.loss.pop(0) if self.loss else None
+        return self.loss.pop(0)
 
     def delay_uniform(self, link):
         return self.delay
@@ -134,9 +137,9 @@ class TestPolicySet:
 class TestRunLadder:
     def test_first_round_success_charges_nothing(self):
         out = run_ladder(DEFAULT_POLICY, plan(), LINK_P2P, RTT, _Source(loss=[0.9]))
-        assert out.ok and out.waits == () and out.delay == 0.0
+        assert out.ok and out.charges == ()
         assert out.draws == {"l": [0.9]}
-        assert out.counter_deltas() == {}
+        assert out.deltas == {}
 
     def test_exhausted_default_ladder_is_the_exponential_series(self):
         p = plan(max_retries=2, backoff_base=2.0)
@@ -144,17 +147,16 @@ class TestRunLadder:
             DEFAULT_POLICY, p, LINK_P2P, RTT, _Source(loss=[0.1, 0.2, 0.3])
         )
         assert not out.ok
-        assert out.waits == (RTT, RTT * 2.0, RTT * 4.0)
-        assert out.charges == out.waits
-        assert out.counter_deltas() == {"timeouts": 3, "retries": 2, "fallbacks": 1}
+        assert out.charges == (RTT, RTT * 2.0, RTT * 4.0)
+        assert out.deltas == {"timeouts": 3, "retries": 2, "fallbacks": 1}
         assert out.draws == {"l": [0.1, 0.2, 0.3]}
 
     def test_success_after_retries_books_retry_counters(self):
         out = run_ladder(
             DEFAULT_POLICY, plan(), LINK_P2P, RTT, _Source(loss=[0.1, 0.9])
         )
-        assert out.ok and out.waits == (RTT,)
-        assert out.counter_deltas() == {"timeouts": 1, "retries": 1}
+        assert out.ok and out.charges == (RTT,)
+        assert out.deltas == {"timeouts": 1, "retries": 1}
 
     def test_immediate_falls_back_after_one_round(self):
         out = run_ladder(
@@ -165,8 +167,8 @@ class TestRunLadder:
             _Source(loss=[0.1, 0.9, 0.9]),
         )
         assert not out.ok
-        assert out.waits == (RTT,)
-        assert out.counter_deltas() == {"timeouts": 1, "fallbacks": 1}
+        assert out.charges == (RTT,)
+        assert out.deltas == {"timeouts": 1, "fallbacks": 1}
         # Only the one round's uniform was consumed.
         assert out.draws == {"l": [0.1]}
 
@@ -175,7 +177,7 @@ class TestRunLadder:
         out = run_ladder(
             policy, plan(), LINK_P2P, RTT, _Source(loss=[0.1, 0.1, 0.1, 0.1])
         )
-        assert out.waits == (RTT, 2 * RTT, 2 * RTT, 2 * RTT)
+        assert out.charges == (RTT, 2 * RTT, 2 * RTT, 2 * RTT)
 
     def test_capped_jitter_is_recorded_and_bounded(self):
         policy = RetryPolicy(strategy="capped", timeout_cap=2.0, jitter=0.5)
@@ -187,7 +189,7 @@ class TestRunLadder:
             _Source(loss=[0.1, 0.1], jitter=[0.0, 1.0]),
         )
         # u=0 scales by 1 - jitter, u=1 by 1 + jitter (around the clamp).
-        assert out.waits == (RTT * 0.5, 2 * RTT * 1.5)
+        assert out.charges == (RTT * 0.5, 2 * RTT * 1.5)
         assert out.draws == {"l": [0.1, 0.1], "j": [0.0, 1.0]}
 
     def test_hedged_success_matches_the_exponential_ladder(self):
@@ -213,9 +215,9 @@ class TestRunLadder:
             _Source(loss=[0.1, 0.2, 0.3]),
         )
         assert not out.ok
-        assert out.waits == (RTT,)  # fallback racing since the first timeout
-        assert out.drawn_timeouts == 3  # but every drawn round is booked
-        assert out.counter_deltas() == {"timeouts": 3, "retries": 2, "fallbacks": 1}
+        assert out.charges == (RTT,)  # fallback racing since the first timeout
+        # ... but every drawn round is booked.
+        assert out.deltas == {"timeouts": 3, "retries": 2, "fallbacks": 1}
         assert out.draws == {"l": [0.1, 0.2, 0.3]}
 
     def test_force_fail_consumes_no_uniforms(self):
@@ -224,7 +226,7 @@ class TestRunLadder:
             DEFAULT_POLICY, plan(), LINK_P2P, RTT, source, force_fail=True
         )
         assert not out.ok
-        assert len(out.waits) == plan().max_retries + 1
+        assert len(out.charges) == plan().max_retries + 1
         assert out.draws == {"ff": True}
         assert len(source.loss) == 3  # untouched
 
@@ -234,9 +236,66 @@ class TestRunLadder:
             DEFAULT_POLICY, p, LINK_P2P, RTT, _Source(loss=[0.9], delay=0.2)
         )
         assert out.ok
-        assert out.delay == (p.delay_factor - 1.0) * RTT
-        assert out.charges == (out.delay,)
+        assert out.charges == ((p.delay_factor - 1.0) * RTT,)
         assert out.draws == {"l": [0.9], "d": 0.2}
+
+
+def naive_deltas(policy, p, loss, force_fail):
+    """``(ok, deltas)`` derived from the rounds, the way an outcome's
+    counters were before the ladder decided them: count the rounds that
+    timed out, then book a timeout each, a retry for each but the last
+    failed one (each, on success) and a fallback on exhaustion."""
+    timed_out, ok = 0, False
+    for u in loss[: policy.rounds(p)]:
+        if not force_fail and (p.p2p_loss <= 0.0 or u >= p.p2p_loss):
+            ok = True
+            break
+        timed_out += 1
+    deltas = {}
+    if timed_out:
+        deltas["timeouts"] = timed_out
+        retries = timed_out if ok else timed_out - 1
+        if retries:
+            deltas["retries"] = retries
+    if not ok:
+        deltas["fallbacks"] = 1
+    return ok, deltas
+
+
+class TestDeltasDecidedWithTheRounds:
+    """``run_ladder`` books what the naive derive-from-rounds model books,
+    key order included (the order is in every recorded event's bytes)."""
+
+    @pytest.mark.parametrize("force_fail", [False, True])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        loss_p=st.sampled_from([0.0, 0.5, 1.0]),
+        max_retries=st.integers(0, 4),
+        delay=st.none() | st.floats(0.0, 0.999),
+        uniforms=st.lists(st.floats(0.0, 0.999), min_size=5, max_size=5),
+    )
+    def test_against_the_naive_model(
+        self, strategy, force_fail, loss_p, max_retries, delay, uniforms
+    ):
+        policy = RetryPolicy(
+            strategy=strategy,
+            max_retries=max_retries,
+            timeout_cap=2.0 if strategy == "capped" else None,
+            jitter=0.5 if strategy == "capped" else 0.0,
+        )
+        p = plan(p2p_loss=loss_p, delay_rate=0.0 if delay is None else 0.5)
+        source = _Source(loss=list(uniforms), delay=delay, jitter=list(uniforms))
+        out = run_ladder(policy, p, LINK_P2P, RTT, source, force_fail=force_fail)
+        ok, deltas = naive_deltas(policy, p, uniforms, force_fail)
+        assert out.ok is ok
+        assert list(out.deltas.items()) == list(deltas.items())
+        timed_out = deltas.get("timeouts", 0)
+        if strategy == "hedged" and not ok and timed_out > 1:
+            assert len(out.charges) == 1  # max, not sum
+        else:
+            slow = ok and delay is not None and delay < p.delay_rate
+            assert len(out.charges) == timed_out + slow
 
 
 class TestPlanFingerprint:

@@ -263,7 +263,7 @@ class TestPayingIsApplyingTheOutcome:
         for exchange, force_fail in asked:
             outcome = decider.draw(exchange, force_fail)
             charged.extend(outcome.charges)
-            for key, delta in outcome.counter_deltas().items():
+            for key, delta in outcome.deltas.items():
                 booked[key] = booked.get(key, 0) + delta
             lines.append(event_frame(-1, exchange, *outcome.event_fields()))
             assert stack.attempt(exchange, force_fail) is outcome.ok

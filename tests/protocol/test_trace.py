@@ -8,8 +8,13 @@ the trace it leaves behind round-trips through
 """
 
 import dataclasses
+import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.churn import HierGdChurnScheme
 from repro.core.config import SimulationConfig
@@ -17,6 +22,7 @@ from repro.core.run import generate_workloads, run_all_schemes, run_scheme
 from repro.faults import FaultPlan
 from repro.faults.run import run_scheme_with_faults
 from repro.protocol import (
+    ALL_EXCHANGES,
     TraceIncompleteError,
     recording_traces,
     replay_trace,
@@ -25,6 +31,7 @@ from repro.protocol import (
 from repro.protocol.replay import ReplayTransport, load_trace
 from repro.protocol.trace import TraceRecorder, TraceWriter
 from repro.protocol.transport import Transport
+from repro.protocol.wire import answer_frame, event_frame
 from repro.workload import ProWGenConfig
 
 TINY = ProWGenConfig(n_requests=3000, n_objects=300, n_clients=10)
@@ -123,6 +130,68 @@ class TestBoundedWriter:
         assert writer.events_written == 2
         assert writer.events_dropped == 3
         writer.close(None)
+
+
+def _events():
+    """Event lines as the recorder writes them: ``"x"`` and ``"u"`` frames
+    with every field shape a ladder, a replay or a daemon can produce."""
+    floats = (
+        st.floats()
+        | st.sampled_from([5e-324, 1e16, 0.1 + 0.2, -0.0, 1e-7, 2.0**53])
+    )
+    count = st.integers(0, 2**31)
+    deltas = st.fixed_dictionaries(
+        {}, optional={"timeouts": count, "retries": count, "fallbacks": count}
+    )
+    draws = st.none() | st.fixed_dictionaries(
+        {},
+        optional={
+            "ff": st.just(True),
+            "d": floats,
+            "l": st.lists(floats, max_size=5),
+            "j": st.lists(floats, max_size=5),
+        },
+    )
+    exchange = st.builds(
+        event_frame,
+        st.integers(-1, 2**40),
+        st.sampled_from(ALL_EXCHANGES),
+        st.booleans(),
+        st.lists(floats | st.integers(0, 2**60), max_size=6),
+        deltas,
+        draws,
+    )
+    probe = st.builds(
+        answer_frame, count, count, count, st.booleans()
+    )
+    return st.lists(exchange | probe, max_size=20)
+
+
+class TestEventLines:
+    """An event line is ``json.dumps(event) + "\\n"``, whatever encoder
+    writes it: the trace's bytes are the replay and what-if contract."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(events=_events())
+    def test_line_is_json_dumps(self, events):
+        with tempfile.TemporaryDirectory() as tmp:
+            writer = TraceWriter(Path(tmp) / "t.jsonl", {"kind": "x"})
+            for event in events:
+                writer.write_event(event)
+            writer.close(None)
+            lines = writer.path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines[1:-1] == [json.dumps(event) + "\n" for event in events]
+
+    def test_a_failed_event_does_not_poison_the_next(self, tmp_path):
+        writer = TraceWriter(tmp_path / "t.jsonl", {"kind": "x"})
+        event = ["x", 0, "push", "push", True, [object()], {}, None]
+        with pytest.raises(TypeError):
+            writer.write_event(event)
+        event[5] = [1.5]  # the same list objects, encodable now
+        writer.write_event(event)
+        writer.close(None)
+        lines = writer.path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines[1:-1] == [json.dumps(event) + "\n"]
 
 
 class TestTraceKey:
