@@ -39,6 +39,11 @@ __all__ = ["TieredCache", "PROXY_TIER", "CLIENT_TIER"]
 PROXY_TIER = "proxy"
 CLIENT_TIER = "client"
 
+_UNIT_ONLY = (
+    "the unified EC model assumes unit object sizes "
+    "(construct with by_bytes=True for size-aware mode)"
+)
+
 
 class TieredCache(Cache):
     """Unified proxy + P2P-client cache: one LFU store, ranked tiers."""
@@ -90,7 +95,8 @@ class TieredCache(Cache):
         self.proxy_capacity = proxy_capacity
         self.client_capacity = client_capacity
         self.by_bytes = by_bytes
-        self._value_fn = value_fn or (lambda _key, freq: float(freq))
+        #: None: the frequency itself, read without a call.
+        self._value_fn = value_fn
         self._store = LfuCache(self.capacity, reset_on_evict=lfu_reset_on_evict)
         self._tiers = TopKTracker(
             proxy_capacity,
@@ -128,7 +134,9 @@ class TieredCache(Cache):
         return self._store.frequency(key)
 
     def _value(self, key: Hashable) -> float:
-        return self._value_fn(key, self._store.frequency(key))
+        freq = self._store.frequency(key)
+        value_fn = self._value_fn
+        return float(freq) if value_fn is None else value_fn(key, freq)
 
     # -- policy operations --------------------------------------------------
 
@@ -142,23 +150,70 @@ class TieredCache(Cache):
         tracker holds exactly the store's keys, so the store's residency
         test stands for both and the hit goes straight to the tracker's
         add path, which reports where the key sat when the request came.
+        A miss is only counted: :meth:`request` also admits the key.
         """
         store = self._store
         if key in store._sizes:
             store.lookup(key)  # bumps the count, updates the LFU heap
-            if self._tiers.add(key, self._value_fn(key, store._freq[key])):
+            if self._tiers.add(key, self._value(key)):
                 return PROXY_TIER
             return CLIENT_TIER
         store.lookup(key)  # a miss still counts as a reference
         return None
 
+    def request(self, key: Hashable, size: int = 1) -> str | None:
+        """:meth:`lookup_tier`, then :meth:`insert` on a miss: the schemes'
+        one call per request.
+
+        A proxy-tier hit stays in this frame: the store's refresh
+        (``LfuCache.lookup``'s hit) and, in count mode, the tracker's
+        case (a) -- a value that does not drop is ``HeapDict``'s lazy
+        raise -- are a dict write each, by friend access.  A client-tier
+        hit, a value drop and any byte-budget placement go to
+        ``TopKTracker.add`` / ``remove``.  A miss is one
+        ``LfuCache.lookup_or_insert``, then ``remove`` for its victims and
+        ``add`` for the admitted key (``tests/cache/test_tiered.py`` holds
+        the path to the naive models).
+        """
+        store = self._store
+        value_fn = self._value_fn
+        if key in store._sizes:
+            freq = store._freq
+            f = freq[key] + 1
+            freq[key] = f
+            heap = store._heap
+            seq = heap._seq + 1
+            heap._seq = seq
+            heap._live[key] = (f, seq, False)
+            store.stats.hits += 1
+            value = float(f) if value_fn is None else value_fn(key, f)
+            tiers = self._tiers
+            if not self.by_bytes:
+                top = tiers._top
+                held = top._live.get(key)
+                if held is not None and value >= held[0]:
+                    seq = top._seq + 1
+                    top._seq = seq
+                    top._live[key] = (value, seq, False)
+                    return PROXY_TIER
+            if tiers.add(key, value):
+                return PROXY_TIER
+            return CLIENT_TIER
+        if size != 1 and not self.by_bytes:
+            raise ValueError(_UNIT_ONLY)
+        _hit, evicted = store.lookup_or_insert(key, 1.0, size)
+        tiers = self._tiers
+        for victim in evicted:
+            tiers.remove(victim)
+        if key in store._sizes:
+            f = store._freq[key]
+            tiers.add(key, float(f) if value_fn is None else value_fn(key, f), size)
+        return None
+
     def insert(self, key: Hashable, cost: float = 1.0, size: int = 1) -> list[Hashable]:
         """Admit a fetched object; unified LFU evicts the global minimum."""
         if size != 1 and not self.by_bytes:
-            raise ValueError(
-                "the unified EC model assumes unit object sizes "
-                "(construct with by_bytes=True for size-aware mode)"
-            )
+            raise ValueError(_UNIT_ONLY)
         evicted = self._store.insert(key, size=size)
         for victim in evicted:
             self._tiers.remove(victim)

@@ -257,11 +257,13 @@ class TopKTracker:
             if on_tier is not None and after is not before:
                 on_tier(key, after)
             return before
-        # Friend access to the heaps' live records, as the LFU hit path.
+        # Friend access to the heaps' live records, as the LFU hit path;
+        # ``peek_min`` is ``_materialize_min`` and the head's priority.
         held = top._live.get(key)
+        rest_live = rest._live
         if held is not None:
             top.push(key, value)  # case (a): a raise is one dict write
-            if value < held[0] and len(rest):  # case (c)
+            if value < held[0] and rest_live:  # case (c)
                 best, neg = rest.peek_min()
                 if -neg > value:  # ... so ``key`` is the top's minimum
                     top.pop_min()
@@ -272,14 +274,15 @@ class TopKTracker:
                         on_tier(best, True)
                         on_tier(key, False)
             return True
-        before = False if key in rest._live else None
-        if len(top) < self.k:  # the rest is empty: ``key`` is new
+        before = False if key in rest_live else None
+        if len(top._live) < self.k:  # the rest is empty: ``key`` is new
             top.push(key, value)
             if on_tier is not None:
                 on_tier(key, True)
-        elif self.k and value > top.peek_min()[1]:  # case (b), swap
+        elif self.k and top._materialize_min() and value > top._heap[0][0]:
+            # Case (b), swap.
             low, low_val = top.pop_min()
-            rest.discard(key)
+            rest_live.pop(key, None)
             top.push(key, value)
             rest.push(low, -low_val)
             if on_tier is not None:
@@ -299,8 +302,14 @@ class TopKTracker:
     def remove(self, key: Hashable) -> bool:
         top, rest = self._top, self._rest
         on_tier = self._on_tier
-        in_top = top.discard(key)
-        if not (in_top or rest.discard(key)):
+        # Friend access: ``HeapDict.discard`` is one dict delete.
+        top_live, rest_live = top._live, rest._live
+        in_top = key in top_live
+        if in_top:
+            del top_live[key]
+        elif key in rest_live:
+            del rest_live[key]
+        else:
             return False
         if on_tier is not None:
             on_tier(key, None)
@@ -311,7 +320,7 @@ class TopKTracker:
             elif self._settled is not None and key != self._settled[0]:
                 return True  # not the key the promote loop stopped on
             self._rebalance_budget(key)
-        elif in_top and len(rest):  # case (d)
+        elif in_top and rest_live:  # case (d)
             best, neg = rest.pop_min()
             top.push(best, -neg)
             if on_tier is not None:

@@ -43,7 +43,10 @@ class NcScheme(CachingScheme):
         ]
 
     def process(self, cluster: int, client: int, obj: int) -> str:
-        hit, _ = self.caches[cluster].lookup_or_insert(obj, size=self._size_of(obj))
+        sizes = self._size_list
+        hit, _ = self.caches[cluster].lookup_or_insert(
+            obj, 1.0, 1 if sizes is None else sizes[obj]
+        )
         return TIER_LOCAL_PROXY if hit else TIER_SERVER
 
     def peer_surface(self) -> PeerSurface:
@@ -87,8 +90,9 @@ class ScScheme(CachingScheme):
         # the remote cache) and never touch the local cache, so the fused
         # lookup-or-insert may run first; ``first_holder`` excludes this
         # cluster, making the index update order irrelevant too.
+        sizes = self._size_list
         hit, evicted = self.caches[cluster].lookup_or_insert(
-            obj, size=self._size_of(obj)
+            obj, 1.0, 1 if sizes is None else sizes[obj]
         )
         if hit:
             return TIER_LOCAL_PROXY

@@ -1,8 +1,152 @@
 """Tests for the LFU policy (both counting modes)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache import LfuCache
+from repro.cache.base import CacheStats
+
+
+class NaiveLfu:
+    """The policy as a scan: a count and a last-update sequence number per
+    key, and eviction of the resident with the least ``(count, seq)``.
+    Every hit and every admission takes the next sequence number, as a
+    ``HeapDict`` push does; an insert is not a reference."""
+
+    def __init__(self, capacity, reset_on_evict=False):
+        self.capacity = capacity
+        self.reset = reset_on_evict
+        self.counts = {}
+        self.seqs = {}  # resident -> sequence number of its last update
+        self.sizes = {}  # resident -> size
+        self.clock = 0
+        self.stats = CacheStats()
+
+    @property
+    def used(self):
+        return sum(self.sizes.values())
+
+    def _tick(self, key):
+        self.clock += 1
+        self.seqs[key] = self.clock
+
+    def lookup(self, key):
+        if key in self.sizes:
+            self.counts[key] += 1
+            self._tick(key)
+            self.stats.hits += 1
+            return True
+        if not self.reset:
+            self.counts[key] = self.counts.get(key, 0) + 1
+        self.stats.misses += 1
+        return False
+
+    def insert(self, key, size=1):
+        if size <= 0:
+            raise ValueError("size must be positive")
+        if key in self.sizes:  # refresh: same count, new size
+            del self.sizes[key], self.seqs[key]
+            if size > self.capacity:
+                if self.reset:
+                    self.counts.pop(key, None)
+                self.stats.evictions += 1
+                return [key]
+        elif size > self.capacity:
+            return [key]
+        self.counts.setdefault(key, 1)
+        evicted = []
+        while self.used + size > self.capacity:
+            victim = min(self.sizes, key=lambda k: (self.counts[k], self.seqs[k]))
+            del self.sizes[victim], self.seqs[victim]
+            if self.reset:
+                del self.counts[victim]
+            evicted.append(victim)
+            self.stats.evictions += 1
+        self.sizes[key] = size
+        self._tick(key)
+        self.stats.insertions += 1
+        return evicted
+
+    def lookup_or_insert(self, key, size=1):
+        if self.lookup(key):
+            return True, []
+        return False, self.insert(key, size)
+
+    def remove(self, key):
+        if key not in self.sizes:
+            return False
+        del self.sizes[key], self.seqs[key]
+        if self.reset:
+            self.counts.pop(key, None)
+        return True
+
+
+def check_same(cache, model, keys):
+    assert set(cache.keys()) == set(model.sizes)
+    assert len(cache) == model.used
+    assert cache.stats.as_dict() == model.stats.as_dict()
+    assert {k: cache.frequency(k) for k in keys} == {
+        k: model.counts.get(k, 0) for k in keys
+    }
+
+
+#: One operation is one integer, decoded by ``divmod`` (op, key, size):
+#: a tuple per operation makes hypothesis spend its time generating data.
+LFU_OPS = ["lookup", "insert", "lookup_or_insert", "lookup_or_insert", "remove"]
+LFU_KEYS = 7
+UNIT_SIZES = [1]
+MIXED_SIZES = [1, 1, 2, 3, 5, 0]  # 0: refused, after the miss is counted
+
+
+def lfu_codes(sizes):
+    return st.lists(
+        st.integers(min_value=0, max_value=len(LFU_OPS) * LFU_KEYS * len(sizes) - 1),
+        min_size=40,
+        max_size=250,
+    )
+
+
+class TestAgainstNaiveModel:
+    """Every public operation against :class:`NaiveLfu`, after each one:
+    victims in order, residents, ``used``, ``CacheStats`` and counts."""
+
+    @staticmethod
+    def drive(codes, capacity, reset, sizes):
+        cache = LfuCache(capacity, reset_on_evict=reset)
+        model = NaiveLfu(capacity, reset_on_evict=reset)
+        keys = range(LFU_KEYS)
+        for code in codes:
+            code, op = divmod(code, len(LFU_OPS))
+            size, key = divmod(code, LFU_KEYS)
+            op, size = LFU_OPS[op], sizes[size]
+            if op == "lookup":
+                assert cache.lookup(key) is model.lookup(key)
+            elif op == "remove":
+                assert cache.remove(key) is model.remove(key)
+            elif size <= 0 and (op == "insert" or key not in model.sizes):
+                call = cache.insert if op == "insert" else cache.lookup_or_insert
+                with pytest.raises(ValueError, match="size must be positive"):
+                    call(key, size=size)
+                with pytest.raises(ValueError):
+                    getattr(model, op)(key, size)
+            elif op == "insert":
+                assert cache.insert(key, size=size) == model.insert(key, size)
+            else:
+                assert cache.lookup_or_insert(key, size=size) == model.lookup_or_insert(
+                    key, size
+                )
+            check_same(cache, model, keys)
+
+    @given(lfu_codes(UNIT_SIZES), st.sampled_from([0, 1, 2, 4]), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_unit_sizes(self, codes, capacity, reset):
+        self.drive(codes, capacity, reset, UNIT_SIZES)
+
+    @given(lfu_codes(MIXED_SIZES), st.sampled_from([0, 1, 4, 7, 12]), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_mixed_sizes(self, codes, capacity, reset):
+        self.drive(codes, capacity, reset, MIXED_SIZES)
 
 
 class TestPerfectLfu:

@@ -5,6 +5,49 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import CLIENT_TIER, PROXY_TIER, TieredCache
+from tests.cache.test_lfu import NaiveLfu
+from tests.cache.test_topk import NaiveBudgetTracker, NaiveTracker, pop_order, records
+
+
+class NaiveTiered:
+    """``request`` as the schemes used to spell it -- ``lookup_tier``, then
+    ``insert`` on a miss -- over the naive LFU and the naive trackers
+    (count mode: the rebalance loop; byte mode: the whole pass)."""
+
+    def __init__(self, proxy, client, reset, by_bytes, value_fn=None):
+        self.lfu = NaiveLfu(proxy + client, reset_on_evict=reset)
+        self.events = []
+        self.by_bytes = by_bytes
+        self.value_fn = value_fn or (lambda _key, freq: float(freq))
+        if by_bytes:
+            self.tiers = NaiveBudgetTracker(
+                proxy, lambda key, in_top: self.events.append((key, in_top))
+            )
+        else:
+            self.tiers = NaiveTracker(proxy)
+
+    def add(self, key, size=None):
+        value = self.value_fn(key, self.lfu.counts[key])
+        if self.by_bytes:
+            self.tiers.add(key, value, size)
+        else:
+            self.tiers.add(key, value)
+
+    def request(self, key, size):
+        lfu, tiers = self.lfu, self.tiers
+        if lfu.lookup(key):
+            before = key in tiers.top
+            self.add(key)
+            return PROXY_TIER if before else CLIENT_TIER
+        for victim in lfu.insert(key, size):
+            tiers.remove(victim)
+        if key in lfu.sizes:
+            self.add(key, size)
+        return None
+
+    def remove(self, key):
+        self.tiers.remove(key)
+        return self.lfu.remove(key)
 
 
 class TestBasics:
@@ -151,3 +194,109 @@ class TestInvariants:
         counts = Counter(refs)
         for k, n in counts.items():
             assert c.frequency(k) == n
+
+
+#: One operation is one integer, decoded by ``divmod`` (op, key, size).
+TIER_OPS = ["request"] * 6 + ["remove"]
+TIER_KEYS = 8
+
+
+def tier_codes(n_sizes):
+    return st.lists(
+        st.integers(min_value=0, max_value=len(TIER_OPS) * TIER_KEYS * n_sizes - 1),
+        min_size=60,
+        max_size=300,
+    )
+
+
+class TestRequestAgainstNaiveModels:
+    """``request`` inlines the store's refresh and, in count mode, the
+    tracker's case (a) on a proxy-tier hit.  After every operation: the served
+    tier, the LFU's victims-to-be (residents, ``used``, stats, counts),
+    both tracker heaps' pop order (count mode) or ``(priority, seq)``
+    records and events (byte mode), and an ``on_tier`` mirror."""
+
+    @staticmethod
+    def drive(codes, proxy, client, reset, by_bytes, sizes, value_fn=None):
+        mirror, events = {}, []
+
+        def on_tier(key, in_top):
+            events.append((key, in_top))
+            if in_top is None:
+                del mirror[key]
+            else:
+                mirror[key] = in_top
+
+        cache = TieredCache(
+            proxy,
+            client,
+            value_fn=value_fn,
+            lfu_reset_on_evict=reset,
+            on_tier=on_tier,
+            by_bytes=by_bytes,
+        )
+        model = NaiveTiered(proxy, client, reset, by_bytes, value_fn)
+        for code in codes:
+            code, op = divmod(code, len(TIER_OPS))
+            size, key = divmod(code, TIER_KEYS)
+            if TIER_OPS[op] == "request":
+                assert cache.request(key, sizes[size]) == model.request(key, sizes[size])
+            else:
+                assert cache.remove(key) is model.remove(key)
+            store, tiers, naive = cache._store, cache._tiers, model.tiers
+            assert set(store.keys()) == set(model.lfu.sizes) == set(tiers)
+            assert len(store) == model.lfu.used
+            assert cache.stats.as_dict() == model.lfu.stats.as_dict()
+            assert {k: cache.frequency(k) for k in range(TIER_KEYS)} == {
+                k: model.lfu.counts.get(k, 0) for k in range(TIER_KEYS)
+            }
+            assert mirror == {k: tiers.in_top(k) for k in tiers}
+            if by_bytes:
+                assert records(tiers._top) == records(naive.top)
+                assert records(tiers._rest) == records(naive.rest)
+                assert tiers.top_bytes == naive.top_bytes
+                assert events == model.events
+            else:
+                assert pop_order(tiers._top) == pop_order(naive.top)
+                assert pop_order(tiers._rest) == pop_order(naive.rest)
+
+    @given(
+        tier_codes(1),
+        st.integers(min_value=0, max_value=3),
+        st.sampled_from([0, 1, 2, 5]),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_count_mode(self, codes, proxy, client, reset):
+        self.drive(codes, proxy, client, reset, False, [1])
+
+    @given(
+        tier_codes(5),
+        st.sampled_from([0, 3, 4, 9]),
+        st.sampled_from([0, 2, 6, 12]),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_byte_mode(self, codes, proxy, client, reset):
+        self.drive(codes, proxy, client, reset, True, [1, 1, 2, 3, 5])
+
+    @given(
+        tier_codes(1),
+        st.integers(min_value=0, max_value=3),
+        st.sampled_from([0, 1, 2, 5]),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_value_fn(self, codes, proxy, client, reset):
+        # Not monotone in the frequency: a hit can lower a proxy resident's
+        # value, so ``request`` takes its value-drop fall-through.
+        self.drive(codes, proxy, client, reset, False, [1], cyclic_value)
+
+
+def cyclic_value(key, freq):
+    return float((freq * 3 + key) % 5)
+    def test_unit_sizes_only(self):
+        c = TieredCache(1, 1)
+        with pytest.raises(ValueError, match="unit object sizes"):
+            c.request("a", 2)
+        assert c.stats.misses == 0 and len(c) == 0

@@ -1,4 +1,4 @@
-"""Deterministic guards on Hier-GD's request path: frames and exchanges.
+"""Deterministic guards on the request paths: frames and exchanges.
 
 The ledger's 20 % bound would let a 12 % slip through, and needs a quiet
 host; these count instead of timing:
@@ -21,7 +21,10 @@ host; these count instead of timing:
 * a fault-free run asks the transport for nothing it did not ask for
   before the engine took the faulty runs: no exchange at all on an exact
   directory, and on a Bloom directory only the push protocol's scan —
-  one ``PUSH`` per request it ends up serving.
+  one ``PUSH`` per request it ends up serving;
+* the unified-LFU family (NC, SC, NC-EC, SC-EC) serves a local-proxy hit
+  in two frames, the scheme's ``process`` and one cache call, and an NC
+  request of any tier in two as well.
 """
 
 import dataclasses
@@ -41,7 +44,7 @@ from repro.core.simulator import CachingScheme
 from repro.experiments.robustness import robustness_plan
 from repro.experiments.runner import base_config
 from repro.faults.run import run_scheme_with_faults
-from repro.netmodel import TIER_COOP_P2P, TIER_LOCAL_PROXY
+from repro.netmodel import TIER_COOP_P2P, TIER_LOCAL_PROXY, TIER_SERVER
 from repro.protocol.trace import recording_traces
 from repro.protocol.transport import Transport
 
@@ -57,11 +60,10 @@ def guard_config(sizes="unit", **overrides):
     return dataclasses.replace(cfg, workload=wl, n_proxies=3, **overrides)
 
 
-def test_recorded_faulty_proxy_hit_enters_two_frames(monkeypatch, tmp_path):
-    config = guard_config(directory="bloom")
-    traces = generate_workloads(config, seed=0)
-    plan = robustness_plan(0.1)
-    #: Python frames entered per request, by the tier that served it.
+def frames_by_tier(monkeypatch, go):
+    """``{served tier: Counter(Python frames entered per request)}`` of the
+    run ``go()`` makes, counted from the scheme's ``process`` down, below
+    the simulator's ``map``; returns it with ``go()``'s result."""
     frames = {}
     run = CachingScheme.run
 
@@ -88,10 +90,17 @@ def test_recorded_faulty_proxy_hit_enters_two_frames(monkeypatch, tmp_path):
             sys.setprofile(None)
 
     monkeypatch.setattr(CachingScheme, "run", profiled_run)
+    return frames, go()
+
+
+def test_recorded_faulty_proxy_hit_enters_two_frames(monkeypatch, tmp_path):
+    config = guard_config(directory="bloom")
+    traces = generate_workloads(config, seed=0)
+    plan = robustness_plan(0.1)
     with recording_traces(tmp_path) as recorder:
-        result = run_scheme_with_faults(
+        frames, result = frames_by_tier(monkeypatch, lambda: run_scheme_with_faults(
             "hier-gd", config, traces, plan, seed=0, backend="async"
-        )
+        ))
     assert recorder.written and result.messages["timeouts"] > 0
 
     hits = frames[TIER_LOCAL_PROXY]
@@ -224,6 +233,38 @@ def test_fault_free_run_answers_from_the_state_indexes(sizes, monkeypatch):
     # Diverted objects are found through ``_locate``: the guard bites.
     assert entered.pop("_locate") > 0
     assert not entered
+
+
+@pytest.mark.parametrize(
+    "name,sizes",
+    [("nc", "unit"), ("nc", "sized"), ("sc", "unit"), ("sc", "sized"),
+     ("nc-ec", "unit"), ("sc-ec", "unit")],
+)
+def test_lfu_family_request_enters_the_scheme_and_one_cache_call(
+    name, sizes, monkeypatch
+):
+    """NC, SC, NC-EC and SC-EC serve a local-proxy hit in two Python frames:
+    the scheme's ``process`` and one cache call (``LfuCache.
+    lookup_or_insert``; ``TieredCache.request``, whose count-mode tracker
+    keeps a proxy-tier hit a dict write), sizes read inline.  An NC request
+    of any tier is two frames too: the LFU admits a miss, victims and heap
+    push included, in the frame of ``lookup_or_insert``.  Byte-budget
+    placements go to the tracker's methods, so a sized -EC hit is not held
+    to two.  The parent entered, per unit request: NC 3 on a hit (a
+    ``_size_of`` frame) and 6-8 on a miss (``_bump`` → ``insert`` →
+    ``pop_min`` → ``_materialize_min`` → ``push``), SC 3 on a hit, NC-EC
+    and SC-EC 6 on a proxy-tier hit (``lookup_tier`` → ``LfuCache.lookup``
+    → the default value's lambda → ``TopKTracker.add`` → ``HeapDict.push``)."""
+    config = guard_config(sizes)
+    frames, result = frames_by_tier(monkeypatch, lambda: run_scheme(name, config, seed=0))
+    assert sum(sum(c.values()) for c in frames.values()) == result.n_requests
+    hits = frames[TIER_LOCAL_PROXY]
+    assert sum(hits.values()) > 1_000 and max(hits) <= 2
+    if name == "nc":
+        assert frames[TIER_SERVER] and max(max(c) for c in frames.values()) <= 2
+    else:
+        # Cooperation and the tracker's moves do real work: not vacuous.
+        assert max(max(c) for tier, c in frames.items() if tier != TIER_LOCAL_PROXY) > 2
 
 
 @pytest.mark.parametrize("sizes", ["unit", "sized"])

@@ -2,8 +2,11 @@
 
 import dataclasses
 
-from repro.core.run import generate_workloads, run_scheme
+import pytest
+
+from repro.core.run import SCHEME_REGISTRY, generate_workloads, run_scheme
 from repro.experiments.robustness import robustness_plan
+from repro.netmodel import TIER_LOCAL_P2P, TIER_LOCAL_PROXY
 from repro.experiments.runner import base_config
 from repro.faults import run_scheme_with_faults
 from repro.perf import (
@@ -134,6 +137,39 @@ class TestOpCounters:
         scheme.cache = FakeCache()
         collector.record("s", scheme)
         assert collector.per_scheme["s"]["n_caches"] == 0
+
+
+class TestLfuFamilyStats:
+    """``op_counters_for`` reads every cache's ``CacheStats``, so a fused
+    request path that drops a counter would corrupt ``--profile``
+    silently.  Without warmup every request is one reference of its
+    cluster's cache, and only a hit is served locally."""
+
+    @pytest.mark.parametrize("sizes", ["off", "heavy-tailed"])
+    @pytest.mark.parametrize("name", ["nc", "sc", "nc-ec", "sc-ec"])
+    def test_counters_match_the_result(self, name, sizes):
+        cfg = tiny_config()
+        cfg = dataclasses.replace(
+            cfg,
+            warmup_fraction=0.0,
+            proxy_cache_fraction=0.1,
+            workload=dataclasses.replace(cfg.workload, object_sizes=sizes),
+        )
+        traces = generate_workloads(cfg, seed=0)
+        scheme = SCHEME_REGISTRY[name](cfg, traces)
+        result = scheme.run()
+        assert result.n_requests == sum(len(t) for t in traces)
+        for cache, trace in zip(scheme.caches, traces):
+            stats = cache.stats
+            assert stats.hits + stats.misses == len(trace)
+            assert stats.insertions - stats.evictions == len(list(cache.keys()))
+            assert stats.evictions > 0
+        local = result.tier_counts.get(TIER_LOCAL_PROXY, 0)
+        local += result.tier_counts.get(TIER_LOCAL_P2P, 0)
+        counters = op_counters_for(scheme)
+        assert counters["n_caches"] == len(traces)
+        assert counters["hits"] == local
+        assert counters["hits"] + counters["misses"] == result.n_requests
 
 
 class TestProfileScheme:
