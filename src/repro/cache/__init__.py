@@ -3,7 +3,9 @@
 - :class:`LruCache` — reference policy (and ProWGen's stack model).
 - :class:`LfuCache` — NC / SC / NC-EC / SC-EC replacement (§2).
 - :class:`GreedyDualCache` — Young's greedy-dual, the core of Hier-GD (§3).
-- :class:`CostBenefitCache` — FC / FC-EC value-based replacement (§2).
+- :class:`CostBenefitCache` — FC / FC-EC's value-based replacement as one
+  cache (§2): a reference for tests and the ledger; the schemes run their
+  own coordinated copy store.
 - :class:`TieredCache` — the unified proxy + P2P cache of the -EC model.
 - :class:`HeapDict` — shared addressable lazy-deletion heap.
 """

@@ -1,4 +1,4 @@
-"""Cost-benefit replacement — the FC / FC-EC upper-bound policy.
+"""Cost-benefit replacement — the FC / FC-EC upper-bound policy, one cache.
 
 The paper (§2): "FC and FC-EC use a cost-benefit replacement to minimize
 the average access latency of all the clients in the proxy cluster. ...
@@ -25,10 +25,13 @@ Eviction removes the copy with minimum value *density* — value per byte,
 minimum value itself (``x / 1 == x`` exactly), so the size-aware
 generalisation leaves every equal-size result byte-identical.  Capacity
 is accounted in the same units as the inserted sizes (objects under the
-paper's assumption, bytes when the workload carries real sizes).  The
-cluster-level coordination (placement of first copies vs duplicates
-across proxies) lives in :mod:`repro.core.schemes.full`; this class is
-the single-cache building block it and the unified -EC caches use.
+paper's assumption, bytes when the workload carries real sizes).
+
+No scheme runs this class: FC and FC-EC coordinate placement across
+proxies in :mod:`repro.core.schemes.full`, over their own ``HeapDict``
+copy store, and the -EC caches are LFU-ranked (:mod:`repro.cache.tiered`).
+It is the single-cache reference of the policy, which the tests and the
+performance ledger's ``cache.costbenefit_ops_per_s`` probe exercise.
 """
 
 from __future__ import annotations

@@ -16,9 +16,8 @@ though replacement is unified.
   the -EC schemes can never hit less often than their plain counterparts
   with the same proxy size;
 * **tier membership** is a :class:`~repro.cache.topk.TopKTracker`: the
-  ``proxy_capacity`` most valuable residents count as the proxy tier
-  (value = reference frequency by default; FC-EC supplies a cost-benefit
-  ``value_fn``).  A resident whose value grows past the proxy minimum is
+  ``proxy_capacity`` most frequently referenced residents count as the
+  proxy tier.  A resident whose frequency grows past the proxy minimum is
   promoted on access — operationally this is the object being re-fetched
   through the proxy, so the upper-bound model stays implementable.
 
@@ -52,7 +51,6 @@ class TieredCache(Cache):
         "proxy_capacity",
         "client_capacity",
         "by_bytes",
-        "_value_fn",
         "_store",
         "_tiers",
     )
@@ -61,7 +59,6 @@ class TieredCache(Cache):
         self,
         proxy_capacity: int,
         client_capacity: int,
-        value_fn: Callable[[Hashable, int], float] | None = None,
         lfu_reset_on_evict: bool = False,
         on_tier: Callable[[Hashable, bool | None], None] | None = None,
         by_bytes: bool = False,
@@ -73,9 +70,6 @@ class TieredCache(Cache):
             Objects the proxy tier holds (hits cost ``Tl``).
         client_capacity:
             Objects the client tier (the aggregated P2P cache) holds.
-        value_fn:
-            ``(key, frequency) -> value`` ranking residents into tiers.
-            Default: the frequency itself (the paper's unified LFU).
         lfu_reset_on_evict:
             Counting mode of the underlying unified LFU (see
             :class:`~repro.cache.lfu.LfuCache`).
@@ -95,8 +89,6 @@ class TieredCache(Cache):
         self.proxy_capacity = proxy_capacity
         self.client_capacity = client_capacity
         self.by_bytes = by_bytes
-        #: None: the frequency itself, read without a call.
-        self._value_fn = value_fn
         self._store = LfuCache(self.capacity, reset_on_evict=lfu_reset_on_evict)
         self._tiers = TopKTracker(
             proxy_capacity,
@@ -133,11 +125,6 @@ class TieredCache(Cache):
     def frequency(self, key: Hashable) -> int:
         return self._store.frequency(key)
 
-    def _value(self, key: Hashable) -> float:
-        freq = self._store.frequency(key)
-        value_fn = self._value_fn
-        return float(freq) if value_fn is None else value_fn(key, freq)
-
     # -- policy operations --------------------------------------------------
 
     def lookup(self, key: Hashable) -> bool:
@@ -155,7 +142,7 @@ class TieredCache(Cache):
         store = self._store
         if key in store._sizes:
             store.lookup(key)  # bumps the count, updates the LFU heap
-            if self._tiers.add(key, self._value(key)):
+            if self._tiers.add(key, float(store.frequency(key))):
                 return PROXY_TIER
             return CLIENT_TIER
         store.lookup(key)  # a miss still counts as a reference
@@ -167,16 +154,15 @@ class TieredCache(Cache):
 
         A proxy-tier hit stays in this frame: the store's refresh
         (``LfuCache.lookup``'s hit) and, in count mode, the tracker's
-        case (a) -- a value that does not drop is ``HeapDict``'s lazy
-        raise -- are a dict write each, by friend access.  A client-tier
-        hit, a value drop and any byte-budget placement go to
+        case (a) -- a resident's frequency never drops, so its new value
+        is ``HeapDict``'s lazy raise -- are a dict write each, by friend
+        access.  A client-tier hit and any byte-budget placement go to
         ``TopKTracker.add`` / ``remove``.  A miss is one
         ``LfuCache.lookup_or_insert``, then ``remove`` for its victims and
         ``add`` for the admitted key (``tests/cache/test_tiered.py`` holds
         the path to the naive models).
         """
         store = self._store
-        value_fn = self._value_fn
         if key in store._sizes:
             freq = store._freq
             f = freq[key] + 1
@@ -186,12 +172,12 @@ class TieredCache(Cache):
             heap._seq = seq
             heap._live[key] = (f, seq, False)
             store.stats.hits += 1
-            value = float(f) if value_fn is None else value_fn(key, f)
+            value = float(f)
             tiers = self._tiers
             if not self.by_bytes:
                 top = tiers._top
                 held = top._live.get(key)
-                if held is not None and value >= held[0]:
+                if held is not None:
                     seq = top._seq + 1
                     top._seq = seq
                     top._live[key] = (value, seq, False)
@@ -206,8 +192,7 @@ class TieredCache(Cache):
         for victim in evicted:
             tiers.remove(victim)
         if key in store._sizes:
-            f = store._freq[key]
-            tiers.add(key, float(f) if value_fn is None else value_fn(key, f), size)
+            tiers.add(key, float(store._freq[key]), size)
         return None
 
     def insert(self, key: Hashable, cost: float = 1.0, size: int = 1) -> list[Hashable]:
@@ -218,7 +203,7 @@ class TieredCache(Cache):
         for victim in evicted:
             self._tiers.remove(victim)
         if self._store.contains(key):
-            self._tiers.add(key, self._value(key), size=size)
+            self._tiers.add(key, float(self._store.frequency(key)), size=size)
         return evicted
 
     def remove(self, key: Hashable) -> bool:

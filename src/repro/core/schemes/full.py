@@ -52,11 +52,8 @@ class FcScheme(CachingScheme):
         transport: Transport | None = None,
     ) -> None:
         super().__init__(config, traces, transport)
-        if self.transport.faulty:
-            # Same scheme, fault semantics from the transport: only the
-            # serving path changes, so swap it in per instance and leave
-            # the plain ``process`` on the class untouched (hot path).
-            self.process = self._process_faulty  # type: ignore[method-assign]
+        #: Ask the transport about remote fetches only under a fault plan.
+        self._faulty = self.transport.faulty
         self._freq = [t.reference_counts() for t in traces]
         self._freq_total = sum(self._freq)
         self.capacity = sum(s.proxy_size for s in self.sizings)
@@ -162,14 +159,7 @@ class FcScheme(CachingScheme):
     # -- request path -------------------------------------------------------------
 
     def process(self, cluster: int, client: int, obj: int) -> str:
-        if obj in self._local[cluster]:
-            return TIER_LOCAL_PROXY
-        tier = TIER_COOP_PROXY if obj in self._holders else TIER_SERVER
-        self._consider_copy(obj, cluster)
-        return tier
-
-    def _process_faulty(self, cluster: int, client: int, obj: int) -> str:
-        """Serving path under a fault transport.
+        """Serve one request.
 
         The coordinated *placement* is an oracle (perfect frequencies),
         so faults bite only the serving path: a remote hit that cannot
@@ -179,7 +169,9 @@ class FcScheme(CachingScheme):
         """
         if obj in self._local[cluster]:
             return TIER_LOCAL_PROXY
-        if obj in self._holders and self.transport.attempt(PROXY_FETCH):
+        if obj in self._holders and (
+            not self._faulty or self.transport.attempt(PROXY_FETCH)
+        ):
             tier = TIER_COOP_PROXY
         else:
             tier = TIER_SERVER

@@ -83,27 +83,7 @@ class FcEcScheme(FcScheme):
     # -- request path ---------------------------------------------------------
 
     def process(self, cluster: int, client: int, obj: int) -> str:
-        if obj in self._local[cluster]:
-            return (
-                TIER_LOCAL_PROXY
-                if self._tiers[cluster].in_top(obj)
-                else TIER_LOCAL_P2P
-            )
-        holders = self._holders.get(obj)
-        if holders:
-            # Prefer a remote proxy-tier copy over a remote P2P push.
-            tier = TIER_COOP_P2P
-            for q in holders:
-                if self._tiers[q].in_top(obj):
-                    tier = TIER_COOP_PROXY
-                    break
-        else:
-            tier = TIER_SERVER
-        self._consider_copy(obj, cluster)
-        return tier
-
-    def _process_faulty(self, cluster: int, client: int, obj: int) -> str:
-        """Serving path under a fault transport.
+        """Serve one request.
 
         A remote proxy-tier hit rides the cooperating-proxy link; a
         remote client-tier hit rides the push link (``Tc + Tp2p``).
@@ -118,13 +98,16 @@ class FcEcScheme(FcScheme):
                 else TIER_LOCAL_P2P
             )
         holders = self._holders.get(obj)
-        tier = TIER_SERVER
         if holders:
-            proxy_side = any(self._tiers[q].in_top(obj) for q in holders)
-            if proxy_side:
-                if self.transport.attempt(PROXY_FETCH):
-                    tier = TIER_COOP_PROXY
-            elif self.transport.attempt(PUSH):
-                tier = TIER_COOP_P2P
+            # Prefer a remote proxy-tier copy over a remote P2P push.
+            tier, exchange = TIER_COOP_P2P, PUSH
+            for q in holders:
+                if self._tiers[q].in_top(obj):
+                    tier, exchange = TIER_COOP_PROXY, PROXY_FETCH
+                    break
+            if self._faulty and not self.transport.attempt(exchange):
+                tier = TIER_SERVER
+        else:
+            tier = TIER_SERVER
         self._consider_copy(obj, cluster)
         return tier

@@ -22,9 +22,9 @@ measurable rather than rhetorical:
   the firewall, so each cluster's Squirrel instance is isolated.
 
 Fair storage comparison: without a proxy box, the machines that would
-have hosted the proxy cache contribute their disk to the pool instead —
-``include_proxy_budget`` (default True) spreads the proxy budget across
-the client caches so Squirrel and Hier-GD manage the same total bytes.
+have hosted the proxy cache contribute their disk to the pool instead:
+the proxy budget is spread across the client caches so Squirrel and
+Hier-GD manage the same total bytes.
 """
 
 from __future__ import annotations
@@ -51,9 +51,6 @@ class SquirrelScheme(CachingScheme):
 
     name = "squirrel"
 
-    #: Spread the proxy cache budget over the client pool (see module doc).
-    include_proxy_budget = True
-
     def __init__(
         self,
         config: SimulationConfig,
@@ -61,9 +58,8 @@ class SquirrelScheme(CachingScheme):
         transport: Transport | None = None,
     ) -> None:
         super().__init__(config, traces, transport)
-        if self.transport.faulty:
-            # Same scheme, fault semantics from the transport (see FC).
-            self.process = self._process_faulty  # type: ignore[method-assign]
+        #: Ask the transport about the home fetch only under a fault plan.
+        self._faulty = self.transport.faulty
         self._t_p2p = config.network.t_p2p
         self.overlays: list[OverlayBackend] = [make_overlay(config) for _ in traces]
         self.idx_of_node: list[dict[int, int]] = []
@@ -86,9 +82,8 @@ class SquirrelScheme(CachingScheme):
                 [f"squirrel{ci}/cache{k}" for k in range(sizing.n_clients)]
             )
             mapping = {node.node_id: k for k, node in enumerate(nodes)}
-            per_client = sizing.client_size
-            if self.include_proxy_budget:
-                per_client += sizing.proxy_size // max(1, sizing.n_clients)
+            # The proxy budget spread over the client pool (see module doc).
+            per_client = sizing.client_size + sizing.proxy_size // max(1, sizing.n_clients)
             homes = [LruCache(per_client) for _ in range(sizing.n_clients)]
             owners = build_owner_table(
                 overlay, keys, sample_rate=config.hop_sample_rate, record_stats=True
@@ -98,6 +93,18 @@ class SquirrelScheme(CachingScheme):
             self._home_table.append([homes[mapping[nid]] for nid in owners])
 
     def process(self, cluster: int, client: int, obj: int) -> str:
+        """Serve one request.
+
+        Every request rides the overlay to its home node, so the
+        client↔client fetch is the faultable exchange: when the retry
+        budget is spent the requester fetches from the origin directly
+        and the home store learns nothing (no proxy tier exists to fall
+        back through — exactly the §6 structural weakness the paper
+        holds against Squirrel, measurable here as degradation toward
+        and below NC).
+        """
+        if self._faulty and not self.transport.attempt(P2P_FETCH):
+            return TIER_SERVER
         hit, _ = self._home_table[cluster][obj].lookup_or_insert(
             obj, size=self._size_of(obj)
         )
@@ -108,21 +115,6 @@ class SquirrelScheme(CachingScheme):
         # round trip.
         self.add_extra_latency(self._t_p2p)
         return TIER_SERVER
-
-    def _process_faulty(self, cluster: int, client: int, obj: int) -> str:
-        """Serving path under a fault transport.
-
-        Every request rides the overlay to its home node, so the
-        client↔client fetch is the faultable exchange: when the retry
-        budget is spent the requester fetches from the origin directly
-        and the home store learns nothing (no proxy tier exists to fall
-        back through — exactly the §6 structural weakness the paper
-        holds against Squirrel, measurable here as degradation toward
-        and below NC).
-        """
-        if not self.transport.attempt(P2P_FETCH):
-            return TIER_SERVER
-        return SquirrelScheme.process(self, cluster, client, obj)
 
     def finalize(self) -> tuple[dict[str, int], dict[str, float]]:
         total_msgs = sum(o.stats.messages for o in self.overlays)

@@ -140,103 +140,73 @@ class CachingScheme(ABC):
         peer view, where presence digests are exchanged."""
 
     def run(self) -> SchemeResult:
-        """Replay all traces and return the aggregated result."""
+        """Replay all traces and return the aggregated result.
+
+        Each block of request indexes is flattened into the round-robin
+        interleave with one numpy transpose, so the request loop runs
+        entirely inside ``map`` — no per-request interpreter iteration,
+        length checks or warmup branching.  A cluster whose trace has run
+        out drops out of the interleave (a length mask over the window).
+        The warmup prefix is drained into a zero-length deque (statistics
+        excluded), the rest is tallied by ``Counter`` at C speed, and
+        latency is aggregated per tier at the end instead of per request.
+        Chunk-backed traces run the same loop one chunk window at a time.
+        """
         net = self.config.network
         latency_of = {tier: net.latency(tier) for tier in ALL_TIERS}
-        tier_counts = dict.fromkeys(ALL_TIERS, 0)
-        total_latency = 0.0
-        n_requests = 0
         # Byte accounting (size-aware runs only): bytes served per tier
-        # over the measured window.  ``None`` keeps the equal-size request
-        # loop on its original path.
-        bytes_by_tier = (
-            dict.fromkeys(ALL_TIERS, 0) if self.sizes is not None else None
-        )
+        # over the measured window.
+        size_of = self._size_list
+        bytes_by_tier = dict.fromkeys(ALL_TIERS, 0) if size_of is not None else None
 
-        process = self.process
-        lengths = {len(t) for t in self.traces}
-        total_expected = sum(len(t) for t in self.traces)
-        warmup_n = self._warmup_requests(total_expected)
+        traces = self.traces
+        ends = np.array([len(t) for t in traces])
+        shortest, longest, total = int(ends.min()), int(ends.max()), int(ends.sum())
+        warmup_n = self._warmup_requests(total)
         self._in_warmup = warmup_n > 0
-
-        if len(lengths) == 1:
-            # Equal-length traces (every generated workload): flatten the
-            # round-robin interleave up front with one numpy transpose so
-            # the request loop runs entirely inside ``map`` — no
-            # per-request interpreter iteration, length checks, or warmup
-            # branching.  The warmup prefix is drained into a zero-length
-            # deque (statistics excluded), the rest is tallied by
-            # ``Counter`` at C speed, and latency is aggregated per tier
-            # at the end instead of per request.  Chunk-backed traces run
-            # the identical loop one chunk window at a time.
-            n_clusters = len(self.traces)
-            length = lengths.pop()
-            if length:
-                block = self._block_requests(length)
-                counted: Counter = Counter()
-                to_warm = warmup_n
-                for a in range(0, length, block):
-                    b = min(length, a + block)
-                    objs = np.stack(
-                        [t.object_slice(a, b) for t in self.traces], axis=1
-                    ).ravel().tolist()
-                    clients = np.stack(
-                        [t.client_slice(a, b) for t in self.traces], axis=1
-                    ).ravel().tolist()
-                    clusters = list(range(n_clusters)) * (b - a)
-                    tiers = map(process, clusters, clients, objs)
-                    if bytes_by_tier is None:
-                        if to_warm:
-                            drained = min(to_warm, (b - a) * n_clusters)
-                            deque(islice(tiers, drained), maxlen=0)  # warm
-                            to_warm -= drained
-                            if to_warm == 0:
-                                self._in_warmup = False
-                        counted.update(tiers)
-                    else:
-                        # Sized runs keep the served tiers aligned with the
-                        # request stream so bytes land on the right tier.
-                        served = list(tiers)
-                        skip = 0
-                        if to_warm:
-                            skip = min(to_warm, len(served))
-                            to_warm -= skip
-                            if to_warm == 0:
-                                self._in_warmup = False
-                        counted.update(served[skip:])
-                        size_of = self._size_list
-                        for tier, obj in zip(served[skip:], objs[skip:]):
-                            bytes_by_tier[tier] += size_of[obj]
-                    self._after_block(b)
-                self._in_warmup = False
-                tier_counts.update(counted)
-                n_requests = length * n_clusters - warmup_n
-                total_latency = sum(
-                    latency_of[t] * n for t, n in tier_counts.items() if n
-                )
-        else:
-            # Ragged traces (hand-built tests): the original general loop.
-            streams = [
-                (t.object_ids.tolist(), t.client_ids.tolist()) for t in self.traces
-            ]
-            longest = max(len(objs) for objs, _ in streams)
-            active = [c for c, (objs, _) in enumerate(streams) if objs]
-            processed = 0
-            for i in range(longest):
-                for c in active:
-                    objs, clients = streams[c]
-                    if i < len(objs):
-                        tier = process(c, clients[i], objs[i])
-                        processed += 1
-                        if processed <= warmup_n:
-                            if processed == warmup_n:
-                                self._in_warmup = False
-                            continue  # caches warm, statistics excluded
-                        tier_counts[tier] += 1
-                        total_latency += latency_of[tier]
-                        n_requests += 1
-                        if bytes_by_tier is not None:
-                            bytes_by_tier[tier] += self._size_list[objs[i]]
+        counted: Counter = Counter()
+        to_warm = warmup_n
+        block = self._block_requests(longest)
+        for a in range(0, longest, block):
+            b = min(longest, a + block)
+            if b <= shortest:
+                objs = np.stack(
+                    [t.object_slice(a, b) for t in traces], axis=1
+                ).ravel().tolist()
+                clients = np.stack(
+                    [t.client_slice(a, b) for t in traces], axis=1
+                ).ravel().tolist()
+                clusters = list(range(len(traces))) * (b - a)
+            else:
+                # A trace ends inside the window: ``np.resize`` fills the
+                # short slices' tails and the length mask drops them.
+                live = np.arange(a, b)[:, None] < ends
+                objs = np.stack(
+                    [np.resize(t.object_slice(a, b), b - a) for t in traces], axis=1
+                )[live].tolist()
+                clients = np.stack(
+                    [np.resize(t.client_slice(a, b), b - a) for t in traces], axis=1
+                )[live].tolist()
+                clusters = live.nonzero()[1].tolist()
+            tiers = map(self.process, clusters, clients, objs)
+            skip = min(to_warm, len(objs))
+            if skip:
+                deque(islice(tiers, skip), maxlen=0)  # caches warm
+                to_warm -= skip
+                self._in_warmup = to_warm > 0
+            if bytes_by_tier is None:
+                counted.update(tiers)
+            else:
+                # Sized runs keep the served tiers aligned with the
+                # request stream so bytes land on the right tier.
+                served = list(tiers)
+                counted.update(served)
+                for tier, obj in zip(served, objs[skip:]):
+                    bytes_by_tier[tier] += size_of[obj]
+            self._after_block(b)
+        self._in_warmup = False
+        tier_counts = {t: counted[t] for t in ALL_TIERS if counted[t]}
+        total_latency = sum(latency_of[t] * n for t, n in tier_counts.items())
 
         messages, extras = self.finalize()
         if bytes_by_tier is not None:
@@ -250,9 +220,9 @@ class CachingScheme(ABC):
             )
         return SchemeResult(
             scheme=self.name,
-            n_requests=n_requests,
+            n_requests=total - warmup_n,
             total_latency=total_latency + self.extra_latency,
-            tier_counts={t: n for t, n in tier_counts.items() if n},
+            tier_counts=tier_counts,
             messages=messages,
             extras=extras,
         )

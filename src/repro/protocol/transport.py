@@ -77,9 +77,12 @@ _REFUSED = LadderOutcome(False, (), {})
 def attach_request_counter(transport: Any, scheme: Any) -> None:
     """Wrap ``scheme.process`` so ``transport._req`` tracks the request index.
 
-    Installed *after* full scheme construction — faulty schemes rebind
-    ``self.process`` in their own ``__init__`` (after ``super()``), so a
-    wrapper placed at ``bind`` time would be silently clobbered.
+    Installed by the layer's ``attach``, which
+    :func:`~repro.core.run.assemble_run` calls on the finished scheme, in
+    one fixed order, for each layer that counts requests (an event-fed
+    carrier, the recording): each keeps its own counter, and the
+    wrappers chain.  :meth:`Transport.bind` only hands over the latency
+    sink, from inside ``CachingScheme.__init__``.
     """
     process = scheme.process
 

@@ -14,11 +14,10 @@ class NaiveTiered:
     ``insert`` on a miss -- over the naive LFU and the naive trackers
     (count mode: the rebalance loop; byte mode: the whole pass)."""
 
-    def __init__(self, proxy, client, reset, by_bytes, value_fn=None):
+    def __init__(self, proxy, client, reset, by_bytes):
         self.lfu = NaiveLfu(proxy + client, reset_on_evict=reset)
         self.events = []
         self.by_bytes = by_bytes
-        self.value_fn = value_fn or (lambda _key, freq: float(freq))
         if by_bytes:
             self.tiers = NaiveBudgetTracker(
                 proxy, lambda key, in_top: self.events.append((key, in_top))
@@ -27,7 +26,7 @@ class NaiveTiered:
             self.tiers = NaiveTracker(proxy)
 
     def add(self, key, size=None):
-        value = self.value_fn(key, self.lfu.counts[key])
+        value = float(self.lfu.counts[key])
         if self.by_bytes:
             self.tiers.add(key, value, size)
         else:
@@ -132,13 +131,6 @@ class TestBasics:
         with pytest.raises(ValueError):
             TieredCache(1, 1).insert("a", size=2)
 
-    def test_custom_value_fn(self):
-        # Benefit-weighted ordering: key "vip" always outranks others.
-        c = TieredCache(1, 1, value_fn=lambda k, f: f * (100.0 if k == "vip" else 1.0))
-        c.insert("vip")
-        c.insert("plain")
-        assert c.tier_of("vip") == PROXY_TIER
-
 
 class TestInvariants:
     def test_occupancy_never_exceeds_tier_capacities(self):
@@ -217,7 +209,7 @@ class TestRequestAgainstNaiveModels:
     records and events (byte mode), and an ``on_tier`` mirror."""
 
     @staticmethod
-    def drive(codes, proxy, client, reset, by_bytes, sizes, value_fn=None):
+    def drive(codes, proxy, client, reset, by_bytes, sizes):
         mirror, events = {}, []
 
         def on_tier(key, in_top):
@@ -230,12 +222,11 @@ class TestRequestAgainstNaiveModels:
         cache = TieredCache(
             proxy,
             client,
-            value_fn=value_fn,
             lfu_reset_on_evict=reset,
             on_tier=on_tier,
             by_bytes=by_bytes,
         )
-        model = NaiveTiered(proxy, client, reset, by_bytes, value_fn)
+        model = NaiveTiered(proxy, client, reset, by_bytes)
         for code in codes:
             code, op = divmod(code, len(TIER_OPS))
             size, key = divmod(code, TIER_KEYS)
@@ -280,21 +271,6 @@ class TestRequestAgainstNaiveModels:
     def test_byte_mode(self, codes, proxy, client, reset):
         self.drive(codes, proxy, client, reset, True, [1, 1, 2, 3, 5])
 
-    @given(
-        tier_codes(1),
-        st.integers(min_value=0, max_value=3),
-        st.sampled_from([0, 1, 2, 5]),
-        st.booleans(),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_value_fn(self, codes, proxy, client, reset):
-        # Not monotone in the frequency: a hit can lower a proxy resident's
-        # value, so ``request`` takes its value-drop fall-through.
-        self.drive(codes, proxy, client, reset, False, [1], cyclic_value)
-
-
-def cyclic_value(key, freq):
-    return float((freq * 3 + key) % 5)
     def test_unit_sizes_only(self):
         c = TieredCache(1, 1)
         with pytest.raises(ValueError, match="unit object sizes"):

@@ -2,25 +2,29 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import SimulationConfig
+from repro.core.schemes import SCHEME_REGISTRY
 from repro.core.simulator import CachingScheme
-from repro.netmodel import TIER_LOCAL_PROXY, TIER_SERVER
+from repro.netmodel import ALL_TIERS, TIER_LOCAL_PROXY, TIER_SERVER
 from repro.workload import ProWGenConfig, Trace
 
 
-def mk_trace(objs, clients=None, n_objects=10, n_clients=4):
+def mk_trace(objs, clients=None, n_objects=10, n_clients=4, sizes=None):
     objs = np.asarray(objs, dtype=np.int64)
     clients = (
         np.zeros(len(objs), dtype=np.int32) if clients is None else np.asarray(clients)
     )
-    return Trace(objs, clients, n_objects=n_objects, n_clients=n_clients)
+    return Trace(objs, clients, n_objects=n_objects, n_clients=n_clients, sizes=sizes)
 
 
-def small_config(n_proxies=2):
+def small_config(n_proxies=2, warmup_fraction=0.0):
     return SimulationConfig(
         workload=ProWGenConfig(n_requests=100, n_objects=10, n_clients=4),
         n_proxies=n_proxies,
+        warmup_fraction=warmup_fraction,
     )
 
 
@@ -104,3 +108,117 @@ class TestEngine:
         b = mk_trace([2, 3, 4])
         r = Recorder(small_config(), [a, b]).run()
         assert r.n_requests == 4
+
+
+# -- ragged traces: the one block loop against the per-request loop ----------
+
+
+class Memo(Recorder):
+    """Order-sensitive dummy: the first request of ``(cluster, obj)`` goes
+    to the server and pays off-tier latency, every repeat is a local hit."""
+
+    name = "memo"
+
+    def __init__(self, config, traces):
+        super().__init__(config, traces)
+        self.held: set[tuple[int, int]] = set()
+
+    def process(self, cluster, client, obj):
+        super().process(cluster, client, obj)
+        if (cluster, obj) in self.held:
+            return TIER_LOCAL_PROXY
+        self.held.add((cluster, obj))
+        self.add_extra_latency(0.25)
+        return TIER_SERVER
+
+
+def naive_run(scheme):
+    """The per-request loop ``run`` once kept for ragged traces: request
+    ``i`` of every cluster whose trace is that long before request
+    ``i + 1`` of any; the first ``warmup`` requests warm the caches and
+    are left out of the statistics one by one.
+
+    Returns ``(n_requests, total_latency, tier_counts, bytes_* extras)``.
+    """
+    latency_of = {tier: scheme.config.network.latency(tier) for tier in ALL_TIERS}
+    tier_counts = dict.fromkeys(ALL_TIERS, 0)
+    bytes_by_tier = dict.fromkeys(ALL_TIERS, 0)
+    total_latency = 0.0
+    n_requests = processed = 0
+    streams = [(t.object_ids.tolist(), t.client_ids.tolist()) for t in scheme.traces]
+    warmup_n = scheme._warmup_requests(sum(len(objs) for objs, _ in streams))
+    scheme._in_warmup = warmup_n > 0
+    for i in range(max(len(objs) for objs, _ in streams)):
+        for c, (objs, clients) in enumerate(streams):
+            if i >= len(objs):
+                continue
+            tier = scheme.process(c, clients[i], objs[i])
+            processed += 1
+            if processed <= warmup_n:
+                if processed == warmup_n:
+                    scheme._in_warmup = False
+                continue
+            tier_counts[tier] += 1
+            total_latency += latency_of[tier]
+            n_requests += 1
+            bytes_by_tier[tier] += scheme._size_of(objs[i])
+    byte_extras = {}
+    if scheme.sizes is not None:
+        byte_extras["bytes_total"] = float(sum(bytes_by_tier.values()))
+        for tier, nbytes in bytes_by_tier.items():
+            if nbytes:
+                byte_extras[f"bytes_{tier}"] = float(nbytes)
+    return (
+        n_requests,
+        total_latency + scheme.extra_latency,
+        {t: n for t, n in tier_counts.items() if n},
+        byte_extras,
+    )
+
+
+@st.composite
+def ragged_runs(draw):
+    """Traces of independent lengths (0 included) over 8 objects."""
+    n_clusters = draw(st.integers(min_value=1, max_value=4))
+    lengths = draw(st.lists(st.integers(0, 14), min_size=n_clusters, max_size=n_clusters))
+    sizes = None
+    if draw(st.booleans()):
+        sizes = np.array(draw(st.lists(st.integers(1, 5), min_size=8, max_size=8)))
+    traces = [
+        mk_trace(
+            draw(st.lists(st.integers(0, 7), min_size=n, max_size=n)),
+            draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+            n_objects=8,
+            sizes=sizes,
+        )
+        for n in lengths
+    ]
+    longest = max(lengths)
+    block = draw(st.one_of(st.none(), st.integers(1, max(1, longest - 1))))
+    return traces, block
+
+
+class TestRaggedTracesAgainstNaiveLoop:
+    @given(
+        ragged_runs(),
+        st.sampled_from([0.0, 0.3, 0.55]),
+        st.sampled_from(["memo", "nc", "sc-ec", "fc", "fc-ec", "squirrel", "hier-gd"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_run_matches_the_per_request_loop(self, run, warmup, name):
+        traces, block = run
+        config = small_config(n_proxies=len(traces), warmup_fraction=warmup)
+        cls = Memo if name == "memo" else SCHEME_REGISTRY[name]
+        engine, model = cls(config, traces), cls(config, traces)
+        if block is not None:
+            engine._block_requests = lambda length: block
+        result = engine.run()
+        n_requests, total_latency, tier_counts, byte_extras = naive_run(model)
+        assert result.n_requests == n_requests
+        assert result.tier_counts == tier_counts
+        assert {k: v for k, v in result.extras.items() if k.startswith("bytes_")} == (
+            byte_extras
+        )
+        assert result.total_latency == pytest.approx(total_latency, rel=1e-12, abs=1e-12)
+        if name == "memo":
+            assert engine.seen == model.seen

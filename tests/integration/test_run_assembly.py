@@ -26,14 +26,22 @@ import pytest
 
 from repro.core.churn import HierGdChurnScheme
 from repro.core.config import SimulationConfig, UnsupportedConfiguration
-from repro.core.run import assemble_run, generate_workloads, run_scheme
+from repro.core.run import (
+    assemble_run,
+    available_schemes,
+    build_scheme,
+    generate_workloads,
+    run_scheme,
+)
 from repro.core.schemes import SCHEME_REGISTRY
 from repro.core.simulator import CachingScheme
 from repro.daemon import LocalCluster, drive_scheme
 from repro.experiments.executor import SweepPoint, run_point
 from repro.experiments.store import deserialize_result, serialize_result
 from repro.faults import NO_FAULTS, FaultPlan, run_scheme_with_faults
+from repro.netmodel import TIER_COOP_P2P, TIER_COOP_PROXY
 from repro.protocol import recording_traces, replay_trace
+from repro.protocol.transport import Transport
 from repro.shard import ShardView, check_shardable
 from repro.workload import ProWGenConfig
 
@@ -97,6 +105,36 @@ def test_all_entry_points_build_the_same_scheme(name, plan_kind, built, cluster,
     else:
         expected = (SCHEME_REGISTRY[name], "proxy_insert", "hier-gd")
     assert built == [expected] * len(built) and len(built) >= 3
+
+
+@pytest.mark.parametrize("plan_kind", list(PLANS))
+@pytest.mark.parametrize("name", available_schemes())
+def test_construction_never_shadows_process(name, plan_kind):
+    """One serving method per scheme: whatever the plan, the built scheme
+    serves through its class's ``process`` (only a layer's ``attach``
+    wraps it, after construction)."""
+    traces = generate_workloads(CONFIG, seed=1)
+    scheme = build_scheme(name, CONFIG, traces, PLANS[plan_kind])
+    assert "process" not in vars(scheme)
+
+
+class RefusingTransport(Transport):
+    """A plain stack that fails the run if the scheme asks it anything."""
+
+    def draw(self, exchange, force_fail=False):
+        raise AssertionError(f"a plain run asked the transport about {exchange}")
+
+
+@pytest.mark.parametrize("name", ["fc", "fc-ec", "squirrel"])
+def test_plain_runs_never_ask_the_transport(name):
+    """The fault-only exchange stays behind the ``_faulty`` guard, so a
+    plain run completes on a stack whose ``draw`` raises."""
+    traces = generate_workloads(CONFIG, seed=1)
+    scheme = SCHEME_REGISTRY[name](CONFIG, traces, transport=RefusingTransport(CONFIG.network))
+    result = scheme.run()
+    assert serialize_result(result) == serialize_result(run_scheme(name, CONFIG, traces))
+    # Squirrel would ask on every request; FC / FC-EC whenever a remote copy serves.
+    assert name == "squirrel" or {TIER_COOP_PROXY, TIER_COOP_P2P} & set(result.tier_counts)
 
 
 # -- the capability matrix ---------------------------------------------------
