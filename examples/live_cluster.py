@@ -6,7 +6,7 @@ servers on localhost — the same daemons ``repro-experiments serve``
 runs in the foreground), drives a faulty Hier-GD workload against it
 with :func:`~repro.daemon.drive_scheme`, verifies the live result
 matches the pure simulation byte for byte, and prints each daemon's
-per-link wire traffic from its observability transport.
+per-link wire traffic from its own counters.
 
 Usage::
 
@@ -59,7 +59,7 @@ def main() -> None:
         verdict = "byte-identical" if identical else "DIVERGED"
         print(f"\nsolo-daemon live run vs pure simulation: {verdict}")
 
-        print("\nper-daemon wire traffic (observability transport):")
+        print("\nper-daemon wire traffic (daemon counters):")
         for stats in cluster.stats():
             who = f"{stats['role']} #{stats['node']}"
             print(f"  {who}: {stats['connections']} connections, "

@@ -212,10 +212,9 @@ def run_scheme(
     :func:`assemble_run` with no fault plan.
 
     ``transport`` optionally replaces the scheme's base transport with a
-    custom stack (e.g. an observability layer, or a
-    :class:`~repro.protocol.transport.FaultTransport` whose plan carries
-    per-link :class:`~repro.protocol.policy.RetryPolicy` strategies);
-    ``None`` keeps the plain always-succeeds carrier.
+    custom stack (e.g. a :class:`~repro.protocol.transport.FaultTransport`
+    whose plan carries per-link :class:`~repro.protocol.policy.RetryPolicy`
+    strategies); ``None`` keeps the plain always-succeeds carrier.
     ``backend="async"`` drives the same stack through
     :class:`~repro.protocol.aio.AsyncTransport` on the simulated clock —
     results stay byte-identical to the synchronous path.

@@ -76,8 +76,8 @@ class CachingScheme(ABC):
         self.extra_latency = 0.0
         self._in_warmup = False
         #: The cooperation-message carrier (:mod:`repro.protocol`): the
-        #: base transport is the fault-free identity; a fault/observability
-        #: stack gives the *same* scheme failure semantics or telemetry.
+        #: base transport is the fault-free identity; a fault or recording
+        #: stack gives the *same* scheme failure semantics or a trace.
         self.transport = Transport(config.network) if transport is None else transport
         self.transport.bind(self)
 

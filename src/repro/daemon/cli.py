@@ -55,14 +55,9 @@ def serve_main(argv: list[str]) -> int:
     parser.add_argument(
         "--node", type=int, default=0, help="node id within the role"
     )
-    parser.add_argument(
-        "--trace",
-        action="store_true",
-        help="keep a bounded per-exchange event trace in the stats",
-    )
     args = parser.parse_args(argv)
 
-    daemon = CacheDaemon(args.role, node=args.node, trace=args.trace)
+    daemon = CacheDaemon(args.role, node=args.node)
 
     async def _serve() -> None:
         host, port = await daemon.start(args.host, args.port)

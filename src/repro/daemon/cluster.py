@@ -39,15 +39,13 @@ class LocalCluster:
         n_clients: int = 1,
         host: str = "127.0.0.1",
         clock: Any = None,
-        trace: bool = False,
     ) -> None:
         if n_clients < 1:
             raise ValueError("a cluster needs at least one client daemon")
         self.host = host
-        self.proxy = CacheDaemon("proxy", node=0, clock=clock, trace=trace)
+        self.proxy = CacheDaemon("proxy", node=0, clock=clock)
         self.clients = [
-            CacheDaemon("client", node=i, clock=clock, trace=trace)
-            for i in range(n_clients)
+            CacheDaemon("client", node=i, clock=clock) for i in range(n_clients)
         ]
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None

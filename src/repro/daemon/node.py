@@ -30,14 +30,9 @@ from __future__ import annotations
 import asyncio
 from typing import Any
 
-from ..netmodel import NetworkConfig
 from ..protocol.aio import RealClock
-from ..protocol.transport import (
-    LadderOutcome,
-    ObservabilityTransport,
-    Transport,
-    build_transport,
-)
+from ..protocol.messages import ALL_EXCHANGES
+from ..protocol.transport import LadderOutcome, Transport, build_transport
 from ..protocol.wire import (
     ROLES,
     SERVED_BY,
@@ -55,6 +50,8 @@ from ..protocol.wire import (
 
 __all__ = ["CacheDaemon"]
 
+_OUTCOMES = ("attempts", "ok", "failed")
+
 
 class CacheDaemon:
     """One node's socket server: proxy or client-cache role.
@@ -71,20 +68,17 @@ class CacheDaemon:
         role: str,
         node: int = 0,
         clock: Any = None,
-        trace: bool = False,
     ) -> None:
         if role not in ROLES:
             raise ValueError(f"role must be one of {ROLES}, got {role!r}")
         self.role = role
         self.node = node
         self.clock = RealClock() if clock is None else clock
-        #: Telemetry: per-exchange attempt/outcome counts and per-link
-        #: rollups, aggregated across every connection this daemon served
-        #: (the network config handed to the throwaway base layer is
-        #: irrelevant — only the counting side of the transport is used).
-        self.observe = ObservabilityTransport(
-            Transport(NetworkConfig()), trace=trace
-        )
+        #: Per-exchange attempt/outcome counts across every connection
+        #: this daemon served (one logical exchange per drawn ladder).
+        self.exchanges = {
+            e.kind: dict.fromkeys(_OUTCOMES, 0) for e in ALL_EXCHANGES
+        }
         #: Simulated latency this node charged across all ladders.
         self.latency_charged = 0.0
         #: Unresponsiveness probes answered (``"u"`` frames).
@@ -130,6 +124,11 @@ class CacheDaemon:
     @property
     def stats(self) -> dict[str, Any]:
         """JSON-safe snapshot of this node's service counters."""
+        links: dict[str, dict[str, int]] = {}
+        for e in ALL_EXCHANGES:
+            dest = links.setdefault(e.link or "lan", dict.fromkeys(_OUTCOMES, 0))
+            for field in _OUTCOMES:
+                dest[field] += self.exchanges[e.kind][field]
         return {
             "role": self.role,
             "node": self.node,
@@ -138,7 +137,8 @@ class CacheDaemon:
             "max_in_flight": self.max_in_flight,
             "latency_charged": self.latency_charged,
             "fault_counters": dict(self.fault_counters),
-            **self.observe.observed,
+            "exchanges": {k: dict(v) for k, v in self.exchanges.items()},
+            "links": links,
         }
 
     # -- connection handling -------------------------------------------------
@@ -248,7 +248,9 @@ class CacheDaemon:
 
     def _book(self, exchange: Any, outcome: LadderOutcome) -> None:
         """Aggregate one drawn ladder into the node's telemetry."""
-        self.observe.book(exchange, outcome.ok)
+        slot = self.exchanges[exchange.kind]
+        slot["attempts"] += 1
+        slot["ok" if outcome.ok else "failed"] += 1
         for key, delta in outcome.deltas.items():
             self.fault_counters[key] = self.fault_counters.get(key, 0) + delta
         for amount in outcome.charges:

@@ -162,8 +162,10 @@ class ResultStore:
                 self._failed[key] = entry
                 self._records.pop(key, None)
                 continue
-            if "result" not in entry:
-                self._skipped_lines += 1
+            try:
+                deserialize_result(entry["result"])
+            except (KeyError, TypeError, ValueError, AttributeError):
+                self._skipped_lines += 1  # no result, or one that does not parse
                 continue
             self._records[key] = entry
             self._failed.pop(key, None)
@@ -176,7 +178,7 @@ class ResultStore:
 
     @property
     def skipped_lines(self) -> int:
-        """Corrupt/torn/unknown-schema lines ignored on load."""
+        """Corrupt/torn/unknown-schema/unparsable-result lines ignored on load."""
         return self._skipped_lines
 
     @property

@@ -13,11 +13,6 @@ package provides the instrumentation that keeps the speedups honest.
   :func:`~repro.core.run.assemble_run` report every scheme run (plain,
   faulty, replayed or live), so a whole figure sweep yields per-scheme
   counters without touching the figure code.
-* :func:`profile_scheme` — one-call convenience: simulate one scheme
-  under the profiler and return profile + op counters + result summary.
-* :func:`protocol_traffic_for` — per-exchange / per-link cooperation
-  traffic of a finished run (:mod:`repro.protocol` taxonomy), collected
-  alongside the op counters.
 
 The ``repro-experiments --profile`` flag is the CLI frontend: it writes
 one ``profile_<figure>.json`` per figure next to ``instrumentation.json``.
@@ -28,8 +23,6 @@ from .profiling import (
     collecting_op_counters,
     op_counters_for,
     profile_call,
-    profile_scheme,
-    protocol_traffic_for,
     record_scheme_ops,
 )
 
@@ -38,7 +31,5 @@ __all__ = [
     "collecting_op_counters",
     "op_counters_for",
     "profile_call",
-    "profile_scheme",
-    "protocol_traffic_for",
     "record_scheme_ops",
 ]

@@ -17,8 +17,6 @@ from typing import Any, Callable, Iterator
 
 from ..cache.base import Cache
 from ..protocol.messages import exchange_traffic, link_traffic
-from ..protocol.trace import RecordingTransport
-from ..protocol.transport import ObservabilityTransport
 
 __all__ = [
     "profile_call",
@@ -26,9 +24,7 @@ __all__ = [
     "OpCounterCollector",
     "collecting_op_counters",
     "record_scheme_ops",
-    "protocol_traffic_for",
     "overlay_stats_for",
-    "profile_scheme",
 ]
 
 
@@ -132,38 +128,6 @@ def op_counters_for(scheme: Any) -> dict[str, Any]:
     return {"n_caches": n_caches, **totals, "by_cache_type": by_type}
 
 
-def protocol_traffic_for(scheme: Any, result: Any) -> dict[str, Any]:
-    """Per-exchange and per-link cooperation traffic of one finished run.
-
-    Derived from the result's message/tier accounting
-    (:func:`repro.protocol.messages.exchange_traffic`), so it covers
-    every engine — including fast paths that serve exchanges inline.
-    When the scheme's transport stack carries an
-    :class:`~repro.protocol.transport.ObservabilityTransport`, its
-    observed attempt/outcome counts are included verbatim under
-    ``"observed"``; a :class:`~repro.protocol.trace.RecordingTransport`
-    in the stack contributes the recorded trace's path and event
-    accounting under ``"recorded"``.
-    """
-    exchanges = exchange_traffic(result.messages, result.tier_counts)
-    traffic: dict[str, Any] = {
-        "exchanges": exchanges,
-        "links": link_traffic(exchanges),
-    }
-    layer = getattr(scheme, "transport", None)
-    while layer is not None:
-        if isinstance(layer, ObservabilityTransport) and "observed" not in traffic:
-            traffic["observed"] = layer.observed
-        if isinstance(layer, RecordingTransport) and "recorded" not in traffic:
-            traffic["recorded"] = {
-                "trace": str(layer.writer.path),
-                "events": layer.writer.events_written,
-                "dropped": layer.writer.events_dropped,
-            }
-        layer = getattr(layer, "inner", None)
-    return traffic
-
-
 def overlay_stats_for(scheme: Any) -> dict[str, Any]:
     """Per-backend routing statistics of one finished scheme run.
 
@@ -207,14 +171,39 @@ def overlay_stats_for(scheme: Any) -> dict[str, Any]:
     return out
 
 
+#: Fields a fold keeps the largest of: fleet sizes, not work done.
+_MAX_FIELDS = frozenset({"n_caches", "overlays", "max_hops"})
+
+
+def _fold(dest: dict[str, Any], src: dict[str, Any]) -> None:
+    """Sum ``src`` into ``dest`` field by field, recursively.
+
+    Fields in :data:`_MAX_FIELDS` take the max; an overlay slot's
+    ``mean_route_hops`` is a ratio, so it is recomputed from the sums.
+    """
+    for key, value in src.items():
+        if key not in dest:
+            dest[key] = value
+        elif isinstance(value, dict):
+            _fold(dest[key], value)
+        elif key in _MAX_FIELDS:
+            dest[key] = max(dest[key], value)
+        else:
+            dest[key] += value
+    if "mean_route_hops" in dest:
+        messages = dest["messages"]
+        dest["mean_route_hops"] = dest["total_hops"] / messages if messages else 0.0
+
+
 class OpCounterCollector:
     """Accumulates :func:`op_counters_for` reports keyed by scheme name.
 
     Multiple runs of the same scheme (sweep points) are summed, with a
     ``runs`` count so means can be recovered.  When the finished
     :class:`~repro.core.metrics.SchemeResult` is supplied, the slot also
-    carries the protocol-layer traffic breakdown
-    (:func:`protocol_traffic_for`), summed the same way.
+    carries its per-exchange and per-link cooperation traffic
+    (:func:`~repro.protocol.messages.exchange_traffic`), summed the same
+    way.
     """
 
     def __init__(self) -> None:
@@ -223,61 +212,16 @@ class OpCounterCollector:
     def record(self, name: str, scheme: Any, result: Any = None) -> None:
         counters = op_counters_for(scheme)
         if result is not None:
-            counters["protocol"] = protocol_traffic_for(scheme, result)
+            exchanges = exchange_traffic(result.messages, result.tier_counts)
+            counters["protocol"] = {
+                "exchanges": exchanges,
+                "links": link_traffic(exchanges),
+            }
         ostats = overlay_stats_for(scheme)
         if ostats:
             counters["overlay"] = ostats
-        slot = self.per_scheme.get(name)
-        if slot is None:
-            counters["runs"] = 1
-            self.per_scheme[name] = counters
-            return
-        slot["runs"] += 1
-        slot["n_caches"] = max(slot["n_caches"], counters["n_caches"])
-        for key in ("hits", "misses", "insertions", "evictions"):
-            slot[key] += counters[key]
-        for type_name, bucket in counters["by_cache_type"].items():
-            dest = slot["by_cache_type"].setdefault(
-                type_name,
-                {"n_caches": 0, "hits": 0, "misses": 0, "insertions": 0, "evictions": 0},
-            )
-            dest["n_caches"] = max(dest["n_caches"], bucket["n_caches"])
-            for key in ("hits", "misses", "insertions", "evictions"):
-                dest[key] += bucket[key]
-        proto = counters.get("protocol")
-        if proto is not None:
-            dest_proto = slot.setdefault(
-                "protocol", {"exchanges": {}, "links": {}}
-            )
-            for section in ("exchanges", "links"):
-                dest_section = dest_proto[section]
-                for key, n in proto[section].items():
-                    dest_section[key] = dest_section.get(key, 0) + n
-        ostats = counters.get("overlay")
-        if ostats:
-            dest_overlay = slot.setdefault("overlay", {})
-            for backend, o in ostats.items():
-                dest_o = dest_overlay.setdefault(
-                    backend,
-                    {
-                        "overlays": 0,
-                        "messages": 0,
-                        "total_hops": 0,
-                        "max_hops": 0,
-                        "repairs": {},
-                    },
-                )
-                dest_o["overlays"] = max(dest_o["overlays"], o["overlays"])
-                dest_o["messages"] += o["messages"]
-                dest_o["total_hops"] += o["total_hops"]
-                dest_o["max_hops"] = max(dest_o["max_hops"], o["max_hops"])
-                for kind, n in o["repairs"].items():
-                    dest_o["repairs"][kind] = dest_o["repairs"].get(kind, 0) + n
-                dest_o["mean_route_hops"] = (
-                    dest_o["total_hops"] / dest_o["messages"]
-                    if dest_o["messages"]
-                    else 0.0
-                )
+        counters["runs"] = 1
+        _fold(self.per_scheme.setdefault(name, {}), counters)
 
 
 #: Process-wide active collector (None = collection off).  Checked once
@@ -308,30 +252,3 @@ def record_scheme_ops(name: str, scheme: Any, result: Any = None) -> None:
     if _ACTIVE_COLLECTOR is not None:
         _ACTIVE_COLLECTOR.record(name, scheme, result)
 
-
-def profile_scheme(
-    name: str,
-    config: Any,
-    traces: Any = None,
-    seed: int = 0,
-    top: int = 25,
-) -> dict[str, Any]:
-    """Simulate one scheme under the profiler.
-
-    Returns ``{"scheme", "profile", "op_counters", "n_requests",
-    "total_latency"}`` — the pieces the benchmark gate and ad-hoc
-    perf investigations need in one call.
-    """
-    from ..core.run import run_scheme  # local import: run.py imports us
-
-    with collecting_op_counters() as collector:
-        result, report = profile_call(
-            run_scheme, name, config, traces=traces, seed=seed, top=top
-        )
-    return {
-        "scheme": name,
-        "profile": report,
-        "op_counters": collector.per_scheme.get(name, {}),
-        "n_requests": result.n_requests,
-        "total_latency": result.total_latency,
-    }

@@ -1,6 +1,6 @@
 """Protocol layer: typed cooperation exchanges over composable transports.
 
-One cooperation-message engine for plain, faulty and observable runs:
+One cooperation-message engine for plain, faulty and recorded runs:
 
 - :mod:`repro.protocol.messages` — the six exchange types every scheme's
   request flow is built from, each bound to its faultable link, plus
@@ -8,8 +8,7 @@ One cooperation-message engine for plain, faulty and observable runs:
 - :mod:`repro.protocol.transport` — the :class:`Transport` stack: a base
   layer that always succeeds, a :class:`FaultTransport` adding the
   :class:`~repro.faults.plan.FaultPlan` timeout/retry/fallback ladder
-  (a zero plan is the identity), and an :class:`ObservabilityTransport`
-  emitting per-exchange counts and traces for :mod:`repro.perf`.
+  (a zero plan is the identity).
 - :mod:`repro.protocol.trace` — wire-level recording: a
   :class:`RecordingTransport` streaming every exchange (outcome, exact
   latency charges, fault-counter deltas) to a content-addressed JSONL
@@ -85,7 +84,6 @@ from .transport import (
     EventFedTransport,
     FaultTransport,
     LadderOutcome,
-    ObservabilityTransport,
     Transport,
     TransportLayer,
     build_transport,
@@ -137,7 +135,6 @@ __all__ = [
     "FaultTransport",
     "LadderOutcome",
     "LinkLadder",
-    "ObservabilityTransport",
     "PolicySet",
     "RealClock",
     "RecordedTrace",

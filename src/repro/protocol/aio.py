@@ -170,7 +170,7 @@ class RealClock:
 class AsyncTransport(TransportLayer):
     """Async backend over any transport stack, same ``Transport`` contract.
 
-    Wraps a stack (base, fault, observability, recording — stacking
+    Wraps a stack (base, fault, recording — stacking
     preserved, this layer sits outermost) and pays its outcomes on a
     clock:
 

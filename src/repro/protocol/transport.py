@@ -4,8 +4,8 @@ A :class:`Transport` answers one question per cooperation message — did
 this exchange get through, and what did the attempt cost?  Schemes call
 :meth:`Transport.attempt` at every point their request flow crosses a
 cooperation link and branch on the answer; everything else (timeout
-ladders, retry budgets, fault counters, per-exchange telemetry) lives in
-the transport stack, not in scheme subclasses.
+ladders, retry budgets, fault counters) lives in the transport stack,
+not in scheme subclasses.
 
 The stack separates *deciding* from *paying*.  Deciding is
 :meth:`Transport.draw`, the one method a layer overrides: it returns the
@@ -32,10 +32,6 @@ clock by each wait; a daemon applies the outcome by hand).
   outcomes arrive as trace events (a recorded file, a live socket)
   instead of being drawn; it keeps the one fault decision that never
   crosses the wire, lossy eviction notices, local.
-* :class:`ObservabilityTransport` — counts outcomes per exchange type
-  and (optionally) records a bounded trace of events; never changes
-  behaviour.  Stack it outside a fault layer to observe logical
-  exchanges (one per ladder), inside to observe delivered wire rounds.
 
 One transport instance serves one scheme run: :meth:`bind` attaches the
 scheme's latency sink (and is how the paying layer reaches
@@ -47,7 +43,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from ..netmodel import FAULT_LINKS, NetworkConfig
-from .messages import ALL_EXCHANGES, FAULT_COUNTERS, Exchange
+from .messages import FAULT_COUNTERS, Exchange
 from .policy import LadderOutcome, LinkLadder
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -59,7 +55,6 @@ __all__ = [
     "TransportLayer",
     "FaultTransport",
     "EventFedTransport",
-    "ObservabilityTransport",
     "build_transport",
 ]
 
@@ -387,84 +382,16 @@ class EventFedTransport(Transport):
         return self._counters if self._active else {}
 
 
-class ObservabilityTransport(TransportLayer):
-    """Telemetry layer: per-exchange attempt/outcome counts + traces.
-
-    Pure observation — hands every decision of the inner transport back
-    untouched, so stacking it anywhere in a transport stack cannot
-    change a result.
-    """
-
-    def __init__(
-        self, inner: Transport, trace: bool = False, max_trace: int = 10_000
-    ) -> None:
-        super().__init__(inner)
-        self.counts: dict[str, dict[str, int]] = {
-            e.kind: {"attempts": 0, "ok": 0, "failed": 0} for e in ALL_EXCHANGES
-        }
-        self._trace_on = trace
-        self._max_trace = max_trace
-        #: (kind, link, ok) tuples when tracing, bounded by ``max_trace``.
-        self.events: list[tuple[str, str | None, bool]] = []
-        #: Events that arrived after the trace buffer filled up.  Nonzero
-        #: means :attr:`events` is a truncated prefix, not the full run —
-        #: consumers (the replay recorder above all) must never present a
-        #: truncated buffer as complete.
-        self.events_dropped = 0
-
-    def book(self, exchange: Exchange, ok: bool) -> None:
-        """Count one observed exchange (public: a daemon counts every
-        connection's exchanges on one layer of its own)."""
-        slot = self.counts.setdefault(
-            exchange.kind, {"attempts": 0, "ok": 0, "failed": 0}
-        )
-        slot["attempts"] += 1
-        slot["ok" if ok else "failed"] += 1
-        if self._trace_on:
-            if len(self.events) < self._max_trace:
-                self.events.append((exchange.kind, exchange.link, ok))
-            else:
-                self.events_dropped += 1
-
-    def draw(self, exchange: Exchange, force_fail: bool = False) -> LadderOutcome:
-        """Delegate the decision, then count its outcome."""
-        outcome = self.inner.draw(exchange, force_fail)
-        self.book(exchange, outcome.ok)
-        return outcome
-
-    @property
-    def observed(self) -> dict[str, Any]:
-        """JSON-safe snapshot: per-exchange counts + per-link rollup."""
-        links: dict[str, dict[str, int]] = {}
-        by_link = {e.kind: (e.link or "lan") for e in ALL_EXCHANGES}
-        for kind, slot in self.counts.items():
-            key = by_link.get(kind, "lan")
-            dest = links.setdefault(key, {"attempts": 0, "ok": 0, "failed": 0})
-            for field in ("attempts", "ok", "failed"):
-                dest[field] += slot[field]
-        return {
-            "exchanges": {k: dict(v) for k, v in self.counts.items()},
-            "links": links,
-            "events_dropped": self.events_dropped,
-        }
-
-
 def build_transport(
     network: NetworkConfig,
     plan: "FaultPlan | None" = None,
     scope: str = "",
-    observe: bool = False,
-    trace: bool = False,
 ) -> Transport:
-    """Assemble the standard stack: base → fault layer → observability.
+    """Assemble the standard stack: base → fault layer.
 
-    ``plan=None`` (or a zero plan) yields the identity semantics; with
-    ``observe=True`` the observability layer sits outermost, counting
-    logical exchanges (one per retry ladder, not per wire round).
+    ``plan=None`` (or a zero plan) yields the identity semantics.
     """
     transport: Transport = Transport(network)
     if plan is not None:
         transport = FaultTransport(transport, plan, scope=scope)
-    if observe:
-        transport = ObservabilityTransport(transport, trace=trace)
     return transport

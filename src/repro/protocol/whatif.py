@@ -37,7 +37,8 @@ when ``policies=None``) every re-judged ladder reproduces its recorded
 event exactly — same uniforms, same float arithmetic — so no event
 changes and the report returns the recorded
 :class:`~repro.core.metrics.SchemeResult` **byte-identically** (the
-``policy_gate`` CI job asserts this; any drift means the draws field and
+tier-1 test ``tests/protocol/test_whatif.py::TestIdentity`` asserts this
+for every faultable scheme; any drift means the draws field and
 the engine have diverged and is reported as changed events, never
 papered over).
 

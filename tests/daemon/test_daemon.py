@@ -21,12 +21,16 @@ from repro.faults import FaultPlan
 from repro.faults.injector import FaultInjector
 from repro.faults.run import run_scheme_with_faults
 from repro.netmodel import NetworkConfig
-from repro.protocol import recording_traces, replay_trace
-from repro.protocol.messages import PROXY_FETCH, PUSH
+from repro.protocol import load_trace, recording_traces, replay_trace
+from repro.protocol.messages import ALL_EXCHANGES, PROXY_FETCH, PUSH
 from repro.protocol.aio import RealClock
 from repro.protocol.trace import RecordingTransport, TraceWriter
 from repro.protocol.transport import Transport
 from repro.protocol.wire import (
+    ROLE_CLIENT,
+    ROLE_PROXY,
+    ROLES,
+    SERVED_BY,
     WireFormatError,
     WireRoleError,
     ack_frame,
@@ -284,6 +288,39 @@ class TestClusterLifecycle:
         assert stats[0]["role"] == "proxy" and stats[1]["role"] == "client"
         assert stats[0]["connections"] >= 1
         assert stats[0]["exchanges"]["proxy_fetch"]["attempts"] > 0
+
+    def test_stats_count_every_recorded_exchange(self, tmp_path):
+        # A fresh cluster, so the daemons' counters hold this drive alone.
+        with LocalCluster(n_clients=1) as fresh:
+            live = drive_scheme(
+                "hier-gd", cfg(), routes=fresh.routes, plan=PLAN, seed=3,
+                record_dir=tmp_path,
+            )
+            stats = {node["role"]: node for node in fresh.stats()}
+
+        def zero():
+            return dict.fromkeys(("attempts", "ok", "failed"), 0)
+
+        expected = {
+            role: {"exchanges": {e.kind: zero() for e in ALL_EXCHANGES}, "links": {}}
+            for role in ROLES
+        }
+        for event in load_trace(live.trace_path).events:
+            if event[0] == "x":
+                _, _, kind, link, ok = event[:5]
+                want = expected[SERVED_BY[kind]]
+                for slot in (
+                    want["exchanges"][kind],
+                    want["links"].setdefault(link or "lan", zero()),
+                ):
+                    slot["attempts"] += 1
+                    slot["ok" if ok else "failed"] += 1
+        assert expected[ROLE_PROXY]["exchanges"][PROXY_FETCH.kind]["failed"] > 0
+        assert expected[ROLE_CLIENT]["exchanges"][PUSH.kind]["failed"] > 0
+        for role, node in stats.items():
+            assert node["exchanges"] == expected[role]["exchanges"]
+            used = {link: s for link, s in node["links"].items() if s["attempts"]}
+            assert used == expected[role]["links"]
 
     def test_missing_role_in_routes_is_refused(self, cluster):
         with pytest.raises(ValueError, match="at least one 'client'"):

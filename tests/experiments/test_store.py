@@ -106,6 +106,36 @@ class TestResultStore:
         assert store.skipped_lines == 1
         assert store.get(key) == sample_result()
 
+    @pytest.mark.parametrize(
+        "result",
+        [
+            {"n_requests": 3},  # no "scheme"
+            [],
+            {"scheme": "sc", "n_requests": 3, "total_latency": 1.0,
+             "tier_counts": {"server": 2}},  # tiers do not sum to n_requests
+        ],
+        ids=["missing-field", "list", "tiers-off"],
+    )
+    def test_unparsable_result_row_is_skipped_and_resimulated(self, tmp_path, result):
+        path = tmp_path / "s.jsonl"
+        first = ExperimentEngine(store=ResultStore(path), instrument=RunInstrumentation())
+        cache_size_sweep(
+            tiny_config(), schemes=("sc",), fractions=(0.2,), seed=1, engine=first
+        )
+        rows = path.read_text().splitlines()
+        key = json.loads(rows[0])["key"]
+        bad = json.dumps({"key": key, "result": result})
+        path.write_text("\n".join([bad, *rows[1:]]) + "\n")
+        store = ResultStore(path)
+        assert store.skipped_lines == 1
+        assert key not in store and store.get(key) is None
+        resumed = ExperimentEngine(store=store, instrument=RunInstrumentation())
+        cache_size_sweep(
+            tiny_config(), schemes=("sc",), fractions=(0.2,), seed=1, engine=resumed
+        )
+        assert resumed.instrument.executed == 1  # only the bad row's point
+        assert resumed.instrument.skipped == len(rows) - 1
+
     def test_latest_record_wins(self, tmp_path):
         path = tmp_path / "s.jsonl"
         store = ResultStore(path)

@@ -39,7 +39,7 @@ from repro.core.schemes import ScEcScheme, ScScheme, SquirrelScheme
 from repro.experiments.robustness import robustness_plan
 from repro.experiments.runner import base_config
 from repro.faults import FaultPlan
-from repro.protocol.transport import FaultTransport, ObservabilityTransport, Transport
+from repro.protocol.transport import FaultTransport, Transport
 from repro.netmodel import (
     TIER_COOP_P2P,
     TIER_COOP_PROXY,
@@ -50,6 +50,7 @@ from repro.netmodel import (
 from repro.workload import object_url
 from tests.core.test_hiergd import check_invariants, check_presence_indexes
 from tests.integration.chain_model import ChainHierGd, ChurnWithoutRepair
+from tests.protocol.test_stack import Spy
 
 
 class NaiveSc(ScScheme):
@@ -244,8 +245,10 @@ def assert_faulty_equivalent(config, plan):
     traces = generate_workloads(config, seed=0)
 
     def watched():
-        stack = FaultTransport(Transport(config.network), plan, scope="hier-gd")
-        return ObservabilityTransport(stack, trace=True, max_trace=10**6)
+        return Spy(FaultTransport(Transport(config.network), plan, scope="hier-gd"))
+
+    def exchanges(watcher):
+        return [(x.kind, x.link, ok) for x, _, ok in watcher.seen]
 
     seen = watched()
     scheme = build_scheme("hier-gd", config, traces, plan, transport=seen)
@@ -254,8 +257,7 @@ def assert_faulty_equivalent(config, plan):
     chain = ChainHierGd(config, traces, scheme._events, transport=chain_seen)
     chain.name = scheme.name
     assert dataclasses.asdict(engine) == dataclasses.asdict(chain.run())
-    assert seen.events == chain_seen.events and seen.events
-    assert seen.observed == chain_seen.observed
+    assert exchanges(seen) == exchanges(chain_seen) and seen.seen
     check_presence_indexes(scheme)
     return engine
 

@@ -14,7 +14,6 @@ from repro.perf import (
     collecting_op_counters,
     op_counters_for,
     profile_call,
-    profile_scheme,
 )
 
 
@@ -93,6 +92,30 @@ class TestOpCounters:
         for key in ("hits", "misses", "insertions", "evictions"):
             assert twice[key] == 2 * once[key]
         assert twice["n_caches"] == once["n_caches"]
+
+    def test_repeat_runs_fold_traffic_and_overlays(self):
+        cfg = tiny_config()
+        traces = generate_workloads(cfg, seed=0)
+        with collecting_op_counters() as collector:
+            run_scheme("hier-gd", cfg, traces=traces)
+        once = collector.per_scheme["hier-gd"]
+        with collecting_op_counters() as collector:
+            run_scheme("hier-gd", cfg, traces=traces)
+            run_scheme("hier-gd", cfg, traces=traces)
+        twice = collector.per_scheme["hier-gd"]
+        assert set(twice) == set(once)
+        for section in ("exchanges", "links"):
+            assert twice["protocol"][section] == {
+                k: 2 * n for k, n in once["protocol"][section].items()
+            }
+        assert twice["by_cache_type"]["GreedyDualCache"]["n_caches"] == 22
+        (backend,) = once["overlay"]
+        one, two = once["overlay"][backend], twice["overlay"][backend]
+        # Fleet sizes and the worst route take the max; work is summed.
+        assert two["overlays"] == one["overlays"] and two["max_hops"] == one["max_hops"]
+        assert two["messages"] == 2 * one["messages"] > 0
+        assert two["total_hops"] == 2 * one["total_hops"]
+        assert two["mean_route_hops"] == two["total_hops"] / two["messages"]
 
     def test_inactive_by_default(self):
         cfg = tiny_config()
@@ -175,10 +198,10 @@ class TestLfuFamilyStats:
 class TestProfileScheme:
     def test_end_to_end_report(self):
         cfg = tiny_config()
-        report = profile_scheme("hier-gd", cfg, seed=0, top=10)
-        assert report["scheme"] == "hier-gd"
-        assert report["n_requests"] == 2 * cfg.workload.n_requests
-        assert report["total_latency"] > 0
-        assert report["profile"]["total_calls"] > 0
-        assert len(report["profile"]["top_functions"]) <= 10
-        assert report["op_counters"]["n_caches"] == 22
+        with collecting_op_counters() as collector:
+            result, report = profile_call(run_scheme, "hier-gd", cfg, seed=0, top=10)
+        assert result.n_requests == 2 * cfg.workload.n_requests
+        assert result.total_latency > 0
+        assert report["total_calls"] > 0
+        assert len(report["top_functions"]) <= 10
+        assert collector.per_scheme["hier-gd"]["n_caches"] == 22

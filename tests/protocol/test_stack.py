@@ -7,7 +7,7 @@ that buys:
 
 * a layer that overrides ``draw`` and nothing else sees every exchange
   exactly once on every execution path, wherever it is stacked;
-* every stacking order of {fault, observability, recording} on either
+* every stacking order of {fault, watcher, recording} on either
   backend runs a scheme to one ``SchemeResult``, and the recorded bytes
   depend only on which side of the fault layer the recording sits;
 * what ``attempt`` charges, books and records is the naive application
@@ -35,7 +35,6 @@ from repro.protocol import (
     STRATEGIES,
     AsyncTransport,
     FaultTransport,
-    ObservabilityTransport,
     PolicySet,
     RetryPolicy,
     TraceIncompleteError,
@@ -70,8 +69,12 @@ class _Events:
         self.events.append(event)
 
 
-class _Spy(TransportLayer):
-    """A layer written against the contract: ``draw`` and nothing else."""
+class Spy(TransportLayer):
+    """A layer written against the contract: ``draw`` and nothing else.
+
+    Also the suite's watcher: ``seen`` lists every decided exchange as
+    ``(exchange, force_fail, ok)``, in the order the stack decided them.
+    """
 
     def __init__(self, inner):
         super().__init__(inner)
@@ -79,15 +82,15 @@ class _Spy(TransportLayer):
 
     def draw(self, exchange, force_fail=False):
         outcome = self.inner.draw(exchange, force_fail)
-        self.seen.append((exchange.kind, force_fail, outcome.ok))
+        self.seen.append((exchange, force_fail, outcome.ok))
         return outcome
 
 
 PLACEMENTS = {
     "outside recording": lambda f, spy: spy(RecordingTransport(f, _Events())),
     "inside recording": lambda f, spy: RecordingTransport(spy(f), _Events()),
-    "outside observability": lambda f, spy: spy(ObservabilityTransport(f)),
-    "inside observability": lambda f, spy: ObservabilityTransport(spy(f)),
+    "outside watcher": lambda f, spy: spy(Spy(f)),
+    "inside watcher": lambda f, spy: Spy(spy(f)),
 }
 
 #: 60 exchanges over every kind, every fifth one to a peer that never answers.
@@ -121,7 +124,7 @@ class TestDrawOnlyLayer:
         spies = []
 
         def spy(inner):
-            spies.append(_Spy(inner))
+            spies.append(Spy(inner))
             return spies[-1]
 
         fault = FaultTransport(Transport(NetworkConfig()), PLAN, scope="t")
@@ -131,9 +134,7 @@ class TestDrawOnlyLayer:
         else:
             oks = _drive(mode, AsyncTransport(stack))
         (seen,) = [s.seen for s in spies]
-        assert [(kind, ff) for kind, ff, _ in seen] == [
-            (x.kind, ff) for x, ff in ASKED
-        ]
+        assert [(x, ff) for x, ff, _ in seen] == ASKED
         assert [ok for _, _, ok in seen] == oks
         # Same plan, same scope, same order of asking: every path and
         # every placement decides the same outcomes.
@@ -141,7 +142,7 @@ class TestDrawOnlyLayer:
         assert oks == [reference.draw(x, ff).ok for x, ff in ASKED]
 
 
-LAYERS = ("fault", "observability", "recording")
+LAYERS = ("fault", "watcher", "recording")
 
 
 def _run_stacked(name, order, backend, directory, traces):
@@ -152,8 +153,8 @@ def _run_stacked(name, order, backend, directory, traces):
     for layer in order:
         if layer == "fault":
             stack = FaultTransport(stack, plan, scope=name)
-        elif layer == "observability":
-            stack = ObservabilityTransport(stack)
+        elif layer == "watcher":
+            stack = Spy(stack)
         else:
             stack = recording = recorder.open(name, config, 0, plan, stack)
     scheme = build_scheme(

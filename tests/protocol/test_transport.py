@@ -8,12 +8,13 @@ The load-bearing contracts:
 * **zero-plan identity** — a ``FaultTransport`` with an all-zero plan is
   a pure pass-through: not faulty, installs nothing, and a full scheme
   run through it is byte-identical to the plain path;
-* **stacking-order invariance** — the observability layer never charges
+* **stacking-order invariance** — a draw-only watcher layer never charges
   or decides, so placing it inside or outside the fault layer cannot
   change a ``SchemeResult``.
 """
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -30,7 +31,6 @@ from repro.protocol import (
     PROXY_FETCH,
     PUSH,
     FaultTransport,
-    ObservabilityTransport,
     PolicySet,
     RetryPolicy,
     Transport,
@@ -38,6 +38,7 @@ from repro.protocol import (
 )
 from repro.protocol.replay import ReplayTransport
 from repro.workload import ProWGenConfig, generate_cluster_traces
+from tests.protocol.test_stack import Spy
 
 TINY = ProWGenConfig(n_requests=3000, n_objects=300, n_clients=10)
 
@@ -226,14 +227,10 @@ class TestNonDefaultPolicyLadders:
             PLAN,
             policies=PolicySet(per_link={"proxy": RetryPolicy(max_retries=4)}),
         )
-        obs_outside = ObservabilityTransport(
-            FaultTransport(Transport(cfg().network), plan, scope=name)
-        )
-        obs_inside = FaultTransport(
-            ObservabilityTransport(Transport(cfg().network)), plan, scope=name
-        )
-        outside = run_scheme(name, cfg(), traces, transport=obs_outside)
-        inside = run_scheme(name, cfg(), traces, transport=obs_inside)
+        watch_outside = Spy(FaultTransport(Transport(cfg().network), plan, scope=name))
+        watch_inside = FaultTransport(Spy(Transport(cfg().network)), plan, scope=name)
+        outside = run_scheme(name, cfg(), traces, transport=watch_outside)
+        inside = run_scheme(name, cfg(), traces, transport=watch_inside)
         assert dataclasses.asdict(outside) == dataclasses.asdict(inside)
 
 
@@ -343,90 +340,32 @@ class TestZeroPlanIdentity:
         assert not any(key in layered.messages for key in FAULT_COUNTERS)
 
 
-class TestObservability:
-    def test_counts_attempts_and_outcomes(self):
-        obs = ObservabilityTransport(Transport(cfg().network))
-        for _ in range(3):
-            assert obs.attempt(P2P_FETCH) is True
-        slot = obs.counts[P2P_FETCH.kind]
-        assert slot == {"attempts": 3, "ok": 3, "failed": 0}
-        assert obs.observed["links"][P2P_FETCH.link]["attempts"] == 3
-
-    def test_counts_failures_from_an_inner_fault_layer(self):
-        plan = FaultPlan(p2p_loss=1.0, max_retries=0, seed=3)
-        obs = ObservabilityTransport(FaultTransport(Transport(cfg().network), plan))
-        obs.bind(_Sink())
-        assert obs.attempt(P2P_FETCH) is False
-        assert obs.counts[P2P_FETCH.kind] == {"attempts": 1, "ok": 0, "failed": 1}
-
-    def test_trace_is_bounded(self):
-        obs = ObservabilityTransport(Transport(cfg().network), trace=True, max_trace=2)
-        for _ in range(5):
-            obs.attempt(PUSH)
-        assert obs.events == [(PUSH.kind, PUSH.link, True)] * 2
-        assert obs.counts[PUSH.kind]["attempts"] == 5
-
-    def test_dropped_trace_events_are_reported(self):
-        # Regression: the bounded buffer dropped events silently, so a
-        # truncated trace looked complete to anything reading it back.
-        obs = ObservabilityTransport(Transport(cfg().network), trace=True, max_trace=2)
-        for _ in range(5):
-            obs.attempt(PUSH)
-        assert obs.events_dropped == 3
-        assert obs.observed["events_dropped"] == 3
-
-    def test_untruncated_trace_reports_zero_dropped(self):
-        obs = ObservabilityTransport(Transport(cfg().network), trace=True, max_trace=8)
-        obs.attempt(PUSH)
-        assert obs.events_dropped == 0
-        assert obs.observed["events_dropped"] == 0
-
-    def test_observed_run_byte_identical_to_plain(self, traces):
+class TestWatcher:
+    def test_watched_run_byte_identical_to_plain(self, traces):
         # Under a fault layer every cooperation hop is an exchange, so
         # each one actually crosses the stack.
         plain = run_scheme(
             "hier-gd", cfg(), traces,
             transport=build_transport(cfg().network, PLAN, scope="hier-gd"),
         )
-        observing = build_transport(
-            cfg().network, PLAN, scope="hier-gd", observe=True
-        )
-        observed = run_scheme("hier-gd", cfg(), traces, transport=observing)
-        assert dataclasses.asdict(observed) == dataclasses.asdict(plain)
-        counted = observing.observed["exchanges"]
-        assert counted["lookup_query"]["attempts"] == observed.messages["p2p_lookups"]
+        watcher = Spy(build_transport(cfg().network, PLAN, scope="hier-gd"))
+        watched = run_scheme("hier-gd", cfg(), traces, transport=watcher)
+        assert dataclasses.asdict(watched) == dataclasses.asdict(plain)
+        counted = Counter((x.kind, ok) for x, _, ok in watcher.seen)
+        lookups = counted["lookup_query", True] + counted["lookup_query", False]
+        assert lookups == watched.messages["p2p_lookups"]
         # Every push that went out and failed, unresponsive holders included.
-        assert counted["push"]["failed"] == observed.messages["failed_pushes"] > 0
+        assert counted["push", False] == watched.messages["failed_pushes"] > 0
 
 
 class TestStackingOrder:
     @pytest.mark.parametrize("name", ["hier-gd", "fc", "fc-ec", "squirrel"])
-    def test_fault_and_observability_layers_commute(self, name, traces):
-        obs_outside = ObservabilityTransport(
-            FaultTransport(Transport(cfg().network), PLAN, scope=name)
-        )
-        obs_inside = FaultTransport(
-            ObservabilityTransport(Transport(cfg().network)), PLAN, scope=name
-        )
-        outside = run_scheme(name, cfg(), traces, transport=obs_outside)
-        inside = run_scheme(name, cfg(), traces, transport=obs_inside)
+    def test_fault_and_watcher_layers_commute(self, name, traces):
+        watch_outside = Spy(FaultTransport(Transport(cfg().network), PLAN, scope=name))
+        watch_inside = FaultTransport(Spy(Transport(cfg().network)), PLAN, scope=name)
+        outside = run_scheme(name, cfg(), traces, transport=watch_outside)
+        inside = run_scheme(name, cfg(), traces, transport=watch_inside)
         assert dataclasses.asdict(outside) == dataclasses.asdict(inside)
-
-    def test_outside_layer_sees_ladders_inside_sees_rounds(self):
-        plan = FaultPlan(p2p_loss=1.0, max_retries=2, seed=3)
-        outer = ObservabilityTransport(FaultTransport(Transport(cfg().network), plan))
-        inner_obs = ObservabilityTransport(Transport(cfg().network))
-        inner = FaultTransport(inner_obs, plan)
-        outer.bind(_Sink())
-        inner.bind(_Sink())
-
-        assert outer.attempt(P2P_FETCH) is False
-        assert inner.attempt(P2P_FETCH) is False
-        # Outside the fault layer: one logical exchange, failed.
-        assert outer.counts[P2P_FETCH.kind] == {"attempts": 1, "ok": 0, "failed": 1}
-        # Inside: only successful wire rounds reach the base, so a fully
-        # exhausted ladder records nothing at all.
-        assert inner_obs.counts[P2P_FETCH.kind]["attempts"] == 0
 
 
 class TestBuildTransport:
@@ -436,14 +375,11 @@ class TestBuildTransport:
         assert transport.faulty is False
 
     def test_full_stack_assembly(self):
-        transport = build_transport(
-            cfg().network, plan=PLAN, scope="fc", observe=True, trace=True
-        )
-        assert isinstance(transport, ObservabilityTransport)
-        assert isinstance(transport.inner, FaultTransport)
-        assert transport.inner.scope == "fc"
+        transport = build_transport(cfg().network, plan=PLAN, scope="fc")
+        assert isinstance(transport, FaultTransport)
+        assert type(transport.inner) is Transport
+        assert transport.scope == "fc"
         assert transport.faulty is True
-        assert transport._trace_on is True
 
     def test_zero_plan_stack_is_not_faulty(self):
         transport = build_transport(cfg().network, plan=FaultPlan())

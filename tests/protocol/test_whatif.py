@@ -19,6 +19,7 @@ import json
 import pytest
 
 from repro.core.config import SimulationConfig
+from repro.experiments.robustness import robustness_plan
 from repro.faults import FaultPlan
 from repro.faults.run import run_scheme_with_faults
 from repro.protocol import (
@@ -54,9 +55,9 @@ def cfg(**kw):
     return SimulationConfig(workload=TINY, **kw)
 
 
-def _record(directory, plan):
+def _record(directory, plan, scheme="hier-gd"):
     with recording_traces(directory) as recorder:
-        result = run_scheme_with_faults("hier-gd", cfg(), plan=plan, seed=0)
+        result = run_scheme_with_faults(scheme, cfg(), plan=plan, seed=0)
     return recorder.written[-1], result
 
 
@@ -66,14 +67,20 @@ def faulty_trace(tmp_path_factory):
     return _record(tmp_path_factory.mktemp("traces"), PLAN)
 
 
+IDENTITY_PLANS = {"zero": FaultPlan(), "robustness-0.1": robustness_plan(0.1)}
+
+
 class TestIdentity:
-    def test_identity_is_byte_identical(self, faulty_trace):
-        path, result = faulty_trace
+    @pytest.mark.parametrize("plan", IDENTITY_PLANS)
+    @pytest.mark.parametrize("scheme", ["fc", "fc-ec", "hier-gd", "squirrel"])
+    def test_identity_is_byte_identical(self, scheme, plan, tmp_path):
+        path, result = _record(tmp_path, IDENTITY_PLANS[plan], scheme)
         report = whatif_trace(path)
         assert report.identity and report.identical
         assert report.n_changed == report.n_flips == 0
         assert report.extension_draws == 0
-        assert report.n_ladders > 0  # the gate is not vacuous
+        if plan != "zero":
+            assert report.n_ladders > 0  # the check is not vacuous
         assert dataclasses.asdict(report.result) == dataclasses.asdict(result)
         assert "byte-identical" in format_whatif(report)
 
