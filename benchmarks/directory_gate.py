@@ -9,9 +9,13 @@ one host is host-independent, so the gate is usable on CI runners; runs
 are interleaved and the median of N is taken on each side.
 
 History: 2.0-2.5x with the numpy-scalar filter (a blake2b and ~8 numpy
-scalar reads per probe), ~1.2x with the bytearray filter and its index
-memo.  The two runs are not the same simulation (false positives cost the
-Bloom run extra wasted rounds), so the floor of the ratio is a bit above 1.
+scalar reads per probe), 1.19-1.27x with the packed bytearray filter and
+its index memo when this gate was written, drifting to a median of 1.58x
+(1.43-2.16x, ten invocations) as the rest of the faulty run got faster.
+With one list element per slot and the memo read inline: median 1.34x
+(1.14-1.71x, ten invocations alternating with those, 2-core host).  The
+two runs are not the same simulation (false positives cost the Bloom run
+extra wasted rounds), so the floor of the ratio is a bit above 1.
 
 Usage::
 

@@ -20,15 +20,18 @@ Implementation notes
   the same key as its ``int``), ``str`` (UTF-8) or ``bytes``.
 * A directory is asked about the same few objects all run long, so each
   filter keeps a memo ``key -> indices`` and hashes a key once while it is
-  hot; the memo is emptied wholesale at :data:`_MEMO_CAP` entries.
+  hot; the memo is emptied wholesale at :data:`_MEMO_CAP` entries.  An
+  ``int`` key is looked up in the memo inline, so a memoised operation is
+  one Python frame.
 * Sizing helpers (:func:`optimal_num_bits`, :func:`optimal_num_hashes`)
   implement the textbook formulas m = -n ln p / (ln 2)^2 and
   k = (m/n) ln 2, and ``false_positive_rate`` reports the *current-load*
   estimate (1 - e^{-kn/m})^k used by the directory-tradeoff example and
   the ablation bench.
-* Both filters live on a plain ``bytearray`` read and written with integer
-  arithmetic: one bit per slot, or one 4-bit sticky-saturating counter per
-  slot packed two to a byte (even slot in the low nibble).
+* Both filters keep one slot per element of a plain ``list`` of small
+  ints — a bit, or a 4-bit sticky-saturating counter 0-15 — read and
+  written by plain list subscripts at 8 B a slot; :meth:`memory_bytes`
+  reports the modelled packed layout (§4.2's trade), 1 or 4 bits a slot.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ __all__ = ["optimal_num_bits", "optimal_num_hashes", "BloomFilter", "CountingBlo
 
 #: Entries a filter's ``key -> indices`` memo holds before it is emptied:
 #: above the 10 000 objects of the largest experiment scale.  An entry is a
-#: dict slot, a k-tuple and its ints, ~315 B at the directory's k = 7, so
-#: at most ~5 MiB per filter (the 1 500-object ledger run holds 0.4 MiB).
+#: dict slot, its key, a k-tuple and its ints: ~320 B (``tracemalloc``, k = 7,
+#: 959 slots), so at most ~5 MiB per filter (the ledger run's ~0.45 MiB).
 _MEMO_CAP = 1 << 14
 
 #: ``5.0 == 5`` and ``numpy.int64(5) == 5`` as dict keys too, so a key of
@@ -95,7 +98,7 @@ class _SlotFilter:
     """What both filters share: sizing, the hash contract, the index memo."""
 
     __slots__ = ("num_bits", "num_hashes", "count", "_slots", "_memo")
-    _SLOTS_PER_BYTE: int  # slots packed into one byte of ``_slots``
+    _SLOTS_PER_BYTE: int  # slots one byte holds in the modelled layout
 
     def __init__(
         self,
@@ -113,7 +116,7 @@ class _SlotFilter:
         if self.num_hashes <= 0:
             raise ValueError("num_hashes must be positive")
         self.count = 0  # add() calls minus removals (not distinct keys)
-        self._slots = bytearray(-(-self.num_bits // self._SLOTS_PER_BYTE))
+        self._slots = [0] * self.num_bits
         self._memo: dict[int | str | bytes, tuple[int, ...]] = {}
 
     def _indices(self, key: int | str | bytes) -> tuple[int, ...]:
@@ -133,8 +136,18 @@ class _SlotFilter:
             memo[key] = idxs
         return idxs
 
+    def __contains__(self, key: int | str | bytes) -> bool:
+        # The memo inline for the simulator's int keys (``5.0 == 5``, so
+        # no other type may be looked up before ``_indices`` checks it).
+        idxs = self._memo.get(key) if type(key) is int else None
+        slots = self._slots
+        for idx in idxs or self._indices(key):
+            if not slots[idx]:
+                return False
+        return True
+
     def clear(self) -> None:
-        self._slots[:] = bytes(len(self._slots))
+        self._slots = [0] * self.num_bits
         self.count = 0
 
     def false_positive_rate(self, n_keys: int | None = None) -> float:
@@ -149,8 +162,8 @@ class _SlotFilter:
         return (1.0 - math.exp(-k * n / m)) ** k
 
     def memory_bytes(self) -> int:
-        """Actual memory used by the slot array."""
-        return len(self._slots)
+        """Bytes of the modelled packed slot array (module docstring)."""
+        return -(-self.num_bits // self._SLOTS_PER_BYTE)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -176,22 +189,16 @@ class BloomFilter(_SlotFilter):
     _SLOTS_PER_BYTE = 8
 
     def add(self, key: int | str | bytes) -> None:
+        idxs = self._memo.get(key) if type(key) is int else None
         bits = self._slots
-        for idx in self._indices(key):
-            bits[idx >> 3] |= 1 << (idx & 7)
+        for idx in idxs or self._indices(key):
+            bits[idx] = 1
         self.count += 1
-
-    def __contains__(self, key: int | str | bytes) -> bool:
-        bits = self._slots
-        for idx in self._indices(key):
-            if not bits[idx >> 3] >> (idx & 7) & 1:
-                return False
-        return True
 
     @property
     def bits_set(self) -> int:
         """Number of 1-bits currently in the filter."""
-        return int.from_bytes(self._slots, "little").bit_count()
+        return self._slots.count(1)
 
 
 class CountingBloomFilter(_SlotFilter):
@@ -199,12 +206,13 @@ class CountingBloomFilter(_SlotFilter):
 
     The proxy's Bloom-filter directory must remove objectIds when client
     caches evict objects; counting slots make ``remove`` possible.  The
-    counters are 4 bits wide, packed two per byte — the classic Summary
-    Cache design (Fan et al. 2000, the paper's reference [7]): analysis
-    there shows 4 bits overflow with probability ~1.37e-15 per slot, and
-    the memory stays well below an exact table of 128-bit objectIds.
-    Saturated counters become sticky (never decremented), so an overflow
-    degrades the slot to a plain Bloom bit instead of corrupting state.
+    counters are 4 bits wide, modelled packed two per byte — the classic
+    Summary Cache design (Fan et al. 2000, the paper's reference [7]):
+    analysis there shows 4 bits overflow with probability ~1.37e-15 per
+    slot, and the memory stays well below an exact table of 128-bit
+    objectIds.  Saturated counters become sticky (never decremented), so
+    an overflow degrades the slot to a plain Bloom bit instead of
+    corrupting state.
     """
 
     __slots__ = ()
@@ -214,18 +222,13 @@ class CountingBloomFilter(_SlotFilter):
     MAX_COUNT = 15
 
     def add(self, key: int | str | bytes) -> None:
-        self._increment(self._indices(key))
-        self.count += 1
-
-    def _increment(self, idxs: tuple[int, ...]) -> None:
+        idxs = self._memo.get(key) if type(key) is int else None
         slots = self._slots
-        for idx in idxs:
-            byte = slots[idx >> 1]
-            if idx & 1:
-                if byte < 0xF0:
-                    slots[idx >> 1] = byte + 0x10
-            elif byte & 0x0F != 0x0F:
-                slots[idx >> 1] = byte + 1
+        for idx in idxs or self._indices(key):
+            c = slots[idx]
+            if c != 15:  # MAX_COUNT
+                slots[idx] = c + 1
+        self.count += 1
 
     def remove(self, key: int | str | bytes) -> None:
         if not self.discard(key):
@@ -239,23 +242,18 @@ class CountingBloomFilter(_SlotFilter):
         and must hold that many counts.  A key never added is detected
         best-effort (a slot at zero) and leaves the filter as it was.
         """
+        idxs = self._memo.get(key) if type(key) is int else None
+        idxs = idxs or self._indices(key)
         slots = self._slots
-        idxs = self._indices(key)
         for done, idx in enumerate(idxs):
-            byte = slots[idx >> 1]
-            c = byte >> 4 if idx & 1 else byte & 0x0F
+            c = slots[idx]
             if not c:
                 # Undo: decremented slots sit below saturation, so +1 is exact.
-                self._increment(idxs[:done])
+                for prev in idxs[:done]:
+                    if slots[prev] != 15:
+                        slots[prev] += 1
                 return False
-            if c != 0x0F:  # saturated slots are sticky
-                slots[idx >> 1] = byte - (0x10 if idx & 1 else 1)
+            if c != 15:  # saturated slots are sticky
+                slots[idx] = c - 1
         self.count -= 1
-        return True
-
-    def __contains__(self, key: int | str | bytes) -> bool:
-        slots = self._slots
-        for idx in self._indices(key):
-            if not slots[idx >> 1] & (0xF0 if idx & 1 else 0x0F):
-                return False
         return True

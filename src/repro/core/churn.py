@@ -209,7 +209,9 @@ class HierGdChurnScheme(HierGdScheme):
             # physically exists but the DHT can no longer find it.  Treat
             # it as lost — it will age out of its old holder's cache.
             state.p2p_present.discard(obj)
-            if obj in state.directory:
+            # ``dir_probe`` is the directory's own membership structure on
+            # a churning run: the probe enters no directory wrapper.
+            if obj in state.dir_probe:
                 # The proxy fixing its own table is local: under a fault
                 # transport ``repair()`` bypasses the lossy eviction-notice
                 # channel (plain directories: the same as ``remove``).

@@ -14,8 +14,9 @@ from repro.bloom import (
 )
 
 def counters(cbf: CountingBloomFilter) -> list[int]:
-    """Every 4-bit counter, unpacked (even slot = low nibble of its byte)."""
-    return [cbf._slots[i >> 1] >> 4 * (i & 1) & 0x0F for i in range(cbf.num_bits)]
+    """Every 4-bit counter, one slot per element of the filter's list."""
+    assert len(cbf._slots) == cbf.num_bits
+    return list(cbf._slots)
 
 
 keys = st.one_of(
@@ -186,8 +187,9 @@ class TestCountingSpecific:
         assert counters(cbf)[slot] == 15 and "y" in cbf
         assert cbf.count == 0
 
-    def test_nibble_packing_isolated(self):
-        # Slots 2i and 2i+1 share a byte; moving one never moves the other.
+    def test_neighbouring_slots_stay_isolated(self):
+        # Moving a slot never moves its neighbours, saturated or empty
+        # (slots 2i and 2i+1 are one byte of the modelled packed layout).
         cbf = CountingBloomFilter(num_bits=8, num_hashes=1)
         by_slot = {}
         for key in range(200):
@@ -227,6 +229,24 @@ class TestCountingSpecific:
         cbf.add(1)
         cbf.remove(1)
         assert counters(cbf) == before and 255 in cbf
+
+    def test_refused_discard_leaves_saturated_slots_alone(self):
+        # The undo of a refused discard re-adds only what it took: a
+        # saturated slot it skipped stays at 15, never 16.
+        cbf = CountingBloomFilter(num_bits=64, num_hashes=2)
+        key, (first, second) = next(
+            (k, cbf._indices(k)) for k in range(100) if len(set(cbf._indices(k))) == 2
+        )
+        filler = next(
+            k for k in range(100, 1_000)
+            if first in cbf._indices(k) and second not in cbf._indices(k)
+        )
+        for _ in range(20):
+            cbf.add(filler)
+        before = counters(cbf)
+        assert before[first] == 15 and before[second] == 0
+        assert cbf.discard(key) is False
+        assert counters(cbf) == before
 
     def test_memory_half_byte_per_slot(self):
         cbf = CountingBloomFilter(num_bits=1000, num_hashes=3)

@@ -8,6 +8,7 @@ so a key's indices coincide and counters saturate at 15 within a few steps.
 """
 
 import hashlib
+import math
 from collections import Counter
 from unittest import mock
 
@@ -159,6 +160,15 @@ class BloomMachine(RuleBasedStateMachine):
         assert self.real.count == self.forgetful.count == self.model.count
         assert len(self.forgetful._memo) <= 1
         assert self.bits.bits_set == len(self.bit_slots)
+
+    @invariant()
+    def slots_stay_in_range_and_memory_stays_packed(self):
+        m = self.model.num_bits
+        for counting in (self.real, self.forgetful):
+            assert all(0 <= c <= 15 for c in counters(counting))
+            assert counting.memory_bytes() == math.ceil(m / 2)
+        assert set(self.bits._slots) <= {0, 1}
+        assert self.bits.memory_bytes() == math.ceil(m / 8)
 
     @invariant()
     def no_false_negatives(self):

@@ -12,7 +12,10 @@ host; these count instead of timing:
 * on the same shape an exchange is paid once: a ``transport.attempt``
   that charges nothing enters 10 frames, any attempt at most 14 besides
   the latency sink, and a Bloom probe enters the counting filter
-  straight from the engine;
+  straight from the engine or churn's repairing ``_locate``;
+* on the same shape a counting-filter ``__contains__`` / ``add`` /
+  ``discard`` of an int key the filter has memoised is one frame: the
+  memo is read inline, ``_indices`` is entered only on a first touch;
 * a fault-free run on an exact directory, unit or sized, enters no
   ``_size_of`` / ``PresenceIndex.add`` / ``PresenceIndex.discard`` frame
   and asks ``_locate`` only about objects ``p2p_present`` lists: the
@@ -36,6 +39,7 @@ import pytest
 
 from repro.bloom import CountingBloomFilter
 from repro.core import hiergd_indexed
+from repro.core.churn import HierGdChurnScheme
 from repro.core.directory import LookupDirectory
 from repro.core.hiergd import HierGdScheme
 from repro.core.presence import PresenceIndex
@@ -125,15 +129,19 @@ def test_recorded_faulty_exchange_is_paid_once(monkeypatch, tmp_path):
     decision's frames below ``SimClock.run`` → ``begin`` →
     ``_draw_and_book``, deltas derived twice, ``json.dumps`` per event).
 
-    Step 2 and the push scan probe the directory's membership structure
-    itself: a Bloom probe enters the counting filter straight from the
-    engine, never a ``LossyDirectory`` / ``BloomDirectory`` frame (three
-    frames a probe before)."""
+    Step 2, the push scan and churn's repairing ``_locate`` probe the
+    directory's membership structure itself: a Bloom probe enters the
+    counting filter straight from them, never a ``LossyDirectory`` /
+    ``BloomDirectory`` frame (three frames a probe before)."""
     config = guard_config(directory="bloom")
     traces = generate_workloads(config, seed=0)
     plan = robustness_plan(0.1)
     sink = CachingScheme.add_extra_latency.__code__
-    engine = {hiergd_indexed.process.__code__, hiergd_indexed.push_stage.__code__}
+    engine = {
+        hiergd_indexed.process.__code__,
+        hiergd_indexed.push_stage.__code__,
+        HierGdChurnScheme._locate.__code__,
+    }
     wrapper = {
         f.__code__
         for cls in (LookupDirectory, *LookupDirectory.__subclasses__())
@@ -190,7 +198,71 @@ def test_recorded_faulty_exchange_is_paid_once(monkeypatch, tmp_path):
     assert len(free) > 1_000 and set(free) == {10}
     assert max(own for own, _ in attempts) <= 14
     assert probed_from["process"] > 1_000 and probed_from["push_stage"] > 0
+    assert probed_from["_locate"] > 0
     assert not wrapped
+
+
+def test_memoised_bloom_operation_enters_one_frame(monkeypatch, tmp_path):
+    """On the ``hiergd_faults`` shape a counting-filter ``__contains__`` /
+    ``add`` / ``discard`` of an int key already in the filter's memo is
+    exactly one Python frame: the memo is read inline, and the slots are
+    list elements (no ``_indices`` frame, no unpacking helper).  A key on
+    its first touch enters ``_indices`` as well."""
+    config = guard_config(directory="bloom")
+    traces = generate_workloads(config, seed=0)
+    plan = robustness_plan(0.1)
+    ops = {
+        getattr(CountingBloomFilter, name).__code__: name
+        for name in ("__contains__", "add", "discard")
+    }
+    #: (operation, key memoised on entry) -> Counter(frames entered).
+    frames = {}
+    run = CachingScheme.run
+
+    def profiled_run(scheme):
+        depth = entered = 0
+        op = None
+
+        def profile(frame, event, arg):
+            nonlocal depth, entered, op
+            if event == "call":
+                if not depth and frame.f_code in ops:
+                    args = frame.f_locals
+                    key = args["key"]
+                    memoised = type(key) is int and key in args["self"]._memo
+                    op = (ops[frame.f_code], memoised)
+                if op is not None:
+                    depth += 1
+                    entered += 1
+            elif event == "return" and op is not None:
+                depth -= 1
+                if not depth:
+                    frames.setdefault(op, Counter())[entered] += 1
+                    entered, op = 0, None
+
+        # As above: no collection may run finalizers inside an operation.
+        collecting = gc.isenabled()
+        gc.disable()
+        sys.setprofile(profile)
+        try:
+            return run(scheme)
+        finally:
+            sys.setprofile(None)
+            if collecting:
+                gc.enable()
+
+    monkeypatch.setattr(CachingScheme, "run", profiled_run)
+    with recording_traces(tmp_path):
+        result = run_scheme_with_faults(
+            "hier-gd", config, traces, plan, seed=0, backend="async"
+        )
+    assert result.messages["client_failures"] > 0
+    for name in ("__contains__", "add", "discard"):
+        hot = frames[name, True]
+        assert set(hot) == {1}, (name, hot)
+        assert sum(hot.values()) > 100, name
+    # First touches hash the key: the guard tells the two paths apart.
+    assert min(frames["__contains__", False]) > 1
 
 
 @pytest.mark.parametrize("sizes", ["unit", "sized"])
