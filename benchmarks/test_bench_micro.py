@@ -11,7 +11,7 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from repro.bloom import BloomFilter, CountingBloomFilter
+from repro.bloom import CountingBloomFilter
 from repro.cache import GreedyDualCache, LfuCache, LruCache, TieredCache
 from repro.cache.topk import TopKTracker
 from repro.overlay import Dht, Overlay
@@ -124,16 +124,6 @@ def test_pastry_full_routing(benchmark):
 
     hops = benchmark(route_all)
     assert hops >= 0
-
-
-def test_bloom_filter_add_and_probe(benchmark):
-    def run():
-        bf = BloomFilter(capacity=N_OPS, fp_rate=0.01)
-        for i in range(N_OPS):
-            bf.add(i)
-        return sum(1 for i in range(N_OPS) if i in bf)
-
-    assert benchmark(run) == N_OPS
 
 
 def test_counting_bloom_add_remove(benchmark):

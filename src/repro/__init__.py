@@ -32,7 +32,6 @@ _LAZY = {
     "SchemeResult": ("repro.core.metrics", "SchemeResult"),
     "latency_gain": ("repro.core.metrics", "latency_gain"),
     "available_schemes": ("repro.core.run", "available_schemes"),
-    "run_all_schemes": ("repro.core.run", "run_all_schemes"),
     "run_scheme": ("repro.core.run", "run_scheme"),
 }
 

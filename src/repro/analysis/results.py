@@ -86,17 +86,3 @@ class SweepResult:
 
     def save_csv(self, path: str | Path) -> None:
         Path(path).write_text(self.to_csv(), encoding="ascii")
-
-    @classmethod
-    def load_csv(cls, path: str | Path, title: str = "") -> "SweepResult":
-        lines = Path(path).read_text(encoding="ascii").strip().splitlines()
-        header = lines[0].split(",")
-        columns = list(zip(*(line.split(",") for line in lines[1:])))
-        out = cls(
-            title=title or Path(path).stem,
-            x_label=header[0],
-            x_values=[float(v) for v in columns[0]],
-        )
-        for label, col in zip(header[1:], columns[1:]):
-            out.add(label, [float(v) for v in col])
-        return out

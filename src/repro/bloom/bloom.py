@@ -1,12 +1,12 @@
-"""Bloom filters for the proxy's P2P-cache lookup directory.
+"""The counting Bloom filter behind the proxy's P2P-cache lookup directory.
 
 The paper proposes two lookup-directory representations (§4.2): an exact
 hashtable of objectIds and a **Bloom filter**, which trades memory for a
 tunable false-positive ratio (false positives send the proxy on a futile
-redirect into the P2P client cache).  This module implements both the
-classic bit-array Bloom filter and a **counting Bloom filter** — the
-directory must support deletions (objects are evicted from client caches),
-which plain Bloom filters cannot do.
+redirect into the P2P client cache).  The directory must support
+deletions (objects are evicted from client caches), which a plain
+bit-array Bloom filter cannot do, so this module implements the
+**counting Bloom filter** the directory runs.
 
 Implementation notes
 --------------------
@@ -18,7 +18,7 @@ Implementation notes
 * Keys are non-negative ints of any width (the simulator passes trace
   object indexes; anything with ``__index__``, e.g. ``numpy.int64``, is
   the same key as its ``int``), ``str`` (UTF-8) or ``bytes``.
-* A directory is asked about the same few objects all run long, so each
+* A directory is asked about the same few objects all run long, so the
   filter keeps a memo ``key -> indices`` and hashes a key once while it is
   hot; the memo is emptied wholesale at :data:`_MEMO_CAP` entries.  An
   ``int`` key is looked up in the memo inline, so a memoised operation is
@@ -28,10 +28,10 @@ Implementation notes
   k = (m/n) ln 2, and ``false_positive_rate`` reports the *current-load*
   estimate (1 - e^{-kn/m})^k used by the directory-tradeoff example and
   the ablation bench.
-* Both filters keep one slot per element of a plain ``list`` of small
-  ints — a bit, or a 4-bit sticky-saturating counter 0-15 — read and
-  written by plain list subscripts at 8 B a slot; :meth:`memory_bytes`
-  reports the modelled packed layout (§4.2's trade), 1 or 4 bits a slot.
+* The filter keeps one slot per element of a plain ``list`` of small
+  ints — a 4-bit sticky-saturating counter 0-15 — read and written by
+  plain list subscripts at 8 B a slot; :meth:`~CountingBloomFilter.memory_bytes`
+  reports the modelled packed layout (§4.2's trade), 4 bits a slot.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import hashlib
 import math
 import operator
 
-__all__ = ["optimal_num_bits", "optimal_num_hashes", "BloomFilter", "CountingBloomFilter"]
+__all__ = ["optimal_num_bits", "optimal_num_hashes", "CountingBloomFilter"]
 
 #: Entries a filter's ``key -> indices`` memo holds before it is emptied:
 #: above the 10 000 objects of the largest experiment scale.  An entry is a
@@ -94,11 +94,35 @@ def _key_bytes(key: int | str | bytes) -> bytes:
     return key.to_bytes(max(1, (key.bit_length() + 7) // 8), "little")
 
 
-class _SlotFilter:
-    """What both filters share: sizing, the hash contract, the index memo."""
+class CountingBloomFilter:
+    """Bloom filter with 4-bit per-slot counters, supporting deletion.
+
+    The proxy's Bloom-filter directory must remove objectIds when client
+    caches evict objects; counting slots make ``remove`` possible.  The
+    counters are 4 bits wide, modelled packed two per byte — the classic
+    Summary Cache design (Fan et al. 2000, the paper's reference [7]):
+    analysis there shows 4 bits overflow with probability ~1.37e-15 per
+    slot, and the memory stays well below an exact table of 128-bit
+    objectIds.  Saturated counters become sticky (never decremented), so
+    an overflow degrades the slot to a plain Bloom bit instead of
+    corrupting state.
+
+    Parameters
+    ----------
+    capacity:
+        Expected number of distinct keys (used for sizing).
+    fp_rate:
+        Target false-positive probability at ``capacity`` keys.
+    num_bits, num_hashes:
+        Explicit sizing; overrides the capacity/fp_rate formulas when given.
+    """
 
     __slots__ = ("num_bits", "num_hashes", "count", "_slots", "_memo")
-    _SLOTS_PER_BYTE: int  # slots one byte holds in the modelled layout
+
+    #: Counter saturation limit (4-bit counters, Summary Cache's choice).
+    MAX_COUNT = 15
+    #: Counters one byte holds in the modelled packed layout.
+    _SLOTS_PER_BYTE = 2
 
     def __init__(
         self,
@@ -146,81 +170,6 @@ class _SlotFilter:
                 return False
         return True
 
-    def clear(self) -> None:
-        self._slots = [0] * self.num_bits
-        self.count = 0
-
-    def false_positive_rate(self, n_keys: int | None = None) -> float:
-        """Estimated FP probability at the current (or given) load.
-
-        Uses the classic approximation (1 - e^{-kn/m})^k.
-        """
-        n = self.count if n_keys is None else n_keys
-        if n <= 0:
-            return 0.0
-        k, m = self.num_hashes, self.num_bits
-        return (1.0 - math.exp(-k * n / m)) ** k
-
-    def memory_bytes(self) -> int:
-        """Bytes of the modelled packed slot array (module docstring)."""
-        return -(-self.num_bits // self._SLOTS_PER_BYTE)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"{type(self).__name__}(num_bits={self.num_bits}, "
-            f"num_hashes={self.num_hashes}, count={self.count})"
-        )
-
-
-class BloomFilter(_SlotFilter):
-    """Classic bit-array Bloom filter (no deletions).
-
-    Parameters
-    ----------
-    capacity:
-        Expected number of distinct keys (used for sizing).
-    fp_rate:
-        Target false-positive probability at ``capacity`` keys.
-    num_bits, num_hashes:
-        Explicit sizing; overrides the capacity/fp_rate formulas when given.
-    """
-
-    __slots__ = ()
-    _SLOTS_PER_BYTE = 8
-
-    def add(self, key: int | str | bytes) -> None:
-        idxs = self._memo.get(key) if type(key) is int else None
-        bits = self._slots
-        for idx in idxs or self._indices(key):
-            bits[idx] = 1
-        self.count += 1
-
-    @property
-    def bits_set(self) -> int:
-        """Number of 1-bits currently in the filter."""
-        return self._slots.count(1)
-
-
-class CountingBloomFilter(_SlotFilter):
-    """Bloom filter with 4-bit per-slot counters, supporting deletion.
-
-    The proxy's Bloom-filter directory must remove objectIds when client
-    caches evict objects; counting slots make ``remove`` possible.  The
-    counters are 4 bits wide, modelled packed two per byte — the classic
-    Summary Cache design (Fan et al. 2000, the paper's reference [7]):
-    analysis there shows 4 bits overflow with probability ~1.37e-15 per
-    slot, and the memory stays well below an exact table of 128-bit
-    objectIds.  Saturated counters become sticky (never decremented), so
-    an overflow degrades the slot to a plain Bloom bit instead of
-    corrupting state.
-    """
-
-    __slots__ = ()
-    _SLOTS_PER_BYTE = 2
-
-    #: Counter saturation limit (4-bit counters, Summary Cache's choice).
-    MAX_COUNT = 15
-
     def add(self, key: int | str | bytes) -> None:
         idxs = self._memo.get(key) if type(key) is int else None
         slots = self._slots
@@ -257,3 +206,28 @@ class CountingBloomFilter(_SlotFilter):
                 slots[idx] = c - 1
         self.count -= 1
         return True
+
+    def clear(self) -> None:
+        self._slots = [0] * self.num_bits
+        self.count = 0
+
+    def false_positive_rate(self, n_keys: int | None = None) -> float:
+        """Estimated FP probability at the current (or given) load.
+
+        Uses the classic approximation (1 - e^{-kn/m})^k.
+        """
+        n = self.count if n_keys is None else n_keys
+        if n <= 0:
+            return 0.0
+        k, m = self.num_hashes, self.num_bits
+        return (1.0 - math.exp(-k * n / m)) ** k
+
+    def memory_bytes(self) -> int:
+        """Bytes of the modelled packed slot array (module docstring)."""
+        return -(-self.num_bits // self._SLOTS_PER_BYTE)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"{type(self).__name__}(num_bits={self.num_bits}, "
+            f"num_hashes={self.num_hashes}, count={self.count})"
+        )

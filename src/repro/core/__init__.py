@@ -18,7 +18,6 @@ from .run import (
     available_schemes,
     gains_vs_nc,
     generate_workloads,
-    run_all_schemes,
     run_scheme,
 )
 from .simulator import CachingScheme
@@ -41,7 +40,6 @@ __all__ = [
     "available_schemes",
     "gains_vs_nc",
     "generate_workloads",
-    "run_all_schemes",
     "run_scheme",
     "CachingScheme",
 ]

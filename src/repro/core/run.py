@@ -4,7 +4,7 @@ This is the layer the examples and the benchmark harness talk to::
 
     cfg = SimulationConfig()
     traces = generate_workloads(cfg, seed=1)
-    results = run_all_schemes(cfg, traces)
+    results = {name: run_scheme(name, cfg, traces) for name in available_schemes()}
     gains = gains_vs_nc(results)
 
 Traces are generated once per workload configuration and shared across
@@ -44,7 +44,6 @@ __all__ = [
     "build_scheme",
     "generate_workloads",
     "run_scheme",
-    "run_all_schemes",
     "gains_vs_nc",
     "with_backend",
 ]
@@ -242,19 +241,6 @@ def run_scheme(
         recorder=active_trace_recorder(),
         backend=backend,
     )
-
-
-def run_all_schemes(
-    config: SimulationConfig,
-    traces: list[Trace] | None = None,
-    schemes: list[str] | None = None,
-    seed: int = 0,
-) -> dict[str, SchemeResult]:
-    """Run several schemes over the same workload; keyed by scheme name."""
-    if traces is None:
-        traces = generate_workloads(config, seed=seed)
-    names = schemes if schemes is not None else available_schemes()
-    return {name: run_scheme(name, config, traces, seed=seed) for name in names}
 
 
 def gains_vs_nc(results: dict[str, SchemeResult]) -> dict[str, float]:

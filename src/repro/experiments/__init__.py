@@ -26,7 +26,6 @@ from .executor import (
     PointOutcome,
     QuarantinedPoint,
     SweepPoint,
-    child_seed,
 )
 from .figures import FIGURES, Claim, Figure, run_figure
 from .instrument import ProgressEvent, RunInstrumentation
@@ -52,7 +51,6 @@ __all__ = [
     "ResultStore",
     "RunInstrumentation",
     "SweepPoint",
-    "child_seed",
     "point_key",
     "sweep_points",
     "FIGURES",

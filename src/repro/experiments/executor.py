@@ -41,7 +41,6 @@ explicit :class:`SweepPoint` work items and fans them out over
 from __future__ import annotations
 
 import concurrent.futures
-import hashlib
 import os
 import resource
 import time
@@ -57,7 +56,6 @@ from .instrument import RunInstrumentation, print_progress
 from .store import ResultStore, deserialize_result, point_key, serialize_result
 
 __all__ = [
-    "child_seed",
     "SweepPoint",
     "PointOutcome",
     "QuarantinedPoint",
@@ -65,18 +63,6 @@ __all__ = [
     "ExperimentEngine",
     "run_point",
 ]
-
-
-def child_seed(base: int, *parts: Any) -> int:
-    """Deterministic 63-bit child seed derived from ``base`` and labels.
-
-    Stable across processes, Python versions and runs (SHA-256, not
-    ``hash()``), so independent RNG streams derived for sweep points
-    never depend on execution order or interpreter state.
-    """
-    canonical = repr((int(base),) + tuple(str(p) for p in parts))
-    digest = hashlib.sha256(canonical.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") >> 1
 
 
 class PointExecutionError(RuntimeError):

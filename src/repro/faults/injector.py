@@ -6,9 +6,7 @@ process runs the simulation, so stored results, the determinism guard
 and the robustness sweep all agree.  Python's ``hash()`` is salted per
 process and the global ``random`` module is ambient state, so neither is
 usable; instead every stream derives from the plan seed plus string
-labels through SHA-256 (:func:`fault_seed` — the same construction as
-``repro.experiments.child_seed``, reimplemented here because the faults
-package must stay importable without the experiment layer).
+labels through SHA-256 (:func:`fault_seed`).
 
 Streams are independent per link and per fault process: whether the
 delay process is enabled never shifts the loss draws, so enabling one
@@ -117,13 +115,6 @@ class FaultInjector:
         """One Bernoulli draw: did the message over ``link`` get through?"""
         u = self.loss_uniform(link)
         return u is None or u >= self._loss_prob[link]
-
-    def delay_penalty(self, link: str) -> float:
-        """Extra RTT multiples a successful round costs (0.0 = on time)."""
-        u = self.delay_uniform(link)
-        if u is not None and u < self.plan.delay_rate:
-            return self.plan.delay_factor - 1.0
-        return 0.0
 
     def unresponsive(self, cluster: int, client: int) -> bool:
         """Is this client cache permanently unreachable for pushes?

@@ -122,26 +122,6 @@ class NetworkConfig:
             return t + self.t_server
         raise KeyError(f"unknown tier {tier!r}")
 
-    def fetch_cost(self, tier: str) -> float:
-        """Cost the *proxy* paid to obtain the object — greedy-dual's
-        ``cost(obj)`` and cost-benefit's saved-latency basis.
-
-        The proxy-side segment only (no ``Tl``): 0 for a local hit,
-        ``Tp2p`` from the own P2P cache, ``Tc`` from a cooperating proxy,
-        ``Tc + Tp2p`` via the push protocol, ``Ts`` from the server.
-        """
-        if tier == TIER_LOCAL_PROXY:
-            return 0.0
-        if tier == TIER_LOCAL_P2P:
-            return self.t_p2p
-        if tier == TIER_COOP_PROXY:
-            return self.t_coop
-        if tier == TIER_COOP_P2P:
-            return self.t_coop + self.t_p2p
-        if tier == TIER_SERVER:
-            return self.t_server
-        raise KeyError(f"unknown tier {tier!r}")
-
     def link_rtt(self, link: str) -> float:
         """One round-trip over a cooperation ``link`` (see ``FAULT_LINKS``).
 

@@ -20,7 +20,6 @@ key); membership and message movement live in
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
@@ -209,20 +208,6 @@ class RoutingTable:
                     seen.add(e)
         return list(seen)
 
-    def fill_ratio(self, n_nodes: int) -> float:
-        """Fraction of *expected-populated* rows' slots that are filled.
-
-        Only the first ``ceil(log_{2**b} n_nodes)`` rows are expected to
-        have entries in a uniform overlay; deeper rows are almost surely
-        empty.  Diagnostic only.
-        """
-        if n_nodes <= 1:
-            return 1.0
-        rows_expected = max(1, math.ceil(math.log(n_nodes, self.space.digit_base)))
-        filled = sum(
-            1 for r in range(min(rows_expected, self.space.ndigits)) for e in self.rows[r] if e
-        )
-        return filled / (rows_expected * self.space.digit_base)
 
 
 @dataclass

@@ -106,7 +106,6 @@ from .whatif import (
     EventChange,
     WhatIfError,
     WhatIfReport,
-    format_whatif,
     whatif_trace,
 )
 
@@ -167,7 +166,6 @@ __all__ = [
     "parse_request",
     "exchange_traffic",
     "format_report",
-    "format_whatif",
     "link_traffic",
     "load_trace",
     "plan_fingerprint",

@@ -81,7 +81,6 @@ __all__ = [
     "EventChange",
     "WhatIfReport",
     "whatif_trace",
-    "format_whatif",
 ]
 
 #: The serving tier an exchange over each cooperation link naturally
@@ -392,46 +391,3 @@ def _adjusted(messages: dict[str, int], delta: dict[str, int]) -> dict[str, int]
         out[key] = out.get(key, 0) + d
     return out
 
-
-def format_whatif(report: WhatIfReport) -> str:
-    """Human-readable what-if verdict (CLI output, the CI gate)."""
-    lines = [
-        f"what-if {report.path}",
-        f"  scheme={report.scheme} seed={report.seed} "
-        f"plan={report.plan_label} fingerprint={report.plan_fingerprint}",
-        f"  policy={report.policy_label}"
-        + (" (identity)" if report.identity else ""),
-        f"  ladders={report.n_ladders}/{report.n_events} events "
-        f"changed={report.n_changed} flips={report.n_flips} "
-        f"extension_draws={report.extension_draws}",
-    ]
-    if report.unattributed_flips:
-        lines.append(
-            f"  WARNING: {report.unattributed_flips} flips unattributed "
-            "(source tier exhausted — approximation overflow)"
-        )
-    if report.identical:
-        lines.append("  result: byte-identical to the recording")
-    else:
-        recorded_mean = (
-            report.recorded["total_latency"] / report.recorded["n_requests"]
-            if report.recorded["n_requests"]
-            else 0.0
-        )
-        lines.append(
-            f"  mean latency: {recorded_mean:.4f} recorded -> "
-            f"{report.result.mean_latency:.4f} under {report.policy_label} "
-            f"({report.result.mean_latency - recorded_mean:+.4f})"
-        )
-        for change in report.changes[:5]:
-            flip = (
-                f" ok {change.ok_before}->{change.ok_after}"
-                if change.ok_before != change.ok_after
-                else ""
-            )
-            lines.append(
-                f"    event {change.index} (req {change.request}, "
-                f"{change.kind}/{change.link}): latency "
-                f"{change.latency_delta:+.4f}{flip}"
-            )
-    return "\n".join(lines)

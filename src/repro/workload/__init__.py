@@ -5,7 +5,10 @@
   locality model).
 - :mod:`repro.workload.prowgen` — the four-knob trace generator (§5.1).
 - :mod:`repro.workload.ucb` — UCB Home-IP trace substitute for Fig 2(b).
-- :mod:`repro.workload.trace` — compact trace container and IO.
+- :mod:`repro.workload.trace` — the compact in-memory trace container.
+- :mod:`repro.workload.stream` — the chunked on-disk container, the one
+  workload file format.
+- :mod:`repro.workload.adapters` — Squid / Common Log Format replay.
 """
 
 import hashlib
@@ -15,13 +18,6 @@ from pathlib import Path
 
 from .adapters import AdapterReport, from_common_log, from_squid_log
 from .lru_stack import LruStack
-from .stats import (
-    estimate_zipf_alpha,
-    mean_reuse_distance,
-    reuse_distances,
-    summarize,
-    temporal_locality_index,
-)
 from .prowgen import (
     ProWGenConfig,
     generate_trace,
@@ -34,7 +30,7 @@ from .stream import (
     StreamingTrace,
     TruncatedTraceError,
 )
-from .trace import Trace, interleave, object_url
+from .trace import Trace, object_url
 from .ucb import UCB_TOTAL_REQUESTS, generate_ucb_like_trace, ucb_like_config
 from .zipf import AliasSampler, zipf_pmf, zipf_weights
 
@@ -43,11 +39,6 @@ __all__ = [
     "from_common_log",
     "from_squid_log",
     "LruStack",
-    "estimate_zipf_alpha",
-    "mean_reuse_distance",
-    "reuse_distances",
-    "summarize",
-    "temporal_locality_index",
     "ProWGenConfig",
     "generate_trace",
     "generate_trace_streaming",
@@ -57,7 +48,6 @@ __all__ = [
     "StreamingTrace",
     "TruncatedTraceError",
     "Trace",
-    "interleave",
     "object_url",
     "UCB_TOTAL_REQUESTS",
     "generate_ucb_like_trace",
@@ -87,7 +77,7 @@ def generate_cluster_traces(
     return [
         generate_trace(
             config,
-            seed=seed + 1000 * (i + 1),
+            seed=cluster_trace_seed(seed, i),
             name=f"cluster{i}",
             counts_seed=seed,
         )

@@ -31,11 +31,12 @@ through a preallocated ``numpy.memmap`` and only stamps the header's
 ``sealed`` flag after both arrays are complete, so an unsealed file can
 never masquerade as a trace.
 
-:class:`StreamingTrace` mirrors the :class:`Trace` statistics surface
-(``infinite_cache_size``, ``reference_counts`` …) by streaming chunked
-``bincount`` passes instead of materializing the arrays, and serves the
-request stream to the simulator via :meth:`object_slice` /
-:meth:`client_slice` windows backed by a read-only memmap.
+:class:`StreamingTrace` shares :class:`Trace`'s statistics
+(:class:`~repro.workload.trace.TraceStatistics`: ``infinite_cache_size``
+…) over a ``reference_counts`` accumulated by chunked ``bincount`` passes
+instead of materializing the arrays, and serves the request stream to
+the simulator via :meth:`object_slice` / :meth:`client_slice` windows
+backed by a read-only memmap.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ import json
 from pathlib import Path
 
 import numpy as np
+
+from .trace import Trace, TraceStatistics
 
 __all__ = [
     "CHUNK_REQUESTS",
@@ -107,7 +110,7 @@ class ChunkedTraceWriter:
 
     ``close()`` refuses to seal until both cursors reach ``n_requests``;
     an abandoned writer leaves an unsealed file behind that
-    :meth:`StreamingTrace.open` rejects.
+    :class:`StreamingTrace` rejects.
     """
 
     def __init__(
@@ -220,7 +223,7 @@ class ChunkedTraceWriter:
         return self.path
 
 
-class StreamingTrace:
+class StreamingTrace(TraceStatistics):
     """Read-only chunked view of an on-disk trace.
 
     Mirrors the :class:`~repro.workload.trace.Trace` surface the
@@ -258,9 +261,10 @@ class StreamingTrace:
                 f"{self.path}: trace was never sealed (writer crashed or is "
                 "still running) — refusing a half-written trace"
             )
-        self.n_requests = int(meta["n_requests"])
-        self.n_objects = int(meta["n_objects"])
-        self.n_clients = int(meta["n_clients"])
+        counts = [meta.get(k) for k in ("n_requests", "n_objects", "n_clients")]
+        if not all(type(n) is int and n >= 0 for n in counts):
+            raise ValueError(f"{self.path} is not a chunked repro trace")
+        self.n_requests, self.n_objects, self.n_clients = counts
         self.name = str(meta.get("name", ""))
         self.has_sizes = bool(meta.get("sizes", False))
         n_sized = self.n_objects if self.has_sizes else 0
@@ -273,11 +277,6 @@ class StreamingTrace:
             )
         self._counts: np.ndarray | None = None
         self._sizes: np.ndarray | None = None
-
-    @classmethod
-    def open(cls, path: str | Path, chunk_requests: int = CHUNK_REQUESTS) -> "StreamingTrace":
-        """Open and validate an on-disk trace (alias of the constructor)."""
-        return cls(path, chunk_requests=chunk_requests)
 
     def __len__(self) -> int:
         return self.n_requests
@@ -355,43 +354,8 @@ class StreamingTrace:
             self._counts = counts
         return self._counts
 
-    @property
-    def distinct_objects(self) -> int:
-        return int((self.reference_counts() > 0).sum())
-
-    @property
-    def infinite_cache_size(self) -> int:
-        """Distinct objects referenced more than once (paper §5.1)."""
-        return int((self.reference_counts() > 1).sum())
-
-    @property
-    def infinite_cache_bytes(self) -> int:
-        """Bytes of the objects referenced more than once (mirrors
-        :attr:`Trace.infinite_cache_bytes`)."""
-        mask = self.reference_counts() > 1
-        sizes = self.sizes
-        if sizes is None:
-            return int(mask.sum())
-        return int(sizes[mask].sum())
-
-    @property
-    def one_timer_fraction(self) -> float:
-        counts = self.reference_counts()
-        total = int((counts > 0).sum())
-        if total == 0:
-            return 0.0
-        return float((counts == 1).sum() / total)
-
-    def frequency_table(self) -> dict[int, int]:
-        """Reference counts as a dict (the FC frequency oracle's input)."""
-        counts = self.reference_counts()
-        nz = np.nonzero(counts)[0]
-        return dict(zip(nz.tolist(), counts[nz].tolist()))
-
     def head(self, n: int):
         """First ``n`` requests as an in-memory :class:`Trace`."""
-        from .trace import Trace
-
         n = min(n, self.n_requests)
         return Trace(
             object_ids=self.object_slice(0, n).copy(),
@@ -402,15 +366,3 @@ class StreamingTrace:
             sizes=self.sizes,
         )
 
-    def to_trace(self):
-        """The whole trace materialized in memory (tests, small files)."""
-        from .trace import Trace
-
-        return Trace(
-            object_ids=self.object_slice(0, self.n_requests).copy(),
-            client_ids=self.client_slice(0, self.n_requests).copy(),
-            n_objects=self.n_objects,
-            n_clients=self.n_clients,
-            name=self.name,
-            sizes=self.sizes,
-        )

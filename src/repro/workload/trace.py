@@ -1,4 +1,4 @@
-"""Compact request-trace container and IO.
+"""Compact in-memory request-trace container.
 
 A trace is the sequence of HTTP requests one *client cluster* (the clients
 behind one proxy) issues: for each request, which client issued it and
@@ -13,17 +13,19 @@ one-timer fraction, the paper's *infinite cache size*) are vectorised.
 The paper defines **infinite cache size** as "the number of distinct
 objects that are accessed more than once by clients in a client cluster"
 (§5.1); proxy cache sizes in every figure are percentages of this
-quantity, so it is computed here, per trace.
+quantity, so it is computed here, per trace, by :class:`TraceStatistics`
+— the one copy of the count-derived statistics, which the on-disk
+:class:`~repro.workload.stream.StreamingTrace` reads too.  The one
+workload file format is that chunked binary container.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-__all__ = ["Trace", "object_url", "interleave"]
+__all__ = ["Trace", "TraceStatistics", "object_url"]
 
 
 def object_url(object_id: int) -> str:
@@ -31,8 +33,56 @@ def object_url(object_id: int) -> str:
     return f"http://origin.example/obj/{object_id}"
 
 
+class TraceStatistics:
+    """The count-derived statistics both trace containers share.
+
+    A container supplies ``reference_counts()`` (per-object counts over
+    the whole trace) and ``sizes`` (per-object bytes or ``None``); the
+    in-memory :class:`Trace` and the on-disk
+    :class:`~repro.workload.stream.StreamingTrace` differ only in how
+    they count.
+    """
+
+    __slots__ = ()
+
+    @property
+    def distinct_objects(self) -> int:
+        return int((self.reference_counts() > 0).sum())
+
+    @property
+    def infinite_cache_size(self) -> int:
+        """Distinct objects referenced more than once (paper §5.1)."""
+        return int((self.reference_counts() > 1).sum())
+
+    @property
+    def infinite_cache_bytes(self) -> int:
+        """Bytes of the objects referenced more than once — the §5.1
+        *infinite cache size* denominated in bytes when the trace carries
+        per-object sizes (each such object counts 1 otherwise)."""
+        mask = self.reference_counts() > 1
+        sizes = self.sizes
+        if sizes is None:
+            return int(mask.sum())
+        return int(sizes[mask].sum())
+
+    @property
+    def one_timer_fraction(self) -> float:
+        """Fraction of *referenced* objects that are referenced exactly once."""
+        counts = self.reference_counts()
+        total = int((counts > 0).sum())
+        if total == 0:
+            return 0.0
+        return float((counts == 1).sum() / total)
+
+    def frequency_table(self) -> dict[int, int]:
+        """Reference counts as a dict (the FC frequency oracle's input)."""
+        counts = self.reference_counts()
+        nz = np.nonzero(counts)[0]
+        return dict(zip(nz.tolist(), counts[nz].tolist()))
+
+
 @dataclass
-class Trace:
+class Trace(TraceStatistics):
     """One client cluster's request stream.
 
     Attributes
@@ -102,99 +152,6 @@ class Trace:
             self._counts = np.bincount(self.object_ids, minlength=self.n_objects)
         return self._counts
 
-    @property
-    def distinct_objects(self) -> int:
-        return int((self.reference_counts() > 0).sum())
-
-    @property
-    def infinite_cache_size(self) -> int:
-        """Distinct objects referenced more than once (paper §5.1)."""
-        return int((self.reference_counts() > 1).sum())
-
-    @property
-    def infinite_cache_bytes(self) -> int:
-        """Bytes of the objects referenced more than once — the §5.1
-        *infinite cache size* denominated in bytes when the trace carries
-        per-object sizes (each such object counts 1 otherwise)."""
-        mask = self.reference_counts() > 1
-        if self.sizes is None:
-            return int(mask.sum())
-        return int(self.sizes[mask].sum())
-
-    @property
-    def one_timer_fraction(self) -> float:
-        """Fraction of *referenced* objects that are referenced exactly once."""
-        counts = self.reference_counts()
-        referenced = counts > 0
-        total = int(referenced.sum())
-        if total == 0:
-            return 0.0
-        return float((counts == 1).sum() / total)
-
-    def frequency_table(self) -> dict[int, int]:
-        """Reference counts as a dict (the FC frequency oracle's input)."""
-        counts = self.reference_counts()
-        nz = np.nonzero(counts)[0]
-        return dict(zip(nz.tolist(), counts[nz].tolist()))
-
-    # -- IO -------------------------------------------------------------------
-
-    def save(self, path: str | Path) -> None:
-        """Write as a small self-describing text format (one request/line).
-
-        Size-free traces are written as version 1 — byte-identical to
-        what this method always produced.  A trace carrying per-object
-        sizes writes version 2, which adds one ``# sizes=...`` header
-        line; the version-1 body is unchanged, so old readers fail
-        loudly on the version tag rather than silently dropping sizes.
-        """
-        path = Path(path)
-        version = 1 if self.sizes is None else 2
-        with path.open("w", encoding="ascii") as fh:
-            fh.write(f"# repro-trace v{version} name={self.name or '-'}\n")
-            fh.write(f"# n_objects={self.n_objects} n_clients={self.n_clients}\n")
-            if self.sizes is not None:
-                fh.write("# sizes=" + " ".join(str(s) for s in self.sizes) + "\n")
-            for cid, oid in zip(self.client_ids, self.object_ids):
-                fh.write(f"{cid} {oid}\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Trace":
-        """Read either format version (1: no sizes, 2: with sizes)."""
-        path = Path(path)
-        with path.open("r", encoding="ascii") as fh:
-            header = fh.readline()
-            if header.startswith("# repro-trace v1"):
-                version = 1
-            elif header.startswith("# repro-trace v2"):
-                version = 2
-            else:
-                raise ValueError(f"{path} is not a repro trace file")
-            name = header.split("name=", 1)[1].strip()
-            meta = fh.readline().replace("#", "").split()
-            kv = dict(item.split("=") for item in meta)
-            sizes = None
-            if version == 2:
-                size_line = fh.readline()
-                if not size_line.startswith("# sizes="):
-                    raise ValueError(f"{path}: v2 trace is missing its sizes line")
-                sizes = np.array(
-                    size_line.split("=", 1)[1].split(), dtype=np.int64
-                )
-            body = fh.read()
-        if body.strip():
-            pairs = np.loadtxt(body.splitlines(), dtype=np.int64, ndmin=2)
-        else:
-            pairs = np.empty((0, 2), dtype=np.int64)
-        return cls(
-            object_ids=pairs[:, 1],
-            client_ids=pairs[:, 0].astype(np.int32),
-            n_objects=int(kv["n_objects"]),
-            n_clients=int(kv["n_clients"]),
-            name="" if name == "-" else name,
-            sizes=sizes,
-        )
-
     # -- windowed access (API parity with StreamingTrace) --------------------
 
     def object_slice(self, start: int, stop: int) -> np.ndarray:
@@ -218,21 +175,3 @@ class Trace:
             sizes=self.sizes,
         )
 
-
-def interleave(traces: list[Trace]) -> list[tuple[int, int, int]]:
-    """Round-robin merge of per-cluster traces into one global stream.
-
-    Yields ``(cluster_index, client_id, object_id)`` triples in the order
-    the simulator processes them — request i of every cluster before
-    request i+1 of any (the paper's statistically-identical clusters have
-    no timestamps, so round-robin is the faithful interleaving).
-    """
-    out: list[tuple[int, int, int]] = []
-    if not traces:
-        return out
-    longest = max(len(t) for t in traces)
-    for i in range(longest):
-        for ci, t in enumerate(traces):
-            if i < len(t):
-                out.append((ci, int(t.client_ids[i]), int(t.object_ids[i])))
-    return out

@@ -1,4 +1,4 @@
-"""Unit and property tests for the Bloom-filter substrate."""
+"""Unit and property tests for the counting Bloom filter."""
 
 import math
 
@@ -6,12 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bloom import (
-    BloomFilter,
-    CountingBloomFilter,
-    optimal_num_bits,
-    optimal_num_hashes,
-)
+from repro.bloom import CountingBloomFilter, optimal_num_bits, optimal_num_hashes
 
 def counters(cbf: CountingBloomFilter) -> list[int]:
     """Every 4-bit counter, one slot per element of the filter's list."""
@@ -51,22 +46,21 @@ class TestSizing:
             optimal_num_hashes(100, 0)
 
 
-@pytest.mark.parametrize("cls", [BloomFilter, CountingBloomFilter])
-class TestCommonBehaviour:
-    def test_no_false_negatives(self, cls):
-        bf = cls(capacity=500, fp_rate=0.01)
+class TestBehaviour:
+    def test_no_false_negatives(self):
+        bf = CountingBloomFilter(capacity=500, fp_rate=0.01)
         items = [f"http://site/{i}" for i in range(500)]
         for it in items:
             bf.add(it)
         assert all(it in bf for it in items)
 
-    def test_empty_filter_contains_nothing(self, cls):
-        bf = cls(capacity=100)
+    def test_empty_filter_contains_nothing(self):
+        bf = CountingBloomFilter(capacity=100)
         assert "x" not in bf
         assert bf.false_positive_rate() == 0.0
 
-    def test_fp_rate_near_target(self, cls):
-        bf = cls(capacity=2000, fp_rate=0.02)
+    def test_fp_rate_near_target(self):
+        bf = CountingBloomFilter(capacity=2000, fp_rate=0.02)
         for i in range(2000):
             bf.add(i)
         probes = [f"absent-{i}" for i in range(5000)]
@@ -76,62 +70,43 @@ class TestCommonBehaviour:
         # Analytic estimate close to design target as well.
         assert bf.false_positive_rate() < 0.05
 
-    def test_clear(self, cls):
-        bf = cls(capacity=10)
+    def test_clear(self):
+        bf = CountingBloomFilter(capacity=10)
         bf.add("a")
         bf.clear()
         assert "a" not in bf
         assert bf.count == 0
 
-    def test_int_str_bytes_keys_independent(self, cls):
-        bf = cls(capacity=100)
+    def test_int_str_bytes_keys_independent(self):
+        bf = CountingBloomFilter(capacity=100)
         bf.add(7)
         # int 7 encodes differently from "7": no cross-contamination
         # guaranteed in general, but at least int lookups work.
         assert 7 in bf
 
-    def test_negative_int_rejected(self, cls):
-        bf = cls(capacity=10)
+    def test_negative_int_rejected(self):
+        bf = CountingBloomFilter(capacity=10)
         with pytest.raises(ValueError):
             bf.add(-1)
 
-    def test_unsupported_key_type(self, cls):
-        bf = cls(capacity=10)
+    def test_unsupported_key_type(self):
+        bf = CountingBloomFilter(capacity=10)
         with pytest.raises(TypeError):
             bf.add(3.14)
 
-    def test_memory_reporting(self, cls):
-        bf = cls(capacity=1000, fp_rate=0.01)
+    def test_memory_reporting(self):
+        bf = CountingBloomFilter(capacity=1000, fp_rate=0.01)
         assert bf.memory_bytes() > 0
 
-    def test_explicit_sizing(self, cls):
-        bf = cls(num_bits=64, num_hashes=3)
+    def test_explicit_sizing(self):
+        bf = CountingBloomFilter(num_bits=64, num_hashes=3)
         assert bf.num_bits == 64 and bf.num_hashes == 3
 
-    def test_invalid_explicit_sizing(self, cls):
+    def test_invalid_explicit_sizing(self):
         with pytest.raises(ValueError):
-            cls(num_bits=0, num_hashes=3)
+            CountingBloomFilter(num_bits=0, num_hashes=3)
         with pytest.raises(ValueError):
-            cls(num_bits=64, num_hashes=0)
-
-
-class TestBloomSpecific:
-    def test_bits_set_grows_then_stable(self):
-        bf = BloomFilter(capacity=100, fp_rate=0.01)
-        assert bf.bits_set == 0
-        bf.add("a")
-        first = bf.bits_set
-        assert 1 <= first <= bf.num_hashes
-        bf.add("a")  # same key sets no new bits
-        assert bf.bits_set == first
-
-    def test_memory_smaller_than_exact_directory(self):
-        # The paper's motivation: a Bloom directory is far smaller than a
-        # hashtable of 128-bit objectIds.
-        n = 10_000
-        bf = BloomFilter(capacity=n, fp_rate=0.01)
-        exact_bytes = n * 16  # 128-bit ids alone, ignoring bucket overhead
-        assert bf.memory_bytes() < exact_bytes / 2
+            CountingBloomFilter(num_bits=64, num_hashes=0)
 
 
 class TestCountingSpecific:
@@ -252,12 +227,20 @@ class TestCountingSpecific:
         cbf = CountingBloomFilter(num_bits=1000, num_hashes=3)
         assert cbf.memory_bytes() == 500
 
+    def test_memory_smaller_than_exact_directory(self):
+        # The paper's motivation: a Bloom directory is far smaller than a
+        # hashtable of 128-bit objectIds, 4-bit counters included.
+        n = 10_000
+        cbf = CountingBloomFilter(capacity=n, fp_rate=0.01)
+        exact_bytes = n * 16  # 128-bit ids alone, ignoring bucket overhead
+        assert cbf.memory_bytes() < exact_bytes / 2
+
 
 class TestProperties:
     @given(st.lists(keys, max_size=60, unique=True))
     @settings(max_examples=50, deadline=None)
     def test_membership_invariant(self, items):
-        bf = BloomFilter(capacity=max(1, len(items)), fp_rate=0.01)
+        bf = CountingBloomFilter(capacity=max(1, len(items)), fp_rate=0.01)
         for it in items:
             bf.add(it)
         assert all(it in bf for it in items)

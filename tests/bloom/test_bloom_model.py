@@ -1,7 +1,7 @@
-"""Differential oracle for the Bloom filters (ROADMAP: model-based correctness).
+"""Differential oracle for the counting Bloom filter (model-based correctness).
 
 A hypothesis state machine drives ``add`` / ``remove`` / ``discard`` /
-``__contains__`` / ``clear`` on the real filters and on a naive model: one
+``__contains__`` / ``clear`` on the real filter and on a naive model: one
 Python int per slot, indices recomputed from ``hashlib`` on every call, no
 memo, removal by explicit multiplicity.  The filters are tiny on purpose,
 so a key's indices coincide and counters saturate at 15 within a few steps.
@@ -24,7 +24,7 @@ from hypothesis.stateful import (
 )
 
 import repro.bloom.bloom as bloom_module
-from repro.bloom import BloomFilter, CountingBloomFilter
+from repro.bloom import CountingBloomFilter
 
 from .test_bloom import counters
 
@@ -85,9 +85,7 @@ class BloomMachine(RuleBasedStateMachine):
         self.model = NaiveCountingBloom(**shape)
         self.real = CountingBloomFilter(**shape)
         self.forgetful = CountingBloomFilter(**shape)  # same answers, memo of one
-        self.bits = BloomFilter(**shape)
         self.live = Counter()  # keys added and not yet removed
-        self.bit_slots = set()  # slots of every key added since clear()
         self.only_live_removed = True
 
     @rule(key=KEYS)
@@ -96,9 +94,7 @@ class BloomMachine(RuleBasedStateMachine):
         self.real.add(key)
         with one_entry_memo():
             self.forgetful.add(key)
-        self.bits.add(key)
         self.live[key] += 1
-        self.bit_slots.update(self.model.indices(key))
 
     @rule(key=KEYS)
     def discard(self, key):
@@ -141,16 +137,13 @@ class BloomMachine(RuleBasedStateMachine):
         assert (key in self.real) is expected
         with one_entry_memo():
             assert (key in self.forgetful) is expected
-        assert (key in self.bits) is self.bit_slots.issuperset(self.model.indices(key))
 
     @rule()
     def clear(self):
         self.model = NaiveCountingBloom(self.model.num_bits, self.model.num_hashes)
         self.real.clear()
         self.forgetful.clear()
-        self.bits.clear()
         self.live.clear()
-        self.bit_slots.clear()
         self.only_live_removed = True
 
     @invariant()
@@ -159,7 +152,6 @@ class BloomMachine(RuleBasedStateMachine):
         assert counters(self.forgetful) == self.model.slots
         assert self.real.count == self.forgetful.count == self.model.count
         assert len(self.forgetful._memo) <= 1
-        assert self.bits.bits_set == len(self.bit_slots)
 
     @invariant()
     def slots_stay_in_range_and_memory_stays_packed(self):
@@ -167,14 +159,11 @@ class BloomMachine(RuleBasedStateMachine):
         for counting in (self.real, self.forgetful):
             assert all(0 <= c <= 15 for c in counters(counting))
             assert counting.memory_bytes() == math.ceil(m / 2)
-        assert set(self.bits._slots) <= {0, 1}
-        assert self.bits.memory_bytes() == math.ceil(m / 8)
 
     @invariant()
     def no_false_negatives(self):
         if self.only_live_removed:
             assert all(key in self.real for key in +self.live)
-        assert all(key in self.bits for key in +self.live)
 
 
 BloomMachine.TestCase.settings = settings(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import SimulationConfig
-from repro.core.run import run_all_schemes
+from repro.core.run import available_schemes, run_scheme
 from repro.core.schemes import (
     FcEcScheme,
     FcScheme,
@@ -185,12 +185,12 @@ class TestFcEc:
 
 
 class TestRegistryIntegration:
-    def test_run_all_schemes_returns_every_scheme(self):
+    def test_every_registered_scheme_runs(self):
         config = SimulationConfig(
             workload=ProWGenConfig(n_requests=3000, n_objects=200, n_clients=5),
             n_proxies=2,
         )
-        results = run_all_schemes(config, seed=0)
+        results = {name: run_scheme(name, config, seed=0) for name in available_schemes()}
         assert set(results) == {
             "nc", "sc", "fc", "nc-ec", "sc-ec", "fc-ec", "hier-gd", "squirrel"
         }

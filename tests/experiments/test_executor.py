@@ -15,7 +15,6 @@ from repro.experiments.executor import (
     PointExecutionError,
     QuarantinedPoint,
     SweepPoint,
-    child_seed,
     run_point,
 )
 from repro.experiments.instrument import RunInstrumentation
@@ -63,25 +62,6 @@ def _hang(arg):
 
     time.sleep(120)  # far beyond any test heartbeat; must be killed
     return arg
-
-
-class TestChildSeed:
-    def test_stable_across_calls(self):
-        assert child_seed(0, "a") == child_seed(0, "a")
-        assert child_seed(7, "x", 3) == child_seed(7, "x", 3)
-
-    def test_distinct_for_distinct_parts(self):
-        seeds = {
-            child_seed(0),
-            child_seed(1),
-            child_seed(0, "a"),
-            child_seed(0, "b"),
-            child_seed(0, "a", 1),
-        }
-        assert len(seeds) == 5
-
-    def test_fits_in_63_bits(self):
-        assert 0 <= child_seed(0, "anything") < 2**63
 
 
 class TestSweepPoint:

@@ -14,8 +14,23 @@ class TestFaultSeed:
         seeds.add(fault_seed(1, "loss", LINK_P2P))
         assert len(seeds) == 7
 
+    def test_stable_across_calls(self):
+        assert fault_seed(0, "a") == fault_seed(0, "a")
+        assert fault_seed(7, "x", 3) == fault_seed(7, "x", 3)
+
+    def test_distinct_for_distinct_parts(self):
+        seeds = {
+            fault_seed(0),
+            fault_seed(1),
+            fault_seed(0, "a"),
+            fault_seed(0, "b"),
+            fault_seed(0, "a", 1),
+        }
+        assert len(seeds) == 5
+
     def test_63_bit_range(self):
         assert 0 <= fault_seed(12345, "x") < 2**63
+        assert 0 <= fault_seed(0, "anything") < 2**63
 
 
 class TestLinkOk:
@@ -62,16 +77,6 @@ class TestLinkOk:
             hg.link_ok(LINK_PUSH) for _ in range(64)
         ]
         del a
-
-
-class TestDelay:
-    def test_no_delay_when_rate_zero(self):
-        injector = FaultInjector(FaultPlan())
-        assert injector.delay_penalty(LINK_P2P) == 0.0
-
-    def test_full_delay_rate_always_pays(self):
-        injector = FaultInjector(FaultPlan(delay_rate=1.0, delay_factor=3.0))
-        assert injector.delay_penalty(LINK_P2P) == 2.0  # factor - 1 extra RTTs
 
 
 class TestUnresponsive:

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.config import SimulationConfig
 from repro.core.metrics import latency_gain
-from repro.core.run import gains_vs_nc, generate_workloads, run_all_schemes
+from repro.core.run import available_schemes, gains_vs_nc, generate_workloads, run_scheme
 from repro.workload import ProWGenConfig
 
 WORKLOAD = ProWGenConfig(n_requests=30_000, n_objects=1_500, n_clients=25)
@@ -23,7 +23,8 @@ def run_at(fraction, schemes=None, seed=11, **cfg_kw):
         **cfg_kw,
     )
     traces = generate_workloads(config, seed=seed)
-    return run_all_schemes(config, traces, schemes=schemes)
+    names = schemes if schemes is not None else available_schemes()
+    return {name: run_scheme(name, config, traces) for name in names}
 
 
 @pytest.fixture(scope="module")

@@ -54,14 +54,6 @@ class TestLatencies:
     def test_unknown_tier(self):
         with pytest.raises(KeyError):
             NetworkConfig().latency("nearline")
-        with pytest.raises(KeyError):
-            NetworkConfig().fetch_cost("nearline")
-
-    def test_fetch_cost_excludes_client_leg(self):
-        n = NetworkConfig()
-        assert n.fetch_cost(TIER_LOCAL_PROXY) == 0.0
-        assert n.fetch_cost(TIER_SERVER) == pytest.approx(20.0)
-        assert n.fetch_cost(TIER_COOP_P2P) == pytest.approx(3.4)
 
     def test_benefit_terms(self):
         n = NetworkConfig()

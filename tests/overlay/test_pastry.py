@@ -160,12 +160,6 @@ class TestRoutingTable:
         rt = RoutingTable(0xA000, SPACE16)
         assert rt.remove(0xB123) is False
 
-    def test_fill_ratio_bounds(self):
-        rt = RoutingTable(0xA000, SPACE16)
-        assert rt.fill_ratio(1) == 1.0
-        r = rt.fill_ratio(256)
-        assert 0.0 <= r <= 1.0
-
 
 class TestPastryNode:
     def test_rejects_out_of_space_id(self):

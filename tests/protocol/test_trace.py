@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.churn import HierGdChurnScheme
 from repro.core.config import SimulationConfig
-from repro.core.run import generate_workloads, run_all_schemes, run_scheme
+from repro.core.run import generate_workloads, run_scheme
 from repro.faults import FaultPlan
 from repro.faults.run import run_scheme_with_faults
 from repro.protocol import (
@@ -106,11 +106,11 @@ class TestRecordingIsTransparent:
         assert report.divergence is None
         assert report.identical
 
-    def test_run_all_schemes_records_the_seed_it_ran(self, tmp_path):
-        # Regression: the seed stopped at run_all_schemes, every header
+    def test_run_scheme_records_the_seed_it_ran(self, tmp_path):
+        # Regression: the seed once stopped short of the run, every header
         # said seed 0 and the replay regrew the wrong workload.
         with recording_traces(tmp_path) as recorder:
-            run_all_schemes(cfg(), schemes=["hier-gd"], seed=3)
+            run_scheme("hier-gd", cfg(), seed=3)
         assert load_trace(recorder.written[0]).seed == 3
         assert replay_trace(recorder.written[0]).identical
 

@@ -27,7 +27,6 @@ from repro.protocol import (
     RetryPolicy,
     TraceIncompleteError,
     WhatIfError,
-    format_whatif,
     recording_traces,
     whatif_trace,
 )
@@ -82,7 +81,6 @@ class TestIdentity:
         if plan != "zero":
             assert report.n_ladders > 0  # the check is not vacuous
         assert dataclasses.asdict(report.result) == dataclasses.asdict(result)
-        assert "byte-identical" in format_whatif(report)
 
     def test_identity_under_a_non_default_recorded_policy(self, tmp_path):
         # A trace recorded under hedged policies: its own policy set is

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.workload.prowgen import ProWGenConfig, generate_trace, sample_object_sizes
+from tests.models.trace_stats import mean_reuse_distance
 
 SMALL = ProWGenConfig(n_requests=20_000, n_objects=1_000, n_clients=20)
 
@@ -92,18 +93,8 @@ class TestGeneratedTrace:
         assert abs(corr) < 0.1
 
     def test_larger_stack_more_temporal_locality(self):
-        # Measure mean reuse distance (distinct objects between successive
+        # Mean reuse distance (distinct objects between successive
         # references): a larger LRU stack must reduce it.
-        def mean_reuse_distance(trace, cap=10_000):
-            last = {}
-            dists = []
-            for i, o in enumerate(trace.object_ids[:cap]):
-                o = int(o)
-                if o in last:
-                    dists.append(i - last[o])
-                last[o] = i
-            return np.mean(dists) if dists else float("inf")
-
         base = dict(n_requests=40_000, n_objects=2_000, n_clients=10)
         weak = generate_trace(ProWGenConfig(stack_fraction=0.05, **base), seed=9)
         strong = generate_trace(ProWGenConfig(stack_fraction=0.6, **base), seed=9)

@@ -1,18 +1,18 @@
-"""Tests for trace characterisation statistics."""
+"""ProWGen against its oracle, the trace-characterisation model."""
 
 import numpy as np
 import pytest
 
 from repro.workload import ProWGenConfig
 from repro.workload.prowgen import generate_trace
-from repro.workload.stats import (
+from repro.workload.trace import Trace
+from tests.models.trace_stats import (
     estimate_zipf_alpha,
     mean_reuse_distance,
     reuse_distances,
     summarize,
     temporal_locality_index,
 )
-from repro.workload.trace import Trace
 
 
 def mk(objs, n_objects=None):

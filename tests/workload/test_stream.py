@@ -1,5 +1,6 @@
 """Tests for the chunked on-disk trace container and chunked ProWGen."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -44,7 +45,7 @@ class TestRoundTrip:
         objs = [3, 1, 4, 1, 5, 9, 2, 6]
         clients = [0, 1, 2, 0, 1, 2, 0, 1]
         path = write_trace(tmp_path / "t.ctrace", objs, clients)
-        back = StreamingTrace.open(path)
+        back = StreamingTrace(path)
         assert len(back) == 8
         assert back.chunked is True
         assert list(back.object_slice(0, 8)) == objs
@@ -56,7 +57,7 @@ class TestRoundTrip:
         objs = rng.integers(0, 40, size=500)
         clients = rng.integers(0, 6, size=500).astype(np.int32)
         mem = Trace(objs.astype(np.int64), clients, n_objects=40, n_clients=6)
-        disk = StreamingTrace.open(
+        disk = StreamingTrace(
             write_trace(tmp_path / "t.ctrace", objs, clients, 40, 6),
             chunk_requests=64,
         )
@@ -66,16 +67,16 @@ class TestRoundTrip:
         assert disk.one_timer_fraction == pytest.approx(mem.one_timer_fraction)
         assert disk.frequency_table() == mem.frequency_table()
 
-    def test_to_trace_and_head(self, tmp_path):
+    def test_head_materializes_a_prefix(self, tmp_path):
         path = write_trace(tmp_path / "t.ctrace", [5, 6, 7, 5], [0, 1, 0, 1])
-        disk = StreamingTrace.open(path)
-        full = disk.to_trace()
+        disk = StreamingTrace(path)
+        full = disk.head(len(disk))
         assert list(full.object_ids) == [5, 6, 7, 5]
         assert list(disk.head(2).object_ids) == [5, 6]
 
     def test_empty_trace(self, tmp_path):
         path = write_trace(tmp_path / "e.ctrace", [], [])
-        back = StreamingTrace.open(path)
+        back = StreamingTrace(path)
         assert len(back) == 0
         assert back.one_timer_fraction == 0.0
 
@@ -87,21 +88,19 @@ class TestRoundTrip:
         )
         writer.append_objects(np.array([0, 1, 2, 3, 1]))
         writer.append_clients(np.array([0, 1, 0, 1, 0], dtype=np.int32))
-        back = StreamingTrace.open(writer.close())
+        back = StreamingTrace(writer.close())
         assert back.has_sizes is True
         assert np.array_equal(back.sizes, sizes)
         assert back.infinite_cache_bytes == 2000  # only object 1 repeats
-        assert np.array_equal(back.to_trace().sizes, sizes)
+        assert np.array_equal(back.head(len(back)).sizes, sizes)
         assert np.array_equal(back.head(3).sizes, sizes)
 
     def test_size_free_file_stays_version_1(self, tmp_path):
-        import json
-
         path = write_trace(tmp_path / "v1.ctrace", [0, 1], [0, 0])
         header = json.loads(path.read_bytes()[:HEADER_BYTES].decode("ascii"))
         assert header["version"] == 1
         assert "sizes" not in header
-        back = StreamingTrace.open(path)
+        back = StreamingTrace(path)
         assert back.has_sizes is False and back.sizes is None
 
     def test_sized_writer_validates_table_length(self, tmp_path):
@@ -124,14 +123,14 @@ class TestRoundTrip:
         with path.open("r+b") as fh:
             fh.truncate(path.stat().st_size - 8)
         with pytest.raises(TruncatedTraceError):
-            StreamingTrace.open(path)
+            StreamingTrace(path)
 
 
 class TestChunkBoundaries:
     def test_iter_chunks_covers_exactly_once(self, tmp_path):
         objs = list(range(10))
         path = write_trace(tmp_path / "t.ctrace", objs, [0] * 10, n_objects=10)
-        disk = StreamingTrace.open(path, chunk_requests=4)  # 4 + 4 + 2
+        disk = StreamingTrace(path, chunk_requests=4)  # 4 + 4 + 2
         windows = list(disk.iter_chunks())
         assert [w[0] for w in windows] == [0, 4, 8]
         assert [len(w[1]) for w in windows] == [4, 4, 2]
@@ -140,14 +139,14 @@ class TestChunkBoundaries:
     def test_slices_across_chunk_boundary(self, tmp_path):
         objs = list(range(20))
         path = write_trace(tmp_path / "t.ctrace", objs, [0] * 20, n_objects=20)
-        disk = StreamingTrace.open(path, chunk_requests=7)
+        disk = StreamingTrace(path, chunk_requests=7)
         assert list(disk.object_slice(5, 16)) == objs[5:16]
         assert list(disk.object_slice(18, 99)) == objs[18:]  # clamped
 
     def test_memmap_views_match(self, tmp_path):
         objs = [2, 4, 6, 8]
         clients = [1, 0, 1, 0]
-        disk = StreamingTrace.open(
+        disk = StreamingTrace(
             write_trace(tmp_path / "t.ctrace", objs, clients)
         )
         assert list(disk.object_ids) == objs
@@ -163,13 +162,13 @@ class TestRefusal:
         data = path.read_bytes()
         path.write_bytes(data[:-5])
         with pytest.raises(TruncatedTraceError, match="truncated"):
-            StreamingTrace.open(path)
+            StreamingTrace(path)
 
     def test_truncated_header_refused(self, tmp_path):
         path = write_trace(tmp_path / "t.ctrace", [1], [0])
         path.write_bytes(path.read_bytes()[: HEADER_BYTES // 2])
         with pytest.raises(TruncatedTraceError):
-            StreamingTrace.open(path)
+            StreamingTrace(path)
 
     def test_unsealed_file_refused(self, tmp_path):
         writer = ChunkedTraceWriter(tmp_path / "t.ctrace", 2, 2, 1)
@@ -177,7 +176,7 @@ class TestRefusal:
         writer.append_clients([0, 0])
         # no close(): the writer "crashed" before sealing
         with pytest.raises(TruncatedTraceError, match="sealed"):
-            StreamingTrace.open(tmp_path / "t.ctrace")
+            StreamingTrace(tmp_path / "t.ctrace")
 
     def test_incomplete_writer_refuses_to_seal(self, tmp_path):
         writer = ChunkedTraceWriter(tmp_path / "t.ctrace", 3, 2, 1)
@@ -195,7 +194,27 @@ class TestRefusal:
         path = tmp_path / "x.ctrace"
         path.write_bytes(b"not a trace" + b" " * 300)
         with pytest.raises(ValueError):
-            StreamingTrace.open(path)
+            StreamingTrace(path)
+
+    @pytest.mark.parametrize("field", ["n_requests", "n_objects", "n_clients"])
+    @pytest.mark.parametrize("value", ["missing", None, "4", 4.0, True, -1])
+    def test_bad_count_field_refused(self, tmp_path, field, value):
+        # A sealed header whose request / object / client count is missing,
+        # null or not a non-negative int is no trace of ours: the reader's
+        # own ValueError, never a KeyError or TypeError out of int().
+        path = write_trace(tmp_path / "t.ctrace", [1, 2, 3, 4], [0, 1, 0, 1])
+        data = path.read_bytes()
+        meta = json.loads(data[:HEADER_BYTES].decode("ascii"))
+        if value == "missing":
+            del meta[field]
+        else:
+            meta[field] = value
+        raw = json.dumps(meta).encode("ascii")
+        path.write_bytes(
+            raw + b" " * (HEADER_BYTES - len(raw) - 1) + b"\n" + data[HEADER_BYTES:]
+        )
+        with pytest.raises(ValueError, match="is not a chunked repro trace"):
+            StreamingTrace(path)
 
 
 class TestChunkedProWGen:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.workload.trace import Trace, interleave, object_url
+from repro.workload.trace import Trace, object_url
 
 
 def mk(objs, clients=None, n_objects=None, n_clients=None):
@@ -83,76 +83,12 @@ class TestStatistics:
             )
 
 
-class TestIO:
-    def test_roundtrip(self, tmp_path):
-        t = mk([3, 1, 4, 1, 5], clients=[0, 1, 2, 0, 1], n_objects=6, n_clients=3)
-        t.name = "demo"
-        p = tmp_path / "t.trace"
-        t.save(p)
-        back = Trace.load(p)
-        assert np.array_equal(back.object_ids, t.object_ids)
-        assert np.array_equal(back.client_ids, t.client_ids)
-        assert back.n_objects == 6 and back.n_clients == 3
-        assert back.name == "demo"
-
-    def test_roundtrip_empty(self, tmp_path):
-        t = mk([])
-        p = tmp_path / "e.trace"
-        t.save(p)
-        assert len(Trace.load(p)) == 0
-
-    def test_load_rejects_foreign_file(self, tmp_path):
-        p = tmp_path / "x.txt"
-        p.write_text("not a trace\n")
-        with pytest.raises(ValueError):
-            Trace.load(p)
-
-    def test_sized_roundtrip_is_version_2(self, tmp_path):
-        t = mk([0, 1, 2, 1], n_objects=3)
-        t.sizes = np.array([100, 2000, 64])
-        t.__post_init__()
-        p = tmp_path / "s.trace"
-        t.save(p)
-        assert p.read_text().startswith("# repro-trace v2")
-        back = Trace.load(p)
-        assert np.array_equal(back.sizes, [100, 2000, 64])
-        assert np.array_equal(back.object_ids, t.object_ids)
-
-    def test_size_free_file_stays_version_1(self, tmp_path):
-        t = mk([0, 1])
-        p = tmp_path / "v1.trace"
-        t.save(p)
-        assert p.read_text().startswith("# repro-trace v1")
-        assert Trace.load(p).sizes is None
-
-    def test_v2_without_sizes_line_rejected(self, tmp_path):
-        t = mk([0, 1, 2, 1], n_objects=3)
-        t.sizes = np.array([1, 2, 3])
-        t.__post_init__()
-        p = tmp_path / "bad.trace"
-        t.save(p)
-        lines = p.read_text().splitlines(keepends=True)
-        p.write_text("".join(line for line in lines if not line.startswith("# sizes=")))
-        with pytest.raises(ValueError):
-            Trace.load(p)
-
-
 class TestTransforms:
     def test_head(self):
         t = mk([1, 2, 3, 4])
         h = t.head(2)
         assert list(h.object_ids) == [1, 2]
         assert h.n_objects == t.n_objects
-
-    def test_interleave_round_robin(self):
-        a = mk([10, 11], clients=[0, 0], n_objects=20)
-        b = mk([20, 21, 22], clients=[1, 1, 1], n_objects=30, n_clients=2)
-        merged = interleave([a, b])
-        assert [m[2] for m in merged] == [10, 20, 11, 21, 22]
-        assert merged[0][0] == 0 and merged[1][0] == 1  # cluster tags
-
-    def test_interleave_empty(self):
-        assert interleave([]) == []
 
 
 def test_object_url_stable_and_distinct():
