@@ -13,7 +13,10 @@ scalar reads per probe), 1.19-1.27x with the packed bytearray filter and
 its index memo when this gate was written, drifting to a median of 1.58x
 (1.43-2.16x, ten invocations) as the rest of the faulty run got faster.
 With one list element per slot and the memo read inline: median 1.34x
-(1.14-1.71x, ten invocations alternating with those, 2-core host).  The
+(1.14-1.71x, ten invocations alternating with those, 2-core host).
+Pastry membership as table arithmetic shrank the cost both runs share:
+median 1.45x (1.30-1.52x, ten invocations; 1.355x, 0.89-1.76x, for ten
+invocations of the code before it, alternating with them).  The
 two runs are not the same simulation (false positives cost the Bloom run
 extra wasted rounds), so the floor of the ratio is a bit above 1.
 

@@ -55,24 +55,22 @@ class Dht:
         """SHA-1 hash of the URL, truncated into the overlay's id space."""
         return self.overlay.space.object_id(url)
 
-    def _check_epoch(self) -> None:
-        if self._memo_epoch != self.overlay.epoch:
-            self._memo.clear()
-            self._memo_epoch = self.overlay.epoch
-
     def owner(self, key: int) -> int:
         """NodeId owning ``key`` under the backend's placement rule."""
-        self._check_epoch()
-        cached = self._memo.get(key)
+        overlay = self.overlay
+        memo = self._memo
+        if self._memo_epoch != overlay.epoch:
+            memo.clear()
+            self._memo_epoch = overlay.epoch
+        cached = memo.get(key)
         if cached is not None:
             return cached
-        root = self.overlay.owner_of(key)
-        self._memo[key] = root
+        root = memo[key] = overlay.owner_of(key)
         self._calls += 1
         if self.hop_sample_rate and self._calls % self.hop_sample_rate == 0:
             # Sampled full routing purely for hop statistics; delivery node
             # must agree with placement (asserted in tests).
-            self.overlay.route(key)
+            overlay.route(key)
         return root
 
     def owner_for_url(self, url: str) -> int:

@@ -25,7 +25,7 @@ within native int range so no bignum tricks are needed.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "DEFAULT_ID_BITS",
@@ -123,27 +123,23 @@ class IdSpace:
 
     bits: int = DEFAULT_ID_BITS
     b: int = DEFAULT_B
+    #: Number of identifiers in the space (``2**bits``).
+    size: int = field(init=False, repr=False, compare=False)
+    #: Number of base-``2**b`` digits in an identifier.
+    ndigits: int = field(init=False, repr=False, compare=False)
+    #: The digit base ``2**b`` (number of routing-table columns).
+    digit_base: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.bits <= 0 or self.b <= 0:
             raise ValueError("bits and b must be positive")
         if self.bits % self.b != 0:
             raise ValueError(f"bits ({self.bits}) must be a multiple of b ({self.b})")
-
-    @property
-    def size(self) -> int:
-        """Number of identifiers in the space (``2**bits``)."""
-        return 1 << self.bits
-
-    @property
-    def ndigits(self) -> int:
-        """Number of base-``2**b`` digits in an identifier."""
-        return self.bits // self.b
-
-    @property
-    def digit_base(self) -> int:
-        """The digit base ``2**b`` (number of routing-table columns)."""
-        return 1 << self.b
+        # Derived once: the overlay's membership arithmetic reads these
+        # per offered node, where a property call would be a frame each.
+        object.__setattr__(self, "size", 1 << self.bits)
+        object.__setattr__(self, "ndigits", self.bits // self.b)
+        object.__setattr__(self, "digit_base", 1 << self.b)
 
     def node_id(self, name: str) -> int:
         return node_id_from_name(name, self.bits)

@@ -14,18 +14,21 @@ a P2P client cache (§4.1):
   diversion (§4.3).
 
 A :class:`PastryNode` is pure state plus *local* decisions (next hop for a
-key); membership and message movement live in
-:mod:`repro.overlay.network`.
+key).  The membership rule — which slot and which leaf-set side a node
+belongs in — is :func:`offer` (learning nodes) and :func:`purge`
+(forgetting one), arithmetic over many nodes per call; when membership
+changes, and message movement, live in :mod:`repro.overlay.network`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
 from .id_space import IdSpace
 
-__all__ = ["DEFAULT_LEAF_SET_SIZE", "LeafSet", "RoutingTable", "PastryNode"]
+__all__ = ["DEFAULT_LEAF_SET_SIZE", "LeafSet", "RoutingTable", "PastryNode", "offer", "purge"]
 
 #: Pastry's typical leaf-set size (the paper quotes l = 16, §4.3).
 DEFAULT_LEAF_SET_SIZE = 16
@@ -39,7 +42,9 @@ class LeafSet:
     most ``l/2`` long, with parallel distance lists so an insertion is a
     single bisect instead of a sort-per-add.  Distances on one side are
     unique (the cw distance from a fixed owner is injective), so bisect
-    insertion reproduces the previous stable-sort order exactly.
+    insertion reproduces the previous stable-sort order exactly.  A node
+    belongs on the clockwise side when its cw distance is at most its ccw
+    distance; :func:`offer` is the one place members enter.
     """
 
     __slots__ = ("owner", "half", "space", "smaller", "larger", "_sdist", "_ldist")
@@ -65,25 +70,6 @@ class LeafSet:
     def __len__(self) -> int:
         return len(self.smaller) + len(self.larger)
 
-    def add(self, node_id: int) -> None:
-        """Consider ``node_id`` for membership on its side of the ring."""
-        if node_id == self.owner or node_id in self:
-            return
-        cw = (node_id - self.owner) % self.space.size
-        ccw = self.space.size - cw
-        if cw <= ccw:
-            self._insert(self.larger, self._ldist, node_id, cw)
-        else:
-            self._insert(self.smaller, self._sdist, node_id, ccw)
-
-    def _insert(self, side: list[int], dists: list[int], node_id: int, dist: int) -> None:
-        i = bisect_left(dists, dist)
-        side.insert(i, node_id)
-        dists.insert(i, dist)
-        if len(side) > self.half:
-            side.pop()
-            dists.pop()
-
     def remove(self, node_id: int) -> bool:
         """Remove a (failed or departed) node; True if it was a member."""
         for side, dists in ((self.smaller, self._sdist), (self.larger, self._ldist)):
@@ -102,35 +88,48 @@ class LeafSet:
         Pastry terminates routing when the key lies between the extreme
         leaf-set members; the numerically closest node in the set (or the
         owner) is then the destination.  An incomplete side (fewer than
-        ``l/2`` entries) means this node sees the whole ring segment on
-        that side, so coverage is conservatively granted — that keeps tiny
-        overlays (N <= l) correct.
+        ``l/2`` entries) is taken to mean this node sees the whole ring
+        segment on that side, so coverage is granted.  That premise fails
+        when the other side is full and dropped a node (ROADMAP item
+        10(e)).  The extremes' distances are the last entries of the
+        parallel distance lists.
         """
-        if not self.smaller and not self.larger:
-            return True
-        lo = self.smaller[-1] if len(self.smaller) == self.half else None
-        hi = self.larger[-1] if len(self.larger) == self.half else None
+        half = self.half
+        hi = self._ldist[-1] if len(self._ldist) == half else None
+        lo = self._sdist[-1] if len(self._sdist) == half else None
         if lo is None and hi is None:
             return True
-        cw_key = self.space.cw_distance(self.owner, key)
-        ccw_key = self.space.size - cw_key
+        size = self.space.size
+        cw_key = (key - self.owner) % size
+        ccw_key = size - cw_key
         if cw_key <= ccw_key:
-            return hi is None or cw_key <= self.space.cw_distance(self.owner, hi)
-        return lo is None or ccw_key <= self.space.size - self.space.cw_distance(self.owner, lo)
+            return hi is None or cw_key <= hi
+        return lo is None or ccw_key <= lo
 
     def closest_to(self, key: int) -> int:
-        """Member (or owner) numerically closest to ``key``."""
+        """Member (or owner) numerically closest to ``key``; a tie goes
+        to the lower id."""
+        size = self.space.size
         best = self.owner
-        best_d = self.space.distance(self.owner, key)
-        for node in self.members():
-            d = self.space.distance(node, key)
+        best_d = (best - key) % size
+        if best_d > size - best_d:
+            best_d = size - best_d
+        for node in self.smaller + self.larger:
+            d = (node - key) % size
+            if d > size - d:
+                d = size - d
             if d < best_d or (d == best_d and node < best):
                 best, best_d = node, d
         return best
 
 
 class RoutingTable:
-    """Pastry prefix routing table: ``ndigits`` rows × ``2**b`` columns."""
+    """Pastry prefix routing table: ``ndigits`` rows × ``2**b`` columns.
+
+    The slot a node is eligible for is row ``p`` = shared-prefix-length
+    (owner, node) and column = the node's digit ``p`` (:meth:`slot`: the
+    XOR's bit length and a shift).
+    """
 
     __slots__ = ("owner", "space", "rows")
 
@@ -146,68 +145,77 @@ class RoutingTable:
     def entry(self, row: int, col: int) -> int | None:
         return self.rows[row][col]
 
+    def slot(self, node_id: int) -> tuple[int, int]:
+        """``(row, column)`` of the slot ``node_id`` is eligible for
+        (``node_id`` must differ from the owner)."""
+        space = self.space
+        b = space.b
+        p = (space.bits - (self.owner ^ node_id).bit_length()) // b
+        return p, (node_id >> ((space.ndigits - 1 - p) * b)) & (space.digit_base - 1)
+
     def consider(self, node_id: int, prefer=None) -> bool:
         """Offer ``node_id`` for the (single) slot it is eligible for.
 
-        Returns True if the table changed.  The eligible slot is row
-        ``p`` = shared-prefix-length(owner, node) and column = node's digit
-        ``p``.  When the slot is occupied, ``prefer(candidate, incumbent)``
-        decides whether to replace — Pastry's locality heuristic supplies
-        a network-proximity comparison there; without one the incumbent is
-        kept for determinism.
+        Returns True if the table changed.  When the slot is occupied,
+        ``prefer(candidate, incumbent)`` decides whether to replace —
+        Pastry's locality heuristic supplies a network-proximity
+        comparison there; without one the incumbent is kept for
+        determinism.
         """
         if node_id == self.owner:
             return False
-        p = self.space.prefix_len(self.owner, node_id)
-        col = self.space.digit(node_id, p)
-        incumbent = self.rows[p][col]
+        p, col = self.slot(node_id)
+        row = self.rows[p]
+        incumbent = row[col]
         if incumbent is None:
-            self.rows[p][col] = node_id
+            row[col] = node_id
             return True
         if prefer is not None and incumbent != node_id and prefer(node_id, incumbent):
-            self.rows[p][col] = node_id
+            row[col] = node_id
             return True
         return False
 
     def replace(self, node_id: int, replacement: int | None) -> bool:
         """Remove ``node_id`` wherever it appears, substituting ``replacement``.
 
-        Used on node failure/departure; the replacement (if any) must be
-        eligible for the same slot, otherwise the slot is cleared.
+        Used on node departure; the replacement (if any) must be eligible
+        for the same slot, otherwise the slot is cleared.
         """
-        changed = False
-        p = self.space.prefix_len(self.owner, node_id)
-        col = self.space.digit(node_id, p)
-        if self.rows[p][col] == node_id:
-            good = (
-                replacement is not None
-                and replacement != self.owner
-                and self.space.prefix_len(self.owner, replacement) == p
-                and self.space.digit(replacement, p) == col
-            )
-            self.rows[p][col] = replacement if good else None
-            changed = True
-        return changed
+        if node_id == self.owner:
+            return False
+        p, col = self.slot(node_id)
+        row = self.rows[p]
+        if row[col] != node_id:
+            return False
+        good = (
+            replacement is not None
+            and replacement != self.owner
+            and self.slot(replacement) == (p, col)
+        )
+        row[col] = replacement if good else None
+        return True
 
     def remove(self, node_id: int) -> bool:
         return self.replace(node_id, None)
 
     def next_hop(self, key: int) -> int | None:
         """Routing-table candidate for ``key``: one digit more of prefix."""
-        p = self.space.prefix_len(self.owner, key)
-        if p >= self.space.ndigits:  # key == owner
+        if key == self.owner:
             return None
-        return self.rows[p][self.space.digit(key, p)]
+        p, col = self.slot(key)
+        return self.rows[p][col]
 
     def entries(self) -> list[int]:
         """All populated entries (deduplicated, arbitrary order)."""
         seen: set[int] = set()
+        width = self.space.digit_base
         for row in self.rows:
+            if row.count(None) == width:
+                continue  # most rows of a large id space stay empty
             for e in row:
                 if e is not None:
                     seen.add(e)
         return list(seen)
-
 
 
 @dataclass
@@ -216,12 +224,14 @@ class PastryNode:
 
     In the reproduction each *client cache* in a client cluster is one
     Pastry node (the paper assigns each client cache a unique ``cacheId``,
-    §4.1).
+    §4.1).  ``prefer`` is the node's routing-table replacement heuristic
+    (see :meth:`RoutingTable.consider`); ``None`` keeps the incumbent.
     """
 
     node_id: int
     space: IdSpace
     leaf_size: int = DEFAULT_LEAF_SET_SIZE
+    prefer: Callable[[int, int], bool] | None = None
     table: RoutingTable = field(init=False)
     leaves: LeafSet = field(init=False)
 
@@ -231,17 +241,10 @@ class PastryNode:
         self.table = RoutingTable(self.node_id, self.space)
         self.leaves = LeafSet(self.node_id, self.leaf_size, self.space)
 
-    def learn(self, node_id: int, prefer=None) -> None:
-        """Incorporate knowledge of another live node into local state.
-
-        ``prefer`` is the routing-table replacement heuristic (see
-        :meth:`RoutingTable.consider`); the leaf set is defined purely by
-        id-space proximity and ignores it.
-        """
-        if node_id == self.node_id:
-            return
-        self.table.consider(node_id, prefer=prefer)
-        self.leaves.add(node_id)
+    def learn(self, *node_ids: int) -> None:
+        """Incorporate knowledge of other live nodes, in order (see
+        :func:`offer`)."""
+        offer(self.space, (self,), node_ids)
 
     def forget(self, node_id: int) -> None:
         """Drop a failed/departed node from local state."""
@@ -288,3 +291,85 @@ class PastryNode:
         known.update(self.leaves.members())
         known.discard(self.node_id)
         return list(known)
+
+
+def offer(
+    space: IdSpace, nodes: Iterable[PastryNode], node_ids: Sequence[int]
+) -> None:
+    """Fold each of ``node_ids``, in order, into every node of ``nodes``.
+
+    An offered node goes to the one routing-table slot it is eligible for
+    (first offer wins unless the node's :attr:`~PastryNode.prefer` says
+    otherwise) and to its side of the leaf set, which keeps the ``l/2``
+    ring-closest.  This is Pastry's whole membership rule, and every
+    caller shares it: a join's state transfer (many offers, one node), its
+    announcement (one offer, every node) and a leaf-set repair are one
+    call each, with the slot and side arithmetic inline.  An offer no
+    closer than a full side's last member is dropped before any list
+    moves — a bisect would have put it last and the trim popped it.
+    """
+    bits, b, size = space.bits, space.b, space.size
+    last, mask = space.ndigits - 1, space.digit_base - 1
+    for node in nodes:
+        me = node.node_id
+        prefer = node.prefer
+        rows = node.table.rows
+        leaves = node.leaves
+        half = leaves.half
+        for node_id in node_ids:
+            if node_id == me:
+                continue
+            if prefer is None:
+                p = (bits - (me ^ node_id).bit_length()) // b
+                row = rows[p]
+                col = (node_id >> ((last - p) * b)) & mask
+                if row[col] is None:
+                    row[col] = node_id
+            else:
+                node.table.consider(node_id, prefer=prefer)
+            d = (node_id - me) % size
+            if d <= size - d:
+                side, dists = leaves.larger, leaves._ldist
+            else:
+                side, dists, d = leaves.smaller, leaves._sdist, size - d
+            if len(dists) == half and d >= dists[-1]:
+                continue  # farther than a full side, or its last member
+            i = bisect_left(dists, d)
+            if i < len(dists) and dists[i] == d:
+                continue  # already a member
+            side.insert(i, node_id)
+            dists.insert(i, d)
+            if len(side) > half:
+                side.pop()
+                dists.pop()
+
+
+def purge(
+    space: IdSpace, nodes: Iterable[PastryNode], node_id: int
+) -> list[tuple[PastryNode, bool, bool]]:
+    """Drop ``node_id`` from every node of ``nodes``.
+
+    A node can hold it in one routing-table slot and on one side of its
+    leaf set, both found by arithmetic (``node_id`` is none of ``nodes``).
+    Returns ``(node, was_leaf, vacated_slot)`` for each node that held
+    it, in ``nodes`` order, so the caller can repair exactly those.
+    """
+    bits, b, size = space.bits, space.b, space.size
+    last, mask = space.ndigits - 1, space.digit_base - 1
+    held = []
+    for node in nodes:
+        me = node.node_id
+        p = (bits - (me ^ node_id).bit_length()) // b
+        row = node.table.rows[p]
+        col = (node_id >> ((last - p) * b)) & mask
+        vacated = row[col] == node_id
+        if vacated:
+            row[col] = None
+        leaves = node.leaves
+        d = (node_id - me) % size
+        was_leaf = node_id in (leaves.larger if d <= size - d else leaves.smaller)
+        if was_leaf:
+            leaves.remove(node_id)
+        if vacated or was_leaf:
+            held.append((node, was_leaf, vacated))
+    return held

@@ -17,6 +17,12 @@ twice.
   FC: FC pools every proxy's capacity into one store, FC-EC's
   per-cluster tracker labels the surplus copies P2P hits (ROADMAP
   item 14), so that case is a strict xfail until the science is decided.
+- **R3, one proxy leaves nothing to share.**  At ``n_proxies=1`` there is
+  no peer proxy to probe or push to: SC is NC and SC-EC is NC-EC on
+  ``tier_counts``, ``total_latency``, every extra and every other
+  message counter, for unit and sized runs.  Only the cooperation
+  counters (``coop_probes``, ``coop_fetches``, ``push_requests``) tell
+  them apart, and they stay zero.
 """
 
 from __future__ import annotations
@@ -134,3 +140,22 @@ def test_r2_fc_ec_collapses_onto_fc(sizes):
     cfg = config(sizes, 0.3, client_cache_fraction=0.0)
     ec, plain = r2_results("fc-ec", "fc", cfg, seed=0)
     assert ec == plain
+
+
+#: Counters only the cooperating scheme of an R3 pair reports.
+COOPERATION_COUNTERS = ("coop_probes", "coop_fetches", "push_requests")
+
+
+@pytest.mark.parametrize("shared, alone", [("sc", "nc"), ("sc-ec", "nc-ec")])
+@SETTINGS
+@given(sizes=sizes, fraction=proxy_fractions, seed=seeds)
+def test_r3_one_proxy_collapses_sharing_onto_no_sharing(shared, alone, sizes, fraction, seed):
+    cfg = config(sizes, fraction, n_proxies=1)
+    traces = generate_workloads(cfg, seed=seed)
+    coop = result(shared, cfg, traces)
+    plain = result(alone, cfg, traces)
+    for counter in COOPERATION_COUNTERS:
+        assert coop["messages"].pop(counter, 0) == 0, counter
+        plain["messages"].pop(counter, None)
+    coop["scheme"] = plain["scheme"]
+    assert coop == plain

@@ -8,8 +8,12 @@ from repro.overlay.pastry import LeafSet, PastryNode, RoutingTable
 SPACE16 = IdSpace(bits=16, b=4)
 
 
-def mk_leafset(owner=0x8000, size=4):
-    return LeafSet(owner, size, SPACE16)
+def leafset_of(offers=(), owner=0x8000, size=4):
+    """The leaf set of a node that has learned ``offers`` in order
+    (:meth:`PastryNode.learn` is where members enter a leaf set)."""
+    node = PastryNode(owner, SPACE16, leaf_size=size)
+    node.learn(*offers)
+    return node.leaves
 
 
 class TestLeafSet:
@@ -20,81 +24,71 @@ class TestLeafSet:
             LeafSet(0, 0, SPACE16)
 
     def test_add_splits_by_side(self):
-        ls = mk_leafset()
-        ls.add(0x8001)  # clockwise
-        ls.add(0x7FFF)  # counter-clockwise
+        ls = leafset_of((0x8001, 0x7FFF))  # clockwise, counter-clockwise
         assert ls.larger == [0x8001]
         assert ls.smaller == [0x7FFF]
 
     def test_keeps_closest_per_side(self):
-        ls = mk_leafset(size=4)  # 2 per side
-        for nid in (0x8005, 0x8001, 0x8003, 0x8002):
-            ls.add(nid)
+        ls = leafset_of((0x8005, 0x8001, 0x8003, 0x8002), size=4)  # 2 per side
         assert ls.larger == [0x8001, 0x8002]
 
     def test_owner_and_duplicates_ignored(self):
-        ls = mk_leafset()
-        ls.add(ls.owner)
-        ls.add(0x8001)
-        ls.add(0x8001)
+        ls = leafset_of((0x8000, 0x8001, 0x8001))
         assert len(ls) == 1
 
     def test_wraparound_sides(self):
-        ls = LeafSet(0x0001, 4, SPACE16)
-        ls.add(0xFFFF)  # just counter-clockwise across 0
+        ls = leafset_of((0xFFFF,), owner=0x0001)  # just ccw across 0
         assert 0xFFFF in ls.smaller
 
     def test_remove(self):
-        ls = mk_leafset()
-        ls.add(0x8001)
+        ls = leafset_of((0x8001,))
         assert ls.remove(0x8001) is True
         assert ls.remove(0x8001) is False
         assert len(ls) == 0
 
     def test_covers_incomplete_side_is_true(self):
-        ls = mk_leafset(size=4)
-        ls.add(0x8001)  # larger side has 1 of 2 entries
+        ls = leafset_of((0x8001,), size=4)  # larger side has 1 of 2 entries
         assert ls.covers(0xF000)  # conservatively covered
 
     def test_covers_respects_full_side_boundary(self):
-        ls = mk_leafset(size=4)
-        for nid in (0x8001, 0x8002, 0x7FFE, 0x7FFF):
-            ls.add(nid)
+        ls = leafset_of((0x8001, 0x8002, 0x7FFE, 0x7FFF), size=4)
         assert ls.covers(0x8002)
         assert not ls.covers(0x9000)
         assert ls.covers(0x7FFE)
         assert not ls.covers(0x7000)
 
     def test_closest_to_prefers_nearest_member(self):
-        ls = mk_leafset(size=4)
-        for nid in (0x8001, 0x8002, 0x7FFE, 0x7FFF):
-            ls.add(nid)
+        ls = leafset_of((0x8001, 0x8002, 0x7FFE, 0x7FFF), size=4)
         assert ls.closest_to(0x8002) == 0x8002
         assert ls.closest_to(0x8003) == 0x8002
         assert ls.closest_to(0x8000) == 0x8000  # owner itself
 
     def test_closest_tie_breaks_to_lower_id(self):
-        ls = LeafSet(0x1000, 4, SPACE16)
-        ls.add(0x1002)
+        ls = leafset_of((0x1002,), owner=0x1000)
         # key equidistant between owner 0x1000 and member 0x1002
         assert ls.closest_to(0x1001) == 0x1000
 
     def test_bisect_insert_keeps_distance_order(self):
-        # Adds in scrambled order must leave each side ascending by ring
+        # Offers in scrambled order must leave each side ascending by ring
         # distance from the owner (the bisect-insert invariant).
-        ls = LeafSet(0x8000, 8, SPACE16)  # 4 per side
-        for nid in (0x8009, 0x8001, 0x8005, 0x8003, 0x7FF0, 0x7FFE, 0x7FF8):
-            ls.add(nid)
+        ls = leafset_of(
+            (0x8009, 0x8001, 0x8005, 0x8003, 0x7FF0, 0x7FFE, 0x7FF8), size=8
+        )  # 4 per side
         assert ls.larger == [0x8001, 0x8003, 0x8005, 0x8009]
         assert ls.smaller == [0x7FFE, 0x7FF8, 0x7FF0]
         assert ls._ldist == sorted(ls._ldist)
         assert ls._sdist == sorted(ls._sdist)
 
+    def test_full_side_drops_farther_offers(self):
+        # A full side ignores an offer no closer than its last member and
+        # trims its farthest member when a closer one arrives.
+        ls = leafset_of((0x8001, 0x8003, 0x8009, 0x8003, 0x8002), size=4)
+        assert ls.larger == [0x8001, 0x8002]
+        assert ls._ldist == [1, 2]
+
     def test_wraparound_covers_across_zero(self):
         # Owner near 0: both sides cross the origin of the ring.
-        ls = LeafSet(0x0002, 4, SPACE16)
-        for nid in (0x0004, 0x0007, 0xFFFE, 0xFFF0):
-            ls.add(nid)
+        ls = leafset_of((0x0004, 0x0007, 0xFFFE, 0xFFF0), owner=0x0002)
         assert ls.smaller == [0xFFFE, 0xFFF0]
         assert ls.covers(0x0003)  # between owner and cw extreme
         assert ls.covers(0xFFFF)  # between ccw extreme and owner, across 0
@@ -102,18 +96,15 @@ class TestLeafSet:
         assert not ls.covers(0xFF00)  # beyond the ccw extreme
 
     def test_wraparound_closest_across_zero(self):
-        ls = LeafSet(0x0002, 4, SPACE16)
-        for nid in (0x0004, 0xFFFE):
-            ls.add(nid)
+        ls = leafset_of((0x0004, 0xFFFE), owner=0x0002)
         assert ls.closest_to(0xFFFF) == 0xFFFE
         assert ls.closest_to(0x0000) == 0x0002  # dist 2; 0xFFFE is 2 too
         assert ls.closest_to(0x0003) == 0x0002
 
     def test_wraparound_half_ring_boundary(self):
         # A node exactly half the ring away sits at equal cw/ccw
-        # distance; LeafSet.add files it clockwise (cw <= ccw).
-        ls = LeafSet(0x0000, 4, SPACE16)
-        ls.add(0x8000)
+        # distance; it is filed clockwise (cw <= ccw).
+        ls = leafset_of((0x8000,), owner=0x0000)
         assert ls.larger == [0x8000]
         assert ls.smaller == []
 

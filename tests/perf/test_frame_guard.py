@@ -27,7 +27,15 @@ host; these count instead of timing:
   one ``PUSH`` per request it ends up serving;
 * the unified-LFU family (NC, SC, NC-EC, SC-EC) serves a local-proxy hit
   in two frames, the scheme's ``process`` and one cache call, and an NC
-  request of any tier in two as well.
+  request of any tier in two as well;
+* Pastry membership is table arithmetic: on a 100-node overlay a join
+  enters at most 100 frames (45 measured; 2 728–2 883 under the
+  per-node method chain), a failure at most 1 200 and ten of them a
+  median of at most 150 (57–435, median 63; 6 778–7 860 under the chain
+  — a frame per survivor would add 99), and 640 ``Dht.owner`` misses at
+  ``hop_sample_rate=64`` at most 2.5 frames each on average (2.40: the
+  miss and ``numerically_closest``, plus the sampled routes; 5.75 under
+  the chain).
 """
 
 import dataclasses
@@ -49,6 +57,7 @@ from repro.experiments.robustness import robustness_plan
 from repro.experiments.runner import base_config
 from repro.faults.run import run_scheme_with_faults
 from repro.netmodel import TIER_COOP_P2P, TIER_LOCAL_PROXY, TIER_SERVER
+from repro.overlay import Dht, Overlay
 from repro.protocol.trace import recording_traces
 from repro.protocol.transport import Transport
 
@@ -361,3 +370,44 @@ def test_fault_free_run_asks_the_transport_for_no_new_exchange(
     else:
         # The scan asks one PUSH per holder it finds, the first answers.
         assert attempts == {"push": pushed}
+
+
+def frames_entered(call) -> int:
+    """Python frames ``call()`` enters, its own excluded."""
+    entered = 0
+
+    def profile(frame, event, arg):
+        nonlocal entered
+        if event == "call":
+            entered += 1
+
+    collecting = gc.isenabled()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+        if collecting:
+            gc.enable()
+    return entered - 1
+
+
+def test_overlay_membership_enters_few_frames():
+    """Joins, failures and first-touch owner lookups on a 100-node Pastry
+    overlay cost table arithmetic, not a method chain per node."""
+    overlay = Overlay.build(100)
+    joins = [
+        frames_entered(lambda: overlay.add_named(f"cache-{i}")) for i in range(100, 110)
+    ]
+    assert max(joins) <= 100, joins
+    victims = overlay.node_ids()[::11][:10]
+    failures = sorted(frames_entered(lambda: overlay.fail(v)) for v in victims)
+    assert failures[-1] <= 1_200 and failures[len(failures) // 2] <= 150, failures
+
+    overlay = Overlay.build(100)
+    dht = Dht(overlay, hop_sample_rate=64)
+    keys = [overlay.space.object_id(f"object-{i}") for i in range(640)]
+    owners = frames_entered(lambda: [dht.owner(key) for key in keys])
+    assert overlay.stats.messages == 10  # every 64th miss was routed
+    assert owners / len(keys) <= 2.5, owners / len(keys)
