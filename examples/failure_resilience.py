@@ -12,7 +12,7 @@ Usage::
     python examples/failure_resilience.py
 """
 
-from repro.core.churn import ChurnEvent, HierGdChurnScheme
+from repro.core.churn import ChurnEvent
 from repro.core.config import SimulationConfig
 from repro.core.hiergd import HierGdScheme
 from repro.core.run import generate_workloads
@@ -36,7 +36,7 @@ def main() -> None:
         ChurnEvent(at_request=10_000 + 2_000 * i, kind="fail", cluster=0, client=i)
         for i in range(10)
     ] + [ChurnEvent(at_request=34_000, kind="join", cluster=0)]
-    churned = HierGdChurnScheme(config, traces, events).run()
+    churned = HierGdScheme(config, traces, events=events).run()
 
     print("churn schedule: 10 failures (25% of machines) + 1 join\n")
     print(f"{'':24s} {'no churn':>12} {'with churn':>12}")

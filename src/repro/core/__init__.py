@@ -9,7 +9,7 @@
 - :mod:`repro.core.run` — one-call entry points.
 """
 
-from .churn import ChurnEvent, HierGdChurnScheme
+from .churn import ChurnEvent
 from .config import ClusterSizing, NetworkConfig, SimulationConfig
 from .directory import BloomDirectory, ExactDirectory, LookupDirectory, make_directory
 from .hiergd import HierGdScheme
@@ -24,7 +24,6 @@ from .simulator import CachingScheme
 
 __all__ = [
     "ChurnEvent",
-    "HierGdChurnScheme",
     "ClusterSizing",
     "NetworkConfig",
     "SimulationConfig",

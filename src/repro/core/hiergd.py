@@ -46,6 +46,7 @@ from ..cache import Cache, GreedyDualCache, LfuCache, LruCache
 from ..protocol.transport import Transport
 from ..workload import Trace
 from . import hiergd_indexed
+from .churn import ChurnEvent
 from .config import SimulationConfig
 from .directory import LossyDirectory
 from .hiergd_indexed import IndexedCluster
@@ -60,13 +61,6 @@ class HierGdScheme(CachingScheme):
 
     name = "hier-gd"
 
-    #: Whether the class fails or joins clients mid-run (it then carries
-    #: the schedule the engine fires: ``_processed``, ``_next_due``,
-    #: ``_fire_due_events``).  With ``transport.faulty``, what the engine
-    #: reads to tell whether its indexes can mirror the directories; on
-    #: its own, whether ``p2p_present`` lists all ``_locate`` can find.
-    mutates_membership = False
-
     # The request path is the engine's, one set of functions for every run.
     process = hiergd_indexed.process
     _proxy_insert = hiergd_indexed.proxy_insert
@@ -76,6 +70,7 @@ class HierGdScheme(CachingScheme):
         config: SimulationConfig,
         traces: list[Trace],
         transport: Transport | None = None,
+        events: list[ChurnEvent] | None = None,
     ) -> None:
         super().__init__(config, traces, transport)
         net = config.network
@@ -115,7 +110,78 @@ class HierGdScheme(CachingScheme):
         # A fault layer merges its FAULT_COUNTERS into this dict (no-op
         # under the base transport).
         self.transport.install_counters(self._msg)
+        #: Whether clients fail or join mid-run: exactly the runs given a
+        #: schedule, even an empty one.  With ``transport.faulty``, what
+        #: the engine reads to tell whether its indexes can mirror the
+        #: directories; on its own, whether ``p2p_present`` lists all
+        #: ``_locate`` can find.
+        self.mutates_membership = events is not None
+        # Pinned as it is (ROADMAP item 1(a)): without a fault layer an
+        # eviction notice's probe repairs like a lookup, and the entry is
+        # then removed a second time.
+        self._notice_repairs = self.mutates_membership and not self._faulty
+        if events is not None:
+            self._schedule(events)
         hiergd_indexed.install(self)  # builds self.states
+
+    # -- client churn ------------------------------------------------------------
+
+    def _schedule(self, events: list[ChurnEvent]) -> None:
+        """Carry ``events`` (:mod:`repro.core.churn`), which the engine
+        fires as they fall due; refuse a schedule that names a cluster
+        or a client that is not there, or fails a client twice."""
+        self.name = "hier-gd-churn"
+        self._events = sorted(events, key=lambda e: e.at_request)
+        n_clients = [s.n_clients for s in self.sizings]
+        dead: list[set[int]] = [set() for _ in n_clients]
+        for ev in self._events:
+            if not 0 <= ev.cluster < len(n_clients):
+                raise ValueError(f"event cluster {ev.cluster} out of range")
+            if ev.kind == "join":
+                n_clients[ev.cluster] += 1  # the newcomer takes the next index
+            elif ev.client in dead[ev.cluster]:
+                raise ValueError(
+                    f"client {ev.client} of cluster {ev.cluster} already failed"
+                )
+            elif not 0 <= ev.client < n_clients[ev.cluster]:
+                raise ValueError(f"client {ev.client} out of range")
+            else:
+                dead[ev.cluster].add(ev.client)
+        self._next_event = 0
+        #: Requests served so far, and the count at which the engine next
+        #: calls :meth:`_fire_due_events` (which moves it on).
+        self._processed = 0
+        self._next_due = 0
+        self._msg.update(
+            dict.fromkeys(
+                ("client_failures", "client_joins", "objects_lost", "directory_repairs"), 0
+            )
+        )
+
+    def _fire_due_events(self) -> None:
+        events = self._events
+        msg = self._msg
+        while (
+            self._next_event < len(events)
+            and events[self._next_event].at_request <= self._processed
+        ):
+            ev = events[self._next_event]
+            self._next_event += 1
+            state = self.states[ev.cluster]
+            if ev.kind == "fail":
+                msg["client_failures"] += 1
+                msg["objects_lost"] += state.fail(ev.client, self._locate)
+            else:
+                msg["client_joins"] += 1
+                state.join(
+                    f"cluster{ev.cluster}/cache{len(state.clients)}",
+                    self._make_cache(self.sizings[ev.cluster].client_size),
+                )
+        self._next_due = (
+            events[self._next_event].at_request
+            if self._next_event < len(events)
+            else float("inf")
+        )
 
     def _make_cache(self, capacity: int) -> Cache:
         """Local replacement policy per :attr:`SimulationConfig.hiergd_policy`.
@@ -138,14 +204,21 @@ class HierGdScheme(CachingScheme):
     # -- locating and replicating stored objects ------------------------------
 
     def _locate(
-        self, state: IndexedCluster, obj: int, owner: int | None = None
+        self,
+        state: IndexedCluster,
+        obj: int,
+        owner: int | None = None,
+        repair: bool = True,
     ) -> int | None:
         """Actual holder of ``obj``: owner, divertee, or a live replica.
 
         Callers that already resolved the owner pass it in so the DHT
         placement is computed once per request, not once per step.  Each
         "does this client hold it" is one probe of the cache's own
-        membership dict (``state.member_maps``).
+        membership dict (``state.member_maps``).  On a run with churn, a
+        lookup that finds no holder repairs the proxy's directory lazily,
+        as a deployment would; ``repair=False`` only asks (a failure's
+        "did the last copy die?", an eviction notice's probe).
         """
         if owner is None:
             owner = state.owner(obj)
@@ -163,12 +236,20 @@ class HierGdScheme(CachingScheme):
                 reps.discard(idx)  # lazily drop dead replica entries
             if not reps:
                 del state.replicas[obj]
+        if repair and self.mutates_membership:
+            # Reachability lost through churn (owner moved): the object
+            # physically exists but the DHT can no longer find it.  Treat
+            # it as lost — it will age out of its old holder's cache.
+            state.p2p_present.discard(obj)
+            # ``dir_probe`` is the directory's own membership structure on
+            # a churning run: the probe enters no directory wrapper.
+            if obj in state.dir_probe:
+                # The proxy fixing its own table is local: under a fault
+                # transport ``repair()`` bypasses the lossy eviction-notice
+                # channel (plain directories: the same as ``remove``).
+                state.directory.repair(obj)
+                self._msg["directory_repairs"] += 1
         return None
-
-    #: What an eviction notice asks "is a copy still reachable?" with:
-    #: this class's ``_locate`` whatever a subclass overrides it with — a
-    #: notice is no lookup, and must not repair what a lookup would.
-    _eviction_probe = _locate
 
     def _replicate(
         self,
@@ -229,5 +310,9 @@ class HierGdScheme(CachingScheme):
                 s.directory.dropped_notices
                 for s in self.states
                 if isinstance(s.directory, LossyDirectory)
+            )
+        if self.mutates_membership:
+            extras["live_clients"] = float(
+                sum(len(s.clients) - len(s.dead) for s in self.states)
             )
         return messages, extras

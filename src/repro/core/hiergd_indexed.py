@@ -18,7 +18,7 @@ on the runs listed:
   this client hold it" is one dict probe (every run);
 * ``free_clients`` — ``{k : capacity − used > 0}`` (every run): the
   engine updates it after each insert it makes, ``_replicate`` after each
-  replica store, churn after each failure and join; diversion filters
+  replica store, :meth:`IndexedCluster.fail` / ``join``; diversion filters
   its neighbour scan by it and skips the scan when it is empty;
 * ``p2p_present`` — what the P2P cache stores (every run); while the
   scheme's ``mutates_membership`` is false, anything ``_locate`` can
@@ -38,8 +38,9 @@ on the runs listed:
   :func:`push_stage`'s scan, so a false positive or a stale entry keeps
   costing its wasted round.
 
-Every holder is found through the scheme's ``_locate`` — the hook a
-churn scheme repairs entries in — after the owner's membership dict;
+Every holder is found through the scheme's ``_locate`` — which, on a
+run with churn, repairs the directory entry of an object it cannot
+find — after the owner's membership dict;
 ``LOOKUP_QUERY`` and ``PROXY_FETCH`` are asked of the transport only
 when a fault layer is present.  The greedy-dual proxy hit, the
 known-absent inserts, the presence-index updates and the sizes are
@@ -51,6 +52,7 @@ scan-everything miss chain, every hop through the transport — is
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -157,9 +159,64 @@ class IndexedCluster:
     #: ``p2p_present`` set when :attr:`dir_set` is kept (identical
     #: membership, cheaper probe), else the directory's ``members``.
     dir_probe: Any = None
+    #: Failed client indexes (their slots stay, dead).
+    dead: set[int] = field(default_factory=set)
 
     def __post_init__(self) -> None:
         self.owner_memo = _FirstTouchOwners(self)
+
+    def fail(self, client: int, locate: Callable[..., int | None]) -> int:
+        """Client ``client``'s machine is gone: cache contents, pointer
+        table and overlay membership vanish at once.  Returns how many
+        objects it held.
+
+        Diversion pointers and replica entries naming the dead cache are
+        swept (the owners notice their neighbourhood member die through
+        overlay repair).  An object leaves ``p2p_present`` only if its
+        *last* copy died, which the scheme's ``_locate`` answers without
+        repair; the directory is repaired lazily, on failed lookups.
+        """
+        cache = self.clients[client]
+        lost = list(cache.keys())
+        cache.clear()
+        if cache.capacity > 0:
+            self.free_clients.add(client)
+        self.pointers.pop(client, None)
+        self.overlay.fail(self.node_of_idx[client])
+        self.dead.add(client)
+        # DHT placement shifted: the owner memo is stale wholesale.
+        self.owner_memo.clear()
+        for ptrs in self.pointers.values():
+            stale = [obj for obj, holder in ptrs.items() if holder == client]
+            for obj in stale:
+                del ptrs[obj]
+        for obj in lost:
+            reps = self.replicas.get(obj)
+            if reps:
+                reps.discard(client)
+                if not reps:
+                    del self.replicas[obj]
+            if locate(self, obj, None, False) is None:
+                self.p2p_present.discard(obj)
+        return len(lost)
+
+    def join(self, name: str, cache: Cache) -> None:
+        """A new machine joins the overlay as ``name`` with ``cache``,
+        under the next client index.
+
+        Placement shifts toward the newcomer: objects it now owns but
+        does not hold become unreachable at their old holders and are
+        repaired lazily, as after a failure.
+        """
+        idx = len(self.clients)
+        node = self.overlay.add_named(name)
+        self.node_of_idx.append(node.node_id)
+        self.idx_of_node[node.node_id] = idx
+        self.clients.append(cache)
+        self.member_maps.append(member_map(cache))
+        if cache.capacity > 0:
+            self.free_clients.add(idx)
+        self.owner_memo.clear()
 
     def build_placement(self) -> None:
         """(Re)build the placement tables against the current overlay epoch.
@@ -401,11 +458,11 @@ def pass_down(self: Any, state: IndexedCluster, obj: int) -> None:
             if d2 == obj:
                 return  # no room at any eviction cost: rejected
             # The notice: clean pointers and replicas, and the directory
-            # once the *last* copy died.  Its reachability probe is the
-            # scheme's ``_eviction_probe`` (a notice must not repair what
-            # a lookup would), unrolled: the owner, then the diversion
-            # pointer, then — wherever the probe can find more (replicas)
-            # or has side effects (churn) — the probe itself.
+            # once the *last* copy died.  Its reachability probe is
+            # ``_locate`` repairing only where ``_notice_repairs`` says so,
+            # unrolled: the owner, then the diversion pointer, then —
+            # wherever the probe can find more (replicas) or has side
+            # effects (churn) — ``_locate`` itself.
             msg["client_evictions"] += 1
             d2_owner = owner_of[d2]
             ptrs = state.pointers.get(d2_owner)
@@ -423,8 +480,8 @@ def pass_down(self: Any, state: IndexedCluster, obj: int) -> None:
                 holder2 = ptrs.get(d2)
                 if holder2 is not None and d2 in member_maps[holder2]:
                     continue
-            if (reps or churn) and self._eviction_probe(
-                state, d2, d2_owner
+            if (reps or churn) and self._locate(
+                state, d2, d2_owner, self._notice_repairs
             ) is not None:
                 continue
             present.discard(d2)

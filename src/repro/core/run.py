@@ -26,7 +26,6 @@ from ..perf.profiling import record_scheme_ops
 from ..protocol.trace import TraceRecorder, active_trace_recorder
 from ..protocol.transport import EventFedTransport, Transport, build_transport
 from ..workload import Trace, generate_cluster_traces
-from .churn import HierGdChurnScheme
 from .config import SimulationConfig
 from .metrics import SchemeResult, latency_gain
 from .schemes import SCHEME_REGISTRY
@@ -105,11 +104,11 @@ def build_scheme(
 
     The registry class riding ``transport`` (``None``: the standard
     stack for the plan) — a faulty FC / FC-EC / Squirrel needs nothing
-    else.  Hier-GD under an active plan is the churn scheme
-    (lazily repaired directories) fed the plan's Poisson membership
-    events and reported as ``hier-gd``; the events
-    are a pure function of the plan, so a replayed or live run rebuilds
-    them without the wire trace carrying membership.
+    else.  Hier-GD under an active plan also carries the plan's Poisson
+    membership events (so its directories are repaired lazily) and
+    still reports as ``hier-gd``; the events are a pure function of the
+    plan, so a replayed or live run rebuilds them without the wire trace
+    carrying membership.
     """
     try:
         scheme_cls = SCHEME_REGISTRY[name]
@@ -130,8 +129,8 @@ def build_scheme(
         n_clusters=config.n_proxies,
         n_clients=config.sizing_for(traces[0]).n_clients,
     )
-    scheme = HierGdChurnScheme(config, traces, events, transport=transport)
-    # Report as the scheme under test, not the churn-harness subclass.
+    scheme = scheme_cls(config, traces, transport=transport, events=events)
+    # Report as the scheme under test, not as a hand-scheduled churn run.
     scheme.name = name
     return scheme
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.churn import ChurnEvent, HierGdChurnScheme
+from repro.core.churn import ChurnEvent
 from repro.core.config import SimulationConfig
 from repro.core.hiergd import HierGdScheme
 from repro.workload import ProWGenConfig, generate_cluster_traces
@@ -36,25 +36,46 @@ class TestEventValidation:
 
     def test_cluster_out_of_range(self):
         with pytest.raises(ValueError):
-            HierGdChurnScheme(
-                cfg(), workload(), [ChurnEvent(at_request=0, kind="fail", cluster=3)]
+            HierGdScheme(
+                cfg(), workload(), events=[ChurnEvent(at_request=0, kind="fail", cluster=3)]
             )
 
-    def test_double_failure_rejected(self):
-        events = [
-            ChurnEvent(at_request=10, kind="fail", cluster=0, client=2),
-            ChurnEvent(at_request=20, kind="fail", cluster=0, client=2),
-        ]
-        scheme = HierGdChurnScheme(cfg(), workload(), events)
-        with pytest.raises(ValueError):
-            scheme.run()
-
-    def test_failed_client_index_out_of_range(self):
-        scheme = HierGdChurnScheme(
-            cfg(), workload(), [ChurnEvent(at_request=1, kind="fail", cluster=0, client=99)]
+    @pytest.mark.parametrize(
+        "events, error",
+        [
+            (
+                [
+                    ChurnEvent(at_request=5_000, kind="fail", cluster=0, client=3),
+                    ChurnEvent(at_request=10, kind="fail", cluster=0, client=3),
+                ],
+                "client 3 of cluster 0 already failed",
+            ),
+            (
+                [ChurnEvent(at_request=5_000, kind="fail", cluster=0, client=10)],
+                "client 10 out of range",
+            ),
+        ],
+        ids=["double failure", "client out of range"],
+    )
+    def test_bad_schedule_refused_before_the_first_request(self, monkeypatch, events, error):
+        """The schedule is walked in firing order at construction: no
+        cluster state is built, no request served, before it is refused."""
+        monkeypatch.setattr(
+            "repro.core.hiergd_indexed.install",
+            lambda scheme: pytest.fail("a bad schedule reached install"),
         )
-        with pytest.raises(ValueError):
-            scheme.run()
+        with pytest.raises(ValueError, match=error):
+            HierGdScheme(cfg(), workload(), events=events)
+
+    def test_newcomer_may_fail(self):
+        """A join adds the next client index, which a later fail may name."""
+        events = [
+            ChurnEvent(at_request=100, kind="join", cluster=0),
+            ChurnEvent(at_request=200, kind="fail", cluster=0, client=10),
+        ]
+        r = HierGdScheme(cfg(), workload(), events=events).run()
+        assert r.messages["client_joins"] == r.messages["client_failures"] == 1
+        assert r.extras["live_clients"] == 10
 
 
 class TestFailure:
@@ -63,7 +84,7 @@ class TestFailure:
             ChurnEvent(at_request=2000, kind="fail", cluster=0, client=3),
             ChurnEvent(at_request=4000, kind="fail", cluster=0, client=7),
         ]
-        scheme = HierGdChurnScheme(cfg(), workload(), events)
+        scheme = HierGdScheme(cfg(), workload(), events=events)
         r = scheme.run()
         assert r.n_requests == 8000
         assert r.messages["client_failures"] == 2
@@ -72,7 +93,7 @@ class TestFailure:
 
     def test_failure_loses_objects_and_repairs_directory(self):
         events = [ChurnEvent(at_request=4000, kind="fail", cluster=0, client=0)]
-        scheme = HierGdChurnScheme(cfg(), workload(seed=2), events)
+        scheme = HierGdScheme(cfg(), workload(seed=2), events=events)
         r = scheme.run()
         # Something was cached on the failed client by mid-run.
         assert r.messages["objects_lost"] > 0
@@ -85,23 +106,23 @@ class TestFailure:
 
     def test_overlay_membership_shrinks(self):
         events = [ChurnEvent(at_request=100, kind="fail", cluster=0, client=5)]
-        scheme = HierGdChurnScheme(cfg(), workload(), events)
+        scheme = HierGdScheme(cfg(), workload(), events=events)
         scheme.run()
         assert len(scheme.states[0].overlay) == 9
 
     def test_dead_cache_receives_nothing(self):
         events = [ChurnEvent(at_request=100, kind="fail", cluster=0, client=5)]
-        scheme = HierGdChurnScheme(cfg(), workload(seed=3), events)
+        scheme = HierGdScheme(cfg(), workload(seed=3), events=events)
         scheme.run()
         assert len(scheme.states[0].clients[5]) == 0
 
     def test_latency_degrades_gracefully_not_catastrophically(self):
         traces = workload(seed=4)
         baseline = HierGdScheme(cfg(), traces).run()
-        half_dead = HierGdChurnScheme(
+        half_dead = HierGdScheme(
             cfg(),
             traces,
-            [
+            events=[
                 ChurnEvent(at_request=2000 + 500 * i, kind="fail", cluster=0, client=i)
                 for i in range(5)
             ],
@@ -115,7 +136,7 @@ class TestFailure:
 class TestJoin:
     def test_join_expands_overlay_and_clients(self):
         events = [ChurnEvent(at_request=1000, kind="join", cluster=0)]
-        scheme = HierGdChurnScheme(cfg(), workload(), events)
+        scheme = HierGdScheme(cfg(), workload(), events=events)
         r = scheme.run()
         assert r.messages["client_joins"] == 1
         assert len(scheme.states[0].clients) == 11
@@ -126,11 +147,11 @@ class TestJoin:
         """A join repartitions the id space: some objects' owners move,
         at least one onto the newcomer, and the owner memo — stale
         wholesale after the shift — is invalidated."""
-        scheme = HierGdChurnScheme(cfg(), workload(), [])
+        scheme = HierGdScheme(cfg(), workload(), events=[])
         state = scheme.states[0]
         objs = range(400)
         before = {obj: state.owner(obj) for obj in objs}
-        scheme._join_client(0)
+        state.join("cluster0/cache10", scheme._make_cache(scheme.sizings[0].client_size))
         assert not state.owner_memo  # memo dropped before any re-query
         after = {obj: state.owner(obj) for obj in objs}
         shifted = [obj for obj in objs if before[obj] != after[obj]]
@@ -143,7 +164,7 @@ class TestJoin:
 
     def test_newcomer_receives_objects(self):
         events = [ChurnEvent(at_request=500, kind="join", cluster=0)]
-        scheme = HierGdChurnScheme(cfg(), workload(seed=5), events)
+        scheme = HierGdScheme(cfg(), workload(seed=5), events=events)
         scheme.run()
         newcomer = scheme.states[0].clients[10]
         assert len(newcomer) > 0  # it owns a slice of the id space
@@ -153,7 +174,7 @@ class TestJoin:
             ChurnEvent(at_request=1000, kind="fail", cluster=0, client=2),
             ChurnEvent(at_request=2000, kind="join", cluster=0),
         ]
-        scheme = HierGdChurnScheme(cfg(), workload(seed=6), events)
+        scheme = HierGdScheme(cfg(), workload(seed=6), events=events)
         r = scheme.run()
         assert r.extras["live_clients"] == 10
         state = scheme.states[0]
@@ -176,7 +197,7 @@ class TestJoin:
             ChurnEvent(at_request=1000, kind="fail", cluster=0, client=2),
             ChurnEvent(at_request=2000, kind="join", cluster=0),
         ]
-        scheme = HierGdChurnScheme(cfg(), workload(seed=6), events)
+        scheme = HierGdScheme(cfg(), workload(seed=6), events=events)
         scheme.run()
         state = scheme.states[0]
         # Every membership change empties the owner memo; refilling it
@@ -191,6 +212,6 @@ class TestNoChurnEquivalence:
     def test_empty_schedule_matches_plain_hiergd(self):
         traces = workload(seed=7)
         plain = HierGdScheme(cfg(), traces).run()
-        churny = HierGdChurnScheme(cfg(), traces, []).run()
+        churny = HierGdScheme(cfg(), traces, events=[]).run()
         assert churny.total_latency == plain.total_latency
         assert churny.tier_counts == plain.tier_counts

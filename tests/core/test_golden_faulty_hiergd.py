@@ -13,11 +13,12 @@ bytes, not to run-to-run determinism of its own code.  Two families:
   result and of the trace's *event lines* (header and footer carry the
   config and the result, which are pinned separately or not at all — a
   new config field must not move this golden);
-* **plain churn runs** — :class:`HierGdChurnScheme` with explicit fail /
-  join events and no fault plan: the non-faulty repair path, where an
-  eviction notice's reachability probe repairs like a lookup and the
-  entry is then removed a second time (ROADMAP item 1 step 0 — pinned as
-  it is, Bloom cells included).  Result digest only.
+* **plain churn runs** — :class:`HierGdScheme` given a schedule of
+  explicit fail / join events and no fault plan (reported as
+  ``hier-gd-churn``): the non-faulty repair path, where an eviction
+  notice's reachability probe repairs like a lookup and the entry is
+  then removed a second time (ROADMAP item 1(a) — pinned as it is, Bloom
+  cells included).  Result digest only.
 
 Refresh — only after an *intentional* behaviour change — with
 ``PYTHONPATH=src python -m tests.core.test_golden_faulty_hiergd``.
@@ -32,8 +33,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.churn import ChurnEvent, HierGdChurnScheme
+from repro.core.churn import ChurnEvent
 from repro.core.config import SimulationConfig
+from repro.core.hiergd import HierGdScheme
 from repro.experiments.robustness import robustness_plan
 from repro.faults import FaultPlan
 from repro.faults.run import run_scheme_with_faults
@@ -120,7 +122,7 @@ def faulty_cell(directory, sizes, policy, plan, backend, **overrides):
 
 def churn_cell(directory, sizes, policy, **overrides):
     config = golden_config(directory, sizes, policy, **overrides)
-    result = HierGdChurnScheme(config, traces_for(sizes), EVENTS).run()
+    result = HierGdScheme(config, traces_for(sizes), events=EVENTS).run()
     return {"result": result_sha(result)}
 
 
@@ -195,7 +197,7 @@ def test_cells_exercise_what_they_pin():
                     "client_failures", "client_joins", "directory_repairs",
                     "diversions", "client_evictions"):
         assert faulty[counter] > 0, counter
-    plain = HierGdChurnScheme(config, traces_for("unit"), EVENTS).run().messages
+    plain = HierGdScheme(config, traces_for("unit"), events=EVENTS).run().messages
     assert plain["client_failures"] == 5 and plain["client_joins"] == 3
     assert plain["objects_lost"] > 0 and plain["directory_repairs"] > 0
 

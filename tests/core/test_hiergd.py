@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.churn import HierGdChurnScheme
 from repro.core.config import SimulationConfig
 from repro.core.hiergd import HierGdScheme
 from repro.core.hiergd_indexed import member_map
@@ -299,7 +298,7 @@ class TestOverlayIntegration:
 
     def test_owner_mapping_is_stable_and_memoised(self):
         traces = moderate_workload(seed=6)
-        scheme = HierGdChurnScheme(cfg(n_clients=10), traces, events=[])
+        scheme = HierGdScheme(cfg(n_clients=10), traces, events=[])
         scheme.run()
         state = scheme.states[0]
         assert len(state.owner_memo) > 0
@@ -313,7 +312,7 @@ class TestOverlayIntegration:
     def test_fast_placement_table_matches_reference_owners(self):
         traces = moderate_workload(seed=6)
         indexed = HierGdScheme(cfg(n_clients=10), traces)
-        chain = HierGdChurnScheme(cfg(n_clients=10), traces, events=[])
+        chain = HierGdScheme(cfg(n_clients=10), traces, events=[])
         for state, chain_state in zip(indexed.states, chain.states):
             state.build_placement()
             assert state.owner_of

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.churn import ChurnEvent, HierGdChurnScheme
+from repro.core.churn import ChurnEvent
 from repro.core.config import SimulationConfig
 from repro.core.hiergd import HierGdScheme
 from repro.workload import ProWGenConfig, generate_cluster_traces
@@ -84,7 +84,7 @@ class TestReplicationUnderChurn:
         traces = workload(seed=4)
         lost = {}
         for replicas in (1, 3):
-            scheme = HierGdChurnScheme(cfg(replicas=replicas), traces, self.churn_events())
+            scheme = HierGdScheme(cfg(replicas=replicas), traces, events=self.churn_events())
             r = scheme.run()
             # "Lost" means gone from the P2P ground truth; with replicas a
             # failure only loses objects whose every copy died.
@@ -94,7 +94,7 @@ class TestReplicationUnderChurn:
 
     def test_survivors_remain_locatable(self):
         traces = workload(seed=5)
-        scheme = HierGdChurnScheme(cfg(replicas=2), traces, self.churn_events())
+        scheme = HierGdScheme(cfg(replicas=2), traces, events=self.churn_events())
         scheme.run()
         state = scheme.states[0]
         for obj in list(state.p2p_present):

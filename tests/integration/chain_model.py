@@ -9,13 +9,13 @@ candidate, the neighbourhood is asked of the overlay per diversion,
 every insert is the cache's general ``insert``, and every cooperation
 hop is an exchange asked of the transport — fault layer or not.
 
-It is a churn scheme (placement on first touch over one-by-one joins,
-membership events, the repairing ``_locate``); with no events and the
-base transport it is plain Hier-GD.  Shared with the program: cluster
-state, ``_locate`` / ``_replicate``, the churn events.
+It always carries a churn schedule (placement on first touch over
+one-by-one joins, membership events, the repairing ``_locate``); with no
+events and the base transport it is plain Hier-GD.  Shared with the
+program: cluster state and its ``fail`` / ``join``, ``_locate`` /
+``_replicate``, the schedule's firing.
 """
 
-from repro.core.churn import HierGdChurnScheme
 from repro.core.hiergd import HierGdScheme
 from repro.netmodel import (
     TIER_COOP_P2P,
@@ -27,9 +27,9 @@ from repro.netmodel import (
 from repro.protocol.messages import LOOKUP_QUERY, PROXY_FETCH, PUSH
 
 
-class ChainHierGd(HierGdChurnScheme):
+class ChainHierGd(HierGdScheme):
     def __init__(self, config, traces, events=(), transport=None):
-        super().__init__(config, traces, list(events), transport)
+        super().__init__(config, traces, transport, list(events))
 
     # -- the miss chain: lookup -> coop proxies -> push -> origin ----------
 
@@ -164,23 +164,24 @@ class ChainHierGd(HierGdChurnScheme):
                 del state.replicas[obj]
         # Under a fault transport the notice's probe is read-only (a
         # repair would undo the notice drop being modelled); without one
-        # it repairs like any lookup — pinned, ROADMAP item 1 step 0.
-        probe = HierGdScheme._locate if self._faulty else type(self)._locate
-        if obj in state.p2p_present and probe(self, state, obj, owner) is None:
+        # it repairs like any lookup — pinned, ROADMAP item 1(a).
+        repair = not self._faulty
+        if obj in state.p2p_present and self._locate(state, obj, owner, repair) is None:
             state.p2p_present.discard(obj)
             state.directory.remove(obj)
 
 
 class ChurnWithoutRepair(ChainHierGd):
-    """The chain minus the churn scheme's lazy directory repair.
+    """The chain minus the lazy directory repair of runs with churn.
 
-    The churn scheme repairs every directory entry a lookup fails to
+    A run with churn repairs every directory entry a lookup fails to
     back — it cannot tell a Bloom false positive from an entry gone stale
     through churn.  On an exact directory the extra removals are no-ops;
     on a counting Bloom filter each one decrements counters other objects
     share.  Plain Hier-GD has no churn and repairs nothing, so its Bloom
     rows compare against the chain without the repair (until ROADMAP
-    item 1 step 0).
+    item 1(a)).
     """
 
-    _locate = HierGdScheme._locate
+    def _locate(self, state, obj, owner=None, repair=True):
+        return HierGdScheme._locate(self, state, obj, owner, repair=False)

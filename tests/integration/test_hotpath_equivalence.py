@@ -33,7 +33,8 @@ import pytest
 import repro
 from repro.cache import CLIENT_TIER, PROXY_TIER
 from repro.core import hiergd_indexed
-from repro.core.churn import ChurnEvent, HierGdChurnScheme
+from repro.core.churn import ChurnEvent
+from repro.core.hiergd import HierGdScheme
 from repro.core.run import SCHEME_REGISTRY, build_scheme, generate_workloads
 from repro.core.schemes import ScEcScheme, ScScheme, SquirrelScheme
 from repro.experiments.robustness import robustness_plan
@@ -313,7 +314,7 @@ def test_hier_gd_churn_events_equivalent(overrides, sizes):
     transport, and the eviction notice's probe repairs (pinned)."""
     config = general_config(sizes, **overrides)
     traces = generate_workloads(config, seed=0)
-    scheme = HierGdChurnScheme(config, traces, EVENTS)
+    scheme = HierGdScheme(config, traces, events=EVENTS)
     engine = scheme.run()
     chain = ChainHierGd(config, traces, EVENTS).run()
     assert dataclasses.asdict(engine) == dataclasses.asdict(chain)
@@ -325,7 +326,8 @@ def test_hier_gd_churn_events_equivalent(overrides, sizes):
 @pytest.mark.parametrize("sizes", ["unit", "sized"])
 def test_engine_selection(sizes, run):
     """``install`` rebinds nothing: every run is served by the class's
-    functions, and the state, not the instance, holds what differs."""
+    functions; the state holds what differs, and ``mutates_membership``
+    is whether the run was given a churn schedule."""
     config = general_config(sizes)
     traces = generate_workloads(config, seed=0)
     if run == "plain":
@@ -333,8 +335,8 @@ def test_engine_selection(sizes, run):
     elif run == "composite":
         scheme = build_scheme("hier-gd", config, traces, FAULT_PLANS["composite"])
     else:
-        scheme = HierGdChurnScheme(config, traces, EVENTS)
-    assert not {"process", "_proxy_insert", "mutates_membership"} & set(vars(scheme))
+        scheme = HierGdScheme(config, traces, events=EVENTS)
+    assert not {"process", "_proxy_insert"} & set(vars(scheme))
     assert scheme.process.__func__ is hiergd_indexed.process
     assert scheme._proxy_insert.__func__ is hiergd_indexed.proxy_insert
     churn = run != "plain"

@@ -10,7 +10,11 @@ twice.
   latency by it exactly in binary floating point, and every comparison a
   replacement policy makes keeps its outcome.  Tier counts, messages and
   every other extra stay byte-identical; ``total_latency``,
-  ``extra_latency`` and ``byte_latency`` scale exactly.
+  ``extra_latency`` and ``byte_latency`` scale exactly.  This holds under
+  fault plans too, with the plan left unscaled and on either execution
+  backend: a plan's timeouts, backoff rounds and delays are multiples of
+  the link RTT, so they scale with ``t_local``, and its draws do not
+  depend on latencies.
 - **R2, empty client caches collapse an -EC scheme onto its base.**  At
   ``client_cache_fraction=0`` there is no P2P capacity: NC-EC is NC, and
   SC-EC is SC apart from a zero ``push_requests`` counter.  FC-EC is not
@@ -34,7 +38,9 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import SimulationConfig
-from repro.core.run import available_schemes, generate_workloads, run_scheme
+from repro.core.run import available_schemes, generate_workloads
+from repro.experiments.robustness import robustness_plan
+from repro.faults import FaultPlan, run_scheme_with_faults
 from repro.netmodel import NetworkConfig
 from repro.workload import ProWGenConfig
 
@@ -65,8 +71,20 @@ def config(sizes: str, proxy_fraction: float, **overrides) -> SimulationConfig:
     return SimulationConfig(**fields)
 
 
-def result(name, cfg, traces) -> dict:
-    return dataclasses.asdict(run_scheme(name, cfg, traces, seed=0))
+def result(name, cfg, traces, plan=None, backend="sync") -> dict:
+    return dataclasses.asdict(
+        run_scheme_with_faults(name, cfg, traces, plan, seed=0, backend=backend)
+    )
+
+
+#: R1's fault plans: none, the composite robustness plan, churn alone and
+#: message loss alone (a plan is a no-op on a scheme it cannot fault).
+R1_PLANS = {
+    "none": None,
+    "composite": robustness_plan(0.1),
+    "churn": FaultPlan(churn_rate=0.004, seed=5),
+    "loss": FaultPlan(p2p_loss=0.2, proxy_loss=0.2, push_loss=0.2, seed=5),
+}
 
 
 sizes = st.sampled_from(["off", "heavy-tailed"])
@@ -84,9 +102,12 @@ seeds = st.integers(min_value=0, max_value=3)
     directory=st.sampled_from(["exact", "bloom"]),
     hiergd_policy=st.sampled_from(["gd", "lru", "lfu"]),
     gd_cost_model=st.sampled_from(["gds", "gd"]),
+    plan=st.sampled_from(list(R1_PLANS)),
+    backend=st.sampled_from(["sync", "async"]),
 )
 def test_r1_scaling_t_local_scales_every_latency_exactly(
-    name, k, sizes, fraction, seed, directory, hiergd_policy, gd_cost_model
+    name, k, sizes, fraction, seed, directory, hiergd_policy, gd_cost_model, plan,
+    backend,
 ):
     base = config(
         sizes,
@@ -98,8 +119,8 @@ def test_r1_scaling_t_local_scales_every_latency_exactly(
     traces = generate_workloads(base, seed=seed)
     factor = 2.0**k
     scaled_config = dataclasses.replace(base, network=NetworkConfig(t_local=factor))
-    plain = result(name, base, traces)
-    scaled = result(name, scaled_config, traces)
+    plain = result(name, base, traces, R1_PLANS[plan], backend)
+    scaled = result(name, scaled_config, traces, R1_PLANS[plan], backend)
 
     assert scaled["tier_counts"] == plain["tier_counts"]
     assert scaled["messages"] == plain["messages"]

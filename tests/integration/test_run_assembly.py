@@ -17,15 +17,18 @@ prints it).
 """
 
 import dataclasses
+import importlib
 import itertools
 import json
 import multiprocessing.process
+import pkgutil
 from pathlib import Path
 
 import pytest
 
-from repro.core.churn import HierGdChurnScheme
+import repro
 from repro.core.config import SimulationConfig, UnsupportedConfiguration
+from repro.core.hiergd import HierGdScheme
 from repro.core.run import (
     assemble_run,
     available_schemes,
@@ -98,12 +101,8 @@ def test_all_entry_points_build_the_same_scheme(name, plan_kind, built, cluster,
     if not bites:
         run_scheme(name, CONFIG, seed=1)
 
-    if name != "hier-gd":
-        expected = (SCHEME_REGISTRY[name], None, name)
-    elif bites:
-        expected = (HierGdChurnScheme, "proxy_insert", "hier-gd")
-    else:
-        expected = (SCHEME_REGISTRY[name], "proxy_insert", "hier-gd")
+    insert = "proxy_insert" if name == "hier-gd" else None
+    expected = (SCHEME_REGISTRY[name], insert, name)
     assert built == [expected] * len(built) and len(built) >= 3
 
 
@@ -111,11 +110,27 @@ def test_all_entry_points_build_the_same_scheme(name, plan_kind, built, cluster,
 @pytest.mark.parametrize("name", available_schemes())
 def test_construction_never_shadows_process(name, plan_kind):
     """One serving method per scheme: whatever the plan, the built scheme
-    serves through its class's ``process`` (only a layer's ``attach``
-    wraps it, after construction)."""
+    is the registry class itself — no execution-mode subclass — and
+    serves through its ``process`` (only a layer's ``attach`` wraps it,
+    after construction)."""
     traces = generate_workloads(CONFIG, seed=1)
     scheme = build_scheme(name, CONFIG, traces, PLANS[plan_kind])
+    assert type(scheme) is SCHEME_REGISTRY[name]
     assert "process" not in vars(scheme)
+
+
+def test_hier_gd_is_one_class():
+    """No class in the package subclasses ``HierGdScheme``: churn, faults
+    and sizes are what a run carries, not a class it is built as."""
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        importlib.import_module(module.name)
+    pending, found = [HierGdScheme], []
+    while pending:
+        for sub in pending.pop().__subclasses__():
+            pending.append(sub)
+            if sub.__module__.split(".")[0] == "repro":
+                found.append(sub)
+    assert found == []
 
 
 class RefusingTransport(Transport):

@@ -12,7 +12,7 @@ host; these count instead of timing:
 * on the same shape an exchange is paid once: a ``transport.attempt``
   that charges nothing enters 10 frames, any attempt at most 14 besides
   the latency sink, and a Bloom probe enters the counting filter
-  straight from the engine or churn's repairing ``_locate``;
+  straight from the engine or ``_locate``'s churn repair;
 * on the same shape a counting-filter ``__contains__`` / ``add`` /
   ``discard`` of an int key the filter has memoised is one frame: the
   memo is read inline, ``_indices`` is entered only on a first touch;
@@ -35,7 +35,10 @@ host; these count instead of timing:
   — a frame per survivor would add 99), and 640 ``Dht.owner`` misses at
   ``hop_sample_rate=64`` at most 2.5 frames each on average (2.40: the
   miss and ``numerically_closest``, plus the sampled routes; 5.75 under
-  the chain).
+  the chain);
+* on a run with churn every ``_locate`` call enters one ``_locate``
+  frame (a churn subclass's override and its ``super()`` call entered
+  two on most of them).
 """
 
 import dataclasses
@@ -47,7 +50,7 @@ import pytest
 
 from repro.bloom import CountingBloomFilter
 from repro.core import hiergd_indexed
-from repro.core.churn import HierGdChurnScheme
+from repro.core.churn import ChurnEvent
 from repro.core.directory import LookupDirectory
 from repro.core.hiergd import HierGdScheme
 from repro.core.presence import PresenceIndex
@@ -138,7 +141,7 @@ def test_recorded_faulty_exchange_is_paid_once(monkeypatch, tmp_path):
     decision's frames below ``SimClock.run`` → ``begin`` →
     ``_draw_and_book``, deltas derived twice, ``json.dumps`` per event).
 
-    Step 2, the push scan and churn's repairing ``_locate`` probe the
+    Step 2, the push scan and ``_locate``'s churn repair probe the
     directory's membership structure itself: a Bloom probe enters the
     counting filter straight from them, never a ``LossyDirectory`` /
     ``BloomDirectory`` frame (three frames a probe before)."""
@@ -149,7 +152,7 @@ def test_recorded_faulty_exchange_is_paid_once(monkeypatch, tmp_path):
     engine = {
         hiergd_indexed.process.__code__,
         hiergd_indexed.push_stage.__code__,
-        HierGdChurnScheme._locate.__code__,
+        HierGdScheme._locate.__code__,
     }
     wrapper = {
         f.__code__
@@ -272,6 +275,64 @@ def test_memoised_bloom_operation_enters_one_frame(monkeypatch, tmp_path):
         assert sum(hot.values()) > 100, name
     # First touches hash the key: the guard tells the two paths apart.
     assert min(frames["__contains__", False]) > 1
+
+
+#: A plain churn schedule for the guard shape (3 clusters x 16 clients):
+#: failures, and a join whose newcomer later fails.
+CHURN_EVENTS = [
+    ChurnEvent(at_request=1_000, kind="fail", cluster=0, client=3),
+    ChurnEvent(at_request=3_000, kind="join", cluster=1),
+    ChurnEvent(at_request=5_000, kind="fail", cluster=2, client=7),
+    ChurnEvent(at_request=7_000, kind="fail", cluster=1, client=16),
+]
+
+
+@pytest.mark.parametrize("schedule", ["composite plan", "churn events"])
+def test_churning_locate_enters_one_locate_frame(schedule, monkeypatch):
+    """On a run with churn every ``_locate`` call — lookup, eviction
+    notice or failure sweep — enters exactly one ``_locate`` frame: the
+    directory repair is the function's last branch, not an override
+    around ``super()._locate``.  Measured on the Bloom guard shape
+    (9 000 requests): under the composite 10 % plan 9 061 calls, of which
+    the subclass-and-``super()`` pair made 5 306 enter two; with the four
+    events above and no fault layer 8 763 calls, 8 757 of them two."""
+    config = guard_config(directory="bloom")
+    traces = generate_workloads(config, seed=0)
+    per_call = Counter()
+    run = CachingScheme.run
+
+    def profiled_run(scheme):
+        depth = entered = 0
+
+        def profile(frame, event, arg):
+            nonlocal depth, entered
+            if frame.f_code.co_name != "_locate":
+                return
+            if event == "call":
+                depth += 1
+                entered += 1
+            elif event == "return":
+                depth -= 1
+                if not depth:
+                    per_call[entered] += 1
+                    entered = 0
+
+        sys.setprofile(profile)
+        try:
+            return run(scheme)
+        finally:
+            sys.setprofile(None)
+
+    monkeypatch.setattr(CachingScheme, "run", profiled_run)
+    if schedule == "composite plan":
+        result = run_scheme_with_faults(
+            "hier-gd", config, traces, robustness_plan(0.1), seed=0
+        )
+    else:
+        result = HierGdScheme(config, traces, events=CHURN_EVENTS).run()
+    assert result.messages["client_failures"] > 0
+    assert result.messages["directory_repairs"] > 0
+    assert set(per_call) == {1} and per_call[1] > 5_000, per_call
 
 
 @pytest.mark.parametrize("sizes", ["unit", "sized"])

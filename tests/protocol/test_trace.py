@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.churn import HierGdChurnScheme
 from repro.core.config import SimulationConfig
+from repro.core.hiergd import HierGdScheme
 from repro.core.run import generate_workloads, run_scheme
 from repro.faults import FaultPlan
 from repro.faults.run import run_scheme_with_faults
@@ -62,13 +62,13 @@ class TestRecordingIsTransparent:
         # by hand.
         config = cfg()
         traces = generate_workloads(config, seed=0)
-        plain = HierGdChurnScheme(config, traces, events=[]).run()
+        plain = HierGdScheme(config, traces, events=[]).run()
 
         recorder = TraceRecorder(tmp_path)
         recording = recorder.open(
             "hier-gd", config, 0, None, Transport(config.network)
         )
-        scheme = HierGdChurnScheme(config, traces, events=[], transport=recording)
+        scheme = HierGdScheme(config, traces, transport=recording, events=[])
         recording.attach(scheme)
         recorded = scheme.run()
         recorder.close(recording, recorded)
@@ -77,7 +77,7 @@ class TestRecordingIsTransparent:
         trace = load_trace(recorder.written[0])
         assert trace.complete and len(trace.events) > 0
         replaying = ReplayTransport(config.network, trace.events)
-        scheme = HierGdChurnScheme(config, traces, events=[], transport=replaying)
+        scheme = HierGdScheme(config, traces, transport=replaying, events=[])
         replaying.attach(scheme)
         replayed = scheme.run()
         assert replaying.remaining == 0
