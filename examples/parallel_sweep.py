@@ -76,7 +76,7 @@ def main() -> None:
     )
     inst = resumed.instrument
     print(f"-> {inst.skipped} points from store, {inst.executed} newly "
-          f"simulated, {inst.retries} retries\n")
+          f"simulated\n")
 
     # -- 3. the resumed curves match a from-scratch serial run exactly -----
     serial = cache_size_sweep(

@@ -25,9 +25,7 @@ Implementation notes
   one Python frame.
 * Sizing helpers (:func:`optimal_num_bits`, :func:`optimal_num_hashes`)
   implement the textbook formulas m = -n ln p / (ln 2)^2 and
-  k = (m/n) ln 2, and ``false_positive_rate`` reports the *current-load*
-  estimate (1 - e^{-kn/m})^k used by the directory-tradeoff example and
-  the ablation bench.
+  k = (m/n) ln 2.
 * The filter keeps one slot per element of a plain ``list`` of small
   ints — a 4-bit sticky-saturating counter 0-15 — read and written by
   plain list subscripts at 8 B a slot; :meth:`~CountingBloomFilter.memory_bytes`
@@ -210,17 +208,6 @@ class CountingBloomFilter:
     def clear(self) -> None:
         self._slots = [0] * self.num_bits
         self.count = 0
-
-    def false_positive_rate(self, n_keys: int | None = None) -> float:
-        """Estimated FP probability at the current (or given) load.
-
-        Uses the classic approximation (1 - e^{-kn/m})^k.
-        """
-        n = self.count if n_keys is None else n_keys
-        if n <= 0:
-            return 0.0
-        k, m = self.num_hashes, self.num_bits
-        return (1.0 - math.exp(-k * n / m)) ** k
 
     def memory_bytes(self) -> int:
         """Bytes of the modelled packed slot array (module docstring)."""

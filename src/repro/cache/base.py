@@ -53,14 +53,6 @@ class CacheStats:
         acc = self.accesses
         return self.hits / acc if acc else 0.0
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "insertions": self.insertions,
-            "evictions": self.evictions,
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CacheStats(hits={self.hits}, misses={self.misses}, evictions={self.evictions})"
 
@@ -119,10 +111,6 @@ class Cache(ABC):
 
     def __contains__(self, key: Hashable) -> bool:
         return self.contains(key)
-
-    @property
-    def is_full(self) -> bool:
-        return len(self) >= self.capacity
 
     @property
     def free_space(self) -> int:

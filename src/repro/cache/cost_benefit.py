@@ -62,13 +62,6 @@ class FrequencyOracle:
     def __len__(self) -> int:
         return len(self._counts)
 
-    @classmethod
-    def from_references(cls, refs: "Iterator[Hashable]") -> "FrequencyOracle":
-        counts: dict[Hashable, int] = {}
-        for key in refs:
-            counts[key] = counts.get(key, 0) + 1
-        return cls(counts)
-
 
 class CostBenefitCache(Cache):
     """Value-based cache: evict the copy with minimum frequency × benefit."""

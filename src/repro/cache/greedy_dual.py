@@ -247,8 +247,3 @@ class GreedyDualCache(Cache):
 
     def keys(self) -> Iterator[Hashable]:
         return iter(self._entries)
-
-    def min_credit(self) -> float:
-        """Credit of the current eviction candidate (diagnostic)."""
-        _key, prio = self._heap.peek_min()
-        return prio

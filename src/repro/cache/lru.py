@@ -83,7 +83,3 @@ class LruCache(Cache):
 
     def keys(self) -> Iterator[Hashable]:
         return iter(self._entries)
-
-    def lru_order(self) -> list[Hashable]:
-        """Keys from least- to most-recently used (test/diagnostic aid)."""
-        return list(self._entries)

@@ -111,14 +111,6 @@ class TieredCache(Cache):
     def __len__(self) -> int:
         return len(self._store)
 
-    @property
-    def proxy_len(self) -> int:
-        return self._tiers.top_count
-
-    @property
-    def client_len(self) -> int:
-        return len(self._store) - self.proxy_len
-
     def keys(self) -> Iterator[Hashable]:
         return self._store.keys()
 

@@ -107,10 +107,6 @@ class BloomDirectory(LookupDirectory):
     def memory_bytes(self) -> int:
         return self.members.memory_bytes()
 
-    @property
-    def design_fp_rate(self) -> float:
-        return self.members.false_positive_rate()
-
 
 class LossyDirectory(LookupDirectory):
     """A directory whose *eviction notices* are dropped probabilistically.

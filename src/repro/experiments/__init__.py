@@ -7,8 +7,8 @@
 - :mod:`repro.experiments.runner` — scales, base configs, curves and
   panels, and the one evaluator that runs and judges them.
 - :mod:`repro.experiments.executor` — the parallel experiment engine:
-  sweep points fanned out over a process pool, serial fallback, bounded
-  crash retry, deterministic per-point seeding.
+  sweep points fanned out over a process pool, serial fallback, each
+  point run once, deterministic per-point seeding.
 - :mod:`repro.experiments.store` — content-addressed JSONL result store;
   finished points are skipped on re-runs, interrupted suites resume.
 - :mod:`repro.experiments.instrument` — per-point wall times,
@@ -24,7 +24,6 @@
 from .executor import (
     ExperimentEngine,
     PointOutcome,
-    QuarantinedPoint,
     SweepPoint,
 )
 from .figures import FIGURES, Claim, Figure, run_figure
@@ -47,7 +46,6 @@ __all__ = [
     "ExperimentEngine",
     "PointOutcome",
     "ProgressEvent",
-    "QuarantinedPoint",
     "ResultStore",
     "RunInstrumentation",
     "SweepPoint",

@@ -144,7 +144,10 @@ def engine_from_args(
     except OSError as exc:
         raise SystemExit(f"repro-experiments: cannot open result store: {exc}") from exc
     if engine.store is not None:
-        print(f"result store: {engine.store.path} ({len(engine.store)} points)")
+        store = engine.store
+        skipped = store.skipped_lines
+        note = f", {skipped} unreadable rows skipped" if skipped else ""
+        print(f"result store: {store.path} ({len(store)} points{note})")
     record_dir: Path | None = None
     if args.record is not None:
         if args.record != "auto":
@@ -353,8 +356,8 @@ def main(argv: list[str] | None = None) -> int:
     inst = engine.instrument
     if inst is not None and inst.total:
         print(
-            f"\n[{inst.executed} points simulated, {inst.skipped} from store, "
-            f"{inst.retries} retries; {inst.elapsed:.1f}s wall, "
+            f"\n[{inst.executed} points simulated, {inst.skipped} from store; "
+            f"{inst.elapsed:.1f}s wall, "
             f"{inst.requests_per_sec():,.0f} req/s, "
             f"{inst.worker_utilization(engine.workers):.0%} worker utilization]"
         )

@@ -1,4 +1,4 @@
-"""Parallel sweep-point executor: process fan-out with resume and retry.
+"""Parallel sweep-point executor: process fan-out with resume.
 
 Every figure of the paper is a grid of *independent* trace-driven
 simulations (scheme x proxy-cache fraction x workload variation), so the
@@ -19,23 +19,15 @@ explicit :class:`SweepPoint` work items and fans them out over
 * **Serial fallback** — ``workers=1`` runs everything in-process through
   the same code path (no pool, no pickling), which is also what tests
   and the default API use.
-* **Crash resilience** — a point that raises is retried up to
-  ``retries`` times (optionally with exponential backoff between
-  attempts, ``retry_backoff``); a worker that dies outright (broken
-  pool) causes the pool to be rebuilt and the unfinished points
-  resubmitted, bounded by ``retries`` consecutive no-progress rounds.
-* **Quarantine** — with ``quarantine=True`` a poison point (one that
-  crashes through its whole retry budget) is recorded as *failed* in
-  the store and the run continues, instead of one bad point aborting a
-  multi-hour suite.
-* **Heartbeat** — with ``heartbeat=<seconds>`` a pool in which *no*
-  point completes within the window is declared hung: the worker
-  processes are killed, the running points are charged a failed
-  attempt, and the pool is rebuilt.  Size the window well above the
-  slowest honest point.
+* **Run once, fail fast** — a point is a pure function of its inputs, so
+  one that raises would raise again: each point runs exactly once, and
+  the first failure (a raising point, or a worker process that dies)
+  aborts the run with :class:`PointExecutionError` naming the point.
 * **Resume** — with a :class:`~repro.experiments.store.ResultStore`
   attached, completed points are answered from the store and only the
   remainder is simulated (see the store module for key semantics).
+  Each result is stored as soon as its point finishes, so a failed or
+  killed run resumes from everything it completed.
 """
 
 from __future__ import annotations
@@ -46,7 +38,7 @@ import resource
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Iterator, Sequence
 
 from ..core.config import SimulationConfig
 from ..core.metrics import SchemeResult
@@ -58,7 +50,6 @@ from .store import ResultStore, deserialize_result, point_key, serialize_result
 __all__ = [
     "SweepPoint",
     "PointOutcome",
-    "QuarantinedPoint",
     "PointExecutionError",
     "ExperimentEngine",
     "run_point",
@@ -66,7 +57,11 @@ __all__ = [
 
 
 class PointExecutionError(RuntimeError):
-    """A sweep point kept failing after its bounded retries."""
+    """A sweep point failed; the message names it, the cause is chained."""
+
+
+def _failed(point: SweepPoint, exc: Exception) -> PointExecutionError:
+    return PointExecutionError(f"sweep point {point.label} failed: {exc!r}")
 
 
 @dataclass(frozen=True)
@@ -133,27 +128,12 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class PointOutcome:
-    """A completed point: its result plus how it was obtained.
-
-    ``failed`` is ``None`` for a successful point; for a quarantined one
-    it carries the error string and ``result`` is ``None``.
-    """
+    """A completed point: its result plus how it was obtained."""
 
     point: SweepPoint
-    result: SchemeResult | None
+    result: SchemeResult
     cached: bool
     wall_time: float
-    failed: str | None = None
-
-
-@dataclass(frozen=True)
-class QuarantinedPoint:
-    """A poison point: it crashed through its whole retry budget and was
-    recorded as failed (``quarantine=True``) instead of aborting the run."""
-
-    index: int
-    error: str
-    attempts: int
 
 
 #: Per-process memo of generated cluster traces.  Points of one sweep
@@ -235,28 +215,10 @@ class ExperimentEngine:
     #: (``repro.shard``).  1 keeps every point on the single-process
     #: engine; sweep builders consult this when constructing points.
     shards: int = 1
-    #: Bounded retries per failing point (and per no-progress pool rebuild).
-    retries: int = 2
-    #: Record a point that exhausts its retries as failed and continue,
-    #: instead of aborting the whole run with :class:`PointExecutionError`.
-    quarantine: bool = False
-    #: Seconds without *any* point completing before the pool is declared
-    #: hung, its workers killed, and the running points charged a failed
-    #: attempt.  ``None`` disables the watchdog (the pre-existing default).
-    heartbeat: float | None = None
-    #: Base sleep (seconds) between retries of one point; doubles per
-    #: attempt.  0 retries immediately (the pre-existing default).
-    retry_backoff: float = 0.0
 
     def __post_init__(self) -> None:
         if self.workers <= 0:
             self.workers = os.cpu_count() or 1
-        if self.retries < 0:
-            raise ValueError("retries must be >= 0")
-        if self.heartbeat is not None and self.heartbeat <= 0:
-            raise ValueError("heartbeat must be positive (or None)")
-        if self.retry_backoff < 0:
-            raise ValueError("retry_backoff must be >= 0")
 
     @classmethod
     def from_options(
@@ -276,197 +238,18 @@ class ExperimentEngine:
             shards=shards,
         )
 
-    # -- generic bounded-retry fan-out --------------------------------------
-
-    def map(
-        self,
-        fn: Callable[[Any], Any],
-        items: Sequence[Any],
-        on_result: Callable[[int, Any], None] | None = None,
-    ) -> list[Any]:
-        """``[fn(item) for item in items]`` with retries, maybe in parallel.
-
-        Results come back in item order regardless of completion order;
-        ``on_result(index, value)`` fires in the parent as each item
-        finishes (used to persist results and tick progress).  An item
-        that keeps raising after ``retries`` retries aborts the run with
-        :class:`PointExecutionError` — or, with ``quarantine=True``, its
-        slot holds a :class:`QuarantinedPoint` and the run continues.  A
-        crashed worker only aborts after ``retries`` consecutive pool
-        rebuilds with zero progress.
-        """
-        if self.workers == 1:
-            return self._map_serial(fn, items, on_result)
-        return self._map_parallel(fn, items, on_result)
-
-    def _retried(self, index: int, item: Any, attempt: int = 1) -> None:
-        if self.instrument is not None:
-            label = item.label if isinstance(item, SweepPoint) else f"item {index}"
-            self.instrument.point_retried(label)
-        if self.retry_backoff > 0:
-            time.sleep(self.retry_backoff * (2 ** (attempt - 1)))
-
-    def _fail_point(
-        self,
-        index: int,
-        item: Any,
-        attempts: dict[int, int],
-        error: str,
-        pending: set[int],
-        results: list[Any],
-        on_result: Callable[[int, Any], None] | None,
-    ) -> int:
-        """Charge one failed attempt against ``index``.
-
-        Returns 1 when the point was quarantined (counts as round
-        progress), 0 when it will be retried; raises
-        :class:`PointExecutionError` at exhaustion without quarantine.
-        """
-        attempts[index] += 1
-        if attempts[index] <= self.retries:
-            self._retried(index, item, attempts[index])
-            return 0
-        if self.quarantine:
-            results[index] = QuarantinedPoint(
-                index=index, error=error, attempts=attempts[index]
-            )
-            pending.discard(index)
-            if on_result is not None:
-                on_result(index, results[index])
-            return 1
-        raise PointExecutionError(
-            f"item {index} failed after {attempts[index]} attempts: {error}"
-        )
-
-    def _map_serial(
-        self,
-        fn: Callable[[Any], Any],
-        items: Sequence[Any],
-        on_result: Callable[[int, Any], None] | None,
-    ) -> list[Any]:
-        results: list[Any] = [None] * len(items)
-        for i, item in enumerate(items):
-            for attempt in range(self.retries + 1):
-                try:
-                    results[i] = fn(item)
-                    break
-                except Exception as exc:
-                    if attempt == self.retries:
-                        if self.quarantine:
-                            results[i] = QuarantinedPoint(
-                                index=i, error=repr(exc), attempts=attempt + 1
-                            )
-                            break
-                        raise PointExecutionError(
-                            f"item {i} failed after {attempt + 1} attempts: {exc}"
-                        ) from exc
-                    self._retried(i, item, attempt + 1)
-            if on_result is not None:
-                on_result(i, results[i])
-        return results
-
-    @staticmethod
-    def _kill_pool(pool: concurrent.futures.ProcessPoolExecutor) -> None:
-        """Terminate a hung pool's workers without waiting on them."""
-        procs = getattr(pool, "_processes", None) or {}
-        for proc in list(procs.values()):
-            proc.terminate()
-        pool.shutdown(wait=False, cancel_futures=True)
-
-    def _map_parallel(
-        self,
-        fn: Callable[[Any], Any],
-        items: Sequence[Any],
-        on_result: Callable[[int, Any], None] | None,
-    ) -> list[Any]:
-        results: list[Any] = [None] * len(items)
-        pending = set(range(len(items)))
-        attempts = dict.fromkeys(pending, 0)
-        stalled_rounds = 0
-        while pending:
-            completed_this_round = 0
-            pool_broken = False
-            pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(self.workers, len(pending))
-            )
-            try:
-                futures = {pool.submit(fn, items[i]): i for i in sorted(pending)}
-                waiting = set(futures)
-                while waiting:
-                    done, waiting = concurrent.futures.wait(
-                        waiting,
-                        timeout=self.heartbeat,
-                        return_when=concurrent.futures.FIRST_COMPLETED,
-                    )
-                    if not done:
-                        # Heartbeat expired with nothing finished: the
-                        # points currently executing are hung.  Kill the
-                        # workers, charge the runners, rebuild the pool.
-                        hung = [f for f in waiting if f.running()]
-                        self._kill_pool(pool)
-                        pool_broken = True
-                        for future in hung:
-                            i = futures[future]
-                            completed_this_round += self._fail_point(
-                                i,
-                                items[i],
-                                attempts,
-                                f"no heartbeat within {self.heartbeat:g}s",
-                                pending,
-                                results,
-                                on_result,
-                            )
-                        break
-                    for future in done:
-                        i = futures[future]
-                        try:
-                            value = future.result()
-                        except BrokenProcessPool:
-                            pool_broken = True
-                            continue
-                        except Exception as exc:
-                            completed_this_round += self._fail_point(
-                                i,
-                                items[i],
-                                attempts,
-                                repr(exc),
-                                pending,
-                                results,
-                                on_result,
-                            )
-                            continue
-                        results[i] = value
-                        pending.discard(i)
-                        completed_this_round += 1
-                        if on_result is not None:
-                            on_result(i, results[i])
-                    if pool_broken:
-                        break
-            except BrokenProcessPool:
-                pool_broken = True
-            finally:
-                pool.shutdown(wait=not pool_broken, cancel_futures=True)
-            if pool_broken and completed_this_round == 0:
-                stalled_rounds += 1
-                if stalled_rounds > self.retries:
-                    raise PointExecutionError(
-                        f"worker pool kept crashing; {len(pending)} points "
-                        f"unfinished after {stalled_rounds} rebuilds"
-                    )
-            else:
-                stalled_rounds = 0
-        return results
-
     # -- sweep-point execution ----------------------------------------------
 
     def run(self, points: Sequence[SweepPoint]) -> list[PointOutcome]:
         """Execute ``points`` (answering from the store where possible).
 
         Outcomes are returned in input order.  Freshly simulated points
-        are appended to the store as they finish, so an interrupted call
-        leaves a resumable prefix behind.  Points that share a
-        :attr:`SweepPoint.key` are one simulation: the first of them
+        are appended to the store as they finish, so an interrupted or
+        failed call leaves a resumable prefix behind.  Points that share
+        a :attr:`SweepPoint.key` are one simulation: the first of them
         runs, the repeats are answered from it and counted as cached.
+        The first point that raises aborts the call with
+        :class:`PointExecutionError`.
         """
         outcomes: list[PointOutcome | None] = [None] * len(points)
         if self.instrument is not None:
@@ -480,43 +263,27 @@ class ExperimentEngine:
                     points[i].label, 0.0, result.n_requests, cached=True
                 )
 
-        keys = [point.key for point in points]
         #: key -> the batch indices that carry it; the first one simulates.
         waiting: dict[str, list[int]] = {}
-        for i, key in enumerate(keys):
+        for i, point in enumerate(points):
+            key = point.key
             stored = self.store.get(key) if self.store is not None else None
             if stored is not None:
                 reuse(i, stored)
             else:
                 waiting.setdefault(key, []).append(i)
-        pending_idx = [indices[0] for indices in waiting.values()]
 
-        def finish(local: int, payload: Any) -> None:
-            i = pending_idx[local]
+        todo = {key: points[indices[0]] for key, indices in waiting.items()}
+        for key, payload in self._simulate(todo):
+            i, *repeats = waiting[key]
             point = points[i]
-            if isinstance(payload, QuarantinedPoint):
-                for j in waiting[keys[i]]:
-                    outcomes[j] = PointOutcome(
-                        points[j], None, cached=False, wall_time=0.0,
-                        failed=payload.error,
-                    )
-                    if self.instrument is not None:
-                        self.instrument.point_quarantined(points[j].label)
-                if self.store is not None:
-                    self.store.put_failed(
-                        keys[i],
-                        label=point.label,
-                        error=payload.error,
-                        attempts=payload.attempts,
-                    )
-                return
             result = deserialize_result(payload["result"])
             outcomes[i] = PointOutcome(
                 point, result, cached=False, wall_time=payload["wall_time"]
             )
             if self.store is not None:
                 self.store.put(
-                    keys[i],
+                    key,
                     result,
                     label=point.label,
                     meta={
@@ -531,8 +298,44 @@ class ExperimentEngine:
                     payload["n_requests"],
                     max_rss_kb=payload.get("max_rss_kb", 0),
                 )
-            for j in waiting[keys[i]][1:]:
+            for j in repeats:
                 reuse(j, result)
-
-        self.map(run_point, [points[i] for i in pending_idx], on_result=finish)
         return [o for o in outcomes if o is not None]
+
+    def _simulate(
+        self, todo: dict[str, SweepPoint]
+    ) -> Iterator[tuple[str, dict[str, Any]]]:
+        """Run each point of ``todo`` once; yield ``(key, payload)`` as it finishes.
+
+        Serially in this process, or across one process pool whose first
+        failure — a raising point or a dead worker — ends the run.
+        """
+        if self.workers == 1 or not todo:
+            for key, point in todo.items():
+                try:
+                    payload = run_point(point)
+                except Exception as exc:
+                    raise _failed(point, exc) from exc
+                yield key, payload
+            return
+        unfinished = dict(todo)
+        pool = concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(self.workers, len(todo))
+        )
+        try:
+            futures = {pool.submit(run_point, point): key for key, point in todo.items()}
+            for future in concurrent.futures.as_completed(futures):
+                key = futures[future]
+                try:
+                    payload = future.result()
+                except BrokenProcessPool as exc:
+                    labels = ", ".join(point.label for point in unfinished.values())
+                    raise PointExecutionError(
+                        f"a worker process died; unfinished points: {labels}"
+                    ) from exc
+                except Exception as exc:
+                    raise _failed(todo[key], exc) from exc
+                del unfinished[key]
+                yield key, payload
+        finally:
+            pool.shutdown(cancel_futures=True)

@@ -5,7 +5,7 @@ instrumentation layer turns that stream into
 
 * per-point records (wall time, simulated requests, requests/sec),
 * suite-level aggregates (elapsed wall clock, executed vs store-skipped
-  point counts, retry count, worker utilization), and
+  point counts, worker utilization), and
 * live progress events for the CLI's ``--progress`` flag.
 
 Timing uses a monotonic clock, measured *inside* the worker for the
@@ -90,8 +90,6 @@ class RunInstrumentation:
     progress: Callable[[ProgressEvent], None] | None = None
     records: list[PointRecord] = field(default_factory=list)
     total: int = 0
-    retries: int = 0
-    quarantined: int = 0
     _started: float | None = None
     _finished: float | None = None
 
@@ -134,14 +132,6 @@ class RunInstrumentation:
                     max_rss_kb=max_rss_kb,
                 )
             )
-
-    def point_retried(self, label: str) -> None:
-        """Count one retry of a failed/crashed point."""
-        self.retries += 1
-
-    def point_quarantined(self, label: str) -> None:
-        """Count one point recorded as failed after exhausting retries."""
-        self.quarantined += 1
 
     # -- aggregates ---------------------------------------------------------
 
@@ -201,8 +191,6 @@ class RunInstrumentation:
             "total_points": self.total,
             "executed": self.executed,
             "skipped": self.skipped,
-            "retries": self.retries,
-            "quarantined": self.quarantined,
             "elapsed_sec": round(self.elapsed, 6),
             "busy_sec": round(self.busy_time, 6),
             "total_requests": self.total_requests,

@@ -7,8 +7,8 @@ curves under one parameter variation.  A figure is therefore *declared*
 (:class:`Curve`), each curve the sweep points along its x-axis plus the
 baseline point each is judged against, and
 :func:`evaluate_panels` is the one place that runs and judges them:
-collect the points, one :meth:`ExperimentEngine.run`, refuse failed
-points, index by key, apply the panel's metric.
+collect the points, one :meth:`ExperimentEngine.run` (a point that
+raises fails the figure), index by key, apply the panel's metric.
 
 **Scale control.**  The paper's configuration (10⁶ requests over 10⁴
 objects per cluster) takes tens of minutes for the full figure suite in
@@ -272,9 +272,9 @@ def evaluate_panels(
     handed to ``engine`` in a single :meth:`ExperimentEngine.run` (pass
     an engine to parallelize across processes, skip completed points via
     a result store, or collect instrumentation; the default is the
-    engine's serial in-process fallback).  A failed or quarantined point
-    is an error: a figure computed from partial data would silently
-    misstate its curves.
+    engine's serial in-process fallback).  A point that raises fails the
+    whole call (:class:`~repro.experiments.executor.PointExecutionError`):
+    a figure is never computed from partial data.
     """
     engine = engine or ExperimentEngine()
     wanted: dict[str, SweepPoint] = {}
@@ -282,13 +282,10 @@ def evaluate_panels(
         for curve in panel.curves:
             for point in (*curve.points, *curve.baselines):
                 wanted.setdefault(point.key, point)
-    results: dict[str, SchemeResult] = {}
-    for key, outcome in zip(wanted, engine.run(list(wanted.values()))):
-        if outcome.failed is not None or outcome.result is None:
-            raise RuntimeError(
-                f"sweep point {outcome.point.label} failed: {outcome.failed}"
-            )
-        results[key] = outcome.result
+    results: dict[str, SchemeResult] = {
+        key: outcome.result
+        for key, outcome in zip(wanted, engine.run(list(wanted.values())))
+    }
     sweeps: dict[str, SweepResult] = {}
     for panel in panels:
         sweep = SweepResult(

@@ -12,7 +12,8 @@ computes them, so
 * re-running a finished suite touches no simulator code at all;
 * an interrupted suite resumes from the completed prefix (the store is
   append-only JSON lines — a half-written trailing line from a killed
-  run is detected and ignored on reload);
+  run is detected and ignored on reload, and the next row starts a new
+  line after it);
 * unrelated suites can share one store file (keys never collide across
   different configs/scales — or fault plans).
 
@@ -28,12 +29,12 @@ skipped with a warning instead of crashing the load)::
     {"schema": 2, "key": "<sha256 hex>", "label": "<human hint>",
      "result": {...SchemeResult fields...}, "meta": {"wall_time": ...}}
 
-A quarantined point is recorded with a ``"failed"`` object in place of
-``"result"``; failed rows never satisfy :meth:`ResultStore.get`, so the
-point re-runs on the next resume, but :meth:`ResultStore.get_failed`
-exposes them for reporting.  Later rows win over earlier ones for the
-same key (a successful re-run supersedes a failure record and vice
-versa).
+A row that does not parse — torn, not UTF-8, not JSON, a ``key`` that
+is not a string, a ``result`` that is missing or malformed — is skipped
+and counted in :attr:`ResultStore.skipped_lines`; its point re-runs on
+the next resume.  That includes the ``"failed"`` rows older builds wrote
+for quarantined points (they carry no ``"result"``).  Later rows win
+over earlier ones for the same key.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ __all__ = ["ROW_SCHEMA", "STORE_VERSION", "point_key", "ResultStore"]
 STORE_VERSION = 1
 
 #: Version of the on-disk row format.  1 = the original implicit format
-#: (no ``schema`` field); 2 adds the field itself and failure records.
+#: (no ``schema`` field); 2 adds the field itself (and, in older builds,
+#: failure records, which this build skips).
 ROW_SCHEMA = 2
 
 
@@ -130,45 +132,44 @@ class ResultStore:
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._records: dict[str, dict[str, Any]] = {}
-        self._failed: dict[str, dict[str, Any]] = {}
         self._skipped_lines = 0
+        #: The file ends in a torn line: the next row must start a new one.
+        self._torn_tail = False
         if self.path.exists():
             self._load()
 
     def _load(self) -> None:
-        for line in self.path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
+        data = self.path.read_bytes()
+        self._torn_tail = not data.endswith(b"\n") and bool(data)
+        for raw in data.splitlines():
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 entry = json.loads(line)
                 key = entry["key"]
-            except (json.JSONDecodeError, KeyError, TypeError):
+            except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError):
                 self._skipped_lines += 1  # torn write from an interrupted run
+                continue
+            if not isinstance(key, str):
+                self._skipped_lines += 1
                 continue
             schema = entry.get("schema", 1)  # pre-schema rows are version 1
             if not isinstance(schema, int) or schema > ROW_SCHEMA:
                 warnings.warn(
                     f"{self.path}: skipping row with unknown schema "
-                    f"{schema!r} (this build reads <= {ROW_SCHEMA}); "
-                    "written by a newer version?",
+                    f"{schema!r} of type {type(schema).__name__} (this build "
+                    f"reads int <= {ROW_SCHEMA}); written by a newer version?",
                     stacklevel=2,
                 )
                 self._skipped_lines += 1
                 continue
-            if "failed" in entry:
-                # Latest row wins: a failure record supersedes an older
-                # success for the same key and vice versa.
-                self._failed[key] = entry
-                self._records.pop(key, None)
-                continue
             try:
                 deserialize_result(entry["result"])
-            except (KeyError, TypeError, ValueError, AttributeError):
+            except (KeyError, TypeError, ValueError, AttributeError, OverflowError):
                 self._skipped_lines += 1  # no result, or one that does not parse
                 continue
             self._records[key] = entry
-            self._failed.pop(key, None)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -194,33 +195,11 @@ class ResultStore:
         return self.path.with_name(self.path.stem + "_traces")
 
     def get(self, key: str) -> SchemeResult | None:
-        """Stored result for ``key``, or ``None`` if not yet computed.
-
-        Failure records never satisfy a lookup — a previously
-        quarantined point re-runs on resume.
-        """
+        """Stored result for ``key``, or ``None`` if not yet computed."""
         entry = self._records.get(key)
         if entry is None:
             return None
         return deserialize_result(entry["result"])
-
-    def get_failed(self, key: str) -> dict[str, Any] | None:
-        """Failure record for ``key`` (``{"error", "attempts"}``) or None."""
-        entry = self._failed.get(key)
-        if entry is None:
-            return None
-        return entry["failed"]
-
-    @property
-    def failed_keys(self) -> list[str]:
-        """Keys currently recorded as failed (no superseding success)."""
-        return sorted(self._failed)
-
-    def _append(self, entry: dict[str, Any]) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
-            fh.flush()
 
     def put(
         self,
@@ -238,24 +217,9 @@ class ResultStore:
             "meta": meta or {},
         }
         self._records[key] = entry
-        self._failed.pop(key, None)
-        self._append(entry)
-
-    def put_failed(
-        self,
-        key: str,
-        label: str = "",
-        error: str = "",
-        attempts: int = 0,
-    ) -> None:
-        """Record a quarantined point (kept out of :meth:`get`'s way)."""
-        entry = {
-            "schema": ROW_SCHEMA,
-            "key": key,
-            "label": label,
-            "failed": {"error": error, "attempts": int(attempts)},
-            "meta": {},
-        }
-        self._failed[key] = entry
-        self._records.pop(key, None)
-        self._append(entry)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        line = json.dumps(entry, sort_keys=True) + "\n"
+        with self.path.open("a", encoding="utf-8") as fh:
+            fh.write("\n" + line if self._torn_tail else line)
+            fh.flush()
+        self._torn_tail = False

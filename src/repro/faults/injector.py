@@ -111,11 +111,6 @@ class FaultInjector:
             partial(self.jitter_uniform, link),
         )
 
-    def link_ok(self, link: str) -> bool:
-        """One Bernoulli draw: did the message over ``link`` get through?"""
-        u = self.loss_uniform(link)
-        return u is None or u >= self._loss_prob[link]
-
     def unresponsive(self, cluster: int, client: int) -> bool:
         """Is this client cache permanently unreachable for pushes?
 

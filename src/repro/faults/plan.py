@@ -118,10 +118,6 @@ class FaultPlan:
         """The effective per-link policies (the identity set when unset)."""
         return self.policies if self.policies is not None else DEFAULT_POLICIES
 
-    def policy_for(self, link: str):
-        """The :class:`~repro.protocol.policy.RetryPolicy` for ``link``."""
-        return self.policy_set().for_link(link)
-
     def is_zero(self) -> bool:
         """True when no fault process is active — the plan is a no-op.
 

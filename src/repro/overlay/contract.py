@@ -93,10 +93,6 @@ class RouteStats:
         self.total_direct_distance += direct
 
     @property
-    def mean_hops(self) -> float:
-        return self.total_hops / self.messages if self.messages else 0.0
-
-    @property
     def mean_stretch(self) -> float:
         """Route stretch: path distance over direct distance (>= 1).
 
@@ -192,10 +188,6 @@ class OverlayBackend(ABC):
     @abstractmethod
     def fail(self, node_id: int) -> None:
         """Remove a node abruptly and repair the survivors' state."""
-
-    def leave(self, node_id: int) -> None:
-        """Graceful departure (state repair identical to failure here)."""
-        self.fail(node_id)
 
     # -- placement --------------------------------------------------------
 

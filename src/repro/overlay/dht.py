@@ -73,13 +73,6 @@ class Dht:
             overlay.route(key)
         return root
 
-    def owner_for_url(self, url: str) -> int:
-        return self.owner(self.object_id(url))
-
     def route(self, key: int, start: int | None = None) -> RouteResult:
         """Full overlay routing (records hop statistics)."""
         return self.overlay.route(key, start=start)
-
-    @property
-    def memo_size(self) -> int:
-        return len(self._memo)

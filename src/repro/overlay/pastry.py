@@ -241,11 +241,6 @@ class PastryNode:
         self.table = RoutingTable(self.node_id, self.space)
         self.leaves = LeafSet(self.node_id, self.leaf_size, self.space)
 
-    def learn(self, *node_ids: int) -> None:
-        """Incorporate knowledge of other live nodes, in order (see
-        :func:`offer`)."""
-        offer(self.space, (self,), node_ids)
-
     def forget(self, node_id: int) -> None:
         """Drop a failed/departed node from local state."""
         self.table.remove(node_id)

@@ -163,11 +163,6 @@ class TraceWriter:
         self._fh = self.path.open("w", encoding="utf-8")
         self._fh.write(json.dumps(header, sort_keys=True) + "\n")
 
-    @property
-    def closed(self) -> bool:
-        """True once the footer has been written and the file sealed."""
-        return self._fh is None
-
     def write_event(self, event: list[Any]) -> None:
         """Append one event line (counted as dropped past the bound)."""
         if self._fh is None:

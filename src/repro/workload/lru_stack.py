@@ -44,13 +44,6 @@ class LruStack:
     def __len__(self) -> int:
         return len(self._items)
 
-    def object_at(self, position: int) -> Hashable:
-        """Member at stack ``position`` (1 = most recent)."""
-        items = self._items
-        if not 1 <= position <= len(items):
-            raise IndexError(f"position {position} out of range 1..{len(items)}")
-        return items[-position]
-
     def pop_at(self, position: int) -> Hashable:
         """Remove and return the member at stack ``position``."""
         items = self._items
@@ -70,7 +63,3 @@ class LruStack:
         if len(self._items) > self.capacity:
             return self._items.pop(0)
         return None
-
-    def as_list(self) -> list[Hashable]:
-        """Members from top (most recent) to bottom."""
-        return self._items[::-1]

@@ -57,7 +57,6 @@ class TestBehaviour:
     def test_empty_filter_contains_nothing(self):
         bf = CountingBloomFilter(capacity=100)
         assert "x" not in bf
-        assert bf.false_positive_rate() == 0.0
 
     def test_fp_rate_near_target(self):
         bf = CountingBloomFilter(capacity=2000, fp_rate=0.02)
@@ -67,8 +66,6 @@ class TestBehaviour:
         fp = sum(1 for p in probes if p in bf) / len(probes)
         # Within 3x of the design point is fine for 5000 probes.
         assert fp < 0.06, f"observed fp {fp}"
-        # Analytic estimate close to design target as well.
-        assert bf.false_positive_rate() < 0.05
 
     def test_clear(self):
         bf = CountingBloomFilter(capacity=10)

@@ -6,11 +6,6 @@ from repro.cache import CostBenefitCache, FrequencyOracle
 
 
 class TestFrequencyOracle:
-    def test_from_references(self):
-        o = FrequencyOracle.from_references(iter(["a", "b", "a", "a"]))
-        assert o("a") == 3 and o("b") == 1
-        assert len(o) == 2
-
     def test_unknown_defaults_to_one(self):
         o = FrequencyOracle({})
         assert o("ghost") == 1

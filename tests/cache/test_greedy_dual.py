@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import GreedyDualCache
+from tests.cache.test_lfu import stats_of
 
 
 class TestGreedyDual:
@@ -110,7 +111,7 @@ class TestGreedyDual:
         c.insert("a", cost=2.0)
         c.insert("b", cost=1.0)
         c.insert("c", cost=3.0)
-        assert c.min_credit() == pytest.approx(1.0)
+        assert c._heap.peek_min()[1] == pytest.approx(1.0)
         assert c.insert("d", cost=9.0) == ["b"]
 
     def test_zero_capacity(self):
@@ -212,7 +213,7 @@ def gd_state(cache):
         dict(cache._entries),
         cache._used,
         cache.inflation,
-        cache.stats.as_dict(),
+        stats_of(cache),
     )
 
 

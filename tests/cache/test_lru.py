@@ -45,7 +45,7 @@ class TestLru:
         c = LruCache(10)
         c.insert("big", size=7)
         c.insert("small", size=3)
-        assert len(c) == 10 and c.is_full
+        assert len(c) == c.capacity == 10
         evicted = c.insert("mid", size=5)
         assert evicted == ["big"]
         assert len(c) == 8
@@ -76,7 +76,7 @@ class TestLru:
         for k in "abc":
             c.insert(k)
         c.lookup("a")
-        assert c.lru_order() == ["b", "c", "a"]
+        assert list(c._entries) == ["b", "c", "a"]  # least recent first
         c.clear()
         assert len(c) == 0 and list(c.keys()) == []
 

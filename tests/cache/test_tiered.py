@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import CLIENT_TIER, PROXY_TIER, TieredCache
-from tests.cache.test_lfu import NaiveLfu
+from tests.cache.test_lfu import NaiveLfu, stats_of
 from tests.cache.test_topk import NaiveBudgetTracker, NaiveTracker, pop_order, records
 
 
@@ -139,9 +139,8 @@ class TestInvariants:
             key = f"k{i % 17}"
             if c.lookup_tier(key) is None:
                 c.insert(key)
-            assert c.proxy_len <= 3
-            assert c.client_len <= 5
-            assert len(c) == c.proxy_len + c.client_len
+            proxy = c._tiers.top_count
+            assert proxy <= 3 and len(c) - proxy <= 5
 
     def test_proxy_tier_holds_hottest_in_steady_state(self):
         c = TieredCache(2, 4)
@@ -171,7 +170,7 @@ class TestInvariants:
             # lookup_tier's premise: store residency is tracker residency.
             assert set(c._tiers) == set(c.keys())
         assert len(c) <= 5
-        assert c.proxy_len <= 2 and c.client_len <= 3
+        assert c._tiers.top_count <= 2 and len(c) - c._tiers.top_count <= 3
 
     @given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=200))
     @settings(max_examples=50, deadline=None)
@@ -237,7 +236,7 @@ class TestRequestAgainstNaiveModels:
             store, tiers, naive = cache._store, cache._tiers, model.tiers
             assert set(store.keys()) == set(model.lfu.sizes) == set(tiers)
             assert len(store) == model.lfu.used
-            assert cache.stats.as_dict() == model.lfu.stats.as_dict()
+            assert stats_of(cache) == stats_of(model.lfu)
             assert {k: cache.frequency(k) for k in range(TIER_KEYS)} == {
                 k: model.lfu.counts.get(k, 0) for k in range(TIER_KEYS)
             }

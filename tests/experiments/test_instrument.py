@@ -35,12 +35,6 @@ class TestAccounting:
         inst.begin(6)
         assert inst.total == 10
 
-    def test_retry_counter(self):
-        inst = RunInstrumentation()
-        inst.point_retried("a")
-        inst.point_retried("a")
-        assert inst.retries == 2
-
 
 class TestTimings:
     def test_finished_at_monotone(self):

@@ -1,8 +1,10 @@
 """Tests for the robustness (degradation-under-failure) sweep."""
 
+import re
+
 import pytest
 
-from repro.experiments.executor import ExperimentEngine, SweepPoint
+from repro.experiments.executor import ExperimentEngine, PointExecutionError, SweepPoint
 from repro.experiments.figures import run_figure
 from repro.experiments.instrument import RunInstrumentation
 from repro.experiments.robustness import (
@@ -119,18 +121,23 @@ class TestSweep:
         assert set(out) == {"gain", "latency"}
         assert len(out["gain"].x_values) == len(DEFAULT_FAULT_RATES)
 
-    def test_quarantined_point_is_an_error(self):
+    def test_a_raising_point_fails_the_figure_with_its_label(self, monkeypatch):
         """A figure computed from partial data would silently understate
-        degradation: the evaluator refuses a failed outcome."""
+        degradation: a point that raises fails the figure, named."""
+        import repro.experiments.executor as executor_mod
 
-        class FailingEngine(ExperimentEngine):
-            def run(self, points):
-                outcomes = super().run(points)
-                object.__setattr__(outcomes[0], "failed", "synthetic crash")
-                return outcomes
+        real_run_point = executor_mod.run_point
 
-        with pytest.raises(RuntimeError, match="synthetic crash"):
-            robustness_sweep(rates=(0.0,), engine=FailingEngine())
+        def fails_on_fc(point):
+            if point.scheme == "fc":
+                raise RuntimeError("synthetic crash")
+            return real_run_point(point)
+
+        monkeypatch.setattr(executor_mod, "run_point", fails_on_fc)
+        label = f"fc@S={ROBUSTNESS_FRACTION:g}"
+        with pytest.raises(PointExecutionError, match=re.escape(label)) as excinfo:
+            robustness_sweep(rates=(0.0,))
+        assert "synthetic crash" in str(excinfo.value.__cause__)
 
 
 class TestSquirrelDegradation:

@@ -4,6 +4,13 @@ from repro.faults import FaultInjector, FaultPlan, fault_seed
 from repro.netmodel import FAULT_LINKS, LINK_P2P, LINK_PROXY, LINK_PUSH
 
 
+def link_ok(injector, link):
+    """One loss draw on ``link``, judged as the ladder judges it: the
+    message gets through unless the uniform falls below the loss rate."""
+    u = injector.loss_uniform(link)
+    return u is None or u >= injector._loss_prob[link]
+
+
 class TestFaultSeed:
     def test_deterministic(self):
         assert fault_seed(0, "loss", LINK_P2P) == fault_seed(0, "loss", LINK_P2P)
@@ -36,23 +43,23 @@ class TestFaultSeed:
 class TestLinkOk:
     def test_lossless_link_never_fails(self):
         injector = FaultInjector(FaultPlan())
-        assert all(injector.link_ok(LINK_P2P) for _ in range(100))
+        assert all(link_ok(injector, LINK_P2P) for _ in range(100))
 
     def test_full_loss_always_fails(self):
         injector = FaultInjector(FaultPlan(p2p_loss=1.0))
-        assert not any(injector.link_ok(LINK_P2P) for _ in range(100))
+        assert not any(link_ok(injector, LINK_P2P) for _ in range(100))
 
     def test_loss_rate_roughly_respected(self):
         injector = FaultInjector(FaultPlan(proxy_loss=0.3, seed=7))
-        losses = sum(not injector.link_ok(LINK_PROXY) for _ in range(5000))
+        losses = sum(not link_ok(injector, LINK_PROXY) for _ in range(5000))
         assert 0.25 < losses / 5000 < 0.35
 
     def test_replay_identical(self):
         plan = FaultPlan(p2p_loss=0.2, proxy_loss=0.1, seed=9)
         a = FaultInjector(plan)
         b = FaultInjector(plan)
-        draws_a = [a.link_ok(LINK_P2P) for _ in range(200)]
-        draws_b = [b.link_ok(LINK_P2P) for _ in range(200)]
+        draws_a = [link_ok(a, LINK_P2P) for _ in range(200)]
+        draws_b = [link_ok(b, LINK_P2P) for _ in range(200)]
         assert draws_a == draws_b
 
     def test_links_draw_from_independent_streams(self):
@@ -60,21 +67,21 @@ class TestLinkOk:
         adding faults to a link cannot perturb an unrelated link."""
         plan = FaultPlan(p2p_loss=0.5, proxy_loss=0.5, seed=4)
         solo = FaultInjector(plan)
-        proxy_only = [solo.link_ok(LINK_PROXY) for _ in range(100)]
+        proxy_only = [link_ok(solo, LINK_PROXY) for _ in range(100)]
         interleaved = FaultInjector(plan)
         got = []
         for _ in range(100):
-            interleaved.link_ok(LINK_P2P)  # interleave the other stream
-            got.append(interleaved.link_ok(LINK_PROXY))
+            link_ok(interleaved, LINK_P2P)  # interleave the other stream
+            got.append(link_ok(interleaved, LINK_PROXY))
         assert got == proxy_only
 
     def test_scope_separates_schemes(self):
         plan = FaultPlan(push_loss=0.5, seed=2)
-        a = [FaultInjector(plan, scope="fc").link_ok(LINK_PUSH) for _ in range(1)]
+        a = [link_ok(FaultInjector(plan, scope="fc"), LINK_PUSH) for _ in range(1)]
         fc = FaultInjector(plan, scope="fc")
         hg = FaultInjector(plan, scope="hier-gd")
-        assert [fc.link_ok(LINK_PUSH) for _ in range(64)] != [
-            hg.link_ok(LINK_PUSH) for _ in range(64)
+        assert [link_ok(fc, LINK_PUSH) for _ in range(64)] != [
+            link_ok(hg, LINK_PUSH) for _ in range(64)
         ]
         del a
 

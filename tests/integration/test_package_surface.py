@@ -10,9 +10,17 @@ symbol only tests reach is a reference model (it belongs under
 A reference is a ``Name`` or ``Attribute`` use anywhere outside the
 symbol's own definition.  ``__all__`` strings and ``from … import``
 re-export lines are not uses; a registry value such as
-``SCHEME_REGISTRY``'s classes is.  The few exemptions are listed in
-:data:`ALLOWLIST`, each with its reason, and an entry whose symbol is
-now reached, or gone, fails the test too.
+``SCHEME_REGISTRY``'s classes is.
+
+The same holds for the public methods and properties of the package's
+classes, judged by name alone: a method is reached when its name appears
+— as a ``Name``, an ``Attribute`` or a string constant (``getattr``) —
+anywhere in those trees outside its own body.  Any use of the name
+counts, whatever the receiver, so the rule needs no types.
+
+The few exemptions are listed in :data:`ALLOWLIST`, each with its
+reason, and an entry whose symbol or method is now reached, or gone,
+fails the test too.
 """
 
 from __future__ import annotations
@@ -42,9 +50,33 @@ ALLOWLIST = {
     "repro/workload/ucb.py::generate_ucb_like_trace": (
         "README API: the UCB-like substitute trace for one cluster"
     ),
+    "repro/cache/tiered.py::TieredCache.tier_of": (
+        "inspection: test_hotpath_equivalence.py and test_presence.py read the "
+        "fused request path's tier placement through it"
+    ),
+    "repro/core/presence.py::PresenceIndex.as_dict": (
+        "invariant snapshot: test_presence.py and test_hiergd.py compare every "
+        "presence index against a brute-force scan through it"
+    ),
+    "repro/overlay/contract.py::RouteStats.mean_stretch": (
+        "measurement: the route stretch of Pastry's locality heuristic, which "
+        "test_proximity.py compares with and without proximity"
+    ),
+    "repro/overlay/id_space.py::IdSpace.digit": (
+        "contract method the reference model tests/models/pastry_chain.py drives"
+    ),
+    "repro/protocol/aio.py::AsyncTransport.attempt_async": (
+        "async API: the coroutine form of attempt (draw when awaited) that "
+        "test_stack.py's carrier matrix holds equal to attempt and begin"
+    ),
+    "repro/workload/lru_stack.py::LruStack.pop_at": (
+        "the naive ProWGen model in test_prowgen_model.py drives the stack "
+        "through it; the generator's loop inlines it"
+    ),
 }
 
-_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFS = (*_FUNCS, ast.ClassDef)
 
 
 def _modules(base: Path, relative_to: Path):
@@ -63,32 +95,77 @@ def _public_definitions(root: Path) -> set[str]:
     }
 
 
-def _references(root: Path) -> dict[str, set[str]]:
-    """Referenced name -> the ``module::top-level owner`` of every use."""
+def _public_methods(root: Path) -> set[str]:
+    return {
+        f"{module}::{cls.name}.{member.name}"
+        for module, tree in _modules(root / "src" / "repro", root / "src")
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for member in cls.body
+        if isinstance(member, _FUNCS) and not member.name.startswith("_")
+    }
+
+
+def _references(root: Path) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
+    """``(symbol uses, method uses)``: referenced name -> owners of its uses.
+
+    A symbol use is a ``Name`` / ``Attribute`` and its owner the
+    ``module::top-level definition``; a method use also counts string
+    constants, and its owner is ``module::Class.method`` inside a method.
+    """
     trees = [
         *_modules(root / "src" / "repro", root / "src"),
         *_modules(root / "examples", root),
         *_modules(root / "benchmarks", root),
     ]
-    uses: dict[str, set[str]] = {}
+    symbol_uses: dict[str, set[str]] = {}
+    method_uses: dict[str, set[str]] = {}
+
+    def scan(node: ast.AST, owner: str, method_owner: str) -> None:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                name = sub.id
+            elif isinstance(sub, ast.Attribute):
+                name = sub.attr
+            elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                method_uses.setdefault(sub.value, set()).add(method_owner)
+                continue
+            else:
+                continue
+            symbol_uses.setdefault(name, set()).add(owner)
+            method_uses.setdefault(name, set()).add(method_owner)
+
     for module, tree in trees:
         for stmt in tree.body:
             owner = f"{module}::{stmt.name}" if isinstance(stmt, _DEFS) else module
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
-                    uses.setdefault(node.id, set()).add(owner)
-                elif isinstance(node, ast.Attribute):
-                    uses.setdefault(node.attr, set()).add(owner)
-    return uses
+            if not isinstance(stmt, ast.ClassDef):
+                scan(stmt, owner, owner)
+                continue
+            for node in (*stmt.bases, *stmt.keywords, *stmt.decorator_list):
+                scan(node, owner, owner)
+            for member in stmt.body:
+                inner = f"{owner}.{member.name}" if isinstance(member, _FUNCS) else owner
+                scan(member, owner, inner)
+    return symbol_uses, method_uses
 
 
 def unreached_symbols(root: Path = ROOT) -> set[str]:
     """Public package symbols nothing but their own definition mentions."""
-    uses = _references(root)
+    uses, _ = _references(root)
     return {
         symbol
         for symbol in _public_definitions(root)
         if not uses.get(symbol.split("::")[1], set()) - {symbol}
+    }
+
+
+def unreached_methods(root: Path = ROOT) -> set[str]:
+    """Public methods whose name nothing but their own body mentions."""
+    _, uses = _references(root)
+    return {
+        method
+        for method in _public_methods(root)
+        if not uses.get(method.rsplit(".", 1)[1], set()) - {method}
     }
 
 
@@ -101,11 +178,20 @@ def test_every_public_symbol_is_reached():
     )
 
 
+def test_every_public_method_is_reached():
+    unreached = sorted(unreached_methods() - set(ALLOWLIST))
+    assert not unreached, (
+        "public methods of src/repro classes whose name no entry point, "
+        "example or benchmark mentions (delete the method, or move what "
+        f"only tests need into the tests): {unreached}"
+    )
+
+
 def test_allowlist_is_not_stale():
-    defined = _public_definitions(ROOT)
+    defined = _public_definitions(ROOT) | _public_methods(ROOT)
     gone = sorted(set(ALLOWLIST) - defined)
     assert not gone, f"allowlisted symbols that no longer exist: {gone}"
-    reached = sorted(set(ALLOWLIST) - unreached_symbols())
+    reached = sorted(set(ALLOWLIST) - unreached_symbols() - unreached_methods())
     assert not reached, f"allowlisted symbols that are now referenced: {reached}"
 
 
@@ -132,3 +218,27 @@ def test_an_unreferenced_helper_is_caught(tmp_path):
         encoding="utf-8",
     )
     assert unreached_symbols(tmp_path) == {"repro/mod.py::orphan"}
+
+
+def test_an_unreferenced_method_is_caught(tmp_path):
+    # A method only its own body names is flagged; one another method
+    # calls, one a string constant names (``getattr``) and a private
+    # one are not, whatever the receiver.
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        "class Thing:\n"
+        "    def used(self):\n        return self.helper()\n\n"
+        "    def helper(self):\n        return getattr(self, 'named')\n\n"
+        "    def named(self):\n        return 1\n\n"
+        "    def orphan(self):\n        return self.orphan()\n\n"
+        "    def _private(self):\n        return 2\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "benchmarks").mkdir()
+    (tmp_path / "benchmarks" / "bench.py").write_text(
+        "from repro.mod import Thing\n\nThing().used()\n", encoding="utf-8"
+    )
+    assert unreached_methods(tmp_path) == {"repro/mod.py::Thing.orphan"}
+    assert unreached_symbols(tmp_path) == set()

@@ -92,7 +92,7 @@ class TestContract:
         ov.fail(node.node_id)
         assert ov.epoch == e + 2
         node = ov.add_named("b")
-        ov.leave(node.node_id)
+        ov.fail(node.node_id)
         assert ov.epoch == e + 4
 
     def test_derived_hop_bound_scales_with_size(self, backend):

@@ -12,10 +12,11 @@ def test_owner_matches_ground_truth():
         assert dht.owner(key) == ov.numerically_closest(key)
 
 
-def test_owner_for_url_stable():
+def test_url_owner_stable():
     ov = Overlay.build(10)
     dht = Dht(ov)
-    assert dht.owner_for_url("http://x/y") == dht.owner_for_url("http://x/y")
+    key = dht.object_id("http://x/y")
+    assert dht.owner(key) == dht.owner(key)
 
 
 def test_memo_populated_and_hit():
@@ -23,9 +24,9 @@ def test_memo_populated_and_hit():
     dht = Dht(ov)
     key = dht.object_id("u")
     dht.owner(key)
-    assert dht.memo_size == 1
+    assert len(dht._memo) == 1
     dht.owner(key)  # memo hit: size unchanged
-    assert dht.memo_size == 1
+    assert len(dht._memo) == 1
 
 
 def test_memo_invalidated_on_membership_change():
@@ -34,7 +35,7 @@ def test_memo_invalidated_on_membership_change():
     key = dht.object_id("u")
     first = dht.owner(key)
     ov.add_named("newcomer")
-    assert dht.memo_size in (0, 1)  # cleared lazily on next call
+    assert len(dht._memo) in (0, 1)  # cleared lazily on next call
     second = dht.owner(key)
     assert second == ov.numerically_closest(key)
     # The new node may or may not take over the key, but the memo must

@@ -34,7 +34,7 @@ class TestEpochMemo:
         dht = Dht(ov)
         keys = keys_for(dht)
         owners = {k: dht.owner(k) for k in keys}
-        assert dht.memo_size == len(set(keys))
+        assert len(dht._memo) == len(set(keys))
         victim = max(set(owners.values()), key=list(owners.values()).count)
         ov.fail(victim)
         # Lazy invalidation: memo still holds the stale entries until the
@@ -105,8 +105,8 @@ class TestEpochMemo:
         dht = Dht(ov)
         k = dht.object_id("hot")
         dht.owner(k)
-        size = dht.memo_size
+        size = len(dht._memo)
         for _ in range(10):
             dht.owner(k)
-        assert dht.memo_size == size
+        assert len(dht._memo) == size
         assert dht._memo_epoch == ov.epoch

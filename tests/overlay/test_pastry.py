@@ -3,16 +3,21 @@
 import pytest
 
 from repro.overlay.id_space import IdSpace
-from repro.overlay.pastry import LeafSet, PastryNode, RoutingTable
+from repro.overlay.pastry import LeafSet, PastryNode, RoutingTable, offer
 
 SPACE16 = IdSpace(bits=16, b=4)
 
 
+def learn(node, *node_ids):
+    """Offer ``node_ids``, in order, to ``node`` alone."""
+    offer(node.space, (node,), node_ids)
+
+
 def leafset_of(offers=(), owner=0x8000, size=4):
     """The leaf set of a node that has learned ``offers`` in order
-    (:meth:`PastryNode.learn` is where members enter a leaf set)."""
+    (:func:`offer` is where members enter a leaf set)."""
     node = PastryNode(owner, SPACE16, leaf_size=size)
-    node.learn(*offers)
+    learn(node, *offers)
     return node.leaves
 
 
@@ -159,13 +164,13 @@ class TestPastryNode:
 
     def test_learn_updates_both_structures(self):
         n = PastryNode(0xA000, SPACE16, leaf_size=4)
-        n.learn(0xA001)
+        learn(n, 0xA001)
         assert 0xA001 in n.leaves
         assert 0xA001 in n.table.entries()
 
     def test_forget_removes_everywhere(self):
         n = PastryNode(0xA000, SPACE16, leaf_size=4)
-        n.learn(0xA001)
+        learn(n, 0xA001)
         n.forget(0xA001)
         assert 0xA001 not in n.leaves
         assert n.known_nodes() == []
@@ -178,16 +183,16 @@ class TestPastryNode:
         n = PastryNode(0xA000, SPACE16, leaf_size=2)
         # Fill the leaf set with near neighbours so coverage is bounded,
         # then a distant key must go through the routing table.
-        n.learn(0xA001)
-        n.learn(0x9FFF)
-        n.learn(0x1234)
+        learn(n, 0xA001)
+        learn(n, 0x9FFF)
+        learn(n, 0x1234)
         action, nxt = n.route_decision(0x1999)
         assert action == "forward" and nxt == 0x1234
 
     def test_route_decision_rare_case_falls_back(self):
         n = PastryNode(0xA000, SPACE16, leaf_size=2)
-        n.learn(0xA001)
-        n.learn(0x9FFF)
+        learn(n, 0xA001)
+        learn(n, 0x9FFF)
         # No routing entry for digit of key, but a known node is closer:
         # key shares prefix 0 with owner; 0x9FFF shares >= 0 and is closer.
         action, nxt = n.route_decision(0x9F00)

@@ -2,7 +2,7 @@
 
 :class:`~repro.overlay.network.Overlay` and the model
 :class:`tests.models.pastry_chain.ChainOverlay` go through the same random
-join / fail / leave sequences, over proximity off and on, digit widths
+join / fail sequences, over proximity off and on, digit widths
 b ∈ {2, 4}, leaf-set sizes 4–16 and a small and the full id space.  After
 every event their routing state must be identical — every routing row,
 every leaf list with its distance list, the sorted id list, the epoch and
@@ -87,7 +87,7 @@ def assert_placement_agrees(ov: Overlay, model: ChainOverlay, round_: int) -> No
 
 
 events = st.lists(
-    st.tuples(st.sampled_from(["join", "fail", "leave"]), st.integers(0, (1 << 16) - 1)),
+    st.tuples(st.sampled_from(["join", "fail"]), st.integers(0, (1 << 16) - 1)),
     max_size=24,
 )
 

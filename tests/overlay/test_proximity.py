@@ -51,7 +51,7 @@ class TestProximityRouting:
             for i in range(300):
                 ov.route(ov.space.object_id(f"h{i}"), start=starts[i % 100])
         bound = math.ceil(math.log(100, 16))
-        assert prox.stats.mean_hops <= bound + 1
+        assert prox.stats.total_hops / prox.stats.messages <= bound + 1
 
     def test_proximity_reduces_route_stretch(self):
         plain = Overlay.build(150, proximity=False)

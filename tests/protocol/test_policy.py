@@ -313,7 +313,7 @@ class TestPlanFingerprint:
             policies={"default": {"strategy": "immediate"}, "per_link": {}},
         )
         assert isinstance(raw.policies, PolicySet)
-        assert raw.policy_for(LINK_P2P) == RetryPolicy(strategy="immediate")
+        assert raw.policy_set().for_link(LINK_P2P) == RetryPolicy(strategy="immediate")
         assert "policy=immediate" in raw.label
 
     def test_plan_refuses_unknown_policy_links(self):

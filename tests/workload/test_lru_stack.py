@@ -17,6 +17,11 @@ from hypothesis.stateful import (
 from repro.workload.lru_stack import LruStack
 
 
+def top_down(stack):
+    """Members from top (most recent) to bottom; the top is the list's tail."""
+    return stack._items[::-1]
+
+
 def filled(capacity, members):
     s = LruStack(capacity)
     for x in members:
@@ -35,38 +40,28 @@ class TestBasics:
         assert len(s) == 0
 
     def test_push_orders_most_recent_first(self):
-        assert filled(5, "abc").as_list() == ["c", "b", "a"]
+        assert top_down(filled(5, "abc")) == ["c", "b", "a"]
 
     def test_touch_moves_to_top(self):
         s = filled(5, "abc")
         assert s.push(s.pop_at(3)) is None
-        assert s.as_list() == ["a", "c", "b"]
+        assert top_down(s) == ["a", "c", "b"]
         assert len(s) == 3
 
     def test_overflow_evicts_lru(self):
         s = filled(2, "ab")
         assert s.push("c") == "a"
-        assert s.as_list() == ["c", "b"]
-
-    def test_object_at_positions(self):
-        s = filled(4, "wxyz")
-        assert s.object_at(1) == "z"
-        assert s.object_at(4) == "w"
-        assert len(s) == 4
-        with pytest.raises(IndexError):
-            s.object_at(0)
-        with pytest.raises(IndexError):
-            s.object_at(5)
+        assert top_down(s) == ["c", "b"]
 
     def test_remove(self):
         s = filled(4, "abc")
         assert s.pop_at(2) == "b"
-        assert s.as_list() == ["c", "a"]
+        assert top_down(s) == ["c", "a"]
         with pytest.raises(IndexError):
             s.pop_at(3)
         with pytest.raises(IndexError):
             s.pop_at(0)
-        assert s.as_list() == ["c", "a"]
+        assert top_down(s) == ["c", "a"]
 
 
 class StackAgainstNaiveList(RuleBasedStateMachine):
@@ -96,7 +91,6 @@ class StackAgainstNaiveList(RuleBasedStateMachine):
     @rule(p=positions)
     def hit_and_move_to_top(self, p):
         p = min(p, len(self.model))
-        assert self.stack.object_at(p) == self.model[p - 1]
         obj = self.stack.pop_at(p)
         assert obj == self.model.pop(p - 1)
         assert self.stack.push(obj) is None  # room was just made
@@ -113,13 +107,11 @@ class StackAgainstNaiveList(RuleBasedStateMachine):
         if 1 <= p <= len(self.model):
             return
         with pytest.raises(IndexError):
-            self.stack.object_at(p)
-        with pytest.raises(IndexError):
             self.stack.pop_at(p)
 
     @invariant()
     def same_order_and_bounded(self):
-        assert self.stack.as_list() == self.model
+        assert top_down(self.stack) == self.model
         assert len(self.stack) == len(self.model) <= self.capacity
 
 
@@ -147,10 +139,9 @@ class TestAgainstModel:
                 fresh += 1
             else:
                 p = rng.randrange(len(model)) + 1
-                assert s.object_at(p) == model[p - 1]
                 obj = s.pop_at(p)
                 assert obj == model.pop(p - 1)
                 if r < 0.9:
                     assert s.push(obj) is None
                     model.insert(0, obj)
-        assert s.as_list() == model
+        assert top_down(s) == model
