@@ -9,12 +9,14 @@ preceded the table — and the CLI is checked to wire everything together.
 
 import json
 import os
+import re
 from dataclasses import replace
 from functools import lru_cache, partial
 from pathlib import Path
 
 import pytest
 
+import repro.experiments.executor as executor_mod
 from repro.experiments.cli import main
 from repro.experiments.executor import ExperimentEngine
 from repro.experiments.figures import FIGURES, run_figure
@@ -208,6 +210,43 @@ class TestCli:
         second = capsys.readouterr().out
         assert "0 points simulated" in second
         assert "(cached)" in second
+
+    def test_cli_reports_unreadable_store_rows(self, tmp_path, capsys, tiny_fig2a):
+        store = tmp_path / "store.jsonl"
+        store.write_text('{"schema": 2, "key": ["a"]}\n{"key": "torn')
+        assert main(["fig2a", "--scale", "smoke", "--resume", str(store)]) == 0
+        out = capsys.readouterr().out
+        assert f"result store: {store} (0 points, 2 unreadable rows skipped)" in out
+
+    def test_cli_failed_run_resumes_from_the_store(
+        self, tmp_path, capsys, monkeypatch, tiny_fig2a
+    ):
+        """A point that raises ends the run naming it; ``--resume`` on
+        the same store then simulates only what did not finish."""
+        real_run_point = executor_mod.run_point
+
+        def fails_on_hier_gd(point):
+            if point.scheme == "hier-gd":
+                raise RuntimeError("sim exploded")
+            return real_run_point(point)
+
+        store = tmp_path / "store.jsonl"
+        args = ["fig2a", "--scale", "smoke", "--resume", str(store)]
+        with monkeypatch.context() as patch:
+            patch.setattr(executor_mod, "run_point", fails_on_hier_gd)
+            with pytest.raises(executor_mod.PointExecutionError, match="hier-gd@S=0.5"):
+                main(args)
+        finished = len(store.read_text().splitlines())
+        assert finished > 0
+        capsys.readouterr()
+
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        simulated, from_store = map(
+            int, re.search(r"\[(\d+) points simulated, (\d+) from store", out).groups()
+        )
+        assert from_store == finished
+        assert simulated == len(store.read_text().splitlines()) - finished > 0
 
     def test_cli_leaves_the_environment_alone(self, capsys, tiny_fig2a):
         """--scale / --overlay are passed to the builders, not exported."""
