@@ -56,14 +56,11 @@ def test_topk_rank_loop(benchmark, zipf_stream, sized, monkeypatch):
     # rank every object by its running reference count, as a unified LFU does;
     # "bytes" as the size-aware one does, heavy-tailed sizes against a byte
     # budget of ~30 % of their sum (count mode ignores the sizes).
-    events = []
     sizes = sample_object_sizes(5_000, np.random.default_rng(0)).tolist()
     budget = sum(sizes) * 3 // 10 if sized else None
 
     def run():
-        tracker = TopKTracker(
-            1000, on_tier=lambda key, in_top: events.append(key), budget=budget
-        )
+        tracker = TopKTracker(1000, budget=budget)
         seen = {}
         for obj in zipf_stream:
             n = seen.get(obj, 0) + 1
@@ -77,20 +74,17 @@ def test_topk_rank_loop(benchmark, zipf_stream, sized, monkeypatch):
         assert 0 < tracker.top_count < len(seen) and tracker.top_bytes <= budget
     else:
         assert tracker.top_count == 1000
-    # A raise inside the top partition is one dict write: no swap, no event,
-    # and in byte mode no rebalance pass (spied on, not timed).  The top's
+    # A raise inside the top partition is one dict write: no swap, and in
+    # byte mode no rebalance pass (spied on, not timed).  The top's
     # minimum is the one top key whose raise can reorder the partition.
     lowest = tracker._top.peek_min()[0]
     hot = [obj for obj in seen if tracker.in_top(obj) and obj != lowest][:100]
     passes = []
-    monkeypatch.setattr(
-        TopKTracker, "_rebalance_budget", lambda self, subject: passes.append(subject)
-    )
-    del events[:]
+    monkeypatch.setattr(TopKTracker, "_rebalance_budget", lambda self: passes.append(self))
     for obj in hot * 10:
         seen[obj] += 1
         tracker.add(obj, float(seen[obj]))
-    assert events == [] and passes == []
+    assert passes == [] and all(tracker.in_top(obj) for obj in hot)
 
 
 def test_alias_sampler_throughput(benchmark):

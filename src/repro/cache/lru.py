@@ -39,14 +39,33 @@ class LruCache(Cache):
     def lookup_or_insert(
         self, key: Hashable, cost: float = 1.0, size: int = 1
     ) -> tuple[bool, list[Hashable]]:
+        """``lookup``, then ``insert`` on a miss, in one frame: the cache's
+        one admission of an absent key (``insert`` comes here too)."""
         entries = self._entries
+        stats = self.stats
         found = entries.pop(key, None)
         if found is not None:
             entries[key] = found  # move to MRU position
-            self.stats.hits += 1
+            stats.hits += 1
             return True, []
-        self.stats.misses += 1
-        return False, self.insert(key, cost, size)
+        stats.misses += 1
+        capacity = self.capacity
+        if not 0 < size <= capacity:
+            if size <= 0:
+                raise ValueError("size must be positive")
+            # Cannot ever fit: reject (callers treat the key as uncached).
+            return False, [key]
+        used = self._used + size
+        evicted: list[Hashable] = []
+        while used > capacity:
+            victim = next(iter(entries))  # the LRU end
+            used -= entries.pop(victim)
+            evicted.append(victim)
+        stats.evictions += len(evicted)
+        entries[key] = size
+        self._used = used
+        stats.insertions += 1
+        return False, evicted
 
     def contains(self, key: Hashable) -> bool:
         return key in self._entries
@@ -57,19 +76,12 @@ class LruCache(Cache):
         if size > self.capacity:
             # Cannot ever fit: reject (callers treat the key as uncached).
             return [key]
-        evicted: list[Hashable] = []
-        if key in self._entries:
-            self._used -= self._entries.pop(key)
-        while self._used + size > self.capacity:
-            victim, vsize = next(iter(self._entries.items()))
-            del self._entries[victim]
-            self._used -= vsize
-            evicted.append(victim)
-            self.stats.evictions += 1
-        self._entries[key] = size
-        self._used += size
-        self.stats.insertions += 1
-        return evicted
+        old = self._entries.pop(key, None)
+        if old is not None:  # re-insert: refresh size accounting only
+            self._used -= old
+        # An insert is not a lookup: take back the miss the admission counts.
+        self.stats.misses -= 1
+        return self.lookup_or_insert(key, cost, size)[1]
 
     def remove(self, key: Hashable) -> bool:
         size = self._entries.pop(key, None)

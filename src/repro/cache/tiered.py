@@ -27,7 +27,7 @@ A hit reports the tier the object was in *when the request arrived*
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterator
+from typing import Hashable, Iterator
 
 from .base import Cache
 from .lfu import LfuCache
@@ -60,7 +60,6 @@ class TieredCache(Cache):
         proxy_capacity: int,
         client_capacity: int,
         lfu_reset_on_evict: bool = False,
-        on_tier: Callable[[Hashable, bool | None], None] | None = None,
         by_bytes: bool = False,
     ) -> None:
         """
@@ -73,10 +72,6 @@ class TieredCache(Cache):
         lfu_reset_on_evict:
             Counting mode of the underlying unified LFU (see
             :class:`~repro.cache.lfu.LfuCache`).
-        on_tier:
-            Optional tier-transition listener forwarded to the
-            :class:`~repro.cache.topk.TopKTracker` (see its docstring);
-            SC-EC's tier presence indexes subscribe here.
         by_bytes:
             When True, both capacities are *byte* budgets and inserts
             carry per-object sizes: replacement runs the size-aware LFU
@@ -92,7 +87,6 @@ class TieredCache(Cache):
         self._store = LfuCache(self.capacity, reset_on_evict=lfu_reset_on_evict)
         self._tiers = TopKTracker(
             proxy_capacity,
-            on_tier=on_tier,
             budget=proxy_capacity if by_bytes else None,
         )
         self.stats = self._store.stats  # single source of truth
@@ -149,10 +143,12 @@ class TieredCache(Cache):
         case (a) -- a resident's frequency never drops, so its new value
         is ``HeapDict``'s lazy raise -- are a dict write each, by friend
         access.  A client-tier hit and any byte-budget placement go to
-        ``TopKTracker.add`` / ``remove``.  A miss is one
-        ``LfuCache.lookup_or_insert``, then ``remove`` for its victims and
-        ``add`` for the admitted key (``tests/cache/test_tiered.py`` holds
-        the path to the naive models).
+        ``TopKTracker.add`` / ``remove`` (count mode makes its heap moves
+        there by friend access, entering no ``HeapDict`` frame).  A miss
+        is one ``LfuCache.lookup_or_insert``, then ``remove`` for its
+        victims and ``add`` for the admitted key
+        (``tests/cache/test_tiered.py`` holds the path to the naive
+        models).
         """
         store = self._store
         if key in store._sizes:

@@ -16,7 +16,7 @@ rests at ``len(top) == min(k, n)`` and ``min(top) >= max(rest)``, and
 every mutation changes one key, so at most one swap restores it:
 
 (a) a value raise of a top key cannot change the partition — it is the
-    heap's lazy raise (one dict write, no heap operation, no event);
+    heap's lazy raise (one dict write, no heap operation);
 (b) a new key or a rest key at value ``v`` is compared with the top's
     minimum once: ``v <= min`` leaves it in the rest, ``v > min`` makes it
     the *unique* best of the rest (all others are ``<= min < v``), so it
@@ -26,26 +26,21 @@ every mutation changes one key, so at most one swap restores it:
 (d) removing a top key promotes the best of the rest, removing a rest
     key moves nothing.
 
-An optional ``on_tier`` listener observes the partition from outside:
-it is called with ``(key, True)`` when a key enters the top partition,
-``(key, False)`` when it enters the rest, and ``(key, None)`` when it
-leaves the tracker.  It fires only when a key's placement *changes* —
-never to repeat the current one — so a mirror ``{key: in_top}`` fed by it
-equals :meth:`TopKTracker.in_top` after every mutation and the event
-count is the number of placement changes.  The SC-EC's tier presence
-indexes hang off this hook.
+Every heap move of count mode is made by friend access, as the LFU's
+hit path makes its own: a loop stands for ``HeapDict._materialize_min``
+and a dict write plus ``heappush`` for ``HeapDict.push``, so a mutation
+enters no ``HeapDict`` frame but the rare ``_compact``.  Where a key sits
+is :meth:`TopKTracker.in_top` (the schemes read ``_top._live``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterator, Optional
+from heapq import heappop, heappush
+from typing import Hashable, Iterator
 
 from .heapdict import HeapDict
 
 __all__ = ["TopKTracker"]
-
-#: Listener signature: (key, in_top) with in_top True/False/None (removed).
-TierListener = Callable[[Hashable, Optional[bool]], None]
 
 
 class TopKTracker:
@@ -79,32 +74,27 @@ class TopKTracker:
 
     * a raise of a top key other than that minimum (of any top key while
       the rest is empty), size unchanged, is the heap's lazy raise — one
-      dict write, no event;
+      dict write;
     * a new key, or a rest key other than that best, with no room in the
       top and a value ``<=`` the best's is one ``rest.push`` (a tie keeps
-      the older best first) and, for a new key, its one event;
+      the older best first);
     * removing a rest key other than that best is the removal alone.
 
     Everything else — a value drop or size change in the top, the two
     recorded keys themselves, anything that fits, a top remove, any
     mutation after a pass that swapped — lifts the key out and runs the
     pass as before.  The skipped passes are exactly those that would
-    move nothing, so every ``(priority, seq)`` record, ``top_bytes``,
-    return value and event is what the pass would have produced, the
+    move nothing, so every ``(priority, seq)`` record, ``top_bytes`` and
+    return value is what the pass would have produced, the
     under-filled-for-one-step quirk included: it follows a swap, and
     after a swap nothing is skipped.
     """
 
     __slots__ = (
-        "k", "budget", "_top", "_rest", "_on_tier", "_sizes", "_top_bytes", "_settled",
+        "k", "budget", "_top", "_rest", "_sizes", "_top_bytes", "_settled",
     )
 
-    def __init__(
-        self,
-        k: int,
-        on_tier: TierListener | None = None,
-        budget: int | None = None,
-    ) -> None:
+    def __init__(self, k: int, budget: int | None = None) -> None:
         if k < 0:
             raise ValueError("k must be non-negative")
         if budget is not None and budget < 0:
@@ -113,7 +103,6 @@ class TopKTracker:
         self.budget = budget
         self._top = HeapDict()  # min-heap by value
         self._rest = HeapDict()  # min-heap by -value (max access)
-        self._on_tier = on_tier
         #: Byte-budget mode only: key -> size captured at add time.
         self._sizes: dict[Hashable, int] = {}
         self._top_bytes = 0
@@ -151,13 +140,10 @@ class TopKTracker:
             return self._top.priority(key)
         return -self._rest.priority(key)
 
-    def _rebalance_budget(self, subject: Hashable) -> None:
-        """Promote, swap — greedily, one pass each — after a mutation of
-        ``subject``.  Reports every key it moves except that one:
-        :meth:`add` lifted it out first and reports its net move.  The
-        only code that moves a key between the heaps in byte mode; it
+    def _rebalance_budget(self) -> None:
+        """Promote, swap — greedily, one pass each — after a mutation.
+        The only code that moves a key between the heaps in byte mode; it
         records in ``_settled`` the keys its loops stopped on."""
-        on_tier = self._on_tier
         top, rest = self._top, self._rest
         sizes = self._sizes
         budget = self.budget
@@ -175,8 +161,6 @@ class TopKTracker:
             rest.pop_min()
             top.push(key, -neg)
             self._top_bytes += sizes[key]
-            if on_tier is not None and key != subject:
-                on_tier(key, True)
         # Swap while the best of the rest beats the worst of the top and
         # the swap stays within budget.
         while len(top) and len(rest):
@@ -192,11 +176,6 @@ class TopKTracker:
             top.push(rest_key, -rest_neg)
             rest.push(top_key, -top_val)
             self._top_bytes += sizes[rest_key] - sizes[top_key]
-            if on_tier is not None:
-                if rest_key != subject:
-                    on_tier(rest_key, True)
-                if top_key != subject:
-                    on_tier(top_key, False)
         # Only a swap can leave a promotion pending (the next pass's).
         self._settled = None if swapped else (best, best_val, top_key)
 
@@ -209,7 +188,6 @@ class TopKTracker:
         is kept.
         """
         top, rest = self._top, self._rest
-        on_tier = self._on_tier
         if self.budget is not None:
             sizes = self._sizes
             if size is None:
@@ -237,8 +215,6 @@ class TopKTracker:
                     before = False if key in rest._live else None
                     sizes[key] = size
                     rest.push(key, -value)
-                    if before is None and on_tier is not None:
-                        on_tier(key, False)
                     return before
             before = None
             if top.discard(key):
@@ -252,46 +228,81 @@ class TopKTracker:
                 self._top_bytes += size
             else:
                 rest.push(key, -value)
-            self._rebalance_budget(key)
-            after = key in top
-            if on_tier is not None and after is not before:
-                on_tier(key, after)
+            self._rebalance_budget()
             return before
-        # Friend access to the heaps' live records, as the LFU hit path;
-        # ``peek_min`` is ``_materialize_min`` and the head's priority.
-        held = top._live.get(key)
-        rest_live = rest._live
+        # Count mode: decide the case, then push at most one key into each
+        # heap.  ``up`` / ``down``: the ``(key, priority)`` the top / the
+        # rest receives.
+        top_live, rest_live = top._live, rest._live
+        held = top_live.get(key)
+        up = down = None
         if held is not None:
-            top.push(key, value)  # case (a): a raise is one dict write
+            before = True
+            up = (key, value)  # case (a): a raise is one dict write
             if value < held[0] and rest_live:  # case (c)
-                best, neg = rest.peek_min()
+                heap = rest._heap
+                while True:  # the rest's minimum (it is not empty)
+                    neg, seq, best = heap[0]
+                    rec = rest_live.get(best)
+                    if rec is not None and rec[1] == seq:
+                        break
+                    heappop(heap)
+                    if rec is not None and not rec[2]:
+                        rest_live[best] = (rec[0], rec[1], True)
+                        heappush(heap, (rec[0], rec[1], best))
                 if -neg > value:  # ... so ``key`` is the top's minimum
-                    top.pop_min()
-                    rest.pop_min()
-                    top.push(best, -neg)
-                    rest.push(key, -value)
-                    if on_tier is not None:
-                        on_tier(best, True)
-                        on_tier(key, False)
-            return True
-        before = False if key in rest_live else None
-        if len(top._live) < self.k:  # the rest is empty: ``key`` is new
-            top.push(key, value)
-            if on_tier is not None:
-                on_tier(key, True)
-        elif self.k and top._materialize_min() and value > top._heap[0][0]:
-            # Case (b), swap.
-            low, low_val = top.pop_min()
-            rest_live.pop(key, None)
-            top.push(key, value)
-            rest.push(low, -low_val)
-            if on_tier is not None:
-                on_tier(key, True)
-                on_tier(low, False)
-        else:  # case (b), stays below the top
-            rest.push(key, -value)
-            if before is None and on_tier is not None:
-                on_tier(key, False)
+                    heappop(heap)
+                    del rest_live[best]
+                    del top_live[key]
+                    up, down = (best, -neg), (key, -value)
+        else:
+            before = False if key in rest_live else None
+            if len(top_live) < self.k:  # the rest is empty: ``key`` is new
+                up = (key, value)
+            else:
+                down = (key, -value)  # case (b), stays below the top
+                if self.k:
+                    heap = top._heap
+                    while True:  # the top's minimum (it is not empty)
+                        low_val, seq, low = heap[0]
+                        rec = top_live.get(low)
+                        if rec is not None and rec[1] == seq:
+                            break
+                        heappop(heap)
+                        if rec is not None and not rec[2]:
+                            top_live[low] = (rec[0], rec[1], True)
+                            heappush(heap, (rec[0], rec[1], low))
+                    if value > low_val:  # case (b), swap
+                        heappop(heap)
+                        del top_live[low]
+                        rest_live.pop(key, None)
+                        up, down = (key, value), (low, -low_val)
+        # ``HeapDict.push``: an entry for a new key or a lowered priority,
+        # a lazy record for a raise.
+        if up is not None:
+            pushed, prio = up
+            seq = top._seq + 1
+            top._seq = seq
+            old = top_live.get(pushed)
+            if old is None or prio < old[0]:
+                top_live[pushed] = (prio, seq, True)
+                heappush(top._heap, (prio, seq, pushed))
+                if len(top._heap) > (len(top_live) << 1) + 8:
+                    top._compact()
+            else:
+                top_live[pushed] = (prio, seq, False)
+        if down is not None:
+            pushed, prio = down
+            seq = rest._seq + 1
+            rest._seq = seq
+            old = rest_live.get(pushed)
+            if old is None or prio < old[0]:
+                rest_live[pushed] = (prio, seq, True)
+                heappush(rest._heap, (prio, seq, pushed))
+                if len(rest._heap) > (len(rest_live) << 1) + 8:
+                    rest._compact()
+            else:
+                rest_live[pushed] = (prio, seq, False)
         return before
 
     def update(self, key: Hashable, value: float) -> None:
@@ -301,7 +312,6 @@ class TopKTracker:
 
     def remove(self, key: Hashable) -> bool:
         top, rest = self._top, self._rest
-        on_tier = self._on_tier
         # Friend access: ``HeapDict.discard`` is one dict delete.
         top_live, rest_live = top._live, rest._live
         in_top = key in top_live
@@ -311,18 +321,30 @@ class TopKTracker:
             del rest_live[key]
         else:
             return False
-        if on_tier is not None:
-            on_tier(key, None)
         if self.budget is not None:
             size = self._sizes.pop(key)
             if in_top:
                 self._top_bytes -= size
             elif self._settled is not None and key != self._settled[0]:
                 return True  # not the key the promote loop stopped on
-            self._rebalance_budget(key)
-        elif in_top and rest_live:  # case (d)
-            best, neg = rest.pop_min()
-            top.push(best, -neg)
-            if on_tier is not None:
-                on_tier(best, True)
+            self._rebalance_budget()
+        elif in_top and rest_live:  # case (d): promote the best of the rest
+            heap = rest._heap
+            while True:  # ``HeapDict.pop_min``, by friend access
+                neg, seq, best = heap[0]
+                rec = rest_live.get(best)
+                if rec is not None and rec[1] == seq:
+                    break
+                heappop(heap)
+                if rec is not None and not rec[2]:
+                    rest_live[best] = (rec[0], rec[1], True)
+                    heappush(heap, (rec[0], rec[1], best))
+            heappop(heap)
+            del rest_live[best]
+            seq = top._seq + 1
+            top._seq = seq
+            top_live[best] = (-neg, seq, True)
+            heappush(top._heap, (-neg, seq, best))
+            if len(top._heap) > (len(top_live) << 1) + 8:
+                top._compact()
         return True

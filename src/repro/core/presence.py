@@ -1,19 +1,24 @@
 """Incrementally-maintained cross-cluster presence indexes.
 
 Read literally, "which cooperating cluster holds object X?" is an
-O(n_proxies) scan per miss — an SC / SC-EC miss probes each remote
-cache, and steps 3–4 of Hier-GD's miss chain scan remote proxies and
-directories.  SC, SC-EC and Hier-GD's request engine invert that: a
-:class:`PresenceIndex` maps each object to the set of clusters currently
-holding it, updated incrementally at insert/evict time, so a miss costs
-one dict probe.  (The scans survive as the naive models of
-``tests/integration/test_hotpath_equivalence.py``.)
+O(n_proxies) scan per miss — an SC miss probes each remote cache, and
+steps 3–4 of Hier-GD's miss chain scan remote proxies and directories.
+SC and Hier-GD's request engine invert that: a :class:`PresenceIndex`
+maps each object to the set of clusters currently holding it, updated
+incrementally at insert/evict time, so a miss costs one dict probe.
+SC reads and writes its index inline (friend access to ``_holders``),
+as Hier-GD's proxy step does.  (The scans survive as the naive models
+of ``tests/integration/test_hotpath_equivalence.py``.  SC-EC, which
+cannot be sharded, keeps the scan: its miss asks the other clusters'
+caches directly, one dict probe per tier.)
 
 Equivalence with the scan is exact because the scan visits clusters in
 ascending index order, skipping the requester: the scan finds
 :meth:`PresenceIndex.first_holder` (the smallest holder index other than
-the requester), and issues :func:`probes_to` probe messages on the way —
-so tier counts *and* message accounting stay byte-identical.
+the requester), and issues one probe per cluster it visits — ``first``
+probes below the requester, ``first + 1`` above it, and every peer when
+nothing is found — so tier counts *and* message accounting stay
+byte-identical.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Collection, Hashable, Iterable, Sequence
 
-__all__ = ["PeerSurface", "PresenceIndex", "probes_to"]
+__all__ = ["PeerSurface", "PresenceIndex"]
 
 _EMPTY: frozenset[int] = frozenset()
 
@@ -92,14 +97,3 @@ class PeerSurface:
     #: src, dst, obj)``, which the view binds.
     on_push: Callable[[int, int], bool] | None = None
 
-
-def probes_to(first: int | None, exclude: int, n: int) -> int:
-    """Probe messages the ascending scan (skipping ``exclude``) issues.
-
-    ``first`` is the scan's hit (from :meth:`PresenceIndex.first_holder`);
-    None means the scan misses everywhere and probes all ``n - 1`` peers.
-    The hit probe itself is counted, as in a literal probe loop.
-    """
-    if first is None:
-        return n - 1
-    return first if first > exclude else first + 1

@@ -19,7 +19,7 @@ from ...netmodel import TIER_COOP_PROXY, TIER_LOCAL_PROXY, TIER_SERVER
 from ...protocol.transport import Transport
 from ...workload import Trace
 from ..config import SimulationConfig
-from ..presence import PeerSurface, PresenceIndex, probes_to
+from ..presence import PeerSurface, PresenceIndex
 from ..simulator import CachingScheme
 
 __all__ = ["NcScheme", "ScScheme"]
@@ -88,34 +88,43 @@ class ScScheme(CachingScheme):
     def process(self, cluster: int, client: int, obj: int) -> str:
         # Remote probes are membership-only (a probe is not a reference at
         # the remote cache) and never touch the local cache, so the fused
-        # lookup-or-insert may run first; ``first_holder`` excludes this
-        # cluster, making the index update order irrelevant too.
+        # lookup-or-insert may run first.  The index is read and written
+        # inline (``PresenceIndex.first_holder`` / ``add`` / ``discard``).
         sizes = self._size_list
         hit, evicted = self.caches[cluster].lookup_or_insert(
             obj, 1.0, 1 if sizes is None else sizes[obj]
         )
         if hit:
             return TIER_LOCAL_PROXY
-        presence = self._presence
+        holders = self._presence._holders
         me = self._cluster_ids[cluster]
-        first = presence.first_holder(obj, me)
-        self._probes += probes_to(first, me, self._n_clusters)
-        tier = TIER_SERVER
-        if first is not None:
-            tier = TIER_COOP_PROXY
+        # The ascending scan's first hit is the smallest holder: this
+        # cluster missed, so it holds no copy to skip.
+        s = holders.get(obj)
+        if s:
+            first = min(s)
+            # One probe per cluster visited, the requester skipped.
+            self._probes += first if first > me else first + 1
             self._coop_fetches += 1
-        stored = True
+            tier = TIER_COOP_PROXY
+        else:
+            self._probes += self._n_clusters - 1  # every peer, no hit
+            tier = TIER_SERVER
         for victim in evicted:
             if victim == obj:
-                stored = False  # capacity-zero cache rejected the insert
-            else:
-                presence.discard(victim, me)
-        if stored:
-            presence.add(obj, me)
+                return tier  # capacity-zero cache rejected the insert
+            gone = holders[victim]
+            gone.discard(me)
+            if not gone:
+                del holders[victim]
+        if s is None:
+            holders[obj] = {me}
+        else:
+            s.add(me)
         return tier
 
     def peer_surface(self) -> PeerSurface:
-        # A remote probe is membership-only (``first_holder``, never
+        # A remote probe is membership-only (an index read, never
         # ``lookup``), so peers need the presence deltas and nothing else.
         def rekey(ids: list[int], total: int) -> None:
             self._cluster_ids, self._n_clusters = ids, total

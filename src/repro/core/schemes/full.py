@@ -25,9 +25,17 @@ when a primary copy dies but duplicates survive, the most-referenced
 survivor is promoted to primary (its value gains the ``f_total·(Ts−Tc)``
 term).  Cold start is honest: the first access of any object pays the
 server no matter what the placement will be.
+
+A local hit is served in ``process`` alone; a miss adds one
+``_consider_copy`` frame, which reads sizes, the newcomer's value and the
+store's cheapest copy itself (friend access to the ``HeapDict``), so only
+a placement or an eviction enters the mutation methods.  The naive model
+of the store is ``tests/models/fc_store.py``.
 """
 
 from __future__ import annotations
+
+from heapq import heappop, heappush
 
 from ...cache import HeapDict
 from ...netmodel import TIER_COOP_PROXY, TIER_LOCAL_PROXY, TIER_SERVER
@@ -54,8 +62,11 @@ class FcScheme(CachingScheme):
         super().__init__(config, traces, transport)
         #: Ask the transport about remote fetches only under a fault plan.
         self._faulty = self.transport.faulty
-        self._freq = [t.reference_counts() for t in traces]
-        self._freq_total = sum(self._freq)
+        counts = [t.reference_counts() for t in traces]
+        #: Perfect per-cluster and total reference counts, as lists: the
+        #: value arithmetic reads them per miss.
+        self._freq = [c.tolist() for c in counts]
+        self._freq_total = sum(counts).tolist()
         self.capacity = sum(s.proxy_size for s in self.sizings)
         net = config.network
         self._benefit_remote = net.benefit_first_copy_remote  # Ts - Tc
@@ -71,88 +82,113 @@ class FcScheme(CachingScheme):
         #: Capacity units in use (== copy count under unit sizes).
         self._used = 0
 
-    # -- value model -------------------------------------------------------
-
-    def _value(self, obj: int, cluster: int, primary: bool) -> float:
-        v = float(self._freq[cluster][obj]) * self._benefit_local
-        if primary:
-            v += float(self._freq_total[obj]) * self._benefit_remote
-        return v
-
     # -- placement mutations -------------------------------------------------
+    #
+    # A copy's value: ``f_c·Tc`` at cluster ``c``, plus ``f_total·(Ts−Tc)``
+    # for the primary.  It is computed inline where it is needed.
 
     def _add_copy(self, obj: int, cluster: int) -> float:
         """Place a copy; returns its value (FC-EC ranks its tiers by it)."""
-        holders = self._holders.setdefault(obj, set())
-        primary = not holders
-        holders.add(cluster)
-        if primary:
+        value = self._freq[cluster][obj] * self._benefit_local
+        holders = self._holders.get(obj)
+        if holders is None:  # the primary copy
+            self._holders[obj] = {cluster}
             self._primary[obj] = cluster
+            value += self._freq_total[obj] * self._benefit_remote
+        else:
+            holders.add(cluster)
         self._local[cluster].add(obj)
         self._placement_updates += 1
-        value = self._value(obj, cluster, primary)
-        size = self._size_of(obj)
+        sizes = self._size_list
+        size = 1 if sizes is None else sizes[obj]
         self._used += size
         self._copies.push((obj, cluster), value / size)
         return value
 
-    def _drop_copy(self, obj: int, cluster: int) -> None:
+    def _drop_copy(self, obj: int, cluster: int) -> float | None:
         """Bookkeeping for a dying copy (its heap entry already popped,
-        or discarded here if a promotion re-pushed it in the meantime)."""
+        or discarded here if a promotion re-pushed it in the meantime).
+        Returns the promoted heir's primary value, None if none was."""
         self._placement_updates += 1
         self._copies.discard((obj, cluster))
-        self._used -= self._size_of(obj)
+        sizes = self._size_list
+        size = 1 if sizes is None else sizes[obj]
+        self._used -= size
         self._local[cluster].discard(obj)
         holders = self._holders[obj]
         holders.discard(cluster)
         if not holders:
             del self._holders[obj]
             del self._primary[obj]
-            return
-        if self._primary[obj] == cluster:
-            # Promote the most-referenced surviving duplicate to primary.
-            new_primary = max(holders, key=lambda q: self._freq[q][obj])
-            self._primary[obj] = new_primary
-            self._copies.push(
-                (obj, new_primary),
-                self._value(obj, new_primary, True) / self._size_of(obj),
-            )
+            return None
+        if self._primary[obj] != cluster:
+            return None
+        # Promote the most-referenced surviving duplicate to primary.
+        freq = self._freq
+        heir = max(holders, key=lambda q: freq[q][obj])
+        self._primary[obj] = heir
+        value = freq[heir][obj] * self._benefit_local
+        value += self._freq_total[obj] * self._benefit_remote
+        self._copies.push((obj, heir), value / size)
+        return value
 
     def _consider_copy(self, obj: int, cluster: int) -> None:
-        """Admit a copy at ``cluster`` if globally worthwhile.
+        """Admit a copy of ``obj`` at ``cluster``, which holds none, if
+        globally worthwhile.
 
         Size-aware: admission frees min-density incumbents until the new
-        copy fits, and aborts (restoring the incumbents untouched) the
-        moment an incumbent is at least as dense as the newcomer.  Under
-        unit sizes the loop runs at most one iteration against the raw
-        copy value — exactly the paper's single-victim rule.
+        copy fits, and aborts the moment an incumbent is at least as dense
+        as the newcomer.  The incumbents it popped go back into the store
+        at their densities but with fresh sequence numbers, in pop order
+        (``HeapDict.push``).  That reorders nothing: each is strictly less
+        dense than the newcomer, so than every copy left, and ties among
+        them keep their order.  Under unit sizes the loop runs at most one
+        iteration against the raw copy value and pops nothing it does not
+        evict — exactly the paper's single-victim rule.
+
+        Sizes, the value and the store's minimum are read in this frame:
+        the heap by friend access (the inner loop is
+        ``HeapDict._materialize_min``, the re-push ``HeapDict.push`` of an
+        absent key).
         """
-        if obj in self._local[cluster]:
+        sizes = self._size_list
+        size = 1 if sizes is None else sizes[obj]
+        capacity = self.capacity
+        if size > capacity:
             return
-        size = self._size_of(obj)
-        if size > self.capacity:
-            return
-        primary = obj not in self._holders
-        if self._used + size <= self.capacity:
+        used = self._used + size
+        if used <= capacity:
             self._add_copy(obj, cluster)
             return
-        density = self._value(obj, cluster, primary) / size
+        value = self._freq[cluster][obj] * self._benefit_local
+        if obj not in self._holders:
+            value += self._freq_total[obj] * self._benefit_remote
+        density = value / size
+        copies = self._copies
+        heap, live = copies._heap, copies._live
         victims: list[tuple[tuple[int, int], float]] = []
-        freed = 0
-        admit = True
-        while self._used - freed + size > self.capacity:
-            victim, vdensity = self._copies.peek_min()
+        while used > capacity:
+            while True:
+                vdensity, seq, victim = heap[0]
+                rec = live.get(victim)
+                if rec is not None and rec[1] == seq:
+                    break
+                heappop(heap)
+                if rec is not None and not rec[2]:
+                    live[victim] = (rec[0], rec[1], True)
+                    heappush(heap, (rec[0], rec[1], victim))
             if vdensity >= density:
-                admit = False
-                break
-            self._copies.pop_min()
+                for key, prio in victims:  # rejected: back, at fresh seqs
+                    seq = copies._seq + 1
+                    copies._seq = seq
+                    live[key] = (prio, seq, True)
+                    heappush(heap, (prio, seq, key))
+                return
+            heappop(heap)
+            del live[victim]
             victims.append((victim, vdensity))
-            freed += self._size_of(victim[0])
-        if not admit:
-            for key, prio in victims:
-                self._copies.push(key, prio)  # rejection leaves no trace
-            return
-        for (vobj, vcluster), _prio in victims:
+            used -= 1 if sizes is None else sizes[victim[0]]
+        for (vobj, vcluster), _density in victims:
             self._drop_copy(vobj, vcluster)
         self._add_copy(obj, cluster)
 

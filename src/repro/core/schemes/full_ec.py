@@ -67,18 +67,18 @@ class FcEcScheme(FcScheme):
 
     def _add_copy(self, obj: int, cluster: int) -> float:
         value = super()._add_copy(obj, cluster)
-        self._tiers[cluster].add(obj, value, size=self._size_of(obj))
+        sizes = self._size_list
+        self._tiers[cluster].add(obj, value, size=1 if sizes is None else sizes[obj])
         return value
 
-    def _drop_copy(self, obj: int, cluster: int) -> None:
-        was_primary = self._primary[obj] == cluster
+    def _drop_copy(self, obj: int, cluster: int) -> float | None:
         self._tiers[cluster].remove(obj)
-        super()._drop_copy(obj, cluster)
-        if was_primary and obj in self._primary:
+        value = super()._drop_copy(obj, cluster)
+        if value is not None:
             # A surviving duplicate was promoted: re-rank it at its
             # primary value.
-            heir = self._primary[obj]
-            self._tiers[heir].update(obj, self._value(obj, heir, True))
+            self._tiers[self._primary[obj]].update(obj, value)
+        return value
 
     # -- request path ---------------------------------------------------------
 
@@ -91,18 +91,16 @@ class FcEcScheme(FcScheme):
         fault-free, matching the Hier-GD model where only cooperation
         links degrade.
         """
+        # ``TopKTracker.in_top``, by friend access: the top partition's keys.
+        tiers = self._tiers
         if obj in self._local[cluster]:
-            return (
-                TIER_LOCAL_PROXY
-                if self._tiers[cluster].in_top(obj)
-                else TIER_LOCAL_P2P
-            )
+            return TIER_LOCAL_PROXY if obj in tiers[cluster]._top._live else TIER_LOCAL_P2P
         holders = self._holders.get(obj)
         if holders:
             # Prefer a remote proxy-tier copy over a remote P2P push.
             tier, exchange = TIER_COOP_P2P, PUSH
             for q in holders:
-                if self._tiers[q].in_top(obj):
+                if obj in tiers[q]._top._live:
                     tier, exchange = TIER_COOP_PROXY, PROXY_FETCH
                     break
             if self._faulty and not self.transport.attempt(exchange):

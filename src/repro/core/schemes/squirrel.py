@@ -105,15 +105,17 @@ class SquirrelScheme(CachingScheme):
         """
         if self._faulty and not self.transport.attempt(P2P_FETCH):
             return TIER_SERVER
+        sizes = self._size_list
         hit, _ = self._home_table[cluster][obj].lookup_or_insert(
-            obj, size=self._size_of(obj)
+            obj, 1.0, 1 if sizes is None else sizes[obj]
         )
         if hit:
             return TIER_LOCAL_P2P
         # Home miss: the home node fetches from the origin, stores the
         # object and relays it — one extra LAN leg on top of the server
-        # round trip.
-        self.add_extra_latency(self._t_p2p)
+        # round trip (``add_extra_latency``, inline).
+        if not self._in_warmup:
+            self.extra_latency += self._t_p2p
         return TIER_SERVER
 
     def finalize(self) -> tuple[dict[str, int], dict[str, float]]:

@@ -72,7 +72,8 @@ class CachingScheme(ABC):
         #: Latency not attributable to a serving tier (e.g. wasted rounds
         #: caused by Bloom-directory false positives); added to the total.
         #: Schemes must report it through :meth:`add_extra_latency` so it
-        #: respects the warmup window.
+        #: respects the warmup window (or test ``_in_warmup`` themselves,
+        #: as Squirrel's per-request charge does).
         self.extra_latency = 0.0
         self._in_warmup = False
         #: The cooperation-message carrier (:mod:`repro.protocol`): the

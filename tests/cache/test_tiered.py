@@ -16,12 +16,9 @@ class NaiveTiered:
 
     def __init__(self, proxy, client, reset, by_bytes):
         self.lfu = NaiveLfu(proxy + client, reset_on_evict=reset)
-        self.events = []
         self.by_bytes = by_bytes
         if by_bytes:
-            self.tiers = NaiveBudgetTracker(
-                proxy, lambda key, in_top: self.events.append((key, in_top))
-            )
+            self.tiers = NaiveBudgetTracker(proxy)
         else:
             self.tiers = NaiveTracker(proxy)
 
@@ -205,26 +202,11 @@ class TestRequestAgainstNaiveModels:
     tracker's case (a) on a proxy-tier hit.  After every operation: the served
     tier, the LFU's victims-to-be (residents, ``used``, stats, counts),
     both tracker heaps' pop order (count mode) or ``(priority, seq)``
-    records and events (byte mode), and an ``on_tier`` mirror."""
+    records (byte mode), and every resident's ``tier_of``."""
 
     @staticmethod
     def drive(codes, proxy, client, reset, by_bytes, sizes):
-        mirror, events = {}, []
-
-        def on_tier(key, in_top):
-            events.append((key, in_top))
-            if in_top is None:
-                del mirror[key]
-            else:
-                mirror[key] = in_top
-
-        cache = TieredCache(
-            proxy,
-            client,
-            lfu_reset_on_evict=reset,
-            on_tier=on_tier,
-            by_bytes=by_bytes,
-        )
+        cache = TieredCache(proxy, client, lfu_reset_on_evict=reset, by_bytes=by_bytes)
         model = NaiveTiered(proxy, client, reset, by_bytes)
         for code in codes:
             code, op = divmod(code, len(TIER_OPS))
@@ -240,12 +222,13 @@ class TestRequestAgainstNaiveModels:
             assert {k: cache.frequency(k) for k in range(TIER_KEYS)} == {
                 k: model.lfu.counts.get(k, 0) for k in range(TIER_KEYS)
             }
-            assert mirror == {k: tiers.in_top(k) for k in tiers}
+            assert {k: cache.tier_of(k) for k in store.keys()} == {
+                k: PROXY_TIER if k in naive.top else CLIENT_TIER for k in model.lfu.sizes
+            }
             if by_bytes:
                 assert records(tiers._top) == records(naive.top)
                 assert records(tiers._rest) == records(naive.rest)
                 assert tiers.top_bytes == naive.top_bytes
-                assert events == model.events
             else:
                 assert pop_order(tiers._top) == pop_order(naive.top)
                 assert pop_order(tiers._rest) == pop_order(naive.rest)

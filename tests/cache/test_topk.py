@@ -35,6 +35,13 @@ class NaiveTracker:
             self._rebalance()
         return removed
 
+    def in_top(self, key):
+        return key in self.top
+
+    def __iter__(self):
+        yield from self.top
+        yield from self.rest
+
     def _rebalance(self):
         top, rest = self.top, self.rest
         while len(top) > self.k:
@@ -61,9 +68,8 @@ class NaiveBudgetTracker:
     every ``(priority, seq)`` record can be compared.  ``demotions`` counts
     iterations of the demote loop the tracker itself no longer has."""
 
-    def __init__(self, budget, on_tier):
+    def __init__(self, budget):
         self.budget = budget
-        self.on_tier = on_tier
         self.top = HeapDict()  # min-heap by value
         self.rest = HeapDict()  # min-heap by -value
         self.sizes = {}
@@ -85,32 +91,32 @@ class NaiveBudgetTracker:
             self.top_bytes += size
         else:
             self.rest.push(key, -value)
-        self._rebalance(key)
-        after = key in self.top
-        if after is not before:
-            self.on_tier(key, after)
+        self._rebalance()
         return before
 
     def remove(self, key):
         in_top = self.top.discard(key)
         if not (in_top or self.rest.discard(key)):
             return False
-        self.on_tier(key, None)
         size = self.sizes.pop(key)
         if in_top:
             self.top_bytes -= size
-        self._rebalance(key)
+        self._rebalance()
         return True
 
-    def _rebalance(self, subject):
-        top, rest, sizes, on_tier = self.top, self.rest, self.sizes, self.on_tier
+    def in_top(self, key):
+        return key in self.top
+
+    def __iter__(self):
+        return iter(self.sizes)
+
+    def _rebalance(self):
+        top, rest, sizes = self.top, self.rest, self.sizes
         while self.top_bytes > self.budget and len(top):
             self.demotions += 1
             key, value = top.pop_min()
             self.top_bytes -= sizes[key]
             rest.push(key, -value)
-            if key != subject:
-                on_tier(key, False)
         while len(rest):
             key, neg = rest.peek_min()
             if self.top_bytes + sizes[key] > self.budget:
@@ -118,8 +124,6 @@ class NaiveBudgetTracker:
             rest.pop_min()
             top.push(key, -neg)
             self.top_bytes += sizes[key]
-            if key != subject:
-                on_tier(key, True)
         while len(top) and len(rest):
             top_key, top_val = top.peek_min()
             rest_key, rest_neg = rest.peek_min()
@@ -132,10 +136,6 @@ class NaiveBudgetTracker:
             top.push(rest_key, -rest_neg)
             rest.push(top_key, -top_val)
             self.top_bytes += sizes[rest_key] - sizes[top_key]
-            if rest_key != subject:
-                on_tier(rest_key, True)
-            if top_key != subject:
-                on_tier(top_key, False)
 
 
 def placements(tracker):
@@ -224,8 +224,7 @@ class TestByteBudget:
     def test_refused_size_leaves_the_tracker_untouched(self):
         # Validation comes before the lift-out, on the generic path ("a" is
         # the top's recorded minimum) and the two settled ones alike.
-        mirror = {}
-        t = TopKTracker(0, on_tier=mirror.__setitem__, budget=10)
+        t = TopKTracker(0, budget=10)
         t.add("a", 1.0, size=4)
         t.add("b", 2.0, size=4)
         t.add("c", 0.5, size=4)  # does not fit: the best of the rest
@@ -237,10 +236,10 @@ class TestByteBudget:
                     t.add(key, 3.0, size=size)
                 assert key in t and len(t) == 4
                 assert state == (records(t._top), records(t._rest), t._sizes, t.top_bytes)
-                assert mirror == {"a": True, "b": True, "c": False, "d": False}
+                assert placements(t) == {"a": True, "b": True, "c": False, "d": False}
         with pytest.raises(ValueError, match="size must be positive"):
             t.add("new", 3.0, size=0)
-        assert "new" not in t and "new" not in t._sizes and len(mirror) == 4
+        assert "new" not in t and "new" not in t._sizes and len(t) == 4
 
     def test_partitions_by_value_within_budget(self):
         t = TopKTracker(99, budget=5)
@@ -306,34 +305,38 @@ class TestByteBudget:
         passes = []
         rebalance = TopKTracker._rebalance_budget
 
-        def spy(self, subject):
-            passes.append(subject)
-            rebalance(self, subject)
+        def spy(self):
+            passes.append(self)
+            rebalance(self)
 
         monkeypatch.setattr(TopKTracker, "_rebalance_budget", spy)
-        events = []
-        t = TopKTracker(0, on_tier=lambda key, in_top: events.append((key, in_top)), budget=8)
+        t = TopKTracker(0, budget=8)
         t.add("low", 1.0, size=4)
         t.add("high", 2.0, size=4)
         t.add("best", 5.0, size=6)  # out-values both, fits next to neither
         assert placements(t) == {"low": True, "high": True, "best": False}
-        del passes[:], events[:]
+        del passes[:]
         assert t.add("high", 3.0) is True  # top raise, not the minimum
         assert t.add("high", 3.0) is True  # ... or an equal re-touch
         assert t.add("new", 5.0, size=2) is None  # ties the best, no room
         assert t.add("new", 4.0, size=7) is False  # rest key, other than the best
+        assert placements(t) == {"low": True, "high": True, "best": False, "new": False}
         assert t.remove("new") is True
-        assert passes == [] and events == [("new", False), ("new", None)]
+        assert passes == [] and "new" not in t
         assert t.top_bytes == 8 and "new" not in t._sizes
         # The recorded keys themselves, a drop, a size change, a fit, a top
         # remove: each runs the pass.
-        t.add("low", 1.5)
-        t.add("best", 5.0)
-        t.add("high", 2.5)
-        t.add("high", 2.5, size=3)
-        t.add("small", 0.5, size=1)
-        t.remove("small")
-        assert passes == ["low", "best", "high", "high", "small", "small"]
+        for mutate in (
+            lambda: t.add("low", 1.5),
+            lambda: t.add("best", 5.0),
+            lambda: t.add("high", 2.5),
+            lambda: t.add("high", 2.5, size=3),
+            lambda: t.add("small", 0.5, size=1),
+            lambda: t.remove("small"),
+        ):
+            del passes[:]
+            mutate()
+            assert passes == [t]
 
     @given(
         st.lists(
@@ -405,57 +408,6 @@ tie_heavy_ops = st.lists(
 )
 
 
-class TestListenerContract:
-    """``on_tier`` fires once per placement change and never otherwise."""
-
-    @staticmethod
-    def check(tracker, events, ops):
-        mirror: dict[int, bool] = {}
-        for op, key, value, size in ops:
-            before = placements(tracker)
-            seen = len(events)
-            if op == "add":
-                tracker.add(key, value, size=size)
-            else:
-                tracker.remove(key)
-            for moved, in_top in events[seen:]:
-                if in_top is None:
-                    del mirror[moved]
-                else:
-                    mirror[moved] = in_top
-            after = placements(tracker)
-            assert mirror == after
-            changed = [k for k in before.keys() | after.keys() if before.get(k) != after.get(k)]
-            assert len(events) - seen == len(changed)
-
-    @given(tie_heavy_ops, st.integers(min_value=0, max_value=5))
-    @settings(max_examples=100, deadline=None)
-    def test_count_mode(self, ops, k):
-        events: list = []
-        tracker = TopKTracker(k, on_tier=lambda key, in_top: events.append((key, in_top)))
-        self.check(tracker, events, [(*op, None) for op in ops])
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.sampled_from(["add", "add", "remove"]),
-                st.integers(min_value=0, max_value=7),
-                st.integers(min_value=0, max_value=4).map(float),
-                st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
-            ),
-            max_size=150,
-        ),
-        st.integers(min_value=0, max_value=8),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_budget_mode(self, ops, budget):
-        events: list = []
-        tracker = TopKTracker(
-            99, on_tier=lambda key, in_top: events.append((key, in_top)), budget=budget
-        )
-        self.check(tracker, events, ops)
-
-
 class TestAgainstModel:
     @given(tie_heavy_ops, st.integers(min_value=0, max_value=5))
     @settings(max_examples=300, deadline=None)
@@ -476,6 +428,7 @@ class TestAgainstModel:
                 assert tracker.remove(key) == naive.remove(key)
             assert pop_order(tracker._top) == pop_order(naive.top)
             assert pop_order(tracker._rest) == pop_order(naive.rest)
+            assert placements(tracker) == placements(naive)
 
     @staticmethod
     def budget_pair(budget):
@@ -483,12 +436,8 @@ class TestAgainstModel:
         applies one operation to both and compares everything the digests
         can come to depend on.  "hit" is the LFU step (a unit raise, size
         kept; a new key enters at 1), "add" an arbitrary value and size."""
-        events: list = []
-        naive_events: list = []
-        tracker = TopKTracker(
-            0, on_tier=lambda key, in_top: events.append((key, in_top)), budget=budget
-        )
-        naive = NaiveBudgetTracker(budget, lambda key, in_top: naive_events.append((key, in_top)))
+        tracker = TopKTracker(0, budget=budget)
+        naive = NaiveBudgetTracker(budget)
 
         def step(op, key, value, size):
             if op == "remove":
@@ -503,7 +452,7 @@ class TestAgainstModel:
             assert records(tracker._rest) == records(naive.rest)
             assert tracker.top_bytes == naive.top_bytes
             assert tracker._sizes == naive.sizes
-            assert events == naive_events
+            assert placements(tracker) == placements(naive)
             assert naive.demotions == 0  # the loop the tracker dropped
 
         return step
@@ -526,8 +475,8 @@ class TestAgainstModel:
     )
     @settings(max_examples=400, deadline=None)
     def test_exact_budget_partition_matches_whole_pass(self, codes, budget):
-        """Byte mode, record for record and event for event after every
-        operation: a skipped pass must be one that would have moved
+        """Byte mode, record for record and placement for placement after
+        every operation: a skipped pass must be one that would have moved
         nothing, and the lazy raise / single push that stands in for the
         lift-out must take the sequence number the lift-out's push took.
         Budgets 4 to 13 against sizes up to 8 make "out-values the top

@@ -1,4 +1,4 @@
-"""Differential oracle for the lookup directories (ROADMAP item 7(a)).
+"""Differential oracle for the lookup directories (ROADMAP item 10).
 
 The engine's step 2 probes a directory on every run, so its contract is
 held here against the naive model it stands for: the *set of true

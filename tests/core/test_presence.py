@@ -10,13 +10,10 @@ actual caches — the strongest form of the equivalence argument in
 
 import dataclasses
 
-import pytest
-
 from repro.core.hiergd import HierGdScheme
-from repro.core.presence import PresenceIndex, probes_to
+from repro.core.presence import PresenceIndex
 from repro.core.run import generate_workloads
 from repro.core.schemes.baselines import ScScheme
-from repro.core.schemes.exploit import ScEcScheme
 from repro.experiments.runner import base_config
 
 
@@ -53,37 +50,6 @@ class TestPresenceIndex:
         assert snap == {"x": frozenset({0})}
 
 
-class TestProbesTo:
-    @pytest.mark.parametrize(
-        "first,exclude,n,expected",
-        [
-            (None, 0, 4, 3),  # full scan misses everywhere
-            (0, 1, 4, 1),  # hit at 0, requester is 1: one probe
-            (2, 1, 4, 2),  # visits 0, 2
-            (3, 1, 4, 3),  # visits 0, 2, 3
-            (2, 0, 4, 2),  # visits 1, 2
-        ],
-    )
-    def test_matches_ascending_scan(self, first, exclude, n, expected):
-        assert probes_to(first, exclude, n) == expected
-
-    def test_brute_force_agreement(self):
-        # Compare against a literal simulation of the reference scan.
-        n = 5
-        for exclude in range(n):
-            for first in [None, *range(n)]:
-                if first == exclude:
-                    continue
-                probes = 0
-                for other in range(n):
-                    if other == exclude:
-                        continue
-                    probes += 1
-                    if other == first:
-                        break
-                assert probes_to(first, exclude, n) == probes
-
-
 def tiny_config(**overrides):
     cfg = base_config()
     wl = dataclasses.replace(
@@ -118,46 +84,6 @@ class TestScReplayInvariant:
             }
 
         replay(scheme, traces, check)
-
-
-class TestScEcReplayInvariant:
-    @staticmethod
-    def check(s):
-        from repro.cache import CLIENT_TIER, PROXY_TIER
-
-        proxy_tier, client_tier = {}, {}
-        for ci, cache in enumerate(s.caches):
-            # What ``lookup_tier``'s single tracker call rests on.
-            assert set(cache._tiers) == set(cache.keys())
-            for obj in cache.keys():
-                tier = cache.tier_of(obj)
-                if tier == PROXY_TIER:
-                    proxy_tier.setdefault(obj, set()).add(ci)
-                elif tier == CLIENT_TIER:
-                    client_tier.setdefault(obj, set()).add(ci)
-        freeze = lambda d: {o: frozenset(cs) for o, cs in d.items()}
-        assert s._proxy_tier.as_dict() == freeze(proxy_tier)
-        assert s._client_tier.as_dict() == freeze(client_tier)
-
-    def test_tier_indexes_match_brute_force(self):
-        cfg = tiny_config()
-        traces = generate_workloads(cfg, seed=0)
-        replay(ScEcScheme(cfg, traces), traces, self.check)
-
-    def test_sized_tier_indexes_match_brute_force(self):
-        # Heavy-tailed sizes: the byte-budget tracker, whose settled
-        # mutations skip the rebalance pass, feeds the same two indexes.
-        # Both tiers populated and evicting: a 10 % proxy over 12 x 2 % clients.
-        cfg = tiny_config(proxy_cache_fraction=0.1, client_cache_fraction=0.02)
-        cfg = dataclasses.replace(
-            cfg, workload=dataclasses.replace(cfg.workload, object_sizes="heavy-tailed")
-        )
-        traces = generate_workloads(cfg, seed=0)
-        scheme = ScEcScheme(cfg, traces)
-        assert all(c.by_bytes and c._tiers.budget is not None for c in scheme.caches)
-        replay(scheme, traces, self.check)
-        tiers = [c._tiers for c in scheme.caches]
-        assert all(0 < t.top_count < len(t) and t.top_bytes <= t.budget for t in tiers)
 
 
 class TestHierGdReplayInvariant:

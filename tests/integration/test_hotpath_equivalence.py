@@ -17,11 +17,18 @@ and the same extras except, on unit-size rows, ``mean_pastry_hops``:
   differ there, while every other run resolves on first touch too and
   must match it (those rows compare the hop extra as well, and hold the
   finished scheme to ``check_invariants``);
-* **SC / SC-EC** — the presence indexes against the naive models below,
-  which probe every cooperating cache in ascending order on every miss;
+* **SC / SC-EC** — SC's presence index and SC-EC's friend-access scan
+  against the naive models below, which probe every cooperating cache
+  through its public API in ascending order on every miss and count
+  each probe (``coop_probes`` is compared with the other messages);
+* **FC / FC-EC** — the copy store read inline against its literal model
+  (``tests/models/fc_store.py``: a scanned dict, values recomputed from
+  the traces);
 * **Squirrel** — the precomputed home table against ``overlay.owner_of``
   per object;
 * the remaining schemes have one path; their partner is a second run.
+
+Every scheme runs unit and sized.
 """
 
 import ast
@@ -51,6 +58,7 @@ from repro.netmodel import (
 from repro.workload import object_url
 from tests.core.test_hiergd import check_invariants, check_presence_indexes
 from tests.integration.chain_model import ChainHierGd, ChurnWithoutRepair
+from tests.models.fc_store import NaiveFc, NaiveFcEc
 from tests.protocol.test_stack import Spy
 
 
@@ -97,7 +105,10 @@ def chain_hier_gd(config, traces):
     return cls(config, traces)
 
 
-PARTNERS = {"sc": NaiveSc, "sc-ec": NaiveScEc, "hier-gd": chain_hier_gd}
+PARTNERS = {
+    "sc": NaiveSc, "sc-ec": NaiveScEc, "fc": NaiveFc, "fc-ec": NaiveFcEc,
+    "hier-gd": chain_hier_gd,
+}
 
 #: What the chain model, a churn scheme, reports on top of plain Hier-GD.
 CHURN_ONLY = ("client_failures", "client_joins", "objects_lost",
@@ -131,9 +142,14 @@ def assert_equivalent(name, config, hops=False):
     return scheme
 
 
+@pytest.mark.parametrize("sizes", ["unit", "sized"])
 @pytest.mark.parametrize("name", list(SCHEME_REGISTRY))
-def test_all_schemes_equivalent(name):
-    assert_equivalent(name, small_config())
+def test_all_schemes_equivalent(name, sizes):
+    scheme = assert_equivalent(name, general_config(sizes) if sizes == "sized" else small_config())
+    messages = scheme.finalize()[0]
+    for counter in ("coop_probes", "coop_fetches", "push_requests", "placement_updates"):
+        if counter in messages:
+            assert messages[counter] > 0, counter  # the row exercises its path
 
 
 def test_hier_gd_bloom_directory_equivalent():

@@ -25,9 +25,12 @@ host; these count instead of timing:
   before the engine took the faulty runs: no exchange at all on an exact
   directory, and on a Bloom directory only the push protocol's scan —
   one ``PUSH`` per request it ends up serving;
-* the unified-LFU family (NC, SC, NC-EC, SC-EC) serves a local-proxy hit
-  in two frames, the scheme's ``process`` and one cache call, and an NC
-  request of any tier in two as well;
+* NC, SC and Squirrel serve every request, unit or sized, in two frames:
+  the scheme's ``process`` and one cache call; NC-EC and SC-EC serve a
+  local-proxy hit in two as well, and a count-mode miss of theirs enters
+  no ``HeapDict`` frame;
+* FC and FC-EC serve a local hit in ``process`` alone, and a miss that
+  places and drops no copy in ``process`` and ``_consider_copy``;
 * Pastry membership is table arithmetic: on a 100-node overlay a join
   enters at most 100 frames (45 measured; 2 728–2 883 under the
   per-node method chain), a failure at most 1 200 and ten of them a
@@ -49,6 +52,7 @@ from collections import Counter
 import pytest
 
 from repro.bloom import CountingBloomFilter
+from repro.cache import HeapDict
 from repro.core import hiergd_indexed
 from repro.core.churn import ChurnEvent
 from repro.core.directory import LookupDirectory
@@ -59,7 +63,13 @@ from repro.core.simulator import CachingScheme
 from repro.experiments.robustness import robustness_plan
 from repro.experiments.runner import base_config
 from repro.faults.run import run_scheme_with_faults
-from repro.netmodel import TIER_COOP_P2P, TIER_LOCAL_PROXY, TIER_SERVER
+from repro.netmodel import (
+    TIER_COOP_P2P,
+    TIER_COOP_PROXY,
+    TIER_LOCAL_P2P,
+    TIER_LOCAL_PROXY,
+    TIER_SERVER,
+)
 from repro.overlay import Dht, Overlay
 from repro.protocol.trace import recording_traces
 from repro.protocol.transport import Transport
@@ -76,27 +86,35 @@ def guard_config(sizes="unit", **overrides):
     return dataclasses.replace(cfg, workload=wl, n_proxies=3, **overrides)
 
 
-def frames_by_tier(monkeypatch, go):
+def frames_by_tier(monkeypatch, go, counted=None, watch=None):
     """``{served tier: Counter(Python frames entered per request)}`` of the
     run ``go()`` makes, counted from the scheme's ``process`` down, below
-    the simulator's ``map``; returns it with ``go()``'s result."""
+    the simulator's ``map``; returns it with ``go()``'s result.
+
+    ``counted(code)``: count only the frames whose code it accepts.
+    ``watch(scheme)``: key each request ``(tier, changed)`` instead,
+    ``changed`` telling whether ``watch`` reads differently after it."""
     frames = {}
     run = CachingScheme.run
 
     def profiled_run(scheme):
         per_request = scheme.process.__code__  # outermost frame under ``map``
         depth = entered = 0
+        mark = None
 
         def profile(frame, event, arg):
-            nonlocal depth, entered
+            nonlocal depth, entered, mark
             if event == "call":
                 if depth or frame.f_code is per_request:
+                    if not depth and watch is not None:
+                        mark = watch(scheme)
                     depth += 1
-                    entered += 1
+                    entered += counted is None or counted(frame.f_code)
             elif event == "return" and depth:
                 depth -= 1
                 if not depth:
-                    frames.setdefault(arg, Counter())[entered] += 1
+                    key = arg if watch is None else (arg, watch(scheme) != mark)
+                    frames.setdefault(key, Counter())[entered] += 1
                     entered = 0
 
         sys.setprofile(profile)
@@ -377,36 +395,108 @@ def test_fault_free_run_answers_from_the_state_indexes(sizes, monkeypatch):
     assert not entered
 
 
-@pytest.mark.parametrize(
-    "name,sizes",
-    [("nc", "unit"), ("nc", "sized"), ("sc", "unit"), ("sc", "sized"),
-     ("nc-ec", "unit"), ("sc-ec", "unit")],
-)
-def test_lfu_family_request_enters_the_scheme_and_one_cache_call(
+@pytest.mark.parametrize("sizes", ["unit", "sized"])
+@pytest.mark.parametrize("name", ["nc", "sc", "squirrel"])
+def test_single_cache_request_enters_the_scheme_and_one_cache_call(
     name, sizes, monkeypatch
 ):
-    """NC, SC, NC-EC and SC-EC serve a local-proxy hit in two Python frames:
-    the scheme's ``process`` and one cache call (``LfuCache.
-    lookup_or_insert``; ``TieredCache.request``, whose count-mode tracker
-    keeps a proxy-tier hit a dict write), sizes read inline.  An NC request
-    of any tier is two frames too: the LFU admits a miss, victims and heap
-    push included, in the frame of ``lookup_or_insert``.  Byte-budget
-    placements go to the tracker's methods, so a sized -EC hit is not held
-    to two.  The parent entered, per unit request: NC 3 on a hit (a
-    ``_size_of`` frame) and 6-8 on a miss (``_bump`` → ``insert`` →
-    ``pop_min`` → ``_materialize_min`` → ``push``), SC 3 on a hit, NC-EC
-    and SC-EC 6 on a proxy-tier hit (``lookup_tier`` → ``LfuCache.lookup``
-    → the default value's lambda → ``TopKTracker.add`` → ``HeapDict.push``)."""
+    """NC, SC and Squirrel serve every request, of any tier, in two Python
+    frames: the scheme's ``process`` and one cache call (``LfuCache`` /
+    ``LruCache.lookup_or_insert``, which admit a miss, victims included, in
+    their own frame).  Sizes are read inline, SC's presence index is read
+    and written inline (smallest holder, probe count, ``add`` /
+    ``discard``) and Squirrel's home-miss charge is added inline.  Through
+    the index's and the cache's methods SC entered 5-6 frames on a unit
+    miss (``first_holder``, ``probes_to``, ``add``, a ``discard`` per
+    victim) and Squirrel 3 on a hit (``_size_of``) and 5 on a miss
+    (``_size_of``, ``insert``, ``add_extra_latency``)."""
     config = guard_config(sizes)
+    frames, result = frames_by_tier(monkeypatch, lambda: run_scheme(name, config, seed=0))
+    assert sum(sum(c.values()) for c in frames.values()) == result.n_requests
+    assert {n for c in frames.values() for n in c} == {2}
+    # Every tier the scheme serves from is in the count: not vacuous.
+    served = {
+        "nc": {TIER_LOCAL_PROXY, TIER_SERVER},
+        "sc": {TIER_LOCAL_PROXY, TIER_COOP_PROXY, TIER_SERVER},
+        "squirrel": {TIER_LOCAL_P2P, TIER_SERVER},
+    }[name]
+    assert set(frames) == served and min(sum(c.values()) for c in frames.values()) > 100
+
+
+@pytest.mark.parametrize("name", ["nc-ec", "sc-ec"])
+def test_unified_proxy_hit_enters_the_scheme_and_one_cache_call(name, monkeypatch):
+    """NC-EC and SC-EC serve a local-proxy hit in two Python frames: the
+    scheme's ``process`` and ``TieredCache.request``, whose count-mode
+    tracker keeps a proxy-tier hit a dict write.  (Through the methods it
+    was 6: ``lookup_tier`` → ``LfuCache.lookup`` → the default value's
+    lambda → ``TopKTracker.add`` → ``HeapDict.push``.)  Byte-budget
+    placements go to the tracker's methods, so a sized hit is not held to
+    two."""
+    config = guard_config()
     frames, result = frames_by_tier(monkeypatch, lambda: run_scheme(name, config, seed=0))
     assert sum(sum(c.values()) for c in frames.values()) == result.n_requests
     hits = frames[TIER_LOCAL_PROXY]
     assert sum(hits.values()) > 1_000 and max(hits) <= 2
-    if name == "nc":
-        assert frames[TIER_SERVER] and max(max(c) for c in frames.values()) <= 2
-    else:
-        # Cooperation and the tracker's moves do real work: not vacuous.
-        assert max(max(c) for tier, c in frames.items() if tier != TIER_LOCAL_PROXY) > 2
+    # The tracker's moves do real work: not vacuous.
+    assert max(max(c) for tier, c in frames.items() if tier != TIER_LOCAL_PROXY) > 2
+
+
+@pytest.mark.parametrize("name", ["nc-ec", "sc-ec"])
+def test_count_mode_unified_miss_enters_no_heapdict_frame(name, monkeypatch):
+    """A count-mode NC-EC / SC-EC miss makes the tracker's heap moves by
+    friend access: ``TopKTracker.add`` / ``remove`` enter no ``HeapDict``
+    method (``_compact``, the amortised rebuild, aside).  SC-EC's probe
+    scan reads the other clusters' caches inline too.  Through the
+    ``HeapDict`` methods a unit miss entered 1-8 of their frames
+    (``push``, ``peek_min`` / ``pop_min``, ``_materialize_min``)."""
+    heap_methods = {
+        f.__code__
+        for attr, f in vars(HeapDict).items()
+        if hasattr(f, "__code__") and attr != "_compact"
+    }
+    config = guard_config()
+    frames, result = frames_by_tier(
+        monkeypatch, lambda: run_scheme(name, config, seed=0),
+        counted=lambda code: code in heap_methods,
+    )
+    misses = {
+        tier: c for tier, c in frames.items() if tier not in (TIER_LOCAL_PROXY, TIER_LOCAL_P2P)
+    }
+    assert sum(sum(c.values()) for c in misses.values()) > 1_000
+    assert {n for c in misses.values() for n in c} == {0}
+    if name == "sc-ec":
+        assert result.tier_counts[TIER_COOP_PROXY] and result.tier_counts[TIER_COOP_P2P]
+
+
+@pytest.mark.parametrize("sizes", ["unit", "sized"])
+@pytest.mark.parametrize("name", ["fc", "fc-ec"])
+def test_coordinated_request_enters_at_most_the_store_frame(name, sizes, monkeypatch):
+    """FC and FC-EC serve a local hit in ``process`` alone (FC-EC's tier is
+    a read of the tracker's top partition), and a miss that places and
+    drops no copy in ``process`` and ``_consider_copy``: sizes, the copy
+    value and the store's head are read in that frame.  Through the
+    methods an FC-EC local hit entered 3 (``in_top`` →
+    ``HeapDict.__contains__``) and such a unit miss up to 6 (``_size_of``,
+    ``_value``, ``peek_min`` → ``_materialize_min``)."""
+    config = guard_config(sizes)
+    frames, result = frames_by_tier(
+        monkeypatch, lambda: run_scheme(name, config, seed=0),
+        watch=lambda scheme: scheme._placement_updates,
+    )
+    assert sum(sum(c.values()) for c in frames.values()) == result.n_requests
+    hits, unplaced, placed = Counter(), Counter(), Counter()
+    for (tier, changed), entered in frames.items():
+        if tier in (TIER_LOCAL_PROXY, TIER_LOCAL_P2P):
+            assert not changed
+            hits.update(entered)
+        else:
+            (placed if changed else unplaced).update(entered)
+    assert set(hits) == {1} and sum(hits.values()) > 1_000
+    assert max(unplaced) <= 2 and sum(unplaced.values()) > 500
+    if name == "fc-ec":
+        assert (TIER_LOCAL_P2P, False) in frames
+    # Placements enter the mutation methods: the guard tells them apart.
+    assert max(placed) > 2
 
 
 @pytest.mark.parametrize("sizes", ["unit", "sized"])

@@ -117,7 +117,7 @@ class TestUnusableFiles:
 class TestMalformedEvents:
     """One bad event inside an otherwise valid trace: the reader's named
     error with path and line, never an unpacking ``ValueError`` halfway
-    through a replay (ROADMAP item 7(b), for this one reader)."""
+    through a replay (ROADMAP item 10(b), for this one reader)."""
 
     @staticmethod
     def _doctor(src, dst, tag, mutate):
