@@ -23,19 +23,30 @@ With variable object sizes the credit becomes ``L + cost/size``
 is what the paper's equal-size assumption exercises.
 
 This is the hottest data structure in the whole simulator (every Hier-GD
-proxy and client cache is one), so the hit path reaches into the friend
-:class:`~repro.cache.heapdict.HeapDict` internals to push without a
-method call — the pushed ``(priority, seq)`` entries are identical to
-what ``HeapDict.push`` would produce.
+proxy and client cache is one), so the cache owns its heap instead of
+going through :class:`~repro.cache.heapdict.HeapDict`, with the same lazy
+reconciliation over fewer objects.  Each key has one mutable record
+``[size, credit, priority, seq, heap_seq]`` in ``_entries``: ``credit``
+is ``cost/size`` or ``cost`` (:attr:`credit_by_size`), ``(priority,
+seq)`` the live heap key, and ``heap_seq`` the seq of the key's newest
+heap entry — the key is in the heap at its live value iff ``heap_seq ==
+seq``.  A hit (a raise: ``L`` never decreases) writes ``priority`` and
+``seq`` and pushes nothing; the old entry still bounds it from below,
+and the eviction loop re-pushes it, with one ``heapreplace``, when it
+surfaces.  An eviction deletes the record; heap entries whose record is
+gone or superseded are dropped as they surface.  An insert pushes its
+entry eagerly, and when its last victim is the live head the pop and
+the push are one ``heapreplace``.  Every ``(priority, seq)`` is unique,
+so the victims come out in ascending live order whatever the heap's
+layout.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 from typing import Hashable, Iterator
 
 from .base import Cache
-from .heapdict import HeapDict
 
 __all__ = ["GreedyDualCache"]
 
@@ -49,6 +60,7 @@ class GreedyDualCache(Cache):
         "inflation",
         "_entries",
         "_heap",
+        "_seq",
         "_used",
     )
 
@@ -67,31 +79,28 @@ class GreedyDualCache(Cache):
         #: way (``cost/1 == cost`` exactly in IEEE arithmetic).
         self.credit_by_size = credit_by_size
         self.inflation = 0.0  # the running value L
-        #: key -> (size, credit): the credit is ``cost/size`` or ``cost``
-        #: by :attr:`credit_by_size`, worked out once per insert (and
-        #: without a division at unit size, where the two are equal).
-        self._entries: dict[Hashable, tuple[int, float]] = {}
-        self._heap = HeapDict()
+        #: key -> [size, credit, priority, seq, heap_seq] (module docstring).
+        self._entries: dict[Hashable, list] = {}
+        #: Min-heap of (priority, seq, key), reconciled lazily.
+        self._heap: list[tuple[float, int, Hashable]] = []
+        self._seq = 0
         self._used = 0
 
     def credit(self, key: Hashable) -> float:
         """Current absolute credit H of a cached key (KeyError if absent)."""
-        return self._heap.priority(key)
+        return self._entries[key][2]
 
     def lookup(self, key: Hashable) -> bool:
-        entry = self._entries.get(key)
-        if entry is None:
+        rec = self._entries.get(key)
+        if rec is None:
             self.stats.misses += 1
             return False
-        # Restore full credit relative to the current inflation value.
-        # The refresh is monotone (L never decreases and the credit is
-        # fixed while cached), so the lazy heap's no-push path applies:
-        # record the new (priority, seq) in the live dict and let the pop
-        # loop reconcile (inlined HeapDict.push raise branch).
-        heap = self._heap
-        seq = heap._seq + 1
-        heap._seq = seq
-        heap._live[key] = (self.inflation + entry[1], seq, False)
+        # Restore full credit relative to the current inflation value: a
+        # raise, so the key's heap entry still bounds it (no push).
+        seq = self._seq + 1
+        self._seq = seq
+        rec[2] = self.inflation + rec[1]
+        rec[3] = seq
         self.stats.hits += 1
         return True
 
@@ -105,141 +114,93 @@ class GreedyDualCache(Cache):
             cost = self.default_cost
         if cost <= 0:
             raise ValueError("cost must be positive")
-        entries = self._entries
-        used = self._used
-        old = entries.pop(key, None)
+        # A refresh drops the cached copy first: its heap entries go stale,
+        # and it is no victim candidate of its own insert.  One that can
+        # never fit still drops it — counted as the eviction ``[key]``
+        # reports — or the cache would keep serving the old version.
+        old = self._entries.pop(key, None)
         if old is not None:
-            used -= old[0]
-        if size > self.capacity:
-            # The object cannot fit at any eviction cost.  Any stale copy
-            # under the same key (a refresh-insert that grew past the
-            # capacity) must still be dropped — its bytes are already
-            # uncharged above — or the cache would keep serving the old
-            # version while reporting the key evicted.
-            if old is not None:
-                self._heap.discard(key)
-                self._used = used
+            self._used -= old[0]
+            if size > self.capacity:
                 self.stats.evictions += 1
-            return [key]
-        evicted: list[Hashable] = []
-        capacity = self.capacity
-        heap = self._heap
-        live = heap._live
-        hl = heap._heap
-        if used + size > capacity:
-            if old is not None:
-                # A refresh-insert that grew needs evictions; the key's
-                # own stale heap entry must not be a victim candidate —
-                # its bytes are already uncharged and it left entries.
-                heap.discard(key)
-            # Inlined HeapDict.pop_min (friend access): pop heads,
-            # dropping outdated entries and re-pushing lazily-raised keys
-            # exactly as ``_materialize_min`` would, until enough live
-            # victims are evicted.  The victim sequence is identical to
-            # repeated ``pop_min`` calls.
-            inflation = self.inflation
-            stats = self.stats
-            while used + size > capacity:
-                prio, seq, victim = heappop(hl)
-                rec = live.get(victim)
-                if rec is None:
-                    continue
-                if rec[1] != seq:
-                    if not rec[2]:
-                        live[victim] = (rec[0], rec[1], True)
-                        heappush(hl, (rec[0], rec[1], victim))
-                    continue
-                del live[victim]
-                # Eviction raises L to the evicted credit — the dual
-                # update that makes everything else less protected.
-                if prio > inflation:
-                    inflation = prio
-                used -= entries.pop(victim)[0]
-                evicted.append(victim)
-                stats.evictions += 1
-            self.inflation = inflation
-        credit = cost / size if size != 1 and self.credit_by_size else cost
-        entries[key] = (size, credit)
-        # Inlined HeapDict.push.  A refresh-insert may *lower* the credit
-        # (a cheaper re-fetch), so unlike ``lookup`` this keeps the
-        # eager/lazy comparison.
-        seq = heap._seq + 1
-        heap._seq = seq
-        prio = self.inflation + credit
-        old = live.get(key)
-        if old is None or prio < old[0]:
-            live[key] = (prio, seq, True)
-            heappush(hl, (prio, seq, key))
-            if len(hl) > (len(live) << 1) + 8:
-                heap._compact()
-        else:
-            live[key] = (prio, seq, False)
-        self._used = used + size
-        self.stats.insertions += 1
-        return evicted
+        return self.insert_absent(key, cost, size)
 
     def insert_absent(self, key: Hashable, cost: float, size: int) -> list[Hashable]:
         """:meth:`insert` of a key the caller knows is not cached.
 
         Hier-GD's engine inserts only objects that just missed (proxy) or
         that no client of the cluster holds (pass-down), at a cost it paid
-        itself — so the refresh branch and the eager/lazy credit
-        comparison of :meth:`insert` collapse.  Its size handling stays:
-        an object larger than the whole cache is rejected (``[key]``),
-        room is made by as many victims as it takes (the last one may
-        leave free space behind), and the credit is ``L + cost/size`` or
-        ``L + cost`` by :attr:`credit_by_size` (the same at unit size).
-        Same victims, heap entries and statistics as
-        ``insert(key, cost=cost, size=size)``.
+        itself.  An object larger than the whole cache is rejected
+        (``[key]``); room is made by as many victims as it takes (the last
+        one may leave free space behind); the credit is ``L + cost/size``
+        or ``L + cost`` by :attr:`credit_by_size` (the same at unit size).
         """
         capacity = self.capacity
         if size > capacity:
             return [key]
         entries = self._entries
-        used = self._used + size
-        heap = self._heap
-        live = heap._live
-        hl = heap._heap
-        inflation = self.inflation
+        hl = self._heap
         stats = self.stats
-        evicted: list[Hashable] = []
-        while used > capacity:
-            # HeapDict's lazy reconciliation, as in ``insert``.
-            prio, seq, victim = heappop(hl)
-            rec = live.get(victim)
-            if rec is None:
-                continue
-            if rec[1] != seq:
-                if not rec[2]:
-                    live[victim] = (rec[0], rec[1], True)
-                    heappush(hl, (rec[0], rec[1], victim))
-                continue
-            del live[victim]
-            if prio > inflation:
-                inflation = prio
-            used -= entries.pop(victim)[0]
-            evicted.append(victim)
-            stats.evictions += 1
-        self.inflation = inflation
+        used = self._used + size
+        seq = self._seq + 1
+        self._seq = seq
         credit = cost / size if size != 1 and self.credit_by_size else cost
-        entries[key] = (size, credit)
-        seq = heap._seq + 1
-        heap._seq = seq
-        prio = inflation + credit
-        live[key] = (prio, seq, True)
-        heappush(hl, (prio, seq, key))
-        if len(hl) > (len(live) << 1) + 8:
-            heap._compact()
+        evicted: list[Hashable] = []
+        if used > capacity:
+            inflation = self.inflation
+            while True:
+                prio, hseq, victim = hl[0]
+                rec = entries.get(victim)
+                if rec is None:
+                    heappop(hl)  # the key is gone
+                elif rec[3] != hseq:
+                    if rec[4] == rec[3]:
+                        heappop(hl)  # its live entry is further down
+                    else:
+                        # Raised lazily since its newest entry: re-push it.
+                        rec[4] = rec[3]
+                        heapreplace(hl, (rec[2], rec[3], victim))
+                else:
+                    del entries[victim]
+                    # Eviction raises L to the evicted credit — the dual
+                    # update that makes everything else less protected.
+                    if prio > inflation:
+                        inflation = prio
+                    used -= rec[0]
+                    evicted.append(victim)
+                    stats.evictions += 1
+                    if used <= capacity:
+                        break
+                    heappop(hl)
+            self.inflation = inflation
+            prio = inflation + credit
+            entries[key] = [size, credit, prio, seq, seq]
+            heapreplace(hl, (prio, seq, key))  # pops the last victim
+        else:
+            prio = self.inflation + credit
+            entries[key] = [size, credit, prio, seq, seq]
+            heappush(hl, (prio, seq, key))
+            if len(hl) > (len(entries) << 1) + 8:
+                self._compact()
         self._used = used
         stats.insertions += 1
         return evicted
 
+    def _compact(self) -> None:
+        """Rebuild the heap from the live records once outdated entries
+        outnumber them (invisible: the live order is unchanged)."""
+        entries = self._entries
+        hl = self._heap
+        hl[:] = [(rec[2], rec[3], key) for key, rec in entries.items()]
+        heapify(hl)
+        for rec in entries.values():
+            rec[4] = rec[3]
+
     def remove(self, key: Hashable) -> bool:
-        entry = self._entries.pop(key, None)
-        if entry is None:
+        rec = self._entries.pop(key, None)
+        if rec is None:
             return False
-        self._used -= entry[0]
-        self._heap.discard(key)
+        self._used -= rec[0]
         return True
 
     def __len__(self) -> int:

@@ -1,8 +1,10 @@
 """Addressable min-heap with lazy deletion — the policies' shared engine.
 
-LFU, greedy-dual, cost-benefit and the tiered unified cache all need the
-same primitive: a priority queue whose entries' priorities change as
-objects are referenced, with O(log n) update and O(log n) amortised pop.
+LFU, cost-benefit, the top-k tracker and the tiered unified cache all
+need the same primitive: a priority queue whose entries' priorities
+change as objects are referenced, with O(log n) update and O(log n)
+amortised pop.  (Greedy-dual, the hottest policy, keeps the same lazy
+scheme in one record per key of its own instead, :mod:`.greedy_dual`.)
 Rebuilding a ``heapq`` on every priority change would be O(n); instead
 the live ``(priority, seq)`` per key is kept in a dict and the heap is
 reconciled lazily — the standard technique, factored out here once so
@@ -15,12 +17,12 @@ priorities (for LFU this makes eviction among equal frequencies
 least-recently-*updated* first, matching the classic policy).
 
 **Lazy reinsertion.**  Cache hits dominate pushes, and a hit only ever
-*raises* its key's priority (LFU counts grow; greedy-dual credits are
-``L + cost/size`` with ``L`` non-decreasing and ``cost/size`` fixed
-while cached).  A raise therefore does not need a heap entry at all: the
-key's existing (lower) entry still bounds it from below, so ``push``
-just updates the live dict and the pop loop re-pushes the key at its
-current value when the outdated entry surfaces.  Each live record
+*raises* its key's priority (LFU counts grow; so do greedy-dual's
+credits, ``L + cost/size`` with ``L`` non-decreasing).  A raise
+therefore does not need a heap entry at all: the key's existing (lower)
+entry still bounds it from below, so ``push`` just updates the live dict
+and the pop loop re-pushes the key at its current value when the
+outdated entry surfaces.  Each live record
 carries an ``in_heap`` flag marking whether an entry at exactly its
 ``(priority, seq)`` exists in the heap; pops drop entries whose record
 is missing or already superseded by a re-push, and re-push the ones

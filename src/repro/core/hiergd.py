@@ -305,6 +305,8 @@ class HierGdScheme(CachingScheme):
         )
         extras["p2p_objects"] = float(sum(len(s.p2p_present) for s in self.states))
         messages = dict(self._msg)
+        # Every pass-down is one destage, over the connection the config says.
+        messages[self._destage_key] = messages["passdowns"]
         if self.transport.faulty:
             messages["dropped_eviction_notices"] = sum(
                 s.directory.dropped_notices

@@ -25,12 +25,13 @@ on the runs listed:
   find is listed, so it gates the pass-down's "already stored?"
   ``_locate``.  Under churn ``_locate`` repairs directory entries as a
   side effect and every pass-down asks it; an eviction notice asks only
-  about objects ``p2p_present`` lists on every run;
-* ``dir_set`` / ``dir_probe`` — an exact directory's backing set, and
-  ``p2p_present`` as step 2's probe, on a static run; elsewhere the
-  directory's own membership structure answers (its ``members``: Bloom
-  false positives and stale entries are modelled behaviour and must keep
-  happening), for step 2 and :func:`push_stage`'s scan alike, and its
+  about objects ``p2p_present`` lists on every run.  On a static run
+  with an exact directory it *is* the directory's backing set, so a
+  store receipt or an eviction notice is one set operation;
+* ``dir_probe`` — the directory's own membership structure (its
+  ``members``), step 2's probe and :func:`push_stage`'s: Bloom false
+  positives and stale entries are modelled behaviour and must keep
+  happening.  Wherever ``p2p_present`` is another set, the directory's
   own ``add`` / ``remove`` apply (a lossy one may drop a notice);
 * the scheme's ``_proxy_presence`` (every run) and ``_dir_presence``
   (exact directory, static run) — which clusters hold an object
@@ -123,7 +124,8 @@ class IndexedCluster:
     first_touch: bool
     #: objectId per object: one SHA-1 pass per run, shared by every cluster.
     object_keys: np.ndarray | None = None
-    #: Ground truth: objects currently stored somewhere in the P2P cache.
+    #: Ground truth: objects currently stored somewhere in the P2P cache
+    #: (the exact directory's own set on a static run).
     p2p_present: set[int] = field(default_factory=set)
     #: Owner-side diversion pointers: owner idx -> {obj -> holder idx}.
     pointers: dict[int, dict[int, int]] = field(default_factory=dict)
@@ -151,13 +153,8 @@ class IndexedCluster:
     #: ``Cache.clear`` keeps a dict's identity; a joining client appends
     #: its own.
     member_maps: list[dict] = field(default_factory=list)
-    #: Exact directory's backing set (friend access) while it mirrors
-    #: ``p2p_present`` — None under Bloom and wherever the directory can
-    #: go stale, where add/remove must go through its methods.
-    dir_set: set | None = None
     #: Directory membership probe (step 2, the push scan): the
-    #: ``p2p_present`` set when :attr:`dir_set` is kept (identical
-    #: membership, cheaper probe), else the directory's ``members``.
+    #: directory's ``members``.
     dir_probe: Any = None
     #: Failed client indexes (their slots stay, dead).
     dead: set[int] = field(default_factory=set)
@@ -329,11 +326,9 @@ def install(scheme: Any) -> None:
         state.free_clients = {
             k for k, c in enumerate(state.clients) if c.capacity > 0
         }
+        state.dir_probe = state.directory.members
         if exact:
-            state.dir_set = state.directory.members
-            state.dir_probe = state.p2p_present
-        else:
-            state.dir_probe = state.directory.members
+            state.p2p_present = state.dir_probe
         states.append(state)
     n_objects = 0
     for trace in scheme.traces:
@@ -387,7 +382,6 @@ def pass_down(self: Any, state: IndexedCluster, obj: int) -> None:
     """
     msg = self._msg
     msg["passdowns"] += 1
-    msg[self._destage_key] += 1
     clients = state.clients
     member_maps = state.member_maps
     owner_of = state.owner_of
@@ -412,6 +406,7 @@ def pass_down(self: Any, state: IndexedCluster, obj: int) -> None:
     size = 1 if sizes is None else sizes[obj]
     free = state.free_clients
     owner_cache = clients[owner_idx]
+    dir_presence = self._dir_presence
     # (3)-(5): room at the destination; else (7)-(10): the neighbourhood
     # member with the most room, if any has enough.  A client outside
     # ``free`` has none, so filtering keeps the scan's order and ties.
@@ -485,36 +480,30 @@ def pass_down(self: Any, state: IndexedCluster, obj: int) -> None:
             ) is not None:
                 continue
             present.discard(d2)
-            ds = state.dir_set
-            if ds is not None:
-                # Exact directory: direct set ops plus the inlined
-                # PresenceIndex.discard on the directory index.
-                ds.discard(d2)
-                holders = self._dir_presence._holders
-                s = holders.get(d2)
-                if s is not None:
-                    s.discard(state.cluster)
-                    if not s:
-                        del holders[d2]
-            else:
+            if dir_presence is None:
                 state.directory.remove(d2)
+            else:
+                # ``present`` is the exact directory's set; the inlined
+                # PresenceIndex.discard on the directory index (d2 was
+                # listed, so its bit is set).
+                holders = dir_presence._holders
+                mask = holders[d2]
+                bit = 1 << state.cluster
+                if mask == bit:
+                    del holders[d2]
+                else:
+                    holders[d2] = mask ^ bit
     # Store receipt: obj is new to the cluster's P2P cache (``_locate``
     # found no holder), so the directory adds it once.
     msg["store_receipts"] += 1
     state.p2p_present.add(obj)
-    ds = state.dir_set
-    if ds is not None:
-        # Exact directory: direct set ops plus the inlined
-        # PresenceIndex.add on the directory index.
-        ds.add(obj)
-        holders = self._dir_presence._holders
-        s = holders.get(obj)
-        if s is None:
-            holders[obj] = {state.cluster}
-        else:
-            s.add(state.cluster)
-    else:
+    if dir_presence is None:
         state.directory.add(obj)
+    else:
+        # ``p2p_present`` is the exact directory's set; the inlined
+        # PresenceIndex.add on the directory index.
+        holders = dir_presence._holders
+        holders[obj] = holders.get(obj, 0) | 1 << state.cluster
     if self._replicas_extra > 0:
         self._replicate(
             state, obj, cost,
@@ -543,21 +532,17 @@ def proxy_insert(self: Any, state: IndexedCluster, obj: int, cost: float) -> Non
     else:
         evicted = proxy.insert(obj, cost=cost, size=size)
     holders = self._proxy_presence._holders
-    cluster = state.cluster
+    bit = 1 << state.cluster
     for d1 in evicted:
         if d1 == obj:
             return  # larger than the whole proxy cache: rejected
-        s = holders.get(d1)
-        if s is not None:
-            s.discard(cluster)
-            if not s:
-                del holders[d1]
+        mask = holders[d1]  # d1 was cached here: its bit is set
+        if mask == bit:
+            del holders[d1]
+        else:
+            holders[d1] = mask ^ bit
         pass_down(self, state, d1)
-    s = holders.get(obj)
-    if s is None:
-        holders[obj] = {cluster}
-    else:
-        s.add(cluster)
+    holders[obj] = holders.get(obj, 0) | bit
 
 
 # -- request path -----------------------------------------------------------
@@ -597,15 +582,15 @@ def process(self: Any, cluster: int, client: int, obj: int) -> str:
     proxy = state.proxy
     # 1. Local proxy cache.  ~3 of every 4 requests end right here, so
     # with GD proxies the hit path is inlined (friend access into the
-    # cache and its heap; the pushed entries are exactly what
-    # ``GreedyDualCache.lookup`` pushes).
+    # cache's record: exactly the two slots ``GreedyDualCache.lookup``
+    # writes).
     if self._gd_inline:
-        entry = proxy._entries.get(obj)
-        if entry is not None:
-            heap = proxy._heap
-            seq = heap._seq + 1
-            heap._seq = seq
-            heap._live[obj] = (proxy.inflation + entry[1], seq, False)
+        rec = proxy._entries.get(obj)
+        if rec is not None:
+            seq = proxy._seq + 1
+            proxy._seq = seq
+            rec[2] = proxy.inflation + rec[1]
+            rec[3] = seq
             proxy.stats.hits += 1
             return TIER_LOCAL_PROXY
         proxy.stats.misses += 1
@@ -617,8 +602,8 @@ def process(self: Any, cluster: int, client: int, obj: int) -> str:
     faulty = self._faulty
 
     # 2. Own P2P client cache: a directory claim sends one LOOKUP_QUERY
-    # into the overlay (``dir_probe``: the directory, or the set it
-    # mirrors).  An over-claim — a Bloom false positive, a stale entry —
+    # into the overlay (``dir_probe``: the directory's membership
+    # structure).  An over-claim — a Bloom false positive, a stale entry —
     # wastes the Tp2p round; on ladder exhaustion the redirect is
     # abandoned unserved (a stale entry survives undetected: the proxy
     # never learned it was wrong).
@@ -641,25 +626,28 @@ def process(self: Any, cluster: int, client: int, obj: int) -> str:
 
     # 3. Cooperating proxies' own caches first (cheaper than a push); a
     # spent retry budget falls back a tier, it does not try the next
-    # proxy.  Any holder but this cluster will do (inlined
-    # PresenceIndex.first_holder): serving needs no holder-side
-    # mutation, so a holder in another shard (present as of the last
-    # round boundary) serves exactly like a local one.
+    # proxy.  Any holder but this cluster will do (a holder bit besides
+    # its own): serving needs no holder-side mutation, so a holder in
+    # another shard (present as of the last round boundary) serves
+    # exactly like a local one.
     me = state.cluster
-    s = self._proxy_presence._holders.get(obj)
-    if s and (len(s) > 1 or me not in s) and (
+    others = ~(1 << me)
+    if self._proxy_presence._holders.get(obj, 0) & others and (
         not faulty or self.transport.attempt(PROXY_FETCH)
     ):
         proxy_insert(self, state, obj, self._t_coop)
         return TIER_COOP_PROXY
     # ... then their P2P client caches through the push protocol.
-    if self._dir_presence is not None:
+    dir_presence = self._dir_presence
+    if dir_presence is not None:
         # Exact directories nothing can make stale: the first listed
-        # cluster serves, with one push request and no hop to fail.  A
-        # holder in another shard is refreshed through a queued push
-        # record (one proxy lookup per request: accesses - 1 is its index).
-        other = self._dir_presence.first_holder(obj, me)
-        if other is not None:
+        # cluster (inlined PresenceIndex.first_holder) serves, with one
+        # push request and no hop to fail.  A holder in another shard is
+        # refreshed through a queued push record (one proxy lookup per
+        # request: accesses - 1 is its index).
+        listed = dir_presence._holders.get(obj, 0) & others
+        if listed:
+            other = (listed & -listed).bit_length() - 1
             msg["push_requests"] += 1
             other_state = self._state_at(other)
             if other_state is None:

@@ -4,7 +4,7 @@ Read literally, "which cooperating cluster holds object X?" is an
 O(n_proxies) scan per miss — an SC miss probes each remote cache, and
 steps 3–4 of Hier-GD's miss chain scan remote proxies and directories.
 SC and Hier-GD's request engine invert that: a :class:`PresenceIndex`
-maps each object to the set of clusters currently holding it, updated
+maps each object to the clusters currently holding it, updated
 incrementally at insert/evict time, so a miss costs one dict probe.
 SC reads and writes its index inline (friend access to ``_holders``),
 as Hier-GD's proxy step does.  (The scans survive as the naive models
@@ -12,61 +12,56 @@ of ``tests/integration/test_hotpath_equivalence.py``.  SC-EC, which
 cannot be sharded, keeps the scan: its miss asks the other clusters'
 caches directly, one dict probe per tier.)
 
+The holders are an ``int`` bitmask, bit ``c`` for cluster ``c``, and an
+object no cluster holds has no key: an update is one ``|`` or ``^`` on
+an int, with no set per object, and "held by anyone but me" is ``mask &
+~(1 << me)``.  Python ints are unbounded, so any cluster id fits (a
+shard view's global ids included).
+
 Equivalence with the scan is exact because the scan visits clusters in
 ascending index order, skipping the requester: the scan finds
-:meth:`PresenceIndex.first_holder` (the smallest holder index other than
-the requester), and issues one probe per cluster it visits — ``first``
-probes below the requester, ``first + 1`` above it, and every peer when
-nothing is found — so tier counts *and* message accounting stay
-byte-identical.
+:meth:`PresenceIndex.first_holder` — the lowest set bit of the mask
+once the requester's bit is cleared, ``(m & -m).bit_length() - 1`` —
+and issues one probe per cluster it visits: ``first`` probes below the
+requester, ``first + 1`` above it, and every peer when nothing is found.
+So tier counts *and* message accounting stay byte-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Collection, Hashable, Iterable, Sequence
+from typing import Callable, Collection, Hashable, Sequence
 
 __all__ = ["PeerSurface", "PresenceIndex"]
 
-_EMPTY: frozenset[int] = frozenset()
-
 
 class PresenceIndex:
-    """object → set of cluster indexes currently holding a copy."""
+    """object → bitmask of the cluster indexes currently holding a copy."""
 
     __slots__ = ("_holders",)
 
     def __init__(self) -> None:
-        self._holders: dict[Hashable, set[int]] = {}
+        self._holders: dict[Hashable, int] = {}
 
     def add(self, obj: Hashable, cluster: int) -> None:
-        s = self._holders.get(obj)
-        if s is None:
-            self._holders[obj] = {cluster}
-        else:
-            s.add(cluster)
+        holders = self._holders
+        holders[obj] = holders.get(obj, 0) | 1 << cluster
 
     def discard(self, obj: Hashable, cluster: int) -> None:
-        s = self._holders.get(obj)
-        if s is not None:
-            s.discard(cluster)
-            if not s:
-                del self._holders[obj]
-
-    def holders(self, obj: Hashable) -> Iterable[int]:
-        return self._holders.get(obj, _EMPTY)
+        holders = self._holders
+        mask = holders.get(obj, 0)
+        bit = 1 << cluster
+        if mask & bit:
+            if mask == bit:
+                del holders[obj]
+            else:
+                holders[obj] = mask ^ bit
 
     def first_holder(self, obj: Hashable, exclude: int) -> int | None:
         """Smallest holder index != ``exclude`` — what the ascending
         cluster scan would find first — or None."""
-        s = self._holders.get(obj)
-        if not s:
-            return None
-        best = None
-        for c in s:
-            if c != exclude and (best is None or c < best):
-                best = c
-        return best
+        mask = self._holders.get(obj, 0) & ~(1 << exclude)
+        return (mask & -mask).bit_length() - 1 if mask else None
 
     def __contains__(self, obj: Hashable) -> bool:
         return obj in self._holders
@@ -76,7 +71,10 @@ class PresenceIndex:
 
     def as_dict(self) -> dict[Hashable, frozenset[int]]:
         """Snapshot for invariant tests (compare against brute force)."""
-        return {obj: frozenset(s) for obj, s in self._holders.items()}
+        return {
+            obj: frozenset(c for c in range(mask.bit_length()) if mask >> c & 1)
+            for obj, mask in self._holders.items()
+        }
 
 
 @dataclass(frozen=True)

@@ -98,11 +98,11 @@ class ScScheme(CachingScheme):
             return TIER_LOCAL_PROXY
         holders = self._presence._holders
         me = self._cluster_ids[cluster]
-        # The ascending scan's first hit is the smallest holder: this
-        # cluster missed, so it holds no copy to skip.
-        s = holders.get(obj)
-        if s:
-            first = min(s)
+        # The ascending scan's first hit is the lowest holder bit: this
+        # cluster missed, so its own bit is clear.
+        mask = holders.get(obj, 0)
+        if mask:
+            first = (mask & -mask).bit_length() - 1
             # One probe per cluster visited, the requester skipped.
             self._probes += first if first > me else first + 1
             self._coop_fetches += 1
@@ -110,17 +110,16 @@ class ScScheme(CachingScheme):
         else:
             self._probes += self._n_clusters - 1  # every peer, no hit
             tier = TIER_SERVER
+        bit = 1 << me
         for victim in evicted:
             if victim == obj:
                 return tier  # capacity-zero cache rejected the insert
-            gone = holders[victim]
-            gone.discard(me)
-            if not gone:
+            gone = holders[victim]  # cached here: its bit is set
+            if gone == bit:
                 del holders[victim]
-        if s is None:
-            holders[obj] = {me}
-        else:
-            s.add(me)
+            else:
+                holders[victim] = gone ^ bit
+        holders[obj] = mask | bit
         return tier
 
     def peer_surface(self) -> PeerSurface:

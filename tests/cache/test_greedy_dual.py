@@ -111,7 +111,8 @@ class TestGreedyDual:
         c.insert("a", cost=2.0)
         c.insert("b", cost=1.0)
         c.insert("c", cost=3.0)
-        assert c._heap.peek_min()[1] == pytest.approx(1.0)
+        # The smallest live (priority, seq) record is the next victim.
+        assert min(rec[2:4] for rec in c._entries.values())[0] == pytest.approx(1.0)
         assert c.insert("d", cost=9.0) == ["b"]
 
     def test_zero_capacity(self):
@@ -195,6 +196,17 @@ class NaiveGds:
         self.used += size
         return evicted
 
+    def remove(self, key):
+        e = self.entries.pop(key, None)
+        if e is None:
+            return False
+        self.used -= e[2]
+        return True
+
+    def clear(self):
+        self.entries.clear()
+        self.used = 0
+
 
 def test_insert_absent_rejects_at_zero_capacity():
     cache = GreedyDualCache(0)
@@ -203,14 +215,13 @@ def test_insert_absent_rejects_at_zero_capacity():
 
 
 def gd_state(cache):
-    """Everything a later operation can observe: the live ``(priority,
-    seq)`` heap records (the lazily-raised flag is how far reconciliation
-    got, not state), entries, bytes used, inflation and statistics."""
-    heap = cache._heap
+    """Everything a later operation can observe: each key's ``[size,
+    credit, priority, seq]`` record (``heap_seq`` is how far
+    reconciliation got, not state), the sequence counter, bytes used,
+    inflation and statistics."""
     return (
-        {k: rec[:2] for k, rec in heap._live.items()},
-        heap._seq,
-        dict(cache._entries),
+        {k: rec[:4] for k, rec in cache._entries.items()},
+        cache._seq,
         cache._used,
         cache.inflation,
         stats_of(cache),
@@ -274,23 +285,47 @@ class TestInsertAbsent:
 
 
 class TestAgainstNaiveGds:
+    """The record store against the linear-scan model over a mix that
+    reaches every exit of the one eviction loop: live heads (the last
+    one leaves by ``heapreplace``), lazily raised heads (re-pushed by
+    ``heapreplace``), heads whose key was removed, cleared or refreshed
+    (popped), and ``_compact`` once stale entries pile up."""
+
+    @pytest.mark.parametrize("capacity", [32, 80])
     @pytest.mark.parametrize("credit_by_size", [True, False])
-    def test_randomized_sized_run_matches_model(self, credit_by_size):
-        rng = random.Random(credit_by_size)
-        cache = GreedyDualCache(32, credit_by_size=credit_by_size)
-        model = NaiveGds(32, credit_by_size=credit_by_size)
+    def test_randomized_sized_run_matches_model(self, credit_by_size, capacity, monkeypatch):
+        compactions = []
+        compact = GreedyDualCache._compact
+        monkeypatch.setattr(
+            GreedyDualCache, "_compact", lambda self: compactions.append(compact(self))
+        )
+        rng = random.Random(credit_by_size * 1000 + capacity)
+        cache = GreedyDualCache(capacity, credit_by_size=credit_by_size)
+        model = NaiveGds(capacity, credit_by_size=credit_by_size)
+        refreshes = {"lower": 0, "raise": 0}
         for _ in range(4000):
             key = f"k{rng.randrange(24)}"
-            if rng.random() < 0.4:
+            op = rng.random()
+            if op < 0.35:
                 assert cache.lookup(key) == model.lookup(key)
+            elif op < 0.42:
+                assert cache.remove(key) == model.remove(key)
+            elif op < 0.425:
+                cache.clear()
+                model.clear()
             else:
                 # Random float costs keep credits tie-free, so the
                 # eviction order is fully determined by the credit rule.
                 cost = rng.uniform(0.5, 10.0)
                 size = rng.randrange(1, 9)
-                if not cache.contains(key) and rng.random() < 0.5:
-                    # The insert of an absent key has its own fused
-                    # method; it must evict and credit like insert.  The
+                if cache.contains(key):
+                    # A refresh: the new credit lands below or above the
+                    # cached one, and the stale heap entry must never win.
+                    new = model.L + (cost / size if credit_by_size else cost)
+                    refreshes["lower" if new < model.entries[key][0] else "raise"] += 1
+                    got = cache.insert(key, cost=cost, size=size)
+                elif rng.random() < 0.5:
+                    # The insert of an absent key has its own method; the
                     # other half of the absent keys go through insert, so
                     # both meet the model on multi-victim evictions.
                     got = cache.insert_absent(key, cost, size)
@@ -302,3 +337,7 @@ class TestAgainstNaiveGds:
             assert set(cache.keys()) == set(model.entries)
             for k, e in model.entries.items():
                 assert cache.credit(k) == pytest.approx(e[0])
+                assert cache._entries[k][3] == e[1]  # the same tie-break seq
+        assert cache.stats.evictions > 100
+        assert min(refreshes.values()) > 50, refreshes
+        assert compactions, "no stale-entry build-up reached _compact"

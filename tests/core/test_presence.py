@@ -22,17 +22,21 @@ class TestPresenceIndex:
         idx = PresenceIndex()
         idx.add("x", 2)
         idx.add("x", 0)
-        assert set(idx.holders("x")) == {0, 2}
+        idx.add("x", 2)  # already listed: no-op
+        assert idx.as_dict() == {"x": frozenset({0, 2})}
         assert "x" in idx
         assert len(idx) == 1
 
     def test_discard_prunes_empty_sets(self):
         idx = PresenceIndex()
         idx.add("x", 1)
+        idx.discard("x", 3)  # not a holder: no-op
+        assert idx.as_dict() == {"x": frozenset({1})}
         idx.discard("x", 1)
         assert "x" not in idx
         assert len(idx) == 0
         idx.discard("x", 1)  # absent: no-op
+        assert idx.as_dict() == {}
 
     def test_first_holder_excludes_and_minimises(self):
         idx = PresenceIndex()
@@ -41,6 +45,26 @@ class TestPresenceIndex:
         assert idx.first_holder("x", exclude=0) == 1
         assert idx.first_holder("x", exclude=1) == 2
         assert idx.first_holder("y", exclude=0) is None
+        idx.add("z", 0)
+        assert idx.first_holder("z", exclude=0) is None
+
+    def test_cluster_ids_past_a_machine_word(self):
+        # Holders are an unbounded int bitmask: a shard view's global ids
+        # may exceed 63 and must still order like the ascending scan.
+        idx = PresenceIndex()
+        for c in (200, 64, 65, 3):
+            idx.add("x", c)
+        assert idx.as_dict() == {"x": frozenset({3, 64, 65, 200})}
+        assert idx.first_holder("x", exclude=7) == 3
+        idx.discard("x", 3)
+        assert idx.first_holder("x", exclude=7) == 64
+        assert idx.first_holder("x", exclude=64) == 65
+        idx.discard("x", 64)
+        idx.discard("x", 65)
+        assert idx.first_holder("x", exclude=0) == 200
+        assert idx.first_holder("x", exclude=200) is None
+        idx.discard("x", 200)
+        assert idx.as_dict() == {} and len(idx) == 0
 
     def test_as_dict_snapshot(self):
         idx = PresenceIndex()

@@ -110,7 +110,6 @@ class ChainHierGd(HierGdScheme):
     def _pass_down(self, state, obj):
         msg = self._msg
         msg["passdowns"] += 1
-        msg[self._destage_key] += 1
         cost = state.costs.get(obj, self._t_server)
         size = self._size_of(obj)
         owner_idx = state.owner(obj)

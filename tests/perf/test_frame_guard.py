@@ -21,6 +21,11 @@ host; these count instead of timing:
   and asks ``_locate`` only about objects ``p2p_present`` lists: the
   request path that serves every run answers those from the state's
   indexes, not per request;
+* on a fault-free unit-size run on an exact directory, an evicting
+  greedy-dual insert whose heap head is live makes one heap call (the
+  last victim's pop and the new entry's push are one ``heapreplace``),
+  a greedy-dual hit none, and both presence indexes hold ``int``
+  bitmasks;
 * a fault-free run asks the transport for nothing it did not ask for
   before the engine took the faulty runs: no exchange at all on an exact
   directory, and on a Bloom directory only the push protocol's scan —
@@ -52,7 +57,7 @@ from collections import Counter
 import pytest
 
 from repro.bloom import CountingBloomFilter
-from repro.cache import HeapDict
+from repro.cache import GreedyDualCache, HeapDict, greedy_dual
 from repro.core import hiergd_indexed
 from repro.core.churn import ChurnEvent
 from repro.core.directory import LookupDirectory
@@ -393,6 +398,84 @@ def test_fault_free_run_answers_from_the_state_indexes(sizes, monkeypatch):
     # Diverted objects are found through ``_locate``: the guard bites.
     assert entered.pop("_locate") > 0
     assert not entered
+
+
+def test_greedy_dual_miss_path_makes_one_heap_call(monkeypatch):
+    """Greedy-dual owns one record per key and its own heap: on a
+    fault-free unit-size Hier-GD run, an evicting insert whose heap head
+    is live makes exactly one heap call (the victim's pop and the new
+    entry's push are one ``heapreplace``; ``heappop`` + ``heappush`` made
+    two), an insert that evicts nothing one ``heappush``, and a hit —
+    ``lookup`` or the engine's inline proxy hit — none.  Both presence
+    indexes map each object to an ``int`` bitmask, not a set."""
+    calls = Counter()
+    for name in ("heappop", "heappush", "heapreplace"):
+        def counted(*args, _fn=getattr(greedy_dual, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(greedy_dual, name, counted)
+
+    #: (evicting, head live) -> Counter(heap calls per insert).
+    inserts = {}
+    #: Served tier or "lookup hit" -> Counter(heap calls per hit).
+    hits = {}
+    schemes = []
+    insert_absent = GreedyDualCache.insert_absent
+    lookup = GreedyDualCache.lookup
+    process = HierGdScheme.process
+
+    def tally(table, key, before):
+        table.setdefault(key, Counter())[calls.total() - before] += 1
+
+    def watched_insert(self, key, cost, size):
+        assert size == 1
+        head_live = False
+        if self._heap:
+            _prio, seq, head = self._heap[0]
+            rec = self._entries.get(head)
+            head_live = rec is not None and rec[3] == seq
+        evicting = self._used + size > self.capacity
+        before = calls.total()
+        evicted = insert_absent(self, key, cost, size)
+        tally(inserts, (evicting, head_live), before)
+        return evicted
+
+    def watched_lookup(self, key):
+        before = calls.total()
+        hit = lookup(self, key)
+        if hit:
+            tally(hits, "lookup hit", before)
+        return hit
+
+    def watched_process(self, cluster, client, obj):
+        schemes.append(self)
+        before = calls.total()
+        tier = process(self, cluster, client, obj)
+        if tier == TIER_LOCAL_PROXY:
+            tally(hits, tier, before)
+        return tier
+
+    monkeypatch.setattr(GreedyDualCache, "insert_absent", watched_insert)
+    monkeypatch.setattr(GreedyDualCache, "lookup", watched_lookup)
+    monkeypatch.setattr(HierGdScheme, "process", watched_process)
+    result = run_scheme("hier-gd", guard_config(directory="exact"), seed=0)
+    assert result.messages["client_evictions"] > 0
+
+    live_head = inserts[True, True]
+    assert set(live_head) == {1} and live_head[1] > 1_000, live_head
+    assert set(inserts[False, False]) == set(inserts[False, True]) == {1}
+    # Heads that are stale or raised lazily cost a call each: the guard
+    # tells the live head apart.
+    assert max(inserts[True, False]) > 1
+    assert set(hits) == {TIER_LOCAL_PROXY, "lookup hit"}
+    for tier, per_hit in hits.items():
+        assert set(per_hit) == {0} and per_hit[0] > 100, (tier, per_hit)
+
+    scheme = schemes[0]
+    for index in (scheme._proxy_presence, scheme._dir_presence):
+        assert len(index) > 50
+        assert {type(mask) for mask in index._holders.values()} == {int}
 
 
 @pytest.mark.parametrize("sizes", ["unit", "sized"])
