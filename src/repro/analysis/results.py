@@ -54,10 +54,6 @@ class SweepResult:
                 return s
         raise KeyError(label)
 
-    @property
-    def labels(self) -> list[str]:
-        return [s.label for s in self.series]
-
     # -- rendering ------------------------------------------------------------
 
     def to_table(self, width: int = 9, precision: int = 1) -> str:

@@ -86,10 +86,6 @@ class GreedyDualCache(Cache):
         self._seq = 0
         self._used = 0
 
-    def credit(self, key: Hashable) -> float:
-        """Current absolute credit H of a cached key (KeyError if absent)."""
-        return self._entries[key][2]
-
     def lookup(self, key: Hashable) -> bool:
         rec = self._entries.get(key)
         if rec is None:

@@ -109,8 +109,8 @@ class DaemonTransport(EventFedTransport):
     port)`` address or a list of them; one connection is opened per
     address, each hello'd with ``(scope, network, plan)`` so the daemon
     builds the matching deterministic fault stack.  Outcomes, charges,
-    counter deltas and ladder draws (live traces stay what-if capable)
-    all come from the wire.
+    counter deltas and ladder draws all come from the wire, so a live
+    trace has the bytes of a simulated one.
     """
 
     def __init__(

@@ -13,10 +13,9 @@
   finished points are skipped on re-runs, interrupted suites resume.
 - :mod:`repro.experiments.instrument` — per-point wall times,
   requests/sec, worker utilization, progress callbacks.
-- :mod:`repro.experiments.robustness` — the composite fault plan and the
-  points of the degradation-under-failure axis.
-- :mod:`repro.experiments.policy_frontier` — record once, what-if every
-  retry policy (the ``frontier`` figure's in-process sweep).
+- :mod:`repro.experiments.robustness` — the points of the two fault-rate
+  axes: the composite plan of degradation under failure, and the pure-loss
+  plan under each candidate retry policy (the policy frontier).
 - :mod:`repro.experiments.cli` — the ``repro-experiments`` command;
   :mod:`repro.experiments.report` — the markdown claim audit.
 """

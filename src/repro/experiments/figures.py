@@ -30,13 +30,15 @@ from typing import Callable, Sequence
 
 from ..analysis.results import SweepResult
 from ..core.config import SimulationConfig
+from ..core.metrics import SchemeResult
 from ..workload import ProWGenConfig, ucb_like_config
 from .executor import ExperimentEngine
-from .policy_frontier import FRONTIER_RATES, policy_frontier_sweep
 from .robustness import (
     DEFAULT_FAULT_RATES,
+    FRONTIER_RATES,
     ROBUSTNESS_FRACTION,
     ROBUSTNESS_SCHEMES,
+    frontier_points,
     robustness_points,
 )
 from .runner import (
@@ -272,10 +274,12 @@ def _fault_curves(s: Setup, config, rates, schemes) -> list[Curve]:
     return split_curves(robustness_points(config, rates, schemes, s.seed), schemes)
 
 
-def _fault_panel(key: str, title: str, rates, curves, **kwargs) -> Panel:
+def _fault_panel(
+    key: str, title: str, rates, curves, axis: str = "fault rate", **kwargs
+) -> Panel:
     return Panel(
-        key, f"{title} vs fault rate (S={ROBUSTNESS_FRACTION:g})",
-        "fault rate (%)", [100.0 * r for r in rates], curves, **kwargs,
+        key, f"{title} vs {axis} (S={ROBUSTNESS_FRACTION:g})",
+        f"{axis} (%)", [100.0 * r for r in rates], curves, **kwargs,
     )
 
 
@@ -355,12 +359,42 @@ def _bakeoff(
     ]
 
 
-def _frontier(s: Setup, rates=FRONTIER_RATES) -> dict[str, SweepResult]:
-    """Where does immediate fallback beat retrying?  Recorded once per
-    cell, judged per candidate policy by what-if replay — in-process, so
-    it is a sweep of its own (:mod:`repro.experiments.policy_frontier`)
-    rather than panels for the engine."""
-    return policy_frontier_sweep(s.config(), rates=rates, seed=s.seed)
+def _latency_saved(result: SchemeResult, baseline: SchemeResult) -> float:
+    """How much lower the point's mean latency is than its baseline's."""
+    return baseline.mean_latency - result.mean_latency
+
+
+def _frontier(s: Setup, rates=FRONTIER_RATES) -> list[Panel]:
+    """Where does immediate fallback beat retrying?  Mean latency vs
+    pure message loss, one panel per scheme and one series per candidate
+    retry policy, each cell simulated
+    (:mod:`repro.experiments.robustness`); ``gap`` plots, per scheme,
+    the default ladder's latency minus ``immediate``'s."""
+    cells = frontier_points(s.config(), rates, seed=s.seed)
+    notes = "pure-loss plan: loss=r on all three cooperation links"
+    panels = [
+        _fault_panel(
+            name, f"Policy frontier: {name} mean latency", rates,
+            [Curve(label, points, points) for label, points in by_policy.items()],
+            axis="loss rate", metric=mean_latency, y_label="mean latency (x Tl)",
+            notes=notes,
+        )
+        for name, by_policy in cells.items()
+    ]
+    gap = [
+        Curve(name, by_policy["immediate"], by_policy["default"])
+        for name, by_policy in cells.items()
+    ]
+    panels.append(
+        _fault_panel(
+            "gap", "Policy frontier: default minus immediate mean latency",
+            rates, gap, axis="loss rate", metric=_latency_saved,
+            y_label="latency gap (x Tl)",
+            notes="positive = immediate fallback wins; the zero crossing is "
+            "the retry/fallback break-even",
+        )
+    )
+    return panels
 
 
 def _sizes(s: Setup, fractions=DEFAULT_FRACTIONS) -> list[Panel]:
@@ -432,11 +466,10 @@ class Claim:
 class Figure:
     """One row of the table: how the figure is built and what is claimed
     of it.  ``build(setup, **axes)`` returns panels for
-    :func:`~repro.experiments.runner.evaluate_panels` — or, for the one
-    figure that cannot go through the engine, its evaluated sweeps."""
+    :func:`~repro.experiments.runner.evaluate_panels`."""
 
     title: str
-    build: Callable[..., list[Panel] | dict[str, SweepResult]]
+    build: Callable[..., list[Panel]]
     claims: tuple[Claim, ...]
 
 
@@ -646,13 +679,10 @@ FIGURES: dict[str, Figure] = {
             _all_values("churn", lambda v: v >= 0.0),
         ),
     )),
-    # What-if numbers for modified policies are fixed-stream
-    # approximations, so the claims are the construction-safe ones; the
-    # break-even location is measured data in the panel notes.
     "frontier": Figure("Policy frontier", _frontier, (
         Claim(
             "every candidate policy coincides at loss rate 0 (no faults, "
-            "no ladders, nothing to re-judge)",
+            "no ladders: one fault-free simulation per scheme)",
             lambda s: all(
                 max(x.values[0] for x in s[name].series)
                 - min(x.values[0] for x in s[name].series)
@@ -670,16 +700,6 @@ FIGURES: dict[str, Figure] = {
                     s[name].get("hedged").values, s[name].get("default").values
                 )
             ),
-        ),
-        Claim(
-            "the identity what-if reproduces every recording byte-"
-            "identically (drift panel is all zeros)",
-            _all_values("drift", lambda v: v == 0.0),
-        ),
-        Claim(
-            "the retry/fallback gap is scheme- and rate-dependent: the gap "
-            "panel locates the break-even per scheme (see panel notes)",
-            lambda s: len(s["gap"].series) == len(ROBUSTNESS_SCHEMES),
         ),
     )),
     "sizes": Figure("Sizes", _sizes, (
@@ -726,5 +746,4 @@ def run_figure(
     setup = Setup(
         scale or current_scale(), current_overlay(overlay), seed, engine.shards
     )
-    built = FIGURES[name].build(setup, **axes)
-    return built if isinstance(built, dict) else evaluate_panels(built, engine)
+    return evaluate_panels(FIGURES[name].build(setup, **axes), engine)

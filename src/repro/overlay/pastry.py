@@ -142,9 +142,6 @@ class RoutingTable:
         # The column matching the owner's own digit in each row is by
         # definition the owner itself; keep it None (never routed to).
 
-    def entry(self, row: int, col: int) -> int | None:
-        return self.rows[row][col]
-
     def slot(self, node_id: int) -> tuple[int, int]:
         """``(row, column)`` of the slot ``node_id`` is eligible for
         (``node_id`` must differ from the owner)."""

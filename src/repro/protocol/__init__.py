@@ -20,11 +20,9 @@ One cooperation-message engine for plain, faulty and recorded runs:
 - :mod:`repro.protocol.policy` — the retry ladder as data: per-link
   :class:`RetryPolicy` strategies (exponential, immediate, capped,
   hedged) and :class:`LinkLadder` (:func:`run_ladder` for one call),
-  the single pure ladder engine every execution path drives.
-- :mod:`repro.protocol.whatif` — policy what-ifs: :func:`whatif_trace`
-  re-judges a recorded trace's ladders under a candidate policy set
-  from the recorded uniforms plus a seeded extension substream, exact
-  (byte-identical) under the identity policy.
+  the single pure ladder engine every execution path drives.  What a
+  policy is worth is measured by simulating it (the ``frontier``
+  figure).
 
 Layering: this package imports :mod:`repro.netmodel` only at module
 scope (fault-layer internals are imported lazily), so the core layer can
@@ -102,12 +100,6 @@ from .wire import (
     parse_hello,
     parse_request,
 )
-from .whatif import (
-    EventChange,
-    WhatIfError,
-    WhatIfReport,
-    whatif_trace,
-)
 
 __all__ = [
     "ALL_EXCHANGES",
@@ -128,7 +120,6 @@ __all__ = [
     "WIRE_SCHEMA",
     "AsyncTransport",
     "Divergence",
-    "EventChange",
     "EventFedTransport",
     "Exchange",
     "FaultTransport",
@@ -151,8 +142,6 @@ __all__ = [
     "TraceWriter",
     "Transport",
     "TransportLayer",
-    "WhatIfError",
-    "WhatIfReport",
     "WireFormatError",
     "WireProtocolError",
     "WireRoleError",
@@ -173,5 +162,4 @@ __all__ = [
     "replay_trace",
     "run_ladder",
     "trace_key",
-    "whatif_trace",
 ]

@@ -6,12 +6,11 @@ module extracts that ladder into data: a :class:`RetryPolicy` names a
 *strategy* plus its knobs, a :class:`PolicySet` assigns one policy per
 cooperation link, and :class:`LinkLadder` (:func:`run_ladder` for one
 call) is the single pure engine every execution path (sync transport,
-async ladders, the live daemon, the what-if replayer) drives.  Fault *probabilities* stay on the
+async ladders, the live daemon) drives.  Fault *probabilities* stay on the
 :class:`~repro.faults.plan.FaultPlan`; the *response* to those faults is
 now carried alongside it (``plan.policies``) and independently
-swappable — which is what lets :mod:`repro.protocol.whatif` re-drive a
-recorded exchange stream under a different policy without re-simulating
-the caches.
+swappable, so a candidate policy is one more plan to simulate (the
+``frontier`` figure runs seven of them per scheme and loss rate).
 
 Strategies
 ==========
@@ -23,8 +22,9 @@ Strategies
     ``max_retries`` retries after the first timeout, then fallback.
 ``immediate``
     No retries: one timed-out round and the caller falls back at once.
-    The policy :mod:`repro.experiments.robustness` predicts should win
-    beyond ~30 % loss.
+    Simulated on the ``frontier`` figure's pure-loss axis, it costs more
+    than the default ladder for every scheme at every loss rate up to
+    50 %: a retry that gets through saves more than the waits cost.
 ``capped``
     The exponential ladder with the per-round timeout clamped at
     ``rtt * timeout_cap`` and an optional seeded, deterministic jitter:
@@ -51,12 +51,13 @@ from a *draw source* — an object with ``loss_uniform(link)``,
 ``delay_uniform(link)`` and ``jitter_uniform(link)`` methods returning
 uniforms in ``[0, 1)``.  The live source is the
 :class:`~repro.faults.injector.FaultInjector` (whose fault layer binds
-its per-link ``random`` methods once, :meth:`FaultInjector.uniforms`);
-the what-if engine substitutes recorded uniforms plus a seeded
-extension substream.  The uniforms a ladder consumed are returned on
-the outcome (:attr:`LadderOutcome.draws`) so the recording layer can
-persist them — the trace-schema-2 ``draws`` field that makes policy
-what-ifs possible.
+its per-link ``random`` methods once, :meth:`FaultInjector.uniforms`).
+The uniforms a ladder consumed are returned on the outcome
+(:attr:`LadderOutcome.draws`) and recorded as the trace-schema-2
+``draws`` field.  Nothing in the package interprets them: replay and the
+live carriers pass them through, so re-recorded traces keep their
+bytes.  The field stays while the benchmark ledger's wire probe builds
+eight-element events (ROADMAP item 15(b)).
 
 This module imports only :mod:`repro.netmodel` and the stdlib, so both
 the protocol and the faults layer can build on it without cycles.
@@ -461,8 +462,8 @@ def run_ladder(
     and factor, the default retry knobs); ``policy`` supplies the
     response strategy; ``source`` supplies uniforms (see the module
     docstring's draw-source contract).  The single ladder engine is
-    :meth:`LinkLadder.decide`; this is it for one call, as the what-if
-    replayer drives it.
+    :meth:`LinkLadder.decide`; this is it for one call, as the benchmark
+    ledger's ``ladder`` probe times it.
     """
     return LinkLadder(
         policy,
@@ -478,7 +479,7 @@ def run_ladder(
 def plan_fingerprint(plan: Any) -> str:
     """Short content hash of a plan *including its retry policies*.
 
-    Replay and what-if reports print this so a mismatch between the
+    Replay reports print this so a mismatch between the
     policy a trace was recorded under and the policy in effect at replay
     time is diagnosable at a glance instead of surfacing as a generic
     divergence.  ``None`` (no plan) fingerprints as ``"none"``.

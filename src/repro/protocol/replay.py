@@ -159,8 +159,7 @@ def load_trace(path: str | Path) -> RecordedTrace:
                 raise TraceFormatError(f"{path}:{i}: event after the footer")
             if not entry or entry[0] not in ("x", "u"):
                 raise TraceFormatError(f"{path}:{i}: unknown event {entry!r}")
-            # Shape-checked once, here: replay and what-if unpack events
-            # whole.
+            # Shape-checked once, here: the replay unpacks events whole.
             try:
                 (parse_event if entry[0] == "x" else parse_answer)(entry)
             except WireFormatError as exc:

@@ -33,9 +33,10 @@ ladder consumed (``{"l": [...], "d": u, "j": [...], "ff": true}`` — loss
 uniforms in attempt order, the delay uniform, jitter uniforms, and a
 ``force_fail`` marker; absent keys mean no draw of that kind).  ``null``
 means no fault ladder ran (plain stack or a LAN exchange); ``{}`` means
-a ladder ran but consumed nothing.  These uniforms are what
-:mod:`repro.protocol.whatif` re-judges under a modified
-:class:`~repro.protocol.policy.RetryPolicy`.
+a ladder ran but consumed nothing.  Nothing in the package reads them
+back (a replay re-applies the recorded outcome and charges); the element
+stays in schema 2 while the benchmark ledger's wire probe builds
+eight-element events (ROADMAP item 15(b)).
 
 Recording is armed process-wide through :func:`recording_traces` (the
 same pattern as :func:`repro.perf.profiling.collecting_op_counters`);

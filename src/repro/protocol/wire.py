@@ -280,7 +280,8 @@ def event_frame(
     """An ``"x"`` response — byte-for-byte a trace event (schema 2).
 
     ``draws`` carries the raw uniforms the fault ladder consumed (or
-    ``None`` when no ladder ran) so live recordings stay what-if capable.
+    ``None`` when no ladder ran), so a live recording has the bytes of a
+    simulated one; nothing in the package interprets them.
     """
     return [
         "x", req, exchange.kind, exchange.link, bool(ok), charges, deltas, draws,

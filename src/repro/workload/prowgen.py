@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,16 +114,6 @@ class ProWGenConfig:
     @property
     def stack_capacity(self) -> int:
         return round(self.stack_fraction * self.n_popular)
-
-    def scaled(self, factor: float) -> "ProWGenConfig":
-        """A proportionally smaller/larger workload (same shape)."""
-        if factor <= 0:
-            raise ValueError("factor must be positive")
-        return replace(
-            self,
-            n_requests=max(1, round(self.n_requests * factor)),
-            n_objects=max(1, round(self.n_objects * factor)),
-        )
 
 
 def _assign_counts(config: ProWGenConfig, rng: np.random.Generator) -> np.ndarray:

@@ -46,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .trace import Trace, TraceStatistics
+from .trace import TraceStatistics
 
 __all__ = [
     "CHUNK_REQUESTS",
@@ -354,15 +354,4 @@ class StreamingTrace(TraceStatistics):
             self._counts = counts
         return self._counts
 
-    def head(self, n: int):
-        """First ``n`` requests as an in-memory :class:`Trace`."""
-        n = min(n, self.n_requests)
-        return Trace(
-            object_ids=self.object_slice(0, n).copy(),
-            client_ids=self.client_slice(0, n).copy(),
-            n_objects=self.n_objects,
-            n_clients=self.n_clients,
-            name=self.name,
-            sizes=self.sizes,
-        )
 

@@ -162,16 +162,4 @@ class Trace(TraceStatistics):
         """``client_ids[start:stop]`` (a view; no copy for in-memory traces)."""
         return self.client_ids[start:stop]
 
-    # -- transformations --------------------------------------------------------
-
-    def head(self, n: int) -> "Trace":
-        """First ``n`` requests (for smoke tests / scaled-down runs)."""
-        return Trace(
-            object_ids=self.object_ids[:n],
-            client_ids=self.client_ids[:n],
-            n_objects=self.n_objects,
-            n_clients=self.n_clients,
-            name=self.name,
-            sizes=self.sizes,
-        )
 

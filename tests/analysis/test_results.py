@@ -5,6 +5,11 @@ import pytest
 from repro.analysis.results import Series, SweepResult
 
 
+def labels(sweep):
+    """The sweep's series labels, in order."""
+    return [series.label for series in sweep.series]
+
+
 def mk_sweep():
     s = SweepResult(
         title="demo",
@@ -19,7 +24,7 @@ def mk_sweep():
 class TestSweepResult:
     def test_add_and_get(self):
         s = mk_sweep()
-        assert s.labels == ["fc", "hier-gd"]
+        assert labels(s) == ["fc", "hier-gd"]
         assert s.get("fc").values == [5.0, 10.0, 7.5]
         with pytest.raises(KeyError):
             s.get("nope")

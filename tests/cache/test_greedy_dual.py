@@ -10,6 +10,12 @@ from repro.cache import GreedyDualCache
 from tests.cache.test_lfu import stats_of
 
 
+def credit(cache, key):
+    """Current absolute credit H (the record's heap priority ``L +
+    cost/size``) of a cached key; KeyError if absent."""
+    return cache._entries[key][2]
+
+
 class TestGreedyDual:
     def test_default_cost_validation(self):
         with pytest.raises(ValueError):
@@ -18,14 +24,14 @@ class TestGreedyDual:
     def test_insert_sets_credit_L_plus_cost(self):
         c = GreedyDualCache(4)
         c.insert("a", cost=5.0)
-        assert c.credit("a") == pytest.approx(5.0)  # L starts at 0
+        assert credit(c, "a") == pytest.approx(5.0)  # L starts at 0
 
     def test_eviction_raises_inflation_to_victim_credit(self):
         c = GreedyDualCache(1)
         c.insert("a", cost=3.0)
         c.insert("b", cost=7.0)  # evicts a (credit 3) -> L = 3
         assert c.inflation == pytest.approx(3.0)
-        assert c.credit("b") == pytest.approx(10.0)  # L(3) + 7
+        assert credit(c, "b") == pytest.approx(10.0)  # L(3) + 7
 
     def test_evicts_minimum_credit(self):
         c = GreedyDualCache(2)
@@ -41,7 +47,7 @@ class TestGreedyDual:
         c.insert("x", cost=9.0)  # evicts a, L=2
         assert c.inflation == pytest.approx(2.0)
         assert c.lookup("b") is True
-        assert c.credit("b") == pytest.approx(2.0 + 9.0)
+        assert credit(c, "b") == pytest.approx(2.0 + 9.0)
 
     def test_recency_protection_emerges(self):
         # A recently hit cheap object outlives an old expensive one once
@@ -61,7 +67,7 @@ class TestGreedyDual:
             if not c.lookup(key):
                 c.insert(key, cost=1.0 + (i % 5))
             for cached in c.keys():
-                assert c.credit(cached) >= c.inflation - 1e-9
+                assert credit(c, cached) >= c.inflation - 1e-9
 
     def test_inflation_monotone(self):
         c = GreedyDualCache(2)
@@ -84,8 +90,8 @@ class TestGreedyDual:
         c = GreedyDualCache(10)
         c.insert("big", cost=8.0, size=4)
         c.insert("small", cost=8.0, size=1)
-        assert c.credit("big") == pytest.approx(2.0)
-        assert c.credit("small") == pytest.approx(8.0)
+        assert credit(c, "big") == pytest.approx(2.0)
+        assert credit(c, "small") == pytest.approx(8.0)
 
     def test_oversized_rejected(self):
         c = GreedyDualCache(2)
@@ -104,7 +110,7 @@ class TestGreedyDual:
         assert c.remove("a") is True
         assert c.remove("a") is False
         with pytest.raises(KeyError):
-            c.credit("a")
+            credit(c, "a")
 
     def test_min_credit_matches_next_eviction(self):
         c = GreedyDualCache(3)
@@ -123,8 +129,8 @@ class TestGreedyDual:
         c = GreedyDualCache(10, credit_by_size=False)
         c.insert("big", cost=8.0, size=4)
         c.insert("small", cost=8.0, size=1)
-        assert c.credit("big") == pytest.approx(8.0)
-        assert c.credit("small") == pytest.approx(8.0)
+        assert credit(c, "big") == pytest.approx(8.0)
+        assert credit(c, "small") == pytest.approx(8.0)
 
     def test_growing_refresh_never_evicts_itself(self):
         # Regression: a refresh-insert that grows and forces evictions
@@ -281,7 +287,7 @@ class TestInsertAbsent:
         # 1 unit free, 4 needed: evicting a (2) is not enough, b (7) is too much.
         assert cache.insert_absent("c", 9.0, 4) == ["a", "b"]
         assert len(cache) == 4 and cache.free_space == 6
-        assert cache.inflation == 1.0 and cache.credit("c") == 1.0 + 9.0 / 4
+        assert cache.inflation == 1.0 and credit(cache, "c") == 1.0 + 9.0 / 4
 
 
 class TestAgainstNaiveGds:
@@ -336,7 +342,7 @@ class TestAgainstNaiveGds:
             assert cache.inflation == pytest.approx(model.L)
             assert set(cache.keys()) == set(model.entries)
             for k, e in model.entries.items():
-                assert cache.credit(k) == pytest.approx(e[0])
+                assert credit(cache, k) == pytest.approx(e[0])
                 assert cache._entries[k][3] == e[1]  # the same tie-break seq
         assert cache.stats.evictions > 100
         assert min(refreshes.values()) > 50, refreshes

@@ -21,7 +21,11 @@ from repro.experiments.cli import main
 from repro.experiments.executor import ExperimentEngine
 from repro.experiments.figures import FIGURES, run_figure
 from repro.experiments.instrument import RunInstrumentation
+from repro.experiments.robustness import FRONTIER_POLICIES, ROBUSTNESS_SCHEMES
 from repro.experiments.runner import PAPER_SCHEMES, SCALES
+from repro.experiments.store import ResultStore
+from repro.faults import run_scheme_with_faults
+from tests.analysis.test_results import labels
 
 TINY = SCALES["smoke"]
 FRACS = (0.2, 0.8)
@@ -80,7 +84,7 @@ def test_figure_matches_golden(name):
 class TestFigure2:
     def test_fig2a_series(self):
         sweep = reduced("fig2a")[0]["fig2a"]
-        assert sweep.labels == ["sc", "fc", "nc-ec", "sc-ec", "fc-ec", "hier-gd"]
+        assert labels(sweep) == ["sc", "fc", "nc-ec", "sc-ec", "fc-ec", "hier-gd"]
         assert sweep.x_values == [20.0, 80.0]
         assert "alpha=0.7" in sweep.notes
 
@@ -95,24 +99,24 @@ class TestFigure34:
         panels = reduced("fig3")[0]
         assert set(panels) == {"fc", "sc-ec", "fc-ec", "hier-gd"}
         for sweep in panels.values():
-            assert sweep.labels == ["alpha=0.5", "alpha=1"]
+            assert labels(sweep) == ["alpha=0.5", "alpha=1"]
 
     def test_fig4_panels_and_series(self):
         for sweep in reduced("fig4")[0].values():
-            assert sweep.labels == ["stack=5%", "stack=60%"]
+            assert labels(sweep) == ["stack=5%", "stack=60%"]
 
 
 class TestFigure5:
     def test_fig5a_series(self):
-        assert reduced("fig5a")[0]["fig5a"].labels == ["Ts/Tc=2", "Ts/Tc=10"]
+        assert labels(reduced("fig5a")[0]["fig5a"]) == ["Ts/Tc=2", "Ts/Tc=10"]
 
     def test_fig5c_includes_references(self):
         sweep = reduced("fig5c")[0]["fig5c"]
-        assert sweep.labels[:2] == ["sc", "fc"]
-        assert sweep.labels[2:] == ["hier-gd (20)", "hier-gd (50)"]
+        assert labels(sweep)[:2] == ["sc", "fc"]
+        assert labels(sweep)[2:] == ["hier-gd (20)", "hier-gd (50)"]
 
     def test_fig5d_series(self):
-        assert reduced("fig5d")[0]["fig5d"].labels == ["2 proxies", "3 proxies"]
+        assert labels(reduced("fig5d")[0]["fig5d"]) == ["2 proxies", "3 proxies"]
 
 
 class TestBakeoff:
@@ -120,9 +124,9 @@ class TestBakeoff:
         panels = reduced("bakeoff")[0]
         assert set(panels) == {"gain", "hops", "churn"}
         for key in ("gain", "hops"):
-            assert panels[key].labels == ["pastry", "chord"]
+            assert labels(panels[key]) == ["pastry", "chord"]
             assert panels[key].x_values == [30.0]
-        assert panels["churn"].labels == ["pastry", "chord"]
+        assert labels(panels["churn"]) == ["pastry", "chord"]
         assert panels["churn"].x_values == [0.0, 10.0]
         # Hop statistics must have been measured for both geometries.
         for ov in ("pastry", "chord"):
@@ -135,14 +139,55 @@ class TestBakeoff:
         assert len(nc) == 1  # one cache fraction == the churn axis's 0.3
 
 
+class TestFrontier:
+    """Every (scheme, rate, policy) cell is an engine point, simulated."""
+
+    def test_cells_run_once_on_the_engine_and_resume(self, tmp_path):
+        store = ResultStore(tmp_path / "store.jsonl")
+
+        def simulated():
+            engine = ExperimentEngine(store=store, instrument=RunInstrumentation())
+            run_figure("frontier", scale=TINY, engine=engine, rates=(0.0, 0.05))
+            return engine.instrument.executed
+
+        # Loss 0 runs no ladder: the policies share one key per scheme.
+        assert simulated() == len(ROBUSTNESS_SCHEMES) * (1 + len(FRONTIER_POLICIES))
+        assert simulated() == 0
+
+    def test_a_cell_is_a_plain_faulty_run_of_its_plan(self):
+        panels, points, _ = reduced("frontier")
+        (cell,) = {
+            p.key: p
+            for p in points
+            if p.scheme == "squirrel"
+            and p.faults.p2p_loss == 0.05
+            and p.faults.policies.default == FRONTIER_POLICIES["immediate"]
+        }.values()
+        result = run_scheme_with_faults(
+            "squirrel", cell.resolved_config, plan=cell.faults, seed=cell.seed
+        )
+        assert panels["squirrel"].get("immediate").values[1] == result.mean_latency
+
+    def test_panels_and_the_gap(self):
+        panels = reduced("frontier")[0]
+        assert list(panels) == [*ROBUSTNESS_SCHEMES, "gap"]
+        for name in ROBUSTNESS_SCHEMES:
+            sweep = panels[name]
+            assert labels(sweep) == list(FRONTIER_POLICIES)
+            default, immediate = sweep.get("default").values, sweep.get("immediate").values
+            assert panels["gap"].get(name).values == [
+                d - i for d, i in zip(default, immediate)
+            ]
+
+
 class TestFigureSizes:
     def test_panels_and_series(self):
         panels = reduced("sizes")[0]
         assert set(panels) == {"gain", "byte_hit", "byte_gain"}
         gd_series = [*PAPER_SCHEMES, "hier-gd (gd)"]
-        assert panels["gain"].labels == gd_series
-        assert panels["byte_gain"].labels == gd_series
-        assert panels["byte_hit"].labels == ["nc", *gd_series]
+        assert labels(panels["gain"]) == gd_series
+        assert labels(panels["byte_gain"]) == gd_series
+        assert labels(panels["byte_hit"]) == ["nc", *gd_series]
         assert panels["byte_hit"].y_label == "byte hit rate (%)"
         for series in panels["byte_hit"].series:
             assert all(0.0 <= v <= 100.0 for v in series.values)

@@ -15,6 +15,7 @@ from repro.experiments.robustness import (
     robustness_points,
 )
 from repro.experiments.runner import Scale, base_config
+from tests.analysis.test_results import labels
 
 TINY = Scale("tiny", 3000, 300, 10)
 RATES = (0.0, 0.2)
@@ -98,8 +99,8 @@ class TestSweep:
     def test_panels_and_axes(self, sweeps):
         assert set(sweeps) == {"gain", "latency"}
         assert sweeps["gain"].x_values == [0.0, 20.0]
-        assert sweeps["gain"].labels == list(ROBUSTNESS_SCHEMES)
-        assert sweeps["latency"].labels == ["nc", *ROBUSTNESS_SCHEMES]
+        assert labels(sweeps["gain"]) == list(ROBUSTNESS_SCHEMES)
+        assert labels(sweeps["latency"]) == ["nc", *ROBUSTNESS_SCHEMES]
 
     def test_nc_latency_flat_across_rates(self, sweeps):
         nc = sweeps["latency"].get("nc").values

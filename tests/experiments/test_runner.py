@@ -11,6 +11,7 @@ from repro.experiments.runner import (
     cache_size_sweep,
     current_scale,
 )
+from tests.analysis.test_results import labels
 
 
 class TestScales:
@@ -53,7 +54,7 @@ class TestSweep:
             cfg, schemes=("sc", "hier-gd"), fractions=(0.2, 0.8), seed=1
         )
         assert sweep.x_values == [20.0, 80.0]
-        assert sweep.labels == ["sc", "hier-gd"]
+        assert labels(sweep) == ["sc", "hier-gd"]
         assert all(len(s.values) == 2 for s in sweep.series)
         # Gains are percentages of the NC baseline.
         assert all(-100 < v < 100 for s in sweep.series for v in s.values)
@@ -103,7 +104,7 @@ class TestEvaluator:
         # (nc + 2 schemes) x 2 fractions distinct keys, none repeated.
         (batch,) = engine.batches
         assert len(batch) == len(set(batch)) == 6
-        assert sweeps["latency"].labels == ["nc", *schemes]
+        assert labels(sweeps["latency"]) == ["nc", *schemes]
         assert sweeps["latency"].y_label == "mean latency (x Tl)"
         reference = cache_size_sweep(cfg, schemes=schemes, fractions=fractions, seed=1)
         assert sweeps["gain"].to_csv() == reference.to_csv()

@@ -17,6 +17,7 @@ from repro.core.config import SimulationConfig
 from repro.core.metrics import FAULT_COUNTERS
 from repro.core.run import run_scheme
 from repro.faults import FAULTY_SCHEMES, FaultPlan, run_scheme_with_faults
+from repro.protocol import PolicySet, RetryPolicy
 from repro.workload import ProWGenConfig, generate_cluster_traces
 
 TINY = ProWGenConfig(n_requests=3000, n_objects=300, n_clients=10)
@@ -101,6 +102,42 @@ class TestFaultSemantics:
         assert summary["timeouts"] > 0
         # retries + fallbacks account for every timeout beyond the firsts
         assert summary["retries"] <= summary["timeouts"]
+
+    @pytest.mark.parametrize("name", sorted(FAULTY_SCHEMES))
+    def test_hedged_never_costs_more_than_the_default_ladder(self, name, traces):
+        """Hedged draws and decides like the exponential ladder and
+        charges the max, not the sum, of a failed ladder's waits: the
+        same run, tier for tier and counter for counter, never slower."""
+        loss = FaultPlan(p2p_loss=0.3, proxy_loss=0.3, push_loss=0.3, seed=7)
+        default = run_scheme_with_faults(name, cfg(), traces, plan=loss)
+        hedged = run_scheme_with_faults(
+            name, cfg(), traces,
+            plan=dataclasses.replace(
+                loss, policies=PolicySet(default=RetryPolicy(strategy="hedged"))
+            ),
+        )
+        assert hedged.tier_counts == default.tier_counts
+        assert hedged.messages == default.messages
+        assert default.fault_summary()["fallbacks"] > 0
+        assert hedged.total_latency < default.total_latency
+
+    @pytest.mark.parametrize("name", sorted(FAULTY_SCHEMES))
+    def test_immediate_falls_back_on_every_timeout(self, name, traces):
+        """Immediate never retries: each timeout is a fallback, and every
+        request is still served."""
+        loss = FaultPlan(p2p_loss=0.3, proxy_loss=0.3, push_loss=0.3, seed=7)
+        default = run_scheme_with_faults(name, cfg(), traces, plan=loss)
+        immediate = run_scheme_with_faults(
+            name, cfg(), traces,
+            plan=dataclasses.replace(
+                loss, policies=PolicySet(default=RetryPolicy(strategy="immediate"))
+            ),
+        )
+        summary = immediate.fault_summary()
+        assert summary["retries"] == 0
+        assert summary["fallbacks"] == summary["timeouts"] > 0
+        assert summary["fallbacks"] > default.fault_summary()["fallbacks"]
+        assert immediate.n_requests == default.n_requests
 
     def test_hier_gd_stays_below_nc(self, traces):
         nc = run_scheme("nc", cfg(), traces)

@@ -14,9 +14,11 @@ re-export lines are not uses; a registry value such as
 
 The same holds for the public methods and properties of the package's
 classes, judged by name alone: a method is reached when its name appears
-— as a ``Name``, an ``Attribute`` or a string constant (``getattr``) —
-anywhere in those trees outside its own body.  Any use of the name
-counts, whatever the receiver, so the rule needs no types.
+as an ``Attribute`` or a string constant (``getattr``) anywhere in those
+trees outside its own body, or is aliased in its class body
+(``owner_of = numerically_closest``).  Any receiver counts, so the rule
+needs no types; a bare ``Name`` does not, since a local variable that
+shares a method's name says nothing about the method.
 
 The few exemptions are listed in :data:`ALLOWLIST`, each with its
 reason, and an entry whose symbol or method is now reached, or gone,
@@ -53,6 +55,10 @@ ALLOWLIST = {
     "repro/cache/tiered.py::TieredCache.tier_of": (
         "inspection: test_hotpath_equivalence.py and test_presence.py read the "
         "fused request path's tier placement through it"
+    ),
+    "repro/core/metrics.py::SchemeResult.percentile": (
+        "extension API (DESIGN.md 'Latency percentiles'): the tail latency of "
+        "a result, beyond the paper's mean; test_metrics_extensions.py holds it"
     ),
     "repro/core/presence.py::PresenceIndex.as_dict": (
         "invariant snapshot: test_presence.py and test_hiergd.py compare every "
@@ -124,16 +130,12 @@ def _references(root: Path) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
     def scan(node: ast.AST, owner: str, method_owner: str) -> None:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
-                name = sub.id
+                symbol_uses.setdefault(sub.id, set()).add(owner)
             elif isinstance(sub, ast.Attribute):
-                name = sub.attr
+                symbol_uses.setdefault(sub.attr, set()).add(owner)
+                method_uses.setdefault(sub.attr, set()).add(method_owner)
             elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
                 method_uses.setdefault(sub.value, set()).add(method_owner)
-                continue
-            else:
-                continue
-            symbol_uses.setdefault(name, set()).add(owner)
-            method_uses.setdefault(name, set()).add(method_owner)
 
     for module, tree in trees:
         for stmt in tree.body:
@@ -144,6 +146,8 @@ def _references(root: Path) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
             for node in (*stmt.bases, *stmt.keywords, *stmt.decorator_list):
                 scan(node, owner, owner)
             for member in stmt.body:
+                if isinstance(member, ast.Assign) and isinstance(member.value, ast.Name):
+                    method_uses.setdefault(member.value.id, set()).add(owner)
                 inner = f"{owner}.{member.name}" if isinstance(member, _FUNCS) else owner
                 scan(member, owner, inner)
     return symbol_uses, method_uses
@@ -221,16 +225,21 @@ def test_an_unreferenced_helper_is_caught(tmp_path):
 
 
 def test_an_unreferenced_method_is_caught(tmp_path):
-    # A method only its own body names is flagged; one another method
-    # calls, one a string constant names (``getattr``) and a private
-    # one are not, whatever the receiver.
+    # A method only its own body names is flagged, and so is one whose
+    # name only a local variable shares; one another method calls, one a
+    # string constant names (``getattr``), one a class-body alias names
+    # and a private one are not, whatever the receiver.
     package = tmp_path / "src" / "repro"
     package.mkdir(parents=True)
     (package / "mod.py").write_text(
         "class Thing:\n"
-        "    def used(self):\n        return self.helper()\n\n"
+        "    def used(self):\n        shadowed = self.helper()\n"
+        "        return self.alias() + shadowed\n\n"
         "    def helper(self):\n        return getattr(self, 'named')\n\n"
         "    def named(self):\n        return 1\n\n"
+        "    def aliased(self):\n        return 1\n\n"
+        "    alias = aliased\n\n"
+        "    def shadowed(self):\n        return 1\n\n"
         "    def orphan(self):\n        return self.orphan()\n\n"
         "    def _private(self):\n        return 2\n",
         encoding="utf-8",
@@ -240,5 +249,8 @@ def test_an_unreferenced_method_is_caught(tmp_path):
     (tmp_path / "benchmarks" / "bench.py").write_text(
         "from repro.mod import Thing\n\nThing().used()\n", encoding="utf-8"
     )
-    assert unreached_methods(tmp_path) == {"repro/mod.py::Thing.orphan"}
+    assert unreached_methods(tmp_path) == {
+        "repro/mod.py::Thing.orphan",
+        "repro/mod.py::Thing.shadowed",
+    }
     assert unreached_symbols(tmp_path) == set()

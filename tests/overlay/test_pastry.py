@@ -118,15 +118,15 @@ class TestRoutingTable:
     def test_consider_places_by_prefix_and_digit(self):
         rt = RoutingTable(0xA000, SPACE16)
         assert rt.consider(0xB123) is True  # prefix 0, digit0 = 0xB
-        assert rt.entry(0, 0xB) == 0xB123
+        assert rt.rows[0][0xB] == 0xB123
         assert rt.consider(0xA100) is True  # prefix 1, digit1 = 1
-        assert rt.entry(1, 0x1) == 0xA100
+        assert rt.rows[1][0x1] == 0xA100
 
     def test_incumbent_kept(self):
         rt = RoutingTable(0xA000, SPACE16)
         rt.consider(0xB123)
         assert rt.consider(0xB999) is False
-        assert rt.entry(0, 0xB) == 0xB123
+        assert rt.rows[0][0xB] == 0xB123
 
     def test_owner_never_added(self):
         rt = RoutingTable(0xA000, SPACE16)
@@ -147,10 +147,10 @@ class TestRoutingTable:
         rt = RoutingTable(0xA000, SPACE16)
         rt.consider(0xB123)
         assert rt.replace(0xB123, 0xB777) is True
-        assert rt.entry(0, 0xB) == 0xB777
+        assert rt.rows[0][0xB] == 0xB777
         # ineligible replacement (wrong digit) clears the slot
         rt.replace(0xB777, 0xC000)
-        assert rt.entry(0, 0xB) is None
+        assert rt.rows[0][0xB] is None
 
     def test_remove_absent_is_noop(self):
         rt = RoutingTable(0xA000, SPACE16)

@@ -12,17 +12,20 @@ import json
 import pytest
 
 from repro.core.config import SimulationConfig
+from repro.experiments.robustness import robustness_plan
 from repro.faults import FaultPlan
 from repro.faults.run import run_scheme_with_faults
 from repro.protocol import (
     FAULT_COUNTERS,
+    PolicySet,
+    RetryPolicy,
     TraceFormatError,
     TraceIncompleteError,
     TraceSchemaError,
     load_trace,
+    plan_fingerprint,
     recording_traces,
     replay_trace,
-    whatif_trace,
 )
 from repro.workload import ProWGenConfig
 
@@ -150,7 +153,7 @@ class TestMalformedEvents:
         src, _ = faulty_trace
         bad = tmp_path / "bad.jsonl"
         line = self._doctor(src, bad, tag, mutate)
-        for reader in (load_trace, replay_trace, whatif_trace):
+        for reader in (load_trace, replay_trace):
             with pytest.raises(TraceFormatError, match=f"bad.jsonl:{line}: "):
                 reader(bad)
 
@@ -237,3 +240,41 @@ class TestExactReproduction:
         for key in FAULT_COUNTERS:
             assert replayed.messages.get(key, 0) == recorded.messages.get(key, 0)
         assert dataclasses.asdict(replayed) == dataclasses.asdict(recorded)
+
+    @pytest.mark.parametrize("plan", ["zero", "robustness-0.1"])
+    @pytest.mark.parametrize("scheme", ["fc", "fc-ec", "hier-gd", "squirrel"])
+    def test_every_faultable_scheme_replays_byte_identically(
+        self, scheme, plan, tmp_path
+    ):
+        plan_ = FaultPlan() if plan == "zero" else robustness_plan(0.1)
+        with recording_traces(tmp_path) as recorder:
+            result = run_scheme_with_faults(scheme, cfg(), plan=plan_, seed=0)
+        (path,) = recorder.written
+        report = replay_trace(path)
+        assert report.divergence is None and report.identical
+        if plan != "zero":
+            assert report.n_events > 0  # the check is not vacuous
+        assert dataclasses.asdict(report.result) == dataclasses.asdict(result)
+
+
+class TestRecordedPolicies:
+    """A recording made under a non-default policy set carries the set in
+    its header, and the replay runs under the set it reads back."""
+
+    POLICIES = PolicySet(
+        default=RetryPolicy(strategy="hedged"),
+        per_link={"p2p": RetryPolicy(strategy="capped", timeout_cap=2.0, jitter=0.25)},
+    )
+
+    @pytest.mark.parametrize("scheme", ["fc", "fc-ec", "hier-gd", "squirrel"])
+    def test_non_default_policies_replay_byte_identically(self, scheme, tmp_path):
+        plan = dataclasses.replace(PLAN, policies=self.POLICIES)
+        with recording_traces(tmp_path) as recorder:
+            result = run_scheme_with_faults(scheme, cfg(), plan=plan, seed=0)
+        (path,) = recorder.written
+        assert FaultPlan(**load_trace(path).header["plan"]) == plan
+        report = replay_trace(path)
+        assert report.divergence is None and report.identical
+        assert report.plan_fingerprint == plan_fingerprint(plan)
+        assert report.plan_fingerprint != plan_fingerprint(PLAN)
+        assert dataclasses.asdict(report.result) == dataclasses.asdict(result)

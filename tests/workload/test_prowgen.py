@@ -39,12 +39,6 @@ class TestConfig:
             # Budget too small: 100 objects need >= 50 + 2*50 refs.
             ProWGenConfig(n_requests=100, n_objects=100)
 
-    def test_scaled(self):
-        c = ProWGenConfig().scaled(0.1)
-        assert c.n_requests == 100_000 and c.n_objects == 1_000
-        with pytest.raises(ValueError):
-            ProWGenConfig().scaled(0)
-
 
 class TestGeneratedTrace:
     def test_exact_request_count_and_determinism(self):

