@@ -13,9 +13,9 @@ over schemes costs one workload generation.
 
 How a run is put together is decided here and nowhere else:
 :func:`build_scheme` picks the scheme object a ``(name, plan)`` pair
-gets, :func:`assemble_run` owns the carrier → recording → backend →
-construct → attach → run → seal → close sequence that the simulated,
-faulty, replayed and live entry points all call.
+gets, :func:`assemble_run` owns the carrier → recording → construct →
+attach → run → seal → close sequence that the simulated, faulty,
+replayed and live entry points all call.
 """
 
 from __future__ import annotations
@@ -63,20 +63,14 @@ def generate_workloads(config: SimulationConfig, seed: int = 0) -> list[Trace]:
     return generate_cluster_traces(config.workload, config.n_proxies, seed=seed)
 
 
-def with_backend(transport: Transport, backend: str) -> Transport:
-    """Wrap a finished stack in the selected execution backend.
+def with_backend(transport: Transport | None, backend: str) -> Transport | None:
+    """``transport`` unchanged, once ``backend`` names a known backend.
 
-    ``"sync"`` returns the stack unchanged; ``"async"`` wraps it
-    outermost in an :class:`~repro.protocol.aio.AsyncTransport` on the
-    deterministic simulated clock, so the same run is driven through the
-    awaitable ladder path with byte-identical results (the async
-    equivalence gate).
+    A simulated run has one execution path; ``"sync"`` and ``"async"``
+    both name it, and any other name is refused.
     """
-    if backend == "async":
-        from ..protocol.aio import AsyncTransport
-
-        return AsyncTransport(transport)
-    if backend != "sync":
+    # ROADMAP 16(b): the next benchmark PR deletes it with protocol.async_overhead_pct.
+    if backend not in ("sync", "async"):
         raise ValueError(f"unknown backend {backend!r}; expected sync or async")
     return transport
 
@@ -144,17 +138,16 @@ def assemble_run(
     plan: FaultPlan | None = None,
     carrier: Transport | None = None,
     recorder: TraceRecorder | None = None,
-    backend: str = "sync",
     view: ShardView | None = None,
 ) -> SchemeResult:
     """Put one scheme run together and run it — the only place that does.
 
     Carrier (``carrier``, else the plan's fault stack, else the base
-    transport) → recording layer (if ``recorder``) → execution backend
-    → :func:`build_scheme` → ``attach`` every layer that rides the
-    finished scheme (an event-fed carrier and the recording count
-    requests; a shard worker's peer ``view`` substitutes global cluster
-    ids and the round protocol) → ``run`` → seal the trace
+    transport) → recording layer (if ``recorder``) → :func:`build_scheme`
+    → ``attach`` every layer that rides the finished scheme (an event-fed
+    carrier and the recording count requests; a shard worker's peer
+    ``view`` substitutes global cluster ids and the round protocol) →
+    ``run`` → seal the trace
     (incomplete if the run crashed) → close an event-fed carrier →
     :func:`~repro.perf.profiling.record_scheme_ops`.  ``traces=None``
     regrows the workload from ``seed``.
@@ -170,9 +163,7 @@ def assemble_run(
             stack = build_transport(config.network, plan, scope=name)
         if recorder is not None:
             stack = recording = recorder.open(name, config, seed, plan, stack)
-        scheme = build_scheme(
-            name, config, traces, plan, transport=with_backend(stack, backend)
-        )
+        scheme = build_scheme(name, config, traces, plan, transport=stack)
         # Each layer keeps its own request counter; the wrappers chain.
         for layer in (fed, recording, view):
             if layer is not None:
@@ -195,7 +186,6 @@ def run_scheme(
     traces: list[Trace] | None = None,
     seed: int = 0,
     transport: Transport | None = None,
-    backend: str = "sync",
     shards: int = 1,
 ) -> SchemeResult:
     """Simulate one scheme; generates the workload if none is supplied.
@@ -203,8 +193,8 @@ def run_scheme(
     ``shards > 1`` hands the run to the multi-process engine
     (:func:`repro.shard.run_scheme_sharded`): clusters are dealt over
     worker processes which regenerate their own traces from ``seed``, so
-    pre-generated ``traces``, a custom ``transport`` and the async
-    backend cannot be combined with sharding —
+    pre-generated ``traces`` and a custom ``transport`` cannot be
+    combined with sharding —
     :func:`repro.shard.check_shardable` refuses them, and every other
     unsupported combination, before anything is forked.  ``shards=1`` is
     :func:`assemble_run` with no fault plan.
@@ -213,9 +203,6 @@ def run_scheme(
     custom stack (e.g. a :class:`~repro.protocol.transport.FaultTransport`
     whose plan carries per-link :class:`~repro.protocol.policy.RetryPolicy`
     strategies); ``None`` keeps the plain always-succeeds carrier.
-    ``backend="async"`` drives the same stack through
-    :class:`~repro.protocol.aio.AsyncTransport` on the simulated clock —
-    results stay byte-identical to the synchronous path.
 
     Inside a :func:`repro.protocol.trace.recording_traces` block the
     run's transport (supplied or base) is wrapped in a recording layer
@@ -227,9 +214,7 @@ def run_scheme(
     if shards > 1:
         from ..shard import check_shardable, run_scheme_sharded
 
-        check_shardable(
-            name, config, traces=traces, transport=transport, backend=backend
-        )
+        check_shardable(name, config, traces=traces, transport=transport)
         return run_scheme_sharded(name, config, seed=seed, shards=shards)
     return assemble_run(
         name,
@@ -238,7 +223,6 @@ def run_scheme(
         seed=seed,
         carrier=transport,
         recorder=active_trace_recorder(),
-        backend=backend,
     )
 
 

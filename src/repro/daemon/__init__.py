@@ -8,8 +8,7 @@ sockets — the shape Squirrel-style systems deploy:
   socket server (proxy or client-cache role) answering the wire protocol
   of :mod:`repro.protocol.wire`.  One transport stack per connection,
   built from the hello's network/plan, with ladder draws done atomically
-  at arrival and the waits run concurrently on the async backend's
-  clock.
+  at arrival and the waits run concurrently as asyncio sleeps.
 - :mod:`repro.daemon.driver` — :class:`DaemonTransport`: the
   :class:`~repro.protocol.transport.Transport` contract answered by live
   daemons over TCP, plus :func:`drive_scheme`, which replays a workload

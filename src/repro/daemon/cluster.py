@@ -29,23 +29,23 @@ __all__ = ["LocalCluster"]
 class LocalCluster:
     """Start/stop a proxy + N client daemons; context-manager friendly.
 
-    ``clock`` (shared by every daemon) defaults to each daemon's own
-    zero-scale :class:`~repro.protocol.aio.RealClock` — concurrency is
-    real, wall time is not wasted on simulated timeouts.
+    ``scale`` (shared by every daemon) converts simulated waits into
+    wall-clock seconds; the default ``0`` keeps concurrency real without
+    wasting wall time on simulated timeouts.
     """
 
     def __init__(
         self,
         n_clients: int = 1,
         host: str = "127.0.0.1",
-        clock: Any = None,
+        scale: float = 0.0,
     ) -> None:
         if n_clients < 1:
             raise ValueError("a cluster needs at least one client daemon")
         self.host = host
-        self.proxy = CacheDaemon("proxy", node=0, clock=clock)
+        self.proxy = CacheDaemon("proxy", node=0, scale=scale)
         self.clients = [
-            CacheDaemon("client", node=i, clock=clock) for i in range(n_clients)
+            CacheDaemon("client", node=i, scale=scale) for i in range(n_clients)
         ]
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None

@@ -14,9 +14,9 @@ Concurrency vs determinism is the whole design:
   (:meth:`~repro.protocol.transport.Transport.draw`) in arrival order —
   the per-link fault substreams advance exactly as a serial simulation
   would advance them;
-* the drawn waits then run as a task on the async backend's clock, so
-  many ladders (across requests and across connections) are in flight
-  concurrently;
+* the drawn waits then run as an asyncio task (each wait is
+  ``asyncio.sleep(wait * scale)``), so many ladders (across requests and
+  across connections) are in flight concurrently;
 * responses are written back **in request order** per connection, which
   is what lets the driver stream them straight into a trace file.
 
@@ -30,7 +30,6 @@ from __future__ import annotations
 import asyncio
 from typing import Any
 
-from ..protocol.aio import RealClock
 from ..protocol.messages import ALL_EXCHANGES
 from ..protocol.transport import LadderOutcome, Transport, build_transport
 from ..protocol.wire import (
@@ -56,9 +55,11 @@ _OUTCOMES = ("attempts", "ok", "failed")
 class CacheDaemon:
     """One node's socket server: proxy or client-cache role.
 
-    ``clock`` is the wait driver shared by every connection — a
-    :class:`~repro.protocol.aio.RealClock` (default, ``scale=0`` so
-    smoke runs never wait out simulated timeouts in real time).  ``node``
+    ``scale`` converts a ladder's simulated waits (latency units) into
+    wall-clock seconds for every connection; the default ``0`` still
+    awaits ``asyncio.sleep(0)`` per wait — a genuine suspension point, so
+    ladders interleave — without making smoke runs wait out simulated
+    timeouts in real time.  ``node``
     is this daemon's id within its role, echoed in the hello ack so a
     driver can verify its routing table.
     """
@@ -67,13 +68,15 @@ class CacheDaemon:
         self,
         role: str,
         node: int = 0,
-        clock: Any = None,
+        scale: float = 0.0,
     ) -> None:
         if role not in ROLES:
             raise ValueError(f"role must be one of {ROLES}, got {role!r}")
+        if scale < 0:
+            raise ValueError("scale must be >= 0")
         self.role = role
         self.node = node
-        self.clock = RealClock() if clock is None else clock
+        self.scale = scale
         #: Per-exchange attempt/outcome counts across every connection
         #: this daemon served (one logical exchange per drawn ladder).
         self.exchanges = {
@@ -222,7 +225,7 @@ class CacheDaemon:
         Every RNG draw behind the response happens inside this method, in
         arrival order (the determinism contract); what is returned is a
         future for the encoded response, resolved after the drawn waits
-        have elapsed on the clock.
+        have elapsed.
         """
         if isinstance(entry, list) and len(entry) == 4 and entry[0] == "u":
             req, cluster, client = parse_probe(entry)
@@ -257,12 +260,12 @@ class CacheDaemon:
             self.latency_charged += amount
 
     async def _finish(self, outcome: LadderOutcome, payload: bytes) -> bytes:
-        """Run one ladder's waits on the clock; yield the ready response."""
+        """Sleep out one ladder's scaled waits; yield the ready response."""
         self.in_flight += 1
         self.max_in_flight = max(self.max_in_flight, self.in_flight)
         try:
             for wait in outcome.charges:
-                await self.clock.sleep(wait)
+                await asyncio.sleep(wait * self.scale)
             return payload
         finally:
             self.in_flight -= 1

@@ -80,7 +80,9 @@ class FaultPlan:
     #: on every link).  A plain dict — e.g. a JSON round-trip through a
     #: trace header or a wire hello — is coerced back to a
     #: :class:`~repro.protocol.policy.PolicySet`, whose constructor
-    #: validates per-link names against the known fault links.
+    #: validates per-link names against the known fault links.  An
+    #: identity set is stored as ``None``, so the default ladder has one
+    #: spelling in point keys, trace headers and wire hellos.
     policies: PolicySet | None = None
 
     _RATES = (
@@ -113,6 +115,8 @@ class FaultPlan:
                     f"got {self.policies!r}"
                 )
             object.__setattr__(self, "policies", PolicySet(**self.policies))
+        if self.policies is not None and self.policies.is_default:
+            object.__setattr__(self, "policies", None)
 
     def policy_set(self) -> PolicySet:
         """The effective per-link policies (the identity set when unset)."""
@@ -146,7 +150,7 @@ class FaultPlan:
             parts.append(f"unresp={self.unresponsive_fraction:g}")
         if self.churn_rate:
             parts.append(f"churn={self.churn_rate:g}")
-        if self.policies is not None and not self.policies.is_default:
+        if self.policies is not None:
             parts.append(f"policy={self.policies.label}")
         return ",".join(parts) if parts else "none"
 

@@ -16,7 +16,7 @@ The plan also carries the *response* to its faults: per-link
 :class:`~repro.protocol.policy.RetryPolicy` strategies
 (``plan.policies``), honoured by the assembled
 :class:`~repro.protocol.transport.FaultTransport` on every path this
-entry point dispatches to (sync, async backend, recorded).  A plan
+entry point dispatches to (plain, recorded).  A plan
 without policies runs the default exponential ladder, byte-identical
 to the pre-policy builds.
 """
@@ -28,7 +28,7 @@ from functools import partial
 
 from ..core.config import SimulationConfig
 from ..core.metrics import SchemeResult
-from ..core.run import FAULTABLE_SCHEMES, assemble_run, build_scheme
+from ..core.run import FAULTABLE_SCHEMES, assemble_run, build_scheme, with_backend
 from ..core.simulator import CachingScheme
 from ..protocol.trace import active_trace_recorder
 from ..workload import Trace
@@ -55,10 +55,13 @@ def run_scheme_with_faults(
 ) -> SchemeResult:
     """Simulate ``name`` under ``plan`` (``None``/zero plan: plain run).
 
-    Recording, ``seed`` and ``backend`` behave as in
+    Recording and ``seed`` behave as in
     :func:`~repro.core.run.run_scheme`; both hand the run to
-    :func:`~repro.core.run.assemble_run`.
+    :func:`~repro.core.run.assemble_run`.  ``backend`` is ``"sync"`` or
+    ``"async"``, which run the same stack.
     """
+    # ROADMAP 16(b): the next benchmark PR deletes it with protocol.async_overhead_pct.
+    with_backend(None, backend)
     return assemble_run(
         name,
         config,
@@ -66,5 +69,4 @@ def run_scheme_with_faults(
         seed=seed,
         plan=plan,
         recorder=active_trace_recorder(),
-        backend=backend,
     )

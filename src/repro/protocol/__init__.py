@@ -30,7 +30,6 @@ build on it without cycles; :mod:`repro.faults` supplies plans and
 injectors, :mod:`repro.core` supplies the schemes that ride the stack.
 """
 
-from .aio import AsyncTransport, RealClock, SimClock
 from .messages import (
     ALL_EXCHANGES,
     COOP_EXCHANGES,
@@ -118,7 +117,6 @@ __all__ = [
     "TRACE_SCHEMA",
     "WIRE_KIND",
     "WIRE_SCHEMA",
-    "AsyncTransport",
     "Divergence",
     "EventFedTransport",
     "Exchange",
@@ -126,14 +124,12 @@ __all__ = [
     "LadderOutcome",
     "LinkLadder",
     "PolicySet",
-    "RealClock",
     "RecordedTrace",
     "RecordingTransport",
     "ReplayDivergence",
     "ReplayReport",
     "ReplayTransport",
     "RetryPolicy",
-    "SimClock",
     "TraceError",
     "TraceFormatError",
     "TraceIncompleteError",

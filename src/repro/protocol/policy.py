@@ -5,8 +5,8 @@ exponential-backoff retry, fallback — inside the fault transport.  This
 module extracts that ladder into data: a :class:`RetryPolicy` names a
 *strategy* plus its knobs, a :class:`PolicySet` assigns one policy per
 cooperation link, and :class:`LinkLadder` (:func:`run_ladder` for one
-call) is the single pure engine every execution path (sync transport,
-async ladders, the live daemon) drives.  Fault *probabilities* stay on the
+call) is the single pure engine every execution path (the simulated
+transport stack, the live daemon) drives.  Fault *probabilities* stay on the
 :class:`~repro.faults.plan.FaultPlan`; the *response* to those faults is
 now carried alongside it (``plan.policies``) and independently
 swappable, so a candidate policy is one more plan to simulate (the
@@ -239,11 +239,11 @@ class LadderOutcome:
     trace ``"x"`` event and a daemon response carry, and what
     :meth:`~repro.protocol.transport.Transport.draw` returns on every
     stack.  Deciding touches nothing else; whoever asked
-    (:meth:`~repro.protocol.transport.Transport.attempt`, the async
-    backend, a daemon) pays.  Because every RNG draw behind an outcome
-    happens in that one synchronous step, concurrent ladders consume the
-    per-link fault substreams in ladder start order no matter how their
-    waits later interleave in flight.
+    (:meth:`~repro.protocol.transport.Transport.attempt` or a daemon)
+    pays.  Because every RNG draw behind an outcome happens in that one
+    synchronous step, a daemon's concurrent ladders consume the per-link
+    fault substreams in ladder start order no matter how their waits
+    later interleave in flight.
 
     An outcome always carries its deltas: the ladder decides them with
     its rounds, and the same dict is booked and recorded.  Treat an

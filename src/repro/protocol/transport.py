@@ -13,8 +13,7 @@ exchange's :class:`~repro.protocol.policy.LadderOutcome` and touches
 nothing else.  Paying is written once, in :meth:`Transport.attempt` on
 whichever layer sits outermost: draw, book the outcome's counter deltas,
 charge its amounts in ladder order through the bound scheme's
-``add_extra_latency`` (the async backend does the same, advancing its
-clock by each wait; a daemon applies the outcome by hand).
+``add_extra_latency`` (a daemon applies the outcome by hand).
 
 * :class:`Transport` — the base layer: every exchange is delivered at
   once and for free.  Tier latency stays charged by the simulator's
@@ -288,8 +287,8 @@ class FaultTransport(TransportLayer):
         """Decide one ladder: every round's draws, atomically, in order.
 
         Loss and delay draws for every round happen here, in ladder
-        order, before any wait is taken — which is what keeps concurrent
-        ladders on one fault-RNG substream deterministic: the substream
+        order, before any wait is taken — which is what keeps a daemon's
+        concurrent ladders on one fault-RNG substream deterministic: the substream
         advances in ladder *start* order, never in wait-completion order.
         A delivered ladder's last round is handed to the wrapped stack
         (layers inside a fault layer see wire rounds that got through,

@@ -58,7 +58,6 @@ def check_shardable(
     *,
     plan: FaultPlan | None = None,
     transport: Transport | None = None,
-    backend: str = "sync",
     traces: list | None = None,
     recording: bool | None = None,
 ) -> None:
@@ -87,8 +86,8 @@ def check_shardable(
          f"surface for a peer view to mirror); shardable: {', '.join(shardable)}"),
         (traces is not None, "sharded workers regenerate traces from the seed; "
          "pass traces=None with shards > 1"),
-        (transport is not None or backend != "sync", "custom transports / the async "
-         "backend are single-process features; use shards=1"),
+        (transport is not None, "custom transports are single-process features; "
+         "use shards=1"),
         (plan is not None and not plan.is_zero(), "fault plans are single-process "
          "(a faulty exchange cannot ride a round digest); use shards=1"),
         (recording, "exchange-trace recording captures a single-process transport "

@@ -6,13 +6,16 @@ had one engine), so whatever serves these runs is held to the chain's
 bytes, not to run-to-run determinism of its own code.  Two families:
 
 * **recorded faulty cells** — {exact, bloom} x {unit, heavy-tailed sizes}
-  x {gd, lru, lfu} x {loss, stale, unresponsive, churn, composite} x
-  {sync, async}, plus a few mechanism toggles under the composite plan.
+  x {gd, lru, lfu} x {loss, stale, unresponsive, churn, composite}, plus
+  a few mechanism toggles under the composite plan.  Their keys end in
+  ``-sync`` from when every cell also ran on a second, async execution
+  path (retired; its cells equalled these byte for byte).
   Each is run through :func:`run_scheme_with_faults` inside
   :func:`recording_traces`; the cell pins the SHA-256 of the serialized
   result and of the trace's *event lines* (header and footer carry the
   config and the result, which are pinned separately or not at all — a
-  new config field must not move this golden);
+  new config field must not move this golden).  Replayed from its own
+  trace, each also re-derives its golden result;
 * **plain churn runs** — :class:`HierGdScheme` given a schedule of
   explicit fail / join events and no fault plan (reported as
   ``hier-gd-churn``): the non-faulty repair path, where an eviction
@@ -39,6 +42,7 @@ from repro.core.hiergd import HierGdScheme
 from repro.experiments.robustness import robustness_plan
 from repro.faults import FaultPlan
 from repro.faults.run import run_scheme_with_faults
+from repro.protocol.replay import replay_trace
 from repro.protocol.trace import recording_traces
 from repro.workload import ProWGenConfig, generate_cluster_traces
 from tests.shard.test_golden_shards import result_sha
@@ -59,7 +63,7 @@ PLANS = {
     "composite": robustness_plan(0.1, seed=0),
 }
 
-#: Mechanism toggles, each run under the composite plan on the sync backend.
+#: Mechanism toggles, each run under the composite plan.
 TOGGLES = {
     "replicas2": {"p2p_replicas": 2},
     "no-diversion": {"object_diversion": False, "piggyback": False},
@@ -109,13 +113,19 @@ def sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def faulty_cell(directory, sizes, policy, plan, backend, **overrides):
+def record(directory, sizes, policy, plan, **overrides):
+    """One recorded faulty run: its result and its trace's lines."""
     config = golden_config(directory, sizes, policy, **overrides)
     with tempfile.TemporaryDirectory() as tmp, recording_traces(tmp) as recorder:
         result = run_scheme_with_faults(
-            "hier-gd", config, traces_for(sizes), PLANS[plan], seed=0, backend=backend
+            "hier-gd", config, traces_for(sizes), PLANS[plan], seed=0
         )
         lines = recorder.written[0].read_text(encoding="utf-8").splitlines(keepends=True)
+    return result, lines
+
+
+def faulty_cell(directory, sizes, policy, plan, **overrides):
+    result, lines = record(directory, sizes, policy, plan, **overrides)
     assert json.loads(lines[-1])["complete"]
     return {"result": result_sha(result), "trace": sha("".join(lines[1:-1]))}
 
@@ -127,19 +137,18 @@ def churn_cell(directory, sizes, policy, **overrides):
 
 
 CASES = {
-    f"{directory}-{sizes}-{policy}-{plan}-{backend}": (
-        faulty_cell, (directory, sizes, policy, plan, backend), {}
+    f"{directory}-{sizes}-{policy}-{plan}-sync": (
+        faulty_cell, (directory, sizes, policy, plan), {}
     )
     for directory in ("exact", "bloom")
     for sizes in ("unit", "sized")
     for policy in ("gd", "lru", "lfu")
     for plan in PLANS
-    for backend in ("sync", "async")
 }
 CASES.update(
     {
         f"{directory}-{sizes}-gd-composite-sync-{toggle}": (
-            faulty_cell, (directory, sizes, "gd", "composite", "sync"), overrides
+            faulty_cell, (directory, sizes, "gd", "composite"), overrides
         )
         for directory in ("exact", "bloom")
         for sizes in ("unit", "sized")
@@ -180,6 +189,24 @@ def golden():
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cell_matches_golden(case, golden):
     assert _cell(case) == golden[case]
+
+
+RECORDED = sorted(case for case, (run, _, _) in CASES.items() if run is faulty_cell)
+
+
+@pytest.mark.parametrize("case", RECORDED)
+def test_recorded_cell_replays_to_its_golden(case, golden, tmp_path):
+    """The replay carrier re-drives a recorded cell from its own trace —
+    the recorded outcomes in place of the fault ladder's draws — back to
+    the golden result, with no event left over."""
+    _, args, overrides = CASES[case]
+    _, lines = record(*args, **overrides)
+    path = tmp_path / "cell.jsonl"
+    path.write_text("".join(lines), encoding="utf-8")
+    report = replay_trace(path)
+    assert report.divergence is None and report.identical
+    assert report.events_replayed == report.n_events > 0
+    assert result_sha(report.result) == golden[case]["result"]
 
 
 def test_golden_covers_exactly_the_cases(golden):

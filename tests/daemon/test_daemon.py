@@ -11,6 +11,7 @@ wire messages, role mismatches — are refused loudly, never half-served.
 import dataclasses
 import json
 import socket
+import time
 
 import pytest
 
@@ -23,9 +24,8 @@ from repro.faults.run import run_scheme_with_faults
 from repro.netmodel import NetworkConfig
 from repro.protocol import load_trace, recording_traces, replay_trace
 from repro.protocol.messages import ALL_EXCHANGES, PROXY_FETCH, PUSH
-from repro.protocol.aio import RealClock
 from repro.protocol.trace import RecordingTransport, TraceWriter
-from repro.protocol.transport import Transport
+from repro.protocol.transport import Transport, build_transport
 from repro.protocol.wire import (
     ROLE_CLIENT,
     ROLE_PROXY,
@@ -160,7 +160,7 @@ class TestWireService:
         # ladders overlap in flight, responses still arrive in request
         # order (the property that lets responses stream into a trace).
         plan = FaultPlan(proxy_loss=1.0, seed=1)
-        with LocalCluster(n_clients=1, clock=RealClock(scale=1e-4)) as running:
+        with LocalCluster(n_clients=1, scale=1e-4) as running:
             sock, rfile = connect(running.proxy.address, plan=plan)
             try:
                 for req in range(40):
@@ -243,19 +243,37 @@ class TestWireService:
     def test_shutdown_mid_exchange_truncates_the_peer(self):
         # A daemon stopped with a ladder in flight drops the connection;
         # the peer's next read hits EOF mid-message and must refuse it
-        # exactly like a truncated trace.
+        # exactly like a truncated trace.  The cancelled ladder stays
+        # booked as drawn (docs/PROTOCOL.md §7.2).
         plan = FaultPlan(proxy_loss=1.0, seed=1)
-        running = LocalCluster(n_clients=1, clock=RealClock(scale=60.0))
+        running = LocalCluster(n_clients=1, scale=60.0)
         running.start()
         try:
             sock, rfile = connect(running.proxy.address, plan=plan)
             try:
                 sock.sendall(encode_frame(request_frame(0, PROXY_FETCH)))
                 # The response needs minutes of (scaled) ladder waits;
-                # stopping now cancels it mid-exchange.
+                # once the ladder is drawn, stopping cancels it mid-exchange.
+                deadline = time.monotonic() + 10.0
+                while not running.proxy.in_flight and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                assert running.proxy.in_flight == 1
                 running.stop()
                 with pytest.raises(WireFormatError, match="truncated"):
                     decode_frame(rfile.readline())
+                stats = running.proxy.stats
+                assert stats["exchanges"]["proxy_fetch"] == {
+                    "attempts": 1, "ok": 0, "failed": 1
+                }
+                # The same hello's stack, drawn once: the whole ladder.
+                drawn = build_transport(NetworkConfig(), plan, scope="fc").draw(
+                    PROXY_FETCH
+                )
+                rounds = plan.max_retries + 1
+                assert stats["fault_counters"] == drawn.deltas == {
+                    "timeouts": rounds, "retries": rounds - 1, "fallbacks": 1
+                }
+                assert stats["latency_charged"] == sum(drawn.charges) > 0
             finally:
                 rfile.close()
                 sock.close()
@@ -280,6 +298,10 @@ class TestClusterLifecycle:
         idle = LocalCluster(n_clients=2)
         with pytest.raises(RuntimeError, match="not running"):
             idle.routes
+
+    def test_negative_wait_scale_is_refused(self):
+        with pytest.raises(ValueError, match="scale must be >= 0"):
+            LocalCluster(n_clients=1, scale=-1.0)
 
     def test_stats_report_service_counters(self, cluster, tmp_path):
         # A faulty drive: plain runs serve exchanges off-wire entirely.

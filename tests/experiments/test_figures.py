@@ -161,7 +161,7 @@ class TestFrontier:
             for p in points
             if p.scheme == "squirrel"
             and p.faults.p2p_loss == 0.05
-            and p.faults.policies.default == FRONTIER_POLICIES["immediate"]
+            and p.faults.policy_set().default == FRONTIER_POLICIES["immediate"]
         }.values()
         result = run_scheme_with_faults(
             "squirrel", cell.resolved_config, plan=cell.faults, seed=cell.seed

@@ -11,9 +11,12 @@ from repro.experiments.robustness import (
     DEFAULT_FAULT_RATES,
     ROBUSTNESS_FRACTION,
     ROBUSTNESS_SCHEMES,
+    frontier_points,
     robustness_plan,
     robustness_points,
 )
+from repro.faults import FaultPlan
+from repro.protocol import PolicySet
 from repro.experiments.runner import Scale, base_config
 from tests.analysis.test_results import labels
 
@@ -81,6 +84,25 @@ class TestPoints:
         faulty_zero = next(p for p in points if p.scheme == "hier-gd")
         plain = SweepPoint("hier-gd", ROBUSTNESS_FRACTION, config, 0)
         assert faulty_zero.key == plain.key
+
+    def test_frontier_default_keys_as_the_plan_without_policies(self):
+        """An identity ``PolicySet`` is stored as ``None``: the frontier's
+        ``default`` point and the same pure-loss plan without policies (how
+        ``robust`` spells it) are one store key, under one label."""
+        config = base_config(TINY)
+        frontier = frontier_points(config, rates=(0.1,))["hier-gd"]
+        (default,) = frontier["default"]
+        plan = FaultPlan(p2p_loss=0.1, proxy_loss=0.1, push_loss=0.1)
+        plain = SweepPoint("hier-gd", ROBUSTNESS_FRACTION, config, 0, faults=plan)
+        assert default.faults.policies is None
+        assert default.faults == plan == FaultPlan(
+            p2p_loss=0.1, proxy_loss=0.1, push_loss=0.1, policies=PolicySet()
+        )
+        assert default.key == plain.key
+        assert default.label == plain.label == "hier-gd@S=0.3[loss=0.1]"
+        (hedged,) = frontier["hedged"]
+        assert hedged.key != plain.key
+        assert hedged.label == "hier-gd@S=0.3[loss=0.1,policy=hedged]"
 
     def test_nonzero_plan_changes_the_key(self):
         config = base_config(TINY)

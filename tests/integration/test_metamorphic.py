@@ -11,8 +11,7 @@ twice.
   replacement policy makes keeps its outcome.  Tier counts, messages and
   every other extra stay byte-identical; ``total_latency``,
   ``extra_latency`` and ``byte_latency`` scale exactly.  This holds under
-  fault plans too, with the plan left unscaled and on either execution
-  backend: a plan's timeouts, backoff rounds and delays are multiples of
+  fault plans too, with the plan left unscaled: a plan's timeouts, backoff rounds and delays are multiples of
   the link RTT, so they scale with ``t_local``, and its draws do not
   depend on latencies.
 - **R2, empty client caches collapse an -EC scheme onto its base.**  At
@@ -71,10 +70,8 @@ def config(sizes: str, proxy_fraction: float, **overrides) -> SimulationConfig:
     return SimulationConfig(**fields)
 
 
-def result(name, cfg, traces, plan=None, backend="sync") -> dict:
-    return dataclasses.asdict(
-        run_scheme_with_faults(name, cfg, traces, plan, seed=0, backend=backend)
-    )
+def result(name, cfg, traces, plan=None) -> dict:
+    return dataclasses.asdict(run_scheme_with_faults(name, cfg, traces, plan, seed=0))
 
 
 #: R1's fault plans: none, the composite robustness plan, churn alone and
@@ -103,11 +100,9 @@ seeds = st.integers(min_value=0, max_value=3)
     hiergd_policy=st.sampled_from(["gd", "lru", "lfu"]),
     gd_cost_model=st.sampled_from(["gds", "gd"]),
     plan=st.sampled_from(list(R1_PLANS)),
-    backend=st.sampled_from(["sync", "async"]),
 )
 def test_r1_scaling_t_local_scales_every_latency_exactly(
-    name, k, sizes, fraction, seed, directory, hiergd_policy, gd_cost_model, plan,
-    backend,
+    name, k, sizes, fraction, seed, directory, hiergd_policy, gd_cost_model, plan
 ):
     base = config(
         sizes,
@@ -119,8 +114,8 @@ def test_r1_scaling_t_local_scales_every_latency_exactly(
     traces = generate_workloads(base, seed=seed)
     factor = 2.0**k
     scaled_config = dataclasses.replace(base, network=NetworkConfig(t_local=factor))
-    plain = result(name, base, traces, R1_PLANS[plan], backend)
-    scaled = result(name, scaled_config, traces, R1_PLANS[plan], backend)
+    plain = result(name, base, traces, R1_PLANS[plan])
+    scaled = result(name, scaled_config, traces, R1_PLANS[plan])
 
     assert scaled["tier_counts"] == plain["tier_counts"]
     assert scaled["messages"] == plain["messages"]

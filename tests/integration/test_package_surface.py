@@ -71,10 +71,6 @@ ALLOWLIST = {
     "repro/overlay/id_space.py::IdSpace.digit": (
         "contract method the reference model tests/models/pastry_chain.py drives"
     ),
-    "repro/protocol/aio.py::AsyncTransport.attempt_async": (
-        "async API: the coroutine form of attempt (draw when awaited) that "
-        "test_stack.py's carrier matrix holds equal to attempt and begin"
-    ),
     "repro/workload/lru_stack.py::LruStack.pop_at": (
         "the naive ProWGen model in test_prowgen_model.py drives the stack "
         "through it; the generator's loop inlines it"

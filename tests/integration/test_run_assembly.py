@@ -7,7 +7,7 @@ to the simulation if all of them constructed the same scheme class, on
 the same Hier-GD engine, reporting under the same name.
 
 The second half is the **capability matrix**: every combination of
-scheme x shards x sizes x fault plan x backend (plus the config axes
+scheme x shards x sizes x fault plan x recording (plus the config axes
 only some schemes read) is either *gated* — equal to its anchor, pinned
 by a golden, or deterministic and request-conserving — or *refused* with
 :class:`~repro.core.config.UnsupportedConfiguration` before anything is
@@ -35,6 +35,7 @@ from repro.core.run import (
     build_scheme,
     generate_workloads,
     run_scheme,
+    with_backend,
 )
 from repro.core.schemes import SCHEME_REGISTRY
 from repro.core.simulator import CachingScheme
@@ -45,7 +46,7 @@ from repro.faults import NO_FAULTS, FaultPlan, run_scheme_with_faults
 from repro.netmodel import TIER_COOP_P2P, TIER_COOP_PROXY
 from repro.protocol import recording_traces, replay_trace
 from repro.protocol.transport import Transport
-from repro.shard import ShardView, check_shardable
+from repro.shard import ShardView
 from repro.workload import ProWGenConfig
 
 CONFIG = SimulationConfig(
@@ -90,7 +91,7 @@ def built(monkeypatch):
 
 
 @pytest.mark.parametrize("plan_kind", list(PLANS))
-@pytest.mark.parametrize("name", ["nc", "fc", "fc-ec", "squirrel", "hier-gd"])
+@pytest.mark.parametrize("name", available_schemes())
 def test_all_entry_points_build_the_same_scheme(name, plan_kind, built, cluster, tmp_path):
     plan = PLANS[plan_kind]
     bites = plan_kind == "active" and name in FAULTABLE
@@ -195,7 +196,7 @@ class Cell:
     shards: int
     sized: bool
     faulty: bool
-    backend: str
+    recorded: bool
 
     @property
     def variant(self) -> str:
@@ -204,7 +205,8 @@ class Cell:
     @property
     def id(self) -> str:
         tags = [self.name, self.variant, f"shards{self.shards}"]
-        tags += ["sized"] * self.sized + ["plan"] * self.faulty + [self.backend]
+        tags += ["sized"] * self.sized + ["plan"] * self.faulty
+        tags += ["recorded"] * self.recorded
         return "-".join(t for t in tags if t)
 
     @property
@@ -227,10 +229,10 @@ class Cell:
             return "anchor"
         if self.name not in ("nc", "sc", "hier-gd"):
             return "cannot run sharded"
-        if self.backend == "async":
-            return "single-process features"
         if self.faulty:
             return "fault plans are single-process"
+        if self.recorded:
+            return "record with shards=1"
         if self.name == "hier-gd" and self.variant == "directory=bloom":
             return "directory='exact'"
         if (self.name, self.variant, self.sized) in GOLDEN_CASE:
@@ -243,44 +245,33 @@ class Cell:
 
 
 CELLS = [
-    Cell(name, tuple(variant.items()), shards, sized, faulty, backend)
+    Cell(name, tuple(variant.items()), shards, sized, faulty, recorded)
     for name in SCHEME_REGISTRY
     for variant in VARIANTS.get(name, [{}])
-    for shards, sized, faulty, backend in itertools.product(
-        (1, 2), (False, True), (False, True), ("sync", "async")
+    for shards, sized, faulty, recorded in itertools.product(
+        (1, 2), (False, True), (False, True), (False, True)
     )
 ]
 
 
 def run_cell(cell: Cell):
-    """Through the entry point that takes the cell's axes.
-
-    None takes all of ``shards``, a plan and a backend: a sharded async
-    run under a plan can only be put to the coordinator's own question.
-    """
+    """Through the entry point that takes the cell's axes: ``run_scheme``
+    without a plan, the experiment engine's ``run_point`` with one."""
     if cell.plan is None:
-        return run_scheme(
-            cell.name, cell.config, seed=1, backend=cell.backend, shards=cell.shards
-        )
-    if cell.backend == "sync":
-        point = SweepPoint(
-            cell.name, cell.config.proxy_cache_fraction, cell.config, seed=1,
-            faults=cell.plan, shards=cell.shards,
-        )
-        return deserialize_result(run_point(point)["result"])
-    if cell.shards > 1:
-        check_shardable(cell.name, cell.config, plan=cell.plan, backend=cell.backend)
-    return run_scheme_with_faults(
-        cell.name, cell.config, plan=cell.plan, seed=1, backend=cell.backend
+        return run_scheme(cell.name, cell.config, seed=1, shards=cell.shards)
+    point = SweepPoint(
+        cell.name, cell.config.proxy_cache_fraction, cell.config, seed=1,
+        faults=cell.plan, shards=cell.shards,
     )
+    return deserialize_result(run_point(point)["result"])
 
 
 _ANCHORS: dict = {}
 
 
 def anchor(cell: Cell):
-    """The plain single-process, sync run of the cell's (scheme, config,
-    plan): ``run_scheme`` itself when there is no plan."""
+    """The plain single-process run of the cell's (scheme, config, plan):
+    ``run_scheme`` itself when there is no plan."""
     key = (cell.name, cell.config, cell.plan)
     if key not in _ANCHORS:
         _ANCHORS[key] = run_scheme_with_faults(
@@ -289,10 +280,25 @@ def anchor(cell: Cell):
     return _ANCHORS[key]
 
 
-@pytest.mark.parametrize("cell", CELLS, ids=lambda cell: cell.id)
-def test_capability_matrix(cell, monkeypatch):
-    if cell.gated:
+def run_recorded(cell: Cell, directory: Path):
+    """``run_cell`` inside a recording block, and the one trace it wrote."""
+    with recording_traces(directory) as recorder:
         result = run_cell(cell)
+    (written,) = recorder.written
+    return result, written
+
+
+@pytest.mark.parametrize("cell", CELLS, ids=lambda cell: cell.id)
+def test_capability_matrix(cell, monkeypatch, tmp_path):
+    if cell.gated:
+        if cell.recorded:
+            # A recording changes no byte of the run, and replays to it.
+            result, written = run_recorded(cell, tmp_path)
+            report = replay_trace(written)
+            assert report.divergence is None and report.identical
+            assert serialize_result(report.result) == serialize_result(result)
+        else:
+            result = run_cell(cell)
         if cell.shards == 1:
             assert serialize_result(result) == serialize_result(anchor(cell))
             return
@@ -308,7 +314,27 @@ def test_capability_matrix(cell, monkeypatch):
 
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_fork)
     with pytest.raises(UnsupportedConfiguration, match=cell.expected):
-        run_cell(cell)
+        if cell.recorded:
+            run_recorded(cell, tmp_path)
+        else:
+            run_cell(cell)
+    assert not any(tmp_path.iterdir())
+
+
+def test_ledger_backend_names_run_one_stack():
+    """The performance ledger still spells a backend: ``"async"`` runs
+    the very stack ``"sync"`` does, byte for byte, and any other name is
+    refused."""
+    plan = PLANS["active"]
+    sync = run_scheme_with_faults("hier-gd", CONFIG, plan=plan, seed=1)
+    named = run_scheme_with_faults("hier-gd", CONFIG, plan=plan, seed=1, backend="async")
+    assert serialize_result(named) == serialize_result(sync)
+    stack = Transport(CONFIG.network)
+    assert with_backend(stack, "async") is with_backend(stack, "sync") is stack
+    with pytest.raises(ValueError, match="unknown backend 'threads'"):
+        with_backend(stack, "threads")
+    with pytest.raises(ValueError, match="unknown backend 'threads'"):
+        run_scheme_with_faults("hier-gd", CONFIG, plan=plan, seed=1, backend="threads")
 
 
 @pytest.mark.parametrize("name", ["nc", "sc", "hier-gd"])
@@ -335,11 +361,11 @@ def test_view_owning_every_cluster_is_an_identity(name, built):
 
 #: Column -> the cells it summarises.
 COLUMNS = {
-    "`shards=1` (any sizes / plan / backend)": lambda c: c.shards == 1,
-    "`shards=2`": lambda c: (c.shards, c.sized, c.faulty, c.backend) == (2, False, False, "sync"),
-    "`shards=2`, sized": lambda c: (c.shards, c.sized, c.faulty, c.backend) == (2, True, False, "sync"),
-    "`shards=2`, fault plan": lambda c: (c.shards, c.faulty, c.backend) == (2, True, "sync"),
-    "`shards=2`, async": lambda c: c.shards == 2 and c.backend == "async",
+    "`shards=1` (any sizes / plan / recording)": lambda c: c.shards == 1,
+    "`shards=2`": lambda c: (c.shards, c.sized, c.faulty, c.recorded) == (2, 0, 0, 0),
+    "`shards=2`, sized": lambda c: (c.shards, c.sized, c.faulty, c.recorded) == (2, 1, 0, 0),
+    "`shards=2`, fault plan": lambda c: (c.shards, c.faulty) == (2, True),
+    "`shards=2`, recorded": lambda c: (c.shards, c.faulty, c.recorded) == (2, False, True),
 }
 BEGIN, END = "<!-- capability-matrix:begin -->", "<!-- capability-matrix:end -->"
 

@@ -1,19 +1,20 @@
 """One decide, one pay: ``draw`` is the only method a layer overrides.
 
 The transport stack decides an exchange in :meth:`Transport.draw` and
-pays it in :meth:`Transport.attempt` (or :meth:`AsyncTransport.begin`,
-the same with the waits awaited).  These tests hold the stack to what
-that buys:
+pays it in :meth:`Transport.attempt`.  These tests hold the stack to
+what that buys:
 
 * a layer that overrides ``draw`` and nothing else sees every exchange
-  exactly once on every execution path, wherever it is stacked;
-* every stacking order of {fault, watcher, recording} on either
-  backend runs a scheme to one ``SchemeResult``, and the recorded bytes
-  depend only on which side of the fault layer the recording sits;
+  exactly once, wherever it is stacked and whatever shape of ladder the
+  retry strategy draws;
+* every stacking order of {fault, watcher, recording} runs a scheme to
+  one ``SchemeResult``, and the recorded bytes depend only on which side
+  of the fault layer the recording sits;
 * what ``attempt`` charges, books and records is the naive application
-  of the outcome ``draw`` returned, for any plan and any strategy;
-* a cancelled ladder under recording leaves its event behind
-  (docs/PROTOCOL.md §7.2).
+  of the outcome ``draw`` returned, for any plan and any strategy.
+
+A cancelled ladder only exists on a daemon; docs/PROTOCOL.md §7.2 is
+pinned in ``tests/daemon/test_daemon.py``.
 """
 
 import dataclasses
@@ -24,25 +25,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import SimulationConfig
-from repro.core.run import build_scheme, generate_workloads, with_backend
+from repro.core.run import build_scheme, generate_workloads
 from repro.experiments.robustness import robustness_plan
 from repro.faults import FaultPlan
 from repro.faults.run import run_scheme_with_faults
 from repro.netmodel import NetworkConfig
 from repro.protocol import (
     ALL_EXCHANGES,
-    PROXY_FETCH,
     STRATEGIES,
-    AsyncTransport,
     FaultTransport,
     PolicySet,
     RetryPolicy,
-    TraceIncompleteError,
     Transport,
     TransportLayer,
-    load_trace,
     recording_traces,
-    replay_trace,
 )
 from repro.protocol.trace import RecordingTransport, TraceRecorder
 from repro.protocol.wire import event_frame
@@ -97,56 +93,38 @@ PLACEMENTS = {
 ASKED = [(ALL_EXCHANGES[i % len(ALL_EXCHANGES)], i % 5 == 0) for i in range(60)]
 
 
-def _drive(mode, carrier):
-    """Carry ``ASKED`` through ``carrier`` on one execution path."""
-    clock = carrier.clock
-    if mode == "attempt":
-        return [carrier.attempt(x, ff) for x, ff in ASKED]
-    if mode == "attempt_async":
-        return [clock.run(carrier.attempt_async(x, ff)) for x, ff in ASKED]
-    if mode == "begin + await":
-
-        async def finish(ladder):
-            return await ladder
-
-        return [clock.run(finish(carrier.begin(x, ff))) for x, ff in ASKED]
-    return clock.gather(*(carrier.attempt_async(x, ff) for x, ff in ASKED))
-
-
 class TestDrawOnlyLayer:
-    """(i) Overriding ``draw`` is enough, on every execution path."""
+    """(i) Overriding ``draw`` is enough."""
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("placement", PLACEMENTS)
-    @pytest.mark.parametrize(
-        "mode", ["sync", "attempt", "attempt_async", "begin + await", "gather"]
-    )
-    def test_sees_every_exchange_exactly_once(self, placement, mode):
+    def test_sees_every_exchange_exactly_once(self, placement, strategy):
         spies = []
 
         def spy(inner):
             spies.append(Spy(inner))
             return spies[-1]
 
-        fault = FaultTransport(Transport(NetworkConfig()), PLAN, scope="t")
+        plan = dataclasses.replace(
+            PLAN, policies=PolicySet(default=RetryPolicy(strategy=strategy))
+        )
+        fault = FaultTransport(Transport(NetworkConfig()), plan, scope="t")
         stack = PLACEMENTS[placement](fault, spy)
-        if mode == "sync":
-            oks = [stack.attempt(x, ff) for x, ff in ASKED]
-        else:
-            oks = _drive(mode, AsyncTransport(stack))
+        oks = [stack.attempt(x, ff) for x, ff in ASKED]
         (seen,) = [s.seen for s in spies]
         assert [(x, ff) for x, ff, _ in seen] == ASKED
         assert [ok for _, _, ok in seen] == oks
-        # Same plan, same scope, same order of asking: every path and
-        # every placement decides the same outcomes.
-        reference = FaultTransport(Transport(NetworkConfig()), PLAN, scope="t")
+        # Same plan, same scope, same order of asking: every placement
+        # decides the same outcomes.
+        reference = FaultTransport(Transport(NetworkConfig()), plan, scope="t")
         assert oks == [reference.draw(x, ff).ok for x, ff in ASKED]
 
 
 LAYERS = ("fault", "watcher", "recording")
 
 
-def _run_stacked(name, order, backend, directory, traces):
-    """Run ``name`` on base → ``order`` (innermost first) → ``backend``."""
+def _run_stacked(name, order, directory, traces):
+    """Run ``name`` on base → ``order`` (innermost first)."""
     config, plan = cfg(), robustness_plan(0.1)
     recorder = TraceRecorder(directory)
     stack = Transport(config.network)
@@ -157,9 +135,7 @@ def _run_stacked(name, order, backend, directory, traces):
             stack = Spy(stack)
         else:
             stack = recording = recorder.open(name, config, 0, plan, stack)
-    scheme = build_scheme(
-        name, config, traces, plan, transport=with_backend(stack, backend)
-    )
+    scheme = build_scheme(name, config, traces, plan, transport=stack)
     recording.attach(scheme)
     result = scheme.run()
     recorder.close(recording, result)
@@ -167,10 +143,10 @@ def _run_stacked(name, order, backend, directory, traces):
 
 
 class TestStackingMatrix:
-    """(ii) Every order × both backends: one result, placement-only bytes."""
+    """(ii) Every order: one result, placement-only bytes."""
 
-    @pytest.mark.parametrize("name", ["fc", "hier-gd"])
-    def test_every_order_and_backend_agree(self, name, tmp_path):
+    @pytest.mark.parametrize("name", ["fc", "fc-ec", "squirrel", "hier-gd"])
+    def test_every_order_agrees(self, name, tmp_path):
         traces = generate_workloads(cfg(), seed=0)
         with recording_traces(tmp_path / "standard") as recorder:
             standard = run_scheme_with_faults(
@@ -178,13 +154,10 @@ class TestStackingMatrix:
             )
         results, ladders, rounds = [], set(), set()
         for i, order in enumerate(itertools.permutations(LAYERS)):
-            for backend in ("sync", "async"):
-                result, recorded = _run_stacked(
-                    name, order, backend, tmp_path / f"{i}-{backend}", traces
-                )
-                results.append(result)
-                outside = order.index("recording") > order.index("fault")
-                (ladders if outside else rounds).add(recorded)
+            result, recorded = _run_stacked(name, order, tmp_path / str(i), traces)
+            results.append(result)
+            outside = order.index("recording") > order.index("fault")
+            (ladders if outside else rounds).add(recorded)
         assert all(r == dataclasses.asdict(standard) for r in results)
         # Recording outside the fault layer sees ladders — the bytes every
         # entry point records; inside it sees delivered rounds only.
@@ -244,19 +217,14 @@ class TestPayingIsApplyingTheOutcome:
     @given(
         plan=_plans(),
         asked=st.lists(st.tuples(st.sampled_from(ALL_EXCHANGES), st.booleans()), max_size=30),
-        asynchronous=st.booleans(),
     )
-    def test_attempt_charges_books_and_records_what_draw_returned(
-        self, plan, asked, asynchronous
-    ):
+    def test_attempt_charges_books_and_records_what_draw_returned(self, plan, asked):
         network = NetworkConfig()
         decider = FaultTransport(Transport(network), plan, scope="t")
         writer = _Events()
         stack = RecordingTransport(
             FaultTransport(Transport(network), plan, scope="t"), writer
         )
-        if asynchronous:
-            stack = AsyncTransport(stack)
         paid = []
         stack._charge = paid.append
 
@@ -272,34 +240,3 @@ class TestPayingIsApplyingTheOutcome:
         assert paid == charged
         assert {k: n for k, n in stack.fault_counters.items() if n} == booked
         assert writer.events == lines
-
-
-class TestCancellationUnderRecording:
-    """(iv) The recording layer writes a ladder's event when it is drawn."""
-
-    def test_cancelled_ladder_leaves_its_event_and_an_unreplayable_trace(
-        self, tmp_path
-    ):
-        config, plan = cfg(), FaultPlan(proxy_loss=1.0, seed=1)
-        recorder = TraceRecorder(tmp_path)
-        recording = recorder.open(
-            "fc", config, 0, plan, FaultTransport(Transport(config.network), plan)
-        )
-        carrier = AsyncTransport(recording)
-        paid = []
-        carrier._charge = paid.append
-
-        ladder = carrier.begin(PROXY_FETCH)
-        ladder.close()  # cancelled in its first wait
-        recorder.close(recording, None)  # the run it belonged to never finished
-
-        trace = load_trace(recorder.written[0])
-        (event,) = trace.events
-        _, _, kind, _, ok, charges, deltas, _ = event
-        assert (kind, ok) == (PROXY_FETCH.kind, False)
-        # The event is the whole ladder as drawn; the caller paid one wait.
-        assert len(charges) == plan.max_retries + 1 and paid == charges[:1]
-        assert deltas["timeouts"] == plan.max_retries + 1
-        assert not trace.complete
-        with pytest.raises(TraceIncompleteError):
-            replay_trace(recorder.written[0])

@@ -148,14 +148,14 @@ class TestValidation:
             run_scheme_sharded("nc", cfg(), shards=0)
 
     def test_run_level_refusals_are_the_named_error(self, tmp_path):
-        # The scheme x sizes x plan x backend refusals are the capability
+        # The scheme x sizes x plan refusals are the capability
         # matrix's (tests/integration/test_run_assembly.py); these are the
         # three obstacles that are not a property of the cell.
         from repro.protocol import Transport
         from repro.protocol.trace import recording_traces
 
         config = cfg()
-        with pytest.raises(UnsupportedConfiguration, match="single-process"):
+        with pytest.raises(UnsupportedConfiguration, match="custom transports are single-process"):
             run_scheme("sc", config, transport=Transport(config.network), shards=2)
         with pytest.raises(UnsupportedConfiguration, match="seed"):
             run_scheme("sc", config, traces=generate_workloads(config), shards=2)
