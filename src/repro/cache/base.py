@@ -109,6 +109,11 @@ class Cache(ABC):
             return True, []
         return False, self.insert(key, cost=cost, size=size)
 
+    def insert_absent(self, key: Hashable, cost: float, size: int) -> list[Hashable]:
+        """:meth:`insert` of a key the caller knows is not cached; policies
+        override it to skip the refresh case (greedy-dual does)."""
+        return self.insert(key, cost, size)
+
     def __contains__(self, key: Hashable) -> bool:
         return self.contains(key)
 

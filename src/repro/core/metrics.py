@@ -74,39 +74,6 @@ class SchemeResult:
         """Fraction of requests that went all the way to the server."""
         return self.hit_rate("server")
 
-    def latency_distribution(self, network) -> list[tuple[float, int]]:
-        """Exact latency distribution as sorted ``(latency, count)`` pairs.
-
-        With equal-size objects every request's latency is fully
-        determined by its serving tier, so the distribution is exact (no
-        sampling).  ``network`` is the :class:`~repro.netmodel.
-        NetworkConfig` the run used.
-        """
-        pairs = [
-            (network.latency(tier), count)
-            for tier, count in self.tier_counts.items()
-        ]
-        pairs.sort()
-        return pairs
-
-    def percentile(self, p: float, network) -> float:
-        """Latency percentile ``p`` (0 < p <= 100) of the distribution.
-
-        Useful beyond the paper's mean-latency metric: tail latency shows
-        how often clients still pay the full server round trip.
-        """
-        if not 0 < p <= 100:
-            raise ValueError("p must be in (0, 100]")
-        if not self.n_requests:
-            return 0.0
-        target = p / 100 * self.n_requests
-        seen = 0
-        for latency, count in self.latency_distribution(network):
-            seen += count
-            if seen >= target:
-                return latency
-        return self.latency_distribution(network)[-1][0]
-
     def fault_summary(self) -> dict[str, int]:
         """The :data:`FAULT_COUNTERS` slice of ``messages`` (zeros when
         the scheme ran without fault injection)."""

@@ -138,18 +138,14 @@ class FcScheme(CachingScheme):
 
         Size-aware: admission frees min-density incumbents until the new
         copy fits, and aborts the moment an incumbent is at least as dense
-        as the newcomer.  The incumbents it popped go back into the store
-        at their densities but with fresh sequence numbers, in pop order
-        (``HeapDict.push``).  That reorders nothing: each is strictly less
-        dense than the newcomer, so than every copy left, and ties among
-        them keep their order.  Under unit sizes the loop runs at most one
-        iteration against the raw copy value and pops nothing it does not
-        evict — exactly the paper's single-victim rule.
+        as the newcomer; the incumbents it popped then go back with their
+        own records.  Under unit sizes the loop runs at most one iteration
+        against the raw copy value and pops nothing it does not evict —
+        exactly the paper's single-victim rule.
 
         Sizes, the value and the store's minimum are read in this frame:
         the heap by friend access (the inner loop is
-        ``HeapDict._materialize_min``, the re-push ``HeapDict.push`` of an
-        absent key).
+        ``HeapDict._materialize_min``).
         """
         sizes = self._size_list
         size = 1 if sizes is None else sizes[obj]
@@ -164,9 +160,8 @@ class FcScheme(CachingScheme):
         if obj not in self._holders:
             value += self._freq_total[obj] * self._benefit_remote
         density = value / size
-        copies = self._copies
-        heap, live = copies._heap, copies._live
-        victims: list[tuple[tuple[int, int], float]] = []
+        heap, live = self._copies._heap, self._copies._live
+        victims: list[tuple[tuple[int, int], tuple[float, int, bool]]] = []
         while used > capacity:
             while True:
                 vdensity, seq, victim = heap[0]
@@ -178,17 +173,15 @@ class FcScheme(CachingScheme):
                     live[victim] = (rec[0], rec[1], True)
                     heappush(heap, (rec[0], rec[1], victim))
             if vdensity >= density:
-                for key, prio in victims:  # rejected: back, at fresh seqs
-                    seq = copies._seq + 1
-                    copies._seq = seq
-                    live[key] = (prio, seq, True)
-                    heappush(heap, (prio, seq, key))
+                for key, rec in victims:  # rejected: restore what was popped
+                    live[key] = rec
+                    heappush(heap, (rec[0], rec[1], key))
                 return
             heappop(heap)
             del live[victim]
-            victims.append((victim, vdensity))
+            victims.append((victim, rec))
             used -= 1 if sizes is None else sizes[victim[0]]
-        for (vobj, vcluster), _density in victims:
+        for (vobj, vcluster), _rec in victims:
             self._drop_copy(vobj, vcluster)
         self._add_copy(obj, cluster)
 

@@ -68,7 +68,7 @@ def check_shardable(
     that takes ``shards`` asks it before a process is forked.  Shardable
     means the scheme declares a cooperative surface *and* the run keeps
     both presence indexes — predicted here from the inputs the way
-    :func:`repro.core.hiergd_indexed.install` picks a specialisation.
+    :class:`~repro.core.hiergd.HierGdScheme`'s constructor builds them.
     ``recording=None`` asks :func:`~repro.protocol.trace.
     active_trace_recorder`.
     """

@@ -61,8 +61,8 @@ class TestEventValidation:
         """The schedule is walked in firing order at construction: no
         cluster state is built, no request served, before it is refused."""
         monkeypatch.setattr(
-            "repro.core.hiergd_indexed.install",
-            lambda scheme: pytest.fail("a bad schedule reached install"),
+            "repro.core.hiergd.make_overlay",
+            lambda config: pytest.fail("a bad schedule reached state building"),
         )
         with pytest.raises(ValueError, match=error):
             HierGdScheme(cfg(), workload(), events=events)

@@ -37,10 +37,9 @@ def test_store_matches_model_after_every_request(scheme, model, sizes):
     consider = naive._consider_copy
 
     def counted(obj, cluster):
-        seq = naive.seq
-        placed = naive._placement_updates
+        requeued = naive.requeued
         consider(obj, cluster)
-        if naive.seq != seq and naive._placement_updates == placed:
+        if naive.requeued != requeued:
             rejected.append(obj)
 
     naive._consider_copy = counted
@@ -56,19 +55,16 @@ def test_store_matches_model_after_every_request(scheme, model, sizes):
                 for tiers, naive_tiers in zip(fast._tiers, naive._tiers):
                     assert set(tiers._top._live) == set(naive_tiers._top._live)
     assert fast._placement_updates == naive._placement_updates > 0
-    # Sized stores reject after popping (the re-push path runs).
+    # Sized stores reject after popping (the restore path runs).
     assert bool(rejected) == (sizes == "sized")
 
 
 def test_rejected_admission_requeues_its_victims_in_pop_order():
-    """A rejected admission puts its popped incumbents back at fresh
-    sequence numbers (``HeapDict.push``), in the order it popped them.
-    That reorders nothing: every popped copy is strictly less dense than
-    the newcomer, and so than every copy left, and equal-density victims
-    go back in their old order.  Built here: two unit copies of equal
-    density ahead of a dense one, a newcomer that pops both and is
-    refused by the third; the older of the tied pair is still evicted
-    first."""
+    """A rejected admission puts its popped incumbents back with their
+    own records, sequence numbers included, so the store's order is the
+    one before the attempt.  Built here: two unit copies of equal density
+    ahead of a dense one, a newcomer that pops both and is refused by the
+    third; the older of the tied pair is still evicted first."""
     trace = Trace(
         np.arange(5, dtype=np.int64), np.zeros(5, dtype=np.int32), n_objects=5, n_clients=1
     )
@@ -94,7 +90,7 @@ def test_rejected_admission_requeues_its_victims_in_pop_order():
     updates = scheme._placement_updates
     scheme._consider_copy(3, 0)  # 5/3 Ts: pops 0 and 1, refused by 2 (2 Ts)
     assert scheme._placement_updates == updates and scheme._used == 4
-    assert [live[copy][1] for copy in order()] == [4, 5, 3]  # fresh seqs for 0, 1
+    assert [live[copy][1] for copy in order()] == [1, 2, 3]  # their own seqs
     assert order() == [(0, 0), (1, 0), (2, 0)]
     scheme._consider_copy(4, 0)  # 2 Ts, one unit: evicts the older of the tie
     assert set(live) == {(1, 0), (2, 0), (4, 0)}

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import SimulationConfig
-from repro.core.hiergd import HierGdScheme
-from repro.core.hiergd_indexed import member_map
+from repro.core.hiergd import HierGdScheme, member_map
 from repro.netmodel import (
     TIER_COOP_P2P,
     TIER_LOCAL_P2P,

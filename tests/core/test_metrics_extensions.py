@@ -1,52 +1,12 @@
-"""Tests for latency percentiles, warmup windows and the LFU-mode knob."""
+"""Tests for warmup windows and the LFU-mode knob."""
 
 import numpy as np
 import pytest
 
 from repro.core.config import SimulationConfig
-from repro.core.metrics import SchemeResult
 from repro.core.run import generate_workloads, run_scheme
 from repro.core.schemes import NcScheme
-from repro.netmodel import NetworkConfig
 from repro.workload import ProWGenConfig, Trace
-
-
-def mk_result(tiers, n=None):
-    n = n if n is not None else sum(tiers.values())
-    total = sum(NetworkConfig().latency(t) * c for t, c in tiers.items())
-    return SchemeResult(scheme="x", n_requests=n, total_latency=total, tier_counts=tiers)
-
-
-class TestPercentiles:
-    def test_distribution_sorted_and_complete(self):
-        r = mk_result({"server": 3, "local_proxy": 7})
-        dist = r.latency_distribution(NetworkConfig())
-        assert dist == [(1.0, 7), (21.0, 3)]
-
-    def test_percentile_values(self):
-        net = NetworkConfig()
-        r = mk_result({"local_proxy": 70, "server": 30})
-        assert r.percentile(50, net) == pytest.approx(1.0)
-        assert r.percentile(70, net) == pytest.approx(1.0)
-        assert r.percentile(71, net) == pytest.approx(21.0)
-        assert r.percentile(100, net) == pytest.approx(21.0)
-
-    def test_percentile_validation(self):
-        r = mk_result({"server": 1})
-        with pytest.raises(ValueError):
-            r.percentile(0, NetworkConfig())
-        with pytest.raises(ValueError):
-            r.percentile(101, NetworkConfig())
-
-    def test_empty_result(self):
-        r = SchemeResult(scheme="x", n_requests=0, total_latency=0.0)
-        assert r.percentile(99, NetworkConfig()) == 0.0
-
-    def test_tail_latency_reflects_misses(self):
-        mostly_hits = mk_result({"local_proxy": 99, "server": 1})
-        mostly_miss = mk_result({"local_proxy": 10, "server": 90})
-        net = NetworkConfig()
-        assert mostly_hits.percentile(90, net) < mostly_miss.percentile(90, net)
 
 
 class TestWarmup:

@@ -2,7 +2,7 @@
 
 What served every faulty and churning run before Hier-GD had one engine
 (``core/hiergd.py`` + ``protocol/chain.py``), kept as the oracle the
-equivalence suite holds ``repro.core.hiergd_indexed`` to.  Nothing is
+equivalence suite holds the engine of ``repro.core.hiergd`` to.  Nothing is
 indexed or inlined: every miss scans the other clusters in ascending
 order, every holder is found through ``_locate``, free space is read per
 candidate, the neighbourhood is asked of the overlay per diversion,
@@ -13,7 +13,9 @@ It always carries a churn schedule (placement on first touch over
 one-by-one joins, membership events, the repairing ``_locate``); with no
 events and the base transport it is plain Hier-GD.  Shared with the
 program: cluster state and its ``fail`` / ``join``, ``_locate`` /
-``_replicate``, the schedule's firing.
+``_replicate``, the schedule's firing.  Every engine method its stages
+would otherwise reach (``process``, ``_proxy_insert``, ``_pass_down``,
+``_push_stage``) is overridden here.
 """
 
 from repro.core.hiergd import HierGdScheme

@@ -7,7 +7,7 @@ its *partner*, and the two :class:`SchemeResult`\\ s must be identical —
 same request count, tier counts, total latency and protocol messages,
 and the same extras except, on unit-size rows, ``mean_pastry_hops``:
 
-* **Hier-GD** — the one engine (``repro.core.hiergd_indexed``), over
+* **Hier-GD** — the one engine (``repro.core.hiergd``), over
   every set of indexes its state can hold, against the naive protocol
   chain of ``chain_model.py``: fault-free rows, rows under fault plans
   (the exchange sequence the two ask of the transport compared too) and
@@ -39,7 +39,6 @@ import pytest
 
 import repro
 from repro.cache import CLIENT_TIER, PROXY_TIER
-from repro.core import hiergd_indexed
 from repro.core.churn import ChurnEvent
 from repro.core.hiergd import HierGdScheme
 from repro.core.run import SCHEME_REGISTRY, build_scheme, generate_workloads
@@ -160,8 +159,8 @@ def test_hier_gd_bloom_directory_equivalent():
 
 @pytest.mark.parametrize("policy", ["lru", "lfu"])
 def test_hier_gd_alt_policies_equivalent(policy):
-    # LRU/LFU caches skip the unit-size greedy-dual insert; the generic
-    # insert branch must stay equivalent too.
+    # LRU/LFU caches take ``Cache.insert_absent``'s default, their
+    # general insert; it must stay equivalent too.
     assert_equivalent("hier-gd", small_config(hiergd_policy=policy))
 
 
@@ -341,9 +340,10 @@ def test_hier_gd_churn_events_equivalent(overrides, sizes):
 @pytest.mark.parametrize("run", ["plain", "composite", "churn events"])
 @pytest.mark.parametrize("sizes", ["unit", "sized"])
 def test_engine_selection(sizes, run):
-    """``install`` rebinds nothing: every run is served by the class's
-    functions; the state holds what differs, and ``mutates_membership``
-    is whether the run was given a churn schedule."""
+    """Construction rebinds nothing: every run is served by the class's
+    own functions; the state holds what differs, and
+    ``mutates_membership`` is whether the run was given a churn
+    schedule."""
     config = general_config(sizes)
     traces = generate_workloads(config, seed=0)
     if run == "plain":
@@ -353,12 +353,29 @@ def test_engine_selection(sizes, run):
     else:
         scheme = HierGdScheme(config, traces, events=EVENTS)
     assert not {"process", "_proxy_insert"} & set(vars(scheme))
-    assert scheme.process.__func__ is hiergd_indexed.process
-    assert scheme._proxy_insert.__func__ is hiergd_indexed.proxy_insert
+    assert scheme.process.__func__ is vars(HierGdScheme)["process"]
+    assert scheme._proxy_insert.__func__ is vars(HierGdScheme)["_proxy_insert"]
     churn = run != "plain"
     assert scheme.mutates_membership == churn
     for state in scheme.states:
         assert state.first_touch == (sizes == "sized" or churn)
+
+
+@pytest.mark.parametrize("directory", ["exact", "bloom"])
+def test_chain_model_reaches_no_engine_method(monkeypatch, directory):
+    """The model shares only what its docstring lists: no request-path
+    method of ``HierGdScheme`` runs under it, under faults and churn."""
+    for method in ("process", "_proxy_insert", "_pass_down", "_refresh_holder",
+                   "_push_stage", "peer_surface"):
+        monkeypatch.setattr(
+            HierGdScheme, method,
+            lambda *args, method=method: pytest.fail(f"the chain reached {method}"),
+        )
+    config = general_config("sized", directory=directory)
+    transport = FaultTransport(
+        Transport(config.network), FAULT_PLANS["composite"], scope="hier-gd"
+    )
+    ChainHierGd(config, generate_workloads(config, seed=0), EVENTS, transport).run()
 
 
 def test_one_module_defines_the_request_path():
@@ -366,7 +383,7 @@ def test_one_module_defines_the_request_path():
     and the engine has no second specialisation: exactly one function
     counts a pass-down and one a directory lookup — what any
     implementation of Figure 1 or of the miss chain must do — both in
-    ``core/hiergd_indexed.py``."""
+    ``core/hiergd.py``."""
     root = Path(repro.__file__).parent
     counting = {"passdowns": set(), "p2p_lookups": set()}
     for path in root.rglob("*.py"):
@@ -382,9 +399,9 @@ def test_one_module_defines_the_request_path():
                     and node.target.slice.value in counting
                 ):
                     counting[node.target.slice.value].add((module, func.name))
-    engine = "core/hiergd_indexed.py"
+    engine = "core/hiergd.py"
     assert counting == {
-        "passdowns": {(engine, "pass_down")},
+        "passdowns": {(engine, "_pass_down")},
         "p2p_lookups": {(engine, "process")},
     }
 

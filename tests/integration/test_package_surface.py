@@ -56,10 +56,6 @@ ALLOWLIST = {
         "inspection: test_hotpath_equivalence.py and test_presence.py read the "
         "fused request path's tier placement through it"
     ),
-    "repro/core/metrics.py::SchemeResult.percentile": (
-        "extension API (DESIGN.md 'Latency percentiles'): the tail latency of "
-        "a result, beyond the paper's mean; test_metrics_extensions.py holds it"
-    ),
     "repro/core/presence.py::PresenceIndex.as_dict": (
         "invariant snapshot: test_presence.py and test_hiergd.py compare every "
         "presence index against a brute-force scan through it"

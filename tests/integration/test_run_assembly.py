@@ -102,7 +102,7 @@ def test_all_entry_points_build_the_same_scheme(name, plan_kind, built, cluster,
     if not bites:
         run_scheme(name, CONFIG, seed=1)
 
-    insert = "proxy_insert" if name == "hier-gd" else None
+    insert = "_proxy_insert" if name == "hier-gd" else None
     expected = (SCHEME_REGISTRY[name], insert, name)
     assert built == [expected] * len(built) and len(built) >= 3
 

@@ -2,8 +2,9 @@
 
 The sizes-off byte-identity half of the story lives in
 ``tests/integration/test_golden_overlay.py`` (golden comparison at smoke
-scale); these tests pin the *sized* path's conservation laws at a scale
-small enough for the tier-1 suite.
+scale); the sized path has no golden history, so these tests pin its
+determinism and conservation laws at a scale small enough for the tier-1
+suite.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from repro.core.config import SimulationConfig
 from repro.core.metrics import byte_hit_rate, byte_latency_gain
 from repro.core.run import available_schemes, run_scheme
 from repro.core.schemes import NcScheme
+from repro.experiments.store import serialize_result
 from repro.netmodel import ALL_TIERS
 from repro.workload import ProWGenConfig, generate_cluster_traces
 from repro.workload.trace import Trace
@@ -55,6 +57,13 @@ class TestByteConservation:
             for t in ALL_TIERS
         )
         assert result.extras["byte_latency"] == pytest.approx(want)
+
+    @pytest.mark.parametrize("scheme", available_schemes())
+    def test_independent_trace_generations_serialize_identically(self, scheme):
+        first, second = (
+            serialize_result(run_scheme(scheme, *sized_setup(seed=6))) for _ in range(2)
+        )
+        assert first == second
 
     def test_byte_gain_computes_against_nc(self):
         cfg, traces = sized_setup(seed=3)

@@ -7,8 +7,8 @@ plain dict and does everything the slow, obvious way:
 
 * **admission** scans every copy for the minimum ``(density, seq)``,
   pops it while the newcomer is denser and does not fit yet, and on a
-  rejection puts the popped copies back in pop order, each at a fresh
-  sequence number (what ``HeapDict.push`` gives them);
+  rejection puts the popped copies back with their own ``(density,
+  seq)``;
 * **values** are recomputed from the traces' own request counts:
   ``f_c·Tc`` for a copy at cluster ``c``, plus ``f_total·(Ts − Tc)`` for
   the primary;
@@ -41,6 +41,8 @@ class NaiveFc(FcScheme):
         #: (obj, cluster) -> (density, seq): the store's order.
         self.copies: dict[tuple[int, int], tuple[float, int]] = {}
         self.seq = 0
+        #: Copies rejected admissions popped and put back.
+        self.requeued = 0
 
     def copy_value(self, obj, cluster, primary):
         value = self.counts[cluster][obj] * self._benefit_local
@@ -97,15 +99,15 @@ class NaiveFc(FcScheme):
         freed = 0
         while self._used - freed + size > self.capacity:
             victim = min(self.copies, key=self.copies.__getitem__)
-            victim_density = self.copies[victim][0]
-            if victim_density >= density:
-                for copy, popped_density in popped:
-                    self.push(copy, popped_density)
+            record = self.copies[victim]
+            if record[0] >= density:
+                self.copies.update(popped)
+                self.requeued += len(popped)
                 return
             del self.copies[victim]
-            popped.append((victim, victim_density))
+            popped.append((victim, record))
             freed += self._size_of(victim[0])
-        for (victim_obj, victim_cluster), _density in popped:
+        for (victim_obj, victim_cluster), _record in popped:
             self._drop_copy(victim_obj, victim_cluster)
         self._add_copy(obj, cluster)
 

@@ -58,7 +58,6 @@ import pytest
 
 from repro.bloom import CountingBloomFilter
 from repro.cache import GreedyDualCache, HeapDict, greedy_dual
-from repro.core import hiergd_indexed
 from repro.core.churn import ChurnEvent
 from repro.core.directory import LookupDirectory
 from repro.core.hiergd import HierGdScheme
@@ -176,8 +175,8 @@ def test_recorded_faulty_exchange_is_paid_once(monkeypatch, tmp_path):
     plan = robustness_plan(0.1)
     sink = CachingScheme.add_extra_latency.__code__
     engine = {
-        hiergd_indexed.process.__code__,
-        hiergd_indexed.push_stage.__code__,
+        HierGdScheme.process.__code__,
+        HierGdScheme._push_stage.__code__,
         HierGdScheme._locate.__code__,
     }
     wrapper = {
@@ -235,7 +234,7 @@ def test_recorded_faulty_exchange_is_paid_once(monkeypatch, tmp_path):
     free = [own for own, charges in attempts if not charges]
     assert len(free) > 1_000 and set(free) == {10}
     assert max(own for own, _ in attempts) <= 13
-    assert probed_from["process"] > 1_000 and probed_from["push_stage"] > 0
+    assert probed_from["process"] > 1_000 and probed_from["_push_stage"] > 0
     assert probed_from["_locate"] > 0
     assert not wrapped
 
