@@ -22,6 +22,14 @@ from repro.workload.zipf import AliasSampler, zipf_weights
 N_OPS = 10_000
 
 
+def joined_overlay(n: int) -> Overlay:
+    """A Pastry overlay of ``n`` nodes that joined one at a time."""
+    overlay = Overlay()
+    for i in range(n):
+        overlay.add_named(f"cache-{i}")
+    return overlay
+
+
 @pytest.fixture(scope="module")
 def zipf_stream():
     sampler = AliasSampler(zipf_weights(5_000, 0.7))
@@ -95,9 +103,9 @@ def test_alias_sampler_throughput(benchmark):
 
 
 def test_dht_owner_resolution_memoised(benchmark):
-    overlay = Overlay.build(100)
+    overlay = joined_overlay(100)
     dht = Dht(overlay)
-    keys = [dht.object_id(f"http://o/{i}") for i in range(2000)]
+    keys = [overlay.space.object_id(f"http://o/{i}") for i in range(2000)]
 
     def resolve_all():
         return sum(dht.owner(k) % 2 for k in keys)
@@ -106,7 +114,7 @@ def test_dht_owner_resolution_memoised(benchmark):
 
 
 def test_pastry_full_routing(benchmark):
-    overlay = Overlay.build(100)
+    overlay = joined_overlay(100)
     keys = [overlay.space.object_id(f"k{i}") for i in range(500)]
     starts = overlay.node_ids()
 
@@ -175,5 +183,5 @@ def test_rawdraws_candidate_pair_vs_numpy_scalars(benchmark):
 
 
 def test_overlay_construction(benchmark):
-    overlay = benchmark(lambda: Overlay.build(100))
+    overlay = benchmark(lambda: joined_overlay(100))
     assert len(overlay) == 100

@@ -3,7 +3,11 @@
 The paper (§4.1) federates the browser caches of a client cluster into one
 P2P client cache using the Pastry overlay; this subpackage implements that
 substrate from scratch, behind a backend contract so the caching schemes
-above are overlay-agnostic:
+above are overlay-agnostic.  It keeps the parts of Pastry the paper uses:
+DHT placement, prefix routing (hop counts) and the leaf set, which
+Hier-GD's diversion and replication draw on (§4.3).  Pastry's locality
+heuristic, which fills routing-table slots with physically close nodes,
+is not modelled: no figure measures physical route length.
 
 - :mod:`repro.overlay.id_space` — the circular 128-bit identifier space.
 - :mod:`repro.overlay.contract` — the :class:`OverlayBackend` contract
@@ -22,7 +26,6 @@ above are overlay-agnostic:
 
 from .chord import DEFAULT_SUCCESSOR_LIST_SIZE, ChordNode, ChordOverlay
 from .contract import OverlayBackend, OverlayRoutingError, RouteResult, RouteStats
-from .coords import coords_for_name, path_distance, torus_distance
 from .dht import Dht
 from .factory import OVERLAY_BACKENDS, make_overlay
 from .id_space import (
@@ -37,9 +40,6 @@ from .pastry import DEFAULT_LEAF_SET_SIZE, LeafSet, PastryNode, RoutingTable
 from .placement import build_owner_table, object_ids_for_urls
 
 __all__ = [
-    "coords_for_name",
-    "path_distance",
-    "torus_distance",
     "Dht",
     "IdSpace",
     "node_id_from_name",

@@ -328,21 +328,3 @@ class ChordOverlay(OverlayBackend):
             "finger_repairs": self._finger_repairs,
             "successor_repairs": self._successor_repairs,
         }
-
-    # -- convenience ------------------------------------------------------
-
-    @classmethod
-    def build(
-        cls,
-        names: list[str] | int,
-        space: IdSpace | None = None,
-        successor_list_size: int = DEFAULT_SUCCESSOR_LIST_SIZE,
-        name_prefix: str = "cache",
-    ) -> "ChordOverlay":
-        """Construct a ring by joining nodes one at a time."""
-        overlay = cls(space=space, successor_list_size=successor_list_size)
-        if isinstance(names, int):
-            names = [f"{name_prefix}-{i}" for i in range(names)]
-        for name in names:
-            overlay.add_named(name)
-        return overlay

@@ -6,10 +6,9 @@ they need exactly the surface captured by :class:`OverlayBackend`:
 
 * **membership** — :meth:`~OverlayBackend.add_named` /
   :meth:`~OverlayBackend.bulk_add_named` joins,
-  :meth:`~OverlayBackend.fail` / :meth:`~OverlayBackend.leave`
-  departures, an :attr:`~OverlayBackend.epoch` counter bumped on every
-  change (the DHT layer and the precomputed placement tables key their
-  memos off it);
+  :meth:`~OverlayBackend.fail` departures, an
+  :attr:`~OverlayBackend.epoch` counter bumped on every change (the DHT
+  layer and the precomputed placement tables key their memos off it);
 * **placement** — :meth:`~OverlayBackend.owner_of` maps a key to the
   live node that stores it under the backend's ownership rule
   (numerically-closest for Pastry, successor-of-key for Chord), and
@@ -36,7 +35,7 @@ from __future__ import annotations
 
 import bisect
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -72,36 +71,17 @@ class RouteResult:
 
 @dataclass
 class RouteStats:
-    """Aggregate routing statistics: hops and physical route stretch."""
+    """Aggregate routing statistics: messages and their hop counts."""
 
     messages: int = 0
     total_hops: int = 0
     max_hops: int = 0
-    hop_histogram: dict[int, int] = field(default_factory=dict)
-    #: Physical (proximity-metric) distance travelled along all paths.
-    total_path_distance: float = 0.0
-    #: Direct origin→root distance summed over all messages.
-    total_direct_distance: float = 0.0
 
-    def record(self, hops: int, path_distance: float = 0.0, direct: float = 0.0) -> None:
+    def record(self, hops: int) -> None:
         self.messages += 1
         self.total_hops += hops
         if hops > self.max_hops:
             self.max_hops = hops
-        self.hop_histogram[hops] = self.hop_histogram.get(hops, 0) + 1
-        self.total_path_distance += path_distance
-        self.total_direct_distance += direct
-
-    @property
-    def mean_stretch(self) -> float:
-        """Route stretch: path distance over direct distance (>= 1).
-
-        Pastry's locality heuristic exists to keep this small; compare an
-        overlay built with ``proximity=True`` against one without.
-        """
-        if self.total_direct_distance <= 0:
-            return 1.0
-        return self.total_path_distance / self.total_direct_distance
 
 
 class OverlayRoutingError(RuntimeError):
@@ -165,10 +145,6 @@ class OverlayBackend(ABC):
 
     def __contains__(self, node_id: int) -> bool:
         return node_id in self.nodes
-
-    def node(self, node_id: int) -> Any:
-        """Live node state for ``node_id`` (KeyError if not live)."""
-        return self.nodes[node_id]
 
     def node_ids(self) -> list[int]:
         """Live node ids in ascending order (a copy)."""
@@ -240,11 +216,6 @@ class OverlayBackend(ABC):
         ``stale_id`` failed (dead node or routing loop): drop the entry
         and refill from live state so the retried decision progresses."""
 
-    def _record_route(self, result: RouteResult) -> None:
-        """Fold one delivered route into :attr:`stats` (backends with a
-        physical-distance model override to add stretch accounting)."""
-        self.stats.record(result.hops)
-
     def route(self, key: int, start: int | None = None, record: bool = True) -> RouteResult:
         """Route a message for ``key`` from ``start`` (default: any node).
 
@@ -290,7 +261,7 @@ class OverlayBackend(ABC):
             )
         result = RouteResult(root=current, hops=len(path) - 1, path=tuple(path))
         if record:
-            self._record_route(result)
+            self.stats.record(result.hops)
         return result
 
     # -- diagnostics ------------------------------------------------------

@@ -4,17 +4,16 @@ The paper stores a proxy-evicted object in its P2P client cache by hashing
 the object's URL with SHA-1 into an ``objectId`` and placing it at the
 client cache the overlay assigns that id (§4.1 — the numerically closest
 ``cacheId`` under Pastry, the key's successor under Chord).  This module
-provides that mapping:
+provides that mapping.
 
-* :meth:`Dht.owner` — the destination cacheId for a key.  Results are
-  memoized per overlay *epoch* (membership version) because the simulator
-  resolves the same hot URLs millions of times; a membership change
-  invalidates the memo.
-* :meth:`Dht.route` — full hop-by-hop overlay routing for the same key,
-  used when the experiment wants hop statistics rather than only the
-  destination (the simulation samples routes rather than paying O(log N)
-  per request — see ``hop_sample_rate``).
-* :meth:`Dht.object_id` — SHA-1 URL hashing into the overlay's id space.
+:meth:`Dht.owner` returns the destination cacheId for a key.  Results are
+memoized per overlay *epoch* (membership version) because the simulator
+resolves the same hot URLs millions of times; a membership change
+invalidates the memo.  Hop statistics come from sampled full routes: every
+``hop_sample_rate``-th memo miss also routes the key through the overlay
+(:meth:`~repro.overlay.contract.OverlayBackend.route`) rather than paying
+O(log N) per request.  The key itself is the SHA-1 objectId
+:meth:`~repro.overlay.id_space.IdSpace.object_id` computes.
 
 Separating "who owns this key" (pure placement, a function of membership
 only, O(log N) via the sorted id list) from "how does a message get
@@ -25,7 +24,7 @@ routing determines message cost.
 
 from __future__ import annotations
 
-from .contract import OverlayBackend, RouteResult
+from .contract import OverlayBackend
 
 __all__ = ["Dht"]
 
@@ -40,9 +39,10 @@ class Dht:
         overlay:
             The live overlay backend to resolve against.
         hop_sample_rate:
-            If > 0, every ``hop_sample_rate``-th :meth:`owner` call also
-            performs full overlay routing so hop statistics accumulate on
-            ``overlay.stats`` without paying routing cost on every lookup.
+            If > 0, every ``hop_sample_rate``-th memo miss of
+            :meth:`owner` also performs full overlay routing, so hop
+            statistics accumulate on ``overlay.stats`` without paying
+            routing cost on every lookup.
             0 disables sampling (placement-only).
         """
         self.overlay = overlay
@@ -50,10 +50,6 @@ class Dht:
         self._memo: dict[int, int] = {}
         self._memo_epoch = overlay.epoch
         self._calls = 0
-
-    def object_id(self, url: str) -> int:
-        """SHA-1 hash of the URL, truncated into the overlay's id space."""
-        return self.overlay.space.object_id(url)
 
     def owner(self, key: int) -> int:
         """NodeId owning ``key`` under the backend's placement rule."""
@@ -72,7 +68,3 @@ class Dht:
             # must agree with placement (asserted in tests).
             overlay.route(key)
         return root
-
-    def route(self, key: int, start: int | None = None) -> RouteResult:
-        """Full overlay routing (records hop statistics)."""
-        return self.overlay.route(key, start=start)

@@ -34,7 +34,6 @@ __all__ = [
     "node_id_from_name",
     "object_id_for_url",
     "ring_distance",
-    "cw_distance",
     "shared_prefix_len",
     "digit_at",
 ]
@@ -66,11 +65,6 @@ def node_id_from_name(name: str, bits: int = DEFAULT_ID_BITS) -> int:
 def object_id_for_url(url: str, bits: int = DEFAULT_ID_BITS) -> int:
     """Hash an object URL into an objectId with SHA-1 (paper §4.1 step 1)."""
     return _sha1_int(url.encode("utf-8"), bits)
-
-
-def cw_distance(a: int, b: int, bits: int = DEFAULT_ID_BITS) -> int:
-    """Clockwise (increasing-id) distance from ``a`` to ``b`` on the ring."""
-    return (b - a) % (1 << bits)
 
 
 def ring_distance(a: int, b: int, bits: int = DEFAULT_ID_BITS) -> int:
@@ -149,9 +143,6 @@ class IdSpace:
 
     def distance(self, a: int, b: int) -> int:
         return ring_distance(a, b, self.bits)
-
-    def cw_distance(self, a: int, b: int) -> int:
-        return cw_distance(a, b, self.bits)
 
     def digit(self, value: int, index: int) -> int:
         return digit_at(value, index, self.b, self.bits)

@@ -10,10 +10,9 @@ messages between them:
   the new node initialises its routing table from the nodes on the route
   from its bootstrap to its id's current root, copies the root's leaf set,
   and announces itself so existing nodes fold it into their state.
-* :meth:`Overlay.fail` / :meth:`Overlay.leave` remove a node and repair
-  affected leaf sets / routing-table slots (the *result* of Pastry's repair
-  protocol, not its message exchange — the paper's simulator does the
-  same).
+* :meth:`Overlay.fail` removes a node and repairs the affected leaf sets
+  and routing-table slots (the *result* of Pastry's repair protocol, not
+  its message exchange — the paper's simulator does the same).
 * :meth:`Overlay.route` performs hop-by-hop prefix routing and returns the
   delivery node with the hop count, feeding the paper's
   ``ceil(log_{2**b} N)`` hop-efficiency claim (§4.1).  The loop itself
@@ -33,7 +32,6 @@ import math
 import numpy as np
 
 from .contract import OverlayBackend, RouteResult, RouteStats
-from .coords import coords_for_name, torus_distance
 from .id_space import IdSpace
 from .pastry import DEFAULT_LEAF_SET_SIZE, PastryNode, offer, purge
 
@@ -49,22 +47,10 @@ class Overlay(OverlayBackend):
         self,
         space: IdSpace | None = None,
         leaf_size: int = DEFAULT_LEAF_SET_SIZE,
-        proximity: bool = False,
     ) -> None:
-        """
-        Parameters
-        ----------
-        proximity:
-            Enable Pastry's locality heuristic: routing-table slots
-            prefer the physically closest eligible node (coordinates on
-            a unit torus derived from node names), reducing route
-            stretch.  Leaf sets are id-space-defined and unaffected.
-        """
         self.space = space or IdSpace()
         self.leaf_size = leaf_size
-        self.proximity = proximity
         self.nodes: dict[int, PastryNode] = {}
-        self.coords: dict[int, tuple[float, float]] = {}
         self._sorted_ids: list[int] = []
         self.stats = RouteStats()
         #: Bumped on every membership change; DHT caches key off this.
@@ -73,36 +59,19 @@ class Overlay(OverlayBackend):
         self._leaf_repairs = 0
         self._slot_refills = 0
 
-    def _prefer_for(self, owner_id: int):
-        """Routing-table replacement heuristic for one node (or None)."""
-        if not self.proximity:
-            return None
-        own = self.coords[owner_id]
-
-        def closer(candidate: int, incumbent: int) -> bool:
-            return torus_distance(self.coords[candidate], own) < torus_distance(
-                self.coords[incumbent], own
-            )
-
-        return closer
-
-    def _new_node(self, node_id: int, coords: tuple[float, float]) -> PastryNode:
-        """A fresh node with its coordinates and replacement heuristic."""
+    def _new_node(self, node_id: int) -> PastryNode:
+        """A fresh node, refused if its id is live or outside the space."""
         if node_id in self.nodes:
             raise ValueError(f"node {self.space.format_id(node_id)} already in overlay")
         if not self.space.contains(node_id):
             raise ValueError("node id outside id space")
-        self.coords[node_id] = coords
-        return PastryNode(
-            node_id, self.space, self.leaf_size, prefer=self._prefer_for(node_id)
-        )
+        return PastryNode(node_id, self.space, self.leaf_size)
 
     # -- membership -------------------------------------------------------
 
     def add_named(self, name: str) -> PastryNode:
-        """Create and join a node whose id and coordinates derive from
-        ``name``."""
-        return self.join(self.space.node_id(name), coords=coords_for_name(name))
+        """Create and join a node whose id derives from ``name``."""
+        return self.join(self.space.node_id(name))
 
     def bulk_add_named(self, names: list[str]) -> list[PastryNode]:
         """Add many named nodes at once, materialising the converged state.
@@ -126,7 +95,7 @@ class Overlay(OverlayBackend):
         """
         created: list[PastryNode] = []
         for name in names:
-            node = self._new_node(self.space.node_id(name), coords_for_name(name))
+            node = self._new_node(self.space.node_id(name))
             self.nodes[node.node_id] = node
             created.append(node)
         self._sorted_ids = sorted(self.nodes)
@@ -141,7 +110,6 @@ class Overlay(OverlayBackend):
         size = 1 << bits
         offer_span = range(1, min(self.leaf_size + 1, n))
         for node in self.nodes.values():
-            prefer = node.prefer
             me = node.node_id
             idx = bisect.bisect_left(ids, me)
             # Leaf sets: only ring-adjacent nodes can be members, so offer
@@ -170,29 +138,21 @@ class Overlay(OverlayBackend):
             leaves.smaller = [c for _, c in ccw_side[:half]]
             leaves._sdist = [d for d, _ in ccw_side[:half]]
             # Routing table: offer everyone (the converged join gossip).
-            # Without a proximity heuristic the first eligible offer wins,
-            # so the slot fill is RoutingTable.consider with the prefix
-            # and digit arithmetic inlined.
-            if prefer is None:
-                rows = node.table.rows
-                for other in ids:
-                    if other == me:
-                        continue
-                    p = (bits - (me ^ other).bit_length()) // b
-                    row = rows[p]
-                    col = (other >> ((ndigits - 1 - p) * b)) & mask
-                    if row[col] is None:
-                        row[col] = other
-            else:
-                table = node.table
-                for other in ids:
-                    if other != me:
-                        table.consider(other, prefer=prefer)
+            # The first eligible offer wins, so the slot fill is
+            # RoutingTable.consider with the prefix and digit arithmetic
+            # inlined.
+            rows = node.table.rows
+            for other in ids:
+                if other == me:
+                    continue
+                p = (bits - (me ^ other).bit_length()) // b
+                row = rows[p]
+                col = (other >> ((ndigits - 1 - p) * b)) & mask
+                if row[col] is None:
+                    row[col] = other
         return created
 
-    def join(
-        self, node_id: int, coords: tuple[float, float] | None = None
-    ) -> PastryNode:
+    def join(self, node_id: int) -> PastryNode:
         """Join a new node, initialising state per Pastry's join protocol.
 
         The new node X asks a bootstrap A to route a join message to X's
@@ -203,10 +163,7 @@ class Overlay(OverlayBackend):
         simulated here by offering X to all nodes whose leaf set or
         eligible routing slot it affects).
         """
-        new = self._new_node(
-            node_id,
-            coords if coords is not None else coords_for_name(self.space.format_id(node_id)),
-        )
+        new = self._new_node(node_id)
         if self.nodes:
             bootstrap = self._sorted_ids[0]
             result = self._route_internal(node_id, start=bootstrap, record=False)
@@ -243,7 +200,6 @@ class Overlay(OverlayBackend):
         if node_id not in self.nodes:
             raise KeyError(f"unknown node {self.space.format_id(node_id)}")
         del self.nodes[node_id]
-        self.coords.pop(node_id, None)
         self._remove_sorted(node_id)
         self.epoch += 1
         # Each survivor's repairs touch only its own state, so they can
@@ -261,9 +217,7 @@ class Overlay(OverlayBackend):
         column = the dead node's digit ``p``; every eligible replacement
         shares exactly that prefix-plus-digit, i.e. occupies one
         contiguous id interval, found by bisecting the sorted live ids.
-        Without the proximity heuristic the first candidate fills the
-        slot (deterministic); with it, every candidate is offered so the
-        physically closest wins — the same rule joins use.
+        The first live id in that interval fills the slot.
         """
         self._slot_refills += 1
         space = self.space
@@ -275,13 +229,9 @@ class Overlay(OverlayBackend):
         lo = ((prefix << space.b) | col) << shift
         hi = lo + (1 << shift)
         ids = self._sorted_ids
-        prefer = survivor.prefer
         i = bisect.bisect_left(ids, lo)
-        while i < len(ids) and ids[i] < hi:
-            table.consider(ids[i], prefer=prefer)
-            if prefer is None:
-                break  # first eligible candidate keeps the slot
-            i += 1
+        if i < len(ids) and ids[i] < hi:
+            table.consider(ids[i])
 
     def _repair_leaves(self, node: PastryNode) -> None:
         """Refill a node's leaf set from ring-adjacent live nodes."""
@@ -376,39 +326,8 @@ class Overlay(OverlayBackend):
         node.forget(stale_id)
         self._repair_leaves(node)
 
-    def _record_route(self, result: RouteResult) -> None:
-        pts = [self.coords[n] for n in result.path]
-        travelled = sum(
-            torus_distance(pts[i], pts[i + 1]) for i in range(len(pts) - 1)
-        )
-        direct = torus_distance(pts[0], pts[-1]) if len(pts) > 1 else 0.0
-        self.stats.record(result.hops, path_distance=travelled, direct=direct)
-
     def repair_counts(self) -> dict[str, int]:
         return {
             "leaf_repairs": self._leaf_repairs,
             "slot_refills": self._slot_refills,
         }
-
-    # -- convenience ------------------------------------------------------
-
-    @classmethod
-    def build(
-        cls,
-        names: list[str] | int,
-        space: IdSpace | None = None,
-        leaf_size: int = DEFAULT_LEAF_SET_SIZE,
-        name_prefix: str = "cache",
-        proximity: bool = False,
-    ) -> "Overlay":
-        """Construct an overlay by joining nodes one at a time.
-
-        ``names`` may be an explicit list of node names or an int N, in
-        which case nodes ``f"{name_prefix}-{i}"`` for i in 0..N-1 join.
-        """
-        overlay = cls(space=space, leaf_size=leaf_size, proximity=proximity)
-        if isinstance(names, int):
-            names = [f"{name_prefix}-{i}" for i in range(names)]
-        for name in names:
-            overlay.add_named(name)
-        return overlay

@@ -23,7 +23,7 @@ changes, and message movement, live in :mod:`repro.overlay.network`.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from .id_space import IdSpace
@@ -37,7 +37,7 @@ DEFAULT_LEAF_SET_SIZE = 16
 class LeafSet:
     """The ``l`` nodes with ids numerically closest to ``owner``.
 
-    Maintained as two sorted-by-ring-proximity lists: ``smaller`` (counter
+    Maintained as two sorted-by-ring-distance lists: ``smaller`` (counter
     clockwise neighbours) and ``larger`` (clockwise neighbours), each at
     most ``l/2`` long, with parallel distance lists so an insertion is a
     single bisect instead of a sort-per-add.  Distances on one side are
@@ -71,7 +71,7 @@ class LeafSet:
         return len(self.smaller) + len(self.larger)
 
     def remove(self, node_id: int) -> bool:
-        """Remove a (failed or departed) node; True if it was a member."""
+        """Remove a failed node; True if it was a member."""
         for side, dists in ((self.smaller, self._sdist), (self.larger, self._ldist)):
             try:
                 i = side.index(node_id)
@@ -150,50 +150,31 @@ class RoutingTable:
         p = (space.bits - (self.owner ^ node_id).bit_length()) // b
         return p, (node_id >> ((space.ndigits - 1 - p) * b)) & (space.digit_base - 1)
 
-    def consider(self, node_id: int, prefer=None) -> bool:
+    def consider(self, node_id: int) -> bool:
         """Offer ``node_id`` for the (single) slot it is eligible for.
 
-        Returns True if the table changed.  When the slot is occupied,
-        ``prefer(candidate, incumbent)`` decides whether to replace —
-        Pastry's locality heuristic supplies a network-proximity
-        comparison there; without one the incumbent is kept for
-        determinism.
+        Returns True if the table changed: an empty slot takes the node,
+        an occupied one keeps its incumbent.
         """
         if node_id == self.owner:
             return False
         p, col = self.slot(node_id)
         row = self.rows[p]
-        incumbent = row[col]
-        if incumbent is None:
-            row[col] = node_id
-            return True
-        if prefer is not None and incumbent != node_id and prefer(node_id, incumbent):
+        if row[col] is None:
             row[col] = node_id
             return True
         return False
 
-    def replace(self, node_id: int, replacement: int | None) -> bool:
-        """Remove ``node_id`` wherever it appears, substituting ``replacement``.
-
-        Used on node departure; the replacement (if any) must be eligible
-        for the same slot, otherwise the slot is cleared.
-        """
+    def remove(self, node_id: int) -> bool:
+        """Clear the slot ``node_id`` holds; False if it holds none."""
         if node_id == self.owner:
             return False
         p, col = self.slot(node_id)
         row = self.rows[p]
         if row[col] != node_id:
             return False
-        good = (
-            replacement is not None
-            and replacement != self.owner
-            and self.slot(replacement) == (p, col)
-        )
-        row[col] = replacement if good else None
+        row[col] = None
         return True
-
-    def remove(self, node_id: int) -> bool:
-        return self.replace(node_id, None)
 
     def next_hop(self, key: int) -> int | None:
         """Routing-table candidate for ``key``: one digit more of prefix."""
@@ -221,14 +202,12 @@ class PastryNode:
 
     In the reproduction each *client cache* in a client cluster is one
     Pastry node (the paper assigns each client cache a unique ``cacheId``,
-    §4.1).  ``prefer`` is the node's routing-table replacement heuristic
-    (see :meth:`RoutingTable.consider`); ``None`` keeps the incumbent.
+    §4.1).
     """
 
     node_id: int
     space: IdSpace
     leaf_size: int = DEFAULT_LEAF_SET_SIZE
-    prefer: Callable[[int, int], bool] | None = None
     table: RoutingTable = field(init=False)
     leaves: LeafSet = field(init=False)
 
@@ -239,7 +218,7 @@ class PastryNode:
         self.leaves = LeafSet(self.node_id, self.leaf_size, self.space)
 
     def forget(self, node_id: int) -> None:
-        """Drop a failed/departed node from local state."""
+        """Drop a failed node from local state."""
         self.table.remove(node_id)
         self.leaves.remove(node_id)
 
@@ -291,9 +270,8 @@ def offer(
     """Fold each of ``node_ids``, in order, into every node of ``nodes``.
 
     An offered node goes to the one routing-table slot it is eligible for
-    (first offer wins unless the node's :attr:`~PastryNode.prefer` says
-    otherwise) and to its side of the leaf set, which keeps the ``l/2``
-    ring-closest.  This is Pastry's whole membership rule, and every
+    (first offer wins) and to its side of the leaf set, which keeps the
+    ``l/2`` ring-closest.  This is Pastry's whole membership rule, and every
     caller shares it: a join's state transfer (many offers, one node), its
     announcement (one offer, every node) and a leaf-set repair are one
     call each, with the slot and side arithmetic inline.  An offer no
@@ -304,21 +282,17 @@ def offer(
     last, mask = space.ndigits - 1, space.digit_base - 1
     for node in nodes:
         me = node.node_id
-        prefer = node.prefer
         rows = node.table.rows
         leaves = node.leaves
         half = leaves.half
         for node_id in node_ids:
             if node_id == me:
                 continue
-            if prefer is None:
-                p = (bits - (me ^ node_id).bit_length()) // b
-                row = rows[p]
-                col = (node_id >> ((last - p) * b)) & mask
-                if row[col] is None:
-                    row[col] = node_id
-            else:
-                node.table.consider(node_id, prefer=prefer)
+            p = (bits - (me ^ node_id).bit_length()) // b
+            row = rows[p]
+            col = (node_id >> ((last - p) * b)) & mask
+            if row[col] is None:
+                row[col] = node_id
             d = (node_id - me) % size
             if d <= size - d:
                 side, dists = leaves.larger, leaves._ldist

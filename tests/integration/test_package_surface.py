@@ -15,8 +15,8 @@ re-export lines are not uses; a registry value such as
 The same holds for the public methods and properties of the package's
 classes, judged by name alone: a method is reached when its name appears
 as an ``Attribute`` or a string constant (``getattr``) anywhere in those
-trees outside its own body, or is aliased in its class body
-(``owner_of = numerically_closest``).  Any receiver counts, so the rule
+trees outside its own body and outside ``__all__``, or is aliased in its
+class body (``owner_of = numerically_closest``).  Any receiver counts, so the rule
 needs no types; a bare ``Name`` does not, since a local variable that
 shares a method's name says nothing about the method.
 
@@ -60,10 +60,6 @@ ALLOWLIST = {
         "invariant snapshot: test_presence.py and test_hiergd.py compare every "
         "presence index against a brute-force scan through it"
     ),
-    "repro/overlay/contract.py::RouteStats.mean_stretch": (
-        "measurement: the route stretch of Pastry's locality heuristic, which "
-        "test_proximity.py compares with and without proximity"
-    ),
     "repro/overlay/id_space.py::IdSpace.digit": (
         "contract method the reference model tests/models/pastry_chain.py drives"
     ),
@@ -104,12 +100,19 @@ def _public_methods(root: Path) -> set[str]:
     }
 
 
+def _exports(stmt: ast.stmt) -> bool:
+    """True for an ``__all__`` assignment: its strings export, not use."""
+    targets = getattr(stmt, "targets", None) or [getattr(stmt, "target", None)]
+    return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
+
+
 def _references(root: Path) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
     """``(symbol uses, method uses)``: referenced name -> owners of its uses.
 
     A symbol use is a ``Name`` / ``Attribute`` and its owner the
     ``module::top-level definition``; a method use also counts string
-    constants, and its owner is ``module::Class.method`` inside a method.
+    constants outside ``__all__``, and its owner is
+    ``module::Class.method`` inside a method.
     """
     trees = [
         *_modules(root / "src" / "repro", root / "src"),
@@ -131,6 +134,8 @@ def _references(root: Path) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
 
     for module, tree in trees:
         for stmt in tree.body:
+            if _exports(stmt):
+                continue
             owner = f"{module}::{stmt.name}" if isinstance(stmt, _DEFS) else module
             if not isinstance(stmt, ast.ClassDef):
                 scan(stmt, owner, owner)
@@ -217,13 +222,16 @@ def test_an_unreferenced_helper_is_caught(tmp_path):
 
 
 def test_an_unreferenced_method_is_caught(tmp_path):
-    # A method only its own body names is flagged, and so is one whose
-    # name only a local variable shares; one another method calls, one a
-    # string constant names (``getattr``), one a class-body alias names
-    # and a private one are not, whatever the receiver.
+    # A method only its own body names is flagged, and so are one whose
+    # name only a local variable shares and one whose name only an
+    # ``__all__`` string holds; one another method calls, one a string
+    # constant names (``getattr``), one a class-body alias names and a
+    # private one are not, whatever the receiver.
     package = tmp_path / "src" / "repro"
     package.mkdir(parents=True)
     (package / "mod.py").write_text(
+        "__all__ = ['Thing', 'exported']\n\n\n"
+        "def exported():\n    return 0\n\n\n"
         "class Thing:\n"
         "    def used(self):\n        shadowed = self.helper()\n"
         "        return self.alias() + shadowed\n\n"
@@ -233,6 +241,7 @@ def test_an_unreferenced_method_is_caught(tmp_path):
         "    alias = aliased\n\n"
         "    def shadowed(self):\n        return 1\n\n"
         "    def orphan(self):\n        return self.orphan()\n\n"
+        "    def exported(self):\n        return exported()\n\n"
         "    def _private(self):\n        return 2\n",
         encoding="utf-8",
     )
@@ -242,6 +251,7 @@ def test_an_unreferenced_method_is_caught(tmp_path):
         "from repro.mod import Thing\n\nThing().used()\n", encoding="utf-8"
     )
     assert unreached_methods(tmp_path) == {
+        "repro/mod.py::Thing.exported",
         "repro/mod.py::Thing.orphan",
         "repro/mod.py::Thing.shadowed",
     }

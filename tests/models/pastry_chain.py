@@ -27,10 +27,14 @@ import bisect
 import math
 
 from repro.overlay.contract import OverlayBackend, RouteStats
-from repro.overlay.coords import coords_for_name, torus_distance
 from repro.overlay.id_space import IdSpace
 
 __all__ = ["ChainLeafSet", "ChainRoutingTable", "ChainNode", "ChainOverlay"]
+
+
+def cw_distance(space: IdSpace, a: int, b: int) -> int:
+    """Clockwise (increasing-id) distance from ``a`` to ``b`` on the ring."""
+    return (b - a) % space.size
 
 
 class ChainLeafSet:
@@ -54,7 +58,7 @@ class ChainLeafSet:
     def add(self, node_id: int) -> None:
         if node_id == self.owner or node_id in self:
             return
-        cw = self.space.cw_distance(self.owner, node_id)
+        cw = cw_distance(self.space, self.owner, node_id)
         ccw = self.space.size - cw
         if cw <= ccw:
             self._insert(self.larger, self._ldist, node_id, cw)
@@ -86,11 +90,11 @@ class ChainLeafSet:
         if lo is None and hi is None:
             return True
         space = self.space
-        cw_key = space.cw_distance(self.owner, key)
+        cw_key = cw_distance(space, self.owner, key)
         ccw_key = space.size - cw_key
         if cw_key <= ccw_key:
-            return hi is None or cw_key <= space.cw_distance(self.owner, hi)
-        return lo is None or ccw_key <= space.size - space.cw_distance(self.owner, lo)
+            return hi is None or cw_key <= cw_distance(space, self.owner, hi)
+        return lo is None or ccw_key <= space.size - cw_distance(space, self.owner, lo)
 
     def closest_to(self, key: int) -> int:
         best = self.owner
@@ -112,16 +116,12 @@ class ChainRoutingTable:
             [None] * space.digit_base for _ in range(space.ndigits)
         ]
 
-    def consider(self, node_id: int, prefer=None) -> bool:
+    def consider(self, node_id: int) -> bool:
         if node_id == self.owner:
             return False
         p = self.space.prefix_len(self.owner, node_id)
         col = self.space.digit(node_id, p)
-        incumbent = self.rows[p][col]
-        if incumbent is None:
-            self.rows[p][col] = node_id
-            return True
-        if prefer is not None and incumbent != node_id and prefer(node_id, incumbent):
+        if self.rows[p][col] is None:
             self.rows[p][col] = node_id
             return True
         return False
@@ -158,10 +158,10 @@ class ChainNode:
         self.table = ChainRoutingTable(node_id, space)
         self.leaves = ChainLeafSet(node_id, leaf_size, space)
 
-    def learn(self, node_id: int, prefer=None) -> None:
+    def learn(self, node_id: int) -> None:
         if node_id == self.node_id:
             return
-        self.table.consider(node_id, prefer=prefer)
+        self.table.consider(node_id)
         self.leaves.add(node_id)
 
     def forget(self, node_id: int) -> None:
@@ -202,52 +202,32 @@ class ChainOverlay(OverlayBackend):
 
     name = "pastry-chain"
 
-    def __init__(self, space: IdSpace, leaf_size: int, proximity: bool = False) -> None:
+    def __init__(self, space: IdSpace, leaf_size: int) -> None:
         self.space = space
         self.leaf_size = leaf_size
-        self.proximity = proximity
         self.nodes: dict[int, ChainNode] = {}
-        self.coords: dict[int, tuple[float, float]] = {}
         self._sorted_ids: list[int] = []
         self.stats = RouteStats()
         self.epoch = 0
         self._leaf_repairs = 0
         self._slot_refills = 0
 
-    def _prefer_for(self, owner_id: int):
-        if not self.proximity:
-            return None
-        own = self.coords[owner_id]
-
-        def closer(candidate: int, incumbent: int) -> bool:
-            return torus_distance(self.coords[candidate], own) < torus_distance(
-                self.coords[incumbent], own
-            )
-
-        return closer
-
-    def _learn(self, node: ChainNode, other_id: int) -> None:
-        node.learn(other_id, prefer=self._prefer_for(node.node_id))
-
     def add_named(self, name: str) -> ChainNode:
-        return self.join(self.space.node_id(name), coords=coords_for_name(name))
+        return self.join(self.space.node_id(name))
 
-    def join(self, node_id: int, coords: tuple[float, float] | None = None) -> ChainNode:
+    def join(self, node_id: int) -> ChainNode:
         new = ChainNode(node_id, self.space, self.leaf_size)
-        self.coords[node_id] = (
-            coords if coords is not None else coords_for_name(self.space.format_id(node_id))
-        )
         if self.nodes:
             result = self._route_internal(node_id, start=self._sorted_ids[0], record=False)
             for hop_id in result.path:
-                self._learn(new, hop_id)
+                new.learn(hop_id)
                 for known in self.nodes[hop_id].known_nodes():
-                    self._learn(new, known)
-            self._learn(new, result.root)
+                    new.learn(known)
+            new.learn(result.root)
             for leaf in self.nodes[result.root].leaves.members():
-                self._learn(new, leaf)
+                new.learn(leaf)
             for other in self.nodes.values():
-                self._learn(other, node_id)
+                other.learn(node_id)
         self.nodes[node_id] = new
         bisect.insort(self._sorted_ids, node_id)
         self.epoch += 1
@@ -258,7 +238,6 @@ class ChainOverlay(OverlayBackend):
 
     def fail(self, node_id: int) -> None:
         del self.nodes[node_id]
-        self.coords.pop(node_id, None)
         self._sorted_ids.remove(node_id)
         self.epoch += 1
         for survivor in self.nodes.values():
@@ -280,13 +259,9 @@ class ChainOverlay(OverlayBackend):
         lo = ((prefix << space.b) | col) << shift
         hi = lo + (1 << shift)
         ids = self._sorted_ids
-        prefer = self._prefer_for(survivor.node_id)
         i = bisect.bisect_left(ids, lo)
-        while i < len(ids) and ids[i] < hi:
-            survivor.table.consider(ids[i], prefer=prefer)
-            if prefer is None:
-                break
-            i += 1
+        if i < len(ids) and ids[i] < hi:
+            survivor.table.consider(ids[i])
 
     def _repair_leaves(self, node: ChainNode) -> None:
         self._leaf_repairs += 1
@@ -295,8 +270,8 @@ class ChainOverlay(OverlayBackend):
             return
         idx = bisect.bisect_left(self._sorted_ids, node.node_id)
         for off in range(1, min(self.leaf_size + 1, n)):
-            self._learn(node, self._sorted_ids[(idx + off) % n])
-            self._learn(node, self._sorted_ids[(idx - off) % n])
+            node.learn(self._sorted_ids[(idx + off) % n])
+            node.learn(self._sorted_ids[(idx - off) % n])
 
     def owner_of(self, key: int) -> int:
         return min(self._sorted_ids, key=lambda nid: (self.space.distance(nid, key), nid))

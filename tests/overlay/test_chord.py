@@ -4,6 +4,7 @@ import pytest
 
 from repro.overlay.chord import ChordOverlay
 from repro.overlay.id_space import IdSpace
+from tests.overlay.helpers import joined
 
 
 def cw(space, a, b):
@@ -12,7 +13,7 @@ def cw(space, a, b):
 
 class TestOwnership:
     def test_owner_is_successor_of_key(self):
-        ov = ChordOverlay.build(30)
+        ov = joined(ChordOverlay, 30)
         ids = ov.node_ids()
         for i in range(300):
             key = ov.space.object_id(f"k{i}")
@@ -24,7 +25,7 @@ class TestOwnership:
                     pytest.fail(f"{nid:x} is closer after key than owner")
 
     def test_owner_of_exact_node_id(self):
-        ov = ChordOverlay.build(10)
+        ov = joined(ChordOverlay, 10)
         for nid in ov.node_ids():
             assert ov.owner_of(nid) == nid
 
@@ -37,11 +38,11 @@ class TestOwnership:
 
 class TestRingState:
     def test_successor_lists_follow_ring(self):
-        ov = ChordOverlay.build(20, successor_list_size=4)
+        ov = joined(ChordOverlay, 20, successor_list_size=4)
         ids = ov.node_ids()
         n = len(ids)
         for i, nid in enumerate(ids):
-            node = ov.node(nid)
+            node = ov.nodes[nid]
             expect = [ids[(i + off) % n] for off in range(1, 5)]
             assert node.successors == expect
             assert node.predecessor == ids[(i - 1) % n]
@@ -53,7 +54,7 @@ class TestRingState:
         ov.bulk_add_named([f"cache-{i}" for i in range(25)])
         ids = ov.node_ids()
         for nid in ids[:5]:
-            node = ov.node(nid)
+            node = ov.nodes[nid]
             for i, finger in enumerate(node.fingers):
                 target = (nid + (1 << i)) % ov.space.size
                 expect = ov.owner_of(target)
@@ -74,8 +75,8 @@ class TestRingState:
             # Neighbour state (what correctness rests on) converges either
             # way; fingers may be staler in the incremental build — they
             # cost hops, not placement — so only deliveries are compared.
-            assert one.node(nid).successors == two.node(nid).successors
-            assert one.node(nid).predecessor == two.node(nid).predecessor
+            assert one.nodes[nid].successors == two.nodes[nid].successors
+            assert one.nodes[nid].predecessor == two.nodes[nid].predecessor
         for i in range(100):
             key = one.space.object_id(f"same/{i}")
             assert (
@@ -84,40 +85,40 @@ class TestRingState:
             )
 
     def test_duplicate_join_rejected(self):
-        ov = ChordOverlay.build(5)
+        ov = joined(ChordOverlay, 5)
         ov.add_named("dup")
         with pytest.raises(ValueError, match="already in ring"):
             ov.add_named("dup")
 
     def test_fail_unknown_rejected(self):
-        ov = ChordOverlay.build(5)
+        ov = joined(ChordOverlay, 5)
         with pytest.raises(KeyError):
             ov.fail(42)
 
 
 class TestFailureRepair:
     def test_successor_lists_eagerly_repaired(self):
-        ov = ChordOverlay.build(20, successor_list_size=4)
+        ov = joined(ChordOverlay, 20, successor_list_size=4)
         ids = ov.node_ids()
         victim = ids[7]
         ov.fail(victim)
         live = ov.node_ids()
         n = len(live)
         for i, nid in enumerate(live):
-            node = ov.node(nid)
+            node = ov.nodes[nid]
             assert victim not in node.successors
             assert node.predecessor != victim
             assert node.successors == [live[(i + off) % n] for off in range(1, 5)]
 
     def test_fingers_left_stale_then_lazily_repaired(self):
-        ov = ChordOverlay.build(30)
+        ov = joined(ChordOverlay, 30)
         ids = ov.node_ids()
         victim = ids[11]
         ov.fail(victim)
         stale = sum(
             1
             for nid in ov.node_ids()
-            for f in ov.node(nid).fingers
+            for f in ov.nodes[nid].fingers
             if f == victim
         )
         assert stale > 0, "failure must leave some fingers stale (lazy repair)"
@@ -132,7 +133,7 @@ class TestFailureRepair:
         assert after > before
 
     def test_mass_failure_still_routes(self):
-        ov = ChordOverlay.build(40)
+        ov = joined(ChordOverlay, 40)
         ids = ov.node_ids()
         for victim in ids[1::2]:  # kill every other node
             ov.fail(victim)
@@ -142,19 +143,19 @@ class TestFailureRepair:
             assert ov.route(key, start=live[i % len(live)]).root == ov.owner_of(key)
 
     def test_neighbourhood_is_successor_list(self):
-        ov = ChordOverlay.build(12, successor_list_size=4)
+        ov = joined(ChordOverlay, 12, successor_list_size=4)
         for nid in ov.node_ids():
-            assert ov.neighbourhood(nid) == ov.node(nid).successors
+            assert ov.neighbourhood(nid) == ov.nodes[nid].successors
 
 
 class TestDiameter:
     def test_log2_diameter(self):
-        ov = ChordOverlay.build(64)
+        ov = joined(ChordOverlay, 64)
         assert ov.expected_diameter() == 6
         assert ov.max_route_hops == 16 + 8 * 6
 
     def test_hops_stay_logarithmic(self):
-        ov = ChordOverlay.build(100)
+        ov = joined(ChordOverlay, 100)
         ids = ov.node_ids()
         for i in range(300):
             key = ov.space.object_id(f"log/{i}")

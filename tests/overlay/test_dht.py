@@ -2,27 +2,28 @@
 
 from repro.overlay.dht import Dht
 from repro.overlay.network import Overlay
+from tests.overlay.helpers import joined
 
 
 def test_owner_matches_ground_truth():
-    ov = Overlay.build(25)
+    ov = joined(Overlay, 25)
     dht = Dht(ov)
     for i in range(100):
-        key = dht.object_id(f"http://a/{i}")
+        key = ov.space.object_id(f"http://a/{i}")
         assert dht.owner(key) == ov.numerically_closest(key)
 
 
 def test_url_owner_stable():
-    ov = Overlay.build(10)
+    ov = joined(Overlay, 10)
     dht = Dht(ov)
-    key = dht.object_id("http://x/y")
+    key = ov.space.object_id("http://x/y")
     assert dht.owner(key) == dht.owner(key)
 
 
 def test_memo_populated_and_hit():
-    ov = Overlay.build(10)
+    ov = joined(Overlay, 10)
     dht = Dht(ov)
-    key = dht.object_id("u")
+    key = ov.space.object_id("u")
     dht.owner(key)
     assert len(dht._memo) == 1
     dht.owner(key)  # memo hit: size unchanged
@@ -30,9 +31,9 @@ def test_memo_populated_and_hit():
 
 
 def test_memo_invalidated_on_membership_change():
-    ov = Overlay.build(10)
+    ov = joined(Overlay, 10)
     dht = Dht(ov)
-    key = dht.object_id("u")
+    key = ov.space.object_id("u")
     first = dht.owner(key)
     ov.add_named("newcomer")
     assert len(dht._memo) in (0, 1)  # cleared lazily on next call
@@ -45,9 +46,9 @@ def test_memo_invalidated_on_membership_change():
 
 
 def test_remapping_after_failure():
-    ov = Overlay.build(12)
+    ov = joined(Overlay, 12)
     dht = Dht(ov)
-    key = dht.object_id("hot-object")
+    key = ov.space.object_id("hot-object")
     owner = dht.owner(key)
     ov.fail(owner)
     new_owner = dht.owner(key)
@@ -56,24 +57,24 @@ def test_remapping_after_failure():
 
 
 def test_hop_sampling_records_stats():
-    ov = Overlay.build(20)
+    ov = joined(Overlay, 20)
     dht = Dht(ov, hop_sample_rate=2)
     before = ov.stats.messages
     for i in range(10):
-        dht.owner(dht.object_id(f"k{i}"))  # 10 distinct keys -> 5 samples
+        dht.owner(ov.space.object_id(f"k{i}"))  # 10 distinct keys -> 5 samples
     assert ov.stats.messages == before + 5
 
 
 def test_hop_sampling_disabled_by_default():
-    ov = Overlay.build(20)
+    ov = joined(Overlay, 20)
     dht = Dht(ov)
     for i in range(10):
-        dht.owner(dht.object_id(f"k{i}"))
+        dht.owner(ov.space.object_id(f"k{i}"))
     assert ov.stats.messages == 0
 
 
 def test_route_delegates_and_agrees_with_owner():
-    ov = Overlay.build(30)
+    ov = joined(Overlay, 30)
     dht = Dht(ov)
-    key = dht.object_id("agree")
-    assert dht.route(key).root == dht.owner(key)
+    key = ov.space.object_id("agree")
+    assert ov.route(key).root == dht.owner(key)

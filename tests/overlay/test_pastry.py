@@ -3,7 +3,7 @@
 import pytest
 
 from repro.overlay.id_space import IdSpace
-from repro.overlay.pastry import LeafSet, PastryNode, RoutingTable, offer
+from repro.overlay.pastry import LeafSet, PastryNode, RoutingTable, offer, purge
 
 SPACE16 = IdSpace(bits=16, b=4)
 
@@ -143,18 +143,59 @@ class TestRoutingTable:
         rt = RoutingTable(0xA000, SPACE16)
         assert rt.next_hop(0xA000) is None
 
-    def test_remove_and_replace(self):
+    def test_remove_clears_the_slot(self):
         rt = RoutingTable(0xA000, SPACE16)
         rt.consider(0xB123)
-        assert rt.replace(0xB123, 0xB777) is True
-        assert rt.rows[0][0xB] == 0xB777
-        # ineligible replacement (wrong digit) clears the slot
-        rt.replace(0xB777, 0xC000)
+        assert rt.remove(0xB123) is True
         assert rt.rows[0][0xB] is None
+
+    def test_remove_non_member_keeps_incumbent(self):
+        rt = RoutingTable(0xA000, SPACE16)
+        rt.consider(0xB123)
+        # 0xB777 maps to the same slot but is not its entry
+        assert rt.remove(0xB777) is False
+        assert rt.rows[0][0xB] == 0xB123
+        assert rt.remove(0xA000) is False  # the owner is never an entry
 
     def test_remove_absent_is_noop(self):
         rt = RoutingTable(0xA000, SPACE16)
         assert rt.remove(0xB123) is False
+
+
+class TestOfferAndPurge:
+    def test_first_offer_wins_a_slot(self):
+        n = PastryNode(0xA000, SPACE16, leaf_size=4)
+        offer(SPACE16, (n,), (0xB123, 0xB777))
+        assert n.table.rows[0][0xB] == 0xB123
+        # the later offer still reaches the leaf set
+        assert 0xB777 in n.leaves and 0xB123 in n.leaves
+
+    def test_offer_reaches_every_node(self):
+        a = PastryNode(0xA000, SPACE16, leaf_size=4)
+        c = PastryNode(0xC000, SPACE16, leaf_size=4)
+        offer(SPACE16, (a, c), (0xB123, 0xA000))
+        assert a.table.rows[0][0xB] == 0xB123 and 0xB123 in a.leaves
+        assert c.table.rows[0][0xB] == 0xB123 and 0xB123 in c.leaves
+        # an offer of a node's own id leaves that node untouched
+        assert 0xA000 not in a.known_nodes()
+        assert 0xA000 in c.known_nodes()
+
+    def test_purge_reports_exactly_the_holders(self):
+        # leaf only: 0xA001 learned 0xB123 in its leaf set but its
+        # slot was already taken by 0xB000
+        leaf_only = PastryNode(0xA001, SPACE16, leaf_size=4)
+        learn(leaf_only, 0xB000, 0xB123)
+        # slot only: 0x1000's leaf sides are full of nearer nodes
+        slot_only = PastryNode(0x1000, SPACE16, leaf_size=2)
+        learn(slot_only, 0x1001, 0x0FFF, 0xB123)
+        # neither: never learned it
+        stranger = PastryNode(0xC000, SPACE16, leaf_size=4)
+        held = purge(SPACE16, (leaf_only, slot_only, stranger), 0xB123)
+        assert held == [(leaf_only, True, False), (slot_only, False, True)]
+        for node in (leaf_only, slot_only, stranger):
+            assert 0xB123 not in node.known_nodes()
+        assert leaf_only.table.rows[0][0xB] == 0xB000
+        assert slot_only.table.rows[0][0xB] is None
 
 
 class TestPastryNode:

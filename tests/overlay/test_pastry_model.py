@@ -2,17 +2,16 @@
 
 :class:`~repro.overlay.network.Overlay` and the model
 :class:`tests.models.pastry_chain.ChainOverlay` go through the same random
-join / fail sequences, over proximity off and on, digit widths
-b ∈ {2, 4}, leaf-set sizes 4–16 and a small and the full id space.  After
-every event their routing state must be identical — every routing row,
-every leaf list with its distance list, the sorted id list, the epoch and
-the repair counters — so the hop statistics the result digests pin
-cannot move.  At every epoch, sampled keys must agree three ways on the
-overlay (``owner_of``, ``bulk_owner_of`` and where routing delivers —
-wherever every leaf set sees its ring segment, see
-:func:`leaf_sets_see_the_ring`), every route from several starts must
-walk the chain's path, and routing must leave both sides' state
-identical too.
+join / fail sequences, over digit widths b ∈ {2, 4}, leaf-set sizes 4–16
+and a small and the full id space.  After every event their routing state
+must be identical — every routing row, every leaf list with its distance
+list, the sorted id list, the epoch and the repair counters — so the hop
+statistics the result digests pin cannot move.  At every epoch, sampled
+keys must agree three ways on the overlay (``owner_of``, ``bulk_owner_of``
+and where routing delivers — wherever every leaf set sees its ring
+segment, see :func:`leaf_sets_see_the_ring`), every route from several
+starts must walk the chain's path, and routing must leave both sides'
+state identical too.
 """
 
 import numpy as np
@@ -97,17 +96,16 @@ events = st.lists(
     b=st.sampled_from([2, 4]),
     bits=st.sampled_from([16, 128]),
     leaf_size=st.sampled_from([4, 6, 8, 10, 12, 14, 16]),
-    proximity=st.booleans(),
     initial=st.lists(st.integers(0, (1 << 16) - 1), min_size=1, max_size=30),
     events=events,
 )
-def test_membership_matches_the_chain_model(b, bits, leaf_size, proximity, initial, events):
+def test_membership_matches_the_chain_model(b, bits, leaf_size, initial, events):
     """In the 16-bit space the drawn integers are the node ids, so ids
     half a ring apart, adjacent and wrapping past zero all occur; in the
     128-bit one they name the nodes, whose ids are hashed as in a run."""
     space = IdSpace(bits=bits, b=b)
-    ov = Overlay(space=space, leaf_size=leaf_size, proximity=proximity)
-    model = ChainOverlay(space, leaf_size, proximity=proximity)
+    ov = Overlay(space=space, leaf_size=leaf_size)
+    model = ChainOverlay(space, leaf_size)
 
     def join(draw: int) -> None:
         if bits == 16:

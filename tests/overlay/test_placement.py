@@ -8,10 +8,11 @@ import pytest
 from repro.overlay.id_space import IdSpace
 from repro.overlay.network import Overlay
 from repro.overlay.placement import build_owner_table, object_ids_for_urls
+from tests.overlay.helpers import joined
 
 
 def build(n, bits=128, b=4, leaf_size=16):
-    return Overlay.build(n, space=IdSpace(bits=bits, b=b), leaf_size=leaf_size)
+    return joined(Overlay, n, space=IdSpace(bits=bits, b=b), leaf_size=leaf_size)
 
 
 class TestObjectIdsForUrls:

@@ -37,11 +37,11 @@ host; these count instead of timing:
 * FC and FC-EC serve a local hit in ``process`` alone, and a miss that
   places and drops no copy in ``process`` and ``_consider_copy``;
 * Pastry membership is table arithmetic: on a 100-node overlay a join
-  enters at most 100 frames (45 measured; 2 728–2 883 under the
+  enters at most 100 frames (43 measured; 2 728–2 883 under the
   per-node method chain), a failure at most 1 200 and ten of them a
   median of at most 150 (57–435, median 63; 6 778–7 860 under the chain
   — a frame per survivor would add 99), and 640 ``Dht.owner`` misses at
-  ``hop_sample_rate=64`` at most 2.5 frames each on average (2.40: the
+  ``hop_sample_rate=64`` at most 2.5 frames each on average (2.28: the
   miss and ``numerically_closest``, plus the sampled routes; 5.75 under
   the chain);
 * on a run with churn every ``_locate`` call enters one ``_locate``
@@ -77,6 +77,7 @@ from repro.netmodel import (
 from repro.overlay import Dht, Overlay
 from repro.protocol.trace import recording_traces
 from repro.protocol.transport import Transport
+from tests.overlay.helpers import joined
 
 
 def guard_config(sizes="unit", **overrides):
@@ -632,7 +633,7 @@ def frames_entered(call) -> int:
 def test_overlay_membership_enters_few_frames():
     """Joins, failures and first-touch owner lookups on a 100-node Pastry
     overlay cost table arithmetic, not a method chain per node."""
-    overlay = Overlay.build(100)
+    overlay = joined(Overlay, 100)
     joins = [
         frames_entered(lambda: overlay.add_named(f"cache-{i}")) for i in range(100, 110)
     ]
@@ -641,7 +642,7 @@ def test_overlay_membership_enters_few_frames():
     failures = sorted(frames_entered(lambda: overlay.fail(v)) for v in victims)
     assert failures[-1] <= 1_200 and failures[len(failures) // 2] <= 150, failures
 
-    overlay = Overlay.build(100)
+    overlay = joined(Overlay, 100)
     dht = Dht(overlay, hop_sample_rate=64)
     keys = [overlay.space.object_id(f"object-{i}") for i in range(640)]
     owners = frames_entered(lambda: [dht.owner(key) for key in keys])
