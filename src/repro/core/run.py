@@ -186,18 +186,10 @@ def run_scheme(
     traces: list[Trace] | None = None,
     seed: int = 0,
     transport: Transport | None = None,
-    shards: int = 1,
 ) -> SchemeResult:
     """Simulate one scheme; generates the workload if none is supplied.
 
-    ``shards > 1`` hands the run to the multi-process engine
-    (:func:`repro.shard.run_scheme_sharded`): clusters are dealt over
-    worker processes which regenerate their own traces from ``seed``, so
-    pre-generated ``traces`` and a custom ``transport`` cannot be
-    combined with sharding —
-    :func:`repro.shard.check_shardable` refuses them, and every other
-    unsupported combination, before anything is forked.  ``shards=1`` is
-    :func:`assemble_run` with no fault plan.
+    This is :func:`assemble_run` with no fault plan.
 
     ``transport`` optionally replaces the scheme's base transport with a
     custom stack (e.g. a :class:`~repro.protocol.transport.FaultTransport`
@@ -211,11 +203,6 @@ def run_scheme(
     pass pre-generated ``traces`` must pass the seed those traces were
     generated from, or the recording will not replay.
     """
-    if shards > 1:
-        from ..shard import check_shardable, run_scheme_sharded
-
-        check_shardable(name, config, traces=traces, transport=transport)
-        return run_scheme_sharded(name, config, seed=seed, shards=shards)
     return assemble_run(
         name,
         config,

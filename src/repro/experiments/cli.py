@@ -67,7 +67,7 @@ from ..perf import collecting_op_counters, profile_call
 from ..protocol.trace import recording_traces
 from .executor import ExperimentEngine
 from .figures import FIGURES, run_figure
-from .runner import SCALES, base_config, current_overlay, current_scale
+from .runner import SCALES, current_overlay, current_scale
 
 __all__ = ["main", "add_engine_arguments", "engine_from_args"]
 
@@ -121,7 +121,7 @@ def add_engine_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def engine_from_args(
-    args: argparse.Namespace, out_dir: Path | None, shards: int = 1
+    args: argparse.Namespace, out_dir: Path | None
 ) -> tuple[ExperimentEngine, Path | None]:
     """``(engine, exchange-trace directory or None)`` from the shared flags.
 
@@ -139,7 +139,6 @@ def engine_from_args(
             workers=args.workers,
             store_path=store_path,
             progress=args.progress,
-            shards=shards,
         )
     except OSError as exc:
         raise SystemExit(f"repro-experiments: cannot open result store: {exc}") from exc
@@ -211,17 +210,6 @@ def main(argv: list[str] | None = None) -> int:
         help="directory to write per-panel CSV files into",
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="split each shard-capable scheme (nc, sc, hier-gd) across N "
-        "cooperating worker processes joined by a round-synchronized "
-        "message bus; other schemes keep the single-process engine. "
-        "Multi-shard results are bounded-staleness variants and key "
-        "separately in the result store (default 1)",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="run each figure under cProfile and collect per-scheme cache op "
@@ -255,30 +243,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.profile and args.workers != 1:
         print("[--profile forces --workers 1]")
         args.workers = 1
-    if args.shards < 1:
-        parser.error("--shards must be >= 1")
-    if args.shards > 1:
-        from ..shard import UnsupportedConfiguration, check_shardable
-
-        # NC shards whenever anything does: ask on its behalf whether
-        # this invocation's options rule sharding out for every point.
-        try:
-            check_shardable(
-                "nc",
-                base_config(scale, overlay=overlay),
-                recording=args.record is not None,
-            )
-        except UnsupportedConfiguration as exc:
-            print(f"[forcing --shards 1: {exc}]")
-            args.shards = 1
-
-    engine, record_dir = engine_from_args(args, args.out, shards=args.shards)
+    engine, record_dir = engine_from_args(args, args.out)
 
     names = list(FIGURES) if "all" in args.figures else list(dict.fromkeys(args.figures))
     print(f"scale={scale.label} ({scale.n_requests} requests, "
           f"{scale.n_objects} objects, {scale.n_clients} clients per cluster), "
-          f"overlay={overlay}, workers={engine.workers}"
-          + (f", shards={engine.shards}" if engine.shards > 1 else ""))
+          f"overlay={overlay}, workers={engine.workers}")
     record_ctx = (
         recording_traces(record_dir) if record_dir is not None else nullcontext()
     )

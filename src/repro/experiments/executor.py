@@ -86,10 +86,6 @@ class SweepPoint:
     config: SimulationConfig
     seed: int
     faults: FaultPlan | None = None
-    #: Worker processes for this point (1 = the single-process engine,
-    #: byte-identical to the pre-sharding executor; >1 routes through
-    #: :func:`repro.shard.run_scheme_sharded` and keys separately).
-    shards: int = 1
 
     @property
     def resolved_config(self) -> SimulationConfig:
@@ -113,15 +109,12 @@ class SweepPoint:
             self.fraction,
             self.seed,
             faults=asdict(plan) if plan is not None else None,
-            shards=self.shards,
         )
 
     @property
     def label(self) -> str:
         """Short human-readable tag for progress lines and telemetry."""
         base = f"{self.scheme}@S={self.fraction:g}"
-        if self.shards > 1:
-            base = f"{base}x{self.shards}"
         plan = self._active_faults
         return base if plan is None else f"{base}[{plan.label}]"
 
@@ -164,30 +157,16 @@ def run_point(point: SweepPoint) -> dict[str, Any]:
     """
     started = time.perf_counter()
     cfg = point.resolved_config
-    if point.shards > 1:
-        from ..shard import check_shardable, run_scheme_sharded
-
-        check_shardable(point.scheme, cfg, plan=point.faults)
-        shard_stats: dict[str, Any] = {}
-        result = run_scheme_sharded(
-            point.scheme,
-            cfg,
-            seed=point.seed,
-            shards=point.shards,
-            stats_out=shard_stats,
-        )
-        max_rss_kb = int(shard_stats.get("worker_max_rss_kb", 0))
-    else:
-        traces = _cluster_traces(cfg, point.seed)
-        # seed rides along so a recording made of this point carries the
-        # true trace seed (replay regenerates the workload from it).
-        result = run_scheme_with_faults(
-            point.scheme, cfg, traces, plan=point.faults, seed=point.seed
-        )
-        # Lifetime high-water mark of this worker process — an upper
-        # bound on the point's own footprint, and exactly the quantity
-        # the scale gate tracks (does memory grow with trace length?).
-        max_rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    traces = _cluster_traces(cfg, point.seed)
+    # seed rides along so a recording made of this point carries the
+    # true trace seed (replay regenerates the workload from it).
+    result = run_scheme_with_faults(
+        point.scheme, cfg, traces, plan=point.faults, seed=point.seed
+    )
+    # Lifetime high-water mark of this worker process — an upper bound
+    # on the point's own footprint, and exactly the quantity the scale
+    # gate tracks (does memory grow with trace length?).
+    max_rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return {
         "result": serialize_result(result),
         "wall_time": time.perf_counter() - started,
@@ -211,10 +190,6 @@ class ExperimentEngine:
     workers: int = 1
     store: ResultStore | None = None
     instrument: RunInstrumentation | None = None
-    #: Default worker-process count per *point* for shard-capable schemes
-    #: (``repro.shard``).  1 keeps every point on the single-process
-    #: engine; sweep builders consult this when constructing points.
-    shards: int = 1
 
     def __post_init__(self) -> None:
         if self.workers <= 0:
@@ -226,7 +201,6 @@ class ExperimentEngine:
         workers: int = 1,
         store_path: str | None = None,
         progress: bool = False,
-        shards: int = 1,
     ) -> "ExperimentEngine":
         """Build an engine from CLI-style options (see ``cli.py``)."""
         return cls(
@@ -235,7 +209,6 @@ class ExperimentEngine:
             instrument=RunInstrumentation(
                 progress=print_progress if progress else None
             ),
-            shards=shards,
         )
 
     # -- sweep-point execution ----------------------------------------------

@@ -80,13 +80,12 @@ GD_SERIES = "hier-gd (gd)"
 @dataclass(frozen=True)
 class Setup:
     """What every figure is built from, resolved once by the caller:
-    scale and overlay (flag, else environment, else default), the trace
-    seed, and the engine's per-point shard count."""
+    scale and overlay (flag, else environment, else default) and the
+    trace seed."""
 
     scale: Scale
     overlay: str
     seed: int = 0
-    shards: int = 1
 
     def workload(self, **overrides) -> ProWGenConfig:
         """The paper's §5.1 workload at this scale."""
@@ -99,8 +98,8 @@ class Setup:
     def curves(
         self, config: SimulationConfig, schemes: Sequence[str], fractions
     ) -> list[Curve]:
-        """Gain-vs-cache-size curves, sharded as the engine asks."""
-        return cache_curves(config, schemes, fractions, self.seed, self.shards)
+        """Gain-vs-cache-size curves on this setup's seed."""
+        return cache_curves(config, schemes, fractions, self.seed)
 
     def hier_gd(self, label: str, config: SimulationConfig, fractions) -> Curve:
         """Hier-GD's curve under ``config``, labelled by what varied."""
@@ -323,7 +322,6 @@ def _bakeoff(
 
     NC carries no overlay, so every series is judged against the first
     backend's NC points: the baseline is one simulation per x-value.
-    Points keep ``shards=1``, like the fault axis they sit beside.
     """
     configs = {ov: s.config(overlay=ov) for ov in BAKEOFF_OVERLAYS}
     cache = _against_first(
@@ -405,11 +403,8 @@ def _sizes(s: Setup, fractions=DEFAULT_FRACTIONS) -> list[Panel]:
     credit models — GreedyDual-Size and, as ``hier-gd (gd)``, size-blind
     classic greedy-dual (EXPERIMENTS.md "Size-aware caching").
 
-    Every point has ``shards=1`` whatever ``--shards`` says: sized
-    Hier-GD has no cooperative surface to shard
-    (:func:`repro.shard.check_shardable` refuses it), and the figure
-    compares schemes on one engine.  The classic-GD series is judged
-    against the same NC points as the rest (NC reads no credit model).
+    The classic-GD series is judged against the same NC points as the
+    rest (NC reads no credit model).
     """
     config = s.config(workload=s.workload(object_sizes="heavy-tailed"))
     curves = cache_curves(config, PAPER_SCHEMES, fractions, s.seed)
@@ -743,7 +738,5 @@ def run_figure(
     the builder's axis defaults (module docstring).
     """
     engine = engine or ExperimentEngine()
-    setup = Setup(
-        scale or current_scale(), current_overlay(overlay), seed, engine.shards
-    )
+    setup = Setup(scale or current_scale(), current_overlay(overlay), seed)
     return evaluate_panels(FIGURES[name].build(setup, **axes), engine)

@@ -152,7 +152,6 @@ def sweep_points(
     schemes: tuple[str, ...] | list[str] = PAPER_SCHEMES,
     fractions: tuple[float, ...] = DEFAULT_FRACTIONS,
     seed: int = 0,
-    shards: int = 1,
 ) -> list[SweepPoint]:
     """The sweep's work items: one point per (fraction, scheme) plus the
     per-fraction NC baseline.
@@ -162,32 +161,10 @@ def sweep_points(
     replayed from the result store — ordering and ambient RNG state
     never enter.  All points share one seed because the paper compares
     schemes on identical traces.
-
-    ``shards > 1`` applies only to the points
-    :func:`repro.shard.check_shardable` accepts — a scheme with no
-    cooperative surface, or one whose run on this ``config`` has none
-    (Hier-GD over a Bloom directory, an open trace recorder), keeps
-    the single-process engine — so a mixed sweep stays runnable.
     """
     names = list(dict.fromkeys(("nc", *schemes)))
-    shards_for = dict.fromkeys(names, 1)
-    if shards > 1:
-        from ..shard import UnsupportedConfiguration, check_shardable
-
-        for name in names:
-            try:
-                check_shardable(name, config)
-            except UnsupportedConfiguration:
-                continue
-            shards_for[name] = shards
     return [
-        SweepPoint(
-            scheme=name,
-            fraction=fraction,
-            config=config,
-            seed=seed,
-            shards=shards_for[name],
-        )
+        SweepPoint(scheme=name, fraction=fraction, config=config, seed=seed)
         for fraction in fractions
         for name in names
     ]
@@ -322,13 +299,10 @@ def cache_curves(
     schemes: Sequence[str] = PAPER_SCHEMES,
     fractions: Sequence[float] = DEFAULT_FRACTIONS,
     seed: int = 0,
-    shards: int = 1,
 ) -> list[Curve]:
     """The paper's curve: one per scheme along the cache-size axis,
     judged against NC at the same config, fraction and seed."""
-    return split_curves(
-        sweep_points(config, schemes, fractions, seed, shards), schemes
-    )
+    return split_curves(sweep_points(config, schemes, fractions, seed), schemes)
 
 
 def cache_size_sweep(
@@ -353,6 +327,6 @@ def cache_size_sweep(
         title=title,
         x_label="cache size (%)",
         x_values=[100.0 * f for f in fractions],
-        curves=cache_curves(config, schemes, fractions, seed, engine.shards),
+        curves=cache_curves(config, schemes, fractions, seed),
     )
     return evaluate_panels([panel], engine)[panel.key]

@@ -72,7 +72,6 @@ def point_key(
     fraction: float,
     seed: int,
     faults: dict[str, Any] | None = None,
-    shards: int = 1,
 ) -> str:
     """Content hash identifying one sweep point.
 
@@ -95,11 +94,6 @@ def point_key(
     }
     if faults:
         payload["faults"] = faults
-    if shards > 1:
-        # Multi-shard results are bounded-staleness variants, not the
-        # single-process bytes: they key separately.  shards=1 is
-        # omitted so every pre-sharding store keeps resuming.
-        payload["shards"] = int(shards)
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

@@ -181,6 +181,29 @@ def hello_frame(scope: str, network: Any, plan: Any = None) -> dict[str, Any]:
     }
 
 
+#: JSON types a hello's config field may carry, by the name in its
+#: annotation (exact types: JSON ``true`` is not a number).  A field
+#: annotated otherwise (a nested policy) is checked on its own.
+_FIELD_TYPES = {
+    "float": (int, float), "int": (int,), "str": (str,), "None": (type(None),),
+}
+
+
+def _check_fields(cls: type, value: Any, what: str) -> dict:
+    """``value`` if it is an object of ``cls``'s fields, each of its
+    annotated type, else :class:`WireFormatError`."""
+    if not isinstance(value, dict):
+        raise WireFormatError(f"hello {what} is not an object: {value!r}")
+    annotations = {f.name: f.type for f in dataclasses.fields(cls)}
+    for key, v in value.items():
+        if key not in annotations:
+            raise WireFormatError(f"hello {what} has unknown key {key!r}")
+        allowed = [_FIELD_TYPES.get(t) for t in annotations[key].split(" | ")]
+        if None not in allowed and not any(type(v) in types for types in allowed):
+            raise WireFormatError(f"hello {what} {key!r} is ill-typed: {v!r}")
+    return value
+
+
 def parse_hello(entry: Any) -> tuple[str, Any, Any]:
     """Validate a hello; return ``(scope, network, plan)`` rebuilt."""
     if not isinstance(entry, dict) or entry.get("kind") != WIRE_KIND:
@@ -194,15 +217,31 @@ def parse_hello(entry: Any) -> tuple[str, Any, Any]:
     for fld in ("scope", "network"):
         if fld not in entry:
             raise WireFormatError(f"hello is missing {fld!r}")
+    if not isinstance(entry["scope"], str):
+        raise WireFormatError(f"hello scope is not a string: {entry['scope']!r}")
+    from ..faults.plan import FaultPlan
     from ..netmodel import NetworkConfig
+    from .policy import PolicySet, RetryPolicy
 
-    network = NetworkConfig(**entry["network"])
-    plan = None
-    if entry.get("plan") is not None:
-        from ..faults.plan import FaultPlan
-
-        plan = FaultPlan(**entry["plan"])
-    return str(entry["scope"]), network, plan
+    network = _check_fields(NetworkConfig, entry["network"], "network")
+    plan = entry.get("plan")
+    if plan is not None:
+        policies = _check_fields(FaultPlan, plan, "plan").get("policies")
+        if policies is not None:
+            per_link = _check_fields(PolicySet, policies, "policies").get("per_link", {})
+            if not isinstance(per_link, dict):
+                raise WireFormatError(f"hello per_link is not an object: {per_link!r}")
+            for policy in (policies.get("default", {}), *per_link.values()):
+                _check_fields(RetryPolicy, policy, "retry policy")
+    try:
+        # What the constructors still refuse is out of range.
+        return (
+            entry["scope"],
+            NetworkConfig(**network),
+            FaultPlan(**plan) if plan is not None else None,
+        )
+    except (TypeError, ValueError) as exc:
+        raise WireFormatError(f"hello refused: {exc}") from exc
 
 
 def ack_frame(role: str, node: int) -> dict[str, Any]:
@@ -227,9 +266,9 @@ def parse_ack(entry: Any) -> tuple[str, int]:
         )
     if "error" in entry or not entry.get("ok"):
         raise WireProtocolError(f"daemon refused the hello: {entry!r}")
-    if entry.get("role") not in ROLES:
-        raise WireFormatError(f"ack names no valid role: {entry!r}")
-    return str(entry["role"]), int(entry.get("node", 0))
+    if entry.get("role") not in ROLES or type(entry.get("node", 0)) is not int:
+        raise WireFormatError(f"ack names no valid role and node: {entry!r}")
+    return entry["role"], entry.get("node", 0)
 
 
 # -- exchange requests and responses ------------------------------------------
@@ -247,13 +286,20 @@ def parse_request(entry: Any) -> tuple[int, Exchange, bool]:
     if not (isinstance(entry, list) and len(entry) == 5 and entry[0] == "x"):
         raise WireFormatError(f"not an exchange request: {entry!r}")
     _, req, kind, link, force_fail = entry
+    if not (
+        type(req) is int
+        and isinstance(kind, str)
+        and (link is None or isinstance(link, str))
+        and type(force_fail) is bool
+    ):
+        raise WireFormatError(f"malformed exchange request: {entry!r}")
     exchange = exchange_by_kind(kind)
     if link != exchange.link:
         raise WireProtocolError(
             f"exchange {kind!r} is bound to link {exchange.link!r}, "
             f"request says {link!r}"
         )
-    return int(req), exchange, bool(force_fail)
+    return req, exchange, force_fail
 
 
 def probe_frame(req: int, cluster: int, client: int) -> list[Any]:
@@ -266,7 +312,9 @@ def parse_probe(entry: Any) -> tuple[int, int, int]:
     if not (isinstance(entry, list) and len(entry) == 4 and entry[0] == "u"):
         raise WireFormatError(f"not an unresponsiveness probe: {entry!r}")
     _, req, cluster, client = entry
-    return int(req), int(cluster), int(client)
+    if not all(type(v) is int for v in (req, cluster, client)):
+        raise WireFormatError(f"malformed unresponsiveness probe: {entry!r}")
+    return req, cluster, client
 
 
 def event_frame(

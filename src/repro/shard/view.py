@@ -36,7 +36,7 @@ Which runs can be sharded is decided in one place, :func:`check_shardable`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 from ..core.config import SimulationConfig, UnsupportedConfiguration
 from ..core.schemes import SCHEME_REGISTRY
@@ -45,32 +45,20 @@ from ..protocol.trace import active_trace_recorder
 from .digest import ClusterDelta
 from .partition import global_position
 
-if TYPE_CHECKING:  # pragma: no cover
-    from ..faults.plan import FaultPlan
-    from ..protocol.transport import Transport
-
 __all__ = ["ShardView", "check_shardable"]
 
 
-def check_shardable(
-    name: str,
-    config: SimulationConfig,
-    *,
-    plan: FaultPlan | None = None,
-    transport: Transport | None = None,
-    traces: list | None = None,
-    recording: bool | None = None,
-) -> None:
+def check_shardable(name: str, config: SimulationConfig) -> None:
     """Raise :class:`UnsupportedConfiguration` unless this run can be
     dealt over more than one worker process.
 
-    The only place that refuses a sharded combination; every entry point
-    that takes ``shards`` asks it before a process is forked.  Shardable
-    means the scheme declares a cooperative surface *and* the run keeps
-    both presence indexes — predicted here from the inputs the way
-    :class:`~repro.core.hiergd.HierGdScheme`'s constructor builds them.
-    ``recording=None`` asks :func:`~repro.protocol.trace.
-    active_trace_recorder`.
+    The only place that refuses a sharded combination;
+    :func:`~repro.shard.engine.run_scheme_sharded` asks it before a
+    process is forked.  Shardable means the scheme declares a
+    cooperative surface *and* the run keeps both presence indexes —
+    predicted here from the inputs the way
+    :class:`~repro.core.hiergd.HierGdScheme`'s constructor builds them —
+    *and* no exchange-trace recorder is open.
     """
     # The rest are oracles whose global state — e.g. FC's shared frequency
     # table — has no bounded-staleness decomposition.
@@ -78,24 +66,15 @@ def check_shardable(
         n for n, cls in SCHEME_REGISTRY.items()
         if cls.peer_surface is not CachingScheme.peer_surface
     ]
-    if recording is None:
-        recording = active_trace_recorder() is not None
-    hier_gd = name == "hier-gd"
     for refused, why in (
         (name not in shardable, f"scheme {name!r} cannot run sharded (no cooperative "
          f"surface for a peer view to mirror); shardable: {', '.join(shardable)}"),
-        (traces is not None, "sharded workers regenerate traces from the seed; "
-         "pass traces=None with shards > 1"),
-        (transport is not None, "custom transports are single-process features; "
-         "use shards=1"),
-        (plan is not None and not plan.is_zero(), "fault plans are single-process "
-         "(a faulty exchange cannot ride a round digest); use shards=1"),
-        (recording, "exchange-trace recording captures a single-process transport "
-         "stack; record with shards=1"),
+        (active_trace_recorder() is not None, "exchange-trace recording captures a "
+         "single-process transport stack; record with shards=1"),
         # A Bloom directory's false positives are a per-probe phenomenon
         # the digest cannot carry.
-        (hier_gd and config.directory != "exact", "sharded hier-gd requires "
-         "directory='exact'"),
+        (name == "hier-gd" and config.directory != "exact", "sharded hier-gd "
+         "requires directory='exact'"),
     ):
         if refused:
             raise UnsupportedConfiguration(why)

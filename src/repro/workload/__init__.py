@@ -27,6 +27,7 @@ from .prowgen import (
 from .stream import (
     CHUNK_REQUESTS,
     ChunkedTraceWriter,
+    CorruptTraceError,
     StreamingTrace,
     TruncatedTraceError,
 )
@@ -45,6 +46,7 @@ __all__ = [
     "sample_object_sizes",
     "CHUNK_REQUESTS",
     "ChunkedTraceWriter",
+    "CorruptTraceError",
     "StreamingTrace",
     "TruncatedTraceError",
     "Trace",

@@ -31,6 +31,13 @@ through a preallocated ``numpy.memmap`` and only stamps the header's
 ``sealed`` flag after both arrays are complete, so an unsealed file can
 never masquerade as a trace.
 
+Truncation is :class:`TruncatedTraceError`.  A garbled header, an
+unknown version, a body id outside the header's object or client range
+and a size below one byte are :class:`CorruptTraceError`.  The ids are
+checked in the one chunked pass that
+:meth:`StreamingTrace.reference_counts` makes, which capacity sizing
+runs before any request is simulated.
+
 :class:`StreamingTrace` shares :class:`Trace`'s statistics
 (:class:`~repro.workload.trace.TraceStatistics`: ``infinite_cache_size``
 …) over a ``reference_counts`` accumulated by chunked ``bincount`` passes
@@ -54,6 +61,7 @@ __all__ = [
     "STREAM_VERSION",
     "STREAM_VERSIONS",
     "TruncatedTraceError",
+    "CorruptTraceError",
     "ChunkedTraceWriter",
     "StreamingTrace",
 ]
@@ -81,6 +89,12 @@ _CLI_DTYPE = np.dtype("<i4")
 
 class TruncatedTraceError(ValueError):
     """The file is shorter than its header promises (or never sealed)."""
+
+
+class CorruptTraceError(ValueError):
+    """The file is no trace this build reads: a garbled header, an
+    unknown version, a body id outside the header's ranges, or a
+    non-positive object size."""
 
 
 def _header_bytes(meta: dict) -> bytes:
@@ -248,11 +262,11 @@ class StreamingTrace(TraceStatistics):
         try:
             meta = json.loads(raw.decode("ascii"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ValueError(f"{self.path} is not a chunked repro trace") from exc
+            raise CorruptTraceError(f"{self.path} is not a chunked repro trace") from exc
         if not isinstance(meta, dict) or meta.get("magic") != STREAM_MAGIC:
-            raise ValueError(f"{self.path} is not a chunked repro trace")
+            raise CorruptTraceError(f"{self.path} is not a chunked repro trace")
         if meta.get("version") not in STREAM_VERSIONS:
-            raise ValueError(
+            raise CorruptTraceError(
                 f"{self.path}: trace version {meta.get('version')!r}, this "
                 f"build reads versions {STREAM_VERSIONS}"
             )
@@ -263,7 +277,7 @@ class StreamingTrace(TraceStatistics):
             )
         counts = [meta.get(k) for k in ("n_requests", "n_objects", "n_clients")]
         if not all(type(n) is int and n >= 0 for n in counts):
-            raise ValueError(f"{self.path} is not a chunked repro trace")
+            raise CorruptTraceError(f"{self.path} is not a chunked repro trace")
         self.n_requests, self.n_objects, self.n_clients = counts
         self.name = str(meta.get("name", ""))
         self.has_sizes = bool(meta.get("sizes", False))
@@ -307,15 +321,24 @@ class StreamingTrace(TraceStatistics):
 
     @property
     def sizes(self) -> np.ndarray | None:
-        """Per-object byte sizes (version-2 traces; None otherwise)."""
+        """Per-object byte sizes (version-2 traces; None otherwise).
+
+        A size below one byte is :class:`CorruptTraceError`, as
+        :class:`~repro.workload.trace.Trace` refuses it."""
         if not self.has_sizes:
             return None
         if self._sizes is None:
             with self.path.open("rb") as fh:
                 fh.seek(HEADER_BYTES + _body_bytes(self.n_requests))
-                self._sizes = np.frombuffer(
+                sizes = np.frombuffer(
                     fh.read(self.n_objects * _OBJ_DTYPE.itemsize), dtype=_OBJ_DTYPE
                 )
+            if len(sizes) and sizes.min() <= 0:
+                at = int(np.flatnonzero(sizes <= 0)[0])
+                raise CorruptTraceError(
+                    f"{self.path}: object {at} has size {int(sizes[at])}, not positive"
+                )
+            self._sizes = sizes
         return self._sizes
 
     def iter_chunks(self):
@@ -346,12 +369,29 @@ class StreamingTrace(TraceStatistics):
     # -- statistics (chunked; mirrors Trace) --------------------------------
 
     def reference_counts(self) -> np.ndarray:
-        """Per-object reference counts, accumulated chunk by chunk."""
+        """Per-object reference counts, accumulated chunk by chunk.
+
+        The same pass refuses an object id outside ``[0, n_objects)`` or
+        a client id outside ``[0, n_clients)`` with
+        :class:`CorruptTraceError`, naming the first such request.
+        """
         if self._counts is None:
             counts = np.zeros(self.n_objects, dtype=np.int64)
-            for _, objs, _ in self.iter_chunks():
+            for start, objs, clients in self.iter_chunks():
+                self._check_range(start, "object", objs, self.n_objects)
+                self._check_range(start, "client", clients, self.n_clients)
                 counts += np.bincount(objs, minlength=self.n_objects)
             self._counts = counts
         return self._counts
+
+    def _check_range(self, start: int, what: str, ids: np.ndarray, bound: int) -> None:
+        """Refuse the chunk at ``start`` unless every id is in ``[0, bound)``."""
+        if ids.min() >= 0 and ids.max() < bound:
+            return
+        at = int(np.flatnonzero((ids < 0) | (ids >= bound))[0])
+        raise CorruptTraceError(
+            f"{self.path}: request {start + at} has {what} id {int(ids[at])}, "
+            f"outside [0, {bound})"
+        )
 
 

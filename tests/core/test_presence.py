@@ -1,6 +1,6 @@
 """Presence-index invariants: unit behaviour and full-trace replay.
 
-The fast engine's presence indexes are only correct if they mirror the
+SC's and Hier-GD's presence indexes are only correct if they mirror the
 underlying cache state after *every* mutation.  The replay tests drive a
 scheme request by request (the simulator's round-robin order) and, after
 each request, compare every index against a brute-force scan of the

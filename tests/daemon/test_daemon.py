@@ -229,6 +229,34 @@ class TestWireService:
             rfile.close()
             sock.close()
 
+    @pytest.mark.parametrize(
+        "frame",
+        [["x", None, "pass_down", None, False], ["x", 0, [], None, False], ["u", "a", 0, 0]],
+    )
+    def test_malformed_request_gets_an_error_frame(self, cluster, frame):
+        # Valid JSON, wrong field types: the daemon answers with an error
+        # frame instead of dropping the connection without a word.
+        sock, rfile = connect(cluster.clients[0].address)
+        try:
+            sock.sendall(encode_frame(frame))
+            entry = decode_frame(rfile.readline())
+            assert "malformed" in entry["error"]
+        finally:
+            rfile.close()
+            sock.close()
+
+    def test_malformed_hello_gets_an_error_frame(self, cluster):
+        sock = socket.create_connection(cluster.proxy.address)
+        rfile = sock.makefile("rb")
+        try:
+            entry = hello_frame("fc", NetworkConfig())
+            entry["network"] = {"t_local": "fast"}
+            sock.sendall(encode_frame(entry))
+            assert "ill-typed" in decode_frame(rfile.readline())["error"]
+        finally:
+            rfile.close()
+            sock.close()
+
     def test_bad_hello_is_refused(self, cluster):
         sock = socket.create_connection(cluster.proxy.address)
         rfile = sock.makefile("rb")

@@ -7,27 +7,25 @@ to the simulation if all of them constructed the same scheme class, on
 the same Hier-GD engine, reporting under the same name.
 
 The second half is the **capability matrix**: every combination of
-scheme x shards x sizes x fault plan x recording (plus the config axes
-only some schemes read) is either *gated* — equal to its anchor, pinned
-by a golden, or deterministic and request-conserving — or *refused* with
-:class:`~repro.core.config.UnsupportedConfiguration` before anything is
-forked.  README's "Status" table is :func:`render_matrix` of the same
-data (``PYTHONPATH=src python -m tests.integration.test_run_assembly``
-prints it).
+scheme x sizes x fault plan x recording (plus the config axes only some
+schemes read), run through the entry point that takes its axes, equals
+its plain single-process anchor, and a recorded one also replays to
+itself byte for byte.  README's "Status" table is :func:`render_matrix`
+of the same data (``PYTHONPATH=src python -m
+tests.integration.test_run_assembly`` prints it).  Multi-shard runs are
+gated in ``tests/shard/``.
 """
 
 import dataclasses
 import importlib
 import itertools
-import json
-import multiprocessing.process
 import pkgutil
 from pathlib import Path
 
 import pytest
 
 import repro
-from repro.core.config import SimulationConfig, UnsupportedConfiguration
+from repro.core.config import SimulationConfig
 from repro.core.hiergd import HierGdScheme
 from repro.core.run import (
     assemble_run,
@@ -156,7 +154,6 @@ def test_plain_runs_never_ask_the_transport(name):
 # -- the capability matrix ---------------------------------------------------
 
 REPO = Path(__file__).resolve().parents[2]
-GOLDEN_SHARDS = json.loads((REPO / "tests/shard/GOLDEN_shards.json").read_text())
 SIZED = dataclasses.replace(CONFIG.workload, object_sizes="heavy-tailed")
 
 #: Config axes only some schemes read, varied one at a time.
@@ -172,20 +169,6 @@ VARIANTS = {
     "squirrel": [{}, {"overlay": "chord"}],
 }
 
-#: Plan-free, sync ``shards=2`` cells whose bytes
-#: ``tests/shard/GOLDEN_shards.json`` pins: (scheme, variant, sized) -> case.
-GOLDEN_CASE = {
-    ("nc", "", False): "nc-s2-r200",
-    ("nc", "", True): "nc-sized",
-    ("sc", "", False): "sc-s2-r200",
-    ("sc", "", True): "sc-sized",
-    ("hier-gd", "", False): "hier-gd-s2-r200",
-    ("hier-gd", "", True): "hier-gd-sized",
-    ("hier-gd", "gd_cost_model=gd", True): "hier-gd-sized-gd",
-    ("hier-gd", "overlay=chord", False): "hier-gd-chord",
-    ("hier-gd", "hiergd_policy=lru", False): "hier-gd-lru",
-}
-
 
 @dataclasses.dataclass(frozen=True)
 class Cell:
@@ -193,7 +176,6 @@ class Cell:
 
     name: str
     overrides: tuple
-    shards: int
     sized: bool
     faulty: bool
     recorded: bool
@@ -204,7 +186,7 @@ class Cell:
 
     @property
     def id(self) -> str:
-        tags = [self.name, self.variant, f"shards{self.shards}"]
+        tags = [self.name, self.variant]
         tags += ["sized"] * self.sized + ["plan"] * self.faulty
         tags += ["recorded"] * self.recorded
         return "-".join(t for t in tags if t)
@@ -222,34 +204,17 @@ class Cell:
 
     @property
     def expected(self) -> str:
-        """``anchor`` / ``golden`` / ``deterministic``, or the words the
-        refusal must carry.  One shard is the single-process engine on
-        every input; on two, first obstacle wins."""
-        if self.shards == 1:
-            return "anchor"
-        if self.name not in ("nc", "sc", "hier-gd"):
-            return "cannot run sharded"
-        if self.faulty:
-            return "fault plans are single-process"
-        if self.recorded:
-            return "record with shards=1"
-        if self.name == "hier-gd" and self.variant == "directory=bloom":
-            return "directory='exact'"
-        if (self.name, self.variant, self.sized) in GOLDEN_CASE:
-            return "golden"
-        return "deterministic"
-
-    @property
-    def gated(self) -> bool:
-        return self.expected in ("anchor", "golden", "deterministic")
+        """What the cell is held to: its anchor, and a recorded cell
+        also its own replay."""
+        return "anchor, replayed" if self.recorded else "anchor"
 
 
 CELLS = [
-    Cell(name, tuple(variant.items()), shards, sized, faulty, recorded)
+    Cell(name, tuple(variant.items()), sized, faulty, recorded)
     for name in SCHEME_REGISTRY
     for variant in VARIANTS.get(name, [{}])
-    for shards, sized, faulty, recorded in itertools.product(
-        (1, 2), (False, True), (False, True), (False, True)
+    for sized, faulty, recorded in itertools.product(
+        (False, True), (False, True), (False, True)
     )
 ]
 
@@ -258,10 +223,10 @@ def run_cell(cell: Cell):
     """Through the entry point that takes the cell's axes: ``run_scheme``
     without a plan, the experiment engine's ``run_point`` with one."""
     if cell.plan is None:
-        return run_scheme(cell.name, cell.config, seed=1, shards=cell.shards)
+        return run_scheme(cell.name, cell.config, seed=1)
     point = SweepPoint(
         cell.name, cell.config.proxy_cache_fraction, cell.config, seed=1,
-        faults=cell.plan, shards=cell.shards,
+        faults=cell.plan,
     )
     return deserialize_result(run_point(point)["result"])
 
@@ -289,36 +254,16 @@ def run_recorded(cell: Cell, directory: Path):
 
 
 @pytest.mark.parametrize("cell", CELLS, ids=lambda cell: cell.id)
-def test_capability_matrix(cell, monkeypatch, tmp_path):
-    if cell.gated:
-        if cell.recorded:
-            # A recording changes no byte of the run, and replays to it.
-            result, written = run_recorded(cell, tmp_path)
-            report = replay_trace(written)
-            assert report.divergence is None and report.identical
-            assert serialize_result(report.result) == serialize_result(result)
-        else:
-            result = run_cell(cell)
-        if cell.shards == 1:
-            assert serialize_result(result) == serialize_result(anchor(cell))
-            return
-        assert result == run_cell(cell)
-        assert result.n_requests == anchor(cell).n_requests
-        assert sum(result.tier_counts.values()) == result.n_requests
-        if cell.expected == "golden":
-            assert GOLDEN_CASE[cell.name, cell.variant, cell.sized] in GOLDEN_SHARDS
-        return
-
-    def no_fork(self):
-        raise AssertionError("a refused cell started a worker")
-
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_fork)
-    with pytest.raises(UnsupportedConfiguration, match=cell.expected):
-        if cell.recorded:
-            run_recorded(cell, tmp_path)
-        else:
-            run_cell(cell)
-    assert not any(tmp_path.iterdir())
+def test_capability_matrix(cell, tmp_path):
+    if cell.recorded:
+        # A recording changes no byte of the run, and replays to it.
+        result, written = run_recorded(cell, tmp_path)
+        report = replay_trace(written)
+        assert report.divergence is None and report.identical
+        assert serialize_result(report.result) == serialize_result(result)
+    else:
+        result = run_cell(cell)
+    assert serialize_result(result) == serialize_result(anchor(cell))
 
 
 def test_ledger_backend_names_run_one_stack():
@@ -361,11 +306,10 @@ def test_view_owning_every_cluster_is_an_identity(name, built):
 
 #: Column -> the cells it summarises.
 COLUMNS = {
-    "`shards=1` (any sizes / plan / recording)": lambda c: c.shards == 1,
-    "`shards=2`": lambda c: (c.shards, c.sized, c.faulty, c.recorded) == (2, 0, 0, 0),
-    "`shards=2`, sized": lambda c: (c.shards, c.sized, c.faulty, c.recorded) == (2, 1, 0, 0),
-    "`shards=2`, fault plan": lambda c: (c.shards, c.faulty) == (2, True),
-    "`shards=2`, recorded": lambda c: (c.shards, c.faulty, c.recorded) == (2, False, True),
+    "plain": lambda c: (c.sized, c.faulty, c.recorded) == (0, 0, 0),
+    "sized": lambda c: (c.sized, c.faulty, c.recorded) == (1, 0, 0),
+    "fault plan (any sizes)": lambda c: (c.faulty, c.recorded) == (1, 0),
+    "recorded (any sizes / plan)": lambda c: c.recorded,
 }
 BEGIN, END = "<!-- capability-matrix:begin -->", "<!-- capability-matrix:end -->"
 
@@ -381,7 +325,7 @@ def render_matrix() -> str:
         row = [f"`{name}`" + (f" `{variant}`" if variant else "")]
         for picks in COLUMNS.values():
             outcomes = dict.fromkeys(
-                c.expected if c.gated else f"refused: \"{c.expected}\""
+                c.expected
                 for c in CELLS
                 if (c.name, c.variant) == (name, variant) and picks(c)
             )

@@ -84,8 +84,43 @@ class TestHandshake:
         with pytest.raises(WireFormatError):
             parse_hello({"kind": "something-else"})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("scope", 3),
+            ("network", [1.0]),
+            ("network", {"t_lokal": 1.0}),
+            ("network", {"t_local": "1.0"}),
+            ("network", {"t_local": True}),
+            ("network", {"t_local": -1.0}),
+            ("plan", {"p2p_los": 0.1}),
+            ("plan", {"max_retries": 2.5}),
+            ("plan", {"seed": None}),
+            ("plan", {"p2p_loss": 2.0}),
+            ("plan", {"policies": []}),
+            ("plan", {"policies": {"default": {"strategy": None}}}),
+            ("plan", {"policies": {"per_link": {"p2p": {"max_retries": "3"}}}}),
+            ("plan", {"policies": {"per_link": {"pigeon": {}}}}),
+            ("plan", {"policies": {"per_link": []}}),
+        ],
+    )
+    def test_malformed_hello_field_is_the_named_error(self, field, value):
+        # Unknown keys, wrong JSON types and out-of-range values alike:
+        # never a bare TypeError / ValueError out of a constructor.
+        entry = hello_frame("fc", NetworkConfig(), FaultPlan(p2p_loss=0.1))
+        entry[field] = value
+        with pytest.raises(WireFormatError):
+            parse_hello(entry)
+
     def test_ack_round_trip(self):
         assert parse_ack(ack_frame("client", 2)) == ("client", 2)
+
+    @pytest.mark.parametrize("field, value", [("role", "router"), ("node", None), ("node", "2")])
+    def test_malformed_ack_is_refused(self, field, value):
+        entry = ack_frame("client", 2)
+        entry[field] = value
+        with pytest.raises(WireFormatError, match="no valid role"):
+            parse_ack(entry)
 
     def test_error_frame_refuses_the_hello(self):
         entry = dict(ack_frame("proxy", 0))
@@ -105,6 +140,16 @@ class TestExchangeFrames:
         entry = request_frame(0, PROXY_FETCH)
         entry[3] = PUSH.link
         with pytest.raises(WireProtocolError, match="bound to link"):
+            parse_request(entry)
+
+    @pytest.mark.parametrize(
+        "index, value",
+        [(1, None), (1, "0"), (1, True), (2, []), (2, None), (3, 0), (4, None), (4, 0)],
+    )
+    def test_malformed_request_field_is_refused(self, index, value):
+        entry = request_frame(0, PROXY_FETCH)
+        entry[index] = value
+        with pytest.raises(WireFormatError, match="malformed"):
             parse_request(entry)
 
     def test_unknown_kind_is_refused(self):
@@ -151,6 +196,9 @@ class TestExchangeFrames:
         for bad in (["u", "2", 1, 9, True], ["u", 2, 1, 9, 1], ["u", 2, None, 9, True]):
             with pytest.raises(WireFormatError, match="malformed"):
                 parse_answer(bad)
+        for bad in (["u", "a", 0, 0], ["u", 2, None, 9], ["u", 2, 1, False]):
+            with pytest.raises(WireFormatError, match="malformed"):
+                parse_probe(bad)
 
     def test_malformed_event_payload_is_refused(self):
         with pytest.raises(WireFormatError):

@@ -1,6 +1,6 @@
 """End-to-end tests for the sharded run coordinator.
 
-The contract under test (ISSUE 7):
+The contract under test:
 
 * ``shards=1`` is byte-identical to the single-process engine — same
   ``SchemeResult`` — for every scheme in the registry;
@@ -12,9 +12,15 @@ The contract under test (ISSUE 7):
   within documented semantics (their determinism is gated here, their
   bytes by ``test_golden_shards.py``);
 * an unsupported combination is refused by name before anything forks.
+
+The library is the only way to run sharded, so the capability matrix
+(``tests/integration/test_run_assembly.py``) is run here too: every
+cell without a fault plan at two shards, gated or refused by name, and
+at one shard on streaming traces, equal to its anchor.
 """
 
-import dataclasses
+import json
+import multiprocessing.process
 
 import pytest
 
@@ -22,11 +28,29 @@ from repro.core.config import SimulationConfig
 from repro.core.run import SCHEME_REGISTRY, generate_workloads, run_scheme
 from repro.shard import UnsupportedConfiguration, run_scheme_sharded
 from repro.workload import ProWGenConfig
+from repro.experiments.store import serialize_result
+from repro.protocol.trace import recording_traces
+from tests.integration.test_run_assembly import CELLS, CONFIG, Cell, anchor
+from tests.shard.test_golden_shards import GOLDEN
 
 WORKLOAD = ProWGenConfig(n_requests=1500, n_objects=100, n_clients=8)
 
 #: The schemes that declare a cooperative surface.
 SHARDABLE = ("hier-gd", "nc", "sc")
+
+#: Matrix cells whose two-shard bytes ``GOLDEN_shards.json`` pins (on its
+#: own config): (scheme, variant, sized) -> case.
+GOLDEN_CASE = {
+    ("nc", "", False): "nc-s2-r200",
+    ("nc", "", True): "nc-sized",
+    ("sc", "", False): "sc-s2-r200",
+    ("sc", "", True): "sc-sized",
+    ("hier-gd", "", False): "hier-gd-s2-r200",
+    ("hier-gd", "", True): "hier-gd-sized",
+    ("hier-gd", "gd_cost_model=gd", True): "hier-gd-sized-gd",
+    ("hier-gd", "overlay=chord", False): "hier-gd-chord",
+    ("hier-gd", "hiergd_policy=lru", False): "hier-gd-lru",
+}
 
 
 def cfg(**kw):
@@ -52,11 +76,6 @@ class TestSingleShardIdentity:
             name, config, seed=1, shards=1, trace_dir=str(tmp_path)
         )
         assert sharded == base
-
-    def test_run_scheme_delegates_shards(self):
-        config = cfg()
-        via_kw = run_scheme("sc", config, seed=2, shards=1)
-        assert via_kw == run_scheme_sharded("sc", config, seed=2, shards=1)
 
 
 class TestMultiShard:
@@ -120,6 +139,69 @@ class TestMultiShard:
         assert first == second
 
 
+def _no_fork(self):
+    raise AssertionError("a worker was started")
+
+
+def refusal(cell: Cell) -> str | None:
+    """The words a two-shard run of ``cell`` is refused with, or ``None``
+    when it runs; first obstacle wins, as in ``check_shardable``."""
+    if cell.name not in SHARDABLE:
+        return "cannot run sharded"
+    if cell.recorded:
+        return "record with shards=1"
+    if cell.variant == "directory=bloom":
+        return "directory='exact'"
+    return None
+
+
+#: The capability matrix's cells a sharded run can express: a fault plan
+#: is not an input of ``run_scheme_sharded``.
+SHARDED_CELLS = [cell for cell in CELLS if not cell.faulty]
+
+
+class TestMatrixCells:
+    @pytest.mark.parametrize("cell", SHARDED_CELLS, ids=lambda cell: cell.id)
+    def test_two_shard_cell(self, cell, monkeypatch, tmp_path):
+        """A two-shard run of every cell is deterministic and conserves
+        requests, or is refused by name before a worker forks."""
+        why = refusal(cell)
+        if why is None:
+            result = run_scheme_sharded(cell.name, cell.config, seed=1, shards=2)
+            assert result == run_scheme_sharded(cell.name, cell.config, seed=1, shards=2)
+            assert result.n_requests == anchor(cell).n_requests
+            assert sum(result.tier_counts.values()) == result.n_requests
+            return
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", _no_fork)
+        with pytest.raises(UnsupportedConfiguration, match=why):
+            if cell.recorded:
+                with recording_traces(tmp_path / "traces"):
+                    run_scheme_sharded(cell.name, cell.config, seed=1, shards=2)
+            else:
+                run_scheme_sharded(
+                    cell.name, cell.config, seed=1, shards=2,
+                    trace_dir=str(tmp_path / "traces"),
+                )
+        assert not any(tmp_path.rglob("*"))
+
+    @pytest.mark.parametrize(
+        "cell", [cell for cell in SHARDED_CELLS if not cell.recorded],
+        ids=lambda cell: cell.id,
+    )
+    def test_one_shard_streaming_cell_is_its_anchor(self, cell, tmp_path):
+        """One shard reading the cell's traces back from disk is the
+        single-process run, byte for byte, for every scheme and axis."""
+        result = run_scheme_sharded(
+            cell.name, cell.config, seed=1, shards=1, trace_dir=str(tmp_path)
+        )
+        assert serialize_result(result) == serialize_result(anchor(cell))
+
+    def test_golden_cases_are_matrix_cells_and_pinned(self):
+        runs = {(c.name, c.variant, c.sized) for c in SHARDED_CELLS if refusal(c) is None}
+        assert set(GOLDEN_CASE) <= runs
+        assert set(GOLDEN_CASE.values()) <= set(json.loads(GOLDEN.read_text()))
+
+
 class TestValidation:
     def test_unsupported_scheme_rejected(self):
         with pytest.raises(ValueError, match="cannot run sharded"):
@@ -137,41 +219,14 @@ class TestValidation:
             with pytest.raises(ValueError, match="record"):
                 run_scheme_sharded("nc", cfg(), shards=2)
 
-    def test_explicit_traces_with_shards_rejected(self):
-        config = cfg()
-        traces = generate_workloads(config, seed=0)
-        with pytest.raises(ValueError, match="seed"):
-            run_scheme("nc", config, traces=traces, shards=2)
-
     def test_zero_shards_rejected(self):
         with pytest.raises(ValueError, match="shards"):
             run_scheme_sharded("nc", cfg(), shards=0)
 
-    def test_run_level_refusals_are_the_named_error(self, tmp_path):
-        # The scheme x sizes x plan refusals are the capability
-        # matrix's (tests/integration/test_run_assembly.py); these are the
-        # three obstacles that are not a property of the cell.
-        from repro.protocol import Transport
-        from repro.protocol.trace import recording_traces
-
-        config = cfg()
-        with pytest.raises(UnsupportedConfiguration, match="custom transports are single-process"):
-            run_scheme("sc", config, transport=Transport(config.network), shards=2)
-        with pytest.raises(UnsupportedConfiguration, match="seed"):
-            run_scheme("sc", config, traces=generate_workloads(config), shards=2)
-        with recording_traces(tmp_path):
-            with pytest.raises(UnsupportedConfiguration, match="record"):
-                run_scheme("sc", config, shards=2)
-
     def test_bloom_hier_gd_refused_before_forking(self, tmp_path, monkeypatch):
         # A refusal inside a worker would surface as RuntimeError("shard 0
         # failed: ...") after every worker had generated its traces.
-        import multiprocessing.process
-
-        def no_fork(self):
-            raise AssertionError("a worker was started")
-
-        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_fork)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", _no_fork)
         with pytest.raises(UnsupportedConfiguration, match="directory='exact'") as info:
             run_scheme_sharded(
                 "hier-gd", cfg(directory="bloom"), shards=2, trace_dir=str(tmp_path)

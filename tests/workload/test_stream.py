@@ -1,10 +1,14 @@
 """Tests for the chunked on-disk trace container and chunked ProWGen."""
 
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.workload import (
     ProWGenConfig,
@@ -17,6 +21,7 @@ from repro.workload.prowgen import generate_trace_streaming
 from repro.workload.stream import (
     HEADER_BYTES,
     ChunkedTraceWriter,
+    CorruptTraceError,
     StreamingTrace,
     TruncatedTraceError,
 )
@@ -216,6 +221,82 @@ class TestRefusal:
         )
         with pytest.raises(ValueError, match="is not a chunked repro trace"):
             StreamingTrace(path)
+
+
+def _overwrite(path, offset, value, dtype):
+    data = bytearray(path.read_bytes())
+    data[offset : offset + np.dtype(dtype).itemsize] = np.array([value], dtype).tobytes()
+    path.write_bytes(bytes(data))
+
+
+class TestBodyRanges:
+    """Ids outside the header's ranges are refused by name, with the
+    file and the request index — not numpy's error or a GiB bincount."""
+
+    @pytest.mark.parametrize("value", [4, -1, 1 << 60])
+    def test_object_id_out_of_range_refused(self, tmp_path, value):
+        path = write_trace(tmp_path / "t.ctrace", [1, 2, 3, 0, 1], [0, 1, 0, 1, 0])
+        _overwrite(path, HEADER_BYTES + 3 * 8, value, "<i8")
+        trace = StreamingTrace(path, chunk_requests=2)
+        with pytest.raises(CorruptTraceError, match=rf"t\.ctrace: request 3 has object id"):
+            trace.reference_counts()
+
+    @pytest.mark.parametrize("value", [2, -7])
+    def test_client_id_out_of_range_refused(self, tmp_path, value):
+        path = write_trace(tmp_path / "t.ctrace", [1, 2, 3, 0, 1], [0, 1, 0, 1, 0])
+        _overwrite(path, HEADER_BYTES + 5 * 8 + 4 * 4, value, "<i4")
+        with pytest.raises(CorruptTraceError, match="request 4 has client id"):
+            StreamingTrace(path, chunk_requests=2).reference_counts()
+
+
+    def test_non_positive_size_refused(self, tmp_path):
+        cfg = ProWGenConfig(n_requests=20, n_objects=6, n_clients=2, object_sizes="heavy-tailed")
+        path = tmp_path / "t.ctrace"
+        generate_trace_streaming(cfg, 1, path)
+        _overwrite(path, HEADER_BYTES + 20 * 12 + 2 * 8, 0, "<i8")
+        with pytest.raises(CorruptTraceError, match="object 2 has size 0"):
+            StreamingTrace(path).sizes
+
+
+def _sample_files() -> dict[str, bytes]:
+    """A small v1 and v2 trace, as bytes."""
+    cfg = ProWGenConfig(n_requests=40, n_objects=12, n_clients=3)
+    files = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for version, sizes in (("v1", "off"), ("v2", "heavy-tailed")):
+            path = Path(tmp) / f"{version}.ctrace"
+            generate_trace_streaming(replace(cfg, object_sizes=sizes), 3, path)
+            files[version] = path.read_bytes()
+    return files
+
+
+SAMPLE_FILES = _sample_files()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    version=st.sampled_from(sorted(SAMPLE_FILES)),
+    edits=st.lists(st.tuples(st.integers(min_value=0), st.integers(0, 255)), max_size=6),
+    cut=st.integers(0, 16),
+)
+def test_mutated_trace_bytes_parse_or_raise_the_named_errors(version, edits, cut):
+    """Overwrite some bytes of a valid trace and maybe truncate it: the
+    reader either reads it whole or refuses it with its own errors."""
+    data = bytearray(SAMPLE_FILES[version])
+    for at, byte in edits:
+        data[at % len(data)] = byte
+    del data[len(data) - cut :]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.ctrace"
+        path.write_bytes(bytes(data))
+        try:
+            trace = StreamingTrace(path)
+            counts = trace.reference_counts()
+            trace.sizes
+        except (TruncatedTraceError, CorruptTraceError):
+            return
+        assert counts.sum() == len(trace)
+        assert len(trace.client_slice(0, len(trace))) == len(trace)
 
 
 class TestChunkedProWGen:
