@@ -113,7 +113,10 @@ def generate_cluster_traces_streaming(
     workload is identical bit for bit regardless of how clusters are
     spread over processes.  A sealed file already present under that
     name is reused instead of regenerated (cheap resume for repeated
-    gate runs against one workload).  The seed and *every*
+    gate runs against one workload) once its body passes the range
+    checks of ``reference_counts`` and ``sizes``; one that fails them
+    (:class:`CorruptTraceError`) is regenerated.  A file written by this
+    call is not read back.  The seed and *every*
     :class:`ProWGenConfig` field are part of the name, so one directory
     can hold several seeds' and several shapes' workloads — an alpha or
     stack-size sweep pointed at one directory — without cross-talk.
@@ -128,10 +131,13 @@ def generate_cluster_traces_streaming(
         path = directory / f"cluster{i}.s{seed}.{fingerprint}.ctrace"
         if path.exists():
             try:
-                traces.append(StreamingTrace(path, chunk_requests=chunk_requests))
+                trace = StreamingTrace(path, chunk_requests=chunk_requests)
+                trace.reference_counts()  # refuses an id out of range
+                trace.sizes  # refuses a size below one byte
+                traces.append(trace)
                 continue
             except (ValueError, TruncatedTraceError):
-                path.unlink()  # unsealed/stale leftover: regenerate
+                path.unlink()  # unsealed, stale or corrupt leftover: regenerate
         traces.append(
             generate_trace_streaming(
                 config,

@@ -175,12 +175,15 @@ def _emit_stream_chunks(
     * client ids are drawn by the callers after the whole object stream,
       from the same generator (so it is synced before every ``yield``).
 
-    The scalar draws are served by :class:`~.rawdraws.RawDraws`, which
-    reads those outputs a window ahead instead of calling numpy once per
-    draw.  The loop indexes only flat Python-level sequences (``array``,
-    ``bytearray``, ``list`` — the stack's own list, as a friend): per-
-    object state is one machine word per object, and nothing in it pays
-    for a numpy scalar.
+    The loop reads the outside candidates, already alias-resolved, as
+    ``obj = cands[k]; k += 1`` from :class:`~.rawdraws.RawDraws`, which
+    decodes those outputs in numpy a window at a time: no Python frame
+    per candidate.  It re-resolves the window's unread part after a
+    rebuild and is synced, by the count ``k`` read, at every uniform
+    batch and before every ``yield``.  The loop indexes only flat
+    Python-level sequences (``array``, ``bytearray``, ``list`` — the
+    stack's own list, as a friend): per-object state is one machine word
+    per object, and nothing in it pays for a numpy scalar.
     """
     n_requests = int(counts.sum())
     n_objects, capacity = config.n_objects, config.stack_capacity
@@ -191,8 +194,9 @@ def _emit_stream_chunks(
     occupancy = 0  # == len(stack), kept here to spare the call
 
     draws = RawDraws(rng)
-    integers, random, uniform_batch = draws.integers, draws.random, draws.uniforms
-    uniforms = uniform_batch(_UNIFORM_BATCH)
+    cands, k = draws.cands, 0  # the candidate window, ``k`` of it read
+    uniform_batch = draws.uniforms
+    uniforms = uniform_batch(k, _UNIFORM_BATCH)
     used = 0
 
     # Recency-skewed stack-position distribution (prefix sums for search).
@@ -210,8 +214,7 @@ def _emit_stream_chunks(
             # Unreachable while masses are consistent: outside mass zero
             # forces the stack branch below.  Guard loudly.
             raise RuntimeError("workload generator mass accounting broke")
-        prob, alias = AliasSampler(weights).tables()
-        return array("d", prob.tobytes()), array("q", alias.tobytes())
+        return AliasSampler(weights).tables()
 
     prob, alias = build_outside_tables()
     rejects = 0
@@ -225,7 +228,7 @@ def _emit_stream_chunks(
             position = 0  # 0 = drawn from outside the stack
             if occupancy:
                 if used == _UNIFORM_BATCH:
-                    uniforms = uniform_batch(_UNIFORM_BATCH)
+                    uniforms = uniform_batch(k, _UNIFORM_BATCH)
                     used = 0
                 u = uniforms[used]
                 used += 1
@@ -233,7 +236,7 @@ def _emit_stream_chunks(
                     # Draw a stack position by recency skew, clipped to
                     # occupancy.
                     if used == _UNIFORM_BATCH:
-                        uniforms = uniform_batch(_UNIFORM_BATCH)
+                        uniforms = uniform_batch(k, _UNIFORM_BATCH)
                         used = 0
                     u = uniforms[used]
                     used += 1
@@ -244,16 +247,20 @@ def _emit_stream_chunks(
             if not position:
                 # Out-of-stack: residual popularity with rejection.
                 while True:
-                    obj = integers(n_objects)
-                    if not random() < prob[obj]:
-                        obj = alias[obj]
+                    try:
+                        obj = cands[k]
+                    except IndexError:  # read out, or dropped by a sync
+                        draws.refill(n_objects, prob, alias)
+                        obj, k = cands[0], 0
+                    k += 1
                     if remaining[obj] and not in_stack[obj]:
                         rejects = 0
                         break
                     rejects += 1
                     if rejects >= 256:
                         prob, alias = build_outside_tables()
-                        rejects = 0
+                        draws.resolve(k, prob, alias)
+                        rejects = k = 0
 
             emit(obj)
             left = remaining[obj] - 1
@@ -276,7 +283,7 @@ def _emit_stream_chunks(
                     evicted = pop(0)
                     in_stack[evicted] = 0
                     mass_stack -= remaining[evicted]
-        draws.sync()  # the caller may draw from ``rng`` while we are suspended
+        draws.sync(k)  # the caller may draw from ``rng`` while we are suspended
         yield np.array(out, dtype=np.int64)
 
 

@@ -46,7 +46,10 @@ host; these count instead of timing:
   the chain);
 * on a run with churn every ``_locate`` call enters one ``_locate``
   frame (a churn subclass's override and its ``super()`` call entered
-  two on most of them).
+  two on most of them);
+* ProWGen's emit loop reads its out-of-stack candidates without a
+  Python frame: its frames grow with candidate windows, alias rebuilds
+  and syncs (226 for 50 072 candidates, at most 300 allowed).
 """
 
 import dataclasses
@@ -54,6 +57,7 @@ import gc
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.bloom import CountingBloomFilter
@@ -77,7 +81,10 @@ from repro.netmodel import (
 from repro.overlay import Dht, Overlay
 from repro.protocol.trace import recording_traces
 from repro.protocol.transport import Transport
+from repro.workload.prowgen import ProWGenConfig, _assign_counts, _emit_stream_chunks
+from repro.workload.rawdraws import _WINDOW
 from tests.overlay.helpers import joined
+from tests.workload.test_prowgen_model import naive_emit_stream_chunks
 
 
 def guard_config(sizes="unit", **overrides):
@@ -648,3 +655,80 @@ def test_overlay_membership_enters_few_frames():
     owners = frames_entered(lambda: [dht.owner(key) for key in keys])
     assert overlay.stats.messages == 10  # every 64th miss was routed
     assert owners / len(keys) <= 2.5, owners / len(keys)
+
+
+def test_prowgen_candidates_enter_no_frame():
+    """ProWGen's emit loop enters Python frames per candidate window,
+    alias rebuild and sync, none per out-of-stack candidate.
+
+    Measured on this shape (one ``hiergd_scale`` cluster cut to 60 000
+    requests, seed 0): 50 072 candidates, 226 frames, 143 of them in 15
+    window refills and 63 in 3 alias-table builds (1 up front, 2
+    rebuilds); the scalar draws entered 4 per candidate."""
+    config = ProWGenConfig(n_requests=60_000, n_objects=2_000, n_clients=100)
+    loop = _emit_stream_chunks.__code__
+    calls, frames = Counter(), Counter()  # per call the loop makes itself
+    depth, callee = 0, None
+
+    def profile(frame, event, arg):
+        nonlocal depth, callee
+        if frame.f_code is loop:  # the generator's own resumes and yields
+            return
+        if event == "call":
+            if not depth:
+                if frame.f_back is None or frame.f_back.f_code is not loop:
+                    return
+                callee = frame.f_code.co_qualname.rpartition(".")[2]
+                calls[callee] += 1
+            depth += 1
+            frames[callee] += 1
+        elif event == "return" and depth:
+            depth -= 1
+
+    rng = np.random.default_rng(0)
+    counts = _assign_counts(config, rng)
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        emitted = sum(len(chunk) for chunk in _emit_stream_chunks(config, counts, rng, 1 << 15))
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    assert emitted == config.n_requests
+
+    # The scalar-draw model's integers() calls are the candidates.
+    model_rng = CountingRng(np.random.default_rng(0))
+    model_counts = _assign_counts(config, model_rng)
+    for _ in naive_emit_stream_chunks(config, model_counts, model_rng, 1 << 15):
+        pass
+    candidates = model_rng.integers_calls
+
+    # Every frame is under a call of one of these, each at most this many.
+    per_call = {"refill": 12, "build_outside_tables": 25, "resolve": 2, "sync": 1,
+                "uniforms": 2}
+    setup = {"_sum", "stack_capacity", "__init__", "zipf_weights", "_cumsum_dispatcher",
+             "cumsum"}
+    assert set(calls) <= setup | set(per_call), calls
+    for name, most in per_call.items():
+        assert frames[name] <= most * calls[name], (name, frames[name], calls[name])
+    assert sum(frames[name] for name in setup) <= 12, frames
+    windows, rebuilds = calls["refill"], calls["resolve"]
+    assert rebuilds == calls["build_outside_tables"] - 1
+    per_window = _WINDOW // 3 * 2  # two candidates a triple of outputs
+    assert windows * per_window >= candidates > 40_000
+    assert windows < 2 * candidates / per_window + 10  # few end at a sync or rejection
+    assert sum(frames.values()) <= 300, (sum(frames.values()), candidates, calls)
+
+
+class CountingRng:
+    """A ``Generator`` that counts its scalar ``integers`` calls."""
+
+    def __init__(self, rng):
+        self._rng, self.integers_calls = rng, 0
+
+    def integers(self, *args, **kwargs):
+        self.integers_calls += "size" not in kwargs
+        return self._rng.integers(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)

@@ -342,6 +342,39 @@ class TestChunkedProWGen:
         )
         assert [t.path.stat().st_mtime_ns for t in second] == stamps
 
+    @pytest.mark.parametrize(
+        "sizes, offset, value",
+        [
+            ("off", HEADER_BYTES + 7 * 8, 150),  # object id == n_objects
+            ("off", HEADER_BYTES + 2_999 * 8, -1),  # the last request's
+            ("heavy-tailed", HEADER_BYTES + 3000 * 12 + 4 * 8, 0),  # object 4's size
+        ],
+    )
+    def test_corrupt_cached_body_regenerated(self, tmp_path, sizes, offset, value):
+        # A sealed file whose body fails the range checks is not reused:
+        # the call writes the stream a fresh directory would get.
+        cfg = replace(self.CFG, object_sizes=sizes)
+        [first] = generate_cluster_traces_streaming(cfg, [0], tmp_path / "a", seed=2)
+        _overwrite(first.path, offset, value, "<i8")
+        [again] = generate_cluster_traces_streaming(cfg, [0], tmp_path / "a", seed=2)
+        [fresh] = generate_cluster_traces_streaming(cfg, [0], tmp_path / "b", seed=2)
+        assert again.path == first.path
+        assert again.path.read_bytes() == fresh.path.read_bytes()
+        assert np.array_equal(again.reference_counts(), fresh.reference_counts())
+
+    def test_cluster_files_written_are_not_read_back(self, tmp_path, monkeypatch):
+        # Only reuse pays the body checks: a fresh directory's set-up
+        # reads nothing it has just written.
+        calls = []
+        counts = StreamingTrace.reference_counts
+        monkeypatch.setattr(
+            StreamingTrace, "reference_counts", lambda t: calls.append(t.path) or counts(t)
+        )
+        traces = generate_cluster_traces_streaming(self.CFG, range(2), tmp_path, seed=1)
+        assert calls == []
+        generate_cluster_traces_streaming(self.CFG, range(2), tmp_path, seed=1)
+        assert calls == [t.path for t in traces]
+
     def test_cluster_files_not_reused_across_shapes(self, tmp_path):
         # Same directory, seed and scale; only the popularity skew differs.
         # Reuse used to be keyed on scale alone and replayed the first shape.
