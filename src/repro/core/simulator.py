@@ -36,6 +36,11 @@ from .presence import PeerSurface
 
 __all__ = ["CachingScheme"]
 
+#: Requests, across all clusters, that :meth:`CachingScheme.run` turns
+#: into Python ints per ``map`` call: the bound on the engine's live
+#: request state, whatever the trace length.
+WINDOW_REQUESTS = 1 << 14
+
 
 class CachingScheme(ABC):
     """Base class for all caching schemes (NC … FC-EC, Hier-GD)."""
@@ -122,12 +127,13 @@ class CachingScheme(ABC):
         return int(self.config.warmup_fraction * total_expected)
 
     def _block_requests(self, length: int) -> int:
-        """Per-cluster request indexes flattened per engine iteration.
+        """Per-cluster requests read per engine block.
 
-        In-memory traces flatten the whole interleave at once (one numpy
-        transpose, as before); chunk-backed traces bound live memory by
-        flattening one chunk window at a time — same request order, same
-        results, flat RSS.
+        A block is the unit of trace reading and of :meth:`_after_block`:
+        in-memory traces are one block of numpy views, chunk-backed traces
+        one chunk per block (one disk read per trace).  The request loop
+        turns a block into Python ints one :data:`WINDOW_REQUESTS` window
+        at a time, so the block size does not set the engine's memory.
         """
         block = length
         for t in self.traces:
@@ -136,22 +142,24 @@ class CachingScheme(ABC):
         return max(1, block)
 
     def _after_block(self, upto: int) -> None:
-        """Hook: one flattened block (requests ``[·, upto)`` of every
-        cluster) has been fully processed.  No-op here; under a shard
-        peer view, where presence digests are exchanged."""
+        """Hook: one block (requests ``[·, upto)`` of every cluster) has
+        been fully processed.  No-op here; under a shard peer view, where
+        presence digests are exchanged."""
 
     def run(self) -> SchemeResult:
         """Replay all traces and return the aggregated result.
 
-        Each block of request indexes is flattened into the round-robin
-        interleave with one numpy transpose, so the request loop runs
-        entirely inside ``map`` — no per-request interpreter iteration,
-        length checks or warmup branching.  A cluster whose trace has run
-        out drops out of the interleave (a length mask over the window).
-        The warmup prefix is drained into a zero-length deque (statistics
-        excluded), the rest is tallied by ``Counter`` at C speed, and
-        latency is aggregated per tier at the end instead of per request.
-        Chunk-backed traces run the same loop one chunk window at a time.
+        Each block is read once per trace and flattened into the
+        round-robin interleave one window of :data:`WINDOW_REQUESTS`
+        requests at a time (one numpy transpose each), so the request
+        loop runs entirely inside ``map`` — no per-request interpreter
+        iteration, length checks or warmup branching — and its live
+        Python ints stay one window whatever the trace length.  A cluster
+        whose trace has run out drops out of the interleave (a length
+        mask over the window).  The warmup prefix is drained into a
+        zero-length deque (statistics excluded), the rest is tallied by
+        ``Counter`` at C speed, and latency is aggregated per tier at the
+        end instead of per request.
         """
         net = self.config.network
         latency_of = {tier: net.latency(tier) for tier in ALL_TIERS}
@@ -167,43 +175,46 @@ class CachingScheme(ABC):
         self._in_warmup = warmup_n > 0
         counted: Counter = Counter()
         to_warm = warmup_n
+        rows = max(1, WINDOW_REQUESTS // len(traces))  # per cluster and window
+        # A full window's cluster ids; ``map`` stops with a shorter window.
+        round_robin = list(range(len(traces))) * rows
         block = self._block_requests(longest)
         for a in range(0, longest, block):
             b = min(longest, a + block)
-            if b <= shortest:
-                objs = np.stack(
-                    [t.object_slice(a, b) for t in traces], axis=1
-                ).ravel().tolist()
-                clients = np.stack(
-                    [t.client_slice(a, b) for t in traces], axis=1
-                ).ravel().tolist()
-                clusters = list(range(len(traces))) * (b - a)
-            else:
-                # A trace ends inside the window: ``np.resize`` fills the
-                # short slices' tails and the length mask drops them.
-                live = np.arange(a, b)[:, None] < ends
-                objs = np.stack(
-                    [np.resize(t.object_slice(a, b), b - a) for t in traces], axis=1
-                )[live].tolist()
-                clients = np.stack(
-                    [np.resize(t.client_slice(a, b), b - a) for t in traces], axis=1
-                )[live].tolist()
-                clusters = live.nonzero()[1].tolist()
-            tiers = map(self.process, clusters, clients, objs)
-            skip = min(to_warm, len(objs))
-            if skip:
-                deque(islice(tiers, skip), maxlen=0)  # caches warm
-                to_warm -= skip
-                self._in_warmup = to_warm > 0
-            if bytes_by_tier is None:
-                counted.update(tiers)
-            else:
-                # Sized runs keep the served tiers aligned with the
-                # request stream so bytes land on the right tier.
-                served = list(tiers)
-                counted.update(served)
-                for tier, obj in zip(served, objs[skip:]):
-                    bytes_by_tier[tier] += size_of[obj]
+            obj_cols = [t.object_slice(a, b) for t in traces]
+            cli_cols = [t.client_slice(a, b) for t in traces]
+            for i in range(0, b - a, rows):
+                j = min(b - a, i + rows)
+                if a + j <= shortest:
+                    objs = np.stack([c[i:j] for c in obj_cols], axis=1).ravel().tolist()
+                    clients = np.stack([c[i:j] for c in cli_cols], axis=1).ravel().tolist()
+                    clusters = round_robin
+                else:
+                    # A trace ends inside the window: ``np.resize`` fills
+                    # the short slices' tails and the length mask drops them.
+                    live = np.arange(a + i, a + j)[:, None] < ends
+                    objs = np.stack(
+                        [np.resize(c[i:j], j - i) for c in obj_cols], axis=1
+                    )[live].tolist()
+                    clients = np.stack(
+                        [np.resize(c[i:j], j - i) for c in cli_cols], axis=1
+                    )[live].tolist()
+                    clusters = live.nonzero()[1].tolist()
+                tiers = map(self.process, clusters, clients, objs)
+                skip = min(to_warm, len(objs))
+                if skip:
+                    deque(islice(tiers, skip), maxlen=0)  # caches warm
+                    to_warm -= skip
+                    self._in_warmup = to_warm > 0
+                if bytes_by_tier is None:
+                    counted.update(tiers)
+                else:
+                    # Sized runs keep the served tiers aligned with the
+                    # request stream so bytes land on the right tier.
+                    served = list(tiers)
+                    counted.update(served)
+                    for tier, obj in zip(served, objs[skip:]):
+                        bytes_by_tier[tier] += size_of[obj]
             self._after_block(b)
         self._in_warmup = False
         tier_counts = {t: counted[t] for t in ALL_TIERS if counted[t]}

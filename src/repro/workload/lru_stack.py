@@ -10,12 +10,15 @@ The generator only ever touches the stack *by position*: a stack hit
 knows the position it just drew, an outside draw pushes a non-member, and
 an exhausted object leaves from the position it was drawn at.  So the
 stack is a plain list with the top at the tail — ``pop_at`` is one
-``del`` (a C ``memmove`` of the entries above), ``push`` an ``append``,
-overflow a ``pop(0)``.  At the paper's stack sizes (150–3 000 entries)
-that memmove is an order of magnitude cheaper than the ~20 interpreted
-steps of an order-statistic tree, and it stays ahead up to 3·10⁵-entry
-stacks (EXPERIMENTS.md, "Workload generation").  The generator's loop
-binds ``_items.pop`` / ``.append`` itself, as a friend: keep the layout.
+``del`` (a C ``memmove`` of the entries above), ``push`` an ``append``.
+At the paper's stack sizes (150–3 000 entries) that memmove is an order
+of magnitude cheaper than the ~20 interpreted steps of an order-statistic
+tree, and it stays ahead up to 3·10⁵-entry stacks (EXPERIMENTS.md,
+"Workload generation").  ``push`` overflows with a ``pop(0)``, which
+shifts the whole list; the generator's loop binds ``_items`` itself, as
+a friend, and evicts instead by advancing an offset over the list's
+head, deleting the evicted prefix in bulk (``_emit_stream_chunks``).
+Keep the layout: least recent first, top at the tail.
 """
 
 from __future__ import annotations

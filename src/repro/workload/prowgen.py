@@ -183,15 +183,21 @@ def _emit_stream_chunks(
     batch and before every ``yield``.  The loop indexes only flat
     Python-level sequences (``array``, ``bytearray``, ``list`` — the
     stack's own list, as a friend): per-object state is one machine word
-    per object, and nothing in it pays for a numpy scalar.
+    per object, and nothing in it pays for a numpy scalar.  A stack
+    overflow reads the list's bottom entry and advances an offset past
+    it; the evicted head is deleted in one slice once it outgrows the
+    live part and before every ``yield``, so eviction is O(1) amortized
+    where ``pop(0)`` shifted the whole stack.
     """
     n_requests = int(counts.sum())
     n_objects, capacity = config.n_objects, config.stack_capacity
     remaining = array("q", counts.astype(np.int64).tobytes())
     in_stack = bytearray(n_objects)
     stack = LruStack(capacity)
-    pop, append = stack._items.pop, stack._items.append  # top at the tail
-    occupancy = 0  # == len(stack), kept here to spare the call
+    items = stack._items
+    pop, append = items.pop, items.append  # top at the tail
+    occupancy = 0  # the live entries, at the tail of ``items``
+    evicted_n = 0  # overflowed entries still at its head, dropped in bulk
 
     draws = RawDraws(rng)
     cands, k = draws.cands, 0  # the candidate window, ``k`` of it read
@@ -280,9 +286,15 @@ def _emit_stream_chunks(
                 if occupancy < capacity:
                     occupancy += 1
                 else:
-                    evicted = pop(0)
+                    evicted = items[evicted_n]
+                    evicted_n += 1
+                    if evicted_n > occupancy:
+                        del items[:evicted_n]
+                        evicted_n = 0
                     in_stack[evicted] = 0
                     mass_stack -= remaining[evicted]
+        del items[:evicted_n]  # ``len(stack) == occupancy`` while suspended
+        evicted_n = 0
         draws.sync(k)  # the caller may draw from ``rng`` while we are suspended
         yield np.array(out, dtype=np.int64)
 

@@ -1,10 +1,13 @@
 """Tests for the trace-replay engine (with an instrumented dummy scheme)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import simulator
 from repro.core.config import SimulationConfig
 from repro.core.schemes import SCHEME_REGISTRY
 from repro.core.simulator import CachingScheme
@@ -195,7 +198,23 @@ def ragged_runs(draw):
     ]
     longest = max(lengths)
     block = draw(st.one_of(st.none(), st.integers(1, max(1, longest - 1))))
-    return traces, block
+    # Requests across all clusters per window: window edges fall inside a
+    # block, and warmup and short traces end mid-window.
+    window = draw(st.one_of(st.none(), st.integers(1, max(1, n_clusters * longest))))
+    return traces, block, window
+
+
+def window_edges():
+    """Blocks of 6 requests per cluster and windows of 4 × 3 clusters: each
+    full block is a full window and a short one.  At warmup 0.3 the warmup
+    (int(0.3 × 31) = 9 requests) ends inside the first window, and the
+    5-request trace ends inside the second."""
+    rng = np.random.default_rng(3)
+    traces = [
+        mk_trace(rng.integers(8, size=n), rng.integers(4, size=n), 8, sizes=np.arange(1, 9))
+        for n in (13, 5, 13)
+    ]
+    return traces, 6, 12
 
 
 class TestRaggedTracesAgainstNaiveLoop:
@@ -204,15 +223,19 @@ class TestRaggedTracesAgainstNaiveLoop:
         st.sampled_from([0.0, 0.3, 0.55]),
         st.sampled_from(["memo", "nc", "sc-ec", "fc", "fc-ec", "squirrel", "hier-gd"]),
     )
+    @example(window_edges(), 0.3, "memo")
+    @example(window_edges(), 0.3, "nc")
+    @example(window_edges(), 0.3, "hier-gd")
     @settings(max_examples=300, deadline=None)
     def test_run_matches_the_per_request_loop(self, run, warmup, name):
-        traces, block = run
+        traces, block, window = run
         config = small_config(n_proxies=len(traces), warmup_fraction=warmup)
         cls = Memo if name == "memo" else SCHEME_REGISTRY[name]
         engine, model = cls(config, traces), cls(config, traces)
         if block is not None:
             engine._block_requests = lambda length: block
-        result = engine.run()
+        with mock.patch.object(simulator, "WINDOW_REQUESTS", window or simulator.WINDOW_REQUESTS):
+            result = engine.run()
         n_requests, total_latency, tier_counts, byte_extras = naive_run(model)
         assert result.n_requests == n_requests
         assert result.tier_counts == tier_counts

@@ -129,11 +129,18 @@ def frames_by_tier(monkeypatch, go, counted=None, watch=None):
                     frames.setdefault(key, Counter())[entered] += 1
                     entered = 0
 
+        # A collection inside a request would run the GC callbacks (such
+        # as hypothesis's timer) and finalizers other tests left behind,
+        # and count their frames.
+        collecting = gc.isenabled()
+        gc.disable()
         sys.setprofile(profile)
         try:
             return run(scheme)
         finally:
             sys.setprofile(None)
+            if collecting:
+                gc.enable()
 
     monkeypatch.setattr(CachingScheme, "run", profiled_run)
     return frames, go()
