@@ -14,7 +14,7 @@ import pytest
 from repro.bloom import CountingBloomFilter
 from repro.cache import GreedyDualCache, LfuCache, LruCache, TieredCache
 from repro.cache.topk import TopKTracker
-from repro.overlay import Dht, Overlay
+from repro.overlay import KeyRing, Overlay
 from repro.workload import ProWGenConfig, generate_trace, sample_object_sizes
 from repro.workload.rawdraws import RawDraws
 from repro.workload.zipf import AliasSampler, zipf_weights
@@ -102,15 +102,23 @@ def test_alias_sampler_throughput(benchmark):
     assert len(out) == N_OPS
 
 
-def test_dht_owner_resolution_memoised(benchmark):
+def test_owner_table_patch_per_membership_change(benchmark):
+    """Re-deriving the owners ten membership changes can move in a
+    2 000-object table: the keys between each node's ring neighbours."""
     overlay = joined_overlay(100)
-    dht = Dht(overlay)
-    keys = [overlay.space.object_id(f"http://o/{i}") for i in range(2000)]
+    keys = np.empty(2000, dtype=object)
+    keys[:] = [overlay.space.object_id(f"http://o/{i}") for i in range(2000)]
+    ring = KeyRing(keys)
+    table = overlay.bulk_owner_of(keys)
+    changed = overlay.node_ids()[::10]
 
-    def resolve_all():
-        return sum(dht.owner(k) % 2 for k in keys)
+    def patch_all():
+        for node_id in changed:
+            for obj, key in ring.moved_by(overlay, node_id):
+                table[obj] = overlay.owner_of(key)
 
-    benchmark(resolve_all)
+    benchmark(patch_all)
+    assert table == overlay.bulk_owner_of(keys)
 
 
 def test_pastry_full_routing(benchmark):

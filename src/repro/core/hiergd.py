@@ -41,7 +41,11 @@ indexes, each exact on the runs listed:
 * ``owner_of`` — placement, object -> owner client index, against the
   current overlay epoch: the whole table, built up front over bulk joins,
   on a unit-size static run (fault-free, fixed membership); elsewhere a
-  memo filled on first touch through the cluster's :class:`Dht`;
+  memo filled on first touch from ``owner_table``, the whole table built
+  once over one-by-one joins and patched by :meth:`IndexedCluster.fail` /
+  ``join``, which re-derive only the objects whose keys lie between the
+  changed node's ring neighbours
+  (:class:`~repro.overlay.placement.KeyRing`);
 * ``member_maps`` — each client cache's own membership dict, so "does
   this client hold it" is one dict probe (every run);
 * ``free_clients`` — ``{k : capacity − used > 0}`` (every run): the
@@ -96,7 +100,7 @@ from ..netmodel import (
     TIER_SERVER,
 )
 from ..overlay import (
-    Dht,
+    KeyRing,
     OverlayBackend,
     build_owner_table,
     make_overlay,
@@ -114,25 +118,40 @@ from .simulator import CachingScheme
 __all__ = ["HierGdScheme", "IndexedCluster", "member_map"]
 
 
+#: ``IndexedCluster.pointers``' answer for an owner that keeps none (read,
+#: never written).
+_NO_POINTERS: dict[int, int] = {}
+
+
 class _FirstTouchOwners(dict):
     """A cluster's object -> owner table, filled as objects are first asked for.
 
-    A missing key is resolved through the cluster's :class:`Dht` — whose
-    memo-miss counter decides which keys are also routed for the hop
-    statistic, so *when* an object is first asked for is observable in
-    ``mean_<overlay>_hops`` — and kept; every later ``[]`` is a plain
-    dict probe.
+    A missing key is read from the cluster's whole ``owner_table`` and
+    kept; every ``rate``-th miss also routes the object's key for the
+    hop statistic, so *when* an object is first asked for is observable
+    in ``mean_<overlay>_hops``.  A membership change clears the memo, and
+    every object misses once more.  Every later ``[]`` is a plain dict
+    probe.
     """
 
-    __slots__ = ("_state",)
+    __slots__ = ("_table", "_keys", "_overlay", "_rate", "misses")
 
-    def __init__(self, state: IndexedCluster) -> None:
-        self._state = state
+    def __init__(
+        self, table: list[int], keys: np.ndarray, overlay: OverlayBackend, rate: int
+    ) -> None:
+        self._table = table
+        self._keys = keys
+        self._overlay = overlay
+        self._rate = rate
+        #: Memo misses so far, over every epoch.
+        self.misses = 0
 
     def __missing__(self, obj: int) -> int:
-        state = self._state
-        idx = state.idx_of_node[state.dht.owner(state.object_keys[obj])]
-        self[obj] = idx
+        idx = self[obj] = self._table[obj]
+        self.misses += 1
+        if self._rate and not self.misses % self._rate:
+            # Sampled full routing, purely for the hop statistic.
+            self._overlay.route(self._keys[obj])
         return idx
 
 
@@ -144,15 +163,19 @@ class IndexedCluster:
     proxy: Cache
     clients: list[Cache]
     overlay: OverlayBackend
-    dht: Dht
+    #: Every ``hop_sample_rate``-th placement is also routed hop by hop
+    #: for the mean-hops statistic (0: never).
+    hop_sample_rate: int
     idx_of_node: dict[int, int]
     node_of_idx: list[int]
     directory: LookupDirectory
     #: This cluster's id in the presence indexes (a shard peer view
     #: re-keys it to the global index).
     cluster: int
-    #: Whether placement is resolved on first touch instead of tabulated
-    #: up front (every run but a unit-size fault-free static one).
+    #: Whether placement is read through the first-touch memo, whose
+    #: misses sample the hop statistic, instead of straight from a table
+    #: built with sampled routes (every run but a unit-size fault-free
+    #: static one).
     first_touch: bool
     #: objectId per object: one SHA-1 pass per run, shared by every cluster.
     object_keys: np.ndarray | None = None
@@ -165,9 +188,14 @@ class IndexedCluster:
     replicas: dict[int, set[int]] = field(default_factory=dict)
     #: Last retrieval cost per object (greedy-dual's cost input).
     costs: dict[int, float] = field(default_factory=dict)
-    #: First-touch placement, object -> owner client index; a membership
-    #: change drops it wholesale.
-    owner_memo: _FirstTouchOwners = field(init=False)
+    #: Placement of every object, object -> owner client index, kept
+    #: exact across membership changes (first-touch runs).
+    owner_table: list[int] = field(default_factory=list)
+    #: The run's object keys in ring order (runs with churn).
+    key_ring: KeyRing | None = None
+    #: First-touch placement, object -> owner client index, read from
+    #: ``owner_table``; a membership change drops it wholesale.
+    owner_memo: _FirstTouchOwners | None = field(default=None, init=False)
     #: DHT placement, object id -> owner client index: the whole table,
     #: or ``owner_memo`` when :attr:`first_touch`.
     owner_of: list[int] | dict[int, int] = field(default_factory=list)
@@ -191,8 +219,31 @@ class IndexedCluster:
     #: Failed client indexes (their slots stay, dead).
     dead: set[int] = field(default_factory=set)
 
-    def __post_init__(self) -> None:
-        self.owner_memo = _FirstTouchOwners(self)
+    def tabulate(self, object_keys: np.ndarray, key_ring: KeyRing | None) -> None:
+        """Take the run's object keys; on a first-touch run, resolve every
+        object's owner now, in one vectorised pass, against the overlay
+        the requests start on.  ``key_ring`` (runs with churn) is how
+        :meth:`fail` / :meth:`join` find the entries they re-derive."""
+        self.object_keys = object_keys
+        self.key_ring = key_ring
+        if self.first_touch:
+            idx_of_node = self.idx_of_node
+            self.owner_table = [
+                idx_of_node[nid] for nid in self.overlay.bulk_owner_of(object_keys)
+            ]
+            self.owner_memo = _FirstTouchOwners(
+                self.owner_table, object_keys, self.overlay, self.hop_sample_rate
+            )
+
+    def _retabulate(self, node_id: int) -> None:
+        """``node_id`` just joined or failed: re-derive the owners it can
+        have moved, and drop the first-touch memo."""
+        table = self.owner_table
+        idx_of_node = self.idx_of_node
+        owner_of = self.overlay.owner_of
+        for obj, key in self.key_ring.moved_by(self.overlay, node_id):
+            table[obj] = idx_of_node[owner_of(key)]
+        self.owner_memo.clear()
 
     def fail(self, client: int, locate: Callable[..., int | None]) -> int:
         """Client ``client``'s machine is gone: cache contents, pointer
@@ -211,10 +262,10 @@ class IndexedCluster:
         if cache.capacity > 0:
             self.free_clients.add(client)
         self.pointers.pop(client, None)
-        self.overlay.fail(self.node_of_idx[client])
+        node_id = self.node_of_idx[client]
+        self.overlay.fail(node_id)
         self.dead.add(client)
-        # DHT placement shifted: the owner memo is stale wholesale.
-        self.owner_memo.clear()
+        self._retabulate(node_id)
         for ptrs in self.pointers.values():
             stale = [obj for obj, holder in ptrs.items() if holder == client]
             for obj in stale:
@@ -245,14 +296,14 @@ class IndexedCluster:
         self.member_maps.append(member_map(cache))
         if cache.capacity > 0:
             self.free_clients.add(idx)
-        self.owner_memo.clear()
+        self._retabulate(node.node_id)
 
     def build_placement(self) -> None:
         """(Re)build the placement tables against the current overlay epoch.
 
         Up front, a sampled subset of keys is routed hop-by-hop so the
         mean-hops extra stays populated, each delivery asserted against
-        the table; on first touch, the :class:`Dht` does the sampling.
+        the table; on first touch, the memo's misses do the sampling.
         """
         overlay = self.overlay
         idx_of_node = self.idx_of_node
@@ -263,7 +314,7 @@ class IndexedCluster:
             owners = build_owner_table(
                 overlay,
                 self.object_keys,
-                sample_rate=self.dht.hop_sample_rate,
+                sample_rate=self.hop_sample_rate,
                 record_stats=True,
             )
             self.owner_of = [idx_of_node[nid] for nid in owners]
@@ -371,10 +422,10 @@ class HierGdScheme(CachingScheme):
         #: Mean object size (bytes) when sized — converts byte-denominated
         #: capacities into expected object counts for directory sizing.
         mean_size = float(self.sizes.mean()) if sized else 1.0
-        # Placement is resolved on first touch (hops sampled from routes
-        # over one-by-one joins) everywhere but a unit-size static run,
-        # which takes the bulk build and a whole owner table up front.
-        # Both feed ``mean_<overlay>_hops``, which result digests pin.
+        # Placement is read on first touch (hops sampled from routes over
+        # one-by-one joins) everywhere but a unit-size static run, which
+        # takes the bulk build and samples while tabulating.  Both feed
+        # ``mean_<overlay>_hops``, which result digests pin.
         first_touch = sized or not static
         self.states = states = []
         for ci, sizing in enumerate(self.sizings):
@@ -394,7 +445,7 @@ class HierGdScheme(CachingScheme):
                     for _ in range(sizing.n_clients)
                 ],
                 overlay=overlay,
-                dht=Dht(overlay, hop_sample_rate=config.hop_sample_rate),
+                hop_sample_rate=config.hop_sample_rate,
                 idx_of_node={nid: k for k, nid in enumerate(node_of_idx)},
                 node_of_idx=node_of_idx,
                 directory=self.transport.wrap_directory(
@@ -427,8 +478,9 @@ class HierGdScheme(CachingScheme):
         object_keys = object_ids_for_urls(
             [object_url(i) for i in range(n_objects)], states[0].overlay.space
         )
+        key_ring = KeyRing(object_keys) if self.mutates_membership else None
         for state in states:
-            state.object_keys = object_keys
+            state.tabulate(object_keys, key_ring)
         #: Cluster id -> its state, or None for a cluster served elsewhere (a
         #: shard peer view narrows this to the clusters its worker owns).
         self._state_at = states.__getitem__
@@ -457,22 +509,21 @@ class HierGdScheme(CachingScheme):
             else:
                 dead[ev.cluster].add(ev.client)
         self._next_event = 0
-        #: Requests served so far, and the count at which the engine next
-        #: calls :meth:`_fire_due_events` (which moves it on).
-        self._processed = 0
-        self._next_due = 0
+        #: The request index before which the request loop next calls
+        #: :meth:`_fire_due_events` (which moves it on).
+        self._next_due = self._events[0].at_request if self._events else float("inf")
         self._msg.update(
             dict.fromkeys(
                 ("client_failures", "client_joins", "objects_lost", "directory_repairs"), 0
             )
         )
 
-    def _fire_due_events(self) -> None:
+    def _fire_due_events(self, served: int) -> None:
         events = self._events
         msg = self._msg
         while (
             self._next_event < len(events)
-            and events[self._next_event].at_request <= self._processed
+            and events[self._next_event].at_request <= served
         ):
             ev = events[self._next_event]
             self._next_event += 1
@@ -534,7 +585,7 @@ class HierGdScheme(CachingScheme):
         member_maps = state.member_maps
         if obj in member_maps[owner]:
             return owner
-        holder = state.pointers.get(owner, {}).get(obj)
+        holder = state.pointers.get(owner, _NO_POINTERS).get(obj)
         if holder is not None and obj in member_maps[holder]:
             return holder
         reps = state.replicas.get(obj)
@@ -806,17 +857,13 @@ class HierGdScheme(CachingScheme):
         """Serve one request: proxy, own P2P cache, cooperating proxies,
         their P2P caches (push protocol), origin server.
 
-        The run's membership events fall due by request index, before the
-        request is served.  Under a fault layer each cooperation hop is an
-        exchange that can time out: a failed one drops the request to the
-        next step, ultimately to the origin server, which never fails (why
-        faulty Hier-GD degrades toward NC, never below it).
+        The run's membership events fall due by request index; the
+        request loop fires them between requests (:meth:`_fire_due_events`).
+        Under a fault layer each cooperation hop is an exchange that can
+        time out: a failed one drops the request to the next step,
+        ultimately to the origin server, which never fails (why faulty
+        Hier-GD degrades toward NC, never below it).
         """
-        if self.mutates_membership:
-            n = self._processed
-            if n >= self._next_due:
-                self._fire_due_events()
-            self._processed = n + 1
         state = self.states[cluster]
         proxy = state.proxy
         # 1. Local proxy cache.  ~3 of every 4 requests end right here, so

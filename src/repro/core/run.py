@@ -145,8 +145,8 @@ def assemble_run(
     Carrier (``carrier``, else the plan's fault stack, else the base
     transport) → recording layer (if ``recorder``) → :func:`build_scheme`
     → ``attach`` every layer that rides the finished scheme (an event-fed
-    carrier and the recording count requests; a shard worker's peer
-    ``view`` substitutes global cluster ids and the round protocol) →
+    carrier and the recording read its request index; a shard worker's
+    peer ``view`` substitutes global cluster ids and the round protocol) →
     ``run`` → seal the trace
     (incomplete if the run crashed) → close an event-fed carrier →
     :func:`~repro.perf.profiling.record_scheme_ops`.  ``traces=None``
@@ -164,7 +164,6 @@ def assemble_run(
         if recorder is not None:
             stack = recording = recorder.open(name, config, seed, plan, stack)
         scheme = build_scheme(name, config, traces, plan, transport=stack)
-        # Each layer keeps its own request counter; the wrappers chain.
         for layer in (fed, recording, view):
             if layer is not None:
                 layer.attach(scheme)

@@ -23,7 +23,9 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import Counter, deque
+from collections.abc import Iterator
 from itertools import islice
+from operator import length_hint
 
 import numpy as np
 
@@ -86,11 +88,26 @@ class CachingScheme(ABC):
         #: stack gives the *same* scheme failure semantics or a trace.
         self.transport = Transport(config.network) if transport is None else transport
         self.transport.bind(self)
+        #: ``(index of the current window's last request, iterator over
+        #: its cluster ids)``: what :meth:`request_index` reads.
+        self._window: tuple[int, Iterator[int]] = (-1, iter(()))
 
     def add_extra_latency(self, amount: float) -> None:
         """Record off-tier latency (ignored during the warmup window)."""
         if not self._in_warmup:
             self.extra_latency += amount
+
+    def request_index(self) -> int:
+        """Index of the request being served (counted from 0 over the
+        whole run, warmup included); -1 before the first.
+
+        ``map`` takes a request's cluster id from the window's iterator
+        before it calls :meth:`process`, so the ids still to come say
+        how far into the window the run is: nothing is counted per
+        request.  What a trace event or a wire frame carries as ``req``.
+        """
+        last, ids = self._window
+        return last - length_hint(ids)
 
     def _size_of(self, obj: int) -> int:
         """Object size in cache-capacity units (1 when sizes are off)."""
@@ -113,6 +130,16 @@ class CachingScheme(ABC):
         """What this run's clusters share; ``None`` (no override, or an
         engine without presence indexes) means it cannot be sharded."""
         return None
+
+    #: Index of the request before which :meth:`_fire_due_events` must
+    #: next run; a scheme with scheduled events keeps it (Hier-GD's
+    #: membership changes), every other scheme has none.
+    _next_due: float = float("inf")
+
+    def _fire_due_events(self, served: int) -> None:
+        """Fire every scheduled event due before request ``served`` (an
+        index) and move :attr:`_next_due` on.  The request loop calls it
+        between requests, so ``process`` never checks for one."""
 
     # -- engine ----------------------------------------------------------------
     # A shard peer view (:mod:`repro.shard.view`) rebinds the three hooks
@@ -156,10 +183,11 @@ class CachingScheme(ABC):
         iteration, length checks or warmup branching — and its live
         Python ints stay one window whatever the trace length.  A cluster
         whose trace has run out drops out of the interleave (a length
-        mask over the window).  The warmup prefix is drained into a
-        zero-length deque (statistics excluded), the rest is tallied by
-        ``Counter`` at C speed, and latency is aggregated per tier at the
-        end instead of per request.
+        mask over the window), and the window's cluster-id iterator is
+        the run's request counter (:meth:`request_index`).  The warmup
+        prefix is drained into a zero-length deque (statistics excluded),
+        the rest is tallied by ``Counter`` at C speed, and latency is
+        aggregated per tier at the end instead of per request.
         """
         net = self.config.network
         latency_of = {tier: net.latency(tier) for tier in ALL_TIERS}
@@ -175,8 +203,9 @@ class CachingScheme(ABC):
         self._in_warmup = warmup_n > 0
         counted: Counter = Counter()
         to_warm = warmup_n
+        fed = 0  # requests of the windows before this one
         rows = max(1, WINDOW_REQUESTS // len(traces))  # per cluster and window
-        # A full window's cluster ids; ``map`` stops with a shorter window.
+        # A full window's cluster ids.
         round_robin = list(range(len(traces))) * rows
         block = self._block_requests(longest)
         for a in range(0, longest, block):
@@ -189,6 +218,8 @@ class CachingScheme(ABC):
                     objs = np.stack([c[i:j] for c in obj_cols], axis=1).ravel().tolist()
                     clients = np.stack([c[i:j] for c in cli_cols], axis=1).ravel().tolist()
                     clusters = round_robin
+                    if len(objs) < len(clusters):  # the block's last window
+                        clusters = clusters[: len(objs)]
                 else:
                     # A trace ends inside the window: ``np.resize`` fills
                     # the short slices' tails and the length mask drops them.
@@ -200,21 +231,40 @@ class CachingScheme(ABC):
                         [np.resize(c[i:j], j - i) for c in cli_cols], axis=1
                     )[live].tolist()
                     clusters = live.nonzero()[1].tolist()
-                tiers = map(self.process, clusters, clients, objs)
-                skip = min(to_warm, len(objs))
-                if skip:
-                    deque(islice(tiers, skip), maxlen=0)  # caches warm
-                    to_warm -= skip
-                    self._in_warmup = to_warm > 0
-                if bytes_by_tier is None:
-                    counted.update(tiers)
-                else:
-                    # Sized runs keep the served tiers aligned with the
-                    # request stream so bytes land on the right tier.
-                    served = list(tiers)
-                    counted.update(served)
-                    for tier, obj in zip(served, objs[skip:]):
-                        bytes_by_tier[tier] += size_of[obj]
+                n = len(objs)
+                lo = 0
+                while True:
+                    # Served in pieces that end where a scheduled event
+                    # falls due (one piece: the whole window, unsliced).
+                    hi = max(lo, min(n, self._next_due - fed))
+                    if hi > lo:
+                        if hi - lo < n:
+                            ids = iter(clusters[lo:hi])
+                            part_clients, part_objs = clients[lo:hi], objs[lo:hi]
+                        else:
+                            ids, part_clients, part_objs = iter(clusters), clients, objs
+                        self._window = (fed + hi - 1, ids)
+                        tiers = map(self.process, ids, part_clients, part_objs)
+                        skip = min(to_warm, hi - lo)
+                        if skip:
+                            deque(islice(tiers, skip), maxlen=0)  # caches warm
+                            to_warm -= skip
+                            self._in_warmup = to_warm > 0
+                        if bytes_by_tier is None:
+                            counted.update(tiers)
+                        else:
+                            # Sized runs keep the served tiers aligned with
+                            # the request stream so bytes land on the right
+                            # tier.
+                            served = list(tiers)
+                            counted.update(served)
+                            for tier, obj in zip(served, part_objs[skip:]):
+                                bytes_by_tier[tier] += size_of[obj]
+                    if hi == n:
+                        break
+                    self._fire_due_events(fed + hi)
+                    lo = hi
+                fed += n
             self._after_block(b)
         self._in_warmup = False
         tier_counts = {t: counted[t] for t in ALL_TIERS if counted[t]}

@@ -181,13 +181,14 @@ class DaemonTransport(EventFedTransport):
     def draw(self, exchange: Exchange, force_fail: bool = False) -> LadderOutcome:
         """Have a daemon decide the exchange; echo-check the response."""
         link = self._pick(SERVED_BY[exchange.kind])
-        link.send(request_frame(self._req, exchange, force_fail))
+        at = self._request_index()
+        link.send(request_frame(at, exchange, force_fail))
         self.exchanges_sent += 1
         req, kind, ev_link, ok, charges, deltas, draws = parse_event(link.recv())
-        if req != self._req or kind != exchange.kind or ev_link != exchange.link:
+        if req != at or kind != exchange.kind or ev_link != exchange.link:
             raise WireProtocolError(
                 f"daemon {link.address} answered a different exchange: sent "
-                f"(req={self._req}, {exchange.kind}, {exchange.link}), got "
+                f"(req={at}, {exchange.kind}, {exchange.link}), got "
                 f"(req={req}, {kind}, {ev_link})"
             )
         return LadderOutcome.from_event(ok, charges, deltas, draws)
@@ -199,13 +200,14 @@ class DaemonTransport(EventFedTransport):
             # skip the wire exactly as recording skips the event.
             return False
         link = self._pick(ROLE_CLIENT)
-        link.send(probe_frame(self._req, cluster, client))
+        at = self._request_index()
+        link.send(probe_frame(at, cluster, client))
         self.probes_sent += 1
         req, ev_cluster, ev_client, answer = parse_answer(link.recv())
-        if (req, ev_cluster, ev_client) != (self._req, cluster, client):
+        if (req, ev_cluster, ev_client) != (at, cluster, client):
             raise WireProtocolError(
                 f"daemon {link.address} answered a different probe: sent "
-                f"(req={self._req}, cluster={cluster}, client={client}), "
+                f"(req={at}, cluster={cluster}, client={client}), "
                 f"got (req={req}, cluster={ev_cluster}, client={ev_client})"
             )
         return answer

@@ -18,15 +18,13 @@ is not modelled: no figure measures physical route length.
 - :mod:`repro.overlay.chord` — the Chord backend: successor placement,
   finger-table routing, lazy finger repair.
 - :mod:`repro.overlay.factory` — config → backend selection.
-- :mod:`repro.overlay.dht` — objectId → owning cacheId placement.
-- :mod:`repro.overlay.placement` — vectorised whole-table placement
-  (precomputed object → owner maps for Squirrel and Hier-GD's
-  unit-size fault-free static runs).
+- :mod:`repro.overlay.placement` — objectId → owning cacheId placement:
+  vectorised whole object → owner tables (Squirrel, Hier-GD) and the
+  :class:`KeyRing` that finds the objects a membership change moves.
 """
 
 from .chord import DEFAULT_SUCCESSOR_LIST_SIZE, ChordNode, ChordOverlay
 from .contract import OverlayBackend, OverlayRoutingError, RouteResult, RouteStats
-from .dht import Dht
 from .factory import OVERLAY_BACKENDS, make_overlay
 from .id_space import (
     IdSpace,
@@ -37,10 +35,9 @@ from .id_space import (
 )
 from .network import Overlay
 from .pastry import DEFAULT_LEAF_SET_SIZE, LeafSet, PastryNode, RoutingTable
-from .placement import build_owner_table, object_ids_for_urls
+from .placement import KeyRing, build_owner_table, object_ids_for_urls
 
 __all__ = [
-    "Dht",
     "IdSpace",
     "node_id_from_name",
     "object_id_for_url",
@@ -60,6 +57,7 @@ __all__ = [
     "LeafSet",
     "PastryNode",
     "RoutingTable",
+    "KeyRing",
     "build_owner_table",
     "object_ids_for_urls",
 ]

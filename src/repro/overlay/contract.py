@@ -7,8 +7,8 @@ they need exactly the surface captured by :class:`OverlayBackend`:
 * **membership** — :meth:`~OverlayBackend.add_named` /
   :meth:`~OverlayBackend.bulk_add_named` joins,
   :meth:`~OverlayBackend.fail` departures, an
-  :attr:`~OverlayBackend.epoch` counter bumped on every change (the DHT
-  layer and the precomputed placement tables key their memos off it);
+  :attr:`~OverlayBackend.epoch` counter bumped on every change (Hier-GD's
+  placement and neighbour tables key off it);
 * **placement** — :meth:`~OverlayBackend.owner_of` maps a key to the
   live node that stores it under the backend's ownership rule
   (numerically-closest for Pastry, successor-of-key for Chord), and
@@ -133,7 +133,7 @@ class OverlayBackend(ABC):
 
     space: IdSpace
     stats: RouteStats
-    #: Bumped on every membership change; DHT caches key off this.
+    #: Bumped on every membership change; placement tables key off this.
     epoch: int
     nodes: dict[int, Any]
     _sorted_ids: list[int]

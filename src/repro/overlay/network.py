@@ -21,7 +21,8 @@ messages between them:
 
 The overlay also maintains a globally sorted id list so tests can check
 each delivery against the ground-truth *numerically closest* node, and so
-the DHT layer can resolve keys in O(log N) on the simulation hot path.
+placement resolves a key in O(log N) and a whole owner table in one
+vectorised pass.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class Overlay(OverlayBackend):
         self.nodes: dict[int, PastryNode] = {}
         self._sorted_ids: list[int] = []
         self.stats = RouteStats()
-        #: Bumped on every membership change; DHT caches key off this.
+        #: Bumped on every membership change; placement tables key off this.
         self.epoch = 0
         #: Repair-event tallies (see :meth:`repair_counts`).
         self._leaf_repairs = 0
@@ -273,7 +274,7 @@ class Overlay(OverlayBackend):
         return left if dl < dr or (dl == dr and left < right) else right
 
     #: Pastry's placement rule is the numerically closest live node (bound
-    #: directly: a DHT owner miss enters one overlay frame).
+    #: directly: re-deriving an owner enters one overlay frame).
     owner_of = numerically_closest
 
     def bulk_owner_of(self, keys: np.ndarray) -> list[int]:

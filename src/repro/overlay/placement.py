@@ -1,10 +1,7 @@
 """Vectorised DHT placement: whole object→owner tables in one pass.
 
-Most Hier-GD runs resolve each object's owner on first touch — SHA-1,
-then an O(log N) sorted-ring search, memoised per overlay epoch
-(:class:`repro.overlay.dht.Dht`).  That is already cheap per call, but
-Squirrel and Hier-GD's unit-size fault-free static runs go further: they
-precompute the *entire* mapping for a cluster up front with
+Squirrel and Hier-GD precompute the *entire* object → owner mapping for a
+cluster up front with
 
 * one batched SHA-1 pass over all object URLs
   (:func:`object_ids_for_urls`), and
@@ -13,11 +10,18 @@ precompute the *entire* mapping for a cluster up front with
   single ``numpy.searchsorted`` over the sorted nodeId ring, plus
   whatever tie-break the backend's placement rule needs),
 
-turning per-request dict probes + hashing into one table lookup.  A
-sampled subset of keys is still routed hop-by-hop through the live
-backend so the mean-hops statistic survives, and every sampled delivery
-is asserted against the table — placement and routing must agree,
-whichever backend is live.
+turning per-request hashing and ring searches into one table lookup.
+:func:`build_owner_table` also routes a sampled subset of keys hop-by-hop
+through the live backend so the mean-hops statistic survives, and
+asserts every sampled delivery against the table — placement and routing
+must agree, whichever backend is live.
+
+A membership change moves few owners.  Both backends place a key by its
+two ring neighbours alone (the live ids on either side of its insertion
+point: Pastry takes the closer, Chord the clockwise one), so a join or a
+failure at node ``x`` can move only the keys strictly between ``x``'s
+live ring neighbours.  :class:`KeyRing` finds those keys by bisecting one
+sorted key list, and a whole table stays exact by re-deriving just them.
 
 Identifiers are Python ints wider than 64 bits, so the arrays use
 ``dtype=object``; ``searchsorted`` works on those via ordinary
@@ -26,6 +30,7 @@ comparisons, and the vectorised modular arithmetic stays exact.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from hashlib import sha1
 
 import numpy as np
@@ -33,7 +38,7 @@ import numpy as np
 from .contract import OverlayBackend
 from .id_space import IdSpace
 
-__all__ = ["object_ids_for_urls", "build_owner_table"]
+__all__ = ["object_ids_for_urls", "build_owner_table", "KeyRing"]
 
 
 def object_ids_for_urls(urls: list[str], space: IdSpace) -> np.ndarray:
@@ -89,3 +94,46 @@ def build_owner_table(
                     f"says {overlay.space.format_id(owners[i])}"
                 )
     return owners
+
+
+class KeyRing:
+    """Object keys in ring order: which objects a membership change moves.
+
+    Built once per run over every object's key (one sort); each
+    :meth:`moved_by` is two bisections.
+    """
+
+    __slots__ = ("_keys", "_objs")
+
+    def __init__(self, keys: np.ndarray | list[int]) -> None:
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        #: The keys, ascending, and the object each belongs to.
+        self._keys = [int(keys[obj]) for obj in order]
+        self._objs = order
+
+    def moved_by(self, overlay: OverlayBackend, node_id: int) -> list[tuple[int, int]]:
+        """``(object, key)`` for every key whose owner can change when
+        ``node_id`` has just joined or left ``overlay``.
+
+        Those are the keys strictly between the node's live ring
+        neighbours (module docstring), the arc wrapping through 0 where
+        it does — all the way round when one other node is live, and
+        every key when none is.  A key equal to either neighbour is owned
+        by it before and after.
+        """
+        ids = overlay._sorted_ids
+        n = len(ids)
+        i = bisect_left(ids, node_id)
+        live = i < n and ids[i] == node_id
+        if n == live:
+            return list(zip(self._objs, self._keys))
+        lo = ids[i - 1]
+        hi = ids[(i + live) % n]
+        keys = self._keys
+        start, stop = bisect_right(keys, lo), bisect_left(keys, hi)
+        if lo < hi:
+            return list(zip(self._objs[start:stop], keys[start:stop]))
+        # The arc wraps through 0: above ``lo``, then below ``hi``.
+        return list(zip(self._objs[start:], keys[start:])) + list(
+            zip(self._objs[:stop], keys[:stop])
+        )

@@ -213,13 +213,14 @@ class ReplayTransport(EventFedTransport):
 
     def draw(self, exchange: Exchange, force_fail: bool = False) -> LadderOutcome:
         """Decide from the recording; diverge loudly on any mismatch."""
+        at = self._request_index()
         observed = (
             f"attempt({exchange.kind}, link={exchange.link}, "
-            f"force_fail={force_fail}) at request {self._req}"
+            f"force_fail={force_fail}) at request {at}"
         )
         event = self._pop("x", observed)
         _, req, kind, link, ok, charges, deltas, draws = event
-        if kind != exchange.kind or link != exchange.link or req != self._req:
+        if kind != exchange.kind or link != exchange.link or req != at:
             raise ReplayDivergence(self.pos - 1, event, observed)
         return LadderOutcome.from_event(ok, charges, deltas, draws)
 
@@ -229,13 +230,13 @@ class ReplayTransport(EventFedTransport):
             # Recording skips "u" events on plain stacks (the answer is
             # the base transport's constant False); mirror that.
             return False
+        at = self._request_index()
         observed = (
-            f"unresponsive(cluster={cluster}, client={client}) "
-            f"at request {self._req}"
+            f"unresponsive(cluster={cluster}, client={client}) at request {at}"
         )
         event = self._pop("u", observed)
         _, req, ev_cluster, ev_client, answer = event
-        if ev_cluster != cluster or ev_client != client or req != self._req:
+        if ev_cluster != cluster or ev_client != client or req != at:
             raise ReplayDivergence(self.pos - 1, event, observed)
         return answer
 

@@ -22,6 +22,12 @@ File format (one JSON value per line; the event lines are
     {"end": true, "events": N, "dropped": D, "complete": true|false,
      "result": {...SchemeResult...}|null}
 
+``<request>`` is the index of the request being served, counted from 0
+over the whole run, warmup included: the recording reads it from the
+scheme it is attached to (:meth:`~repro.core.simulator.CachingScheme.
+request_index`, the request loop's own window iterator), so no frame
+wraps a request to count it.
+
 Charges are recorded as the *individual* amounts in ladder order, never
 a per-exchange sum: float addition is not associative, and
 byte-identical replay of ``total_latency`` requires re-applying the
@@ -46,10 +52,13 @@ recorder once per scheme run and hand it to
 :func:`repro.core.run.assemble_run`, which wraps the run's transport —
 nothing per-request, nothing when recording is off.
 
-A writer past its event bound counts drops instead of growing without
-limit, and the closing footer then carries ``"complete": false`` — a
-truncated trace can never masquerade as a full run (the replay harness
-refuses it).
+Recording an ``"x"`` line enters two frames, the recording layer's
+``draw`` and the scheme's ``request_index``: ``draw`` encodes the line in
+place through the writer's C encoder, byte for byte the line
+:meth:`TraceWriter.write_event` writes.  A writer past its event bound
+counts drops instead of growing without limit, and the closing footer
+then carries ``"complete": false`` — a truncated trace can never
+masquerade as a full run (the replay harness refuses it).
 
 Layering: this module imports only protocol-internal modules and the
 stdlib at module scope (the core layer imports the protocol package).
@@ -67,8 +76,8 @@ from typing import Any, Iterator
 
 from .messages import Exchange
 from .policy import LadderOutcome
-from .transport import Transport, TransportLayer, attach_request_counter
-from .wire import WIRE_SCHEMA, answer_frame, event_frame
+from .transport import Transport, TransportLayer, no_request
+from .wire import WIRE_SCHEMA, answer_frame
 
 __all__ = [
     "TRACE_SCHEMA",
@@ -210,33 +219,56 @@ class RecordingTransport(TransportLayer):
     event — when it is decided, before anyone pays it;
     :meth:`unresponsive` answers are recorded as ``"u"`` events when a
     fault layer is active (on a plain stack the answer is constant
-    ``False`` and recording it would only bloat the trace).
+    ``False`` and recording it would only bloat the trace).  Events carry
+    the index of the request being served, read from the scheme
+    :meth:`attach` hands over.
     """
 
     def __init__(self, inner: Transport, writer: TraceWriter) -> None:
         super().__init__(inner)
         self.writer = writer
-        #: Request index maintained by :func:`attach_request_counter`;
-        #: -1 until the first request enters the scheme.
-        self._req = -1
+        #: The index of the request being served (:meth:`attach`).
+        self._request_index = no_request
 
     def attach(self, scheme: Any) -> None:
-        """Start counting request indices (call after scheme construction)."""
-        attach_request_counter(self, scheme)
+        """Read request indices from ``scheme`` (call after its construction)."""
+        self._request_index = scheme.request_index
 
     def draw(self, exchange: Exchange, force_fail: bool = False) -> LadderOutcome:
-        """Delegate the decision and record it as one event."""
+        """Delegate the decision and record it as one event.
+
+        The event is :func:`~repro.protocol.wire.event_frame` of the
+        outcome's fields, and its line :meth:`TraceWriter.write_event`'s,
+        written here in place: a recorded exchange enters no frame for
+        them (the charges tuple encodes as the list it stands for).
+        """
         outcome = self.inner.draw(exchange, force_fail)
-        self.writer.write_event(
-            event_frame(self._req, exchange, *outcome.event_fields())
-        )
+        writer = self.writer
+        if writer._fh is None:
+            raise ValueError(f"trace {writer.path} is already closed")
+        if writer.events_written >= writer.max_events:
+            writer.events_dropped += 1
+            return outcome
+        event = [
+            "x", self._request_index(), exchange.kind, exchange.link,
+            outcome.ok, outcome.charges, outcome.deltas, outcome.draws,
+        ]
+        try:
+            line = "".join(writer._iterencode(event, 0))
+        except BaseException:
+            writer._markers.clear()
+            raise
+        writer._fh.write(line + "\n")
+        writer.events_written += 1
         return outcome
 
     def unresponsive(self, cluster: int, client: int) -> bool:
         """Record the probe as a ``"u"`` event when a fault layer answers."""
         answer = self.inner.unresponsive(cluster, client)
         if self.inner.faulty:
-            self.writer.write_event(answer_frame(self._req, cluster, client, answer))
+            self.writer.write_event(
+                answer_frame(self._request_index(), cluster, client, answer)
+            )
         return answer
 
 

@@ -34,7 +34,11 @@ charge its amounts in ladder order through the bound scheme's
 
 One transport instance serves one scheme run: :meth:`bind` attaches the
 scheme's latency sink (and is how the paying layer reaches
-``add_extra_latency`` without the scheme knowing the stack's shape).
+``add_extra_latency`` without the scheme knowing the stack's shape).  A
+layer that stamps its events with the request index (an event-fed
+carrier, the recording) reads it from the finished scheme's
+:meth:`~repro.core.simulator.CachingScheme.request_index`, handed over
+by its ``attach``.
 """
 
 from __future__ import annotations
@@ -68,23 +72,9 @@ _DELIVERED = LadderOutcome(True, (), {})
 _REFUSED = LadderOutcome(False, (), {})
 
 
-def attach_request_counter(transport: Any, scheme: Any) -> None:
-    """Wrap ``scheme.process`` so ``transport._req`` tracks the request index.
-
-    Installed by the layer's ``attach``, which
-    :func:`~repro.core.run.assemble_run` calls on the finished scheme, in
-    one fixed order, for each layer that counts requests (an event-fed
-    carrier, the recording): each keeps its own counter, and the
-    wrappers chain.  :meth:`Transport.bind` only hands over the latency
-    sink, from inside ``CachingScheme.__init__``.
-    """
-    process = scheme.process
-
-    def counted(cluster: int, client: int, obj: int) -> str:
-        transport._req += 1
-        return process(cluster, client, obj)
-
-    scheme.process = counted
+def no_request() -> int:
+    """The request index a carrier reports before :meth:`attach`: none yet."""
+    return -1
 
 
 def merge_counters(own: dict[str, int], msg: dict[str, int]) -> dict[str, int]:
@@ -267,6 +257,9 @@ class FaultTransport(TransportLayer):
         self._active = not plan.is_zero()
         self.injector = injector = FaultInjector(plan, scope=scope)
         self._counters = dict.fromkeys(FAULT_COUNTERS, 0)
+        #: Whether the wrapped stack is the plain base, whose delivered
+        #: round changes no outcome (:meth:`LadderOutcome.then`).
+        self._over_base = type(inner) is Transport
         policies = plan.policy_set()
         rtts = inner.network.link_rtts()
         #: Link -> its ladder; empty for a zero plan (the identity layer).
@@ -299,7 +292,11 @@ class FaultTransport(TransportLayer):
         if ladder is None:
             return self.inner.draw(exchange, force_fail)
         outcome = ladder.decide(force_fail)
-        return outcome.then(self.inner.draw(exchange)) if outcome.ok else outcome
+        if outcome.ok and not self._over_base:
+            return outcome.then(self.inner.draw(exchange))
+        # Refused, or delivered over the plain base, which carries every
+        # round at once and for free: the ladder's outcome as decided.
+        return outcome
 
     def unresponsive(self, cluster: int, client: int) -> bool:
         """Hash-stable answer: does this client never answer pushes?"""
@@ -345,9 +342,8 @@ class EventFedTransport(Transport):
         self.scope = scope
         self._active = plan is not None and not plan.is_zero()
         self._counters = dict.fromkeys(FAULT_COUNTERS, 0) if self._active else {}
-        #: Request index maintained by :func:`attach_request_counter`;
-        #: -1 until the first request enters the scheme.
-        self._req = -1
+        #: The index of the request being served (:meth:`attach`).
+        self._request_index = no_request
 
     @property
     def faulty(self) -> bool:  # type: ignore[override]
@@ -355,8 +351,8 @@ class EventFedTransport(Transport):
         return self._active
 
     def attach(self, scheme: Any) -> None:
-        """Start counting request indices (call after scheme construction)."""
-        attach_request_counter(self, scheme)
+        """Read request indices from ``scheme`` (call after its construction)."""
+        self._request_index = scheme.request_index
 
     def close(self) -> None:
         """Release what feeds the events (nothing, for an in-memory stream)."""

@@ -203,9 +203,9 @@ class TestJoin:
         # Every membership change empties the owner memo; refilling it
         # reads the run's one objectId table, not SHA-1 again ...
         assert hashed == []
-        # ... while the Dht still sees every refill as a memo miss (its
-        # call count is what the hop statistic samples from).
-        assert state.dht._calls > len(state.owner_memo) > 0
+        # ... while every refill still counts as a memo miss (the count
+        # is what the hop statistic samples from).
+        assert state.owner_memo.misses > len(state.owner_memo) > 0
 
 
 class TestNoChurnEquivalence:

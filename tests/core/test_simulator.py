@@ -1,5 +1,9 @@
 """Tests for the trace-replay engine (with an instrumented dummy scheme)."""
 
+import dataclasses
+import json
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,7 +15,12 @@ from repro.core import simulator
 from repro.core.config import SimulationConfig
 from repro.core.schemes import SCHEME_REGISTRY
 from repro.core.simulator import CachingScheme
+from repro.experiments.robustness import robustness_plan
 from repro.netmodel import ALL_TIERS, TIER_LOCAL_PROXY, TIER_SERVER
+from repro.protocol.messages import PUSH
+from repro.protocol.replay import ReplayTransport
+from repro.protocol.trace import RecordingTransport, TraceWriter
+from repro.protocol.transport import FaultTransport, Transport, TransportLayer
 from repro.workload import ProWGenConfig, Trace
 
 
@@ -245,3 +254,149 @@ class TestRaggedTracesAgainstNaiveLoop:
         assert result.total_latency == pytest.approx(total_latency, rel=1e-12, abs=1e-12)
         if name == "memo":
             assert engine.seen == model.seen
+
+
+# -- the request index: read from the request loop, never counted ------------
+
+
+class Asker(Recorder):
+    """Asks the transport on some requests: an exchange when the object is
+    even, an unresponsiveness probe when it is a multiple of 3."""
+
+    name = "asker"
+
+    def process(self, cluster, client, obj):
+        if obj % 2 == 0:
+            self.transport.attempt(PUSH)
+        if obj % 3 == 0:
+            self.transport.unresponsive(cluster, client)
+        return super().process(cluster, client, obj)
+
+
+class Counted(TransportLayer):
+    """Logs, per exchange and probe asked of it, what a counting wrapper
+    around the scheme's ``process`` says the request index is."""
+
+    def __init__(self, inner, count):
+        super().__init__(inner)
+        self.count = count
+        self.seen = []
+
+    def draw(self, exchange, force_fail=False):
+        self.seen.append(self.count[0])
+        return self.inner.draw(exchange, force_fail)
+
+    def unresponsive(self, cluster, client):
+        self.seen.append(self.count[0])
+        return self.inner.unresponsive(cluster, client)
+
+
+def counting(scheme):
+    """Wrap ``scheme.process`` in a request counter; returns the count cell
+    (-1 until the first request)."""
+    count = [-1]
+    process = scheme.process
+
+    def counted(cluster, client, obj):
+        count[0] += 1
+        return process(cluster, client, obj)
+
+    scheme.process = counted
+    return count
+
+
+def run_shaped(scheme, block, window):
+    if block is not None:
+        scheme._block_requests = lambda length: block
+    with mock.patch.object(simulator, "WINDOW_REQUESTS", window or simulator.WINDOW_REQUESTS):
+        return scheme.run()
+
+
+class TestRequestIndex:
+    """Every recorded event's ``req``, and every ``req`` a replay checks,
+    is what a counting wrapper around ``process`` says — on ragged traces,
+    windows ending inside blocks, and warmup and traces ending mid-window."""
+
+    @given(ragged_runs(), st.sampled_from([0.0, 0.3, 0.55]))
+    @example(window_edges(), 0.3)
+    @settings(max_examples=150, deadline=None)
+    def test_recorded_and_replayed_indexes_match_a_counter(self, run, warmup):
+        traces, block, window = run
+        config = small_config(n_proxies=len(traces), warmup_fraction=warmup)
+        plan = robustness_plan(0.1)
+
+        scheme = Asker(config, traces)
+        count = counting(scheme)
+        with tempfile.TemporaryDirectory() as directory:
+            writer = TraceWriter(Path(directory) / "t.jsonl", {"kind": "index-test"})
+            spy = Counted(FaultTransport(Transport(config.network), plan, "asker"), count)
+            recording = RecordingTransport(spy, writer)
+            scheme.transport = recording
+            recording.bind(scheme)
+            recording.attach(scheme)
+            assert scheme.request_index() == -1
+            run_shaped(scheme, block, window)
+            writer.close()
+            events = [json.loads(line) for line in writer.path.read_text().splitlines()[1:-1]]
+        assert [event[1] for event in events] == spy.seen
+        assert count[0] == sum(len(t) for t in traces) - 1
+        assert scheme.request_index() == count[0]
+
+        replayed = Asker(config, traces)
+        count = counting(replayed)
+        replay = ReplayTransport(config.network, events, plan, "asker")
+        checked = []
+
+        def request_index():
+            checked.append((replayed.request_index(), count[0]))
+            return checked[-1][0]
+
+        replayed.transport = replay
+        replay.bind(replayed)
+        replay._request_index = request_index
+        run_shaped(replayed, block, window)
+        assert replay.remaining == 0
+        assert len(checked) == len(events)
+        assert all(index == counted for index, counted in checked)
+
+
+class Scheduled(Recorder):
+    """Logs where the request loop fires its scheduled events:
+    ``(due index, index passed, requests served so far)``."""
+
+    name = "scheduled"
+
+    def __init__(self, config, traces, due):
+        super().__init__(config, traces)
+        self.due = sorted(due)
+        self.fired = []
+        self._next_due = self.due[0] if self.due else float("inf")
+
+    def _fire_due_events(self, served):
+        while self.due and self.due[0] <= served:
+            self.fired.append((self.due.pop(0), served, len(self.seen)))
+        self._next_due = self.due[0] if self.due else float("inf")
+
+
+class TestScheduledEvents:
+    @given(ragged_runs(), st.sampled_from([0.0, 0.3]), st.data())
+    @example(window_edges(), 0.3, None)
+    @settings(max_examples=150, deadline=None)
+    def test_events_fire_right_before_their_request(self, run, warmup, data):
+        traces, block, window = run
+        total = sum(len(t) for t in traces)
+        due = [0, 5, 5, total - 1, total, total + 3]
+        if data is not None:
+            due = data.draw(st.lists(st.integers(0, total + 2), max_size=6))
+        config = small_config(n_proxies=len(traces), warmup_fraction=warmup)
+        scheme, plain = Scheduled(config, traces, due), Recorder(config, traces)
+        result = run_shaped(scheme, block, window)
+        # Every event due before the last request fires exactly before the
+        # request it names, whatever the windows and blocks; none after.
+        expected = sorted(at for at in due if 0 <= at < total)
+        assert scheme.fired == [(at, at, at) for at in expected]
+        # Serving in pieces changes nothing else.
+        assert dataclasses.replace(result, scheme=plain.name) == run_shaped(
+            plain, block, window
+        )
+        assert scheme.seen == plain.seen

@@ -32,12 +32,18 @@ from repro.protocol.messages import LOOKUP_QUERY, PROXY_FETCH, PUSH
 class ChainHierGd(HierGdScheme):
     def __init__(self, config, traces, events=(), transport=None):
         super().__init__(config, traces, transport, list(events))
+        self._served = 0
+        self._next_due = float("inf")
 
     # -- the miss chain: lookup -> coop proxies -> push -> origin ----------
 
     def process(self, cluster, client, obj):
-        self._fire_due_events()
-        self._processed += 1
+        # Membership events fire here, request by request, and the request
+        # loop (which fires the engine's between window pieces) never sees
+        # one due.
+        self._fire_due_events(self._served)
+        self._next_due = float("inf")
+        self._served += 1
         state = self.states[cluster]
         if state.proxy.lookup(obj):
             return TIER_LOCAL_PROXY

@@ -19,6 +19,9 @@ pinned in ``tests/daemon/test_daemon.py``.
 
 import dataclasses
 import itertools
+import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +43,7 @@ from repro.protocol import (
     TransportLayer,
     recording_traces,
 )
-from repro.protocol.trace import RecordingTransport, TraceRecorder
+from repro.protocol.trace import RecordingTransport, TraceRecorder, TraceWriter
 from repro.protocol.wire import event_frame
 from repro.workload import ProWGenConfig
 
@@ -55,14 +58,15 @@ def cfg(**kw):
     return SimulationConfig(workload=TINY, **kw)
 
 
-class _Events:
-    """Stand-in trace writer: keeps the event lines in memory."""
+def _writer(directory):
+    """A trace writer into ``directory``; :func:`_event_lines` reads it back."""
+    return TraceWriter(Path(directory) / "events.jsonl", {"kind": "stack-test"})
 
-    def __init__(self):
-        self.events = []
 
-    def write_event(self, event):
-        self.events.append(event)
+def _event_lines(writer):
+    """The event lines ``writer`` has written so far (header dropped)."""
+    writer._fh.flush()
+    return writer.path.read_text(encoding="utf-8").splitlines()[1:]
 
 
 class Spy(TransportLayer):
@@ -83,10 +87,10 @@ class Spy(TransportLayer):
 
 
 PLACEMENTS = {
-    "outside recording": lambda f, spy: spy(RecordingTransport(f, _Events())),
-    "inside recording": lambda f, spy: RecordingTransport(spy(f), _Events()),
-    "outside watcher": lambda f, spy: spy(Spy(f)),
-    "inside watcher": lambda f, spy: Spy(spy(f)),
+    "outside recording": lambda f, spy, d: spy(RecordingTransport(f, _writer(d))),
+    "inside recording": lambda f, spy, d: RecordingTransport(spy(f), _writer(d)),
+    "outside watcher": lambda f, spy, d: spy(Spy(f)),
+    "inside watcher": lambda f, spy, d: Spy(spy(f)),
 }
 
 #: 60 exchanges over every kind, every fifth one to a peer that never answers.
@@ -98,7 +102,7 @@ class TestDrawOnlyLayer:
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("placement", PLACEMENTS)
-    def test_sees_every_exchange_exactly_once(self, placement, strategy):
+    def test_sees_every_exchange_exactly_once(self, placement, strategy, tmp_path):
         spies = []
 
         def spy(inner):
@@ -109,7 +113,7 @@ class TestDrawOnlyLayer:
             PLAN, policies=PolicySet(default=RetryPolicy(strategy=strategy))
         )
         fault = FaultTransport(Transport(NetworkConfig()), plan, scope="t")
-        stack = PLACEMENTS[placement](fault, spy)
+        stack = PLACEMENTS[placement](fault, spy, tmp_path)
         oks = [stack.attempt(x, ff) for x, ff in ASKED]
         (seen,) = [s.seen for s in spies]
         assert [(x, ff) for x, ff, _ in seen] == ASKED
@@ -221,22 +225,26 @@ class TestPayingIsApplyingTheOutcome:
     def test_attempt_charges_books_and_records_what_draw_returned(self, plan, asked):
         network = NetworkConfig()
         decider = FaultTransport(Transport(network), plan, scope="t")
-        writer = _Events()
-        stack = RecordingTransport(
-            FaultTransport(Transport(network), plan, scope="t"), writer
-        )
-        paid = []
-        stack._charge = paid.append
-
-        charged, booked, lines = [], {}, []
-        for exchange, force_fail in asked:
-            outcome = decider.draw(exchange, force_fail)
-            charged.extend(outcome.charges)
-            for key, delta in outcome.deltas.items():
-                booked[key] = booked.get(key, 0) + delta
-            lines.append(event_frame(-1, exchange, *outcome.event_fields()))
-            assert stack.attempt(exchange, force_fail) is outcome.ok
+        paid, charged, booked, lines = [], [], {}, []
+        with tempfile.TemporaryDirectory() as directory:
+            writer = _writer(directory)
+            stack = RecordingTransport(
+                FaultTransport(Transport(network), plan, scope="t"), writer
+            )
+            stack._charge = paid.append
+            for exchange, force_fail in asked:
+                outcome = decider.draw(exchange, force_fail)
+                charged.extend(outcome.charges)
+                for key, delta in outcome.deltas.items():
+                    booked[key] = booked.get(key, 0) + delta
+                lines.append(
+                    json.dumps(event_frame(-1, exchange, *outcome.event_fields()))
+                )
+                assert stack.attempt(exchange, force_fail) is outcome.ok
+            # Byte for byte ``json.dumps`` of the wire's event frame.
+            recorded = _event_lines(writer)
+            writer.close()
 
         assert paid == charged
         assert {k: n for k, n in stack.fault_counters.items() if n} == booked
-        assert writer.events == lines
+        assert recorded == lines

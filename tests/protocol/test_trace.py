@@ -29,7 +29,8 @@ from repro.protocol import (
     trace_key,
 )
 from repro.protocol.replay import ReplayTransport, load_trace
-from repro.protocol.trace import TraceRecorder, TraceWriter
+from repro.protocol.messages import PUSH
+from repro.protocol.trace import RecordingTransport, TraceRecorder, TraceWriter
 from repro.protocol.transport import Transport
 from repro.protocol.wire import answer_frame, event_frame
 from repro.workload import ProWGenConfig
@@ -120,8 +121,17 @@ class TestBoundedWriter:
         with recording_traces(tmp_path, max_events=5) as recorder:
             run_scheme_with_faults("fc", cfg(), plan=PLAN, seed=0)
         trace_path = recorder.written[0]
+        footer = load_trace(trace_path).footer
+        assert footer["events"] == 5 and footer["dropped"] > 0
         with pytest.raises(TraceIncompleteError):
             replay_trace(trace_path)
+
+    def test_recording_into_a_sealed_writer_raises(self, tmp_path):
+        writer = TraceWriter(tmp_path / "t.jsonl", {"kind": "x"})
+        recording = RecordingTransport(Transport(cfg().network), writer)
+        writer.close(None)
+        with pytest.raises(ValueError, match="already closed"):
+            recording.attempt(PUSH)
 
     def test_writer_counts_drops_past_the_bound(self, tmp_path):
         writer = TraceWriter(tmp_path / "t.jsonl", {"kind": "x"}, max_events=2)
