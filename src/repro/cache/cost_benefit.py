@@ -17,8 +17,7 @@ where ``benefit`` is the latency saved per access by keeping the copy
 
 * a **perfect-knowledge oracle** — total reference counts precomputed
   from the whole trace (the paper's upper-bound assumption), or
-* **online counting** — counts observed so far (a practical variant used
-  by the ablation benches).
+* **online counting** — counts observed so far (a practical variant).
 
 Eviction removes the copy with minimum value *density* — value per byte,
 ``frequency × benefit / size`` — which at the paper's unit sizes is the

@@ -1,8 +1,8 @@
 """An in-process daemon cluster: proxy + N client daemons on one thread.
 
 :class:`LocalCluster` exists for the places that need live daemons
-without shelling out — the end-to-end tests, the CI smoke gate
-(``benchmarks/daemon_gate.py``) and ``examples/live_cluster.py``.  It
+without shelling out — the end-to-end tests, the ledger's ``daemon_live``
+workload and ``examples/live_cluster.py``.  It
 runs a private asyncio event loop on a background thread, starts one
 proxy :class:`~repro.daemon.node.CacheDaemon` and ``n_clients`` client
 daemons on ephemeral localhost ports, and exposes the routing table a

@@ -52,9 +52,14 @@ from .runner import (
     byte_gain_pct,
     byte_hit_pct,
     cache_curves,
+    client_evictions,
     current_overlay,
     current_scale,
+    directory_bytes,
+    diversions,
     evaluate_panels,
+    false_positives,
+    local_proxy_hits,
     mean_latency,
     route_hops,
     split_curves,
@@ -75,6 +80,22 @@ BAKEOFF_FRACTIONS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 #: Series label of the classic-greedy-dual Hier-GD variant in ``sizes``.
 GD_SERIES = "hier-gd (gd)"
+
+#: The ``ablations`` figure's Hier-GD series: label -> the config fields
+#: that turn one mechanism of §3 / §4 off or swap it.  ``hier-gd`` is
+#: Fig 2(a)'s own curve (exact directory, GD, diversion and promotion on).
+ABLATIONS = {
+    "hier-gd": {},
+    "no diversion": {"object_diversion": False},
+    "bloom 1%": {"directory": "bloom", "bloom_fp_rate": 0.01},
+    "bloom 10%": {"directory": "bloom", "bloom_fp_rate": 0.1},
+    "no promotion": {"promote_on_p2p_hit": False},
+    "lru": {"hiergd_policy": "lru"},
+    "lfu": {"hiergd_policy": "lfu"},
+}
+
+#: The ``ablations`` series that differ only in the lookup directory.
+DIRECTORY_SERIES = ("hier-gd", "bloom 1%", "bloom 10%")
 
 
 @dataclass(frozen=True)
@@ -435,6 +456,76 @@ def _sizes(s: Setup, fractions=DEFAULT_FRACTIONS) -> list[Panel]:
     ]
 
 
+def _ablations(s: Setup, fractions=DEFAULT_FRACTIONS) -> list[Panel]:
+    """The paper's design choices, one mechanism per series, on Fig 2(a)'s
+    axis and points: the Bloom directory (§4.2), object diversion (§4.3),
+    promotion on a P2P hit and the local GD policy (§3), Pastry's ``b``
+    (§4.1) and the Squirrel comparison (§6).  The count panels read each
+    run's own counters; ``hops`` runs on Pastry whatever the overlay, as
+    ``b`` is a Pastry parameter.
+
+    Every series is judged against Fig 2(a)'s NC points, so an ``all``
+    run or a resumed store simulates the baseline and ``hier-gd`` once.
+    """
+    variants = [
+        s.hier_gd(label, s.config(**change), fractions)
+        for label, change in ABLATIONS.items()
+    ] + [
+        s.hier_gd(f"b={b}", s.config(overlay="pastry", pastry_b=b), fractions)
+        for b in (4, 2)
+    ]
+    nc = variants[0].baselines
+    by_label = {curve.label: replace(curve, baselines=nc) for curve in variants}
+    (by_label["squirrel"],) = s.curves(s.config(), ("squirrel",), fractions)
+
+    def panel(key: str, title: str, labels, **kwargs) -> Panel:
+        return _cache_panel(
+            key, f"Ablations: {title} vs cache size", fractions,
+            [by_label[label] for label in labels], **kwargs,
+        )
+
+    return [
+        panel(
+            "gain", "Hier-GD latency gain", ABLATIONS,
+            notes="hier-gd = exact directory, GD, diversion and promotion on; "
+            + s.config().describe(),
+        ),
+        panel(
+            "latency", "Hier-GD mean latency", ABLATIONS,
+            metric=mean_latency, y_label="mean latency (x Tl)",
+        ),
+        panel(
+            "diversions", "objects diverted", ("hier-gd", "no diversion"),
+            metric=diversions, y_label="objects",
+        ),
+        panel(
+            "client_evictions", "client-cache evictions",
+            ("hier-gd", "no diversion"), metric=client_evictions, y_label="objects",
+        ),
+        panel(
+            "directory_bytes", "lookup directory memory", DIRECTORY_SERIES,
+            metric=directory_bytes, y_label="bytes",
+        ),
+        panel(
+            "false_positives", "directory false positives", DIRECTORY_SERIES,
+            metric=false_positives, y_label="lookups",
+        ),
+        panel(
+            "local_proxy", "local-proxy hits", ("hier-gd", "no promotion"),
+            metric=local_proxy_hits, y_label="requests",
+        ),
+        panel(
+            "hops", "mean Pastry route hops", ("b=4", "b=2"),
+            metric=route_hops, y_label="mean hops",
+        ),
+        panel(
+            "squirrel", "Hier-GD vs Squirrel latency gain", ("hier-gd", "squirrel"),
+            notes="equal total storage; squirrel pools the proxy budget across "
+            "client caches",
+        ),
+    ]
+
+
 # -- claims and the table ------------------------------------------------------------
 
 
@@ -512,6 +603,13 @@ def _gain_erodes(scheme: str) -> Check:
     """``scheme`` gains less at the highest fault rate than fault-free."""
     return lambda s: (
         s["gain"].get(scheme).values[-1] < s["gain"].get(scheme).values[0]
+    )
+
+
+def _pointwise(panel: str, labels: Sequence[str], holds: Callable[..., bool]) -> Check:
+    """``holds`` of the named series' values at every x of ``panel``."""
+    return lambda s: all(
+        holds(*at) for at in zip(*(s[panel].get(x).values for x in labels))
     )
 
 
@@ -715,6 +813,68 @@ FIGURES: dict[str, Figure] = {
             "the paper's ordering survives sizes: FC-EC > SC-EC > SC > NC-EC "
             "on mean latency gain",
             _ranked("gain", "fc-ec", "sc-ec", "sc", "nc-ec"),
+        ),
+    )),
+    "ablations": Figure("Ablations", _ablations, (
+        Claim(
+            "object diversion (§4.3) diverts objects when on and none when "
+            "off, and never raises client evictions, at every cache size",
+            _all_of(
+                _pointwise(
+                    "diversions", ("hier-gd", "no diversion"),
+                    lambda on, off: on > 0 and off == 0,
+                ),
+                _pointwise(
+                    "client_evictions", ("hier-gd", "no diversion"),
+                    lambda on, off: on <= off,
+                ),
+            ),
+        ),
+        Claim(
+            "a Bloom directory (§4.2) trades memory for wasted lookups: "
+            "directory bytes exact > 1% > 10%, false positives exact = 0 <= "
+            "1% <= 10%, mean latency exact <= 1% <= 10% (x1.001), at every "
+            "cache size",
+            _all_of(
+                _pointwise(
+                    "directory_bytes", DIRECTORY_SERIES,
+                    lambda exact, b1, b10: exact > b1 > b10,
+                ),
+                _pointwise(
+                    "false_positives", DIRECTORY_SERIES,
+                    lambda exact, b1, b10: exact == 0 and b1 <= b10,
+                ),
+                _pointwise(
+                    "latency", DIRECTORY_SERIES,
+                    lambda exact, b1, b10: exact <= b1 <= b10 * 1.001,
+                ),
+            ),
+        ),
+        Claim(
+            "promotion on a P2P hit (§3) never lowers local-proxy hits, at "
+            "every cache size",
+            _pointwise(
+                "local_proxy", ("hier-gd", "no promotion"), lambda on, off: on >= off
+            ),
+        ),
+        Claim(
+            "GD beats LRU and LFU as Hier-GD's local policy (§3): lower mean "
+            "latency at every cache size",
+            _pointwise(
+                "latency", ("hier-gd", "lru", "lfu"),
+                lambda gd, lru, lfu: gd < lru and gd < lfu,
+            ),
+            deviation="Deviation 3",
+        ),
+        Claim(
+            "Pastry with b=2 takes at least as many route hops as b=4 (§4.1), "
+            "at every cache size",
+            _pointwise("hops", ("b=4", "b=2"), lambda b4, b2: b2 >= b4),
+        ),
+        Claim(
+            "Hier-GD beats Squirrel's proxy-less P2P cache (§6) at every cache "
+            "size",
+            _pointwise("squirrel", ("hier-gd", "squirrel"), lambda h, q: h > q),
         ),
     )),
 }

@@ -33,7 +33,7 @@ the scale grows.
 ``REPRO_OVERLAY`` environment variable selects the structured overlay
 backend every figure runs on — ``pastry`` (the paper's choice, the
 default) or ``chord``.  The ``bakeoff`` figure ignores it and runs both
-side by side.
+side by side; the ``ablations`` figure's ``hops`` panel runs on Pastry.
 
 The two environment variables are defaults only, each read in one
 function (:func:`current_scale`, :func:`current_overlay`); nothing in
@@ -73,6 +73,11 @@ __all__ = [
     "byte_gain_pct",
     "mean_latency",
     "route_hops",
+    "diversions",
+    "client_evictions",
+    "directory_bytes",
+    "false_positives",
+    "local_proxy_hits",
     "split_curves",
     "cache_curves",
     "evaluate_panels",
@@ -221,6 +226,31 @@ def route_hops(result: SchemeResult, _baseline: SchemeResult) -> float:
         ),
         0.0,
     )
+
+
+def diversions(result: SchemeResult, _baseline: SchemeResult) -> float:
+    """Objects diverted to a leaf-set neighbour (§4.3)."""
+    return result.messages["diversions"]
+
+
+def client_evictions(result: SchemeResult, _baseline: SchemeResult) -> float:
+    """Objects a full client cache evicted to take a pass-down."""
+    return result.messages["client_evictions"]
+
+
+def directory_bytes(result: SchemeResult, _baseline: SchemeResult) -> float:
+    """Modelled memory of every proxy's lookup directory (§4.2)."""
+    return result.extras["directory_bytes"]
+
+
+def false_positives(result: SchemeResult, _baseline: SchemeResult) -> float:
+    """Directory hits whose client no longer held the object."""
+    return result.messages["directory_false_positives"]
+
+
+def local_proxy_hits(result: SchemeResult, _baseline: SchemeResult) -> float:
+    """Requests served by the client's own proxy."""
+    return result.tier_counts.get("local_proxy", 0)
 
 
 @dataclass(frozen=True)

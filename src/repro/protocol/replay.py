@@ -288,12 +288,6 @@ def _config_from_fingerprint(fingerprint: dict[str, Any], path: Path) -> Any:
         for key, value in fingerprint.items()
         if key not in ("workload", "network")
     }
-    # Traces recorded before the engine became the code's choice carry a
-    # ``hot_path`` field.  "fast" named the engines every run still gets,
-    # so such a trace replays as it is; a "reference" recording holds
-    # exchanges no plain run of this build makes.
-    if rest.get("hot_path") == "fast":
-        del rest["hot_path"]
     known = {f.name for f in dataclasses.fields(SimulationConfig)}
     for key in rest:
         if key not in known:

@@ -19,7 +19,7 @@ import pytest
 import repro.experiments.executor as executor_mod
 from repro.experiments.cli import main
 from repro.experiments.executor import ExperimentEngine
-from repro.experiments.figures import FIGURES, run_figure
+from repro.experiments.figures import ABLATIONS, FIGURES, Setup, run_figure
 from repro.experiments.instrument import RunInstrumentation
 from repro.experiments.robustness import FRONTIER_POLICIES, ROBUSTNESS_SCHEMES
 from repro.experiments.runner import PAPER_SCHEMES, SCALES
@@ -45,6 +45,7 @@ REDUCED = {
     "bakeoff": {"fractions": (0.3,), "rates": (0.0, 0.1)},
     "frontier": {"rates": (0.0, 0.05)},
     "sizes": {"fractions": FRACS},
+    "ablations": {"fractions": (0.3,)},
 }
 
 
@@ -194,6 +195,47 @@ class TestFigureSizes:
         assert "heavy-tailed object sizes" in panels["gain"].notes
 
 
+class TestAblations:
+    def test_panels_and_series(self):
+        panels = reduced("ablations")[0]
+        assert labels(panels["gain"]) == labels(panels["latency"]) == list(ABLATIONS)
+        assert labels(panels["hops"]) == ["b=4", "b=2"]
+        assert labels(panels["squirrel"]) == ["hier-gd", "squirrel"]
+        # Every claim reads panels and series that exist, and holds here.
+        assert [claim.check(panels) for claim in FIGURES["ablations"].claims] == [True] * 6
+
+    @staticmethod
+    def built(name, overlay):
+        setup = Setup(TINY, overlay)
+        return {p.key: p for p in FIGURES[name].build(setup, fractions=(0.3,))}
+
+    def test_baseline_is_fig2a_own_points(self):
+        """``hier-gd`` and every NC baseline are Fig 2(a)'s points, key
+        for key, so a shared store simulates them once."""
+        (fig2a,) = self.built("fig2a", "pastry").values()
+        want = curve(fig2a, "hier-gd")
+        panels = self.built("ablations", "pastry")
+        assert curve(panels["gain"], "hier-gd").points == want.points
+        assert curve(panels["hops"], "b=4").points == want.points
+        assert {c.baselines for p in panels.values() for c in p.curves} == {
+            want.baselines
+        }
+
+    def test_hops_run_on_pastry_under_chord(self):
+        """``b`` is a Pastry parameter: the hops panel ignores the overlay."""
+        overlays = {
+            key: {p.config.overlay for c in panel.curves for p in c.points}
+            for key, panel in self.built("ablations", "chord").items()
+        }
+        assert overlays.pop("hops") == {"pastry"}
+        assert all(found == {"chord"} for found in overlays.values())
+
+
+def curve(panel, label):
+    (found,) = (c for c in panel.curves if c.label == label)
+    return found
+
+
 class TestScaleAndOverlayArePassedNotAmbient:
     def test_overlay_keyword_reaches_every_point(self):
         engine = _SpyEngine()
@@ -230,7 +272,7 @@ class TestCli:
         assert set(FIGURES) == {
             "fig2a", "fig2b", "fig3", "fig4",
             "fig5a", "fig5b", "fig5c", "fig5d", "robust", "bakeoff",
-            "frontier", "sizes",
+            "frontier", "sizes", "ablations",
         }
 
     def test_cli_runs_and_saves_csv(self, tmp_path, capsys, tiny_fig2a):

@@ -134,7 +134,9 @@ class TestClaimPredicates:
             for claim in figure.claims
             if claim.deviation
         }
-        assert deviations == {("fig3", "Deviation 1"), ("fig4", "Deviation 1")}
+        assert deviations == {
+            ("fig3", "Deviation 1"), ("fig4", "Deviation 1"), ("ablations", "Deviation 3"),
+        }
 
 
 class TestRendering:

@@ -26,11 +26,23 @@ twice.
   message counter, for unit and sized runs.  Only the cooperation
   counters (``coop_probes``, ``coop_fetches``, ``push_requests``) tell
   them apart, and they stay zero.
+- **R5, piggybacking only relabels the destage connection (§4.4).**  With
+  ``piggyback=False`` Hier-GD makes the same pass-downs over dedicated
+  connections: tier counts, latency, extras and every message counter
+  stay identical, except that ``piggybacked_destages`` and
+  ``dedicated_destage_connections`` swap.
+- **R6, Pastry's ``b`` changes routes, not placement (§4.1).**  An object's
+  owner is the numerically closest node id whatever the digit width, so
+  ``pastry_b=2`` leaves everything identical but ``mean_pastry_hops``.
+
+R5 and R6 run at smoke scale with exact and Bloom directories, fault-free
+and under the composite robustness plan.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from functools import lru_cache
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -39,6 +51,7 @@ from hypothesis import strategies as st
 from repro.core.config import SimulationConfig
 from repro.core.run import available_schemes, generate_workloads
 from repro.experiments.robustness import robustness_plan
+from repro.experiments.runner import SCALES, base_config
 from repro.faults import FaultPlan, run_scheme_with_faults
 from repro.netmodel import NetworkConfig
 from repro.workload import ProWGenConfig
@@ -175,3 +188,43 @@ def test_r3_one_proxy_collapses_sharing_onto_no_sharing(shared, alone, sizes, fr
         plain["messages"].pop(counter, None)
     coop["scheme"] = plain["scheme"]
     assert coop == plain
+
+
+@lru_cache(maxsize=None)
+def hier_gd_smoke(directory: str, plan: str, **change) -> dict:
+    """Hier-GD at smoke scale, S = 0.3, with ``change`` applied."""
+    cfg = base_config(
+        SCALES["smoke"], overlay="pastry", proxy_cache_fraction=0.3, directory=directory
+    )
+    traces = generate_workloads(cfg, seed=0)
+    return result("hier-gd", cfg.with_changes(**change), traces, R1_PLANS[plan])
+
+
+R56_CELLS = pytest.mark.parametrize(
+    "directory, plan",
+    [(d, p) for d in ("exact", "bloom") for p in ("none", "composite")],
+)
+
+
+@R56_CELLS
+def test_r5_piggyback_off_only_swaps_the_destage_counters(directory, plan):
+    piggybacked = hier_gd_smoke(directory, plan)
+    dedicated = hier_gd_smoke(directory, plan, piggyback=False)
+    messages = dict(dedicated["messages"])
+    messages["piggybacked_destages"], messages["dedicated_destage_connections"] = (
+        messages["dedicated_destage_connections"], messages["piggybacked_destages"]
+    )
+    sent = piggybacked["messages"]
+    assert sent["piggybacked_destages"] == sent["passdowns"] > 0
+    assert sent["dedicated_destage_connections"] == 0
+    assert {**dedicated, "messages": messages} == piggybacked
+
+
+@R56_CELLS
+def test_r6_pastry_b_moves_only_the_hop_count(directory, plan):
+    b4 = hier_gd_smoke(directory, plan)
+    b2 = hier_gd_smoke(directory, plan, pastry_b=2)
+    extras4, extras2 = dict(b4["extras"]), dict(b2["extras"])
+    for extras in (extras4, extras2):
+        del extras["mean_pastry_hops"]
+    assert {**b2, "extras": extras2} == {**b4, "extras": extras4}
